@@ -8,12 +8,10 @@ bounds for rapid-decay and amenability diagnostics.
 from .algebra import (HeckeElement, NormReport, basis_element, convolve,
                       convolution_power_moment, identity_element, involution,
                       norms, power_moments, structure_constants)
-from .cosets import (Caps, CosetStore, enumerate_ball, intern_right_coset,
-                     invert_double_coset, left_L_count, relative_modular,
-                     right_H_orbit, unimodularity_check, verify_hecke)
+from .cosets import (Caps, CosetStore, enumerate_ball, left_L_count,
+                     relative_modular, unimodularity_check, verify_hecke)
 from .growth import GrowthSeries, GrowthVerdict, classify_growth, growth_series
-from .groups import (HeckePair, catalog_labels, get_pair, load_pair_spec,
-                     parse_element, render_element)
+from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
 from .lengths import (LengthFunction, averaged_length, characteristic_length,
                       check_length_axioms, dominance_fit, indicator_length,
                       pseudometric_checks, word_length)

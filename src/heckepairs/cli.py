@@ -330,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.rmax < 0:
+            raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
         cfg = load_config(args.config, args.set)
         if args.seed is not None:
             cfg["seed"] = args.seed

@@ -1,9 +1,10 @@
 """Right-coset interning, ball enumeration and double-coset structure.
 
-The store interns right cosets Hx.  Equality of cosets is decided by the
-membership test x y^{-1} in H; instances may supply a fingerprint (an
-invariant constant on Hx) that buckets candidates so interning stays near
-O(1), but the membership test remains the arbiter.
+The store interns right cosets Hx by their key: every pair's
+``coset_fingerprint`` is a normal form of Hx, so key(x) == key(y) exactly
+when Hx == Hy, and interning is one dict lookup.  The membership test
+x y^{-1} in H stays the arbiter: ``check_interning_soundness`` re-tests a
+built store with it in both directions.
 
 Build phase is single-writer.  A sealed store no longer accepts
 user-driven interning, but analysis operations (double-coset orbits,
@@ -24,9 +25,8 @@ from .groups import HeckePair
 
 __all__ = [
     "Caps", "DoubleCoset", "CosetStore",
-    "enumerate_ball", "intern_right_coset", "right_H_orbit",
-    "left_L_count", "relative_modular", "unimodularity_check",
-    "invert_double_coset", "verify_hecke", "check_interning_soundness",
+    "enumerate_ball", "left_L_count", "relative_modular",
+    "unimodularity_check", "verify_hecke", "check_interning_soundness",
 ]
 
 DEFAULT_MAX_COSETS = 2_000_000
@@ -69,7 +69,7 @@ class CosetStore:
         self.sealed: bool = False
         self.saturated: bool = False          # BFS exhausted the coset space
         self.sc_cache: dict = {}              # (d1, d2) -> {d: int}; see algebra
-        self._buckets: dict = {}
+        self._ids: dict = {}                  # coset key -> cid
         self._frontier: list[int] = []
 
     # -- interning ----------------------------------------------------------
@@ -81,17 +81,10 @@ class CosetStore:
         """Id of Hg, interning if new.  ``g`` must already be canonical
         (every pair operation returns canonical representatives; the public
         wrappers canonicalize)."""
-        pair = self.pair
-        fp = pair.coset_fingerprint(g)
-        bucket = self._buckets.get(fp)
-        if bucket is not None:
-            same = pair.same_right_coset
-            reps = self.reps
-            for cid in bucket:
-                if same(g, reps[cid]):
-                    return cid
-        if not insert:
-            return None
+        key = self.pair.coset_fingerprint(g)
+        cid = self._ids.get(key)
+        if cid is not None or not insert:
+            return cid
         if len(self.reps) >= self.caps.max_cosets:
             raise CapExceeded(
                 f"coset store exceeded max_cosets={self.caps.max_cosets}",
@@ -101,10 +94,7 @@ class CosetStore:
         self.wl.append(None)
         self.adj.append(None)
         self.dc_of.append(None)
-        if bucket is None:
-            self._buckets[fp] = [cid]
-        else:
-            bucket.append(cid)
+        self._ids[key] = cid
         return cid
 
     def intern(self, g) -> int:
@@ -244,12 +234,7 @@ class CosetStore:
 
     def classes_in_ball(self, r: int) -> list[int]:
         """Double-coset ids met by the radius-r ball, in id order."""
-        out: list[int] = []
-        for cid in self.ball_ids(r):
-            d = self.dc(cid)
-            if d not in out:
-                out.append(d)
-        return sorted(out)
+        return sorted({self.dc(cid) for cid in self.ball_ids(r)})
 
     # -- export --------------------------------------------------------------
 
@@ -305,49 +290,27 @@ def enumerate_ball(pair: HeckePair, r_max: int,
     return store
 
 
-def intern_right_coset(store: CosetStore, g) -> int:
-    return store.intern(g)
-
-
-def right_H_orbit(store: CosetStore, cid: int,
-                  max_orbit: Optional[int] = None) -> int:
-    if max_orbit is not None and max_orbit != store.caps.max_orbit:
-        old = store.caps
-        store.caps = Caps(old.max_cosets, max_orbit)
-        try:
-            return store.dc(cid)
-        finally:
-            store.caps = old
-    return store.dc(cid)
-
-
 def left_L_count(pair: HeckePair, g, max_orbit: int = DEFAULT_MAX_ORBIT) -> int:
     """L(g) = number of left cosets of H inside HgH, computed as the orbit
-    of gH under left H-multiplication (xH = yH iff x^{-1} y in H)."""
+    of gH under left H-multiplication, keyed by the normal form of xH."""
     hs = pair.h_gens_sym()
     reps = [pair.canon(g)]
-    buckets: dict = {pair.left_coset_fingerprint(reps[0]): [0]}
+    seen = {pair.left_coset_fingerprint(reps[0])}
     i = 0
     while i < len(reps):
         x = reps[i]
         i += 1
         for h in hs:
             t = pair.canon(pair.mul(h, x))
-            fp = pair.left_coset_fingerprint(t)
-            bucket = buckets.get(fp)
-            if bucket is not None:
-                if any(pair.same_left_coset(t, reps[j]) for j in bucket):
-                    continue
+            key = pair.left_coset_fingerprint(t)
+            if key in seen:
+                continue
             if len(reps) >= max_orbit:
                 raise OrbitCapExceeded(
                     f"left-H orbit exceeded max_orbit={max_orbit}",
                     cap=max_orbit)
-            idx = len(reps)
+            seen.add(key)
             reps.append(t)
-            if bucket is None:
-                buckets[fp] = [idx]
-            else:
-                bucket.append(idx)
     return len(reps)
 
 
@@ -395,10 +358,6 @@ def unimodularity_check(pair: HeckePair,
             f"{pair.label}: cannot certify unimodularity without a finite "
             "generating set")
     return UnimodularityReport(verdict, witnesses)
-
-
-def invert_double_coset(store: CosetStore, dcid: int) -> int:
-    return store.class_inverse(dcid)
 
 
 @dataclass
@@ -458,9 +417,12 @@ def verify_hecke(pair: HeckePair, depth: int,
 
 def check_interning_soundness(store: CosetStore,
                               limit: int = 10_000) -> list[tuple[int, int]]:
-    """Exhaustively re-test that distinct ids hold distinct cosets.
-    Returns offending id pairs (empty on a sound store).  Quadratic;
-    intended for stores of at most ``limit`` cosets."""
+    """Re-test the store's interning with the membership test, in both
+    directions.  Keys too fine: distinct ids must hold distinct cosets
+    (quadratic in cosets).  Keys too coarse: every Schreier edge
+    ``adj[cid][i]`` must hold, rep(cid) s_i rep(tid)^{-1} in H (linear in
+    edges).  Returns offending id pairs (empty on a sound store); intended
+    for stores of at most ``limit`` cosets."""
     n = len(store)
     if n > limit:
         raise HeckeError(f"store too large for exhaustive check ({n} cosets)")
@@ -472,4 +434,11 @@ def check_interning_soundness(store: CosetStore,
         for j in range(i + 1, n):
             if pair.in_h(pair.mul(gi, invs[j])):
                 bad.append((i, j))
+    for cid, nbrs in enumerate(store.adj):
+        if nbrs is None:
+            continue
+        x = store.reps[cid]
+        for s, tid in zip(pair.shat(), nbrs):
+            if not pair.in_h(pair.mul(pair.mul(x, s), invs[tid])):
+                bad.append((cid, tid))
     return bad

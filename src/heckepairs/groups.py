@@ -2,9 +2,10 @@
 
 Every pair (G, H) is packaged as a :class:`HeckePair`: exact group
 operations, an exact H-membership predicate, generator lists for G and H,
-and optional coset fingerprints used by the enumeration engine to bucket
-interning candidates.  All scalar arithmetic is over arbitrary-precision
-rationals; there is no floating point in this module.
+and right/left coset keys that are normal forms of the cosets, so the
+enumeration engine interns a coset by its key alone.  All scalar
+arithmetic is over arbitrary-precision rationals; there is no floating
+point in this module.
 
 Element payloads
 ----------------
@@ -31,7 +32,6 @@ __all__ = [
     "HeckePair", "SL2ZpPair", "AffinePair", "ZPair", "PermPair",
     "DihedralPair",
     "get_pair", "catalog_labels", "load_pair_spec",
-    "parse_element", "render_element",
 ]
 
 
@@ -300,18 +300,19 @@ class HeckePair:
             return list(self.g_generators)
         raise NotImplementedError
 
-    # -- fingerprints ------------------------------------------------------
+    # -- coset keys --------------------------------------------------------
 
     def coset_fingerprint(self, x):
-        """Hashable invariant of the right coset Hx, or None.  Fingerprints
-        only bucket candidates; the membership test remains the arbiter."""
-        return None
+        """Hashable normal form of the right coset Hx: key(x) == key(y)
+        exactly when Hx == Hy.  The coset store interns by this key alone."""
+        raise NotImplementedError
 
     def left_coset_fingerprint(self, x):
-        """Hashable invariant of the left coset xH, or None."""
-        return None
+        """Hashable normal form of the left coset xH: key(x) == key(y)
+        exactly when xH == yH."""
+        raise NotImplementedError
 
-    # -- coset equality (the arbiter; overridable as a fast path) ----------
+    # -- coset equality (the arbiter that checks and tests hold keys to) ---
 
     def same_right_coset(self, x, y) -> bool:
         """Hx == Hy, decided by the membership test x y^{-1} in H."""
@@ -452,28 +453,9 @@ class SL2ZpPair(HeckePair):
         return (x.k, _hnf_2x2(x.num, self.p ** (2 * x.k)))
 
     def left_coset_fingerprint(self, x):
+        # xH <-> the column lattice x * Z^2: the row lattice of the transpose
         a, b, c, d = x.num
         return (x.k, _hnf_2x2((a, c, b, d), self.p ** (2 * x.k)))
-
-    def same_right_coset(self, x, y) -> bool:
-        # x y^{-1} = (num_x adj(num_y)) / p^(k_x + k_y): in H iff integral
-        a1, b1, c1, d1 = x.num
-        a2, b2, c2, d2 = y.num
-        m = self.p ** (x.k + y.k)
-        return ((a1 * d2 - b1 * c2) % m == 0
-                and (b1 * a2 - a1 * b2) % m == 0
-                and (c1 * d2 - d1 * c2) % m == 0
-                and (d1 * a2 - c1 * b2) % m == 0)
-
-    def same_left_coset(self, x, y) -> bool:
-        # x^{-1} y = (adj(num_x) num_y) / p^(k_x + k_y): in H iff integral
-        a1, b1, c1, d1 = x.num
-        a2, b2, c2, d2 = y.num
-        m = self.p ** (x.k + y.k)
-        return ((d1 * a2 - b1 * c2) % m == 0
-                and (d1 * b2 - b1 * d2) % m == 0
-                and (a1 * c2 - c1 * a2) % m == 0
-                and (a1 * d2 - c1 * b2) % m == 0)
 
     def parse(self, text: str):
         toks = text.split()
@@ -586,12 +568,6 @@ class AffinePair(HeckePair):
     def left_coset_fingerprint(self, x):
         # (b,a)H = {(b + n, a)} <-> (a, b mod Z)
         return (x.a, x.b - x.b.__floor__())
-
-    def same_right_coset(self, x, y) -> bool:
-        return x.a == y.a and ((x.b - y.b) / y.a).denominator == 1
-
-    def same_left_coset(self, x, y) -> bool:
-        return x.a == y.a and (y.b - x.b).denominator == 1
 
     def parse(self, text: str):
         toks = text.split()
@@ -889,7 +865,8 @@ def load_pair_spec(path: str) -> HeckePair:
     """Build a custom finite-H pair from a line-oriented key=value file.
 
     Supported keys: kind (perm|zvec), label, n (perm degree) or d (zvec
-    dimension), g_gen (repeatable, element text), h_gen (repeatable).
+    dimension), g_gen (repeatable, element text), h_gen (repeatable).  A
+    zvec spec takes only d; any label, g_gen or h_gen line is an error.
     """
     kind = None
     label = None
@@ -928,15 +905,11 @@ def load_pair_spec(path: str) -> HeckePair:
     if kind == "zvec":
         if n is None:
             raise HeckeError("zvec spec needs d")
+        for key, given in (("label", label is not None),
+                           ("g_gen", g_texts), ("h_gen", h_texts)):
+            if given:
+                raise HeckeError(
+                    f"zvec spec does not take {key}: the pair is z:{n} "
+                    "with its unit generators and trivial H")
         return ZPair(n)
     raise HeckeError(f"unsupported custom pair kind {kind!r}")
-
-
-# module-level aliases matching the operation names used elsewhere
-
-def parse_element(pair: HeckePair, text: str):
-    return pair.parse(text)
-
-
-def render_element(pair: HeckePair, x) -> str:
-    return pair.render(x)

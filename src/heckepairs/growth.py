@@ -22,7 +22,7 @@ from typing import Optional
 
 from .cosets import CosetStore
 from .errors import BallIncomplete
-from .lengths import LengthFunction
+from .lengths import LengthFunction, linfit
 
 __all__ = ["GrowthSeries", "GrowthVerdict", "growth_series",
            "classify_growth", "GROWTH_DEFAULTS"]
@@ -91,22 +91,6 @@ class GrowthVerdict:
                 "details": self.details}
 
 
-def _linfit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0:
-        return 0.0, my, 1.0
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    r2 = 1.0 if syy < 1e-30 else max(0.0, 1.0 - ss_res / syy)
-    return slope, intercept, r2
-
-
 def classify_growth(series: GrowthSeries,
                     delta: float = GROWTH_DEFAULTS["growth.delta"],
                     tail_fraction: float = GROWTH_DEFAULTS["growth.tail_fraction"],
@@ -126,12 +110,12 @@ def classify_growth(series: GrowthSeries,
     ratios = [g[b] / g[a] for a, b in zip(tail, tail[1:])]
 
     if ratios and min(ratios) > 1.0 + delta:
-        slope, _, r2 = _linfit([float(r) for r in tail],
-                               [math.log(g[r]) for r in tail])
+        slope, _, r2 = linfit([float(r) for r in tail],
+                              [math.log(g[r]) for r in tail])
         return GrowthVerdict("exponential", None, math.exp(slope), r2,
                              ratios, f"tail ratios all > {1 + delta}")
-    slope, _, r2 = _linfit([math.log(r) for r in tail],
-                           [math.log(g[r]) for r in tail])
+    slope, _, r2 = linfit([math.log(r) for r in tail],
+                          [math.log(g[r]) for r in tail])
     if r2 >= min_r2:
         return GrowthVerdict("polynomial", slope, None, r2, ratios,
                              f"log-log tail fit r2={r2:.4f}")

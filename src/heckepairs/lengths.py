@@ -24,7 +24,7 @@ __all__ = [
     "LengthFunction", "word_length", "characteristic_length",
     "indicator_length", "AveragedLength", "averaged_length",
     "length_of_element", "pseudometric_checks", "PseudometricReport",
-    "dominance_fit", "DominanceFit", "check_length_axioms",
+    "dominance_fit", "DominanceFit", "check_length_axioms", "linfit",
 ]
 
 
@@ -273,18 +273,26 @@ def dominance_fit(l1: LengthFunction, l2: LengthFunction,
         c1 = 0
     holds = all(l2(d) <= c1 * l1(d) + c0 for d in common)
     # least-squares line for reporting
-    xs = [float(l1(d)) for d in common]
-    ys = [float(l2(d)) for d in common]
+    ls1, ls0, _ = linfit([float(l1(d)) for d in common],
+                         [float(l2(d)) for d in common])
+    return DominanceFit(float(c1), float(c0), holds, ls1, ls0, len(common))
+
+
+def linfit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept and its r2.  With a
+    single x value the slope is 0, the intercept mean(y) and r2 1."""
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
     sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx > 0:
-        ls1 = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-        ls0 = my - ls1 * mx
-    else:
-        ls1, ls0 = 0.0, my
-    return DominanceFit(float(c1), float(c0), holds, ls1, ls0, n)
+    if sxx == 0:
+        return 0.0, my, 1.0
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    intercept = my - slope * mx
+    syy = sum((y - my) ** 2 for y in ys)
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    r2 = 1.0 if syy < 1e-30 else max(0.0, 1.0 - ss_res / syy)
+    return slope, intercept, r2
 
 
 # ---------------------------------------------------------------------------

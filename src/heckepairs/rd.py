@@ -24,7 +24,7 @@ from .cosets import CosetStore, unimodularity_check
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, NotSelfAdjoint)
 from .groups import HeckePair
-from .lengths import LengthFunction, word_length
+from .lengths import LengthFunction, linfit, word_length
 
 __all__ = [
     "RD_DEFAULTS", "TruncatedOperator", "operator_matrix", "truncated_norm",
@@ -315,21 +315,6 @@ def _symmetrized_random(store: CosetStore, classes: list[int], rng,
     return HeckeElement(store, coeffs)
 
 
-def _linfit(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return 0.0, 1.0
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    intercept = my - slope * mx
-    syy = sum((y - my) ** 2 for y in ys)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    r2 = 1.0 if syy < 1e-30 else max(0.0, 1.0 - ss_res / syy)
-    return slope, r2
-
-
 def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
                r_max: int, config: Optional[dict] = None, seed: int = 0,
                unimod=None, threads: int = 1) -> RdProfile:
@@ -403,8 +388,9 @@ def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
     if len(profile.best) >= 2:
         xs = [math.log(1.0 + r) for r, _, _ in profile.best]
         ys = [math.log(max(v, 1e-300)) for _, v, _ in profile.best]
-        profile.poly_slope, profile.poly_r2 = _linfit(xs, ys)
-        profile.exp_slope, _ = _linfit([float(r) for r, _, _ in profile.best], ys)
+        profile.poly_slope, _, profile.poly_r2 = linfit(xs, ys)
+        profile.exp_slope, _, _ = linfit(
+            [float(r) for r, _, _ in profile.best], ys)
 
     if len(profile.best) < 4:
         profile.verdict = "inconclusive"
@@ -527,7 +513,7 @@ def rd_weighted_fit(profile: RdProfile, l: LengthFunction,
         ys = [math.log(max(per_r[r][s], 1e-300)) for r in tail if s in per_r[r]]
         if len(xs) < 3:
             continue
-        slope, _ = _linfit(xs, ys)
+        slope, _, _ = linfit(xs, ys)
         if slope <= stable_slope:
             c_hat = max(per_r[r][s] for r in rs if s in per_r[r])
             return float(s), float(c_hat)

@@ -105,6 +105,16 @@ def test_usage_errors(tmp_path):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_negative_rmax_is_usage_error(tmp_path, capsys):
+    for cmd in (["enumerate", "--pair", "z:1"], ["ltable", "--pair", "z:1"],
+                ["growth", "--pair", "z:1"], ["rd-profile", "--pair", "z:1"],
+                ["kesten", "--pair", "z:1"], ["verify"]):
+        out = tmp_path / cmd[0]
+        assert main(cmd + ["--rmax", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "--rmax" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exit_code(tmp_path):
     code = main(["growth", "--pair", "psl2z1p:2", "--rmax", "6",
                  "--max-cosets", "50", "--out", str(tmp_path / "c")])
@@ -138,6 +148,18 @@ def test_custom_pair_spec(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     rows = read(out / "ltable_c6-h3.csv").strip().splitlines()
     assert len(rows) == 1 + 2   # C6 over the order-3 subgroup: two cosets
+
+
+@pytest.mark.parametrize("line", ["label=plane", "g_gen=zvec 2 0",
+                                  "h_gen=zvec 1 0"])
+def test_zvec_spec_rejects_ignored_lines(tmp_path, capsys, line):
+    spec = tmp_path / "pair.cfg"
+    spec.write_text(f"kind=zvec\nd=2\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["growth", "--pair-spec", str(spec), "--rmax", "4",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert line.partition("=")[0] in capsys.readouterr().err
+    assert not (out / "growth_z-2.json").exists()
 
 
 def test_entry_point_subprocess(tmp_path):

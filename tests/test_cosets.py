@@ -235,7 +235,9 @@ def test_ball_partitioned_by_classes(label):
     store = enumerate_ball(get_pair(label), 3)
     ball = set(store.ball_ids(3))
     seen = set()
-    for d in store.classes_in_ball(3):
+    classes = store.classes_in_ball(3)
+    assert classes == sorted(set(classes))
+    for d in classes:
         members = set(store.class_members(d))
         assert len(members) == store.class_R(d)
         assert not (members & seen)
@@ -301,3 +303,15 @@ def test_sl2_and_psl2_ball_sizes_agree():
     for r in (1, 2, 3):
         assert (len(enumerate_ball(get_pair("sl2z1p:2"), r))
                 == len(enumerate_ball(get_pair("psl2z1p:2"), r)))
+
+
+@pytest.mark.parametrize("label", ["dinf", "s3-h12", "bcp:2", "psl2z1p:2"])
+@pytest.mark.parametrize("key", [lambda x: 0, lambda x: x],
+                         ids=["too-coarse", "too-fine"])
+def test_interning_soundness_flags_wrong_keys(label, key, monkeypatch):
+    # a constant key merges every coset into id 0, which the re-tested
+    # Schreier edges expose; keying by the element splits each coset Hx
+    # over several ids, which the pairwise test exposes
+    pair = get_pair(label)
+    monkeypatch.setattr(pair, "coset_fingerprint", key)
+    assert check_interning_soundness(enumerate_ball(pair, 2))

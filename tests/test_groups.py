@@ -295,3 +295,57 @@ def test_validate_domain():
     z2 = get_pair("z:2")
     with pytest.raises(DomainError):
         z2.validate(Vec((1, 2, 3)))
+
+
+# -- coset keys are normal forms ---------------------------------------------
+
+
+def _draw_element(pair, data):
+    """A word in S-hat, or for the full BC pair a small (b, a) with b in Q
+    and a in Q_{>0}, so that independent draws often share a coset."""
+    if pair.finitely_generated:
+        shat = pair.shat()
+        return pair.word(data.draw(
+            st.lists(st.integers(0, len(shat) - 1), max_size=6)))
+    small = st.integers(1, 6)
+    b = Q(data.draw(st.integers(-12, 12)), data.draw(small))
+    return Aff(b, Q(data.draw(small), data.draw(small)))
+
+
+def _draw_h_element(pair, data):
+    g = pair.identity()
+    hs = pair.h_gens_sym()
+    if hs:
+        for i in data.draw(st.lists(st.integers(0, len(hs) - 1),
+                                    max_size=6)):
+            g = pair.mul(g, hs[i])
+    return g
+
+
+@pytest.mark.parametrize("label", FG_LABELS + ["bc"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_coset_keys_are_normal_forms(label, data):
+    # key equality must agree with the base-class membership test both
+    # ways: y = h x (resp. x h) shares the coset, an independent y may not
+    pair = get_pair(label)
+    x = _draw_element(pair, data)
+    h = _draw_h_element(pair, data)
+    translate = data.draw(st.booleans())
+    y = pair.mul(h, x) if translate else _draw_element(pair, data)
+    same = hp.HeckePair.same_right_coset(pair, x, y)
+    assert same or not translate
+    assert (pair.coset_fingerprint(x) == pair.coset_fingerprint(y)) == same
+    y = pair.mul(x, h) if translate else _draw_element(pair, data)
+    same = hp.HeckePair.same_left_coset(pair, x, y)
+    assert same or not translate
+    assert (pair.left_coset_fingerprint(x)
+            == pair.left_coset_fingerprint(y)) == same
+
+
+def test_base_pair_has_no_coset_key():
+    # a missing key must fail loudly: a constant one would merge all cosets
+    with pytest.raises(NotImplementedError):
+        hp.HeckePair.coset_fingerprint(get_pair("z:1"), Vec((0,)))
+    with pytest.raises(NotImplementedError):
+        hp.HeckePair.left_coset_fingerprint(get_pair("z:1"), Vec((0,)))
