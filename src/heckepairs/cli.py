@@ -19,7 +19,8 @@ import json
 import os
 import sys
 
-from .cosets import Caps, CapExceeded, enumerate_ball
+from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
+                     CapExceeded, enumerate_ball)
 from .errors import HeckeError, NotRelativelyUnimodular
 from .growth import GROWTH_DEFAULTS, classify_growth, growth_series
 from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
@@ -33,8 +34,8 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 CONFIG_DEFAULTS = {
-    "caps.max_cosets": 2_000_000,
-    "caps.max_orbit": 100_000,
+    "caps.max_cosets": DEFAULT_MAX_COSETS,
+    "caps.max_orbit": DEFAULT_MAX_ORBIT,
     "seed": 0,
     **GROWTH_DEFAULTS,
     **RD_DEFAULTS,
@@ -42,14 +43,12 @@ CONFIG_DEFAULTS = {
 
 
 def _coerce(key: str, raw: str):
-    default = CONFIG_DEFAULTS[key]
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    kind = type(CONFIG_DEFAULTS[key])
+    try:
+        return kind(raw)
+    except ValueError:
+        raise HeckeError(
+            f"config key {key!r} needs {kind.__name__}, got {raw!r}") from None
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -125,19 +124,10 @@ def _caps(cfg: dict) -> Caps:
     return Caps(int(cfg["caps.max_cosets"]), int(cfg["caps.max_orbit"]))
 
 
-def _threads() -> int:
-    raw = os.environ.get("HECKE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _report_head(pair: HeckePair, cfg: dict, args) -> dict:
     return {
         "pair": pair.describe(),
         "seed": int(cfg["seed"]),
-        "threads": _threads(),
         "config": {k: cfg[k] for k in sorted(cfg)},
         "command": args.command,
     }
@@ -218,7 +208,7 @@ def cmd_rd_profile(args, cfg) -> int:
     store = enumerate_ball(pair, args.rmax, _caps(cfg))
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
     profile = rd_profile(pair, store, None, args.rmax, config=rd_cfg,
-                         seed=int(cfg["seed"]), threads=_threads())
+                         seed=int(cfg["seed"]))
     base = os.path.join(args.out, f"rd_profile_{_slug(pair.label)}")
     report = _report_head(pair, cfg, args)
     report["profile"] = profile.as_dict()

@@ -6,11 +6,10 @@ when Hx == Hy, and interning is one dict lookup.  The membership test
 x y^{-1} in H stays the arbiter: ``check_interning_soundness`` re-tests a
 built store with it in both directions.
 
-Build phase is single-writer.  A sealed store no longer accepts
-user-driven interning, but analysis operations (double-coset orbits,
-class inverses, resumed BFS) may still append cosets; those appends are
-deterministic and append-only, so concurrent readers of previously
-returned data are never invalidated.
+A sealed store no longer accepts user-driven interning, but analysis
+operations (double-coset orbits, class inverses, resumed BFS) may still
+append cosets; those appends are deterministic and append-only, so data
+returned earlier is never invalidated.
 """
 
 from __future__ import annotations

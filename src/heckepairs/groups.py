@@ -271,23 +271,23 @@ class HeckePair:
             from .errors import NotFinitelyGenerated
             raise NotFinitelyGenerated(f"{self.label} has no finite generating set")
         if self._shat is None:
-            out = []
-            for s in self.g_generators:
-                for t in (self.canon(s), self.canon(self.inv(s))):
-                    if t not in out and t != self.identity():
-                        out.append(t)
-            self._shat = out
+            self._shat = self._symmetrized(self.g_generators)
         return self._shat
 
     def h_gens_sym(self) -> list:
         if self._h_sym is None:
-            out = []
-            for s in self.h_generators:
-                for t in (self.canon(s), self.canon(self.inv(s))):
-                    if t not in out and t != self.identity():
-                        out.append(t)
-            self._h_sym = out
+            self._h_sym = self._symmetrized(self.h_generators)
         return self._h_sym
+
+    def _symmetrized(self, gens) -> list:
+        """s, s^{-1} in canonical form for each s in turn, without repeats
+        or the identity.  Schreier ids follow this order."""
+        out = []
+        for s in gens:
+            for t in (self.canon(s), self.canon(self.inv(s))):
+                if t not in out and t != self.identity():
+                    out.append(t)
+        return out
 
     def h_elements(self) -> Optional[list]:
         """All of H when H is finite, else None."""
@@ -887,7 +887,12 @@ def load_pair_spec(path: str) -> HeckePair:
             elif key == "label":
                 label = val
             elif key in ("n", "d"):
-                n = int(val)
+                try:
+                    n = int(val)
+                except ValueError:
+                    raise HeckeError(
+                        f"pair-spec key {key!r} needs an integer, "
+                        f"got {val!r}") from None
             elif key == "g_gen":
                 g_texts.append(val)
             elif key == "h_gen":

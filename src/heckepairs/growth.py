@@ -28,7 +28,7 @@ __all__ = ["GrowthSeries", "GrowthVerdict", "growth_series",
            "classify_growth", "GROWTH_DEFAULTS"]
 
 GROWTH_DEFAULTS = {
-    "growth.delta": 0.2,           # shell ratios must exceed 1+delta for "exponential"
+    "growth.delta": 0.2,           # tail ball ratios must exceed 1+delta for "exponential"
     "growth.tail_fraction": 0.5,   # fraction of radii used for the fits
     "growth.min_r2": 0.98,         # fit quality gate for "polynomial"
 }
@@ -95,9 +95,10 @@ def classify_growth(series: GrowthSeries,
                     delta: float = GROWTH_DEFAULTS["growth.delta"],
                     tail_fraction: float = GROWTH_DEFAULTS["growth.tail_fraction"],
                     min_r2: float = GROWTH_DEFAULTS["growth.min_r2"]) -> GrowthVerdict:
-    """Empirical classification: exponential when the tail shell ratios
-    stay above 1 + delta (base fitted from ln G vs r); polynomial when the
-    log-log fit of the tail is good; otherwise inconclusive."""
+    """Empirical classification: exponential when the tail ball ratios
+    stay above 1 + delta and ln G fits r at least as well (r2) as ln r,
+    base fitted from ln G vs r; polynomial when the log-log fit of the
+    tail is good; otherwise inconclusive."""
     rs = [r for r, g in zip(series.radii, series.ball) if g > 0 and r >= 1]
     if len(rs) < 4:
         return GrowthVerdict("inconclusive", None, None, 0.0, [],
@@ -109,13 +110,12 @@ def classify_growth(series: GrowthSeries,
     g = {r: series.ball[series.radii.index(r)] for r in rs}
     ratios = [g[b] / g[a] for a, b in zip(tail, tail[1:])]
 
-    if ratios and min(ratios) > 1.0 + delta:
-        slope, _, r2 = linfit([float(r) for r in tail],
-                              [math.log(g[r]) for r in tail])
-        return GrowthVerdict("exponential", None, math.exp(slope), r2,
+    logs = [math.log(g[r]) for r in tail]
+    exp_slope, _, exp_r2 = linfit([float(r) for r in tail], logs)
+    slope, _, r2 = linfit([math.log(r) for r in tail], logs)
+    if ratios and min(ratios) > 1.0 + delta and exp_r2 >= r2:
+        return GrowthVerdict("exponential", None, math.exp(exp_slope), exp_r2,
                              ratios, f"tail ratios all > {1 + delta}")
-    slope, _, r2 = linfit([math.log(r) for r in tail],
-                          [math.log(g[r]) for r in tail])
     if r2 >= min_r2:
         return GrowthVerdict("polynomial", slope, None, r2, ratios,
                              f"log-log tail fit r2={r2:.4f}")

@@ -317,14 +317,12 @@ def _symmetrized_random(store: CosetStore, classes: list[int], rng,
 
 def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
                r_max: int, config: Optional[dict] = None, seed: int = 0,
-               unimod=None, threads: int = 1) -> RdProfile:
+               unimod=None) -> RdProfile:
     """Best norm-to-l2 ratios over families of test functions supported in
     the radius-r balls, with weighted-norm stability fits.
 
     A non-unimodular pair short-circuits to the obstruction verdict: no
-    ratio data can rescue property (RD) there.  ``threads`` caps the
-    workers used for the power iterations (everything that touches the
-    store runs single-threaded; results merge in task order either way)."""
+    ratio data can rescue property (RD) there."""
     import random
 
     cfg = _config(config)
@@ -370,10 +368,10 @@ def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
             if f:
                 tasks.append((r, family, nonneg, f))
 
-    records = _run_tasks(tasks, store, l, s_grid, cfg, profile,
-                         pad, max(1, threads))
     best: dict[int, tuple[float, str]] = {}
-    for rec in records:
+    for r, family, nonneg, f in tasks:
+        rec = _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
+                           profile)
         profile.records.append(rec)
         if rec.nonneg and (rec.r not in best or rec.ratio > best[rec.r][0]):
             best[rec.r] = (rec.ratio, rec.family)
@@ -423,54 +421,33 @@ def _truncation_radius(store: CosetStore, f: HeckeElement, want: int,
     return radius
 
 
-def _run_tasks(tasks, store, l, s_grid, cfg, profile, pad,
-               threads: int) -> list[RdTestRecord]:
-    """Stage A touches the store (matrix build, moments) sequentially;
-    stage B runs the pure power iterations, optionally on a thread pool;
-    records are assembled in task order regardless of worker count."""
-    prepared = []
-    for r, family, nonneg, f in tasks:
-        r_trunc = _truncation_radius(store, f, r + pad, cfg)
-        op = None
+def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
+                 profile) -> RdTestRecord:
+    """Both lower bounds, the weighted norms and l2 of one test function.
+    A cap hit on either bound zeroes that bound and marks the profile
+    partial."""
+    r_trunc = _truncation_radius(store, f, r + int(cfg["rd.pad"]), cfg)
+    trunc = 0.0
+    try:
+        trunc = truncated_norm(operator_matrix(f, store, r_trunc),
+                               float(cfg["rd.tol"]), int(cfg["rd.max_iter"]))
+    except CapExceeded as exc:
+        profile.partial = True
+        profile.warnings.append(f"truncated norm skipped at r={r}: {exc}")
+    root = 0.0
+    n_mom = int(cfg["rd.moment_n"])
+    if n_mom > 0:
         try:
-            op = operator_matrix(f, store, r_trunc)
+            if is_self_adjoint(f):
+                root = spectral_lower_bound(f, n_mom)[-1]
         except CapExceeded as exc:
             profile.partial = True
-            profile.warnings.append(f"truncated norm skipped at r={r}: {exc}")
-        root = 0.0
-        n_mom = int(cfg["rd.moment_n"])
-        if n_mom > 0:
-            try:
-                if is_self_adjoint(f):
-                    root = spectral_lower_bound(f, n_mom)[-1]
-            except CapExceeded as exc:
-                profile.partial = True
-                profile.warnings.append(f"moments skipped at r={r}: {exc}")
-        weighted = {s: norms(f, l, s).weighted for s in s_grid}
-        prepared.append((r, family, nonneg, f, op, r_trunc, root, weighted))
-
-    tol = float(cfg["rd.tol"])
-    max_iter = int(cfg["rd.max_iter"])
-
-    def _norm_of(op):
-        return 0.0 if op is None else truncated_norm(op, tol, max_iter)
-
-    if threads > 1 and len(prepared) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            truncs = list(pool.map(_norm_of, [p[4] for p in prepared]))
-    else:
-        truncs = [_norm_of(p[4]) for p in prepared]
-
-    records = []
-    for (r, family, nonneg, f, op, r_trunc, root, weighted), trunc in zip(
-            prepared, truncs):
-        l2 = norms(f).l2
-        lower = max(trunc, root)
-        records.append(RdTestRecord(r, family, nonneg, lower, trunc, r_trunc,
-                                    root, l2, lower / l2 if l2 else 0.0,
-                                    weighted))
-    return records
+            profile.warnings.append(f"moments skipped at r={r}: {exc}")
+    weighted = {s: norms(f, l, s).weighted for s in s_grid}
+    l2 = norms(f).l2
+    lower = max(trunc, root)
+    return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,
+                        lower / l2 if l2 else 0.0, weighted)
 
 
 def _s_grid(cfg) -> list[float]:

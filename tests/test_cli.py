@@ -83,23 +83,27 @@ def test_determinism_byte_identical(tmp_path):
         assert outs[0] == outs[1]
 
 
-def test_threads_env_does_not_change_artifacts(tmp_path, monkeypatch):
-    out1 = tmp_path / "t1"
-    main(["rd-profile", "--pair", "z:1", "--rmax", "6", "--out", str(out1)])
-    monkeypatch.setenv("HECKE_THREADS", "3")
-    out2 = tmp_path / "t2"
-    main(["rd-profile", "--pair", "z:1", "--rmax", "6", "--out", str(out2)])
-    a = json.loads(read(out1 / "rd_profile_z-1.json"))
-    b = json.loads(read(out2 / "rd_profile_z-1.json"))
-    assert a["profile"] == b["profile"]
-    assert b["threads"] == 3
-
-
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main(["growth", "--pair", "nonsense", "--rmax", "3",
                  "--out", str(tmp_path / "x")]) == EXIT_USAGE
     assert main(["growth", "--rmax", "3",
                  "--out", str(tmp_path / "y")]) == EXIT_USAGE
+    # non-integer numbers in a pair spec, --set or a config file
+    files = {"d.spec": "kind=zvec\nd=two\n",
+             "n.spec": "kind=perm\nn=x\ng_gen=perm 1 0\n",
+             "bad.cfg": "rd.n_random=2.5\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for key, extra in (
+            ("'d'", ["--pair-spec", str(tmp_path / "d.spec")]),
+            ("'n'", ["--pair-spec", str(tmp_path / "n.spec")]),
+            ("'seed'", ["--pair", "z:1", "--set", "seed=abc"]),
+            ("'growth.delta'", ["--pair", "z:1", "--set", "growth.delta=x"]),
+            ("'rd.n_random'", ["--pair", "z:1",
+                               "--config", str(tmp_path / "bad.cfg")])):
+        assert main(["growth", "--rmax", "3", "--out", str(tmp_path / "z")]
+                    + extra) == EXIT_USAGE
+        assert key in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
