@@ -2,11 +2,10 @@
 
 Elements are finite rational linear combinations of double-coset
 indicators T_d over a coset store.  Products are computed classwise: the
-structure constants of a basis product T_{d1} * T_{d2} are obtained by
-multiplying member-coset representatives and counting hits per target
-coset; the count must come out constant on every target class (a loud
-internal check) and is cached on the store, so repeated convolutions are
-dictionary arithmetic.
+structure constants of a basis product T_{d1} * T_{d2} are counted at one
+coset per target class, checked against the degree identity
+sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring homomorphism) and
+cached on the store, so repeated convolutions are dictionary arithmetic.
 
 Coefficients are rationals, not complex: every computation in scope uses
 real data, so conjugation is the identity.  A complex payload would be a
@@ -119,34 +118,47 @@ def identity_element(store: CosetStore) -> HeckeElement:
 def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     """Coefficients of T_{d1} * T_{d2} in the double-coset basis.
 
-    (T_{d1} * T_{d2})(Hx) counts the pairs (a, b) of member-coset
-    representatives with H a b = Hx; the result is verified to be constant
-    across each target class before packing.
+    (T_{d1} * T_{d2})(Hx) counts the pairs (a, b_j) of member-coset
+    representatives with H a b_j = Hx, and is constant on the class of Hx.
+    With b = rep(d2), the classes of the cosets H a b (a over d1) are the
+    whole support, since H a h b H = H a' b H for H a h = H a'.  For one
+    coset Hx = H a b of each support class, the pair count is
+    c_d = #{b_j in d2 : H x b_j^{-1} in d1}.  The term b_j = b is H a, so
+    it counts without a lookup; each other member takes one lookup, and a
+    coset that is not interned is not in d1, so the lookups insert nothing.
+    That is R(d1) + |supp| (R(d2) - 1) products instead of R(d1) R(d2).
+    The result must satisfy the degree identity
+    sum_d c_d R(d) = R(d1) R(d2).
     """
     key = (d1, d2)
     cached = store.sc_cache.get(key)
     if cached is not None:
         return cached
     pair = store.pair
-    reps_a = [store.reps[c] for c in store.class_members(d1)]
-    reps_b = [store.reps[c] for c in store.class_members(d2)]
-    counter: dict[int, int] = {}
+    reps = store.reps
     intern = store._intern
     mul = pair.mul
-    for a in reps_a:
-        for b in reps_b:
-            t = intern(mul(a, b))
-            counter[t] = counter.get(t, 0) + 1
+    members1 = store.class_members(d1)
+    rep2 = store.dcs[d2].rep_cid
+    b = reps[rep2]
+    hits = sorted({intern(mul(reps[a], b)) for a in members1})
+    in_d1 = set(members1)
+    b_invs = [pair.inv(reps[m]) for m in store.class_members(d2)
+              if m != rep2]
     out: dict[int, int] = {}
-    for cid in sorted(counter):
+    for cid in hits:
         d = store.dc(cid)
         if d in out:
             continue
-        vals = {counter.get(m, 0) for m in store.class_members(d)}
-        if len(vals) != 1:
-            raise NonBiInvariantResult(
-                f"product T[{d1}]*T[{d2}] not constant on class {d}: {vals}")
-        out[d] = counter[cid]
+        x = reps[cid]
+        out[d] = 1 + sum(intern(mul(x, bi), insert=False) in in_d1
+                         for bi in b_invs)
+    degree = sum(c * store.class_R(d) for d, c in out.items())
+    want = store.class_R(d1) * store.class_R(d2)
+    if degree != want:
+        raise NonBiInvariantResult(
+            f"product T[{d1}]*T[{d2}] breaks the degree identity: "
+            f"sum c_d R(d) = {degree}, R(d1) R(d2) = {want}")
     store.sc_cache[key] = out
     return out
 

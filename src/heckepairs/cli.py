@@ -22,7 +22,8 @@ import sys
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
                      CapExceeded, enumerate_ball)
 from .errors import HeckeError, NotRelativelyUnimodular
-from .growth import GROWTH_DEFAULTS, classify_growth, growth_series
+from .growth import (GROWTH_DEFAULTS, GrowthSeries, classify_growth,
+                     growth_series)
 from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
 from .lengths import characteristic_length, word_length
 from .rd import RD_DEFAULTS, kesten_diagnostic, rd_profile
@@ -182,19 +183,37 @@ def cmd_ltable(args, cfg) -> int:
     return EXIT_OK
 
 
+def _series_dict(series: GrowthSeries) -> dict:
+    return {"radii": series.radii, "ball": series.ball,
+            "shell": series.shell, "kind": series.kind}
+
+
 def cmd_growth(args, cfg) -> int:
     pair = _resolve_pair(args)
-    store = enumerate_ball(pair, args.rmax, _caps(cfg))
-    series = growth_series(store, args.rmax)
+    base = os.path.join(args.out, f"growth_{_slug(pair.label)}")
+    report = _report_head(pair, cfg, args)
+    try:
+        store = enumerate_ball(pair, args.rmax, _caps(cfg))
+        series = growth_series(store, args.rmax)
+    except CapExceeded as exc:
+        # radii the word length finished are exact; a cap hit while
+        # enumerating leaves none
+        done = exc.partial
+        series = (growth_series(store, int(max(done.values.values())), done)
+                  if done is not None
+                  else GrowthSeries([], [], [], True, "word-schreier"))
+        report["partial"] = True
+        report["cap_exceeded"] = str(exc)
+        report["series"] = _series_dict(series)
+        write_json(base + ".json", report)
+        print(f"wrote {base}.json: partial, {len(series.radii)} radii")
+        raise
     verdict = classify_growth(series,
                               delta=float(cfg["growth.delta"]),
                               tail_fraction=float(cfg["growth.tail_fraction"]),
                               min_r2=float(cfg["growth.min_r2"]))
-    base = os.path.join(args.out, f"growth_{_slug(pair.label)}")
     write_csv(base + ".csv", ["r", "ball", "shell"], series.as_rows())
-    report = _report_head(pair, cfg, args)
-    report["series"] = {"radii": series.radii, "ball": series.ball,
-                        "shell": series.shell, "kind": series.kind}
+    report["series"] = _series_dict(series)
     report["verdict"] = verdict.as_dict()
     report["verdict"]["label"] = "empirical"
     write_json(base + ".json", report)
@@ -329,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg["caps.max_cosets"] = args.max_cosets
         if getattr(args, "max_orbit", None) is not None:
             cfg["caps.max_orbit"] = args.max_orbit
+        for key in ("caps.max_cosets", "caps.max_orbit"):
+            if cfg[key] < 1:
+                raise HeckeError(f"{key} must be >= 1, got {cfg[key]}")
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, cfg)
     except CapExceeded as exc:

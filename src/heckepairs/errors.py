@@ -34,11 +34,16 @@ class StoreMismatch(HeckeError):
 
 
 class CapExceeded(HeckeError):
-    """An enumeration grew past ``max_cosets``."""
+    """An enumeration grew past ``max_cosets``.
+
+    ``partial`` is what the raising layer finished before the cap, when it
+    can say: ``word_length`` sets the word length on the radii it completed.
+    """
 
     def __init__(self, message, cap=None):
         super().__init__(message)
         self.cap = cap
+        self.partial = None
 
 
 class OrbitCapExceeded(CapExceeded):

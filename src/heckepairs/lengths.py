@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 from .algebra import structure_constants
 from .cosets import CosetStore, unimodularity_check
-from .errors import (EmptyStore, InfiniteH, LengthUndefinedOnSupport,
-                     NotRelativelyUnimodular)
+from .errors import (CapExceeded, EmptyStore, InfiniteH,
+                     LengthUndefinedOnSupport, NotRelativelyUnimodular)
 from .groups import HeckePair
 
 __all__ = [
@@ -70,7 +70,9 @@ def word_length(store: CosetStore) -> LengthFunction:
     subadditivity (H-moves in the middle of a word are free here, not
     there).  Values are produced for every class within the store's
     enumerated radius; classes whose orbit leaks outside the Schreier ball
-    are flagged partial for reporting."""
+    are flagged partial for reporting.  A cap hit at some depth carries, as
+    ``CapExceeded.partial``, the word length of every class shorter than
+    that depth: the search completes depth by depth, so those are exact."""
     if store.radius_complete < 0:
         raise EmptyStore("enumerate before asking for word length")
     pair = store.pair
@@ -79,18 +81,24 @@ def word_length(store: CosetStore) -> LengthFunction:
     values: dict[int, Fraction] = {e: Fraction(0)}
     frontier = [e]
     depth = 0
-    while frontier and depth < store.radius_complete:
-        depth += 1
-        nxt: list[int] = []
-        for d in frontier:
-            for m in store.class_members(d):
-                rep = store.reps[m]
-                for s in shat:
-                    td = store.dc(store._intern(pair.mul(rep, s)))
-                    if td not in values:
-                        values[td] = Fraction(depth)
-                        nxt.append(td)
-        frontier = nxt
+    try:
+        while frontier and depth < store.radius_complete:
+            depth += 1
+            nxt: list[int] = []
+            for d in frontier:
+                for m in store.class_members(d):
+                    rep = store.reps[m]
+                    for s in shat:
+                        td = store.dc(store._intern(pair.mul(rep, s)))
+                        if td not in values:
+                            values[td] = Fraction(depth)
+                            nxt.append(td)
+            frontier = nxt
+    except CapExceeded as exc:
+        exc.partial = LengthFunction(
+            "word-schreier", {d: v for d, v in values.items() if v < depth},
+            note=f"radii below the cap hit at depth {depth}")
+        raise
     partial = {d for d in values
                if any(store.wl[m] is None for m in store.class_members(d))}
     return LengthFunction("word-schreier", values, partial,

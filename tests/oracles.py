@@ -104,3 +104,25 @@ def right_cosets(elements, h_set, mul):
 
 def double_coset(x, h_set, mul):
     return frozenset(mul(mul(a, x), b) for a in h_set for b in h_set)
+
+
+def brute_structure_constants(store, d1, d2):
+    """Coefficients of T_{d1} * T_{d2} by the full member-pair count: intern
+    a*b for every pair of member representatives (R(d1) R(d2) products),
+    count hits per target coset, and require the count to be constant on
+    every member of every target class.  Bypasses the store's cache."""
+    pair = store.pair
+    counter = {}
+    for a in store.class_members(d1):
+        for b in store.class_members(d2):
+            t = store._intern(pair.mul(store.reps[a], store.reps[b]))
+            counter[t] = counter.get(t, 0) + 1
+    out = {}
+    for cid in sorted(counter):
+        d = store.dc(cid)
+        if d in out:
+            continue
+        vals = {counter.get(m, 0) for m in store.class_members(d)}
+        assert len(vals) == 1, (d1, d2, d, vals)
+        out[d] = counter[cid]
+    return out

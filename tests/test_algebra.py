@@ -9,13 +9,13 @@ from heckepairs.algebra import (HeckeElement, basis_element, convolve,
                                 involution, is_self_adjoint, norms,
                                 power_moments, structure_constants,
                                 structure_constants_csv)
-from heckepairs.errors import (LengthUndefinedOnSupport, NotSelfAdjoint,
-                               StoreMismatch)
+from heckepairs.errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
+                               NotSelfAdjoint, StoreMismatch)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.lengths import word_length
 
 from conftest import FG_LABELS
-from oracles import central_trinomial
+from oracles import brute_structure_constants, central_trinomial
 
 
 def random_element(store, classes, rng, signed=True):
@@ -192,6 +192,48 @@ def test_structure_constants_cached_and_csv():
     assert lines[0] == "d1,d2,d,coeff"
     assert f"{ds[1]},{ds[1]},{ds[0]},2" in lines
     assert f"{ds[1]},{ds[1]},{ds[1]},1" in lines
+
+
+@pytest.mark.parametrize("label,radius", [
+    ("bcp:2", 3), ("psl2z1p:2", 2), ("sl2z1p:2", 2),
+    ("s4-h12", 4), ("dinf", 4), ("z:2", 3)])
+def test_structure_constants_match_member_pair_count(label, radius):
+    store = hp.enumerate_ball(get_pair(label), radius)
+    classes = store.classes_in_ball(radius)
+    for d1 in classes:
+        for d2 in classes:
+            assert (structure_constants(store, d1, d2)
+                    == brute_structure_constants(store, d1, d2)), (d1, d2)
+
+
+def test_structure_constants_degree_identity_catches_a_miscount(monkeypatch):
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
+    d = next(x for x in store.classes_in_ball(2) if store.class_R(x) == 6)
+    lookup = store._intern
+    misses = [None]
+
+    def lossy(g, insert=True):
+        # the first membership lookup of the count misses
+        if not insert and misses:
+            return misses.pop()
+        return lookup(g, insert)
+
+    monkeypatch.setattr(store, "_intern", lossy)
+    with pytest.raises(NonBiInvariantResult, match="degree identity"):
+        structure_constants(store, d, d)
+    assert not misses
+    assert (d, d) not in store.sc_cache
+
+
+def test_convolution_lookups_intern_nothing_stray():
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
+    classes = store.classes_in_ball(3)
+    rng = random.Random(97)
+    for _ in range(10):
+        convolve(random_element(store, classes, rng),
+                 random_element(store, classes, rng))
+    assert store.sc_cache
+    assert len(store) == sum(store.class_R(d) for d in range(len(store.dcs)))
 
 
 def test_convolution_power_support_growth_is_linear(z1_store):

@@ -119,10 +119,45 @@ def test_negative_rmax_is_usage_error(tmp_path, capsys):
         assert "--rmax" in capsys.readouterr().err
 
 
-def test_cap_exceeded_exit_code(tmp_path):
+def test_cap_exceeded_exit_code(tmp_path, capsys):
+    out = tmp_path / "c"
     code = main(["growth", "--pair", "psl2z1p:2", "--rmax", "6",
-                 "--max-cosets", "50", "--out", str(tmp_path / "c")])
+                 "--max-cosets", "50", "--out", str(out)])
     assert code == EXIT_INCONCLUSIVE
+    report = json.loads(read(out / "growth_psl2z1p-2.json"))
+    assert report["partial"] is True
+    assert report["cap_exceeded"] == "coset store exceeded max_cosets=50"
+    assert report["series"]["radii"] == []          # capped while enumerating
+    assert "verdict" not in report
+    assert not (out / "growth_psl2z1p-2.csv").exists()
+    # capped inside the word length at depth 4 (R = 384): radii 0..3 exact
+    capsys.readouterr()
+    out = tmp_path / "o"
+    code = main(["growth", "--pair", "psl2z1p:2", "--rmax", "5",
+                 "--max-orbit", "100", "--out", str(out)])
+    assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == (
+        "cap exceeded: right-H orbit exceeded max_orbit=100\n")
+    report = json.loads(read(out / "growth_psl2z1p-2.json"))
+    assert report["partial"] is True
+    assert report["series"]["radii"] == [0, 1, 2, 3]
+    assert report["series"]["ball"] == [2 ** (2 * r + 1) - 1
+                                        for r in range(4)]
+
+
+@pytest.mark.parametrize("key,extra", [
+    ("caps.max_orbit", ["--max-orbit", "-1"]),
+    ("caps.max_cosets", ["--max-cosets", "0"]),
+    ("caps.max_orbit", ["--set", "caps.max_orbit=0"]),
+    ("caps.max_cosets", ["--config", "caps.cfg"])])
+def test_nonpositive_caps_are_usage_errors(tmp_path, capsys, key, extra):
+    (tmp_path / "caps.cfg").write_text("caps.max_cosets=0\n")
+    extra = [str(tmp_path / a) if a.endswith(".cfg") else a for a in extra]
+    out = tmp_path / "o"
+    assert main(["enumerate", "--pair", "z:1", "--rmax", "2",
+                 "--out", str(out)] + extra) == EXIT_USAGE
+    assert not out.exists()
+    assert key in capsys.readouterr().err
 
 
 def test_config_file_and_set_override(tmp_path):
