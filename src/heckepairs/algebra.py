@@ -26,7 +26,7 @@ from .errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
 __all__ = [
     "HeckeElement", "NormReport",
     "basis_element", "identity_element", "convolve", "involution",
-    "norms", "power_moments", "convolution_power_moment",
+    "norms", "weighted_norms", "power_moments", "convolution_power_moment",
     "structure_constants", "structure_constants_csv",
 ]
 
@@ -214,21 +214,33 @@ def norms(f: HeckeElement, l=None, s: Optional[float] = None) -> NormReport:
     store = f.store
     l1 = Fraction(0)
     l2sq = Fraction(0)
-    wsq = 0.0
     for d, c in f.coeffs.items():
         r = store.class_R(d)
         l1 += abs(c) * r
         l2sq += c * c * r
-        if l is not None and s is not None:
-            if not l.defined_on(d):
-                raise LengthUndefinedOnSupport(
-                    f"length undefined on support class {d}")
-            wsq += float(c * c * r) * (1.0 + float(l(d))) ** (2.0 * s)
     report = NormReport(l1, l2sq)
     if l is not None and s is not None:
         report.weighted_s = float(s)
-        report.weighted = math.sqrt(wsq)
+        report.weighted = weighted_norms(f, l, [s])[s]
     return report
+
+
+def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
+    """s -> ||f||_{s,l} for every s of the grid, with each class term
+    c_d^2 R(d) and base 1 + l(d) computed once."""
+    terms = []
+    for d, c in f.coeffs.items():
+        if not l.defined_on(d):
+            raise LengthUndefinedOnSupport(
+                f"length undefined on support class {d}")
+        terms.append((float(c * c * f.store.class_R(d)), 1.0 + float(l(d))))
+    out = {}
+    for s in s_grid:
+        wsq = 0.0
+        for w, base in terms:
+            wsq += w * base ** (2.0 * s)
+        out[s] = math.sqrt(wsq)
+    return out
 
 
 def _pairing_at_identity(u: HeckeElement, v: HeckeElement) -> Fraction:

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,22 @@ CONFIG_DEFAULTS = {
     **GROWTH_DEFAULTS,
     **RD_DEFAULTS,
 }
+
+# the config values with a domain: (key, comparison, bound); each must be a
+# finite number on the right side of its bound
+CONFIG_DOMAINS = (
+    ("caps.max_cosets", ">=", 1),
+    ("caps.max_orbit", ">=", 1),
+    ("rd.pad", ">=", 0),
+    ("rd.moment_n", ">=", 0),
+    ("rd.n_random", ">=", 0),
+    ("rd.coeff_max", ">=", 1),
+    ("rd.s_grid_max", ">=", 0),
+    ("rd.s_grid_step", ">", 0),
+    ("rd.max_iter", ">=", 1),
+    ("kesten.n", ">=", 0),
+    ("kesten.trunc_radius", ">=", 0),
+)
 
 
 def _coerce(key: str, raw: str):
@@ -183,6 +200,15 @@ def cmd_ltable(args, cfg) -> int:
     return EXIT_OK
 
 
+def _write_partial(path: str, report: dict, exc: CapExceeded) -> None:
+    """The report of a run cut by a cap: what it holds so far, marked
+    partial, with the cap message.  The caller re-raises (exit 3)."""
+    report["partial"] = True
+    report["cap_exceeded"] = str(exc)
+    write_json(path, report)
+    print(f"wrote {path}: partial")
+
+
 def _series_dict(series: GrowthSeries) -> dict:
     return {"radii": series.radii, "ball": series.ball,
             "shell": series.shell, "kind": series.kind}
@@ -202,11 +228,8 @@ def cmd_growth(args, cfg) -> int:
         series = (growth_series(store, int(max(done.values.values())), done)
                   if done is not None
                   else GrowthSeries([], [], [], True, "word-schreier"))
-        report["partial"] = True
-        report["cap_exceeded"] = str(exc)
         report["series"] = _series_dict(series)
-        write_json(base + ".json", report)
-        print(f"wrote {base}.json: partial, {len(series.radii)} radii")
+        _write_partial(base + ".json", report, exc)
         raise
     verdict = classify_growth(series,
                               delta=float(cfg["growth.delta"]),
@@ -224,12 +247,16 @@ def cmd_growth(args, cfg) -> int:
 
 def cmd_rd_profile(args, cfg) -> int:
     pair = _resolve_pair(args)
-    store = enumerate_ball(pair, args.rmax, _caps(cfg))
-    rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
-    profile = rd_profile(pair, store, None, args.rmax, config=rd_cfg,
-                         seed=int(cfg["seed"]))
     base = os.path.join(args.out, f"rd_profile_{_slug(pair.label)}")
     report = _report_head(pair, cfg, args)
+    rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
+    try:
+        store = enumerate_ball(pair, args.rmax, _caps(cfg))
+        profile = rd_profile(pair, store, None, args.rmax, config=rd_cfg,
+                             seed=int(cfg["seed"]))
+    except CapExceeded as exc:
+        _write_partial(base + ".json", report, exc)
+        raise
     report["profile"] = profile.as_dict()
     write_json(base + ".json", report)
     write_csv(base + ".csv", ["r", "best_ratio", "witness"],
@@ -242,11 +269,15 @@ def cmd_rd_profile(args, cfg) -> int:
 
 def cmd_kesten(args, cfg) -> int:
     pair = _resolve_pair(args)
-    store = enumerate_ball(pair, args.rmax, _caps(cfg))
-    rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
-    report_obj = kesten_diagnostic(pair, store, None, None, config=rd_cfg)
     base = os.path.join(args.out, f"kesten_{_slug(pair.label)}")
     report = _report_head(pair, cfg, args)
+    rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
+    try:
+        store = enumerate_ball(pair, args.rmax, _caps(cfg))
+        report_obj = kesten_diagnostic(pair, store, None, None, config=rd_cfg)
+    except CapExceeded as exc:
+        _write_partial(base + ".json", report, exc)
+        raise
     report["kesten"] = report_obj.as_dict()
     write_json(base + ".json", report)
     print(f"wrote {base}.json: index "
@@ -348,9 +379,12 @@ def main(argv: list[str] | None = None) -> int:
             cfg["caps.max_cosets"] = args.max_cosets
         if getattr(args, "max_orbit", None) is not None:
             cfg["caps.max_orbit"] = args.max_orbit
-        for key in ("caps.max_cosets", "caps.max_orbit"):
-            if cfg[key] < 1:
-                raise HeckeError(f"{key} must be >= 1, got {cfg[key]}")
+        for key, op, bound in CONFIG_DOMAINS:
+            value = cfg[key]
+            if not (math.isfinite(value)
+                    and (value > bound if op == ">" else value >= bound)):
+                raise HeckeError(
+                    f"{key} must be finite and {op} {bound}, got {value}")
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, cfg)
     except CapExceeded as exc:

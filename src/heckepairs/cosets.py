@@ -68,6 +68,7 @@ class CosetStore:
         self.sealed: bool = False
         self.saturated: bool = False          # BFS exhausted the coset space
         self.sc_cache: dict = {}              # (d1, d2) -> {d: int}; see algebra
+        self.op_patterns: dict = {}           # d -> operator pattern; see rd
         self._ids: dict = {}                  # coset key -> cid
         self._frontier: list[int] = []
 
@@ -113,6 +114,7 @@ class CosetStore:
         ``r_max`` is complete."""
         pair = self.pair
         shat = pair.shat()
+        start_radius = self.radius_complete
         if not self.reps:
             base = self._intern(pair.identity())
             self.wl[base] = 0
@@ -137,6 +139,9 @@ class CosetStore:
                 self.saturated = True
         if self.saturated:
             self.radius_complete = max(self.radius_complete, r_max)
+        if self.radius_complete != start_radius:
+            # patterns record hits on enumerated cosets only
+            self.op_patterns.clear()
 
     def seal(self) -> None:
         self.sealed = True

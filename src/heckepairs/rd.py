@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .algebra import (HeckeElement, involution, is_self_adjoint, norms,
-                      power_moments)
+                      power_moments, weighted_norms)
 from .cosets import CosetStore, unimodularity_check
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, NotSelfAdjoint)
@@ -69,9 +71,11 @@ def _config(overrides: Optional[dict]) -> dict:
 class TruncatedOperator:
     """P_R lambda(f) P_R on the span of the radius-R ball cosets.
 
-    ``cols[j]`` holds the exact column of the j-th ball coset as
-    (row index, coefficient) pairs; per column the row support is bounded
-    by sum_d R(d) over supp(f).
+    Stored in CSR form: row i holds the columns ``indices[indptr[i]:
+    indptr[i + 1]]`` in increasing order, and each entry is the coefficient
+    ``coeffs[terms[k]]`` of one support class.  ``cols[j]`` is the exact
+    column of the j-th ball coset as (row index, coefficient) pairs; per
+    column the row support is bounded by sum_d R(d) over supp(f).
     """
 
     store: CosetStore
@@ -79,7 +83,10 @@ class TruncatedOperator:
     radius: int
     ball: list[int]
     index: dict
-    cols: list[list[tuple[int, Fraction]]]
+    coeffs: list[Fraction]      # c_d per support class, by class id
+    indptr: np.ndarray
+    indices: np.ndarray
+    terms: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -88,14 +95,21 @@ class TruncatedOperator:
     def base_index(self) -> int:
         return self.index[0]
 
+    @cached_property
+    def cols(self) -> list[list[tuple[int, Fraction]]]:
+        rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
+        order = np.lexsort((rows, self.indices))
+        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.dim)]
+        coeffs = self.coeffs
+        for i, j, t in zip(rows[order].tolist(), self.indices[order].tolist(),
+                           self.terms[order].tolist()):
+            out[j].append((i, coeffs[t]))
+        return out
+
     def to_csr(self) -> csr_matrix:
-        rows, cols, vals = [], [], []
-        for j, col in enumerate(self.cols):
-            for i, v in col:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(v))
-        return csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        values = np.array([float(c) for c in self.coeffs])
+        return csr_matrix((values[self.terms], self.indices, self.indptr),
+                          shape=(self.dim, self.dim))
 
     def exact_matvec(self, vec: dict) -> dict:
         out: dict[int, Fraction] = {}
@@ -124,32 +138,72 @@ class TruncatedOperator:
         return got == want
 
 
+@dataclass
+class _ClassPattern:
+    """The 0/1 matrix P_d of one class d on the ball of radius ``radius``:
+    for each column coset y, a hit (y, x) per member a of d whose coset
+    x = H a y is enumerated."""
+
+    radius: int = -1
+    cols: array = field(default_factory=lambda: array("i"))   # y per hit
+    rows: array = field(default_factory=lambda: array("i"))   # x per hit
+
+
+def _class_pattern(store: CosetStore, d: int, radius: int) -> _ClassPattern:
+    """P_d from ``store.op_patterns``, extended to ``radius`` by the columns
+    of the shells it does not cover yet.  Lookups only: nothing is
+    interned."""
+    pat = store.op_patterns.get(d)
+    if pat is None:
+        pat = store.op_patterns[d] = _ClassPattern()
+    if radius > pat.radius:
+        mul, lookup, wl = store.pair.mul, store._intern, store.wl
+        reps_a = [store.reps[m] for m in store.class_members(d)]
+        for y, w in enumerate(wl):
+            if w is None or not pat.radius < w <= radius:
+                continue
+            rep_y = store.reps[y]
+            for a in reps_a:
+                x = lookup(mul(a, rep_y), insert=False)
+                if x is not None and wl[x] is not None:
+                    pat.cols.append(y)
+                    pat.rows.append(x)
+        pat.radius = radius
+    return pat
+
+
 def operator_matrix(f: HeckeElement, store: CosetStore,
                     radius: int) -> TruncatedOperator:
     """Exact matrix of the compression of lambda(f) to the radius ball:
-    A[x][y] = f evaluated at the class of rep(x) rep(y)^{-1}."""
+    A[x][y] = f evaluated at the class of rep(x) rep(y)^{-1}.
+
+    Assembled as A = sum_d c_d P_d from the class patterns cached on the
+    store.  For a fixed column y the cosets H a y are distinct over the
+    members a of all classes, so every entry is exactly one c_d."""
     if radius > store.radius_complete:
         raise BallIncomplete(
             f"ball complete to {store.radius_complete}, need {radius}")
-    pair = store.pair
     ball = store.ball_ids(radius)
+    dim = len(ball)
     index = {cid: i for i, cid in enumerate(ball)}
-    per_class = [(c, [store.reps[m] for m in store.class_members(d)])
-                 for d, c in sorted(f.coeffs.items())]
-    cols: list[list[tuple[int, Fraction]]] = []
-    for cid in ball:
-        y = store.reps[cid]
-        acc: dict[int, Fraction] = {}
-        for c, reps_a in per_class:
-            for a in reps_a:
-                tid = store._intern(pair.mul(a, y), insert=False)
-                if tid is None:
-                    continue
-                i = index.get(tid)
-                if i is not None:
-                    acc[i] = acc.get(i, Fraction(0)) + c
-        cols.append(sorted(acc.items()))
-    return TruncatedOperator(store, f, radius, ball, index, cols)
+    pos = np.full(len(store), -1, dtype=np.int64)
+    pos[ball] = np.arange(dim)
+    support = sorted(f.coeffs)
+    hits = [(np.zeros(0, dtype=np.int64),) * 3]   # (row, column, term)
+    for k, d in enumerate(support):
+        pat = _class_pattern(store, d, radius)
+        i = pos[np.frombuffer(pat.rows, dtype=np.intc)]
+        j = pos[np.frombuffer(pat.cols, dtype=np.intc)]
+        keep = (i >= 0) & (j >= 0)
+        hits.append((i[keep], j[keep], np.full(int(keep.sum()), k)))
+    i, j, t = map(np.concatenate, zip(*hits))
+    order = np.argsort(i * dim + j)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(i, minlength=dim), out=indptr[1:])
+    return TruncatedOperator(store, f, radius, ball, index,
+                             [f.coeffs[d] for d in support], indptr,
+                             j[order].astype(np.int32),
+                             t[order].astype(np.int32))
 
 
 def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
@@ -443,7 +497,7 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
         except CapExceeded as exc:
             profile.partial = True
             profile.warnings.append(f"moments skipped at r={r}: {exc}")
-    weighted = {s: norms(f, l, s).weighted for s in s_grid}
+    weighted = weighted_norms(f, l, s_grid)
     l2 = norms(f).l2
     lower = max(trunc, root)
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,

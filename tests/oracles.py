@@ -126,3 +126,42 @@ def brute_structure_constants(store, d1, d2):
         assert len(vals) == 1, (d1, d2, d, vals)
         out[d] = counter[cid]
     return out
+
+
+def brute_operator_matrix(f, store, radius):
+    """Exact columns of the compression of lambda(f) to the radius ball by
+    the per-member loop: for every ball coset y and every member a of every
+    support class, look up H a y and add c_d to its row.  Returns the ball
+    ids and the columns as sorted (row index, coefficient) lists."""
+    pair = store.pair
+    ball = store.ball_ids(radius)
+    index = {cid: i for i, cid in enumerate(ball)}
+    per_class = [(c, [store.reps[m] for m in store.class_members(d)])
+                 for d, c in sorted(f.coeffs.items())]
+    cols = []
+    for cid in ball:
+        y = store.reps[cid]
+        acc = {}
+        for c, reps_a in per_class:
+            for a in reps_a:
+                tid = store.lookup(pair.mul(a, y))
+                if tid is None:
+                    continue
+                i = index.get(tid)
+                if i is not None:
+                    acc[i] = acc.get(i, Fraction(0)) + c
+        cols.append(sorted(acc.items()))
+    return ball, cols
+
+
+def columns_to_csr(cols):
+    """Float CSR matrix of exact columns, through scipy's COO conversion."""
+    from scipy.sparse import csr_matrix
+
+    rows, js, vals = [], [], []
+    for j, col in enumerate(cols):
+        for i, v in col:
+            rows.append(i)
+            js.append(j)
+            vals.append(float(v))
+    return csr_matrix((vals, (rows, js)), shape=(len(cols), len(cols)))

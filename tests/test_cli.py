@@ -104,6 +104,25 @@ def test_usage_errors(tmp_path, capsys):
         assert main(["growth", "--rmax", "3", "--out", str(tmp_path / "z")]
                     + extra) == EXIT_USAGE
         assert key in capsys.readouterr().err
+    # config values outside their domain: nothing is written
+    for cmd, setting in (
+            ("rd-profile", "rd.s_grid_step=0"),
+            ("rd-profile", "rd.s_grid_step=nan"),
+            ("rd-profile", "rd.s_grid_max=-1"),
+            ("rd-profile", "rd.s_grid_max=inf"),
+            ("kesten", "rd.max_iter=0"),
+            ("rd-profile", "rd.coeff_max=0"),
+            ("rd-profile", "rd.n_random=-1"),
+            ("rd-profile", "rd.moment_n=-1"),
+            ("rd-profile", "rd.pad=-1"),
+            ("kesten", "kesten.n=-1"),
+            ("kesten", "kesten.trunc_radius=-1")):
+        out = tmp_path / "domain"
+        assert main([cmd, "--pair", "z:1", "--rmax", "2", "--set", setting,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        key = setting.partition("=")[0]
+        assert f"{key} must be finite and " in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
@@ -143,6 +162,27 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert report["series"]["radii"] == [0, 1, 2, 3]
     assert report["series"]["ball"] == [2 ** (2 * r + 1) - 1
                                         for r in range(4)]
+
+
+@pytest.mark.parametrize("cmd,name", [
+    (["rd-profile", "--rmax", "3"], "rd_profile_psl2z1p-2"),
+    (["kesten", "--rmax", "4"], "kesten_psl2z1p-2")])
+def test_rd_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
+                                                 name):
+    # the left-H orbit cap hits in the unimodularity check
+    out = tmp_path / "o"
+    code = main(cmd + ["--pair", "psl2z1p:2", "--max-orbit", "5",
+                       "--out", str(out)])
+    assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == (
+        "cap exceeded: left-H orbit exceeded max_orbit=5\n")
+    assert [p.name for p in out.iterdir()] == [name + ".json"]
+    report = json.loads(read(out / (name + ".json")))
+    assert report["partial"] is True
+    assert report["cap_exceeded"] == "left-H orbit exceeded max_orbit=5"
+    assert report["command"] == cmd[0]
+    assert report["pair"]["label"] == "psl2z1p:2"
+    assert report["config"]["caps.max_orbit"] == 5
 
 
 @pytest.mark.parametrize("key,extra", [

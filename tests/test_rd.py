@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 import heckepairs as hp
+from heckepairs import rd
 from heckepairs.algebra import (HeckeElement, basis_element, identity_element,
                                 involution, norms, power_moments)
 from heckepairs.errors import BallIncomplete, NoStableFit, NotSelfAdjoint
@@ -14,7 +16,7 @@ from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
                            operator_matrix, rd_profile, rd_weighted_fit,
                            spectral_lower_bound, truncated_norm)
 
-from oracles import central_trinomial
+from oracles import brute_operator_matrix, central_trinomial, columns_to_csr
 
 
 def z_delta(store, n):
@@ -73,6 +75,72 @@ def test_operator_base_column_and_symmetry(z1_store):
 def test_operator_requires_complete_ball(z1_store):
     with pytest.raises(BallIncomplete):
         operator_matrix(identity_element(z1_store), z1_store, 99)
+
+
+@pytest.mark.parametrize("label,r", [
+    ("z:1", 6), ("z:2", 4), ("dinf", 5), ("s4-h12", 3), ("bcp:2", 3),
+    ("psl2z1p:2", 3)])
+def test_operator_matrix_matches_member_loop(label, r):
+    # radii up, then down (pattern extension and slicing), then after the
+    # store grows (patterns dropped); every build interns nothing
+    store = hp.enumerate_ball(get_pair(label), r)
+    classes = store.classes_in_ball(r)
+    rng = random.Random(label)
+
+    def check(radius):
+        f = HeckeElement(store, {
+            d: Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            for d in classes})
+        n = len(store)
+        op = operator_matrix(f, store, radius)
+        assert len(store) == n
+        ball, cols = brute_operator_matrix(f, store, radius)
+        assert op.ball == ball
+        assert op.cols == cols
+        got, want = op.to_csr(), columns_to_csr(cols)
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+    for radius in list(range(r + 1)) + list(range(r - 1, -1, -1)):
+        check(radius)
+    store.enumerate_to(r + 1)
+    for radius in (r + 1, r - 1):
+        check(radius)
+
+
+def test_operator_products_pinned_by_class_patterns(monkeypatch):
+    # over one profile, operator_matrix multiplies each member of a class
+    # by each column of the largest ball the class was requested on, once
+    pair = get_pair("z:2")
+    store = hp.enumerate_ball(pair, 8)
+    requested: dict[int, int] = {}
+    uncached = [0]
+    products = [0]
+    inside = [False]
+    real_mul, real_operator = pair.mul, rd.operator_matrix
+
+    def mul(x, y):
+        products[0] += inside[0]
+        return real_mul(x, y)
+
+    def operator(f, store, radius):
+        for d in f.coeffs:
+            requested[d] = max(requested.get(d, -1), radius)
+        uncached[0] += (sum(store.class_R(d) for d in f.coeffs)
+                        * len(store.ball_ids(radius)))
+        inside[0] = True
+        try:
+            return real_operator(f, store, radius)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(pair, "mul", mul)
+    monkeypatch.setattr(rd, "operator_matrix", operator)
+    rd_profile(pair, store, None, 6, seed=0)
+    bound = sum(store.class_R(d) * len(store.ball_ids(radius))
+                for d, radius in requested.items())
+    assert 0 < products[0] <= bound < uncached[0]
 
 
 def test_truncated_norm_closed_form(z1_store):
