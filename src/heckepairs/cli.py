@@ -157,11 +157,14 @@ def _report_head(pair: HeckePair, cfg: dict, args) -> dict:
 
 def cmd_enumerate(args, cfg) -> int:
     pair = _resolve_pair(args)
-    store = enumerate_ball(pair, args.rmax, _caps(cfg))
-    snap = store.snapshot(compute_classes=not args.no_classes)
-    out = _report_head(pair, cfg, args)
-    out["snapshot"] = snap
     path = os.path.join(args.out, f"enumerate_{_slug(pair.label)}.json")
+    out = _report_head(pair, cfg, args)
+    try:
+        store = enumerate_ball(pair, args.rmax, _caps(cfg))
+        out["snapshot"] = store.snapshot(compute_classes=not args.no_classes)
+    except CapExceeded as exc:
+        _write_partial(path, out, exc)
+        raise
     write_json(path, out)
     print(f"wrote {path}: {len(store)} cosets, "
           f"{len(store.dcs)} double cosets")
@@ -170,27 +173,31 @@ def cmd_enumerate(args, cfg) -> int:
 
 def cmd_ltable(args, cfg) -> int:
     pair = _resolve_pair(args)
-    store = enumerate_ball(pair, args.rmax, _caps(cfg))
-    lw = word_length(store)
-    try:
-        lc = characteristic_length(pair, store)
-    except NotRelativelyUnimodular:
-        lc = None
-    rows = []
-    for d in store.classes_in_ball(args.rmax):
-        rows.append([
-            d,
-            pair.render(store.reps[store.dcs[d].rep_cid]),
-            store.class_L(d),
-            store.class_R(d),
-            str(store.class_delta(d)),
-            str(lw.values.get(d, "")),
-            format(lc.values[d], ".12g") if lc is not None else "NA",
-        ])
     base = os.path.join(args.out, f"ltable_{_slug(pair.label)}")
+    report = _report_head(pair, cfg, args)
+    try:
+        store = enumerate_ball(pair, args.rmax, _caps(cfg))
+        lw = word_length(store)
+        try:
+            lc = characteristic_length(pair, store)
+        except NotRelativelyUnimodular:
+            lc = None
+        rows = []
+        for d in store.classes_in_ball(args.rmax):
+            rows.append([
+                d,
+                pair.render(store.reps[store.dcs[d].rep_cid]),
+                store.class_L(d),
+                store.class_R(d),
+                str(store.class_delta(d)),
+                str(lw.values.get(d, "")),
+                format(lc.values[d], ".12g") if lc is not None else "NA",
+            ])
+    except CapExceeded as exc:
+        _write_partial(base + ".json", report, exc)
+        raise
     write_csv(base + ".csv",
               ["dc_id", "rep", "L", "R", "delta", "l_word", "l_char"], rows)
-    report = _report_head(pair, cfg, args)
     report["classes"] = [
         {"dc_id": r[0], "rep": r[1], "L": r[2], "R": r[3], "delta": r[4],
          "l_word": r[5], "l_char": r[6]} for r in rows]

@@ -6,6 +6,12 @@ when Hx == Hy, and interning is one dict lookup.  The membership test
 x y^{-1} in H stays the arbiter: ``check_interning_soundness`` re-tests a
 built store with it in both directions.
 
+Double cosets are named the same way, by the pair's ``class_key``, so
+naming a class costs no orbit.  A class's member cosets (its right-H orbit)
+are built only when asked for, and so is its size R unless the word-length
+search already learned it from the degree identity.  The orbit BFS stays
+the arbiter of the class keys too.
+
 A sealed store no longer accepts user-driven interning, but analysis
 operations (double-coset orbits, class inverses, resumed BFS) may still
 append cosets; those appends are deterministic and append-only, so data
@@ -41,9 +47,9 @@ class Caps:
 @dataclass
 class DoubleCoset:
     id: int
-    rep_cid: int
-    member_cids: tuple[int, ...]
-    R: int
+    rep_cid: int                      # smallest coset id seen in the class
+    member_cids: Optional[tuple[int, ...]] = None   # built on demand
+    R: Optional[int] = None           # None until learned or built
     L: Optional[int] = None
     inv: Optional[int] = None
 
@@ -70,6 +76,7 @@ class CosetStore:
         self.sc_cache: dict = {}              # (d1, d2) -> {d: int}; see algebra
         self.op_patterns: dict = {}           # d -> operator pattern; see rd
         self._ids: dict = {}                  # coset key -> cid
+        self._classes: dict = {}              # class key -> double coset id
         self._frontier: list[int] = []
 
     # -- interning ----------------------------------------------------------
@@ -170,14 +177,23 @@ class CosetStore:
     # -- double cosets -------------------------------------------------------
 
     def dc(self, cid: int) -> int:
-        """Double-coset id of a coset, computing the right-H orbit on
-        first use."""
+        """Double-coset id of a coset, looked up by its class key; a new
+        key names a new class, so ids follow the order of first calls."""
         d = self.dc_of[cid]
+        if d is not None:
+            return d
+        key = self.pair.class_key(self.reps[cid])
+        d = self._classes.get(key)
         if d is None:
-            d = self._compute_orbit(cid)
+            d = self._classes[key] = len(self.dcs)
+            self.dcs.append(DoubleCoset(d, cid))
+        elif cid < self.dcs[d].rep_cid:
+            self.dcs[d].rep_cid = cid
+        self.dc_of[cid] = d
         return d
 
-    def _compute_orbit(self, start: int) -> int:
+    def _orbit(self, start: int) -> tuple[int, ...]:
+        """Sorted ids of the right-H orbit of H rep(start), interning it."""
         pair = self.pair
         hs = pair.h_gens_sym()
         members = [start]
@@ -196,24 +212,47 @@ class CosetStore:
                             f"{self.caps.max_orbit}", cap=self.caps.max_orbit)
                     seen.add(tid)
                     members.append(tid)
-        dcid = len(self.dcs)
-        ordered = tuple(sorted(seen))
+        return tuple(sorted(seen))
+
+    def _compute_orbit(self, start: int) -> int:
+        """Build the member list of the class of ``start``; returns its id."""
+        dcid = self.dc(start)
+        obj = self.dcs[dcid]
+        ordered = self._orbit(start)
+        if obj.R is not None and obj.R != len(ordered):
+            raise HeckeError(
+                f"class {dcid}: degree identity gave R={obj.R}, its orbit "
+                f"holds {len(ordered)} cosets")
         for m in ordered:
-            if self.dc_of[m] is not None:
+            if self.dc_of[m] is None:
+                self.dc_of[m] = dcid
+            elif self.dc_of[m] != dcid:
                 raise HeckeError(
                     "interning bug: coset already assigned to a double coset")
-            self.dc_of[m] = dcid
-        self.dcs.append(DoubleCoset(dcid, ordered[0], ordered, R=len(ordered)))
+        obj.member_cids = ordered
+        obj.R = len(ordered)
+        obj.rep_cid = ordered[0]
         return dcid
 
     def class_R(self, dcid: int) -> int:
-        return self.dcs[dcid].R
+        obj = self.dcs[dcid]
+        if obj.R is None:
+            self._compute_orbit(obj.rep_cid)
+        return obj.R
+
+    def class_left_reps(self, dcid: int) -> list:
+        """Representatives t_j of the left cosets in the class,
+        HxH = t_1 H u ... u t_L H; records L."""
+        obj = self.dcs[dcid]
+        reps = left_L_count(self.pair, self.reps[obj.rep_cid],
+                            self.caps.max_orbit)
+        obj.L = len(reps)
+        return reps
 
     def class_L(self, dcid: int) -> int:
         obj = self.dcs[dcid]
         if obj.L is None:
-            obj.L = left_L_count(self.pair, self.reps[obj.rep_cid],
-                                 self.caps.max_orbit)
+            self.class_left_reps(dcid)
         return obj.L
 
     def class_delta(self, dcid: int) -> Fraction:
@@ -229,7 +268,12 @@ class CosetStore:
         return obj.inv
 
     def class_members(self, dcid: int) -> tuple[int, ...]:
-        return self.dcs[dcid].member_cids
+        """Ids of the class's right cosets, built by orbit BFS on first
+        use."""
+        obj = self.dcs[dcid]
+        if obj.member_cids is None:
+            self._compute_orbit(obj.rep_cid)
+        return obj.member_cids
 
     def identity_class(self) -> int:
         if not self.reps:
@@ -243,16 +287,18 @@ class CosetStore:
     # -- export --------------------------------------------------------------
 
     def snapshot(self, compute_classes: bool = True) -> dict:
-        """JSON-ready snapshot, deterministically ordered by id."""
+        """JSON-ready snapshot, deterministically ordered by id.  Every
+        class it lists has its members built, each as soon as it is named,
+        so the cosets they intern get the same ids on every run."""
         pair = self.pair
         if compute_classes:
             i = 0
             while i < len(self.reps):
-                self.dc(i)
+                self.class_members(self.dc(i))
                 i += 1
             for d in range(len(self.dcs)):
                 self.class_L(d)
-                self.class_inverse(d)
+                self.class_members(self.class_inverse(d))
         cosets = []
         for cid, rep in enumerate(self.reps):
             cosets.append({
@@ -294,9 +340,10 @@ def enumerate_ball(pair: HeckePair, r_max: int,
     return store
 
 
-def left_L_count(pair: HeckePair, g, max_orbit: int = DEFAULT_MAX_ORBIT) -> int:
-    """L(g) = number of left cosets of H inside HgH, computed as the orbit
-    of gH under left H-multiplication, keyed by the normal form of xH."""
+def left_L_count(pair: HeckePair, g, max_orbit: int = DEFAULT_MAX_ORBIT) -> list:
+    """Representatives of the L(g) left cosets of H inside HgH (so
+    L(g) is the length of the list), computed as the orbit of gH under
+    left H-multiplication, keyed by the normal form of xH."""
     hs = pair.h_gens_sym()
     reps = [pair.canon(g)]
     seen = {pair.left_coset_fingerprint(reps[0])}
@@ -315,7 +362,7 @@ def left_L_count(pair: HeckePair, g, max_orbit: int = DEFAULT_MAX_ORBIT) -> int:
                     cap=max_orbit)
             seen.add(key)
             reps.append(t)
-    return len(reps)
+    return reps
 
 
 def relative_modular(pair: HeckePair, g,
@@ -323,8 +370,8 @@ def relative_modular(pair: HeckePair, g,
     """Delta(g) = L(g) / R(g) with R(g) = L(g^{-1}); exactly 1 on H."""
     if pair.in_h(pair.canon(g)):
         return Fraction(1)
-    left = left_L_count(pair, g, max_orbit)
-    right = left_L_count(pair, pair.inv(g), max_orbit)
+    left = len(left_L_count(pair, g, max_orbit))
+    right = len(left_L_count(pair, pair.inv(g), max_orbit))
     return Fraction(left, right)
 
 
@@ -401,15 +448,15 @@ def verify_hecke(pair: HeckePair, depth: int,
     max_r = 0
     classes: set[int] = set()
     for cid in ball:
+        d = store.dc(cid)
+        if d in classes:
+            continue
         try:
-            d = store.dc(cid)
+            max_r = max(max_r, store.class_R(d))
         except CapExceeded as exc:
             cap_hits.append(str(exc))
             continue
-        if d in classes:
-            continue
         classes.add(d)
-        max_r = max(max_r, store.class_R(d))
         try:
             max_l = max(max_l, store.class_L(d))
         except CapExceeded as exc:
@@ -425,8 +472,12 @@ def check_interning_soundness(store: CosetStore,
     directions.  Keys too fine: distinct ids must hold distinct cosets
     (quadratic in cosets).  Keys too coarse: every Schreier edge
     ``adj[cid][i]`` must hold, rep(cid) s_i rep(tid)^{-1} in H (linear in
-    edges).  Returns offending id pairs (empty on a sound store); intended
-    for stores of at most ``limit`` cosets."""
+    edges).  Class keys are re-tested by the orbit BFS: every coset must lie
+    in the right-H orbit of the class its key names (keys not too coarse),
+    and every coset of that orbit must carry the class's key (not too
+    fine); they are re-tested only once the cosets pass.  Returns
+    offending id pairs (empty on a sound store); intended for stores of at
+    most ``limit`` cosets."""
     n = len(store)
     if n > limit:
         raise HeckeError(f"store too large for exhaustive check ({n} cosets)")
@@ -445,4 +496,18 @@ def check_interning_soundness(store: CosetStore,
         for s, tid in zip(pair.shat(), nbrs):
             if not pair.in_h(pair.mul(pair.mul(x, s), invs[tid])):
                 bad.append((cid, tid))
+    if bad:
+        return bad
+    orbits: dict[int, set[int]] = {}
+    for cid in range(n):
+        d = store.dc(cid)
+        if d not in orbits:
+            rep = store.dcs[d].rep_cid
+            orbit = store._orbit(rep)
+            orbits[d] = set(orbit)
+            key = pair.class_key(store.reps[rep])
+            bad.extend((rep, m) for m in orbit
+                       if pair.class_key(store.reps[m]) != key)
+        if cid not in orbits[d]:
+            bad.append((store.dcs[d].rep_cid, cid))
     return bad

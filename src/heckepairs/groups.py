@@ -17,6 +17,9 @@ Element payloads
 * :class:`Perm`  -- permutation of {0..n-1} as a tuple of images.
 * :class:`Vec`   -- integer vector (Z^d with the trivial subgroup).
 * :class:`Dih`   -- infinite dihedral element x -> +-x + n as (shift, flip).
+
+Every pair also keys its double cosets: ``class_key`` is a normal form of
+HxH, so the store names a class without computing its right-H orbit.
 """
 
 from __future__ import annotations
@@ -312,6 +315,12 @@ class HeckePair:
         exactly when xH == yH."""
         raise NotImplementedError
 
+    def class_key(self, x):
+        """Hashable normal form of the double coset HxH: key(x) == key(y)
+        exactly when HxH == HyH.  The coset store names classes by this
+        key alone."""
+        raise NotImplementedError
+
     # -- coset equality (the arbiter that checks and tests hold keys to) ---
 
     def same_right_coset(self, x, y) -> bool:
@@ -457,6 +466,11 @@ class SL2ZpPair(HeckePair):
         a, b, c, d = x.num
         return (x.k, _hnf_2x2((a, c, b, d), self.p ** (2 * x.k)))
 
+    def class_key(self, x):
+        # Smith form over Z: num is primitive with det p^(2k), so
+        # H num H = H diag(1, p^(2k)) H and the exponent pins the class
+        return x.k
+
     def parse(self, text: str):
         toks = text.split()
         if len(toks) != 5 or toks[0] != "mat":
@@ -569,6 +583,11 @@ class AffinePair(HeckePair):
         # (b,a)H = {(b + n, a)} <-> (a, b mod Z)
         return (x.a, x.b - x.b.__floor__())
 
+    def class_key(self, x):
+        # H(b,a)H = {(b + n*a + m, a)} <-> (a, b mod (Z + aZ)), and
+        # Z + aZ = (1/den a) Z
+        return (x.a, x.b % Fraction(1, x.a.denominator))
+
     def parse(self, text: str):
         toks = text.split()
         if len(toks) != 3 or toks[0] != "aff":
@@ -634,6 +653,9 @@ class ZPair(HeckePair):
         return x.coords
 
     def left_coset_fingerprint(self, x):
+        return x.coords
+
+    def class_key(self, x):
         return x.coords
 
     def word_length_on_g(self, x) -> int:
@@ -710,6 +732,10 @@ class PermPair(HeckePair):
 
     def left_coset_fingerprint(self, x):
         return min(self.mul(x, Perm(h)).images for h in self._h_set)
+
+    def class_key(self, x):
+        hs = [Perm(h) for h in self._h_set]
+        return min(self.mul(self.mul(a, x), b).images for a in hs for b in hs)
 
     def parse(self, text: str):
         toks = text.split()
@@ -793,6 +819,10 @@ class DihedralPair(HeckePair):
         if x.shift > 0:
             return (x.shift, x.flip)
         return (-x.shift, not x.flip)
+
+    def class_key(self, x):
+        # H(n,f)H = {(+-n, f), (+-n, not f)}
+        return abs(x.shift)
 
     def word_length_on_g(self, x) -> int:
         return abs(x.shift) + (1 if x.flip else 0)

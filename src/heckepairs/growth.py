@@ -3,11 +3,12 @@
 G_l(r) counts the right cosets Hx with l(x) <= r.  Length functions on a
 pair are bi-H-invariant, so the ball B_{r,l} is a union of double cosets
 and the count is a sum of class sizes R(d) over the classes with
-l(d) <= r.  For the word length every such class is met by the
-radius-r_max Schreier ball (its minimizing member lies inside), so the
-series is complete once the store is enumerated that far; for other
-lengths small values could hide outside any finite ball, so the class
-route requires an exhausted coset space.
+l(d) <= r.  For the word length the class-level search reaches every
+such class by depth r_max, whether or not it meets the radius-r_max
+Schreier ball (on bcp:2 some do not), so the series is complete once the
+store is enumerated that far; for other lengths small values could hide
+outside any finite ball, so the class route requires an exhausted coset
+space.
 
 Verdicts are empirical: asymptotic growth classes are not decidable from
 finite data, and intermediate growth is only ever reported as

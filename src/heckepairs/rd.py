@@ -487,7 +487,7 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
                                float(cfg["rd.tol"]), int(cfg["rd.max_iter"]))
     except CapExceeded as exc:
         profile.partial = True
-        profile.warnings.append(f"truncated norm skipped at r={r}: {exc}")
+        _warn(profile, f"truncated norm skipped at r={r}: {exc}")
     root = 0.0
     n_mom = int(cfg["rd.moment_n"])
     if n_mom > 0:
@@ -496,12 +496,19 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
                 root = spectral_lower_bound(f, n_mom)[-1]
         except CapExceeded as exc:
             profile.partial = True
-            profile.warnings.append(f"moments skipped at r={r}: {exc}")
+            _warn(profile, f"moments skipped at r={r}: {exc}")
     weighted = weighted_norms(f, l, s_grid)
     l2 = norms(f).l2
     lower = max(trunc, root)
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,
                         lower / l2 if l2 else 0.0, weighted)
+
+
+def _warn(profile: RdProfile, text: str) -> None:
+    """Record a warning once: the test functions of one radius share
+    their causes."""
+    if text not in profile.warnings:
+        profile.warnings.append(text)
 
 
 def _s_grid(cfg) -> list[float]:

@@ -19,7 +19,9 @@ from importlib import resources
 from .algebra import (HeckeElement, basis_element, convolve, identity_element,
                       involution, norms, power_moments)
 from .cosets import check_interning_soundness, enumerate_ball, relative_modular
+from .errors import HeckeError
 from .groups import get_pair
+from .lengths import word_length
 from .oracle import finite_group_oracle, oracle_matches_engine
 from .rd import operator_matrix, truncated_norm
 
@@ -74,9 +76,13 @@ def _check_oracle_equivalence() -> list[CheckResult]:
     pair = get_pair("s3-h12")
     store = _saturated_store("s3-h12")
     e = store.identity_class()
-    d = next(x.id for x in store.dcs if x.id != e)
-    td = basis_element(store, d)
-    want = HeckeElement(store, {e: Fraction(2), d: Fraction(1)})
+    others = [x.id for x in store.dcs if x.id != e]
+    if len(others) != 1:
+        out.append(CheckResult("s3-structure-identity", False,
+                               f"{len(others) + 1} classes, want 2"))
+        return out
+    td = basis_element(store, others[0])
+    want = HeckeElement(store, {e: Fraction(2), others[0]: Fraction(1)})
     out.append(CheckResult("s3-structure-identity",
                            convolve(td, td) == want))
     return out
@@ -179,6 +185,25 @@ def _check_coset_invariants() -> list[CheckResult]:
     return out
 
 
+def _check_learned_sizes() -> list[CheckResult]:
+    """Every class size the word-length search learns from the degree
+    identity, against the size of the class's right-H orbit."""
+    out = []
+    for label in LAW_PAIRS:
+        store = enumerate_ball(get_pair(label), 2)
+        word_length(store)
+        learned = {d: obj.R for d, obj in enumerate(store.dcs)
+                   if obj.R is not None and obj.member_cids is None}
+        wrong = [d for d, r in learned.items()
+                 if len(store._orbit(store.dcs[d].rep_cid)) != r]
+        detail = f"R learned for {len(learned)} classes"
+        if wrong:
+            detail += f"; orbit sizes differ on classes {wrong}"
+        out.append(CheckResult(f"learned-class-sizes[{label}]", not wrong,
+                               detail))
+    return out
+
+
 def _check_spectral_examples() -> list[CheckResult]:
     out = []
     pair = get_pair("z:1")
@@ -198,11 +223,21 @@ def _check_spectral_examples() -> list[CheckResult]:
 
 
 def run_verification(include_golden: bool = True) -> list[CheckResult]:
+    """Every suite in turn; a suite cut short by an error (an exact
+    invariant the engine itself enforces) fails under its own name."""
+    suites = [("oracle-equivalence", _check_oracle_equivalence),
+              ("golden", _check_golden),
+              ("algebra-laws", _check_algebra_laws),
+              ("coset-invariants", _check_coset_invariants),
+              ("learned-class-sizes", _check_learned_sizes),
+              ("spectral-examples", _check_spectral_examples)]
     checks: list[CheckResult] = []
-    checks += _check_oracle_equivalence()
-    if include_golden:
-        checks += _check_golden()
-    checks += _check_algebra_laws()
-    checks += _check_coset_invariants()
-    checks += _check_spectral_examples()
+    for name, suite in suites:
+        if name == "golden" and not include_golden:
+            continue
+        try:
+            checks += suite()
+        except HeckeError as exc:
+            checks.append(CheckResult(name, False,
+                                      f"{type(exc).__name__}: {exc}"))
     return checks

@@ -165,3 +165,52 @@ def columns_to_csr(cols):
             js.append(j)
             vals.append(float(v))
     return csr_matrix((vals, (rows, js)), shape=(len(cols), len(cols)))
+
+
+# ---------------------------------------------------------------------------
+# closed forms for the tree pairs (P)SL2(Z[1/p]) over (P)SL2(Z): the pair
+# acts on the (p+1)-regular tree, the class T_k of an element is the
+# exponent k of its reduced form p^-k num, and T_k is the sphere operator
+# A_2k on the even vertices (Serre, Trees, ch. II.1; Cartier 1973)
+
+
+def tree_level(entries, p):
+    """The exponent k of a matrix over Z[1/p], given by its four rational
+    entries: the largest power of p in a denominator."""
+    k = 0
+    for f in entries:
+        n, e = f.denominator, 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        k = max(k, e)
+    return k
+
+
+def tree_class_size(p, k):
+    """R_k = L_k: 1 for H itself, else the (p+1) p^(2k-1) vertices at
+    distance 2k."""
+    return 1 if k == 0 else (p + 1) * p ** (2 * k - 1)
+
+
+def tree_ball(p, r):
+    """Right cosets with word length <= r: sum of R_k over k <= r."""
+    return sum(tree_class_size(p, k) for k in range(r + 1))
+
+
+def _sphere_times_a1(op, p):
+    """A_1 * sum_n c_n A_n by A_1 A_0 = A_1, A_1 A_1 = A_2 + (p+1) A_0 and
+    A_1 A_n = A_{n+1} + p A_{n-1} for n >= 2."""
+    out = {}
+    for n, c in op.items():
+        terms = {1: 1} if n == 0 else {n + 1: 1, n - 1: p + 1 if n == 1 else p}
+        for m, t in terms.items():
+            out[m] = out.get(m, 0) + c * t
+    return {m: c for m, c in out.items() if c}
+
+
+def tree_t1_times_tk(p, k):
+    """{level: coefficient} of T_1 * T_k, from T_1 = A_2 = A_1^2 - (p+1)."""
+    a1a1 = _sphere_times_a1(_sphere_times_a1({2 * k: 1}, p), p)
+    a1a1[2 * k] = a1a1.get(2 * k, 0) - (p + 1)
+    return {n // 2: c for n, c in a1a1.items() if c}

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from heckepairs import cli
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from heckepairs.cosets import CosetStore
 
 
 def read(path):
@@ -149,19 +151,35 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert report["series"]["radii"] == []          # capped while enumerating
     assert "verdict" not in report
     assert not (out / "growth_psl2z1p-2.csv").exists()
-    # capped inside the word length at depth 4 (R = 384): radii 0..3 exact
+    # the tree's word length builds one orbit past H, the generator
+    # class's (R = 6): a cap of 5 hits at depth 1 and leaves radius 0 exact
     capsys.readouterr()
     out = tmp_path / "o"
     code = main(["growth", "--pair", "psl2z1p:2", "--rmax", "5",
-                 "--max-orbit", "100", "--out", str(out)])
+                 "--max-orbit", "5", "--out", str(out)])
     assert code == EXIT_INCONCLUSIVE
     assert capsys.readouterr().err == (
-        "cap exceeded: right-H orbit exceeded max_orbit=100\n")
+        "cap exceeded: right-H orbit exceeded max_orbit=5\n")
     report = json.loads(read(out / "growth_psl2z1p-2.json"))
     assert report["partial"] is True
-    assert report["series"]["radii"] == [0, 1, 2, 3]
-    assert report["series"]["ball"] == [2 ** (2 * r + 1) - 1
-                                        for r in range(4)]
+    assert report["series"]["radii"] == [0]
+    assert report["series"]["ball"] == [1]
+    # capped at depth 5 of the word length, on a class whose size the
+    # degree identity leaves to its members: radii 0..4 are exact
+    out = tmp_path / "b"
+    assert main(["growth", "--pair", "bcp:3", "--rmax", "5",
+                 "--out", str(out)]) == EXIT_OK
+    full = json.loads(read(out / "growth_bcp-3.json"))["series"]
+    capsys.readouterr()
+    code = main(["growth", "--pair", "bcp:3", "--rmax", "5",
+                 "--max-orbit", "9", "--out", str(out)])
+    assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == (
+        "cap exceeded: right-H orbit exceeded max_orbit=9\n")
+    report = json.loads(read(out / "growth_bcp-3.json"))
+    assert report["partial"] is True
+    assert report["series"]["radii"] == [0, 1, 2, 3, 4]
+    assert report["series"]["ball"] == full["ball"][:5]
 
 
 @pytest.mark.parametrize("cmd,name", [
@@ -183,6 +201,68 @@ def test_rd_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
     assert report["command"] == cmd[0]
     assert report["pair"]["label"] == "psl2z1p:2"
     assert report["config"]["caps.max_orbit"] == 5
+
+
+@pytest.mark.parametrize("cmd,name,message", [
+    (["enumerate", "--rmax", "3", "--max-cosets", "20"],
+     "enumerate_psl2z1p-2", "coset store exceeded max_cosets=20"),
+    (["enumerate", "--rmax", "2", "--max-orbit", "20"],
+     "enumerate_psl2z1p-2", "right-H orbit exceeded max_orbit=20"),
+    (["ltable", "--rmax", "3", "--max-orbit", "5"],
+     "ltable_psl2z1p-2", "right-H orbit exceeded max_orbit=5")])
+def test_table_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
+                                                    name, message):
+    out = tmp_path / "o"
+    code = main(cmd + ["--pair", "psl2z1p:2", "--out", str(out)])
+    assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == f"cap exceeded: {message}\n"
+    assert [p.name for p in out.iterdir()] == [name + ".json"]
+    report = json.loads(read(out / (name + ".json")))
+    assert report["partial"] is True
+    assert report["cap_exceeded"] == message
+    assert report["command"] == cmd[0]
+    assert report["pair"]["label"] == "psl2z1p:2"
+    assert "snapshot" not in report and "classes" not in report
+
+
+def test_growth_tree_reaches_rmax_12(tmp_path):
+    # the level-12 class holds 3 * 2^23 cosets, far past max_orbit: its
+    # size comes from the degree identity, not from its orbit
+    out = tmp_path / "o"
+    assert main(["growth", "--pair", "psl2z1p:2", "--rmax", "12",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(read(out / "growth_psl2z1p-2.json"))
+    assert report["series"]["ball"] == [2 ** (2 * r + 1) - 1
+                                        for r in range(13)]
+    assert report["series"]["ball"][-1] == 33_554_431
+    assert report["verdict"]["kind"] == "exponential"
+
+
+def test_tree_growth_builds_only_generator_orbits(tmp_path, monkeypatch):
+    stores, built = [], []
+    enumerate_ball, compute_orbit = cli.enumerate_ball, CosetStore._compute_orbit
+
+    def enumerate_and_record(*args, **kwargs):
+        store = enumerate_ball(*args, **kwargs)
+        stores.append((store, len(store)))
+        return store
+
+    def orbit_and_record(store, start):
+        built.append(compute_orbit(store, start))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "enumerate_ball", enumerate_and_record)
+    monkeypatch.setattr(CosetStore, "_compute_orbit", orbit_and_record)
+    assert main(["growth", "--pair", "psl2z1p:2", "--rmax", "12",
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    (store, n_ball), = stores
+    assert n_ball == 22_440
+    gens = {store.dc(store.lookup(s)) for s in store.pair.shat()}
+    assert gens == {store.identity_class(), 1}
+    assert sorted(built) == sorted(gens)
+    # the search's products: one class rep per depth times the 1 + 6
+    # left-coset representatives of the generator classes
+    assert len(store) <= n_ball + 12 * 7
 
 
 @pytest.mark.parametrize("key,extra", [

@@ -116,7 +116,7 @@ def test_orbit_bc_scaling_class():
 
 
 def test_left_counts():
-    assert left_L_count(get_pair("z:1"), get_pair("z:1").identity()) == 1
+    assert len(left_L_count(get_pair("z:1"), get_pair("z:1").identity())) == 1
     # BC: conjugation oracle g (n,1) g^{-1} = (n/2, 1), so g H g^{-1}
     # contains H and L((0,2)) = 1
     conj = mat_mul(mat_mul(((Q(1), Q(0)), (Q(0), Q(2))),
@@ -124,15 +124,15 @@ def test_left_counts():
                    ((Q(1), Q(0)), (Q(0), Q(1, 2))))
     assert conj == ((1, Q(1, 2)), (0, 1))
     bc = get_pair("bcp:2")
-    assert left_L_count(bc, Aff(Q(0), Q(2))) == 1
-    assert left_L_count(bc, Aff(Q(0), Q(1, 2))) == 2
+    assert len(left_L_count(bc, Aff(Q(0), Q(2)))) == 1
+    assert len(left_L_count(bc, Aff(Q(0), Q(1, 2)))) == 2
     # S3: exhaustive oracle says the nontrivial class holds 2 left cosets
     s3 = get_pair("s3-h12")
     h_set = {h.images for h in s3.h_elements()}
     dc = double_coset((2, 1, 0), h_set, perm_mul)
     lefts = {frozenset(perm_mul(y, h) for h in h_set) for y in dc}
     assert len(lefts) == 2
-    assert left_L_count(s3, s3.parse("perm 2 1 0")) == 2
+    assert len(left_L_count(s3, s3.parse("perm 2 1 0"))) == 2
 
 
 def test_relative_modular_values():
@@ -266,7 +266,7 @@ def test_store_sealed_and_caps():
     with pytest.raises(OrbitCapExceeded):
         st = hp.CosetStore(get_pair("psl2z1p:2"), Caps(max_orbit=5))
         g2 = get_pair("psl2z1p:2").parse("mat 2 0 0 1/2")
-        st.dc(st.intern(st.pair.mul(g2, g2)))
+        st.class_members(st.dc(st.intern(st.pair.mul(g2, g2))))
 
 
 def test_resumable_bfs_and_orbit_wl():
@@ -315,3 +315,31 @@ def test_interning_soundness_flags_wrong_keys(label, key, monkeypatch):
     pair = get_pair(label)
     monkeypatch.setattr(pair, "coset_fingerprint", key)
     assert check_interning_soundness(enumerate_ball(pair, 2))
+
+
+@pytest.mark.parametrize("label", ["dinf", "s3-h12", "bcp:2", "psl2z1p:2"])
+@pytest.mark.parametrize("key", [lambda x: 0, lambda x: x],
+                         ids=["too-coarse", "too-fine"])
+def test_interning_soundness_flags_wrong_class_keys(label, key, monkeypatch):
+    # a constant class key names every coset to the identity class, whose
+    # orbit holds H alone; keying by the element splits a class whose
+    # orbit then carries several keys
+    pair = get_pair(label)
+    store = enumerate_ball(pair, 2)
+    monkeypatch.setattr(pair, "class_key", key)
+    assert check_interning_soundness(store)
+
+
+def test_class_ids_follow_first_lookup_and_members_are_lazy():
+    pair = get_pair("psl2z1p:2")
+    store = enumerate_ball(pair, 3)
+    g2 = pair.parse("mat 2 0 0 1/2")
+    far = store.lookup(pair.mul(pair.mul(g2, g2), g2))
+    n = len(store)
+    assert store.dc(far) == 0 and store.dc(0) == 1
+    assert len(store) == n                 # naming a class interns nothing
+    assert store.dcs[0].member_cids is None and store.dcs[0].R is None
+    members = store.class_members(0)
+    assert len(members) == store.class_R(0) == 96
+    assert store.dcs[0].rep_cid == members[0] <= far
+    assert all(store.dc(m) == 0 for m in members)

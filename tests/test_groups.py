@@ -349,3 +349,28 @@ def test_base_pair_has_no_coset_key():
         hp.HeckePair.coset_fingerprint(get_pair("z:1"), Vec((0,)))
     with pytest.raises(NotImplementedError):
         hp.HeckePair.left_coset_fingerprint(get_pair("z:1"), Vec((0,)))
+
+
+@pytest.mark.parametrize("label", FG_LABELS + ["bc"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_class_keys_are_normal_forms(label, data):
+    # key equality must agree with the orbit BFS: y = h x h' shares the
+    # class, an independent y shares it exactly when Hy lies in the
+    # right-H orbit of Hx
+    pair = get_pair(label)
+    x = _draw_element(pair, data)
+    translate = data.draw(st.booleans())
+    y = (pair.mul(pair.mul(_draw_h_element(pair, data), x),
+                  _draw_h_element(pair, data))
+         if translate else _draw_element(pair, data))
+    store = hp.CosetStore(pair)
+    orbit = store.class_members(store.dc(store.intern(x)))
+    same = store.lookup(y) in orbit
+    assert same or not translate
+    assert (pair.class_key(x) == pair.class_key(y)) == same
+
+
+def test_base_pair_has_no_class_key():
+    with pytest.raises(NotImplementedError):
+        hp.HeckePair.class_key(get_pair("z:1"), Vec((0,)))

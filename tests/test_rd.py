@@ -91,6 +91,8 @@ def test_operator_matrix_matches_member_loop(label, r):
         f = HeckeElement(store, {
             d: Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
             for d in classes})
+        for d in classes:     # member lists are built on first use
+            store.class_members(d)
         n = len(store)
         op = operator_matrix(f, store, radius)
         assert len(store) == n
@@ -325,3 +327,14 @@ def test_kesten_flags_nonunimodular():
 def test_kesten_requires_self_adjoint(z1_store):
     with pytest.raises(NotSelfAdjoint):
         kesten_diagnostic(get_pair("z:1"), z1_store, z_delta(z1_store, 1), 3)
+
+
+def test_rd_profile_keeps_each_warning_once():
+    # the five test functions at r = 2 hit the same orbit cap in f^{*3}
+    pair = get_pair("psl2z1p:2")
+    store = hp.enumerate_ball(pair, 2, hp.Caps(max_orbit=30))
+    prof = rd.rd_profile(pair, store, None, 2, config={"rd.moment_n": 3})
+    assert prof.partial
+    assert sum(rec.r == 2 for rec in prof.records) == 5
+    assert prof.warnings == [
+        "moments skipped at r=2: right-H orbit exceeded max_orbit=30"]
