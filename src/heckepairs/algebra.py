@@ -2,10 +2,13 @@
 
 Elements are finite rational linear combinations of double-coset
 indicators T_d over a coset store.  Products are computed classwise: the
-structure constants of a basis product T_{d1} * T_{d2} are counted at one
-coset per target class, checked against the degree identity
-sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring homomorphism) and
-cached on the store, so repeated convolutions are dictionary arithmetic.
+structure constants of a basis product T_{d1} * T_{d2} are counted by class
+keys over left-coset representatives, at one element per target class,
+without the member cosets of either class.  Each result is checked against
+the degree identity sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring
+homomorphism), with the sizes R taken from the store's degree recursion,
+and cached on the store, so repeated convolutions are dictionary
+arithmetic.
 
 Coefficients are rationals, not complex: every computation in scope uses
 real data, so conjugation is the identity.  A complex payload would be a
@@ -118,41 +121,24 @@ def identity_element(store: CosetStore) -> HeckeElement:
 def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     """Coefficients of T_{d1} * T_{d2} in the double-coset basis.
 
-    (T_{d1} * T_{d2})(Hx) counts the pairs (a, b_j) of member-coset
-    representatives with H a b_j = Hx, and is constant on the class of Hx.
-    With b = rep(d2), the classes of the cosets H a b (a over d1) are the
-    whole support, since H a h b H = H a' b H for H a h = H a'.  For one
-    coset Hx = H a b of each support class, the pair count is
-    c_d = #{b_j in d2 : H x b_j^{-1} in d1}.  The term b_j = b is H a, so
-    it counts without a lookup; each other member takes one lookup, and a
-    coset that is not interned is not in d1, so the lookups insert nothing.
-    That is R(d1) + |supp| (R(d2) - 1) products instead of R(d1) R(d2).
-    The result must satisfy the degree identity
-    sum_d c_d R(d) = R(d1) R(d2).
+    (T_{d1} * T_{d2})(Hx) counts the right cosets H b_j of d2 with
+    H x b_j^{-1} in d1, and is constant on the class of Hx.  The support
+    is the set of classes of the x1 t, for one element x1 of d1 and the
+    L(d2) left-coset representatives t of d2; each class is named by its
+    key.  For the element x of each support class met that way, c_d counts
+    the left-coset representatives t of inv(d2) (the b_j^{-1} up to right
+    H) with class_key(x t) = key(d1).  No member list is read and only a
+    newly named class interns a coset, its rep: L(d2) + |supp| R(d2)
+    products per pair.  The result must satisfy the degree identity
+    sum_d c_d R(d) = R(d1) R(d2), with every R learned by the store's
+    degree recursion, not from this product.
     """
     key = (d1, d2)
     cached = store.sc_cache.get(key)
     if cached is not None:
         return cached
-    pair = store.pair
-    reps = store.reps
-    intern = store._intern
-    mul = pair.mul
-    members1 = store.class_members(d1)
-    rep2 = store.dcs[d2].rep_cid
-    b = reps[rep2]
-    hits = sorted({intern(mul(reps[a], b)) for a in members1})
-    in_d1 = set(members1)
-    b_invs = [pair.inv(reps[m]) for m in store.class_members(d2)
-              if m != rep2]
-    out: dict[int, int] = {}
-    for cid in hits:
-        d = store.dc(cid)
-        if d in out:
-            continue
-        x = reps[cid]
-        out[d] = 1 + sum(intern(mul(x, bi), insert=False) in in_d1
-                         for bi in b_invs)
+    out = {d: store.product_count(d1, d2, x)
+           for d, x in store.product_support(d1, d2).items()}
     degree = sum(c * store.class_R(d) for d, c in out.items())
     want = store.class_R(d1) * store.class_R(d2)
     if degree != want:

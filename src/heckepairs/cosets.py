@@ -7,10 +7,15 @@ x y^{-1} in H stays the arbiter: ``check_interning_soundness`` re-tests a
 built store with it in both directions.
 
 Double cosets are named the same way, by the pair's ``class_key``, so
-naming a class costs no orbit.  A class's member cosets (its right-H orbit)
-are built only when asked for, and so is its size R unless the word-length
-search already learned it from the degree identity.  The orbit BFS stays
-the arbiter of the class keys too.
+naming a class costs no orbit, and a product x t names its class without
+interning x t unless the class is new.  Products of classes are read off
+class keys and left-coset representatives (``product_support``,
+``product_count``), and class sizes R come from the degree identity along
+a class-level word-length search that the store resumes on demand
+(``word_lengths``).  A class's member cosets (its right-H orbit) are built
+only when asked for, and for its R only where the identity leaves R open
+(or the pair has no finite generating set).  The orbit BFS stays the
+arbiter of the class keys and of every learned R.
 
 A sealed store no longer accepts user-driven interning, but analysis
 operations (double-coset orbits, class inverses, resumed BFS) may still
@@ -25,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (BallIncomplete, CapExceeded, EmptyStore, HeckeError,
-                     OrbitCapExceeded, StoreSealed)
+                     NonBiInvariantResult, OrbitCapExceeded, StoreSealed)
 from .groups import HeckePair
 
 __all__ = [
@@ -47,11 +52,13 @@ class Caps:
 @dataclass
 class DoubleCoset:
     id: int
+    key: object                       # the pair's class key
     rep_cid: int                      # smallest coset id seen in the class
     member_cids: Optional[tuple[int, ...]] = None   # built on demand
     R: Optional[int] = None           # None until learned or built
     L: Optional[int] = None
     inv: Optional[int] = None
+    left_reps: Optional[list] = None  # left-coset representatives, cached
 
     @property
     def delta(self) -> Optional[Fraction]:
@@ -78,6 +85,13 @@ class CosetStore:
         self._ids: dict = {}                  # coset key -> cid
         self._classes: dict = {}              # class key -> double coset id
         self._frontier: list[int] = []
+        self._ball_heads: Optional[dict] = None   # class key -> first ball cid
+        # the class-level word-length search: class -> word length for the
+        # depths done, the last depth's classes, the generator classes
+        self._wl_classes: dict[int, int] = {}
+        self._wl_frontier: list[int] = []
+        self._wl_depth: int = -1
+        self._gen_classes: Optional[list[int]] = None
 
     # -- interning ----------------------------------------------------------
 
@@ -149,6 +163,7 @@ class CosetStore:
         if self.radius_complete != start_radius:
             # patterns record hits on enumerated cosets only
             self.op_patterns.clear()
+            self._ball_heads = None
 
     def seal(self) -> None:
         self.sealed = True
@@ -186,7 +201,7 @@ class CosetStore:
         d = self._classes.get(key)
         if d is None:
             d = self._classes[key] = len(self.dcs)
-            self.dcs.append(DoubleCoset(d, cid))
+            self.dcs.append(DoubleCoset(d, key, cid))
         elif cid < self.dcs[d].rep_cid:
             self.dcs[d].rep_cid = cid
         self.dc_of[cid] = d
@@ -234,26 +249,35 @@ class CosetStore:
         obj.rep_cid = ordered[0]
         return dcid
 
+    def class_of(self, g) -> int:
+        """Double-coset id of HgH for a canonical ``g``.  The coset Hg is
+        interned only when its class is new, to give the class a rep."""
+        d = self._classes.get(self.pair.class_key(g))
+        return self.dc(self._intern(g)) if d is None else d
+
     def class_R(self, dcid: int) -> int:
+        """R of the class: learned by resuming the word-length search (on
+        a finitely generated pair), else from its members."""
         obj = self.dcs[dcid]
+        if obj.R is None and self.pair.finitely_generated:
+            while dcid not in self._wl_classes and self._search_depth():
+                pass
         if obj.R is None:
             self._compute_orbit(obj.rep_cid)
         return obj.R
 
     def class_left_reps(self, dcid: int) -> list:
         """Representatives t_j of the left cosets in the class,
-        HxH = t_1 H u ... u t_L H; records L."""
+        HxH = t_1 H u ... u t_L H, computed once; records L."""
         obj = self.dcs[dcid]
-        reps = left_L_count(self.pair, self.reps[obj.rep_cid],
-                            self.caps.max_orbit)
-        obj.L = len(reps)
-        return reps
+        if obj.left_reps is None:
+            obj.left_reps = left_L_count(self.pair, self.reps[obj.rep_cid],
+                                         self.caps.max_orbit)
+            obj.L = len(obj.left_reps)
+        return obj.left_reps
 
     def class_L(self, dcid: int) -> int:
-        obj = self.dcs[dcid]
-        if obj.L is None:
-            self.class_left_reps(dcid)
-        return obj.L
+        return len(self.class_left_reps(dcid))
 
     def class_delta(self, dcid: int) -> Fraction:
         return Fraction(self.class_L(dcid), self.class_R(dcid))
@@ -261,8 +285,7 @@ class CosetStore:
     def class_inverse(self, dcid: int) -> int:
         obj = self.dcs[dcid]
         if obj.inv is None:
-            g = self.pair.inv(self.reps[obj.rep_cid])
-            other = self.dc(self._intern(g))
+            other = self.class_of(self.pair.inv(self.reps[obj.rep_cid]))
             obj.inv = other
             self.dcs[other].inv = dcid
         return obj.inv
@@ -279,6 +302,125 @@ class CosetStore:
         if not self.reps:
             raise EmptyStore("no enumerated cosets")
         return self.dc(0)
+
+    # -- products of classes and the degree recursion -------------------------
+
+    def _step_element(self, dcid: int):
+        """The element that products of the class are taken from: its
+        first Schreier-ball coset, the head of its member list, so new
+        classes get the ids a walk over the members would give them; else
+        its rep."""
+        if self._ball_heads is None:
+            heads: dict = {}
+            key = self.pair.class_key
+            for cid in self.ball_ids(self.radius_complete):
+                heads.setdefault(key(self.reps[cid]), cid)
+            self._ball_heads = heads
+        obj = self.dcs[dcid]
+        return self.reps[self._ball_heads.get(obj.key, obj.rep_cid)]
+
+    def product_support(self, d1: int, d2: int) -> dict:
+        """supp(T_{d1} * T_{d2}) as class id -> one element of the class,
+        in the order met.  With x = _step_element(d1) and the left-coset
+        representatives t of d2, H x H d2 = u_t H x t H, so the classes of
+        the x t are exactly the support; each is named by its key."""
+        x = self._step_element(d1)
+        mul = self.pair.mul
+        support: dict = {}
+        for t in self.class_left_reps(d2):
+            y = mul(x, t)
+            support.setdefault(self.class_of(y), y)
+        return support
+
+    def product_count(self, d1: int, d2: int, x) -> int:
+        """(T_{d1} * T_{d2})(Hx) = #{j : H x b_j^{-1} in d1} over the right
+        cosets H b_j of d2.  The b_j^{-1} are, up to right H, the left-coset
+        representatives of inv(d2), and right H does not move a class, so
+        the count is R(d2) key comparisons: no member list, no interning."""
+        mul, key = self.pair.mul, self.pair.class_key
+        want = self.dcs[d1].key
+        return sum(key(mul(x, t)) == want
+                   for t in self.class_left_reps(self.class_inverse(d2)))
+
+    def word_lengths(self, r: int) -> dict[int, int]:
+        """Class id -> word length for every class of word length <= r
+        (the least n with the class inside (H S-hat H)^n), resuming the
+        class-level search as far as needed."""
+        while self._wl_depth < r and self._search_depth():
+            pass
+        return {d: n for d, n in self._wl_classes.items() if n <= r}
+
+    def _search_depth(self) -> bool:
+        """Run the next depth of the class-level breadth-first search;
+        False once there is none.
+
+        From a class d of the last depth the search steps to
+        supp(T_d * T_s) for each generator class s.  T_d -> R(d) is a ring
+        homomorphism, so sum_e c_e R(e) = R(d) R(s) over that support: when
+        one class e of it has unknown R, the identity gives R(e).  A class
+        whose R is still open when its depth is done gets it from its
+        members.  A depth is recorded only once complete, so a cap hit
+        leaves every recorded depth exact."""
+        if self._wl_depth < 0:
+            e = self.identity_class()
+            self._wl_classes = {e: 0}
+            self._wl_frontier = [e]
+            self._wl_depth = 0
+            return True
+        if not self._wl_frontier:
+            return False
+        if self._gen_classes is None:
+            self._gen_classes = self._generator_classes()
+        found: dict[int, None] = {}
+        for d in self._wl_frontier:
+            for s in self._gen_classes:
+                support = self.product_support(d, s)
+                for e in support:
+                    if e not in self._wl_classes:
+                        found.setdefault(e)
+                self._learn_R(d, s, support)
+        for e in found:
+            if self.dcs[e].R is None:
+                self._compute_orbit(self.dcs[e].rep_cid)
+        self._wl_depth += 1
+        for e in found:
+            self._wl_classes[e] = self._wl_depth
+        self._wl_frontier = list(found)
+        return True
+
+    def _generator_classes(self) -> list[int]:
+        """The distinct classes of S-hat, in S-hat order, with members
+        built: their sizes seed the degree recursion."""
+        out: list[int] = []
+        for g in self.pair.shat():
+            s = self.dc(self._intern(g))
+            if s not in out:
+                self.class_members(s)
+                out.append(s)
+        return out
+
+    def _learn_R(self, d: int, s: int, support: dict) -> None:
+        """Set R(e) from sum_e c_e R(e) = R(d) R(s) when e is the only
+        class of supp(T_d * T_s) (given as class -> element) with unknown
+        R."""
+        dcs = self.dcs
+        unknown = [f for f in support if dcs[f].R is None]
+        if len(unknown) != 1:
+            return
+        e = unknown[0]
+        rest = self.class_R(d) * self.class_R(s)
+        c_e = 0
+        for f, x in support.items():
+            c = self.product_count(d, s, x)
+            if f == e:
+                c_e = c
+            else:
+                rest -= c * dcs[f].R
+        if c_e == 0 or rest % c_e or rest < c_e:
+            raise NonBiInvariantResult(
+                f"degree identity of T[{d}]*T[{s}] leaves no class size for "
+                f"class {e}: {rest} over c = {c_e}")
+        dcs[e].R = rest // c_e
 
     def classes_in_ball(self, r: int) -> list[int]:
         """Double-coset ids met by the radius-r ball, in id order."""

@@ -18,8 +18,7 @@ from typing import Callable, Optional
 from .algebra import structure_constants
 from .cosets import CosetStore, unimodularity_check
 from .errors import (CapExceeded, EmptyStore, InfiniteH,
-                     LengthUndefinedOnSupport, NonBiInvariantResult,
-                     NotRelativelyUnimodular)
+                     LengthUndefinedOnSupport, NotRelativelyUnimodular)
 from .groups import HeckePair
 
 __all__ = [
@@ -62,18 +61,13 @@ class LengthFunction:
 
 def word_length(store: CosetStore) -> LengthFunction:
     """Word length of the pair: l(d) = least n with d inside the n-fold
-    product of H S-hat H, computed by a breadth-first search on double
-    cosets.  From a class d the search steps to the classes of x t_j, for
-    one coset Hx of d and the left-coset representatives t_j of each
-    generator class s (HsH = t_1 H u ... u t_L H): those classes are
-    exactly supp(T_d * T_s), so no member coset of d is visited.
-
-    The search also learns class sizes without orbits.  T_d -> R(d) is a
-    ring homomorphism, so sum_e c_e R(e) = R(d) R(s) over supp(T_d * T_s),
-    where c_e = #{b in members(s) : H x b^{-1} in d} for any coset Hx of e
-    is counted by class keys.  When e is the only class of the support
-    whose R is unknown, the identity gives R(e); every other R comes from
-    the class's members once the depth that found the class is done.
+    product of H S-hat H, read off the store's class-level search
+    (``CosetStore.word_lengths``) up to the enumerated radius.  From a
+    class d the search steps to the classes of x t_j, for one coset Hx of
+    d and the left-coset representatives t_j of each generator class s:
+    those classes are exactly supp(T_d * T_s), so no member coset of d is
+    visited, and the degree identity of T_d * T_s gives class sizes on the
+    way.
 
     This is the word length of the pair's coset completion with respect to
     the compact set H S-hat, and it satisfies the length axioms exactly;
@@ -87,92 +81,21 @@ def word_length(store: CosetStore) -> LengthFunction:
     depth by depth, so those values and their class sizes are exact."""
     if store.radius_complete < 0:
         raise EmptyStore("enumerate before asking for word length")
-    pair = store.pair
-    mul, key = pair.mul, pair.class_key
-    reps, dcs = store.reps, store.dcs
-    # a class that meets the ball steps from its first ball coset, the
-    # head of its member list, so new classes get the ids that a walk over
-    # the members would give them
-    first_in_ball: dict = {}
-    for cid in store.ball_ids(store.radius_complete):
-        first_in_ball.setdefault(key(reps[cid]), cid)
-    e = store.identity_class()
-    values: dict[int, Fraction] = {e: Fraction(0)}
-    frontier = [e]
-    steps = None
-    depth = 0
+    r = store.radius_complete
     try:
-        while frontier and depth < store.radius_complete:
-            depth += 1
-            if steps is None:
-                steps = _generator_steps(store)
-            nxt: list[int] = []
-            for d in frontier:
-                rep = dcs[d].rep_cid
-                x = reps[first_in_ball.get(key(reps[rep]), rep)]
-                for s, ts, b_invs in steps:
-                    support: dict[int, object] = {}   # class -> one coset rep
-                    for t in ts:
-                        cid = store._intern(mul(x, t))
-                        td = store.dc(cid)
-                        support.setdefault(td, reps[cid])
-                        if td not in values:
-                            values[td] = Fraction(depth)
-                            nxt.append(td)
-                    _learn_R(store, d, s, support, b_invs)
-            for td in nxt:    # sizes the identity left open: from members
-                store.class_R(td)
-            frontier = nxt
+        found = store.word_lengths(r)
     except CapExceeded as exc:
+        depth = store._wl_depth + 1
         exc.partial = LengthFunction(
-            "word-schreier", {d: v for d, v in values.items() if v < depth},
+            "word-schreier", {d: Fraction(n) for d, n
+                              in store.word_lengths(depth - 1).items()},
             note=f"radii below the cap hit at depth {depth}")
         raise
-    in_ball = Counter(store.dc(cid)
-                      for cid in store.ball_ids(store.radius_complete))
+    values = {d: Fraction(n) for d, n in found.items()}
+    in_ball = Counter(store.dc(cid) for cid in store.ball_ids(r))
     partial = {d for d in values if in_ball[d] < store.class_R(d)}
     return LengthFunction("word-schreier", values, partial,
                           note="double-coset BFS over H S-hat H products")
-
-
-def _generator_steps(store: CosetStore) -> list[tuple[int, list, list]]:
-    """Per generator class s, in S-hat order: (s, the left-coset
-    representatives t_j of s, the inverses of its member cosets' reps)."""
-    pair = store.pair
-    steps = []
-    for g in pair.shat():
-        s = store.dc(store._intern(g))
-        if any(s == step[0] for step in steps):
-            continue
-        b_invs = [pair.inv(store.reps[m]) for m in store.class_members(s)]
-        steps.append((s, store.class_left_reps(s), b_invs))
-    return steps
-
-
-def _learn_R(store: CosetStore, d: int, s: int, support: dict,
-             b_invs: list) -> None:
-    """Set R(e) from sum_e c_e R(e) = R(d) R(s) when e is the only class
-    of supp(T_d * T_s) (given as class -> coset rep) with unknown R."""
-    dcs = store.dcs
-    unknown = [f for f in support if dcs[f].R is None]
-    if len(unknown) != 1:
-        return
-    e = unknown[0]
-    pair = store.pair
-    key_d = pair.class_key(store.reps[dcs[d].rep_cid])
-    rest = store.class_R(d) * store.class_R(s)
-    c_e = 0
-    for f, x in support.items():
-        c = sum(pair.class_key(pair.mul(x, b)) == key_d for b in b_invs)
-        if f == e:
-            c_e = c
-        else:
-            rest -= c * dcs[f].R
-    if c_e == 0 or rest % c_e or rest < c_e:
-        raise NonBiInvariantResult(
-            f"degree identity of T[{d}]*T[{s}] leaves no class size for "
-            f"class {e}: {rest} over c = {c_e}")
-    dcs[e].R = rest // c_e
 
 
 def characteristic_length(pair: HeckePair, store: CosetStore,

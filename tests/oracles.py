@@ -214,3 +214,25 @@ def tree_t1_times_tk(p, k):
     a1a1 = _sphere_times_a1(_sphere_times_a1({2 * k: 1}, p), p)
     a1a1[2 * k] = a1a1.get(2 * k, 0) - (p + 1)
     return {n // 2: c for n, c in a1a1.items() if c}
+
+
+def tree_tj_times_tk(p, j, k):
+    """{level: coefficient} of T_j * T_k = A_2j A_2k: A_2j is expanded in
+    powers of A_1 by A_1 = A_1, A_2 = A_1^2 - (p+1) and
+    A_{n+1} = A_1 A_n - p A_{n-1} for n >= 2, and each power is applied to
+    A_2k by ``_sphere_times_a1``."""
+    polys = [{0: 1}, {1: 1}]        # A_n as {power of A_1: coefficient}
+    for n in range(1, 2 * j):
+        q = p + 1 if n == 1 else p
+        nxt = {i + 1: c for i, c in polys[n].items()}
+        for i, c in polys[n - 1].items():
+            nxt[i] = nxt.get(i, 0) - q * c
+        polys.append({i: c for i, c in nxt.items() if c})
+    out = {}
+    power = {2 * k: 1}              # A_1^i A_2k
+    for i in range(max(polys[2 * j]) + 1):
+        for n, c in power.items():
+            out[n] = out.get(n, 0) + polys[2 * j].get(i, 0) * c
+        power = _sphere_times_a1(power, p)
+    assert all(n % 2 == 0 for n, c in out.items() if c)
+    return {n // 2: c for n, c in out.items() if c}

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 import heckepairs as hp
+from heckepairs import algebra
 from heckepairs.algebra import (HeckeElement, basis_element, convolve,
                                 convolution_power_moment, identity_element,
                                 involution, is_self_adjoint, norms,
@@ -15,7 +16,7 @@ from heckepairs.groups import Aff, get_pair
 from heckepairs.lengths import word_length
 
 from conftest import FG_LABELS
-from oracles import brute_structure_constants, central_trinomial
+from oracles import brute_structure_constants, central_trinomial, tree_level
 
 
 def random_element(store, classes, rng, signed=True):
@@ -23,6 +24,10 @@ def random_element(store, classes, rng, signed=True):
     lo = -9 if signed else 1
     return HeckeElement(store, {d: Q(rng.randint(lo, 9), rng.randint(1, 4))
                                 for d in supp})
+
+
+def level(store, d):
+    return tree_level(store.reps[store.dcs[d].rep_cid].to_fractions(), 2)
 
 
 def z_delta(store, n):
@@ -208,17 +213,29 @@ def test_structure_constants_match_member_pair_count(label, radius):
 
 def test_structure_constants_degree_identity_catches_a_miscount(monkeypatch):
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
+    pair = store.pair
     d = next(x for x in store.classes_in_ball(2) if store.class_R(x) == 6)
-    lookup = store._intern
+    store.class_inverse(d)     # named now, so the miss falls in the count
+    class_key, count = pair.class_key, store.product_count
+    counting = [False]
     misses = [None]
 
-    def lossy(g, insert=True):
-        # the first membership lookup of the count misses
-        if not insert and misses:
+    def lossy_key(g):
+        # inside the count, the first key that names class d misses
+        k = class_key(g)
+        if counting[0] and misses and k == store.dcs[d].key:
             return misses.pop()
-        return lookup(g, insert)
+        return k
 
-    monkeypatch.setattr(store, "_intern", lossy)
+    def lossy_count(*args):
+        counting[0] = True
+        try:
+            return count(*args)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setattr(pair, "class_key", lossy_key)
+    monkeypatch.setattr(store, "product_count", lossy_count)
     with pytest.raises(NonBiInvariantResult, match="degree identity"):
         structure_constants(store, d, d)
     assert not misses
@@ -233,7 +250,74 @@ def test_convolution_lookups_intern_nothing_stray():
         convolve(random_element(store, classes, rng),
                  random_element(store, classes, rng))
     assert store.sc_cache
-    assert len(store) == sum(store.class_R(d) for d in range(len(store.dcs)))
+    # the ball, the members of the generator classes (their sizes seed the
+    # degree recursion) and one representative per class the products named
+    gens = {store.dc(store.lookup(s)) for s in store.pair.shat()}
+    seeded = set(store.ball_ids(3)).union(
+        *(store.dcs[s].member_cids for s in gens))
+    named = len(store.dcs) - len(classes)
+    assert named > 0
+    assert len(store) <= len(seeded) + named
+
+
+def test_structure_constants_build_no_members(monkeypatch):
+    # T_{level 6} * T_{level 3} and seeded triple products on the tree: the
+    # support is read off class keys over the left-coset representatives t
+    # of d2, the counts off those of inv(d2), so a cold pair costs at most
+    # L(d2) + |supp| R(d2) products beyond left-coset representatives and
+    # the class search, and only a newly named class interns a coset
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
+    pair = store.pair
+    classes = store.classes_in_ball(3)
+    lw = word_length(store)
+    by_level = {int(v): d for d, v in lw.values.items()}
+    muls = [0]
+    paused = [False]
+    mul, sc = pair.mul, algebra.structure_constants
+    left_reps, search = store.class_left_reps, store._search_depth
+    cold = []
+
+    def counted_mul(x, y):
+        muls[0] += not paused[0]
+        return mul(x, y)
+
+    def pausing(fn):
+        def run(*args):
+            paused[0], was = True, paused[0]
+            try:
+                return fn(*args)
+            finally:
+                paused[0] = was
+        return run
+
+    def recorded_sc(st, d1, d2):
+        new = (d1, d2) not in st.sc_cache
+        before = muls[0]
+        out = sc(st, d1, d2)
+        if new:
+            cold.append((d1, d2, len(out), muls[0] - before))
+        return out
+
+    monkeypatch.setattr(pair, "mul", counted_mul)
+    monkeypatch.setattr(store, "class_left_reps", pausing(left_reps))
+    monkeypatch.setattr(store, "_search_depth", pausing(search))
+    monkeypatch.setattr(algebra, "structure_constants", recorded_sc)
+    t3 = basis_element(store, by_level[3])
+    t6 = convolve(t3, t3)
+    assert sorted(level(store, d) for d in t6.coeffs) == [0, 1, 2, 3, 4, 5, 6]
+    d6 = next(d for d in t6.coeffs if level(store, d) == 6)
+    t9 = convolve(basis_element(store, d6), t3)
+    assert max(level(store, d) for d in t9.coeffs) == 9
+    rng = random.Random(7)
+    for _ in range(10):
+        f, g, h = (random_element(store, classes, rng) for _ in range(3))
+        assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+    assert len(cold) > 20
+    for d1, d2, n_supp, n_mul in cold:
+        assert n_mul <= store.class_L(d2) + n_supp * store.class_R(d2)
+    assert all(obj.member_cids is None for obj in store.dcs
+               if level(store, obj.id) > 3)
+    assert len(store) <= len(store.ball_ids(3)) + len(store.dcs)
 
 
 def test_convolution_power_support_growth_is_linear(z1_store):

@@ -8,6 +8,8 @@ from heckepairs import cli
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from heckepairs.cosets import CosetStore
 
+from oracles import tree_class_size, tree_t1_times_tk
+
 
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -236,6 +238,30 @@ def test_growth_tree_reaches_rmax_12(tmp_path):
                                         for r in range(13)]
     assert report["series"]["ball"][-1] == 33_554_431
     assert report["verdict"]["kind"] == "exponential"
+
+
+def test_rd_profile_third_moments_on_the_tree(tmp_path):
+    # f^{*3} reaches the level-12 class (3 * 2^23 cosets): its structure
+    # constants come from class keys and its size from the degree identity,
+    # so default caps hold
+    out = tmp_path / "o"
+    assert main(["rd-profile", "--pair", "psl2z1p:2", "--rmax", "4",
+                 "--set", "rd.moment_n=3", "--out", str(out)]) == EXIT_OK
+    profile = json.loads(read(out / "rd_profile_psl2z1p-2.json"))["profile"]
+    assert profile["partial"] is False and profile["warnings"] == []
+    assert len(profile["records"]) == 25
+    # the shell T_1 at r = 1: a_3 = sum_k R_k c_k^2 over T_1^3 = sum_k c_k T_k
+    # from the sphere recursion, and rho_3 = a_3^(1/6) stays below the norm
+    # of T_1, which is 6 * 5/6 = 5
+    cube = {}
+    for k, c in tree_t1_times_tk(2, 1).items():
+        for n, e in (tree_t1_times_tk(2, k).items() if k else [(1, 1)]):
+            cube[n] = cube.get(n, 0) + c * e
+    a_3 = sum(tree_class_size(2, k) * c * c for k, c in cube.items())
+    (shell,) = [rec for rec in profile["records"]
+                if rec["r"] == 1 and rec["family"] == "shell"]
+    assert shell["moment_root"] == pytest.approx(a_3 ** (1 / 6), rel=1e-9)
+    assert shell["moment_root"] < 5
 
 
 def test_tree_growth_builds_only_generator_orbits(tmp_path, monkeypatch):

@@ -330,11 +330,15 @@ def test_kesten_requires_self_adjoint(z1_store):
 
 
 def test_rd_profile_keeps_each_warning_once():
-    # the five test functions at r = 2 hit the same orbit cap in f^{*3}
+    # the five test functions at r = 2 all hold the level-2 class (R = L =
+    # 24): its members (truncated norm) and its left-coset representatives
+    # (the counts of f^{*3}) both pass the orbit cap, once per function
     pair = get_pair("psl2z1p:2")
-    store = hp.enumerate_ball(pair, 2, hp.Caps(max_orbit=30))
+    store = hp.enumerate_ball(pair, 2, hp.Caps(max_orbit=23))
     prof = rd.rd_profile(pair, store, None, 2, config={"rd.moment_n": 3})
     assert prof.partial
     assert sum(rec.r == 2 for rec in prof.records) == 5
     assert prof.warnings == [
-        "moments skipped at r=2: right-H orbit exceeded max_orbit=30"]
+        "truncated norm skipped at r=2: right-H orbit exceeded max_orbit=23",
+        "moments skipped at r=2: left-H orbit exceeded max_orbit=23",
+        "best ratio at r=2 below the sanity floor 0.167"]

@@ -4,7 +4,8 @@
 cosets are the even spheres around the base vertex, so every class size,
 word length and product T_1 * T_k is known in closed form (see
 ``oracles``).  The engine learns R from the degree identity, so these also
-check that recursion against the orbit BFS.
+check that recursion against the orbit BFS, and past the radii any orbit
+reaches.
 """
 
 import pytest
@@ -15,7 +16,8 @@ from heckepairs.groups import get_pair
 from heckepairs.growth import growth_series
 from heckepairs.lengths import word_length
 
-from oracles import tree_ball, tree_class_size, tree_level, tree_t1_times_tk
+from oracles import (tree_ball, tree_class_size, tree_level, tree_t1_times_tk,
+                     tree_tj_times_tk)
 
 
 def level(store, d, p):
@@ -54,6 +56,33 @@ def test_tree_products_follow_the_sphere_recursion(label, p, kmax):
         sc = structure_constants(store, by_level[1], by_level[k])
         assert {level(store, d, p): c for d, c in sc.items()} \
             == tree_t1_times_tk(p, k)
+
+
+def test_tree_learned_sizes_to_level_9():
+    # the class search runs to depth 9 from the radius-3 ball: the level-9
+    # class holds 3 * 2^17 cosets, and no class above level 1 builds its
+    # members
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
+    found = store.word_lengths(9)
+    assert sorted(found.values()) == list(range(10))
+    for d, n in found.items():
+        assert level(store, d, 2) == n
+        assert store.dcs[d].R == tree_class_size(2, n)
+        if n > 1:
+            assert store.dcs[d].member_cids is None
+    assert len(store) <= len(store.ball_ids(3)) + len(store.dcs)
+
+
+@pytest.mark.parametrize("label,p", [("psl2z1p:2", 2), ("psl2z1p:3", 3)])
+def test_tree_products_to_level_8_follow_the_sphere_recursion(label, p):
+    store = hp.enumerate_ball(get_pair(label), 4)
+    lw = word_length(store)
+    by_level = {int(v): d for d, v in lw.values.items()}
+    for j in range(1, 5):
+        for k in range(1, 5):
+            sc = structure_constants(store, by_level[j], by_level[k])
+            assert {level(store, d, p): c for d, c in sc.items()} \
+                == tree_tj_times_tk(p, j, k), (j, k)
 
 
 @pytest.mark.parametrize("p,radius", [(2, 4), (3, 3)])
