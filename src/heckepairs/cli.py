@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 
@@ -44,20 +45,29 @@ CONFIG_DEFAULTS = {
 }
 
 # the config values with a domain: (key, comparison, bound); each must be a
-# finite number on the right side of its bound
+# finite number on the right side of its bound (a key with two bounds is
+# listed twice), and every other float value must be finite
 CONFIG_DOMAINS = (
     ("caps.max_cosets", ">=", 1),
     ("caps.max_orbit", ">=", 1),
+    ("growth.delta", ">=", 0),
+    ("growth.tail_fraction", ">", 0),
+    ("growth.tail_fraction", "<=", 1),
     ("rd.pad", ">=", 0),
+    ("rd.max_matrix_cost", ">=", 1),
     ("rd.moment_n", ">=", 0),
     ("rd.n_random", ">=", 0),
     ("rd.coeff_max", ">=", 1),
     ("rd.s_grid_max", ">=", 0),
     ("rd.s_grid_step", ">", 0),
+    ("rd.tail_fraction", ">", 0),
+    ("rd.tail_fraction", "<=", 1),
+    ("rd.tol", ">", 0),
     ("rd.max_iter", ">=", 1),
     ("kesten.n", ">=", 0),
     ("kesten.trunc_radius", ">=", 0),
 )
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _coerce(key: str, raw: str):
@@ -388,10 +398,12 @@ def main(argv: list[str] | None = None) -> int:
             cfg["caps.max_orbit"] = args.max_orbit
         for key, op, bound in CONFIG_DOMAINS:
             value = cfg[key]
-            if not (math.isfinite(value)
-                    and (value > bound if op == ">" else value >= bound)):
+            if not (math.isfinite(value) and _COMPARE[op](value, bound)):
                 raise HeckeError(
                     f"{key} must be finite and {op} {bound}, got {value}")
+        for key, value in cfg.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise HeckeError(f"{key} must be finite, got {value}")
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, cfg)
     except CapExceeded as exc:

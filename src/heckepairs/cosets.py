@@ -56,13 +56,18 @@ class DoubleCoset:
     rep_cid: int                      # smallest coset id seen in the class
     member_cids: Optional[tuple[int, ...]] = None   # built on demand
     R: Optional[int] = None           # None until learned or built
-    L: Optional[int] = None
     inv: Optional[int] = None
     left_reps: Optional[list] = None  # left-coset representatives, cached
 
     @property
+    def L(self) -> Optional[int]:
+        return None if self.left_reps is None else len(self.left_reps)
+
+    @property
     def delta(self) -> Optional[Fraction]:
-        return None if self.L is None else Fraction(self.L, self.R)
+        if self.L is None or self.R is None:
+            return None
+        return Fraction(self.L, self.R)
 
 
 class CosetStore:
@@ -92,6 +97,7 @@ class CosetStore:
         self._wl_frontier: list[int] = []
         self._wl_depth: int = -1
         self._gen_classes: Optional[list[int]] = None
+        self._intern(pair.identity())         # coset 0 is H
 
     # -- interning ----------------------------------------------------------
 
@@ -136,10 +142,9 @@ class CosetStore:
         pair = self.pair
         shat = pair.shat()
         start_radius = self.radius_complete
-        if not self.reps:
-            base = self._intern(pair.identity())
-            self.wl[base] = 0
-            self._frontier = [base]
+        if start_radius < 0:
+            self.wl[0] = 0
+            self._frontier = [0]
             self.radius_complete = 0
         while self.radius_complete < r_max and not self.saturated:
             nxt: list[int] = []
@@ -268,12 +273,11 @@ class CosetStore:
 
     def class_left_reps(self, dcid: int) -> list:
         """Representatives t_j of the left cosets in the class,
-        HxH = t_1 H u ... u t_L H, computed once; records L."""
+        HxH = t_1 H u ... u t_L H, computed once; their count is L."""
         obj = self.dcs[dcid]
         if obj.left_reps is None:
             obj.left_reps = left_L_count(self.pair, self.reps[obj.rep_cid],
                                          self.caps.max_orbit)
-            obj.L = len(obj.left_reps)
         return obj.left_reps
 
     def class_L(self, dcid: int) -> int:
@@ -299,8 +303,6 @@ class CosetStore:
         return obj.member_cids
 
     def identity_class(self) -> int:
-        if not self.reps:
-            raise EmptyStore("no enumerated cosets")
         return self.dc(0)
 
     # -- products of classes and the degree recursion -------------------------
@@ -484,18 +486,22 @@ def enumerate_ball(pair: HeckePair, r_max: int,
 
 def left_L_count(pair: HeckePair, g, max_orbit: int = DEFAULT_MAX_ORBIT) -> list:
     """Representatives of the L(g) left cosets of H inside HgH (so
-    L(g) is the length of the list), computed as the orbit of gH under
-    left H-multiplication, keyed by the normal form of xH."""
-    hs = pair.h_gens_sym()
-    reps = [pair.canon(g)]
-    seen = {pair.left_coset_fingerprint(reps[0])}
+    L(g) is the length of the list).  tH -> Ht^{-1} maps the left cosets
+    of HgH onto the right cosets of Hg^{-1}H, so they are walked as the
+    right-H orbit of Hg^{-1}, keyed by ``coset_fingerprint``, and the list
+    is inverted at the end: the step y -> y h^{-1} is the inverse of the
+    left step t -> h t, so the list holds g first and then each h t in the
+    order a left-H walk from gH meets the cosets."""
+    h_invs = [pair.inv(h) for h in pair.h_gens_sym()]
+    reps = [pair.inv(pair.canon(g))]
+    seen = {pair.coset_fingerprint(reps[0])}
     i = 0
     while i < len(reps):
-        x = reps[i]
+        y = reps[i]
         i += 1
-        for h in hs:
-            t = pair.canon(pair.mul(h, x))
-            key = pair.left_coset_fingerprint(t)
+        for h_inv in h_invs:
+            z = pair.mul(y, h_inv)
+            key = pair.coset_fingerprint(z)
             if key in seen:
                 continue
             if len(reps) >= max_orbit:
@@ -503,13 +509,18 @@ def left_L_count(pair: HeckePair, g, max_orbit: int = DEFAULT_MAX_ORBIT) -> list
                     f"left-H orbit exceeded max_orbit={max_orbit}",
                     cap=max_orbit)
             seen.add(key)
-            reps.append(t)
+            reps.append(z)
+    # one element at a time, so no second list is held at the peak
+    for i, y in enumerate(reps):
+        reps[i] = pair.inv(y)
     return reps
 
 
 def relative_modular(pair: HeckePair, g,
                      max_orbit: int = DEFAULT_MAX_ORBIT) -> Fraction:
-    """Delta(g) = L(g) / R(g) with R(g) = L(g^{-1}); exactly 1 on H."""
+    """Delta(g) = L(g) / R(g) with R(g) = L(g^{-1}); exactly 1 on H.  Both
+    counts are walks of ``left_L_count``, so both are right-H orbits keyed
+    by ``coset_fingerprint``: of Hg^{-1} for L and of Hg for R."""
     if pair.in_h(pair.canon(g)):
         return Fraction(1)
     left = len(left_L_count(pair, g, max_orbit))

@@ -59,8 +59,11 @@ class NotFinitelyGenerated(HeckeError):
 
 
 class NonBiInvariantResult(HeckeError):
-    """Internal consistency failure: a convolution result was not constant
-    on a double coset.  Must never fire; indicates an interning bug."""
+    """Internal consistency failure of the Hecke algebra: a product of
+    classes breaks the degree identity sum_d c_d R(d) = R(d1) R(d2) (in
+    the structure constants, or in the degree recursion, which then leaves
+    no class size), or a moment <f^{*n}, f^{*n}> comes out negative.  Must
+    never fire; indicates a wrong coset or class key, or a miscount."""
 
 
 class NotSelfAdjoint(HeckeError):

@@ -2,10 +2,13 @@
 
 Every pair (G, H) is packaged as a :class:`HeckePair`: exact group
 operations, an exact H-membership predicate, generator lists for G and H,
-and right/left coset keys that are normal forms of the cosets, so the
-enumeration engine interns a coset by its key alone.  All scalar
-arithmetic is over arbitrary-precision rationals; there is no floating
-point in this module.
+and two normal forms: ``coset_fingerprint`` of the right coset Hx, so the
+enumeration engine interns a coset by its key alone, and ``class_key`` of
+the double coset HxH, so the store names a class without computing its
+right-H orbit.  No pair keys left cosets: tH -> Ht^{-1} maps the
+left cosets of HxH onto the right cosets of Hx^{-1}H, so the engine walks
+left cosets as inverted right cosets.  All scalar arithmetic is over
+arbitrary-precision rationals; there is no floating point in this module.
 
 Element payloads
 ----------------
@@ -17,9 +20,6 @@ Element payloads
 * :class:`Perm`  -- permutation of {0..n-1} as a tuple of images.
 * :class:`Vec`   -- integer vector (Z^d with the trivial subgroup).
 * :class:`Dih`   -- infinite dihedral element x -> +-x + n as (shift, flip).
-
-Every pair also keys its double cosets: ``class_key`` is a normal form of
-HxH, so the store names a class without computing its right-H orbit.
 """
 
 from __future__ import annotations
@@ -310,11 +310,6 @@ class HeckePair:
         exactly when Hx == Hy.  The coset store interns by this key alone."""
         raise NotImplementedError
 
-    def left_coset_fingerprint(self, x):
-        """Hashable normal form of the left coset xH: key(x) == key(y)
-        exactly when xH == yH."""
-        raise NotImplementedError
-
     def class_key(self, x):
         """Hashable normal form of the double coset HxH: key(x) == key(y)
         exactly when HxH == HyH.  The coset store names classes by this
@@ -461,11 +456,6 @@ class SL2ZpPair(HeckePair):
         # Hx <-> the row lattice Z^2 * x; (exponent, HNF) pins it exactly.
         return (x.k, _hnf_2x2(x.num, self.p ** (2 * x.k)))
 
-    def left_coset_fingerprint(self, x):
-        # xH <-> the column lattice x * Z^2: the row lattice of the transpose
-        a, b, c, d = x.num
-        return (x.k, _hnf_2x2((a, c, b, d), self.p ** (2 * x.k)))
-
     def class_key(self, x):
         # Smith form over Z: num is primitive with det p^(2k), so
         # H num H = H diag(1, p^(2k)) H and the exponent pins the class
@@ -579,10 +569,6 @@ class AffinePair(HeckePair):
         # H(b,a) = {(b + n*a, a)} <-> (a, b mod aZ)
         return (x.a, x.b - (x.b / x.a).__floor__() * x.a)
 
-    def left_coset_fingerprint(self, x):
-        # (b,a)H = {(b + n, a)} <-> (a, b mod Z)
-        return (x.a, x.b - x.b.__floor__())
-
     def class_key(self, x):
         # H(b,a)H = {(b + n*a + m, a)} <-> (a, b mod (Z + aZ)), and
         # Z + aZ = (1/den a) Z
@@ -650,9 +636,6 @@ class ZPair(HeckePair):
         return [self.identity()]
 
     def coset_fingerprint(self, x):
-        return x.coords
-
-    def left_coset_fingerprint(self, x):
         return x.coords
 
     def class_key(self, x):
@@ -729,9 +712,6 @@ class PermPair(HeckePair):
 
     def coset_fingerprint(self, x):
         return min(self.mul(Perm(h), x).images for h in self._h_set)
-
-    def left_coset_fingerprint(self, x):
-        return min(self.mul(x, Perm(h)).images for h in self._h_set)
 
     def class_key(self, x):
         hs = [Perm(h) for h in self._h_set]
@@ -811,14 +791,6 @@ class DihedralPair(HeckePair):
     def coset_fingerprint(self, x):
         # H(n,f) = {(n,f), (n, not f)}: the shift is a perfect invariant
         return (x.shift,)
-
-    def left_coset_fingerprint(self, x):
-        # (n,f)H = {(n,f), (-n, not f)}
-        if x.shift == 0:
-            return (0,)
-        if x.shift > 0:
-            return (x.shift, x.flip)
-        return (-x.shift, not x.flip)
 
     def class_key(self, x):
         # H(n,f)H = {(+-n, f), (+-n, not f)}

@@ -10,8 +10,7 @@ for exact submultiplicativity checks).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -34,8 +33,6 @@ class LengthFunction:
     kind: str                      # word-schreier | characteristic | indicator
     #                              # | averaged-finite-h | custom
     values: dict                   # DoubleCosetId -> Fraction | float
-    partial: set = field(default_factory=set)   # classes not fully in the ball
-    note: str = ""
     #: for the characteristic length: class -> integer L (or L*R), so the
     #: submultiplicative law can be checked exactly
     exact_base: Optional[dict] = None
@@ -74,28 +71,22 @@ def word_length(store: CosetStore) -> LengthFunction:
     plain per-coset Schreier depth minimized over a class can fail
     subadditivity (H-moves in the middle of a word are free here, not
     there).  Values are produced for every class within the store's
-    enumerated radius; classes with member cosets outside the Schreier
-    ball (fewer ball cosets than R) are flagged partial for reporting.  A
-    cap hit at some depth carries, as ``CapExceeded.partial``, the word
-    length of every class shorter than that depth: the search completes
-    depth by depth, so those values and their class sizes are exact."""
+    enumerated radius.  A cap hit at some depth carries, as
+    ``CapExceeded.partial``, the word length of every class shorter than
+    that depth: the search completes depth by depth, so those values and
+    their class sizes are exact."""
     if store.radius_complete < 0:
         raise EmptyStore("enumerate before asking for word length")
-    r = store.radius_complete
     try:
-        found = store.word_lengths(r)
+        found = store.word_lengths(store.radius_complete)
     except CapExceeded as exc:
         depth = store._wl_depth + 1
         exc.partial = LengthFunction(
             "word-schreier", {d: Fraction(n) for d, n
-                              in store.word_lengths(depth - 1).items()},
-            note=f"radii below the cap hit at depth {depth}")
+                              in store.word_lengths(depth - 1).items()})
         raise
-    values = {d: Fraction(n) for d, n in found.items()}
-    in_ball = Counter(store.dc(cid) for cid in store.ball_ids(r))
-    partial = {d for d in values if in_ball[d] < store.class_R(d)}
-    return LengthFunction("word-schreier", values, partial,
-                          note="double-coset BFS over H S-hat H products")
+    return LengthFunction("word-schreier",
+                          {d: Fraction(n) for d, n in found.items()})
 
 
 def characteristic_length(pair: HeckePair, store: CosetStore,
@@ -117,9 +108,7 @@ def characteristic_length(pair: HeckePair, store: CosetStore,
 
     values = {d: evaluate(d) for d in store.classes_in_ball(store.radius_complete)}
     kind = "characteristic-lr" if use_lr else "characteristic"
-    return LengthFunction(kind, values, set(), exact_base=base,
-                          note="log of the left-coset count per class",
-                          extend=evaluate)
+    return LengthFunction(kind, values, exact_base=base, extend=evaluate)
 
 
 def indicator_length(store: CosetStore) -> LengthFunction:
@@ -127,7 +116,7 @@ def indicator_length(store: CosetStore) -> LengthFunction:
     e = store.identity_class()
     values = {d: Fraction(0) if d == e else Fraction(1)
               for d in store.classes_in_ball(store.radius_complete)}
-    return LengthFunction("indicator", values, set(),
+    return LengthFunction("indicator", values,
                           extend=lambda d: Fraction(0 if d == e else 1))
 
 
@@ -173,9 +162,7 @@ class AveragedLength:
 
         values = {d: evaluate(d)
                   for d in store.classes_in_ball(store.radius_complete)}
-        return LengthFunction("averaged-finite-h", values, set(),
-                              note="conjugation-averaged then H-minimized",
-                              extend=evaluate)
+        return LengthFunction("averaged-finite-h", values, extend=evaluate)
 
 
 def averaged_length(pair: HeckePair, base: Callable) -> AveragedLength:

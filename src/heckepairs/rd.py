@@ -82,7 +82,6 @@ class TruncatedOperator:
     f: HeckeElement
     radius: int
     ball: list[int]
-    index: dict
     coeffs: list[Fraction]      # c_d per support class, by class id
     indptr: np.ndarray
     indices: np.ndarray
@@ -93,7 +92,9 @@ class TruncatedOperator:
         return len(self.ball)
 
     def base_index(self) -> int:
-        return self.index[0]
+        """Row of H: coset 0 is H, and the ball lists ids in increasing
+        order."""
+        return 0
 
     @cached_property
     def cols(self) -> list[list[tuple[int, Fraction]]]:
@@ -129,11 +130,12 @@ class TruncatedOperator:
 
     def base_column_matches_f(self) -> bool:
         """A delta_He must equal f viewed on H\\G."""
+        index = {cid: i for i, cid in enumerate(self.ball)}
         want = {}
         for d, c in self.f.coeffs.items():
             for m in self.store.class_members(d):
-                if m in self.index:
-                    want[self.index[m]] = want.get(self.index[m], Fraction(0)) + c
+                if m in index:
+                    want[index[m]] = want.get(index[m], Fraction(0)) + c
         got = dict(self.cols[self.base_index()])
         return got == want
 
@@ -185,7 +187,6 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
             f"ball complete to {store.radius_complete}, need {radius}")
     ball = store.ball_ids(radius)
     dim = len(ball)
-    index = {cid: i for i, cid in enumerate(ball)}
     pos = np.full(len(store), -1, dtype=np.int64)
     pos[ball] = np.arange(dim)
     support = sorted(f.coeffs)
@@ -200,7 +201,7 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
     order = np.argsort(i * dim + j)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(i, minlength=dim), out=indptr[1:])
-    return TruncatedOperator(store, f, radius, ball, index,
+    return TruncatedOperator(store, f, radius, ball,
                              [f.coeffs[d] for d in support], indptr,
                              j[order].astype(np.int32),
                              t[order].astype(np.int32))

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import heckepairs
 from heckepairs import cli
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from heckepairs.cosets import CosetStore
@@ -120,13 +122,30 @@ def test_usage_errors(tmp_path, capsys):
             ("rd-profile", "rd.moment_n=-1"),
             ("rd-profile", "rd.pad=-1"),
             ("kesten", "kesten.n=-1"),
-            ("kesten", "kesten.trunc_radius=-1")):
+            ("kesten", "kesten.trunc_radius=-1"),
+            ("growth", "growth.delta=nan"),
+            ("growth", "growth.delta=-0.5"),
+            ("growth", "growth.tail_fraction=7"),
+            ("growth", "growth.tail_fraction=0"),
+            ("rd-profile", "rd.tail_fraction=1.5"),
+            ("rd-profile", "rd.tail_fraction=-inf"),
+            ("kesten", "rd.tol=nan"),
+            ("kesten", "rd.tol=0"),
+            ("rd-profile", "rd.max_matrix_cost=0"),
+            # float values without a bound must still be finite
+            ("growth", "growth.min_r2=nan"),
+            ("rd-profile", "rd.stable_slope=inf"),
+            ("kesten", "kesten.amenable_min=nan"),
+            ("kesten", "kesten.nonamenable_max=-inf")):
         out = tmp_path / "domain"
         assert main([cmd, "--pair", "z:1", "--rmax", "2", "--set", setting,
                      "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         key = setting.partition("=")[0]
-        assert f"{key} must be finite and " in capsys.readouterr().err
+        want = ", got " if key in {"growth.min_r2", "rd.stable_slope",
+                                   "kesten.amenable_min",
+                                   "kesten.nonamenable_max"} else " and "
+        assert f"{key} must be finite{want}" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
@@ -348,10 +367,15 @@ def test_zvec_spec_rejects_ignored_lines(tmp_path, capsys, line):
 
 
 def test_entry_point_subprocess(tmp_path):
+    # the child imports the package these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(heckepairs.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "heckepairs.cli", "growth", "--pair", "z:1",
          "--rmax", "6", "--out", str(tmp_path / "sp")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "polynomial" in proc.stdout
 

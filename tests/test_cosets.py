@@ -343,3 +343,31 @@ def test_class_ids_follow_first_lookup_and_members_are_lazy():
     assert len(members) == store.class_R(0) == 96
     assert store.dcs[0].rep_cid == members[0] <= far
     assert all(store.dc(m) == 0 for m in members)
+
+
+def test_delta_is_unknown_until_r_is():
+    # L alone names no modular value: Fraction(L, None) would read L
+    store = enumerate_ball(get_pair("psl2z1p:2"), 2)
+    d = store.dc(5)
+    assert store.class_L(d) == 6
+    row = store.snapshot(compute_classes=False)["double_cosets"][d]
+    assert (row["L"], row["R"], row["delta"]) == (6, None, None)
+    assert store.class_delta(d) == 1
+    row = store.snapshot(compute_classes=False)["double_cosets"][d]
+    assert (row["L"], row["R"], row["delta"]) == (6, 6, "1")
+
+
+@pytest.mark.parametrize("label, how, text, ball", [
+    ("psl2z1p:2", "class_of", "mat 2 0 0 1/2", [1, 7, 31]),
+    ("z:1", "intern", "zvec 5", [1, 3, 5])])
+def test_enumeration_starts_at_h_on_a_used_store(label, how, text, ball):
+    # cosets interned before the BFS must not stand in for H
+    pair = get_pair(label)
+    store = hp.CosetStore(pair)
+    getattr(store, how)(pair.parse(text))
+    store.enumerate_to(2)
+    assert not store.saturated
+    assert hp.growth_series(store, 2).ball == ball
+    assert pair.in_h(store.reps[0])
+    assert store.identity_class() == store.dc(0)
+    assert store.class_R(store.identity_class()) == 1

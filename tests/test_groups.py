@@ -1,12 +1,14 @@
+import functools
 import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import heckepairs as hp
-from heckepairs.errors import DomainError, HeckeError, MixedKinds, ParseError
+from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
+                               OrbitCapExceeded, ParseError)
 from heckepairs.groups import Aff, Dih, Mat2, Vec, get_pair
 
 from conftest import FG_LABELS
@@ -327,7 +329,7 @@ def _draw_h_element(pair, data):
 @settings(max_examples=80, deadline=None)
 def test_coset_keys_are_normal_forms(label, data):
     # key equality must agree with the base-class membership test both
-    # ways: y = h x (resp. x h) shares the coset, an independent y may not
+    # ways: y = h x shares the coset, an independent y may not
     pair = get_pair(label)
     x = _draw_element(pair, data)
     h = _draw_h_element(pair, data)
@@ -336,19 +338,25 @@ def test_coset_keys_are_normal_forms(label, data):
     same = hp.HeckePair.same_right_coset(pair, x, y)
     assert same or not translate
     assert (pair.coset_fingerprint(x) == pair.coset_fingerprint(y)) == same
-    y = pair.mul(x, h) if translate else _draw_element(pair, data)
-    same = hp.HeckePair.same_left_coset(pair, x, y)
-    assert same or not translate
-    assert (pair.left_coset_fingerprint(x)
-            == pair.left_coset_fingerprint(y)) == same
+    # the left-coset walk, held to the membership test: its representatives
+    # lie in distinct left cosets, and every h x h' lies in exactly one
+    # of them (classes above 100 left cosets are too large to compare
+    # pairwise)
+    try:
+        reps = hp.left_L_count(pair, x, 100)
+    except OrbitCapExceeded:
+        assume(False)
+    same_left = functools.partial(hp.HeckePair.same_left_coset, pair)
+    assert not any(same_left(s, t)
+                   for i, s in enumerate(reps) for t in reps[:i])
+    y = pair.mul(pair.mul(h, x), _draw_h_element(pair, data))
+    assert sum(same_left(t, y) for t in reps) == 1
 
 
 def test_base_pair_has_no_coset_key():
     # a missing key must fail loudly: a constant one would merge all cosets
     with pytest.raises(NotImplementedError):
         hp.HeckePair.coset_fingerprint(get_pair("z:1"), Vec((0,)))
-    with pytest.raises(NotImplementedError):
-        hp.HeckePair.left_coset_fingerprint(get_pair("z:1"), Vec((0,)))
 
 
 @pytest.mark.parametrize("label", FG_LABELS + ["bc"])

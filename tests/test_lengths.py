@@ -200,12 +200,3 @@ def test_length_undefined_raises():
     lw = word_length(store)
     with pytest.raises(LengthUndefinedOnSupport):
         lw(999)
-
-
-def test_word_length_partial_flags(psl2_store_r8):
-    lw = word_length(psl2_store_r8)
-    # far classes reach outside the enumerated ball and are flagged
-    assert lw.partial
-    for d in lw.partial:
-        members = psl2_store_r8.class_members(d)
-        assert any(psl2_store_r8.wl[m] is None for m in members)

@@ -41,7 +41,7 @@ def test_operator_z_is_tridiagonal_with_diagonal(z1_store):
     # the 5x5 adjacency-plus-identity of the path -2..2
     op = operator_matrix(z_walk(z1_store), z1_store, 2)
     assert op.dim == 5
-    coords = {i: z1_store.reps[cid].coords[0] for cid, i in op.index.items()}
+    coords = [z1_store.reps[cid].coords[0] for cid in op.ball]
     entries = {(coords[i], coords[j]): v
                for j, col in enumerate(op.cols) for i, v in col}
     assert all(v == 1 for v in entries.values())
