@@ -6,9 +6,9 @@ structure constants of a basis product T_{d1} * T_{d2} are counted by class
 keys over left-coset representatives, at one element per target class,
 without the member cosets of either class.  Each result is checked against
 the degree identity sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring
-homomorphism), with the sizes R taken from the store's degree recursion,
-and cached on the store, so repeated convolutions are dictionary
-arithmetic.
+homomorphism), with the sizes R learned by the store's class search from
+its own products T_d * T_s with generator classes s, and cached on the
+store, so repeated convolutions are dictionary arithmetic.
 
 Coefficients are rationals, not complex: every computation in scope uses
 real data, so conjugation is the identity.  A complex payload would be a
@@ -131,14 +131,14 @@ def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     newly named class interns a coset, its rep: L(d2) + |supp| R(d2)
     products per pair.  The result must satisfy the degree identity
     sum_d c_d R(d) = R(d1) R(d2), with every R learned by the store's
-    degree recursion, not from this product.
+    class search, not from this product.
     """
     key = (d1, d2)
     cached = store.sc_cache.get(key)
     if cached is not None:
         return cached
     out = {d: store.product_count(d1, d2, x)
-           for d, x in store.product_support(d1, d2).items()}
+           for d, (x, _) in store.product_support(d1, d2).items()}
     degree = sum(c * store.class_R(d) for d, c in out.items())
     want = store.class_R(d1) * store.class_R(d2)
     if degree != want:

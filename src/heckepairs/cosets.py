@@ -10,12 +10,12 @@ Double cosets are named the same way, by the pair's ``class_key``, so
 naming a class costs no orbit, and a product x t names its class without
 interning x t unless the class is new.  Products of classes are read off
 class keys and left-coset representatives (``product_support``,
-``product_count``), and class sizes R come from the degree identity along
-a class-level word-length search that the store resumes on demand
-(``word_lengths``).  A class's member cosets (its right-H orbit) are built
-only when asked for, and for its R only where the identity leaves R open
-(or the pair has no finite generating set).  The orbit BFS stays the
-arbiter of the class keys and of every learned R.
+``product_count``), and the class sizes L and R are learned by one counting
+rule along a class-level word-length search that the store resumes on
+demand (``word_lengths``).  Member cosets (right-H orbits) are built only
+for the code that reads members, and left cosets are walked only for a
+right factor of a product or a class the search has not sized; both walks
+stay the arbiters of the class keys and of every learned size.
 
 A sealed store no longer accepts user-driven interning, but analysis
 operations (double-coset orbits, class inverses, resumed BFS) may still
@@ -55,13 +55,18 @@ class DoubleCoset:
     key: object                       # the pair's class key
     rep_cid: int                      # smallest coset id seen in the class
     member_cids: Optional[tuple[int, ...]] = None   # built on demand
+    L: Optional[int] = None           # None until learned or walked
     R: Optional[int] = None           # None until learned or built
     inv: Optional[int] = None
     left_reps: Optional[list] = None  # left-coset representatives, cached
 
-    @property
-    def L(self) -> Optional[int]:
-        return None if self.left_reps is None else len(self.left_reps)
+    def settle(self, side: str, n: int, source: str) -> None:
+        """Record class size ``side`` ("L" or "R"); a known one must agree."""
+        known = getattr(self, side)
+        if known is not None and known != n:
+            raise HeckeError(f"class {self.id}: {side}={known} known, "
+                             f"{source} gives {n}")
+        setattr(self, side, n)
 
     @property
     def delta(self) -> Optional[Fraction]:
@@ -239,10 +244,7 @@ class CosetStore:
         dcid = self.dc(start)
         obj = self.dcs[dcid]
         ordered = self._orbit(start)
-        if obj.R is not None and obj.R != len(ordered):
-            raise HeckeError(
-                f"class {dcid}: degree identity gave R={obj.R}, its orbit "
-                f"holds {len(ordered)} cosets")
+        obj.settle("R", len(ordered), "its orbit")
         for m in ordered:
             if self.dc_of[m] is None:
                 self.dc_of[m] = dcid
@@ -250,7 +252,6 @@ class CosetStore:
                 raise HeckeError(
                     "interning bug: coset already assigned to a double coset")
         obj.member_cids = ordered
-        obj.R = len(ordered)
         obj.rep_cid = ordered[0]
         return dcid
 
@@ -261,27 +262,33 @@ class CosetStore:
         return self.dc(self._intern(g)) if d is None else d
 
     def class_R(self, dcid: int) -> int:
-        """R of the class: learned by resuming the word-length search (on
-        a finitely generated pair), else from its members."""
+        """R of the class: learned by resuming the class search on a
+        finitely generated pair, else R(d) = L(inv d)."""
         obj = self.dcs[dcid]
-        if obj.R is None and self.pair.finitely_generated:
-            while dcid not in self._wl_classes and self._search_depth():
+        if self.pair.finitely_generated:
+            while obj.R is None and self._search_depth():
                 pass
         if obj.R is None:
-            self._compute_orbit(obj.rep_cid)
+            obj.R = self.class_L(self.class_inverse(dcid))
         return obj.R
 
     def class_left_reps(self, dcid: int) -> list:
         """Representatives t_j of the left cosets in the class,
-        HxH = t_1 H u ... u t_L H, computed once; their count is L."""
+        HxH = t_1 H u ... u t_L H, walked once; their count must be L."""
         obj = self.dcs[dcid]
         if obj.left_reps is None:
-            obj.left_reps = left_L_count(self.pair, self.reps[obj.rep_cid],
-                                         self.caps.max_orbit)
+            reps = left_L_count(self.pair, self.reps[obj.rep_cid],
+                                self.caps.max_orbit)
+            obj.settle("L", len(reps), "its left cosets")
+            obj.left_reps = reps
         return obj.left_reps
 
     def class_L(self, dcid: int) -> int:
-        return len(self.class_left_reps(dcid))
+        """L of the class: as the class search learned it, else walked."""
+        obj = self.dcs[dcid]
+        if obj.L is None:
+            self.class_left_reps(dcid)
+        return obj.L
 
     def class_delta(self, dcid: int) -> Fraction:
         return Fraction(self.class_L(dcid), self.class_R(dcid))
@@ -305,7 +312,7 @@ class CosetStore:
     def identity_class(self) -> int:
         return self.dc(0)
 
-    # -- products of classes and the degree recursion -------------------------
+    # -- products of classes and the class search ----------------------------
 
     def _step_element(self, dcid: int):
         """The element that products of the class are taken from: its
@@ -322,16 +329,21 @@ class CosetStore:
         return self.reps[self._ball_heads.get(obj.key, obj.rep_cid)]
 
     def product_support(self, d1: int, d2: int) -> dict:
-        """supp(T_{d1} * T_{d2}) as class id -> one element of the class,
-        in the order met.  With x = _step_element(d1) and the left-coset
-        representatives t of d2, H x H d2 = u_t H x t H, so the classes of
-        the x t are exactly the support; each is named by its key."""
+        """supp(T_{d1} * T_{d2}) as class id -> [one element of the class,
+        how many of the products land in it], in the order met.  With
+        x = _step_element(d1) and the left-coset representatives t of d2,
+        H x H d2 = u_t H x t H, so the classes of the x t are exactly the
+        support; each is named by its key."""
         x = self._step_element(d1)
         mul = self.pair.mul
         support: dict = {}
         for t in self.class_left_reps(d2):
             y = mul(x, t)
-            support.setdefault(self.class_of(y), y)
+            e = self.class_of(y)
+            if e in support:
+                support[e][1] += 1
+            else:
+                support[e] = [y, 1]
         return support
 
     def product_count(self, d1: int, d2: int, x) -> int:
@@ -357,14 +369,17 @@ class CosetStore:
         False once there is none.
 
         From a class d of the last depth the search steps to
-        supp(T_d * T_s) for each generator class s.  T_d -> R(d) is a ring
-        homomorphism, so sum_e c_e R(e) = R(d) R(s) over that support: when
-        one class e of it has unknown R, the identity gives R(e).  A class
-        whose R is still open when its depth is done gets it from its
-        members.  A depth is recorded only once complete, so a cap hit
-        leaves every recorded depth exact."""
+        supp(T_d * T_s) for each generator class s, and sizes each class e
+        it meets first by one counting rule.  Of the L(s) products x t that
+        name the support, m_e land in e, and c_e = (T_d * T_s)(e).
+        Counting the triangles of H-cosets two ways gives
+        L(e) c_e = L(d) m_e, and Delta = L/R is multiplicative on the
+        support, so R(e) = R(d) R(s) m_e / (L(s) c_e).  A depth is
+        recorded only once complete, so a cap hit leaves every recorded
+        depth exact."""
         if self._wl_depth < 0:
             e = self.identity_class()
+            self.dcs[e].L = self.dcs[e].R = 1
             self._wl_classes = {e: 0}
             self._wl_frontier = [e]
             self._wl_depth = 0
@@ -373,17 +388,23 @@ class CosetStore:
             return False
         if self._gen_classes is None:
             self._gen_classes = self._generator_classes()
+        dcs = self.dcs
         found: dict[int, None] = {}
         for d in self._wl_frontier:
             for s in self._gen_classes:
-                support = self.product_support(d, s)
-                for e in support:
-                    if e not in self._wl_classes:
-                        found.setdefault(e)
-                self._learn_R(d, s, support)
-        for e in found:
-            if self.dcs[e].R is None:
-                self._compute_orbit(self.dcs[e].rep_cid)
+                for e, (x, m) in self.product_support(d, s).items():
+                    if e in self._wl_classes or e in found:
+                        continue
+                    found[e] = None
+                    c = self.product_count(d, s, x)
+                    for side, num, den in (
+                            ("L", dcs[d].L * m, c),
+                            ("R", dcs[d].R * dcs[s].R * m, dcs[s].L * c)):
+                        if num % den:
+                            raise NonBiInvariantResult(
+                                f"T[{d}]*T[{s}] leaves no {side} for class "
+                                f"{e}: {num} over {den}")
+                        dcs[e].settle(side, num // den, "the class search")
         self._wl_depth += 1
         for e in found:
             self._wl_classes[e] = self._wl_depth
@@ -391,38 +412,17 @@ class CosetStore:
         return True
 
     def _generator_classes(self) -> list[int]:
-        """The distinct classes of S-hat, in S-hat order, with members
-        built: their sizes seed the degree recursion."""
+        """The distinct classes of S-hat, in S-hat order, sized by their
+        left walks, R(s) = L(inv s): they seed the class search."""
         out: list[int] = []
         for g in self.pair.shat():
             s = self.dc(self._intern(g))
             if s not in out:
-                self.class_members(s)
                 out.append(s)
+        for s in out:
+            self.dcs[s].settle("R", self.class_L(self.class_inverse(s)),
+                               "the left walk of its inverse")
         return out
-
-    def _learn_R(self, d: int, s: int, support: dict) -> None:
-        """Set R(e) from sum_e c_e R(e) = R(d) R(s) when e is the only
-        class of supp(T_d * T_s) (given as class -> element) with unknown
-        R."""
-        dcs = self.dcs
-        unknown = [f for f in support if dcs[f].R is None]
-        if len(unknown) != 1:
-            return
-        e = unknown[0]
-        rest = self.class_R(d) * self.class_R(s)
-        c_e = 0
-        for f, x in support.items():
-            c = self.product_count(d, s, x)
-            if f == e:
-                c_e = c
-            else:
-                rest -= c * dcs[f].R
-        if c_e == 0 or rest % c_e or rest < c_e:
-            raise NonBiInvariantResult(
-                f"degree identity of T[{d}]*T[{s}] leaves no class size for "
-                f"class {e}: {rest} over c = {c_e}")
-        dcs[e].R = rest // c_e
 
     def classes_in_ball(self, r: int) -> list[int]:
         """Double-coset ids met by the radius-r ball, in id order."""

@@ -60,10 +60,11 @@ class NotFinitelyGenerated(HeckeError):
 
 class NonBiInvariantResult(HeckeError):
     """Internal consistency failure of the Hecke algebra: a product of
-    classes breaks the degree identity sum_d c_d R(d) = R(d1) R(d2) (in
-    the structure constants, or in the degree recursion, which then leaves
-    no class size), or a moment <f^{*n}, f^{*n}> comes out negative.  Must
-    never fire; indicates a wrong coset or class key, or a miscount."""
+    classes breaks the degree identity sum_d c_d R(d) = R(d1) R(d2) in the
+    structure constants, the class search's counting rule
+    L(e) c_e = L(d) m_e or R(e) = R(d) R(s) m_e / (L(s) c_e) leaves no
+    whole class size, or a moment <f^{*n}, f^{*n}> comes out negative.
+    Must never fire; indicates a wrong coset or class key, or a miscount."""
 
 
 class NotSelfAdjoint(HeckeError):

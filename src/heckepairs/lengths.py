@@ -63,8 +63,8 @@ def word_length(store: CosetStore) -> LengthFunction:
     class d the search steps to the classes of x t_j, for one coset Hx of
     d and the left-coset representatives t_j of each generator class s:
     those classes are exactly supp(T_d * T_s), so no member coset of d is
-    visited, and the degree identity of T_d * T_s gives class sizes on the
-    way.
+    visited, and counting the x t_j per class gives the class sizes L and
+    R on the way.
 
     This is the word length of the pair's coset completion with respect to
     the compact set H S-hat, and it satisfies the length axioms exactly;

@@ -277,9 +277,17 @@ def covering_radius(f: HeckeElement, n: int) -> int:
 
 
 def _nth_root(q: Fraction, k: int) -> float:
+    """The largest float r with r^k <= q, decided in exact arithmetic: the
+    float estimate is stepped by ulps until the exact test holds for r and
+    fails for the next float up, so r never exceeds the true root."""
     if q == 0:
         return 0.0
-    return math.exp((math.log(q.numerator) - math.log(q.denominator)) / k)
+    r = math.exp((math.log(q.numerator) - math.log(q.denominator)) / k)
+    while Fraction(r) ** k > q:
+        r = math.nextafter(r, 0.0)
+    while Fraction(math.nextafter(r, math.inf)) ** k <= q:
+        r = math.nextafter(r, math.inf)
+    return r
 
 
 def spectral_lower_bound(f: HeckeElement, n_max: int) -> list[float]:

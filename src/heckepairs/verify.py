@@ -18,7 +18,8 @@ from importlib import resources
 
 from .algebra import (HeckeElement, basis_element, convolve, identity_element,
                       involution, norms, power_moments)
-from .cosets import check_interning_soundness, enumerate_ball, relative_modular
+from .cosets import (check_interning_soundness, enumerate_ball, left_L_count,
+                     relative_modular)
 from .errors import HeckeError
 from .groups import get_pair
 from .lengths import word_length
@@ -186,19 +187,23 @@ def _check_coset_invariants() -> list[CheckResult]:
 
 
 def _check_learned_sizes() -> list[CheckResult]:
-    """Every class size the word-length search learns from the degree
-    identity, against the size of the class's right-H orbit."""
+    """Every class size the class search learns from its counting rule:
+    L against the class's left walk, R against its right-H orbit."""
     out = []
     for label in LAW_PAIRS:
-        store = enumerate_ball(get_pair(label), 2)
-        word_length(store)
-        learned = {d: obj.R for d, obj in enumerate(store.dcs)
-                   if obj.R is not None and obj.member_cids is None}
-        wrong = [d for d, r in learned.items()
-                 if len(store._orbit(store.dcs[d].rep_cid)) != r]
-        detail = f"R learned for {len(learned)} classes"
+        pair = get_pair(label)
+        store = enumerate_ball(pair, 2)
+        searched = word_length(store).values
+        wrong = []
+        for d in searched:
+            obj = store.dcs[d]
+            walk = left_L_count(pair, store.reps[obj.rep_cid],
+                                store.caps.max_orbit)
+            if obj.L != len(walk) or obj.R != len(store._orbit(obj.rep_cid)):
+                wrong.append(d)
+        detail = f"L and R checked on {len(searched)} classes"
         if wrong:
-            detail += f"; orbit sizes differ on classes {wrong}"
+            detail += f"; walks or orbits differ on classes {wrong}"
         out.append(CheckResult(f"learned-class-sizes[{label}]", not wrong,
                                detail))
     return out

@@ -250,14 +250,12 @@ def test_convolution_lookups_intern_nothing_stray():
         convolve(random_element(store, classes, rng),
                  random_element(store, classes, rng))
     assert store.sc_cache
-    # the ball, the members of the generator classes (their sizes seed the
-    # degree recursion) and one representative per class the products named
-    gens = {store.dc(store.lookup(s)) for s in store.pair.shat()}
-    seeded = set(store.ball_ids(3)).union(
-        *(store.dcs[s].member_cids for s in gens))
+    # the ball and one representative per class the products named: no
+    # member list is built, not even for the classes seeding the search
+    assert all(obj.member_cids is None for obj in store.dcs)
     named = len(store.dcs) - len(classes)
     assert named > 0
-    assert len(store) <= len(seeded) + named
+    assert len(store) <= len(store.ball_ids(3)) + named
 
 
 def test_structure_constants_build_no_members(monkeypatch):

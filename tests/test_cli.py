@@ -10,7 +10,7 @@ from heckepairs import cli
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from heckepairs.cosets import CosetStore
 
-from oracles import tree_class_size, tree_t1_times_tk
+from oracles import tree_class_size, tree_level, tree_t1_times_tk
 
 
 def read(path):
@@ -172,35 +172,42 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert report["series"]["radii"] == []          # capped while enumerating
     assert "verdict" not in report
     assert not (out / "growth_psl2z1p-2.csv").exists()
-    # the tree's word length builds one orbit past H, the generator
-    # class's (R = 6): a cap of 5 hits at depth 1 and leaves radius 0 exact
+    # the tree's word length walks the left cosets of the generator class
+    # (L = 6) to seed its search: a cap of 5 hits at depth 1 and leaves
+    # radius 0 exact
     capsys.readouterr()
     out = tmp_path / "o"
     code = main(["growth", "--pair", "psl2z1p:2", "--rmax", "5",
                  "--max-orbit", "5", "--out", str(out)])
     assert code == EXIT_INCONCLUSIVE
     assert capsys.readouterr().err == (
-        "cap exceeded: right-H orbit exceeded max_orbit=5\n")
+        "cap exceeded: left-H orbit exceeded max_orbit=5\n")
     report = json.loads(read(out / "growth_psl2z1p-2.json"))
     assert report["partial"] is True
     assert report["series"]["radii"] == [0]
     assert report["series"]["ball"] == [1]
-    # capped at depth 5 of the word length, on a class whose size the
-    # degree identity leaves to its members: radii 0..4 are exact
+    # the 63-coset ball fits, and the class reps the search interns pass
+    # 64 cosets at depth 4 of the word length: radii 0..3 are exact
     out = tmp_path / "b"
     assert main(["growth", "--pair", "bcp:3", "--rmax", "5",
                  "--out", str(out)]) == EXIT_OK
     full = json.loads(read(out / "growth_bcp-3.json"))["series"]
+    # classes reach R = 243, but no orbit is built: an orbit cap of 9 only
+    # bounds the left walks of the generator classes
+    assert main(["growth", "--pair", "bcp:3", "--rmax", "5",
+                 "--max-orbit", "9", "--out", str(out)]) == EXIT_OK
+    assert json.loads(read(out / "growth_bcp-3.json"))["series"] == full
     capsys.readouterr()
     code = main(["growth", "--pair", "bcp:3", "--rmax", "5",
-                 "--max-orbit", "9", "--out", str(out)])
+                 "--max-cosets", "64", "--out", str(out)])
     assert code == EXIT_INCONCLUSIVE
     assert capsys.readouterr().err == (
-        "cap exceeded: right-H orbit exceeded max_orbit=9\n")
+        "cap exceeded: coset store exceeded max_cosets=64\n")
     report = json.loads(read(out / "growth_bcp-3.json"))
     assert report["partial"] is True
-    assert report["series"]["radii"] == [0, 1, 2, 3, 4]
-    assert report["series"]["ball"] == full["ball"][:5]
+    assert report["series"]["radii"] == [0, 1, 2, 3]
+    assert report["series"]["ball"] == full["ball"][:4]
+    assert report["series"]["shell"] == full["shell"][:4]
 
 
 @pytest.mark.parametrize("cmd,name", [
@@ -230,7 +237,7 @@ def test_rd_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
     (["enumerate", "--rmax", "2", "--max-orbit", "20"],
      "enumerate_psl2z1p-2", "right-H orbit exceeded max_orbit=20"),
     (["ltable", "--rmax", "3", "--max-orbit", "5"],
-     "ltable_psl2z1p-2", "right-H orbit exceeded max_orbit=5")])
+     "ltable_psl2z1p-2", "left-H orbit exceeded max_orbit=5")])
 def test_table_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
                                                     name, message):
     out = tmp_path / "o"
@@ -248,7 +255,7 @@ def test_table_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
 
 def test_growth_tree_reaches_rmax_12(tmp_path):
     # the level-12 class holds 3 * 2^23 cosets, far past max_orbit: its
-    # size comes from the degree identity, not from its orbit
+    # size comes from the class search's counting rule, not from its orbit
     out = tmp_path / "o"
     assert main(["growth", "--pair", "psl2z1p:2", "--rmax", "12",
                  "--out", str(out)]) == EXIT_OK
@@ -259,10 +266,28 @@ def test_growth_tree_reaches_rmax_12(tmp_path):
     assert report["verdict"]["kind"] == "exponential"
 
 
+def test_ltable_tree_reaches_rmax_12(tmp_path):
+    # L and R of every class come from the class search's counting rule:
+    # a walk of the level-12 class's 3 * 2^23 left cosets would stop at the
+    # default orbit cap
+    out = tmp_path / "o"
+    assert main(["ltable", "--pair", "psl2z1p:2", "--rmax", "12",
+                 "--out", str(out)]) == EXIT_OK
+    pair = heckepairs.get_pair("psl2z1p:2")
+    rows = json.loads(read(out / "ltable_psl2z1p-2.json"))["classes"]
+    levels = []
+    for row in rows:
+        k = tree_level(pair.parse(row["rep"]).to_fractions(), 2)
+        levels.append(k)
+        assert row["L"] == row["R"] == tree_class_size(2, k)
+        assert (row["delta"], row["l_word"]) == ("1", str(k))
+    assert sorted(levels) == list(range(13))
+
+
 def test_rd_profile_third_moments_on_the_tree(tmp_path):
     # f^{*3} reaches the level-12 class (3 * 2^23 cosets): its structure
-    # constants come from class keys and its size from the degree identity,
-    # so default caps hold
+    # constants come from class keys and its size from the class search's
+    # counting rule, so default caps hold
     out = tmp_path / "o"
     assert main(["rd-profile", "--pair", "psl2z1p:2", "--rmax", "4",
                  "--set", "rd.moment_n=3", "--out", str(out)]) == EXIT_OK
@@ -283,7 +308,7 @@ def test_rd_profile_third_moments_on_the_tree(tmp_path):
     assert shell["moment_root"] < 5
 
 
-def test_tree_growth_builds_only_generator_orbits(tmp_path, monkeypatch):
+def test_tree_growth_builds_no_orbit(tmp_path, monkeypatch):
     stores, built = [], []
     enumerate_ball, compute_orbit = cli.enumerate_ball, CosetStore._compute_orbit
 
@@ -304,10 +329,13 @@ def test_tree_growth_builds_only_generator_orbits(tmp_path, monkeypatch):
     assert n_ball == 22_440
     gens = {store.dc(store.lookup(s)) for s in store.pair.shat()}
     assert gens == {store.identity_class(), 1}
-    assert sorted(built) == sorted(gens)
-    # the search's products: one class rep per depth times the 1 + 6
-    # left-coset representatives of the generator classes
-    assert len(store) <= n_ball + 12 * 7
+    # H and the generator class are sized by left walks, every other class
+    # by the class search's counting rule: no member list is built
+    assert built == []
+    assert all(obj.member_cids is None for obj in store.dcs)
+    # every class the search meets has a coset in the ball, so its
+    # products intern nothing
+    assert len(store) == n_ball
 
 
 @pytest.mark.parametrize("key,extra", [

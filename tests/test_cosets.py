@@ -104,6 +104,18 @@ def test_orbit_s3_class():
     assert store.class_R(d) == 2
 
 
+@pytest.mark.parametrize("b,a,L,R", [
+    (Q(0), Q(2), 1, 2), (Q(0), Q(1, 3), 3, 1), (Q(1, 5), Q(6), 1, 6),
+    (Q(1, 2), Q(1), 1, 1)])
+def test_bc_class_sizes_without_a_class_search(b, a, L, R):
+    # bc has no finite generating set, so no class search sizes its
+    # classes: L is walked and R(d) = L(inv d), which the orbit must match
+    store = hp.CosetStore(get_pair("bc"))
+    d = store.dc(store.intern(Aff(b, a)))
+    assert (store.class_L(d), store.class_R(d)) == (L, R)
+    assert len(store.class_members(d)) == R
+
+
 def test_orbit_bc_scaling_class():
     pair = get_pair("bcp:2")
     store = hp.CosetStore(pair)
@@ -371,3 +383,24 @@ def test_enumeration_starts_at_h_on_a_used_store(label, how, text, ball):
     assert pair.in_h(store.reps[0])
     assert store.identity_class() == store.dc(0)
     assert store.class_R(store.identity_class()) == 1
+
+
+@pytest.mark.parametrize("label,radius", [("bcp:2", 8), ("bcp:3", 6)])
+def test_bcp_class_search_sizes_every_class_without_orbits(label, radius,
+                                                          monkeypatch):
+    # Delta != 1 on most of these classes, so L and R are learned apart;
+    # each must equal its walk: of HxH's left cosets for L, of Hx^-1H's for R
+    built = []
+    monkeypatch.setattr(hp.CosetStore, "_compute_orbit",
+                        lambda store, start: built.append(start))
+    pair = get_pair(label)
+    store = enumerate_ball(pair, radius)
+    lw = hp.word_length(store)
+    assert built == [] and all(o.member_cids is None for o in store.dcs)
+    assert sorted(lw.values) == list(range(len(store.dcs)))
+    sizes = {d: (store.dcs[d].L, store.dcs[d].R) for d in lw.values}
+    for d, (L, R) in sizes.items():
+        rep = store.reps[store.dcs[d].rep_cid]
+        assert L == len(left_L_count(pair, rep))
+        assert R == len(left_L_count(pair, pair.inv(rep)))
+    assert sum(L != R for L, R in sizes.values()) > len(sizes) // 2

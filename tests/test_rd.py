@@ -173,6 +173,22 @@ def test_spectral_lower_bound_values(z1_store):
         assert b >= a - 1e-12
 
 
+def test_moment_roots_round_down_exactly():
+    # rho = a^(1/k) is the largest float r with r^k <= a, decided exactly:
+    # on the moments T(2n) / 9^n of the normalised z:1 walk (k = 2n) and on
+    # seeded random rationals
+    cases = [(Q(central_trinomial(2 * n), 9 ** n), 2 * n)
+             for n in range(1, 21)]
+    rng = random.Random(31)
+    cases += [(Q(rng.randint(1, 10 ** 15), rng.randint(1, 10 ** 12)),
+               rng.randint(1, 40)) for _ in range(500)]
+    for a, k in cases:
+        r = rd._nth_root(a, k)
+        assert Q(r) ** k <= a < Q(math.nextafter(r, math.inf)) ** k, (a, k)
+    assert rd._nth_root(Q(0), 4) == 0.0
+    assert rd._nth_root(Q(9, 4), 2) == 1.5
+
+
 def test_moment_matrix_exactness(z1_store):
     # at padding R >= 2 n max-length the compressions see every path, so
     # the convolution moment equals the matrix moment bit for bit

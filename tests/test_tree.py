@@ -3,9 +3,9 @@
 (P)SL2(Z[1/p]) over (P)SL2(Z) acts on the (p+1)-regular tree; its double
 cosets are the even spheres around the base vertex, so every class size,
 word length and product T_1 * T_k is known in closed form (see
-``oracles``).  The engine learns R from the degree identity, so these also
-check that recursion against the orbit BFS, and past the radii any orbit
-reaches.
+``oracles``).  The engine learns L and R by the class search's counting
+rule, so these also check that rule against the orbit BFS, and past the
+radii any orbit reaches.
 """
 
 import pytest

@@ -1,0 +1,110 @@
+"""Compare the artifacts of a fixed list of ``hecke`` runs between two
+checkouts.
+
+    python tools/artifact_diff.py PARENT CHANGE
+
+Each run executes in both checkouts, with ``PYTHONPATH=<checkout>/src`` and
+its own empty ``--out`` directory.  A run differs when its files (names or
+bytes), its stdout (with the out directory replaced by ``OUT``), its stderr
+or its exit code differ.  Every differing run is printed with what differs;
+the exit code is 1 if any run differs, else 0.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+RD_TREE = ["--set", "rd.pad=1", "--set", "rd.n_random=1",
+           "--set", "rd.max_matrix_cost=500000"]
+
+RUNS = [
+    *(["growth", "--pair", p, "--rmax", str(r)] for p, r in (
+        ("psl2z1p:2", 8), ("psl2z1p:2", 12), ("z:1", 40), ("z:2", 25),
+        ("bcp:2", 10), ("bcp:3", 7), ("bcp:5", 6), ("dinf", 8),
+        ("sl2z1p:2", 8))),
+    *(["ltable", "--pair", p, "--rmax", str(r)] for p, r in (
+        ("psl2z1p:2", 4), ("psl2z1p:2", 8), ("bcp:2", 8), ("bcp:3", 5),
+        ("s3-h12", 3), ("s4-h12", 4), ("s4-h12-34", 4), ("dinf", 6),
+        ("z:2", 5), ("sl2z1p:2", 5), ("bcp:5", 5))),
+    *(["enumerate", "--pair", p, "--rmax", str(r)] for p, r in (
+        ("bcp:2", 3), ("psl2z1p:2", 3), ("s4-h12", 4), ("dinf", 4))),
+    ["rd-profile", "--pair", "z:1", "--rmax", "20", "--seed", "1"],
+    ["rd-profile", "--pair", "z:2", "--rmax", "10", "--seed", "1"],
+    ["rd-profile", "--pair", "psl2z1p:2", "--rmax", "5", "--seed", "1",
+     *RD_TREE],
+    ["rd-profile", "--pair", "bcp:2", "--rmax", "4"],
+    ["rd-profile", "--pair", "psl2z1p:2", "--rmax", "4",
+     "--set", "rd.moment_n=3"],
+    ["rd-profile", "--pair", "dinf", "--rmax", "5"],
+    ["rd-profile", "--pair", "s4-h12", "--rmax", "4"],
+    ["kesten", "--pair", "z:1", "--rmax", "6", "--seed", "1"],
+    *(["kesten", "--pair", p, "--rmax", r] for p, r in (
+        ("psl2z1p:2", "6"), ("dinf", "6"), ("bcp:2", "5"))),
+    # runs near the caps: exit 3 with a partial report where a cap is hit
+    ["growth", "--pair", "psl2z1p:2", "--rmax", "5", "--max-orbit", "5"],
+    ["ltable", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
+    ["growth", "--pair", "bcp:3", "--rmax", "5", "--max-orbit", "9"],
+    ["ltable", "--pair", "psl2z1p:2", "--rmax", "9"],
+    ["verify"],
+]
+
+
+def run(checkout: str, argv: list[str], out: str) -> dict:
+    """Run one command; its files, stdout, stderr and exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckepairs.cli", *argv, "--out", out],
+        cwd=out, env=env, capture_output=True, text=True)
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = fh.read()
+    return {"files": files, "stdout": proc.stdout.replace(out, "OUT"),
+            "stderr": proc.stderr.replace(out, "OUT"),
+            "exit": proc.returncode}
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    out = []
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(name) != b["files"].get(name):
+            out.append(f"file {name}")
+    out += [part for part in ("stdout", "stderr", "exit")
+            if a[part] != b[part]]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/artifact_diff.py PARENT CHANGE",
+              file=sys.stderr)
+        return 2
+    parent, change = (os.path.abspath(p) for p in argv)
+    n_diff = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, cmd in enumerate(RUNS):
+            results = []
+            for side, checkout in (("parent", parent), ("change", change)):
+                out = os.path.join(tmp, f"{i}-{side}")
+                os.mkdir(out)
+                results.append(run(checkout, cmd, out))
+            diff = differences(*results)
+            if diff:
+                n_diff += 1
+                a, b = results
+                print(f"DIFF hecke {' '.join(cmd)}: {', '.join(diff)}")
+                if "exit" in diff:
+                    print(f"  exit {a['exit']} -> {b['exit']}")
+                if "stderr" in diff:
+                    print(f"  stderr {a['stderr']!r} -> {b['stderr']!r}")
+    print(f"{n_diff} of {len(RUNS)} runs differ")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
