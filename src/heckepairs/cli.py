@@ -1,6 +1,9 @@
 """Command-line front door.
 
 Subcommands: enumerate, ltable, growth, rd-profile, kesten, verify.
+The five pair subcommands share one runner, ``run_pair_command``: it
+enumerates and seals the ball, calls the subcommand's body, and on a cap
+hit writes the body's JSON report marked partial.
 Artifacts are deterministic given (config, seed): ids fix the ordering,
 floats are printed with 12 significant digits, and the resolved config
 (defaults included) plus the seed are echoed into every JSON report.
@@ -22,12 +25,12 @@ import os
 import sys
 
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
-                     CapExceeded, enumerate_ball)
+                     CapExceeded, CosetStore)
 from .errors import HeckeError, NotRelativelyUnimodular
 from .growth import (GROWTH_DEFAULTS, GrowthSeries, classify_growth,
                      growth_series)
 from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
-from .lengths import characteristic_length, word_length
+from .lengths import LengthFunction, characteristic_length, word_length
 from .rd import RD_DEFAULTS, kesten_diagnostic, rd_profile
 from .verify import run_verification
 
@@ -156,7 +159,7 @@ def _report_head(pair: HeckePair, cfg: dict, args) -> dict:
     return {
         "pair": pair.describe(),
         "seed": int(cfg["seed"]),
-        "config": {k: cfg[k] for k in sorted(cfg)},
+        "config": cfg,
         "command": args.command,
     }
 
@@ -165,47 +168,59 @@ def _report_head(pair: HeckePair, cfg: dict, args) -> dict:
 # subcommands
 
 
-def cmd_enumerate(args, cfg) -> int:
+def run_pair_command(args, cfg) -> int:
+    """Run a pair subcommand: resolve the pair, enumerate and seal its
+    ball, and hand the store to the subcommand's body, which writes its
+    artifacts under ``<out>/<command>_<pair>`` and returns the exit code.
+    A body fills the report only after the work that can hit a cap.  On
+    a cap hit the report is written as the body left it, with what the
+    subcommand's ``on_cap`` adds from the store, marked partial with the
+    cap message, and the cap is re-raised (exit 3)."""
     pair = _resolve_pair(args)
-    path = os.path.join(args.out, f"enumerate_{_slug(pair.label)}.json")
-    out = _report_head(pair, cfg, args)
+    base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"
+                                  f"{_slug(pair.label)}")
+    report = _report_head(pair, cfg, args)
+    store = CosetStore(pair, _caps(cfg))
     try:
-        store = enumerate_ball(pair, args.rmax, _caps(cfg))
-        out["snapshot"] = store.snapshot(compute_classes=not args.no_classes)
+        store.enumerate_to(args.rmax)
+        store.seal()
+        return args.body(args, cfg, store, base, report)
     except CapExceeded as exc:
-        _write_partial(path, out, exc)
+        if args.on_cap is not None:
+            args.on_cap(store, report)
+        report["partial"] = True
+        report["cap_exceeded"] = str(exc)
+        write_json(base + ".json", report)
+        print(f"wrote {base}.json: partial")
         raise
-    write_json(path, out)
-    print(f"wrote {path}: {len(store)} cosets, "
+
+
+def cmd_enumerate(args, cfg, store, base, report) -> int:
+    report["snapshot"] = store.snapshot(compute_classes=not args.no_classes)
+    write_json(base + ".json", report)
+    print(f"wrote {base}.json: {len(store)} cosets, "
           f"{len(store.dcs)} double cosets")
     return EXIT_OK
 
 
-def cmd_ltable(args, cfg) -> int:
-    pair = _resolve_pair(args)
-    base = os.path.join(args.out, f"ltable_{_slug(pair.label)}")
-    report = _report_head(pair, cfg, args)
+def cmd_ltable(args, cfg, store, base, report) -> int:
+    pair = store.pair
+    lw = word_length(store)
     try:
-        store = enumerate_ball(pair, args.rmax, _caps(cfg))
-        lw = word_length(store)
-        try:
-            lc = characteristic_length(pair, store)
-        except NotRelativelyUnimodular:
-            lc = None
-        rows = []
-        for d in store.classes_in_ball(args.rmax):
-            rows.append([
-                d,
-                pair.render(store.reps[store.dcs[d].rep_cid]),
-                store.class_L(d),
-                store.class_R(d),
-                str(store.class_delta(d)),
-                str(lw.values.get(d, "")),
-                format(lc.values[d], ".12g") if lc is not None else "NA",
-            ])
-    except CapExceeded as exc:
-        _write_partial(base + ".json", report, exc)
-        raise
+        lc = characteristic_length(pair, store)
+    except NotRelativelyUnimodular:
+        lc = None
+    rows = []
+    for d in store.classes_in_ball(args.rmax):
+        rows.append([
+            d,
+            pair.render(store.reps[store.dcs[d].rep_cid]),
+            store.class_L(d),
+            store.class_R(d),
+            str(store.class_delta(d)),
+            str(lw.values.get(d, "")),
+            format(lc.values[d], ".12g") if lc is not None else "NA",
+        ])
     write_csv(base + ".csv",
               ["dc_id", "rep", "L", "R", "delta", "l_word", "l_char"], rows)
     report["classes"] = [
@@ -217,37 +232,13 @@ def cmd_ltable(args, cfg) -> int:
     return EXIT_OK
 
 
-def _write_partial(path: str, report: dict, exc: CapExceeded) -> None:
-    """The report of a run cut by a cap: what it holds so far, marked
-    partial, with the cap message.  The caller re-raises (exit 3)."""
-    report["partial"] = True
-    report["cap_exceeded"] = str(exc)
-    write_json(path, report)
-    print(f"wrote {path}: partial")
-
-
 def _series_dict(series: GrowthSeries) -> dict:
     return {"radii": series.radii, "ball": series.ball,
             "shell": series.shell, "kind": series.kind}
 
 
-def cmd_growth(args, cfg) -> int:
-    pair = _resolve_pair(args)
-    base = os.path.join(args.out, f"growth_{_slug(pair.label)}")
-    report = _report_head(pair, cfg, args)
-    try:
-        store = enumerate_ball(pair, args.rmax, _caps(cfg))
-        series = growth_series(store, args.rmax)
-    except CapExceeded as exc:
-        # radii the word length finished are exact; a cap hit while
-        # enumerating leaves none
-        done = exc.partial
-        series = (growth_series(store, int(max(done.values.values())), done)
-                  if done is not None
-                  else GrowthSeries([], [], [], True, "word-schreier"))
-        report["series"] = _series_dict(series)
-        _write_partial(base + ".json", report, exc)
-        raise
+def cmd_growth(args, cfg, store, base, report) -> int:
+    series = growth_series(store, args.rmax)
     verdict = classify_growth(series,
                               delta=float(cfg["growth.delta"]),
                               tail_fraction=float(cfg["growth.tail_fraction"]),
@@ -262,18 +253,18 @@ def cmd_growth(args, cfg) -> int:
     return EXIT_OK if verdict.kind != "inconclusive" else EXIT_INCONCLUSIVE
 
 
-def cmd_rd_profile(args, cfg) -> int:
-    pair = _resolve_pair(args)
-    base = os.path.join(args.out, f"rd_profile_{_slug(pair.label)}")
-    report = _report_head(pair, cfg, args)
+def _growth_so_far(store, report) -> None:
+    """The series on the radii the class search completed, which are
+    exact; a cap hit while enumerating leaves none."""
+    done = store.class_search_depth
+    lw = LengthFunction("word-schreier", store.word_lengths(done))
+    report["series"] = _series_dict(growth_series(store, done, lw))
+
+
+def cmd_rd_profile(args, cfg, store, base, report) -> int:
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
-    try:
-        store = enumerate_ball(pair, args.rmax, _caps(cfg))
-        profile = rd_profile(pair, store, None, args.rmax, config=rd_cfg,
-                             seed=int(cfg["seed"]))
-    except CapExceeded as exc:
-        _write_partial(base + ".json", report, exc)
-        raise
+    profile = rd_profile(store.pair, store, None, args.rmax, config=rd_cfg,
+                         seed=int(cfg["seed"]))
     report["profile"] = profile.as_dict()
     write_json(base + ".json", report)
     write_csv(base + ".csv", ["r", "best_ratio", "witness"],
@@ -284,17 +275,10 @@ def cmd_rd_profile(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_kesten(args, cfg) -> int:
-    pair = _resolve_pair(args)
-    base = os.path.join(args.out, f"kesten_{_slug(pair.label)}")
-    report = _report_head(pair, cfg, args)
+def cmd_kesten(args, cfg, store, base, report) -> int:
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
-    try:
-        store = enumerate_ball(pair, args.rmax, _caps(cfg))
-        report_obj = kesten_diagnostic(pair, store, None, None, config=rd_cfg)
-    except CapExceeded as exc:
-        _write_partial(base + ".json", report, exc)
-        raise
+    report_obj = kesten_diagnostic(store.pair, store, None, None,
+                                   config=rd_cfg)
     report["kesten"] = report_obj.as_dict()
     write_json(base + ".json", report)
     print(f"wrote {base}.json: index "
@@ -314,7 +298,7 @@ def cmd_verify(args, cfg) -> int:
         n_bad += 0 if c.ok else 1
     report = {
         "command": "verify",
-        "config": {k: cfg[k] for k in sorted(cfg)},
+        "config": cfg,
         "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                    for c in checks],
         "failures": n_bad,
@@ -352,27 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="hecke-out",
                        help="output directory (default hecke-out)")
 
-    p = sub.add_parser("enumerate", help="enumerate a ball and snapshot it")
-    common(p)
+    def pair_command(name, text, body, on_cap=None):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.set_defaults(func=run_pair_command, body=body, on_cap=on_cap)
+        return p
+
+    p = pair_command("enumerate", "enumerate a ball and snapshot it",
+                     cmd_enumerate)
     p.add_argument("--no-classes", action="store_true",
                    help="skip double-coset computation in the snapshot")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("ltable", help="per-class L/R/delta/length table")
-    common(p)
-    p.set_defaults(func=cmd_ltable)
-
-    p = sub.add_parser("growth", help="ball/shell counts and growth verdict")
-    common(p)
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("rd-profile", help="norm-ratio profile and RD verdict")
-    common(p)
-    p.set_defaults(func=cmd_rd_profile)
-
-    p = sub.add_parser("kesten", help="amenability index diagnostic")
-    common(p)
-    p.set_defaults(func=cmd_kesten)
+    pair_command("ltable", "per-class L/R/delta/length table", cmd_ltable)
+    pair_command("growth", "ball/shell counts and growth verdict",
+                 cmd_growth, on_cap=_growth_so_far)
+    pair_command("rd-profile", "norm-ratio profile and RD verdict",
+                 cmd_rd_profile)
+    pair_command("kesten", "amenability index diagnostic", cmd_kesten)
 
     p = sub.add_parser("verify", help="oracle equivalence, invariants and "
                                       "golden snapshots")

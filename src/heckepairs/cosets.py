@@ -364,6 +364,12 @@ class CosetStore:
             pass
         return {d: n for d, n in self._wl_classes.items() if n <= r}
 
+    @property
+    def class_search_depth(self) -> int:
+        """The last depth the class-level search completed, -1 before it
+        starts.  ``word_lengths`` of it is exact even after a cap hit."""
+        return self._wl_depth
+
     def _search_depth(self) -> bool:
         """Run the next depth of the class-level breadth-first search;
         False once there is none.
@@ -533,15 +539,6 @@ class UnimodularityReport:
     verdict: bool
     witnesses: list  # (element, Fraction) per probed generator
 
-    def as_dict(self, pair: HeckePair) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witnesses": [
-                {"element": pair.render(g), "delta": str(d)}
-                for g, d in self.witnesses
-            ],
-        }
-
 
 def unimodularity_check(pair: HeckePair,
                         max_orbit: int = DEFAULT_MAX_ORBIT) -> UnimodularityReport:
@@ -573,17 +570,6 @@ class HeckeVerification:
     max_L: Optional[int]
     max_R: Optional[int]
     cap_hits: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "depth": self.depth,
-            "n_cosets": self.n_cosets,
-            "n_classes": self.n_classes,
-            "max_L": self.max_L,
-            "max_R": self.max_R,
-            "cap_hits": list(self.cap_hits),
-        }
 
 
 def verify_hecke(pair: HeckePair, depth: int,

@@ -36,14 +36,13 @@ class StoreMismatch(HeckeError):
 class CapExceeded(HeckeError):
     """An enumeration grew past ``max_cosets``.
 
-    ``partial`` is what the raising layer finished before the cap, when it
-    can say: ``word_length`` sets the word length on the radii it completed.
+    What a layer finished before the cap stays readable on its store: the
+    class search, for one, records a depth only once it is complete.
     """
 
     def __init__(self, message, cap=None):
         super().__init__(message)
         self.cap = cap
-        self.partial = None
 
 
 class OrbitCapExceeded(CapExceeded):

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 from .algebra import structure_constants
 from .cosets import CosetStore, unimodularity_check
-from .errors import (CapExceeded, EmptyStore, InfiniteH,
-                     LengthUndefinedOnSupport, NotRelativelyUnimodular)
+from .errors import (EmptyStore, InfiniteH, LengthUndefinedOnSupport,
+                     NotRelativelyUnimodular)
 from .groups import HeckePair
 
 __all__ = [
@@ -71,20 +71,10 @@ def word_length(store: CosetStore) -> LengthFunction:
     plain per-coset Schreier depth minimized over a class can fail
     subadditivity (H-moves in the middle of a word are free here, not
     there).  Values are produced for every class within the store's
-    enumerated radius.  A cap hit at some depth carries, as
-    ``CapExceeded.partial``, the word length of every class shorter than
-    that depth: the search completes depth by depth, so those values and
-    their class sizes are exact."""
+    enumerated radius."""
     if store.radius_complete < 0:
         raise EmptyStore("enumerate before asking for word length")
-    try:
-        found = store.word_lengths(store.radius_complete)
-    except CapExceeded as exc:
-        depth = store._wl_depth + 1
-        exc.partial = LengthFunction(
-            "word-schreier", {d: Fraction(n) for d, n
-                              in store.word_lengths(depth - 1).items()})
-        raise
+    found = store.word_lengths(store.radius_complete)
     return LengthFunction("word-schreier",
                           {d: Fraction(n) for d, n in found.items()})
 
@@ -186,16 +176,6 @@ class PseudometricReport:
         return not (self.symmetry_failures or self.triangle_failures
                     or self.invariance_failures)
 
-    def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "evaluated": self.evaluated,
-            "symmetry_failures": self.symmetry_failures,
-            "triangle_failures": self.triangle_failures,
-            "invariance_failures": self.invariance_failures,
-            "ok": self.ok,
-        }
-
 
 def pseudometric_checks(store: CosetStore, l: LengthFunction,
                         n_samples: int = 100, seed: int = 0) -> PseudometricReport:
@@ -238,11 +218,6 @@ class DominanceFit:
     lsq_c1: float
     lsq_c0: float
     n_classes: int
-
-    def as_dict(self) -> dict:
-        return {"c1": self.c1, "c0": self.c0, "holds": self.holds,
-                "lsq_c1": self.lsq_c1, "lsq_c0": self.lsq_c0,
-                "n_classes": self.n_classes}
 
 
 def dominance_fit(l1: LengthFunction, l2: LengthFunction,

@@ -351,7 +351,7 @@ class RdProfile:
             "unimodular": self.unimodular,
             "r_max": self.r_max,
             "seed": self.seed,
-            "config": {k: self.config[k] for k in sorted(self.config)},
+            "config": self.config,
             "records": [rec.as_dict() for rec in self.records],
             "best": [{"r": r, "ratio": ratio, "witness": w}
                      for r, ratio, w in self.best],
@@ -410,7 +410,7 @@ def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
         r = int(math.floor(float(v)))
         classes_by_r.setdefault(r, []).append(d)
 
-    tasks = []
+    best: dict[int, tuple[float, str]] = {}
     for r in range(r_max + 1):
         ball_classes = sorted(
             d for d, v in l.values.items() if float(v) <= r)
@@ -428,16 +428,13 @@ def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
         fams.append(("signed", False, _symmetrized_random(
             store, ball_classes, rng, int(cfg["rd.coeff_max"]), True)))
         for family, nonneg, f in fams:
-            if f:
-                tasks.append((r, family, nonneg, f))
-
-    best: dict[int, tuple[float, str]] = {}
-    for r, family, nonneg, f in tasks:
-        rec = _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
-                           profile)
-        profile.records.append(rec)
-        if rec.nonneg and (rec.r not in best or rec.ratio > best[rec.r][0]):
-            best[rec.r] = (rec.ratio, rec.family)
+            if not f:
+                continue
+            rec = _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
+                               profile)
+            profile.records.append(rec)
+            if nonneg and (r not in best or rec.ratio > best[r][0]):
+                best[r] = (rec.ratio, family)
 
     profile.best = [(r, v, w) for r, (v, w) in sorted(best.items())]
     floor = 1.0 / math.sqrt(ball_size)
@@ -457,7 +454,7 @@ def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
         profile.verdict = "inconclusive"
         return profile
     try:
-        fit = rd_weighted_fit(profile, l, s_grid)
+        fit = rd_weighted_fit(profile, s_grid)
         profile.s_hat, profile.c_hat = fit
         profile.verdict = "polynomial-compatible"
     except NoStableFit:
@@ -531,7 +528,7 @@ def _s_grid(cfg) -> list[float]:
     return out
 
 
-def rd_weighted_fit(profile: RdProfile, l: LengthFunction,
+def rd_weighted_fit(profile: RdProfile,
                     s_grid: Optional[list[float]] = None) -> tuple[float, float]:
     """Smallest s in the grid whose weighted ratios N(f)/||f||_{s,l} show
     no upward tail trend, together with the constant c that bounds them on
@@ -598,7 +595,7 @@ class KestenReport:
             "trunc_radius": self.trunc_radius,
             "amenability_index": self.amenability_index,
             "relatively_unimodular": self.relatively_unimodular,
-            "config": {k: self.config[k] for k in sorted(self.config)},
+            "config": self.config,
             "hint": self.hint,
         }
 

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import heckepairs
-from heckepairs import cli
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from heckepairs.cosets import CosetStore
 
@@ -253,6 +252,37 @@ def test_table_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
     assert "snapshot" not in report and "classes" not in report
 
 
+@pytest.mark.parametrize("argv,name,message,radii", [
+    (["enumerate", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
+     "enumerate_psl2z1p-2", "right-H orbit exceeded max_orbit=5", None),
+    (["ltable", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
+     "ltable_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None),
+    # the class search completes depths 0-3 before the cap hits at depth 4
+    (["growth", "--pair", "bcp:3", "--rmax", "5", "--max-cosets", "64"],
+     "growth_bcp-3", "coset store exceeded max_cosets=64", [0, 1, 2, 3]),
+    (["rd-profile", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
+     "rd_profile_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None),
+    (["kesten", "--pair", "psl2z1p:2", "--rmax", "4", "--max-orbit", "5"],
+     "kesten_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None)])
+def test_every_pair_command_writes_one_partial_report_on_cap(
+        tmp_path, capsys, argv, name, message, radii):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_INCONCLUSIVE
+    streams = capsys.readouterr()
+    assert streams.err == f"cap exceeded: {message}\n"
+    assert streams.out == f"wrote {out / name}.json: partial\n"
+    assert [p.name for p in out.iterdir()] == [name + ".json"]
+    report = json.loads(read(out / (name + ".json")))
+    head = {"pair", "seed", "config", "command", "partial", "cap_exceeded"}
+    assert set(report) == head | ({"series"} if radii is not None else set())
+    assert report["command"] == argv[0]
+    assert report["pair"]["label"] == argv[2]
+    assert report["partial"] is True
+    assert report["cap_exceeded"] == message
+    if radii is not None:
+        assert report["series"]["radii"] == radii
+
+
 def test_growth_tree_reaches_rmax_12(tmp_path):
     # the level-12 class holds 3 * 2^23 cosets, far past max_orbit: its
     # size comes from the class search's counting rule, not from its orbit
@@ -310,18 +340,18 @@ def test_rd_profile_third_moments_on_the_tree(tmp_path):
 
 def test_tree_growth_builds_no_orbit(tmp_path, monkeypatch):
     stores, built = [], []
-    enumerate_ball, compute_orbit = cli.enumerate_ball, CosetStore._compute_orbit
+    seal, compute_orbit = CosetStore.seal, CosetStore._compute_orbit
 
-    def enumerate_and_record(*args, **kwargs):
-        store = enumerate_ball(*args, **kwargs)
+    def seal_and_record(store):
+        # the runner seals the store once its ball is enumerated
         stores.append((store, len(store)))
-        return store
+        seal(store)
 
     def orbit_and_record(store, start):
         built.append(compute_orbit(store, start))
         return built[-1]
 
-    monkeypatch.setattr(cli, "enumerate_ball", enumerate_and_record)
+    monkeypatch.setattr(CosetStore, "seal", seal_and_record)
     monkeypatch.setattr(CosetStore, "_compute_orbit", orbit_and_record)
     assert main(["growth", "--pair", "psl2z1p:2", "--rmax", "12",
                  "--out", str(tmp_path / "o")]) == EXIT_OK

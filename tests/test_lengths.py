@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 import heckepairs as hp
-from heckepairs.errors import (InfiniteH, LengthUndefinedOnSupport,
+from heckepairs.cosets import Caps
+from heckepairs.errors import (CapExceeded, InfiniteH,
+                               LengthUndefinedOnSupport,
                                NotRelativelyUnimodular)
 from heckepairs.groups import get_pair
 from heckepairs.lengths import (LengthFunction, averaged_length,
@@ -26,6 +28,19 @@ def test_word_length_examples():
     g2 = psl.pair.parse("mat 2 0 0 1/2")
     assert lwp(psl.dc(psl.lookup(g2))) == 1
     assert lwp(psl.identity_class()) == 0
+
+
+def test_capped_word_length_leaves_completed_depths_exact():
+    # the 63-coset ball fits in 64 cosets; the class reps the search
+    # interns pass the cap at depth 4, after depths 0-3 are recorded
+    pair = get_pair("bcp:3")
+    full = word_length(hp.enumerate_ball(pair, 5))
+    store = hp.enumerate_ball(pair, 5, Caps(max_cosets=64))
+    with pytest.raises(CapExceeded):
+        word_length(store)
+    assert store.class_search_depth == 3
+    assert store.word_lengths(3) == {d: n for d, n in full.values.items()
+                                     if n <= 3}
 
 
 # word-length axioms must hold exactly: (enumeration radius, half radius)

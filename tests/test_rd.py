@@ -279,7 +279,7 @@ def test_rd_weighted_fit_identity_family():
         prof.records.append(RdTestRecord(
             r, "ball", True, 1.0, 1.0, r, 1.0, 1.0, 1.0,
             {s: 1.0 for s in grid}))
-    s_hat, c_hat = rd_weighted_fit(prof, None, grid)
+    s_hat, c_hat = rd_weighted_fit(prof, grid)
     assert s_hat == 0.0
     assert c_hat == pytest.approx(1.0)
 
@@ -294,7 +294,7 @@ def test_rd_weighted_fit_no_stable_fit():
             r, "ball", True, growing, growing, r, 0.0, 1.0, growing,
             {s: 1.0 for s in grid}))
     with pytest.raises(NoStableFit):
-        rd_weighted_fit(prof, None, grid)
+        rd_weighted_fit(prof, grid)
 
 
 def test_kesten_z_at_n20():

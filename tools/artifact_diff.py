@@ -48,6 +48,11 @@ RUNS = [
     ["ltable", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
     ["growth", "--pair", "bcp:3", "--rmax", "5", "--max-orbit", "9"],
     ["ltable", "--pair", "psl2z1p:2", "--rmax", "9"],
+    ["enumerate", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
+    ["rd-profile", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
+    ["kesten", "--pair", "psl2z1p:2", "--rmax", "4", "--max-orbit", "5"],
+    # a cap hit while enumerating: the partial growth series is empty
+    ["growth", "--pair", "z:2", "--rmax", "25", "--max-cosets", "100"],
     ["verify"],
 ]
 
