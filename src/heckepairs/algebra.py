@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cosets import CosetStore
 from .errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
@@ -182,8 +181,6 @@ def is_self_adjoint(f: HeckeElement) -> bool:
 class NormReport:
     l1_exact: Fraction
     l2_sq_exact: Fraction
-    weighted_s: Optional[float] = None
-    weighted: Optional[float] = None
 
     @property
     def l1(self) -> float:
@@ -194,9 +191,8 @@ class NormReport:
         return math.sqrt(self.l2_sq_exact)
 
 
-def norms(f: HeckeElement, l=None, s: Optional[float] = None) -> NormReport:
-    """l1 = sum |c_d| R(d); l2^2 = sum c_d^2 R(d); the weighted norm uses
-    the weight (1 + l(d))^(2s) inside the l2 sum."""
+def norms(f: HeckeElement) -> NormReport:
+    """l1 = sum |c_d| R(d); l2^2 = sum c_d^2 R(d)."""
     store = f.store
     l1 = Fraction(0)
     l2sq = Fraction(0)
@@ -204,11 +200,7 @@ def norms(f: HeckeElement, l=None, s: Optional[float] = None) -> NormReport:
         r = store.class_R(d)
         l1 += abs(c) * r
         l2sq += c * c * r
-    report = NormReport(l1, l2sq)
-    if l is not None and s is not None:
-        report.weighted_s = float(s)
-        report.weighted = weighted_norms(f, l, [s])[s]
-    return report
+    return NormReport(l1, l2sq)
 
 
 def weighted_norms(f: HeckeElement, l, s_grid) -> dict:

@@ -2,8 +2,11 @@
 
 Subcommands: enumerate, ltable, growth, rd-profile, kesten, verify.
 The five pair subcommands share one runner, ``run_pair_command``: it
-enumerates and seals the ball, calls the subcommand's body, and on a cap
-hit writes the body's JSON report marked partial.
+makes the pair's store, calls the subcommand's body, and on a cap hit
+writes the body's JSON report marked partial.  Each body enumerates what
+it reads: enumerate, ltable and kesten the radius-rmax Schreier ball,
+rd-profile its padded ball, and growth no ball at all, since its series
+comes from the class-level word-length search.
 Artifacts are deterministic given (config, seed): ids fix the ordering,
 floats are printed with 12 significant digits, and the resolved config
 (defaults included) plus the seed are echoed into every JSON report.
@@ -30,7 +33,7 @@ from .errors import HeckeError, NotRelativelyUnimodular
 from .growth import (GROWTH_DEFAULTS, GrowthSeries, classify_growth,
                      growth_series)
 from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
-from .lengths import LengthFunction, characteristic_length, word_length
+from .lengths import characteristic_length, word_length
 from .rd import RD_DEFAULTS, kesten_diagnostic, rd_profile
 from .verify import run_verification
 
@@ -169,8 +172,8 @@ def _report_head(pair: HeckePair, cfg: dict, args) -> dict:
 
 
 def run_pair_command(args, cfg) -> int:
-    """Run a pair subcommand: resolve the pair, enumerate and seal its
-    ball, and hand the store to the subcommand's body, which writes its
+    """Run a pair subcommand: resolve the pair, make its store and hand
+    it to the subcommand's body, which enumerates what it reads, writes its
     artifacts under ``<out>/<command>_<pair>`` and returns the exit code.
     A body fills the report only after the work that can hit a cap.  On
     a cap hit the report is written as the body left it, with what the
@@ -182,8 +185,6 @@ def run_pair_command(args, cfg) -> int:
     report = _report_head(pair, cfg, args)
     store = CosetStore(pair, _caps(cfg))
     try:
-        store.enumerate_to(args.rmax)
-        store.seal()
         return args.body(args, cfg, store, base, report)
     except CapExceeded as exc:
         if args.on_cap is not None:
@@ -196,6 +197,7 @@ def run_pair_command(args, cfg) -> int:
 
 
 def cmd_enumerate(args, cfg, store, base, report) -> int:
+    store.enumerate_to(args.rmax)
     report["snapshot"] = store.snapshot(compute_classes=not args.no_classes)
     write_json(base + ".json", report)
     print(f"wrote {base}.json: {len(store)} cosets, "
@@ -204,6 +206,7 @@ def cmd_enumerate(args, cfg, store, base, report) -> int:
 
 
 def cmd_ltable(args, cfg, store, base, report) -> int:
+    store.enumerate_to(args.rmax)
     pair = store.pair
     lw = word_length(store)
     try:
@@ -255,10 +258,9 @@ def cmd_growth(args, cfg, store, base, report) -> int:
 
 def _growth_so_far(store, report) -> None:
     """The series on the radii the class search completed, which are
-    exact; a cap hit while enumerating leaves none."""
-    done = store.class_search_depth
-    lw = LengthFunction("word-schreier", store.word_lengths(done))
-    report["series"] = _series_dict(growth_series(store, done, lw))
+    exact."""
+    report["series"] = _series_dict(
+        growth_series(store, store.class_search_depth))
 
 
 def cmd_rd_profile(args, cfg, store, base, report) -> int:
@@ -276,6 +278,7 @@ def cmd_rd_profile(args, cfg, store, base, report) -> int:
 
 
 def cmd_kesten(args, cfg, store, base, report) -> int:
+    store.enumerate_to(args.rmax)
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
     report_obj = kesten_diagnostic(store.pair, store, None, None,
                                    config=rd_cfg)

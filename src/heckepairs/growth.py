@@ -3,12 +3,12 @@
 G_l(r) counts the right cosets Hx with l(x) <= r.  Length functions on a
 pair are bi-H-invariant, so the ball B_{r,l} is a union of double cosets
 and the count is a sum of class sizes R(d) over the classes with
-l(d) <= r.  For the word length the class-level search reaches every
-such class by depth r_max, whether or not it meets the radius-r_max
-Schreier ball (on bcp:2 some do not), so the series is complete once the
-store is enumerated that far; for other lengths small values could hide
-outside any finite ball, so the class route requires an exhausted coset
-space.
+l(d) <= r.  For the word length those classes and their sizes are what
+the store's class-level search (``CosetStore.word_lengths``) yields by
+depth r_max, whether or not they meet a Schreier ball (on bcp:2 some do
+not), so the series needs no enumerated ball; for other lengths small
+values could hide outside any finite ball, so the class route requires an
+exhausted coset space.
 
 Verdicts are empirical: asymptotic growth classes are not decidable from
 finite data, and intermediate growth is only ever reported as
@@ -40,7 +40,6 @@ class GrowthSeries:
     radii: list[int]
     ball: list[int]
     shell: list[int]
-    complete: bool
     kind: str
 
     def as_rows(self) -> list[tuple[int, int, int]]:
@@ -49,22 +48,20 @@ class GrowthSeries:
 
 def growth_series(store: CosetStore, r_max: int,
                   l: Optional[LengthFunction] = None) -> GrowthSeries:
-    """G(r) = number of right cosets with length <= r, for r = 0..r_max."""
-    from .lengths import word_length
-
-    if l is None:
-        l = word_length(store)
-    if l.kind == "word-schreier":
-        if store.radius_complete < r_max:
-            raise BallIncomplete(
-                f"ball complete to {store.radius_complete}, need {r_max}")
+    """G(r) = number of right cosets with length <= r, for r = 0..r_max.
+    The word length (``l`` None or of kind word-schreier) is read from the
+    store's class search, resumed to depth r_max."""
+    if l is None or l.kind == "word-schreier":
+        kind, values = "word-schreier", store.word_lengths(r_max)
     elif not store.saturated:
         raise BallIncomplete(
             f"growth for a {l.kind} length needs an exhausted coset "
             "space (infinite pairs can hide small values outside any "
             "finite ball)")
+    else:
+        kind, values = l.kind, l.values
     shell = [0] * (r_max + 1)
-    for d, v in l.values.items():
+    for d, v in values.items():
         v = float(v)
         if v <= r_max:
             shell[int(math.floor(v))] += store.class_R(d)
@@ -73,8 +70,7 @@ def growth_series(store: CosetStore, r_max: int,
     for s in shell:
         total += s
         ball.append(total)
-    return GrowthSeries(list(range(r_max + 1)), ball, shell,
-                        complete=True, kind=l.kind)
+    return GrowthSeries(list(range(r_max + 1)), ball, shell, kind)
 
 
 @dataclass

@@ -485,8 +485,12 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
                  profile) -> RdTestRecord:
     """Both lower bounds, the weighted norms and l2 of one test function.
     A cap hit on either bound zeroes that bound and marks the profile
-    partial."""
-    r_trunc = _truncation_radius(store, f, r + int(cfg["rd.pad"]), cfg)
+    partial; a truncation radius the budget clips is warned of."""
+    want = r + int(cfg["rd.pad"])
+    r_trunc = _truncation_radius(store, f, want, cfg)
+    if r_trunc < want:
+        _warn(profile, f"truncation radius at r={r} clipped to {r_trunc} "
+                       f"of {want} wanted (rd.max_matrix_cost)")
     trunc = 0.0
     try:
         trunc = truncated_norm(operator_matrix(f, store, r_trunc),

@@ -9,7 +9,7 @@ import heckepairs
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from heckepairs.cosets import CosetStore
 
-from oracles import tree_class_size, tree_level, tree_t1_times_tk
+from oracles import tree_ball, tree_class_size, tree_level, tree_t1_times_tk
 
 
 def read(path):
@@ -161,14 +161,17 @@ def test_negative_rmax_is_usage_error(tmp_path, capsys):
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
+    # growth enumerates no ball: the class search interns one coset per
+    # class it names, and a cap of 5 hits at depth 4 with depths 0-3 exact
     out = tmp_path / "c"
     code = main(["growth", "--pair", "psl2z1p:2", "--rmax", "6",
-                 "--max-cosets", "50", "--out", str(out)])
+                 "--max-cosets", "5", "--out", str(out)])
     assert code == EXIT_INCONCLUSIVE
     report = json.loads(read(out / "growth_psl2z1p-2.json"))
     assert report["partial"] is True
-    assert report["cap_exceeded"] == "coset store exceeded max_cosets=50"
-    assert report["series"]["radii"] == []          # capped while enumerating
+    assert report["cap_exceeded"] == "coset store exceeded max_cosets=5"
+    assert report["series"]["radii"] == [0, 1, 2, 3]
+    assert report["series"]["ball"] == [1, 7, 31, 127]
     assert "verdict" not in report
     assert not (out / "growth_psl2z1p-2.csv").exists()
     # the tree's word length walks the left cosets of the generator class
@@ -185,8 +188,8 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert report["partial"] is True
     assert report["series"]["radii"] == [0]
     assert report["series"]["ball"] == [1]
-    # the 63-coset ball fits, and the class reps the search interns pass
-    # 64 cosets at depth 4 of the word length: radii 0..3 are exact
+    # the class reps the search interns pass 20 cosets at depth 4 of the
+    # word length: radii 0..3 are exact
     out = tmp_path / "b"
     assert main(["growth", "--pair", "bcp:3", "--rmax", "5",
                  "--out", str(out)]) == EXIT_OK
@@ -198,10 +201,10 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert json.loads(read(out / "growth_bcp-3.json"))["series"] == full
     capsys.readouterr()
     code = main(["growth", "--pair", "bcp:3", "--rmax", "5",
-                 "--max-cosets", "64", "--out", str(out)])
+                 "--max-cosets", "20", "--out", str(out)])
     assert code == EXIT_INCONCLUSIVE
     assert capsys.readouterr().err == (
-        "cap exceeded: coset store exceeded max_cosets=64\n")
+        "cap exceeded: coset store exceeded max_cosets=20\n")
     report = json.loads(read(out / "growth_bcp-3.json"))
     assert report["partial"] is True
     assert report["series"]["radii"] == [0, 1, 2, 3]
@@ -258,8 +261,8 @@ def test_table_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
     (["ltable", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
      "ltable_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None),
     # the class search completes depths 0-3 before the cap hits at depth 4
-    (["growth", "--pair", "bcp:3", "--rmax", "5", "--max-cosets", "64"],
-     "growth_bcp-3", "coset store exceeded max_cosets=64", [0, 1, 2, 3]),
+    (["growth", "--pair", "bcp:3", "--rmax", "5", "--max-cosets", "20"],
+     "growth_bcp-3", "coset store exceeded max_cosets=20", [0, 1, 2, 3]),
     (["rd-profile", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
      "rd_profile_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None),
     (["kesten", "--pair", "psl2z1p:2", "--rmax", "4", "--max-orbit", "5"],
@@ -338,34 +341,74 @@ def test_rd_profile_third_moments_on_the_tree(tmp_path):
     assert shell["moment_root"] < 5
 
 
+def test_rd_profile_obstructs_a_pair_without_finite_generators(tmp_path):
+    # the unimodularity probes of bc fail before any ball is needed, so
+    # rd-profile gives its verdict where growth cannot run at all
+    out = tmp_path / "o"
+    assert main(["rd-profile", "--pair", "bc", "--rmax", "2",
+                 "--out", str(out)]) == EXIT_OK
+    profile = json.loads(read(out / "rd_profile_bc.json"))["profile"]
+    assert profile["verdict"] == "obstructed-nonunimodular"
+    assert profile["records"] == []
+    assert main(["growth", "--pair", "bc", "--rmax", "2",
+                 "--out", str(out)]) == EXIT_USAGE
+
+
+def test_rd_profile_warns_of_clipped_truncation_radii(tmp_path):
+    # at r = 3 the padded ball's radius 5 times the test functions' support
+    # exceeds the budget: the radius is clipped, and the report says so
+    out = tmp_path / "o"
+    assert main(["rd-profile", "--pair", "psl2z1p:2", "--rmax", "3",
+                 "--set", "rd.max_matrix_cost=2000",
+                 "--out", str(out)]) == EXIT_OK
+    profile = json.loads(read(out / "rd_profile_psl2z1p-2.json"))["profile"]
+    clipped = sorted({rec["trunc_radius"] for rec in profile["records"]
+                      if rec["trunc_radius"] < rec["r"] + 2})
+    assert clipped == [2, 3]
+    assert profile["warnings"] == [
+        f"truncation radius at r=3 clipped to {t} of 5 wanted "
+        "(rd.max_matrix_cost)" for t in (3, 2)]
+
+
 def test_tree_growth_builds_no_orbit(tmp_path, monkeypatch):
     stores, built = [], []
-    seal, compute_orbit = CosetStore.seal, CosetStore._compute_orbit
+    init, compute_orbit = CosetStore.__init__, CosetStore._compute_orbit
 
-    def seal_and_record(store):
-        # the runner seals the store once its ball is enumerated
-        stores.append((store, len(store)))
-        seal(store)
+    def init_and_record(store, *args, **kwargs):
+        init(store, *args, **kwargs)
+        stores.append(store)
 
     def orbit_and_record(store, start):
         built.append(compute_orbit(store, start))
         return built[-1]
 
-    monkeypatch.setattr(CosetStore, "seal", seal_and_record)
+    monkeypatch.setattr(CosetStore, "__init__", init_and_record)
     monkeypatch.setattr(CosetStore, "_compute_orbit", orbit_and_record)
     assert main(["growth", "--pair", "psl2z1p:2", "--rmax", "12",
                  "--out", str(tmp_path / "o")]) == EXIT_OK
-    (store, n_ball), = stores
-    assert n_ball == 22_440
+    (store,) = stores
+    # growth reads the class search alone: no Schreier ball is enumerated
+    assert store.radius_complete == -1
     gens = {store.dc(store.lookup(s)) for s in store.pair.shat()}
     assert gens == {store.identity_class(), 1}
     # H and the generator class are sized by left walks, every other class
     # by the class search's counting rule: no member list is built
     assert built == []
     assert all(obj.member_cids is None for obj in store.dcs)
-    # every class the search meets has a coset in the ball, so its
-    # products intern nothing
-    assert len(store) == n_ball
+    # the search interns about one coset per class it names (13 classes to
+    # level 12); the radius-12 ball held 22,440
+    assert len(store) <= 14
+
+
+def test_growth_tree_reaches_rmax_64(tmp_path):
+    # the class search interns a coset per class and the ball sizes are
+    # exact ints far past any float or enumerable ball
+    out = tmp_path / "o"
+    assert main(["growth", "--pair", "psl2z1p:2", "--rmax", "64",
+                 "--out", str(out)]) == EXIT_OK
+    ball = json.loads(read(out / "growth_psl2z1p-2.json"))["series"]["ball"]
+    assert ball == [tree_ball(2, r) for r in range(65)]
+    assert all(type(g) is int for g in ball)
 
 
 @pytest.mark.parametrize("key,extra", [

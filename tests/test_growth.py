@@ -80,9 +80,17 @@ def test_finite_pair_growth_stabilizes():
 
 
 def test_growth_requires_complete_ball():
-    store = hp.enumerate_ball(get_pair("z:1"), 3)
-    with pytest.raises(BallIncomplete):
-        growth_series(store, 10)
+    # the word-length series needs no Schreier ball: the class search alone
+    # completes to r_max (or exhausts a finite pair), so a store that was
+    # never enumerated gives the series of one enumerated to r_max
+    for label, r_max in (("z:1", 12), ("z:2", 8), ("dinf", 10),
+                         ("s3-h12", 6), ("bcp:2", 8), ("bcp:3", 5),
+                         ("psl2z1p:2", 6)):
+        bare = hp.CosetStore(get_pair(label))
+        series = growth_series(bare, r_max)
+        assert bare.radius_complete == -1
+        ball = hp.enumerate_ball(get_pair(label), r_max)
+        assert series == growth_series(ball, r_max), label
 
 
 def test_growth_with_characteristic_length_needs_saturation():
@@ -99,5 +107,5 @@ def test_growth_with_characteristic_length_needs_saturation():
 
 
 def test_classify_inconclusive_on_thin_data():
-    series = GrowthSeries([0, 1], [1, 3], [1, 2], True, "word-schreier")
+    series = GrowthSeries([0, 1], [1, 3], [1, 2], "word-schreier")
     assert classify_growth(series).kind == "inconclusive"
