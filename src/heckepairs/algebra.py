@@ -29,7 +29,7 @@ __all__ = [
     "HeckeElement", "NormReport",
     "basis_element", "identity_element", "convolve", "involution",
     "norms", "weighted_norms", "power_moments", "convolution_power_moment",
-    "structure_constants", "structure_constants_csv",
+    "structure_constants",
 ]
 
 
@@ -255,13 +255,3 @@ def power_moments(f: HeckeElement, n_max: int) -> list[Fraction]:
 def convolution_power_moment(f: HeckeElement, n: int) -> Fraction:
     return power_moments(f, n)[-1]
 
-
-def structure_constants_csv(store: CosetStore, dcids: list[int]) -> str:
-    """CSV dump 'd1,d2,d,coeff' for all ordered pairs from ``dcids``."""
-    lines = ["d1,d2,d,coeff"]
-    for d1 in dcids:
-        for d2 in dcids:
-            sc = structure_constants(store, d1, d2)
-            for d in sorted(sc):
-                lines.append(f"{d1},{d2},{d},{sc[d]}")
-    return "\n".join(lines) + "\n"

@@ -91,7 +91,9 @@ class CosetStore:
         self.sealed: bool = False
         self.saturated: bool = False          # BFS exhausted the coset space
         self.sc_cache: dict = {}              # (d1, d2) -> {d: int}; see algebra
-        self.op_patterns: dict = {}           # d -> operator pattern; see rd
+        # class codes of the pairs of ball cosets, grown by BFS shells and
+        # valid as the ball grows; see rd.operator_matrix
+        self.class_table = None
         self._ids: dict = {}                  # coset key -> cid
         self._classes: dict = {}              # class key -> double coset id
         self._frontier: list[int] = []
@@ -171,8 +173,6 @@ class CosetStore:
         if self.saturated:
             self.radius_complete = max(self.radius_complete, r_max)
         if self.radius_complete != start_radius:
-            # patterns record hits on enumerated cosets only
-            self.op_patterns.clear()
             self._ball_heads = None
 
     def seal(self) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -36,7 +36,9 @@ __all__ = [
 
 RD_DEFAULTS = {
     "rd.pad": 2,                 # padding radius beyond the support radius
-    "rd.max_matrix_cost": 3_000_000,  # budget dim * sum R(d) per truncation
+    # picks each truncation radius by dim * sum R(d), unchanged so that
+    # reports stay the same; the build costs one class table per store
+    "rd.max_matrix_cost": 3_000_000,
     "rd.moment_n": 1,            # moment order mixed into the lower bound
     "rd.n_random": 2,            # random nonnegative test functions per radius
     "rd.coeff_max": 9,           # coefficient range of random functions
@@ -140,38 +142,106 @@ class TruncatedOperator:
         return got == want
 
 
-@dataclass
-class _ClassPattern:
-    """The 0/1 matrix P_d of one class d on the ball of radius ``radius``:
-    for each column coset y, a hit (y, x) per member a of d whose coset
-    x = H a y is enumerated."""
+class _ClassTable:
+    """Class codes of the ordered pairs of enumerated ball cosets:
+    ``codes[i, j]`` is the code of the class of rep(x_i) rep(x_j)^{-1}
+    for the cosets ``ids``, listed by (BFS depth, id), so each ball is a
+    prefix.  A code is local to the table and keyed by the pair's class
+    key, not by class id, so a class named after the table was built is
+    still found.  The table grows by whole BFS shells; the depth of an
+    enumerated coset never changes, so its entries stay valid as the ball
+    grows.  Reading keys of products names no class and interns nothing."""
 
-    radius: int = -1
-    cols: array = field(default_factory=lambda: array("i"))   # y per hit
-    rows: array = field(default_factory=lambda: array("i"))   # x per hit
+    def __init__(self, pair):
+        self.pair = pair
+        self.radius = -1
+        self.ids: list[int] = []
+        self.ends: list[int] = []     # radius -> size of its ball
+        self.codes = np.zeros((0, 0), dtype=np.int32)
+        self.code_of: dict = {}       # class key -> code
+        self.inverse: list[int] = []  # code -> code of the inverse class
+        self._invs: list = []         # rep(x_i)^{-1}
+        e = pair.identity()
+        self._identity = self._code(pair.class_key(e), e)
 
+    def _code(self, key, g) -> int:
+        """Code of the class with key ``key``, of which ``g`` is one
+        element; a new code is given the code of its inverse class by
+        inverting ``g``."""
+        code = self.code_of.get(key)
+        if code is None:
+            code = self.code_of[key] = len(self.inverse)
+            self.inverse.append(code)
+            g_inv = self.pair.inv(g)
+            self.inverse[code] = self._code(self.pair.class_key(g_inv), g_inv)
+        return code
 
-def _class_pattern(store: CosetStore, d: int, radius: int) -> _ClassPattern:
-    """P_d from ``store.op_patterns``, extended to ``radius`` by the columns
-    of the shells it does not cover yet.  Lookups only: nothing is
-    interned."""
-    pat = store.op_patterns.get(d)
-    if pat is None:
-        pat = store.op_patterns[d] = _ClassPattern()
-    if radius > pat.radius:
-        mul, lookup, wl = store.pair.mul, store._intern, store.wl
-        reps_a = [store.reps[m] for m in store.class_members(d)]
-        for y, w in enumerate(wl):
-            if w is None or not pat.radius < w <= radius:
-                continue
-            rep_y = store.reps[y]
-            for a in reps_a:
-                x = lookup(mul(a, rep_y), insert=False)
-                if x is not None and wl[x] is not None:
-                    pat.cols.append(y)
-                    pat.rows.append(x)
-        pat.radius = radius
-    return pat
+    def _neighbors(self, store: CosetStore) -> np.ndarray:
+        """``out[s, i]``: table position of H x_i s for each generator s
+        of S-hat, or len(ids) where that coset is not in the table.  Read
+        off the Schreier edges; a coset the BFS has not expanded yet looks
+        its neighbours up."""
+        pair = self.pair
+        n = len(self.ids)
+        pos = {cid: i for i, cid in enumerate(self.ids)}
+        shat = pair.shat()
+        out = np.empty((len(shat), n), dtype=np.int64)
+        for i, cid in enumerate(self.ids):
+            adj = store.adj[cid]
+            if adj is None:
+                x = store.reps[cid]
+                adj = [store.lookup(pair.mul(x, s)) for s in shat]
+            out[:, i] = [pos.get(t, n) for t in adj]
+        return out
+
+    def extend(self, store: CosetStore, radius: int) -> None:
+        """Add the shells of depth up to ``radius``, one row at a time.
+        Right multiplication by g keeps the class of x y^{-1}, so K[x][y]
+        is copied from K[x s][y s] when a generator s takes both cosets to
+        earlier rows; the rest of the row are class keys of products.
+        K[y][x] is the inverse class of K[x][y], read from the per-code
+        inverse map."""
+        if radius <= self.radius:
+            return
+        pair = self.pair
+        mul, key, invs = pair.mul, pair.class_key, self._invs
+        new = [cid for _, cid in sorted(
+            (w, cid) for cid, w in enumerate(store.wl)
+            if w is not None and self.radius < w <= radius)]
+        n0 = len(self.ids)
+        self.ids += new
+        invs += [pair.inv(store.reps[cid]) for cid in new]
+        n = len(self.ids)
+        codes = np.empty((n, n), dtype=np.int32)
+        codes[:n0, :n0] = self.codes
+        steps = self._neighbors(store)
+        inverse = np.zeros(0, dtype=np.int32)
+        for i in range(n0, n):
+            row = np.full(i, -1, dtype=np.int32)
+            for step in steps:
+                if step[i] < i:
+                    ys = step[:i]
+                    copy = (ys < i) & (row < 0)
+                    row[copy] = codes[step[i], ys[copy]]
+            x = store.reps[self.ids[i]]
+            todo = np.flatnonzero(row < 0).tolist()
+            keys = [key(mul(x, invs[j])) for j in todo]
+            found = list(map(self.code_of.get, keys))
+            if None in found:
+                for k, j in enumerate(todo):
+                    if found[k] is None:
+                        found[k] = self._code(keys[k], mul(x, invs[j]))
+            row[todo] = found
+            if len(inverse) < len(self.inverse):
+                inverse = np.array(self.inverse, dtype=np.int32)
+            codes[i, :i] = row
+            codes[:i, i] = inverse[row]
+            codes[i, i] = self._identity
+        self.codes = codes
+        depth = [store.wl[cid] for cid in new]
+        for r in range(self.radius + 1, radius + 1):
+            self.ends.append(n0 + bisect_right(depth, r))
+        self.radius = radius
 
 
 def operator_matrix(f: HeckeElement, store: CosetStore,
@@ -179,32 +249,32 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
     """Exact matrix of the compression of lambda(f) to the radius ball:
     A[x][y] = f evaluated at the class of rep(x) rep(y)^{-1}.
 
-    Assembled as A = sum_d c_d P_d from the class patterns cached on the
-    store.  For a fixed column y the cosets H a y are distinct over the
-    members a of all classes, so every entry is exactly one c_d."""
+    Gathered from the store's class table (``store.class_table``), which
+    is extended to ``radius`` first: each entry is the coefficient of its
+    code's class, and the nonzeros are taken in row-major order."""
     if radius > store.radius_complete:
         raise BallIncomplete(
             f"ball complete to {store.radius_complete}, need {radius}")
-    ball = store.ball_ids(radius)
-    dim = len(ball)
-    pos = np.full(len(store), -1, dtype=np.int64)
-    pos[ball] = np.arange(dim)
+    table = store.class_table
+    if table is None:
+        table = store.class_table = _ClassTable(store.pair)
+    table.extend(store, radius)
+    dim = table.ends[radius]
+    ids = np.array(table.ids[:dim], dtype=np.int64)
+    order = np.argsort(ids)
     support = sorted(f.coeffs)
-    hits = [(np.zeros(0, dtype=np.int64),) * 3]   # (row, column, term)
+    term = np.full(len(table.inverse), -1, dtype=np.int32)
     for k, d in enumerate(support):
-        pat = _class_pattern(store, d, radius)
-        i = pos[np.frombuffer(pat.rows, dtype=np.intc)]
-        j = pos[np.frombuffer(pat.cols, dtype=np.intc)]
-        keep = (i >= 0) & (j >= 0)
-        hits.append((i[keep], j[keep], np.full(int(keep.sum()), k)))
-    i, j, t = map(np.concatenate, zip(*hits))
-    order = np.argsort(i * dim + j)
+        code = table.code_of.get(store.dcs[d].key)
+        if code is not None:
+            term[code] = k
+    terms = term[table.codes[np.ix_(order, order)]]
+    i, j = np.nonzero(terms >= 0)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(i, minlength=dim), out=indptr[1:])
-    return TruncatedOperator(store, f, radius, ball,
+    return TruncatedOperator(store, f, radius, ids[order].tolist(),
                              [f.coeffs[d] for d in support], indptr,
-                             j[order].astype(np.int32),
-                             t[order].astype(np.int32))
+                             j.astype(np.int32), terms[i, j])
 
 
 def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
@@ -250,26 +320,6 @@ def exact_truncated_moment(op: TruncatedOperator, n: int) -> Fraction:
     for _ in range(2 * n):
         vec = op.exact_matvec(vec)
     return vec.get(base, Fraction(0))
-
-
-def covering_radius(f: HeckeElement, n: int) -> int:
-    """Smallest Schreier radius whose ball holds every member coset of
-    supp(f^{*k}) for k <= 2n.  At that padding the truncation clips
-    nothing that the 2n-step moment can reach, so the matrix moment equals
-    the convolution moment bit for bit (and rho_n <= truncated norm).
-    Extends the store's BFS as needed."""
-    from .algebra import convolve
-
-    store = f.store
-    classes = set(f.coeffs)
-    g = f
-    for _ in range(2 * n - 1):
-        g = convolve(g, f)
-        classes |= set(g.coeffs)
-    members = [m for d in classes for m in store.class_members(d)]
-    while any(store.wl[m] is None for m in members):
-        store.enumerate_to(store.radius_complete + 1)
-    return max(store.wl[m] for m in members)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +516,10 @@ def _truncation_radius(store: CosetStore, f: HeckeElement, want: int,
                        cfg: dict) -> int:
     """Largest truncation radius within the matrix-cost budget: the column
     count times the per-column row support sum_d R(d).  Any radius gives a
-    valid lower bound; the budget only trades sharpness for time,
-    deterministically."""
+    valid lower bound, so the rule only trades sharpness for size,
+    deterministically.  It bounds the operator's nonzeros, not the build,
+    which is one class table per store; it is kept so that reports stay
+    the same."""
     budget = int(cfg["rd.max_matrix_cost"])
     supp = sum(store.class_R(d) for d in f.coeffs)
     hist = store.depth_histogram()

@@ -167,6 +167,40 @@ def columns_to_csr(cols):
     return csr_matrix((vals, (rows, js)), shape=(len(cols), len(cols)))
 
 
+
+def structure_constants_csv(store, dcids):
+    """CSV dump 'd1,d2,d,coeff' of the library's structure constants for
+    all ordered pairs from ``dcids``."""
+    from heckepairs.algebra import structure_constants
+
+    lines = ["d1,d2,d,coeff"]
+    for d1 in dcids:
+        for d2 in dcids:
+            sc = structure_constants(store, d1, d2)
+            for d in sorted(sc):
+                lines.append(f"{d1},{d2},{d},{sc[d]}")
+    return "\n".join(lines) + "\n"
+
+
+def covering_radius(f, n):
+    """Smallest Schreier radius whose ball holds every member coset of
+    supp(f^{*k}) for k <= 2n.  At that padding the truncation clips
+    nothing that the 2n-step moment can reach, so the matrix moment equals
+    the convolution moment bit for bit (and rho_n <= truncated norm).
+    Extends the store's BFS as needed."""
+    from heckepairs.algebra import convolve
+
+    store = f.store
+    classes = set(f.coeffs)
+    g = f
+    for _ in range(2 * n - 1):
+        g = convolve(g, f)
+        classes |= set(g.coeffs)
+    members = [m for d in classes for m in store.class_members(d)]
+    while any(store.wl[m] is None for m in members):
+        store.enumerate_to(store.radius_complete + 1)
+    return max(store.wl[m] for m in members)
+
 # ---------------------------------------------------------------------------
 # closed forms for the tree pairs (P)SL2(Z[1/p]) over (P)SL2(Z): the pair
 # acts on the (p+1)-regular tree, the class T_k of an element is the

@@ -9,14 +9,15 @@ from heckepairs.algebra import (HeckeElement, basis_element, convolve,
                                 convolution_power_moment, identity_element,
                                 involution, is_self_adjoint, norms,
                                 power_moments, structure_constants,
-                                structure_constants_csv, weighted_norms)
+                                weighted_norms)
 from heckepairs.errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
                                NotSelfAdjoint, StoreMismatch)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.lengths import word_length
 
 from conftest import FG_LABELS
-from oracles import brute_structure_constants, central_trinomial, tree_level
+from oracles import (brute_structure_constants, central_trinomial,
+                     structure_constants_csv, tree_level)
 
 
 def random_element(store, classes, rng, signed=True):

@@ -81,8 +81,8 @@ def test_operator_requires_complete_ball(z1_store):
     ("z:1", 6), ("z:2", 4), ("dinf", 5), ("s4-h12", 3), ("bcp:2", 3),
     ("psl2z1p:2", 3)])
 def test_operator_matrix_matches_member_loop(label, r):
-    # radii up, then down (pattern extension and slicing), then after the
-    # store grows (patterns dropped); every build interns nothing
+    # radii up, then down (table extension and slicing), then after the
+    # store grows (the table is kept); every build interns nothing
     store = hp.enumerate_ball(get_pair(label), r)
     classes = store.classes_in_ball(r)
     rng = random.Random(label)
@@ -112,12 +112,13 @@ def test_operator_matrix_matches_member_loop(label, r):
 
 
 def test_operator_products_pinned_by_class_patterns(monkeypatch):
-    # over one profile, operator_matrix multiplies each member of a class
-    # by each column of the largest ball the class was requested on, once
+    # over one profile, operator_matrix pays for one class table: at most
+    # one product per entry of the largest ball, and fewer than multiplying
+    # each member of a class by each column of the largest ball the class
+    # was requested on
     pair = get_pair("z:2")
     store = hp.enumerate_ball(pair, 8)
     requested: dict[int, int] = {}
-    uncached = [0]
     products = [0]
     inside = [False]
     real_mul, real_operator = pair.mul, rd.operator_matrix
@@ -129,8 +130,6 @@ def test_operator_products_pinned_by_class_patterns(monkeypatch):
     def operator(f, store, radius):
         for d in f.coeffs:
             requested[d] = max(requested.get(d, -1), radius)
-        uncached[0] += (sum(store.class_R(d) for d in f.coeffs)
-                        * len(store.ball_ids(radius)))
         inside[0] = True
         try:
             return real_operator(f, store, radius)
@@ -140,9 +139,55 @@ def test_operator_products_pinned_by_class_patterns(monkeypatch):
     monkeypatch.setattr(pair, "mul", mul)
     monkeypatch.setattr(rd, "operator_matrix", operator)
     rd_profile(pair, store, None, 6, seed=0)
-    bound = sum(store.class_R(d) * len(store.ball_ids(radius))
-                for d, radius in requested.items())
-    assert 0 < products[0] <= bound < uncached[0]
+    dim = len(store.ball_ids(max(requested.values())))
+    member_loop = sum(store.class_R(d) * len(store.ball_ids(radius))
+                      for d, radius in requested.items())
+    assert 0 < products[0] <= dim ** 2
+    assert products[0] < member_loop
+
+
+def test_operator_builds_no_orbit_and_interns_nothing(monkeypatch):
+    # the class table reads class keys of products: no member list is
+    # built, and no coset is interned, however large the support classes
+    pair = get_pair("psl2z1p:2")
+    store = hp.CosetStore(pair)
+    orbits = []
+    sizes = []
+    real_operator = rd.operator_matrix
+
+    def operator(f, store, radius):
+        n = len(store)
+        op = real_operator(f, store, radius)
+        sizes.append((n, len(store)))
+        return op
+
+    monkeypatch.setattr(hp.CosetStore, "_compute_orbit",
+                        lambda self, start: orbits.append(start))
+    monkeypatch.setattr(rd, "operator_matrix", operator)
+    prof = rd_profile(pair, store, None, 4, seed=0)
+    assert orbits == []
+    assert sizes and all(before == after for before, after in sizes)
+    assert all(rec.trunc_norm > 0 for rec in prof.records)
+
+
+def test_class_table_finds_classes_named_after_it():
+    # codes are keyed by class key: a table built before any class is
+    # named still gives the entries of a class named afterwards
+    store = hp.enumerate_ball(get_pair("z:2"), 4)
+    zero = operator_matrix(HeckeElement(store, {}), store, 4)
+    assert zero.dim == 41 and len(zero.indices) == 0
+    assert store.dcs == [] and store.class_table.radius == 4
+    ball = store.ball_ids(3)
+    d1, d2 = store.dc(ball[7]), store.dc(ball[-1])
+    f = HeckeElement(store, {d1: Q(2), d2: Q(-3, 5)})
+    op = operator_matrix(f, store, 3)
+    ref_ball, cols = brute_operator_matrix(f, store, 3)
+    assert op.ball == ref_ball and op.cols == cols
+    assert len(op.indices) > 0
+    got, want = op.to_csr(), columns_to_csr(cols)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
 
 def test_truncated_norm_closed_form(z1_store):
@@ -347,14 +392,15 @@ def test_kesten_requires_self_adjoint(z1_store):
 
 def test_rd_profile_keeps_each_warning_once():
     # the five test functions at r = 2 all hold the level-2 class (R = L =
-    # 24): its members (truncated norm) and its left-coset representatives
-    # (the counts of f^{*3}) both pass the orbit cap, once per function
+    # 24): its left-coset representatives (the counts of f^{*3}) pass the
+    # orbit cap once per function, and the warning is kept once.  The
+    # truncated norm reads class keys only, so it never meets the cap
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 2, hp.Caps(max_orbit=23))
     prof = rd.rd_profile(pair, store, None, 2, config={"rd.moment_n": 3})
     assert prof.partial
-    assert sum(rec.r == 2 for rec in prof.records) == 5
+    at_2 = [rec for rec in prof.records if rec.r == 2]
+    assert len(at_2) == 5
+    assert all(rec.trunc_norm > 0 for rec in at_2)
     assert prof.warnings == [
-        "truncated norm skipped at r=2: right-H orbit exceeded max_orbit=23",
-        "moments skipped at r=2: left-H orbit exceeded max_orbit=23",
-        "best ratio at r=2 below the sanity floor 0.167"]
+        "moments skipped at r=2: left-H orbit exceeded max_orbit=23"]

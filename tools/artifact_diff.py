@@ -40,9 +40,14 @@ RUNS = [
      "--set", "rd.moment_n=3"],
     ["rd-profile", "--pair", "dinf", "--rmax", "5"],
     ["rd-profile", "--pair", "s4-h12", "--rmax", "4"],
+    ["rd-profile", "--pair", "psl2z1p:2", "--rmax", "6"],
     ["kesten", "--pair", "z:1", "--rmax", "6", "--seed", "1"],
     *(["kesten", "--pair", p, "--rmax", r] for p, r in (
         ("psl2z1p:2", "6"), ("dinf", "6"), ("bcp:2", "5"))),
+    # a small support on a large ball with H trivial: the class table is
+    # all of the build
+    ["kesten", "--pair", "z:2", "--rmax", "20",
+     "--set", "kesten.trunc_radius=20"],
     # runs near the caps: exit 3 with a partial report where a cap is hit
     ["growth", "--pair", "psl2z1p:2", "--rmax", "5", "--max-orbit", "5"],
     ["ltable", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
