@@ -34,7 +34,8 @@ class StoreMismatch(HeckeError):
 
 
 class CapExceeded(HeckeError):
-    """An enumeration grew past ``max_cosets``.
+    """An enumeration grew past ``max_cosets``, or a class table of
+    truncated operators past its share of it.
 
     What a layer finished before the cap stays readable on its store: the
     class search, for one, records a depth only once it is complete.

@@ -142,6 +142,12 @@ class TruncatedOperator:
         return got == want
 
 
+# a class table may hold this many entries per coset of the store's
+# max_cosets cap: 64 bytes of int32 codes, against the 290-490 bytes the
+# store spends on each coset it interns
+TABLE_ENTRIES_PER_COSET = 16
+
+
 class _ClassTable:
     """Class codes of the ordered pairs of enumerated ball cosets:
     ``codes[i, j]`` is the code of the class of rep(x_i) rep(x_j)^{-1}
@@ -176,66 +182,44 @@ class _ClassTable:
             self.inverse[code] = self._code(self.pair.class_key(g_inv), g_inv)
         return code
 
-    def _neighbors(self, store: CosetStore) -> np.ndarray:
-        """``out[s, i]``: table position of H x_i s for each generator s
-        of S-hat, or len(ids) where that coset is not in the table.  Read
-        off the Schreier edges; a coset the BFS has not expanded yet looks
-        its neighbours up."""
-        pair = self.pair
-        n = len(self.ids)
-        pos = {cid: i for i, cid in enumerate(self.ids)}
-        shat = pair.shat()
-        out = np.empty((len(shat), n), dtype=np.int64)
-        for i, cid in enumerate(self.ids):
-            adj = store.adj[cid]
-            if adj is None:
-                x = store.reps[cid]
-                adj = [store.lookup(pair.mul(x, s)) for s in shat]
-            out[:, i] = [pos.get(t, n) for t in adj]
-        return out
-
     def extend(self, store: CosetStore, radius: int) -> None:
-        """Add the shells of depth up to ``radius``, one row at a time.
-        Right multiplication by g keeps the class of x y^{-1}, so K[x][y]
-        is copied from K[x s][y s] when a generator s takes both cosets to
-        earlier rows; the rest of the row are class keys of products.
-        K[y][x] is the inverse class of K[x][y], read from the per-code
-        inverse map."""
+        """Add the shells of depth up to ``radius``, one row at a time:
+        K[x][y] for the earlier rows y is the class key of a product, and
+        K[y][x] is its inverse class, read from the per-code inverse map.
+        Raises CapExceeded, before any change, when the table would hold
+        more than TABLE_ENTRIES_PER_COSET * max_cosets entries."""
         if radius <= self.radius:
             return
-        pair = self.pair
-        mul, key, invs = pair.mul, pair.class_key, self._invs
         new = [cid for _, cid in sorted(
             (w, cid) for cid, w in enumerate(store.wl)
             if w is not None and self.radius < w <= radius)]
         n0 = len(self.ids)
+        n = n0 + len(new)
+        limit = TABLE_ENTRIES_PER_COSET * store.caps.max_cosets
+        if n * n > limit:
+            raise CapExceeded(
+                f"class table of {n} cosets exceeds {limit} entries "
+                f"({TABLE_ENTRIES_PER_COSET} * max_cosets="
+                f"{store.caps.max_cosets})", cap=store.caps.max_cosets)
+        pair = self.pair
+        mul, key, invs = pair.mul, pair.class_key, self._invs
         self.ids += new
         invs += [pair.inv(store.reps[cid]) for cid in new]
-        n = len(self.ids)
         codes = np.empty((n, n), dtype=np.int32)
         codes[:n0, :n0] = self.codes
-        steps = self._neighbors(store)
         inverse = np.zeros(0, dtype=np.int32)
         for i in range(n0, n):
-            row = np.full(i, -1, dtype=np.int32)
-            for step in steps:
-                if step[i] < i:
-                    ys = step[:i]
-                    copy = (ys < i) & (row < 0)
-                    row[copy] = codes[step[i], ys[copy]]
             x = store.reps[self.ids[i]]
-            todo = np.flatnonzero(row < 0).tolist()
-            keys = [key(mul(x, invs[j])) for j in todo]
-            found = list(map(self.code_of.get, keys))
-            if None in found:
-                for k, j in enumerate(todo):
-                    if found[k] is None:
-                        found[k] = self._code(keys[k], mul(x, invs[j]))
-            row[todo] = found
+            keys = [key(mul(x, g)) for g in invs[:i]]
+            row = list(map(self.code_of.get, keys))
+            if None in row:
+                for j, code in enumerate(row):
+                    if code is None:
+                        row[j] = self._code(keys[j], mul(x, invs[j]))
             if len(inverse) < len(self.inverse):
                 inverse = np.array(self.inverse, dtype=np.int32)
             codes[i, :i] = row
-            codes[:i, i] = inverse[row]
+            codes[:i, i] = inverse[codes[i, :i]]
             codes[i, i] = self._identity
         self.codes = codes
         depth = [store.wl[cid] for cid in new]
@@ -251,7 +235,8 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
 
     Gathered from the store's class table (``store.class_table``), which
     is extended to ``radius`` first: each entry is the coefficient of its
-    code's class, and the nonzeros are taken in row-major order."""
+    code's class, and the nonzeros are taken in row-major order of the
+    ball, which lists ids in increasing order."""
     if radius > store.radius_complete:
         raise BallIncomplete(
             f"ball complete to {store.radius_complete}, need {radius}")
@@ -261,20 +246,30 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
     table.extend(store, radius)
     dim = table.ends[radius]
     ids = np.array(table.ids[:dim], dtype=np.int64)
-    order = np.argsort(ids)
     support = sorted(f.coeffs)
-    term = np.full(len(table.inverse), -1, dtype=np.int32)
+    term = np.zeros(len(table.inverse), dtype=np.int32)   # code -> 1 + term
     for k, d in enumerate(support):
         code = table.code_of.get(store.dcs[d].key)
         if code is not None:
-            term[code] = k
-    terms = term[table.codes[np.ix_(order, order)]]
-    i, j = np.nonzero(terms >= 0)
+            term[code] = k + 1
+    if term.any():
+        hit = term[table.codes[:dim, :dim]]
+        i, j = np.nonzero(hit)
+        terms = hit[i, j] - 1
+        # table positions -> ball positions, then back to row-major order
+        rank = np.empty(dim, dtype=np.int64)
+        rank[np.argsort(ids)] = np.arange(dim)
+        i, j = rank[i], rank[j]
+        order = np.lexsort((j, i))
+        i, j, terms = i[order], j[order], terms[order]
+    else:
+        i = j = np.zeros(0, dtype=np.int64)
+        terms = np.zeros(0, dtype=np.int32)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(i, minlength=dim), out=indptr[1:])
-    return TruncatedOperator(store, f, radius, ids[order].tolist(),
+    return TruncatedOperator(store, f, radius, np.sort(ids).tolist(),
                              [f.coeffs[d] for d in support], indptr,
-                             j.astype(np.int32), terms[i, j])
+                             j.astype(np.int32), terms)
 
 
 def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,

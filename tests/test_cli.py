@@ -266,7 +266,12 @@ def test_table_commands_write_partial_report_on_cap(tmp_path, capsys, cmd,
     (["rd-profile", "--pair", "psl2z1p:2", "--rmax", "3", "--max-orbit", "5"],
      "rd_profile_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None),
     (["kesten", "--pair", "psl2z1p:2", "--rmax", "4", "--max-orbit", "5"],
-     "kesten_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None)])
+     "kesten_psl2z1p-2", "left-H orbit exceeded max_orbit=5", None),
+    # the 841-coset ball fits the store, its class table does not
+    (["kesten", "--pair", "z:2", "--rmax", "20", "--max-cosets", "1000",
+      "--set", "kesten.trunc_radius=20"], "kesten_z-2",
+     "class table of 841 cosets exceeds 16000 entries "
+     "(16 * max_cosets=1000)", None)])
 def test_every_pair_command_writes_one_partial_report_on_cap(
         tmp_path, capsys, argv, name, message, radii):
     out = tmp_path / "o"

@@ -190,6 +190,24 @@ def test_class_table_finds_classes_named_after_it():
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
 
+def test_class_table_cap_skips_truncated_norm():
+    # 16 * max_cosets = 1600 entries hold the 25-coset ball of radius 3,
+    # not the 41-coset ball of radius 4: the profile zeroes the truncated
+    # norm from r = 2 on, and the refused extensions leave the table as is
+    pair = get_pair("z:2")
+    store = hp.CosetStore(pair, hp.Caps(max_cosets=100))
+    prof = rd_profile(pair, store, None, 4, seed=0)
+    assert prof.partial
+    assert all((rec.trunc_norm > 0) == (rec.r < 2) for rec in prof.records)
+    assert prof.warnings == [
+        f"truncated norm skipped at r={r}: class table of {n} cosets "
+        f"exceeds 1600 entries (16 * max_cosets=100)"
+        for r, n in ((2, 41), (3, 61), (4, 85))]
+    table = store.class_table
+    assert table.radius == 3 and len(table.ids) == 25
+    assert table.codes.shape == (25, 25)
+
+
 def test_truncated_norm_closed_form(z1_store):
     # eigenvalues of the 101-point section are 1 + 2cos(k pi / 102)
     op = operator_matrix(z_walk(z1_store), z1_store, 50)
