@@ -5,6 +5,11 @@ operator P_R lambda(f) P_R and the moment roots a_n^(1/2n) are certified
 lower bounds, and for relatively unimodular pairs the l1 norm is an upper
 bound.  Verdicts are threshold reports over those raw numbers; the
 thresholds live in the config echoed into every report.
+
+A truncated operator holds only its ball and its CSR arrays, gathered from
+one class table per store; scipy is loaded by the power iteration alone.
+The exact references that check an operator (its exact matvec, symmetry,
+base column and moments) are test oracles, not library code.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .algebra import (HeckeElement, involution, is_self_adjoint, norms,
                       power_moments, weighted_norms)
@@ -31,7 +35,7 @@ from .lengths import LengthFunction, linfit, word_length
 __all__ = [
     "RD_DEFAULTS", "TruncatedOperator", "operator_matrix", "truncated_norm",
     "spectral_lower_bound", "RdProfile", "rd_profile", "rd_weighted_fit",
-    "KestenReport", "kesten_diagnostic", "exact_truncated_moment",
+    "KestenReport", "kesten_diagnostic",
 ]
 
 RD_DEFAULTS = {
@@ -71,17 +75,17 @@ def _config(overrides: Optional[dict]) -> dict:
 
 @dataclass
 class TruncatedOperator:
-    """P_R lambda(f) P_R on the span of the radius-R ball cosets.
+    """P_R lambda(f) P_R on the span of the radius-R ball cosets ``ball``.
 
     Stored in CSR form: row i holds the columns ``indices[indptr[i]:
     indptr[i + 1]]`` in increasing order, and each entry is the coefficient
     ``coeffs[terms[k]]`` of one support class.  ``cols[j]`` is the exact
     column of the j-th ball coset as (row index, coefficient) pairs; per
-    column the row support is bounded by sum_d R(d) over supp(f).
+    column the row support is bounded by sum_d R(d) over supp(f).  The
+    operator keeps neither f nor its store: the exact references that
+    check it against them live with the test oracles.
     """
 
-    store: CosetStore
-    f: HeckeElement
     radius: int
     ball: list[int]
     coeffs: list[Fraction]      # c_d per support class, by class id
@@ -92,11 +96,6 @@ class TruncatedOperator:
     @property
     def dim(self) -> int:
         return len(self.ball)
-
-    def base_index(self) -> int:
-        """Row of H: coset 0 is H, and the ball lists ids in increasing
-        order."""
-        return 0
 
     @cached_property
     def cols(self) -> list[list[tuple[int, Fraction]]]:
@@ -109,37 +108,14 @@ class TruncatedOperator:
             out[j].append((i, coeffs[t]))
         return out
 
-    def to_csr(self) -> csr_matrix:
+    def to_csr(self):
+        """Float scipy CSR matrix; scipy is loaded here, by the power
+        iteration alone."""
+        from scipy.sparse import csr_matrix
+
         values = np.array([float(c) for c in self.coeffs])
         return csr_matrix((values[self.terms], self.indices, self.indptr),
                           shape=(self.dim, self.dim))
-
-    def exact_matvec(self, vec: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for j, v in vec.items():
-            if not v:
-                continue
-            for i, a in self.cols[j]:
-                out[i] = out.get(i, Fraction(0)) + a * v
-        return {i: v for i, v in out.items() if v}
-
-    def is_symmetric(self) -> bool:
-        entries: dict[tuple[int, int], Fraction] = {}
-        for j, col in enumerate(self.cols):
-            for i, v in col:
-                entries[(i, j)] = v
-        return all(entries.get((j, i)) == v for (i, j), v in entries.items())
-
-    def base_column_matches_f(self) -> bool:
-        """A delta_He must equal f viewed on H\\G."""
-        index = {cid: i for i, cid in enumerate(self.ball)}
-        want = {}
-        for d, c in self.f.coeffs.items():
-            for m in self.store.class_members(d):
-                if m in index:
-                    want[index[m]] = want.get(index[m], Fraction(0)) + c
-        got = dict(self.cols[self.base_index()])
-        return got == want
 
 
 # a class table may hold this many entries per coset of the store's
@@ -236,7 +212,8 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
     Gathered from the store's class table (``store.class_table``), which
     is extended to ``radius`` first: each entry is the coefficient of its
     code's class, and the nonzeros are taken in row-major order of the
-    ball, which lists ids in increasing order."""
+    ball, which lists ids in increasing order.  A radius below 0 gives the
+    empty operator, as the ball of that radius is empty."""
     if radius > store.radius_complete:
         raise BallIncomplete(
             f"ball complete to {store.radius_complete}, need {radius}")
@@ -244,7 +221,7 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
     if table is None:
         table = store.class_table = _ClassTable(store.pair)
     table.extend(store, radius)
-    dim = table.ends[radius]
+    dim = table.ends[radius] if radius >= 0 else 0
     ids = np.array(table.ids[:dim], dtype=np.int64)
     support = sorted(f.coeffs)
     term = np.zeros(len(table.inverse), dtype=np.int32)   # code -> 1 + term
@@ -267,7 +244,7 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
         terms = np.zeros(0, dtype=np.int32)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(i, minlength=dim), out=indptr[1:])
-    return TruncatedOperator(store, f, radius, np.sort(ids).tolist(),
+    return TruncatedOperator(radius, np.sort(ids).tolist(),
                              [f.coeffs[d] for d in support], indptr,
                              j.astype(np.int32), terms)
 
@@ -281,7 +258,8 @@ def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
     a = op.to_csr()
     at = a.T.tocsr()
     v = np.full(op.dim, 1.0 / math.sqrt(op.dim))
-    v[op.base_index()] += 1.0
+    # row of H: coset 0 is H, and the ball lists ids in increasing order
+    v[0] += 1.0
     v /= np.linalg.norm(v)
     prev = -1.0
     stable = 0
@@ -306,15 +284,6 @@ def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
     warnings.warn("power iteration hit its iteration cap",
                   ConvergenceWarning)
     return sigma
-
-
-def exact_truncated_moment(op: TruncatedOperator, n: int) -> Fraction:
-    """<A^(2n) delta_He, delta_He> in exact rational arithmetic."""
-    base = op.base_index()
-    vec = {base: Fraction(1)}
-    for _ in range(2 * n):
-        vec = op.exact_matvec(vec)
-    return vec.get(base, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +501,8 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
                  profile) -> RdTestRecord:
     """Both lower bounds, the weighted norms and l2 of one test function.
     A cap hit on either bound zeroes that bound and marks the profile
-    partial; a truncation radius the budget clips is warned of."""
+    partial; a truncation radius the budget clips is warned of.  A function
+    that is not self-adjoint has no moment root: the moments refuse it."""
     want = r + int(cfg["rd.pad"])
     r_trunc = _truncation_radius(store, f, want, cfg)
     if r_trunc < want:
@@ -549,8 +519,9 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
     n_mom = int(cfg["rd.moment_n"])
     if n_mom > 0:
         try:
-            if is_self_adjoint(f):
-                root = spectral_lower_bound(f, n_mom)[-1]
+            root = spectral_lower_bound(f, n_mom)[-1]
+        except NotSelfAdjoint:
+            pass
         except CapExceeded as exc:
             profile.partial = True
             _warn(profile, f"moments skipped at r={r}: {exc}")

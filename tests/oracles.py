@@ -167,6 +167,44 @@ def columns_to_csr(cols):
     return csr_matrix((vals, (rows, js)), shape=(len(cols), len(cols)))
 
 
+def exact_matvec(op, vec):
+    """A v in exact rational arithmetic over the operator's columns, for a
+    sparse vector {row index: value}; zero entries are dropped."""
+    out = {}
+    for j, v in vec.items():
+        if not v:
+            continue
+        for i, a in op.cols[j]:
+            out[i] = out.get(i, Fraction(0)) + a * v
+    return {i: v for i, v in out.items() if v}
+
+
+def is_symmetric(op):
+    """Every entry (i, j) of the operator equals the entry (j, i)."""
+    entries = {(i, j): v for j, col in enumerate(op.cols) for i, v in col}
+    return all(entries.get((j, i)) == v for (i, j), v in entries.items())
+
+
+def base_column_matches_f(op, f, store):
+    """A delta_He equals f viewed on H\\G: the column of H (index 0, since
+    coset 0 is H and the ball lists ids in increasing order) holds c_d on
+    every member of every support class inside the ball."""
+    index = {cid: i for i, cid in enumerate(op.ball)}
+    want = {}
+    for d, c in f.coeffs.items():
+        for m in store.class_members(d):
+            if m in index:
+                want[index[m]] = want.get(index[m], Fraction(0)) + c
+    return dict(op.cols[0]) == want
+
+
+def exact_truncated_moment(op, n):
+    """<A^(2n) delta_He, delta_He> in exact rational arithmetic."""
+    vec = {0: Fraction(1)}
+    for _ in range(2 * n):
+        vec = exact_matvec(op, vec)
+    return vec.get(0, Fraction(0))
+
 
 def structure_constants_csv(store, dcids):
     """CSV dump 'd1,d2,d,coeff' of the library's structure constants for

@@ -23,13 +23,13 @@ from heckepairs.lengths import (averaged_length, characteristic_length,
                                 word_length)
 from heckepairs.growth import classify_growth, growth_series
 from heckepairs.oracle import finite_group_oracle, oracle_matches_engine
-from heckepairs.rd import (exact_truncated_moment, kesten_diagnostic,
-                           operator_matrix, rd_profile, spectral_lower_bound,
-                           truncated_norm)
+from heckepairs.rd import (kesten_diagnostic, operator_matrix, rd_profile,
+                           spectral_lower_bound, truncated_norm)
 from heckepairs.verify import golden_snapshot_path
 
 from conftest import FG_LABELS
-from oracles import central_trinomial, covering_radius
+from oracles import (central_trinomial, covering_radius,
+                     exact_truncated_moment)
 
 
 class criterion:

@@ -472,18 +472,33 @@ def test_zvec_spec_rejects_ignored_lines(tmp_path, capsys, line):
     assert not (out / "growth_z-2.json").exists()
 
 
-def test_entry_point_subprocess(tmp_path):
-    # the child imports the package these tests import, installed or not
+def _child_env():
+    """The environment of a child that imports the package these tests
+    import, installed or not."""
     src = os.path.dirname(os.path.dirname(heckepairs.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "heckepairs.cli", "growth", "--pair", "z:1",
          "--rmax", "6", "--out", str(tmp_path / "sp")],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "polynomial" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves the power iteration alone and is loaded there
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, heckepairs, heckepairs.cli; "
+         "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_command(tmp_path):

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 import heckepairs as hp
-from heckepairs import rd
+from heckepairs import algebra, rd
 from heckepairs.algebra import (HeckeElement, basis_element, identity_element,
                                 involution, norms, power_moments)
-from heckepairs.errors import BallIncomplete, NoStableFit, NotSelfAdjoint
+from heckepairs.errors import (BallIncomplete, ConvergenceWarning,
+                               NoStableFit, NotSelfAdjoint)
 from heckepairs.groups import get_pair
 from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
-                           exact_truncated_moment, kesten_diagnostic,
-                           operator_matrix, rd_profile, rd_weighted_fit,
-                           spectral_lower_bound, truncated_norm)
+                           kesten_diagnostic, operator_matrix, rd_profile,
+                           rd_weighted_fit, spectral_lower_bound,
+                           truncated_norm)
 
-from oracles import brute_operator_matrix, central_trinomial, columns_to_csr
+from oracles import (base_column_matches_f, brute_operator_matrix,
+                     central_trinomial, columns_to_csr,
+                     exact_truncated_moment, is_symmetric)
 
 
 def z_delta(store, n):
@@ -65,8 +68,8 @@ def test_operator_s3_row_sums():
 def test_operator_base_column_and_symmetry(z1_store):
     f = z_walk(z1_store)
     op = operator_matrix(f, z1_store, 6)
-    assert op.base_column_matches_f()
-    assert op.is_symmetric()
+    assert base_column_matches_f(op, f, z1_store)
+    assert is_symmetric(op)
     # row support per column bounded by sum of R over the support
     bound = sum(z1_store.class_R(d) for d in f.coeffs)
     assert all(len(col) <= bound for col in op.cols)
@@ -215,6 +218,38 @@ def test_truncated_norm_closed_form(z1_store):
     assert truncated_norm(op) == pytest.approx(want, abs=1e-4)
 
 
+def test_truncated_norm_warns_at_its_iteration_cap(z1_store):
+    # one step of power iteration on A^T A reads ||A v|| for a unit v, so
+    # the capped value still lies below the converged norm
+    op = operator_matrix(z_walk(z1_store), z1_store, 10)
+    with pytest.warns(ConvergenceWarning):
+        capped = truncated_norm(op, max_iter=1)
+    assert 0 < capped <= truncated_norm(op)
+
+
+def test_truncated_norm_of_the_zero_operator(z1_store):
+    op = operator_matrix(HeckeElement(z1_store, {}), z1_store, 3)
+    assert op.dim == 7 and op.indices.size == 0
+    assert truncated_norm(op) == 0.0
+
+
+def test_negative_truncation_radius_gives_the_empty_operator():
+    # on a store never enumerated the radius is -1 and the class table is
+    # fresh; after a larger build the table holds balls of radius >= 0
+    # only, and radius -1 must not read one of them
+    pair = get_pair("z:1")
+    store = hp.CosetStore(pair)
+    rep = kesten_diagnostic(pair, store, identity_element(store), 2)
+    assert rep.trunc_radius == -1 and rep.trunc_norm == 0.0
+    store = hp.enumerate_ball(pair, 3)
+    f = z_walk(store)
+    assert operator_matrix(f, store, 3).dim == 7
+    op = operator_matrix(f, store, -1)
+    assert op.dim == 0 and op.ball == [] and op.indices.size == 0
+    assert list(op.indptr) == [0]
+    assert truncated_norm(op) == 0.0
+
+
 def test_projection_monotonicity(z1_store):
     f = z_walk(z1_store)
     values = [truncated_norm(operator_matrix(f, z1_store, r))
@@ -332,6 +367,24 @@ def test_rd_profile_seed_recorded_and_deterministic():
     assert a == b
     assert a["seed"] == 42
     assert a["config"]["rd.pad"] == RD_DEFAULTS["rd.pad"]
+
+
+def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
+    # the moments refuse a function that is not self-adjoint, so the record
+    # asks no second time: one involution per test function
+    calls = [0]
+    real = algebra.involution
+
+    def involution_counted(f):
+        calls[0] += 1
+        return real(f)
+
+    monkeypatch.setattr(algebra, "involution", involution_counted)
+    store = hp.enumerate_ball(get_pair("z:1"), 6)
+    prof = rd_profile(get_pair("z:1"), store, None, 4, seed=0)
+    assert len(prof.records) == 25
+    assert calls[0] == len(prof.records)
+    assert all(rec.moment_root > 0 for rec in prof.records)
 
 
 def test_rd_weighted_fit_identity_family():
