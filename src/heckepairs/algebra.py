@@ -117,6 +117,14 @@ def identity_element(store: CosetStore) -> HeckeElement:
     return basis_element(store, store.identity_class())
 
 
+def direct_count(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
+    """The coefficients of T_{d1} * T_{d2} counted in this orientation,
+    unchecked and uncached: the support off the left-coset representatives
+    of d2, each count off those of inv(d2)."""
+    return {d: store.product_count(d1, d2, x)
+            for d, (x, _) in store.product_support(d1, d2).items()}
+
+
 def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     """Coefficients of T_{d1} * T_{d2} in the double-coset basis.
 
@@ -128,16 +136,29 @@ def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     the left-coset representatives t of inv(d2) (the b_j^{-1} up to right
     H) with class_key(x t) = key(d1).  No member list is read and only a
     newly named class interns a coset, its rep: L(d2) + |supp| R(d2)
-    products per pair.  The result must satisfy the degree identity
+    products per pair.
+
+    That cost is paid on the cheaper side.  Hy -> x y^{-1} H maps the
+    right cosets of d2 counted at Hx onto the left cosets of d1 counted
+    for (T_{inv d2} * T_{inv d1})(H x^{-1}), so
+    c_e(d1, d2) = c_{inv e}(inv d2, inv d1) with no Delta factor.  When
+    L(d1) < R(d2) the mirrored pair is computed (and cached) instead, for
+    R(d1) + |supp| L(d1) products and the left cosets of d1 and inv(d1)
+    alone; it never mirrors back, as L(inv d2) = R(d2) > L(d1) =
+    R(inv d1).  Either way the result must satisfy the degree identity
     sum_d c_d R(d) = R(d1) R(d2), with every R learned by the store's
-    class search, not from this product.
+    class search, not from this product; a failure caches nothing.
     """
     key = (d1, d2)
     cached = store.sc_cache.get(key)
     if cached is not None:
         return cached
-    out = {d: store.product_count(d1, d2, x)
-           for d, (x, _) in store.product_support(d1, d2).items()}
+    if store.class_L(d1) < store.class_R(d2):
+        inv = store.class_inverse
+        out = {inv(e): c for e, c in
+               structure_constants(store, inv(d2), inv(d1)).items()}
+    else:
+        out = direct_count(store, d1, d2)
     degree = sum(c * store.class_R(d) for d, c in out.items())
     want = store.class_R(d1) * store.class_R(d2)
     if degree != want:

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (HeckeElement, involution, is_self_adjoint, norms,
-                      power_moments, weighted_norms)
+from .algebra import (HeckeElement, involution, norms, power_moments,
+                      weighted_norms)
 from .cosets import CosetStore, unimodularity_check
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, NotSelfAdjoint)
@@ -646,9 +646,10 @@ def kesten_diagnostic(pair: HeckePair, store: CosetStore,
         raw = HeckeElement(store, {d: Fraction(1) for d in ball1})
         sym = Fraction(1, 2) * (raw + involution(raw))
         f = Fraction(1, norms(sym).l1_exact) * sym
-    if not is_self_adjoint(f):
-        raise NotSelfAdjoint("kesten diagnostic needs f* = f")
-    moments = power_moments(f, n)
+    try:
+        moments = power_moments(f, n)     # checks f* = f, once
+    except NotSelfAdjoint:
+        raise NotSelfAdjoint("kesten diagnostic needs f* = f") from None
     rho = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
     r_trunc = min(int(cfg["kesten.trunc_radius"]), store.radius_complete)
     trunc = truncated_norm(operator_matrix(f, store, r_trunc),

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import (HeckeElement, basis_element, convolve, identity_element,
-                      involution, norms, power_moments)
+from .algebra import (HeckeElement, basis_element, convolve, direct_count,
+                      identity_element, involution, norms, power_moments)
 from .cosets import (check_interning_soundness, enumerate_ball, left_L_count,
                      relative_modular)
 from .errors import HeckeError
@@ -42,6 +42,9 @@ GOLDEN_SPECS = [
 ORACLE_PAIRS = ["s3-h12", "s4-h12", "s4-h12-34"]
 
 LAW_PAIRS = ["z:1", "z:2", "dinf", "s3-h12", "bcp:2", "psl2z1p:2"]
+
+#: bcp:2 is not relatively unimodular, psl2z1p:2 is
+MIRROR_PAIRS = ["bcp:2", "psl2z1p:2"]
 
 
 @dataclass
@@ -209,6 +212,31 @@ def _check_learned_sizes() -> list[CheckResult]:
     return out
 
 
+def _check_structure_constant_mirror() -> list[CheckResult]:
+    """c_e(d1, d2) = c_{inv e}(inv d2, inv d1), the identity
+    ``structure_constants`` uses to count each pair from its cheaper side:
+    both orientations counted directly on every pair of radius-2 ball
+    classes."""
+    out = []
+    for label in MIRROR_PAIRS:
+        store = enumerate_ball(get_pair(label), 2)
+        classes = store.classes_in_ball(2)
+        inv = store.class_inverse
+        wrong = []
+        for d1 in classes:
+            for d2 in classes:
+                mirrored = direct_count(store, inv(d2), inv(d1))
+                if (direct_count(store, d1, d2)
+                        != {inv(e): c for e, c in mirrored.items()}):
+                    wrong.append((d1, d2))
+        detail = f"{len(classes) ** 2} pairs in both orientations"
+        if wrong:
+            detail += f"; counts differ on {wrong[:3]}"
+        out.append(CheckResult(f"structure-constants-mirror[{label}]",
+                               not wrong, detail))
+    return out
+
+
 def _check_spectral_examples() -> list[CheckResult]:
     out = []
     pair = get_pair("z:1")
@@ -235,6 +263,7 @@ def run_verification(include_golden: bool = True) -> list[CheckResult]:
               ("algebra-laws", _check_algebra_laws),
               ("coset-invariants", _check_coset_invariants),
               ("learned-class-sizes", _check_learned_sizes),
+              ("structure-constants-mirror", _check_structure_constant_mirror),
               ("spectral-examples", _check_spectral_examples)]
     checks: list[CheckResult] = []
     for name, suite in suites:

@@ -200,7 +200,7 @@ def test_structure_constants_cached_and_csv():
 
 
 @pytest.mark.parametrize("label,radius", [
-    ("bcp:2", 3), ("psl2z1p:2", 2), ("sl2z1p:2", 2),
+    ("bcp:2", 3), ("psl2z1p:2", 2), ("psl2z1p:2", 3), ("sl2z1p:2", 2),
     ("s4-h12", 4), ("dinf", 4), ("z:2", 3)])
 def test_structure_constants_match_member_pair_count(label, radius):
     store = hp.enumerate_ball(get_pair(label), radius)
@@ -242,6 +242,32 @@ def test_structure_constants_degree_identity_catches_a_miscount(monkeypatch):
     assert (d, d) not in store.sc_cache
 
 
+def test_structure_constants_mirrored_miscount_caches_neither_side(
+        monkeypatch):
+    # L(level 1) = 6 < R(level 2) = 24, so T_{level 1} * T_{level 2} is
+    # counted as its mirror T_{inv level 2} * T_{inv level 1}; one count
+    # short there breaks the mirror's degree identity, and neither
+    # orientation is cached
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
+    by_level = {int(v): d for d, v in word_length(store).values.items()}
+    d1, d2 = by_level[1], by_level[2]
+    mirror = (store.class_inverse(d2), store.class_inverse(d1))
+    store.word_lengths(3)      # the support is sized, so only counts run
+    count = store.product_count
+    counted = []
+
+    def lossy_count(*args):
+        counted.append(args[:2])
+        return count(*args) - (len(counted) == 1)
+
+    monkeypatch.setattr(store, "product_count", lossy_count)
+    with pytest.raises(NonBiInvariantResult, match="degree identity"):
+        structure_constants(store, d1, d2)
+    assert set(counted) == {mirror}
+    assert (d1, d2) not in store.sc_cache
+    assert mirror not in store.sc_cache
+
+
 def test_convolution_lookups_intern_nothing_stray():
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
     classes = store.classes_in_ball(3)
@@ -259,10 +285,12 @@ def test_convolution_lookups_intern_nothing_stray():
 
 
 def test_structure_constants_build_no_members(monkeypatch):
-    # T_{level 6} * T_{level 3} and seeded triple products on the tree: the
-    # support is read off class keys over the left-coset representatives t
-    # of d2, the counts off those of inv(d2), so a cold pair costs at most
-    # L(d2) + |supp| R(d2) products beyond left-coset representatives and
+    # T_{level 3} * T_{level 6}, its mirror and seeded triple products on
+    # the tree: the support is read off class keys over the left-coset
+    # representatives t of d2, the counts off those of inv(d2), and a pair
+    # with L(d1) < R(d2) is counted as its mirror (inv d2, inv d1).  So a
+    # cold pair costs at most the cheaper of L(d2) + |supp| R(d2) and
+    # R(d1) + |supp| L(d1) products beyond left-coset representatives and
     # the class search, and only a newly named class interns a coset
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
     pair = store.pair
@@ -304,15 +332,22 @@ def test_structure_constants_build_no_members(monkeypatch):
     t6 = convolve(t3, t3)
     assert sorted(level(store, d) for d in t6.coeffs) == [0, 1, 2, 3, 4, 5, 6]
     d6 = next(d for d in t6.coeffs if level(store, d) == 6)
-    t9 = convolve(basis_element(store, d6), t3)
+    d3 = by_level[3]
+    t9 = convolve(t3, basis_element(store, d6))
     assert max(level(store, d) for d in t9.coeffs) == 9
+    # the small class on the left: only its own left cosets are walked
+    n_supp, n_mul = next((s, m) for a, b, s, m in cold if (a, b) == (d3, d6))
+    assert n_supp == len(t9.coeffs)
+    assert n_mul <= store.class_R(d3) + n_supp * store.class_L(d3)
+    assert convolve(basis_element(store, d6), t3) == t9
     rng = random.Random(7)
     for _ in range(10):
         f, g, h = (random_element(store, classes, rng) for _ in range(3))
         assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
     assert len(cold) > 20
+    L, R = store.class_L, store.class_R
     for d1, d2, n_supp, n_mul in cold:
-        assert n_mul <= store.class_L(d2) + n_supp * store.class_R(d2)
+        assert n_mul <= min(L(d2) + n_supp * R(d2), R(d1) + n_supp * L(d1))
     assert all(obj.member_cids is None for obj in store.dcs
                if level(store, obj.id) > 3)
     assert len(store) <= len(store.ball_ids(3)) + len(store.dcs)

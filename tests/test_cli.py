@@ -507,3 +507,6 @@ def test_verify_command(tmp_path):
     report = json.loads(read(out / "verify_report.json"))
     assert report["failures"] == 0
     assert all(c["ok"] for c in report["checks"])
+    names = {c["name"] for c in report["checks"]}
+    assert {"structure-constants-mirror[bcp:2]",
+            "structure-constants-mirror[psl2z1p:2]"} <= names

@@ -387,6 +387,28 @@ def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
     assert all(rec.moment_root > 0 for rec in prof.records)
 
 
+def test_kesten_checks_self_adjointness_once(monkeypatch):
+    # the moments check f* = f; the diagnostic asks no second time and
+    # still refuses a function that is not self-adjoint in its own words
+    calls = [0]
+    real = algebra.involution
+
+    def involution_counted(f):
+        calls[0] += 1
+        return real(f)
+
+    monkeypatch.setattr(algebra, "involution", involution_counted)
+    pair = get_pair("z:1")
+    store = hp.enumerate_ball(pair, 6)
+    rep = kesten_diagnostic(pair, store, z_walk(store), 3)
+    assert calls[0] == 1
+    assert len(rep.moments) == 3
+    with pytest.raises(NotSelfAdjoint) as info:
+        kesten_diagnostic(pair, store, z_delta(store, 1), 3)
+    assert str(info.value) == "kesten diagnostic needs f* = f"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 def test_rd_weighted_fit_identity_family():
     cfg = dict(RD_DEFAULTS)
     prof = RdProfile("synthetic", "inconclusive", True, 5, 0, cfg)

@@ -59,6 +59,12 @@ RUNS = [
     # a coset cap hit inside the class search: the partial growth series
     # holds the depths the search completed (radii 0-6)
     ["growth", "--pair", "z:2", "--rmax", "25", "--max-cosets", "100"],
+    # ltable past the radii above: on bcp:2 at rmax 10 the class search
+    # names classes outside the ball; psl2z1p:3 is the degree-4 tree.
+    # Structure constants counted from the cheaper side are reached by the
+    # moment runs: rd-profile with rd.moment_n=3, kesten and verify
+    ["ltable", "--pair", "bcp:2", "--rmax", "10"],
+    ["ltable", "--pair", "psl2z1p:3", "--rmax", "6"],
     ["verify"],
 ]
 
