@@ -210,7 +210,7 @@ def cmd_ltable(args, cfg, store, base, report) -> int:
     pair = store.pair
     lw = word_length(store)
     try:
-        lc = characteristic_length(pair, store)
+        lc = characteristic_length(store)
     except NotRelativelyUnimodular:
         lc = None
     rows = []
@@ -265,7 +265,7 @@ def _growth_so_far(store, report) -> None:
 
 def cmd_rd_profile(args, cfg, store, base, report) -> int:
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
-    profile = rd_profile(store.pair, store, None, args.rmax, config=rd_cfg,
+    profile = rd_profile(store, None, args.rmax, config=rd_cfg,
                          seed=int(cfg["seed"]))
     report["profile"] = profile.as_dict()
     write_json(base + ".json", report)
@@ -280,8 +280,7 @@ def cmd_rd_profile(args, cfg, store, base, report) -> int:
 def cmd_kesten(args, cfg, store, base, report) -> int:
     store.enumerate_to(args.rmax)
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
-    report_obj = kesten_diagnostic(store.pair, store, None, None,
-                                   config=rd_cfg)
+    report_obj = kesten_diagnostic(store, None, None, config=rd_cfg)
     report["kesten"] = report_obj.as_dict()
     write_json(base + ".json", report)
     print(f"wrote {base}.json: index "

@@ -76,15 +76,18 @@ class DoubleCoset:
 
 
 class CosetStore:
-    """Interned right cosets of one pair, with Schreier adjacency and the
-    partition into double cosets."""
+    """Interned right cosets of one pair, with the Schreier ball in BFS
+    order and the partition into double cosets."""
 
     def __init__(self, pair: HeckePair, caps: Caps = Caps()):
         self.pair = pair
         self.caps = caps
         self.reps: list = []                  # cid -> representative element
         self.wl: list[Optional[int]] = []     # cid -> BFS depth (None: > radius_complete)
-        self.adj: list[Optional[list[int]]] = []   # cid -> per-generator neighbor ids
+        # ball cosets in the order the BFS found them, append-only, and
+        # radius -> ball size, so the ball of radius r is ball[:ball_ends[r]]
+        self.ball: list[int] = []
+        self.ball_ends: list[int] = []
         self.dc_of: list[Optional[int]] = []  # cid -> double coset id
         self.dcs: list[DoubleCoset] = []
         self.radius_complete: int = -1
@@ -126,7 +129,6 @@ class CosetStore:
         cid = len(self.reps)
         self.reps.append(g)
         self.wl.append(None)
-        self.adj.append(None)
         self.dc_of.append(None)
         self._ids[key] = cid
         return cid
@@ -145,33 +147,37 @@ class CosetStore:
 
     def enumerate_to(self, r_max: int) -> None:
         """Run (or resume) the Schreier BFS until the ball of radius
-        ``r_max`` is complete."""
+        ``r_max`` is complete.  Each shell is appended to ``ball`` as it
+        is found; once the space is exhausted ``ball_ends`` stays flat."""
         pair = self.pair
         shat = pair.shat()
         start_radius = self.radius_complete
         if start_radius < 0:
             self.wl[0] = 0
             self._frontier = [0]
+            self.ball.append(0)
+            self.ball_ends.append(1)
             self.radius_complete = 0
         while self.radius_complete < r_max and not self.saturated:
             nxt: list[int] = []
             depth = self.radius_complete + 1
             for cid in self._frontier:
                 rep = self.reps[cid]
-                nbrs = []
                 for s in shat:
                     tid = self._intern(pair.mul(rep, s))
-                    nbrs.append(tid)
                     if self.wl[tid] is None:
                         self.wl[tid] = depth
                         nxt.append(tid)
-                self.adj[cid] = nbrs
             self._frontier = nxt
+            self.ball += nxt
+            self.ball_ends.append(len(self.ball))
             self.radius_complete = depth
             if not nxt:
                 self.saturated = True
         if self.saturated:
             self.radius_complete = max(self.radius_complete, r_max)
+            self.ball_ends += [len(self.ball)] * (
+                self.radius_complete + 1 - len(self.ball_ends))
         if self.radius_complete != start_radius:
             self._ball_heads = None
 
@@ -179,21 +185,18 @@ class CosetStore:
         self.sealed = True
 
     def ball_ids(self, r: int) -> list[int]:
+        """Ids of the ball of radius r, in increasing order."""
         if r > self.radius_complete:
             raise BallIncomplete(
                 f"ball complete to {self.radius_complete}, requested {r}")
-        return [cid for cid, w in enumerate(self.wl)
-                if w is not None and w <= r]
+        return sorted(self.ball[:self.ball_ends[r]]) if r >= 0 else []
 
     def depth_histogram(self) -> list[int]:
         """Count of cosets per BFS depth 0..radius_complete."""
         if self.radius_complete < 0:
             raise EmptyStore("no enumerated cosets")
-        counts = [0] * (self.radius_complete + 1)
-        for w in self.wl:
-            if w is not None:
-                counts[w] += 1
-        return counts
+        ends = self.ball_ends
+        return [ends[0]] + [b - a for a, b in zip(ends, ends[1:])]
 
     def wl_lower_bound(self, cid: int) -> int:
         w = self.wl[cid]
@@ -609,12 +612,13 @@ def check_interning_soundness(store: CosetStore,
                               limit: int = 10_000) -> list[tuple[int, int]]:
     """Re-test the store's interning with the membership test, in both
     directions.  Keys too fine: distinct ids must hold distinct cosets
-    (quadratic in cosets).  Keys too coarse: every Schreier edge
-    ``adj[cid][i]`` must hold, rep(cid) s_i rep(tid)^{-1} in H (linear in
-    edges).  Class keys are re-tested by the orbit BFS: every coset must lie
-    in the right-H orbit of the class its key names (keys not too coarse),
-    and every coset of that orbit must carry the class's key (not too
-    fine); they are re-tested only once the cosets pass.  Returns
+    (quadratic in cosets).  Keys too coarse: every Schreier edge from a
+    ball coset to an interned coset, tid = lookup(rep(cid) s), must hold
+    rep(cid) s rep(tid)^{-1} in H (linear in edges).  Class keys are
+    re-tested by the orbit BFS: every coset must lie in the right-H orbit
+    of the class its key names (keys not too coarse), and every coset of
+    that orbit must carry the class's key (not too fine); they are
+    re-tested only once the cosets pass.  Returns
     offending id pairs (empty on a sound store); intended for stores of at
     most ``limit`` cosets."""
     n = len(store)
@@ -628,12 +632,11 @@ def check_interning_soundness(store: CosetStore,
         for j in range(i + 1, n):
             if pair.in_h(pair.mul(gi, invs[j])):
                 bad.append((i, j))
-    for cid, nbrs in enumerate(store.adj):
-        if nbrs is None:
-            continue
-        x = store.reps[cid]
-        for s, tid in zip(pair.shat(), nbrs):
-            if not pair.in_h(pair.mul(pair.mul(x, s), invs[tid])):
+    for cid in store.ball:
+        for s in pair.shat():
+            y = pair.mul(store.reps[cid], s)
+            tid = store.lookup(y)
+            if tid is not None and not pair.in_h(pair.mul(y, invs[tid])):
                 bad.append((cid, tid))
     if bad:
         return bad

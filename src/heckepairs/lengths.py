@@ -79,10 +79,12 @@ def word_length(store: CosetStore) -> LengthFunction:
                           {d: Fraction(n) for d, n in found.items()})
 
 
-def characteristic_length(pair: HeckePair, store: CosetStore,
+def characteristic_length(store: CosetStore,
                           use_lr: bool = False) -> LengthFunction:
-    """l_c(d) = log L(d); refuses pairs that are not relatively unimodular
-    unless ``use_lr`` switches to the log(L*R) variant."""
+    """l_c(d) = log L(d) on the store's pair; refuses pairs that are not
+    relatively unimodular unless ``use_lr`` switches to the log(L*R)
+    variant."""
+    pair = store.pair
     if not use_lr:
         report = unimodularity_check(pair, store.caps.max_orbit)
         if not report.verdict:

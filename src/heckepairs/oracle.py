@@ -155,7 +155,7 @@ def finite_group_oracle(g_gens: Iterable[Sequence[int]],
                         class_of_coset, sc)
 
 
-def oracle_matches_engine(pair, store, oracle: FiniteOracle) -> list[str]:
+def oracle_matches_engine(store, oracle: FiniteOracle) -> list[str]:
     """Compare a fully enumerated engine store against the oracle.
     Returns a list of mismatch descriptions (empty when equal)."""
     from .algebra import structure_constants

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -29,7 +28,6 @@ from .algebra import (HeckeElement, involution, norms, power_moments,
 from .cosets import CosetStore, unimodularity_check
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, NotSelfAdjoint)
-from .groups import HeckePair
 from .lengths import LengthFunction, linfit, word_length
 
 __all__ = [
@@ -75,15 +73,17 @@ def _config(overrides: Optional[dict]) -> dict:
 
 @dataclass
 class TruncatedOperator:
-    """P_R lambda(f) P_R on the span of the radius-R ball cosets ``ball``.
+    """P_R lambda(f) P_R on the span of the radius-R ball cosets ``ball``,
+    listed in the store's BFS order, so H comes first.
 
     Stored in CSR form: row i holds the columns ``indices[indptr[i]:
     indptr[i + 1]]`` in increasing order, and each entry is the coefficient
-    ``coeffs[terms[k]]`` of one support class.  ``cols[j]`` is the exact
-    column of the j-th ball coset as (row index, coefficient) pairs; per
-    column the row support is bounded by sum_d R(d) over supp(f).  The
-    operator keeps neither f nor its store: the exact references that
-    check it against them live with the test oracles.
+    ``coeffs[terms[k]]`` of one support class.  Row and column i are the
+    coset ``ball[i]``.  ``cols[j]`` is the exact column of the j-th ball
+    coset as (row index, coefficient) pairs; per column the row support is
+    bounded by sum_d R(d) over supp(f).  The operator keeps neither f nor
+    its store: the exact references that check it against them live with
+    the test oracles.
     """
 
     radius: int
@@ -127,18 +127,16 @@ TABLE_ENTRIES_PER_COSET = 16
 class _ClassTable:
     """Class codes of the ordered pairs of enumerated ball cosets:
     ``codes[i, j]`` is the code of the class of rep(x_i) rep(x_j)^{-1}
-    for the cosets ``ids``, listed by (BFS depth, id), so each ball is a
-    prefix.  A code is local to the table and keyed by the pair's class
-    key, not by class id, so a class named after the table was built is
-    still found.  The table grows by whole BFS shells; the depth of an
-    enumerated coset never changes, so its entries stay valid as the ball
-    grows.  Reading keys of products names no class and interns nothing."""
+    for the cosets x_i = ``store.ball[i]``, so each ball is a prefix.  A
+    code is local to the table and keyed by the pair's class key, not by
+    class id, so a class named after the table was built is still found.
+    The table grows by whole BFS shells; the store's ball is append-only,
+    so its entries stay valid as the ball grows.  Reading keys of products
+    names no class and interns nothing."""
 
     def __init__(self, pair):
         self.pair = pair
         self.radius = -1
-        self.ids: list[int] = []
-        self.ends: list[int] = []     # radius -> size of its ball
         self.codes = np.zeros((0, 0), dtype=np.int32)
         self.code_of: dict = {}       # class key -> code
         self.inverse: list[int] = []  # code -> code of the inverse class
@@ -166,11 +164,7 @@ class _ClassTable:
         more than TABLE_ENTRIES_PER_COSET * max_cosets entries."""
         if radius <= self.radius:
             return
-        new = [cid for _, cid in sorted(
-            (w, cid) for cid, w in enumerate(store.wl)
-            if w is not None and self.radius < w <= radius)]
-        n0 = len(self.ids)
-        n = n0 + len(new)
+        n0, n = len(self.codes), store.ball_ends[radius]
         limit = TABLE_ENTRIES_PER_COSET * store.caps.max_cosets
         if n * n > limit:
             raise CapExceeded(
@@ -179,13 +173,12 @@ class _ClassTable:
                 f"{store.caps.max_cosets})", cap=store.caps.max_cosets)
         pair = self.pair
         mul, key, invs = pair.mul, pair.class_key, self._invs
-        self.ids += new
-        invs += [pair.inv(store.reps[cid]) for cid in new]
+        invs += [pair.inv(store.reps[cid]) for cid in store.ball[n0:n]]
         codes = np.empty((n, n), dtype=np.int32)
         codes[:n0, :n0] = self.codes
         inverse = np.zeros(0, dtype=np.int32)
         for i in range(n0, n):
-            x = store.reps[self.ids[i]]
+            x = store.reps[store.ball[i]]
             keys = [key(mul(x, g)) for g in invs[:i]]
             row = list(map(self.code_of.get, keys))
             if None in row:
@@ -198,9 +191,6 @@ class _ClassTable:
             codes[:i, i] = inverse[codes[i, :i]]
             codes[i, i] = self._identity
         self.codes = codes
-        depth = [store.wl[cid] for cid in new]
-        for r in range(self.radius + 1, radius + 1):
-            self.ends.append(n0 + bisect_right(depth, r))
         self.radius = radius
 
 
@@ -211,9 +201,10 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
 
     Gathered from the store's class table (``store.class_table``), which
     is extended to ``radius`` first: each entry is the coefficient of its
-    code's class, and the nonzeros are taken in row-major order of the
-    ball, which lists ids in increasing order.  A radius below 0 gives the
-    empty operator, as the ball of that radius is empty."""
+    code's class.  The ball is the prefix of the store's BFS order that
+    the table rows follow, so the nonzeros of the gather come out in
+    row-major order.  A radius below 0 gives the empty operator, as the
+    ball of that radius is empty."""
     if radius > store.radius_complete:
         raise BallIncomplete(
             f"ball complete to {store.radius_complete}, need {radius}")
@@ -221,8 +212,7 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
     if table is None:
         table = store.class_table = _ClassTable(store.pair)
     table.extend(store, radius)
-    dim = table.ends[radius] if radius >= 0 else 0
-    ids = np.array(table.ids[:dim], dtype=np.int64)
+    dim = store.ball_ends[radius] if radius >= 0 else 0
     support = sorted(f.coeffs)
     term = np.zeros(len(table.inverse), dtype=np.int32)   # code -> 1 + term
     for k, d in enumerate(support):
@@ -233,18 +223,12 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
         hit = term[table.codes[:dim, :dim]]
         i, j = np.nonzero(hit)
         terms = hit[i, j] - 1
-        # table positions -> ball positions, then back to row-major order
-        rank = np.empty(dim, dtype=np.int64)
-        rank[np.argsort(ids)] = np.arange(dim)
-        i, j = rank[i], rank[j]
-        order = np.lexsort((j, i))
-        i, j, terms = i[order], j[order], terms[order]
     else:
         i = j = np.zeros(0, dtype=np.int64)
         terms = np.zeros(0, dtype=np.int32)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(i, minlength=dim), out=indptr[1:])
-    return TruncatedOperator(radius, np.sort(ids).tolist(),
+    return TruncatedOperator(radius, store.ball[:dim],
                              [f.coeffs[d] for d in support], indptr,
                              j.astype(np.int32), terms)
 
@@ -258,7 +242,7 @@ def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
     a = op.to_csr()
     at = a.T.tocsr()
     v = np.full(op.dim, 1.0 / math.sqrt(op.dim))
-    # row of H: coset 0 is H, and the ball lists ids in increasing order
+    # row of H: the ball is in BFS order, so H comes first
     v[0] += 1.0
     v /= np.linalg.norm(v)
     prev = -1.0
@@ -392,17 +376,19 @@ def _symmetrized_random(store: CosetStore, classes: list[int], rng,
     return HeckeElement(store, coeffs)
 
 
-def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
-               r_max: int, config: Optional[dict] = None, seed: int = 0,
+def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
+               config: Optional[dict] = None, seed: int = 0,
                unimod=None) -> RdProfile:
     """Best norm-to-l2 ratios over families of test functions supported in
-    the radius-r balls, with weighted-norm stability fits.
+    the radius-r balls, with weighted-norm stability fits, for the store's
+    pair.
 
     A non-unimodular pair short-circuits to the obstruction verdict: no
     ratio data can rescue property (RD) there."""
     import random
 
     cfg = _config(config)
+    pair = store.pair
     if unimod is None:
         unimod = unimodularity_check(pair, store.caps.max_orbit)
     profile = RdProfile(pair.label, "inconclusive", unimod.verdict,
@@ -417,7 +403,7 @@ def rd_profile(pair: HeckePair, store: CosetStore, l: Optional[LengthFunction],
         l = word_length(store)
     rng = random.Random(seed)
     s_grid = _s_grid(cfg)
-    ball_size = len(store.ball_ids(store.radius_complete))
+    ball_size = len(store.ball)
 
     classes_by_r: dict[int, list[int]] = {}
     for d, v in l.values.items():
@@ -622,8 +608,7 @@ class KestenReport:
         }
 
 
-def kesten_diagnostic(pair: HeckePair, store: CosetStore,
-                      f: Optional[HeckeElement] = None,
+def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
                       n_moments: Optional[int] = None,
                       config: Optional[dict] = None,
                       unimod=None) -> KestenReport:
@@ -634,8 +619,9 @@ def kesten_diagnostic(pair: HeckePair, store: CosetStore,
     persistent gap is the non-amenable direction.  The hint thresholds are
     explicit config and the report is flagged when the pair is not
     relatively unimodular (the criterion is stated for the unimodular
-    setting)."""
+    setting).  The pair is the store's."""
     cfg = _config(config)
+    pair = store.pair
     n = int(cfg["kesten.n"]) if n_moments is None else n_moments
     if unimod is None:
         unimod = unimodularity_check(pair, store.caps.max_orbit)

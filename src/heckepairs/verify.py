@@ -73,7 +73,7 @@ def _check_oracle_equivalence() -> list[CheckResult]:
         oracle = finite_group_oracle(
             [g.images for g in pair.g_generators],
             [h.images for h in pair.h_elements()])
-        problems = oracle_matches_engine(pair, store, oracle)
+        problems = oracle_matches_engine(store, oracle)
         out.append(CheckResult(f"oracle-equivalence[{label}]", not problems,
                                "; ".join(problems)))
     # the classical S3 identity, pinned explicitly

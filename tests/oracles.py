@@ -129,42 +129,45 @@ def brute_structure_constants(store, d1, d2):
 
 
 def brute_operator_matrix(f, store, radius):
-    """Exact columns of the compression of lambda(f) to the radius ball by
+    """Exact entries of the compression of lambda(f) to the radius ball by
     the per-member loop: for every ball coset y and every member a of every
-    support class, look up H a y and add c_d to its row.  Returns the ball
-    ids and the columns as sorted (row index, coefficient) lists."""
+    support class, look up H a y and add c_d at (H a y, y).  Returns
+    {(row coset id, column coset id): coefficient}, so it fixes no order
+    of the ball."""
     pair = store.pair
-    ball = store.ball_ids(radius)
-    index = {cid: i for i, cid in enumerate(ball)}
+    ball = set(store.ball_ids(radius))
     per_class = [(c, [store.reps[m] for m in store.class_members(d)])
                  for d, c in sorted(f.coeffs.items())]
-    cols = []
+    out = {}
     for cid in ball:
         y = store.reps[cid]
-        acc = {}
         for c, reps_a in per_class:
             for a in reps_a:
                 tid = store.lookup(pair.mul(a, y))
-                if tid is None:
-                    continue
-                i = index.get(tid)
-                if i is not None:
-                    acc[i] = acc.get(i, Fraction(0)) + c
-        cols.append(sorted(acc.items()))
-    return ball, cols
+                if tid in ball:
+                    out[tid, cid] = out.get((tid, cid), Fraction(0)) + c
+    return out
 
 
-def columns_to_csr(cols):
-    """Float CSR matrix of exact columns, through scipy's COO conversion."""
+def operator_entries(op):
+    """The operator's exact entries keyed by (row coset id, column coset
+    id)."""
+    return {(op.ball[i], op.ball[j]): v
+            for j, col in enumerate(op.cols) for i, v in col}
+
+
+def entries_to_csr(entries, ball):
+    """Float CSR matrix of entries keyed by coset ids, with row and column
+    i the coset ``ball[i]``, through scipy's COO conversion of the entries
+    in row-major order."""
     from scipy.sparse import csr_matrix
 
-    rows, js, vals = [], [], []
-    for j, col in enumerate(cols):
-        for i, v in col:
-            rows.append(i)
-            js.append(j)
-            vals.append(float(v))
-    return csr_matrix((vals, (rows, js)), shape=(len(cols), len(cols)))
+    index = {cid: i for i, cid in enumerate(ball)}
+    coo = sorted((index[x], index[y], float(v))
+                 for (x, y), v in entries.items())
+    rows, js, vals = zip(*coo) if coo else ((), (), ())
+    return csr_matrix((list(vals), (list(rows), list(js))),
+                      shape=(len(ball), len(ball)))
 
 
 def exact_matvec(op, vec):
@@ -186,24 +189,25 @@ def is_symmetric(op):
 
 
 def base_column_matches_f(op, f, store):
-    """A delta_He equals f viewed on H\\G: the column of H (index 0, since
-    coset 0 is H and the ball lists ids in increasing order) holds c_d on
-    every member of every support class inside the ball."""
+    """A delta_He equals f viewed on H\\G: the column of H (coset 0, found
+    by its id in the operator's ball) holds c_d on every member of every
+    support class inside the ball."""
     index = {cid: i for i, cid in enumerate(op.ball)}
     want = {}
     for d, c in f.coeffs.items():
         for m in store.class_members(d):
             if m in index:
                 want[index[m]] = want.get(index[m], Fraction(0)) + c
-    return dict(op.cols[0]) == want
+    return dict(op.cols[index[0]]) == want
 
 
 def exact_truncated_moment(op, n):
     """<A^(2n) delta_He, delta_He> in exact rational arithmetic."""
-    vec = {0: Fraction(1)}
+    h = op.ball.index(0)        # coset 0 is H
+    vec = {h: Fraction(1)}
     for _ in range(2 * n):
         vec = exact_matvec(op, vec)
-    return vec.get(0, Fraction(0))
+    return vec.get(h, Fraction(0))
 
 
 def structure_constants_csv(store, dcids):

@@ -58,7 +58,7 @@ def test_criterion_01_finite_oracle_equivalence():
             oracle = finite_group_oracle(
                 [g.images for g in pair.g_generators],
                 [h.images for h in pair.h_elements()])
-            assert oracle_matches_engine(pair, store, oracle) == []
+            assert oracle_matches_engine(store, oracle) == []
         # includes the pinned S3 identity T_d * T_d = 2 T_e + T_d
         store = hp.enumerate_ball(get_pair("s3-h12"), 6)
         classes = store.classes_in_ball(6)
@@ -122,7 +122,7 @@ def test_criterion_04_rd_obstruction_deterministic():
         outcomes = []
         for _ in range(3):
             store = hp.CosetStore(pair)
-            outcomes.append(rd_profile(pair, store, None, 6, seed=0).as_dict())
+            outcomes.append(rd_profile(store, None, 6, seed=0).as_dict())
         assert outcomes[0]["verdict"] == "obstructed-nonunimodular"
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
@@ -186,7 +186,7 @@ def test_criterion_07_spectral_estimators_on_z():
         assert 2.70 <= rho[19] <= 3.00
         tn = truncated_norm(operator_matrix(f, store, 50))
         assert abs(tn - (1 + 2 * math.cos(math.pi / 102))) <= 1e-3
-        kes = kesten_diagnostic(get_pair("z:1"), store, f, 20,
+        kes = kesten_diagnostic(store, f, 20,
                                 config={"kesten.trunc_radius": 50})
         assert kes.amenability_index >= 0.93
         assert time.monotonic() - c.t0 < 60.0
@@ -203,7 +203,7 @@ def test_criterion_08_estimator_coherence_everywhere():
             pair = get_pair(label)
             store = hp.enumerate_ball(pair, PROFILE_RMAX[label])
             unimod = unimodularity_check(pair)
-            prof = rd_profile(pair, store, None, PROFILE_RMAX[label] - 2,
+            prof = rd_profile(store, None, PROFILE_RMAX[label] - 2,
                               seed=0, unimod=unimod)
             if not unimod.verdict:
                 assert prof.verdict == "obstructed-nonunimodular"
@@ -253,9 +253,9 @@ def test_criterion_09_length_function_suite():
             assert check_length_axioms(store, word_length(store), half) == []
             assert check_length_axioms(store, indicator_length(store), half) == []
             if unimodularity_check(pair).verdict:
-                lc = characteristic_length(pair, store)
+                lc = characteristic_length(store)
             else:
-                lc = characteristic_length(pair, store, use_lr=True)
+                lc = characteristic_length(store, use_lr=True)
             assert check_length_axioms(store, lc, half) == []
             if pair.h_elements() is not None and pair.word_length_on_g(
                     pair.identity()) is not None:
@@ -278,17 +278,17 @@ def test_criterion_09_length_function_suite():
 def test_criterion_10_rd_compatibility_shadows():
     with criterion(10, "RD compatibility shadows"):
         z1 = hp.enumerate_ball(get_pair("z:1"), 22)
-        p1 = rd_profile(get_pair("z:1"), z1, None, 20, seed=0)
+        p1 = rd_profile(z1, None, 20, seed=0)
         assert p1.verdict == "polynomial-compatible"
         assert p1.s_hat is not None and p1.c_hat is not None
 
         z2 = hp.enumerate_ball(get_pair("z:2"), 12)
-        p2 = rd_profile(get_pair("z:2"), z2, None, 10, seed=0)
+        p2 = rd_profile(z2, None, 10, seed=0)
         assert p2.verdict == "polynomial-compatible"
         assert p2.s_hat is not None and p2.c_hat is not None
 
         psl = hp.enumerate_ball(get_pair("psl2z1p:2"), 6)
-        pp = rd_profile(get_pair("psl2z1p:2"), psl, None, 5, seed=0,
+        pp = rd_profile(psl, None, 5, seed=0,
                         config={"rd.pad": 1, "rd.n_random": 1,
                                 "rd.max_matrix_cost": 500_000})
         assert pp.unimodular

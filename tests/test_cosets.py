@@ -4,11 +4,13 @@ from fractions import Fraction as Q
 import pytest
 
 import heckepairs as hp
+from heckepairs.algebra import HeckeElement
 from heckepairs.cosets import (Caps, check_interning_soundness, enumerate_ball,
                                left_L_count, relative_modular,
                                unimodularity_check, verify_hecke)
 from heckepairs.errors import CapExceeded, OrbitCapExceeded, StoreSealed
 from heckepairs.groups import Aff, get_pair
+from heckepairs.rd import operator_matrix
 
 from conftest import FG_LABELS
 from oracles import (dih_mul, double_coset, group_closure, mat_mul,
@@ -260,11 +262,11 @@ def test_ball_partitioned_by_classes(label):
 @pytest.mark.parametrize("label", FG_LABELS)
 def test_wl_lipschitz_along_edges(label):
     store = enumerate_ball(get_pair(label), 4)
-    for cid, nbrs in enumerate(store.adj):
-        if nbrs is None:
-            continue
-        for t in nbrs:
-            if store.wl[t] is not None:
+    pair = store.pair
+    for cid in store.ball:
+        for s in pair.shat():
+            t = store.lookup(pair.mul(store.reps[cid], s))
+            if t is not None and store.wl[t] is not None:
                 assert abs(store.wl[t] - store.wl[cid]) <= 1
 
 
@@ -301,6 +303,39 @@ def test_resumable_bfs_and_orbit_wl():
     # the class spreads over depths 1..4; its word length is the minimum
     depths = sorted(store.wl[m] for m in store.class_members(d))
     assert depths == [1, 1, 2, 2, 3, 4]
+
+
+def test_ball_is_the_bfs_order_after_orbits():
+    # member lists intern cosets past the ball before the BFS resumes, so
+    # the ball's order is not id order; each ball is still a prefix of it
+    pair = get_pair("psl2z1p:2")
+    store = enumerate_ball(pair, 1)
+    for d in store.classes_in_ball(1):
+        store.class_members(d)
+    store.enumerate_to(4)
+    assert store.ball != sorted(store.ball)
+    assert store.ball[0] == 0
+    f = HeckeElement(store, {store.identity_class(): Q(1)})
+    for r in range(5):
+        prefix = store.ball[:store.ball_ends[r]]
+        assert sorted(prefix) == store.ball_ids(r)
+        assert operator_matrix(f, store, r).ball == prefix
+    depths = [store.wl[cid] for cid in store.ball]
+    assert depths == sorted(depths)
+    hist = [0] * 5
+    for w in store.wl:
+        if w is not None:
+            hist[w] += 1
+    assert store.depth_histogram() == hist
+
+
+def test_ball_ends_flat_after_saturation():
+    # the three cosets of S3 / <(0 1)> are all met by depth 1
+    store = enumerate_ball(get_pair("s3-h12"), 5)
+    assert store.saturated and store.radius_complete == 5
+    assert store.ball_ends == [1, 3, 3, 3, 3, 3]
+    assert store.depth_histogram() == [1, 2, 0, 0, 0, 0]
+    assert store.ball_ids(5) == [0, 1, 2]
 
 
 def test_snapshot_deterministic():

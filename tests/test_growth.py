@@ -96,12 +96,12 @@ def test_growth_requires_complete_ball():
 def test_growth_with_characteristic_length_needs_saturation():
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 3)
-    lc = characteristic_length(pair, store)
+    lc = characteristic_length(store)
     with pytest.raises(BallIncomplete):
         growth_series(store, 3, lc)
     # on a finite pair the class route works
     s3 = hp.enumerate_ball(get_pair("s3-h12"), 6)
-    lc3 = characteristic_length(get_pair("s3-h12"), s3)
+    lc3 = characteristic_length(s3)
     series = growth_series(s3, 2, lc3)
     assert series.ball[-1] == 3
 

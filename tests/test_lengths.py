@@ -69,7 +69,7 @@ def test_indicator_length_axioms(label):
 
 def test_characteristic_length_values():
     s3 = hp.enumerate_ball(get_pair("s3-h12"), 4)
-    lc = characteristic_length(get_pair("s3-h12"), s3)
+    lc = characteristic_length(s3)
     e = s3.identity_class()
     d = next(x for x in s3.classes_in_ball(4) if x != e)
     assert lc(e) == 0.0
@@ -79,7 +79,7 @@ def test_characteristic_length_values():
 
     for d in (1, 2):
         z = hp.enumerate_ball(get_pair(f"z:{d}"), 3)
-        lcz = characteristic_length(get_pair(f"z:{d}"), z)
+        lcz = characteristic_length(z)
         assert all(v == 0.0 for v in lcz.values.values())   # bounded length
 
 
@@ -87,8 +87,8 @@ def test_characteristic_refuses_nonunimodular():
     bcp = get_pair("bcp:2")
     store = hp.enumerate_ball(bcp, 3)
     with pytest.raises(NotRelativelyUnimodular):
-        characteristic_length(bcp, store)
-    lr = characteristic_length(bcp, store, use_lr=True)
+        characteristic_length(store)
+    lr = characteristic_length(store, use_lr=True)
     assert lr.kind == "characteristic-lr"
     assert check_length_axioms(store, lr, 1) == []
 
@@ -96,7 +96,7 @@ def test_characteristic_refuses_nonunimodular():
 @pytest.mark.parametrize("label", ["s3-h12", "s4-h12", "psl2z1p:2"])
 def test_characteristic_axioms(label):
     store = hp.enumerate_ball(get_pair(label), 4)
-    lc = characteristic_length(get_pair(label), store)
+    lc = characteristic_length(store)
     assert check_length_axioms(store, lc, 2) == []
 
 
@@ -104,7 +104,7 @@ def test_characteristic_submultiplicative_exact():
     # L(d) <= L(d1) L(d2) on product supports, in exact integers
     from heckepairs.algebra import structure_constants
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 4)
-    lc = characteristic_length(get_pair("psl2z1p:2"), store)
+    lc = characteristic_length(store)
     classes = store.classes_in_ball(2)
     for d1 in classes:
         for d2 in classes:
@@ -204,7 +204,7 @@ def test_dominance_word_over_characteristic_psl2():
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 4)
     lw = word_length(store)
-    lc = characteristic_length(pair, store)
+    lc = characteristic_length(store)
     fit = dominance_fit(lw, lc, store)
     assert fit.holds
     assert fit.c1 > 0

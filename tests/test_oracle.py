@@ -71,7 +71,7 @@ def test_engine_agrees_with_oracle_s3():
     store.snapshot()   # materialize all classes and inverses
     oracle = finite_group_oracle([g.images for g in pair.g_generators],
                                  [h.images for h in pair.h_elements()])
-    assert oracle_matches_engine(pair, store, oracle) == []
+    assert oracle_matches_engine(store, oracle) == []
 
 
 def test_delta_values_are_rational():

@@ -10,16 +10,18 @@ from heckepairs import algebra, rd
 from heckepairs.algebra import (HeckeElement, basis_element, identity_element,
                                 involution, norms, power_moments)
 from heckepairs.errors import (BallIncomplete, ConvergenceWarning,
-                               NoStableFit, NotSelfAdjoint)
+                               NoStableFit, NotRelativelyUnimodular,
+                               NotSelfAdjoint)
 from heckepairs.groups import get_pair
+from heckepairs.lengths import characteristic_length
 from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
                            kesten_diagnostic, operator_matrix, rd_profile,
                            rd_weighted_fit, spectral_lower_bound,
                            truncated_norm)
 
 from oracles import (base_column_matches_f, brute_operator_matrix,
-                     central_trinomial, columns_to_csr,
-                     exact_truncated_moment, is_symmetric)
+                     central_trinomial, entries_to_csr,
+                     exact_truncated_moment, is_symmetric, operator_entries)
 
 
 def z_delta(store, n):
@@ -85,7 +87,10 @@ def test_operator_requires_complete_ball(z1_store):
     ("psl2z1p:2", 3)])
 def test_operator_matrix_matches_member_loop(label, r):
     # radii up, then down (table extension and slicing), then after the
-    # store grows (the table is kept); every build interns nothing
+    # store grows (the table is kept); every build interns nothing.  The
+    # member lists intern cosets past the ball before the BFS resumes, so
+    # the ball's order is not id order there: entries are compared keyed
+    # by (row coset id, column coset id)
     store = hp.enumerate_ball(get_pair(label), r)
     classes = store.classes_in_ball(r)
     rng = random.Random(label)
@@ -99,10 +104,10 @@ def test_operator_matrix_matches_member_loop(label, r):
         n = len(store)
         op = operator_matrix(f, store, radius)
         assert len(store) == n
-        ball, cols = brute_operator_matrix(f, store, radius)
-        assert op.ball == ball
-        assert op.cols == cols
-        got, want = op.to_csr(), columns_to_csr(cols)
+        entries = brute_operator_matrix(f, store, radius)
+        assert sorted(op.ball) == store.ball_ids(radius)
+        assert operator_entries(op) == entries
+        got, want = op.to_csr(), entries_to_csr(entries, op.ball)
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and np.array_equal(a, b), attr
@@ -141,7 +146,7 @@ def test_operator_products_pinned_by_class_patterns(monkeypatch):
 
     monkeypatch.setattr(pair, "mul", mul)
     monkeypatch.setattr(rd, "operator_matrix", operator)
-    rd_profile(pair, store, None, 6, seed=0)
+    rd_profile(store, None, 6, seed=0)
     dim = len(store.ball_ids(max(requested.values())))
     member_loop = sum(store.class_R(d) * len(store.ball_ids(radius))
                       for d, radius in requested.items())
@@ -167,7 +172,7 @@ def test_operator_builds_no_orbit_and_interns_nothing(monkeypatch):
     monkeypatch.setattr(hp.CosetStore, "_compute_orbit",
                         lambda self, start: orbits.append(start))
     monkeypatch.setattr(rd, "operator_matrix", operator)
-    prof = rd_profile(pair, store, None, 4, seed=0)
+    prof = rd_profile(store, None, 4, seed=0)
     assert orbits == []
     assert sizes and all(before == after for before, after in sizes)
     assert all(rec.trunc_norm > 0 for rec in prof.records)
@@ -184,10 +189,11 @@ def test_class_table_finds_classes_named_after_it():
     d1, d2 = store.dc(ball[7]), store.dc(ball[-1])
     f = HeckeElement(store, {d1: Q(2), d2: Q(-3, 5)})
     op = operator_matrix(f, store, 3)
-    ref_ball, cols = brute_operator_matrix(f, store, 3)
-    assert op.ball == ref_ball and op.cols == cols
+    entries = brute_operator_matrix(f, store, 3)
+    assert op.ball == store.ball_ids(3)
+    assert operator_entries(op) == entries
     assert len(op.indices) > 0
-    got, want = op.to_csr(), columns_to_csr(cols)
+    got, want = op.to_csr(), entries_to_csr(entries, op.ball)
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
@@ -199,7 +205,7 @@ def test_class_table_cap_skips_truncated_norm():
     # norm from r = 2 on, and the refused extensions leave the table as is
     pair = get_pair("z:2")
     store = hp.CosetStore(pair, hp.Caps(max_cosets=100))
-    prof = rd_profile(pair, store, None, 4, seed=0)
+    prof = rd_profile(store, None, 4, seed=0)
     assert prof.partial
     assert all((rec.trunc_norm > 0) == (rec.r < 2) for rec in prof.records)
     assert prof.warnings == [
@@ -207,7 +213,7 @@ def test_class_table_cap_skips_truncated_norm():
         f"exceeds 1600 entries (16 * max_cosets=100)"
         for r, n in ((2, 41), (3, 61), (4, 85))]
     table = store.class_table
-    assert table.radius == 3 and len(table.ids) == 25
+    assert table.radius == 3 and len(table.codes) == 25
     assert table.codes.shape == (25, 25)
 
 
@@ -239,7 +245,7 @@ def test_negative_truncation_radius_gives_the_empty_operator():
     # only, and radius -1 must not read one of them
     pair = get_pair("z:1")
     store = hp.CosetStore(pair)
-    rep = kesten_diagnostic(pair, store, identity_element(store), 2)
+    rep = kesten_diagnostic(store, identity_element(store), 2)
     assert rep.trunc_radius == -1 and rep.trunc_norm == 0.0
     store = hp.enumerate_ball(pair, 3)
     f = z_walk(store)
@@ -327,7 +333,7 @@ def test_l1_upper_bound_for_unimodular(z1_store):
 
 def test_rd_profile_z_polynomial_compatible():
     store = hp.enumerate_ball(get_pair("z:1"), 22)
-    prof = rd_profile(get_pair("z:1"), store, None, 20, seed=0)
+    prof = rd_profile(store, None, 20, seed=0)
     assert prof.verdict == "polynomial-compatible"
     assert prof.s_hat is not None and prof.s_hat <= 1.5
     assert prof.c_hat is not None and prof.c_hat > 0
@@ -342,7 +348,7 @@ def test_rd_profile_obstructed_for_bcp():
     runs = []
     for _ in range(2):
         store = hp.CosetStore(pair)
-        runs.append(rd_profile(pair, store, None, 5, seed=3).as_dict())
+        runs.append(rd_profile(store, None, 5, seed=3).as_dict())
     assert runs[0]["verdict"] == "obstructed-nonunimodular"
     assert runs[0] == runs[1]          # deterministic
     assert runs[0]["records"] == []    # no ratio data is even collected
@@ -351,7 +357,7 @@ def test_rd_profile_obstructed_for_bcp():
 def test_rd_profile_psl2_shell_slope():
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 6)
-    prof = rd_profile(pair, store, None, 5,
+    prof = rd_profile(store, None, 5,
                       config={"rd.pad": 1, "rd.n_random": 1}, seed=0)
     assert prof.unimodular
     assert prof.poly_slope is not None and prof.poly_slope <= 2.5
@@ -360,9 +366,9 @@ def test_rd_profile_psl2_shell_slope():
 
 
 def test_rd_profile_seed_recorded_and_deterministic():
-    a = rd_profile(get_pair("z:1"), hp.enumerate_ball(get_pair("z:1"), 8),
+    a = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8),
                    None, 6, seed=42).as_dict()
-    b = rd_profile(get_pair("z:1"), hp.enumerate_ball(get_pair("z:1"), 8),
+    b = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8),
                    None, 6, seed=42).as_dict()
     assert a == b
     assert a["seed"] == 42
@@ -381,7 +387,7 @@ def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
 
     monkeypatch.setattr(algebra, "involution", involution_counted)
     store = hp.enumerate_ball(get_pair("z:1"), 6)
-    prof = rd_profile(get_pair("z:1"), store, None, 4, seed=0)
+    prof = rd_profile(store, None, 4, seed=0)
     assert len(prof.records) == 25
     assert calls[0] == len(prof.records)
     assert all(rec.moment_root > 0 for rec in prof.records)
@@ -400,13 +406,28 @@ def test_kesten_checks_self_adjointness_once(monkeypatch):
     monkeypatch.setattr(algebra, "involution", involution_counted)
     pair = get_pair("z:1")
     store = hp.enumerate_ball(pair, 6)
-    rep = kesten_diagnostic(pair, store, z_walk(store), 3)
+    rep = kesten_diagnostic(store, z_walk(store), 3)
     assert calls[0] == 1
     assert len(rep.moments) == 3
     with pytest.raises(NotSelfAdjoint) as info:
-        kesten_diagnostic(pair, store, z_delta(store, 1), 3)
+        kesten_diagnostic(store, z_delta(store, 1), 3)
     assert str(info.value) == "kesten diagnostic needs f* = f"
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_reports_read_the_pair_from_the_store():
+    # the pair is the store's: no second argument can name another pair
+    bcp = hp.enumerate_ball(get_pair("bcp:2"), 2)
+    with pytest.raises(NotRelativelyUnimodular):
+        characteristic_length(bcp)
+    z2 = hp.enumerate_ball(get_pair("z:2"), 4)
+    prof = rd_profile(z2, None, 2, seed=0)
+    assert prof.pair_label == z2.pair.label == "z:2"
+    assert prof.verdict != "obstructed-nonunimodular"
+    rep = kesten_diagnostic(z2, None, 2)
+    assert rep.pair_label == "z:2" and rep.relatively_unimodular
+    rep = kesten_diagnostic(bcp, None, 2)
+    assert rep.pair_label == bcp.pair.label == "bcp:2"
 
 
 def test_rd_weighted_fit_identity_family():
@@ -438,7 +459,7 @@ def test_rd_weighted_fit_no_stable_fit():
 def test_kesten_z_at_n20():
     store = hp.enumerate_ball(get_pair("z:1"), 50)
     f = z_walk(store)
-    rep = kesten_diagnostic(get_pair("z:1"), store, f, 20,
+    rep = kesten_diagnostic(store, f, 20,
                             config={"kesten.trunc_radius": 50})
     assert rep.amenability_index >= 0.93
     assert rep.amenability_index <= 1 + 1e-12
@@ -450,7 +471,7 @@ def test_kesten_z_at_n20():
 
 def test_kesten_s3_norm_attained():
     store = hp.enumerate_ball(get_pair("s3-h12"), 4)
-    rep = kesten_diagnostic(get_pair("s3-h12"), store)
+    rep = kesten_diagnostic(store)
     assert rep.amenability_index == pytest.approx(1.0, abs=1e-6)
     assert rep.relatively_unimodular
 
@@ -465,7 +486,7 @@ def test_kesten_psl2_gap():
     f = basis_element(store, c)
     f = Q(1, 2) * (f + involution(f))
     f = Q(1, norms(f).l1_exact) * f
-    rep = kesten_diagnostic(pair, store, f, 8)
+    rep = kesten_diagnostic(store, f, 8)
     assert 0.5 <= rep.amenability_index <= 0.95
     assert rep.hint.startswith("gap-suggests-nonamenable")
 
@@ -473,14 +494,14 @@ def test_kesten_psl2_gap():
 def test_kesten_flags_nonunimodular():
     pair = get_pair("bcp:2")
     store = hp.enumerate_ball(pair, 2)
-    rep = kesten_diagnostic(pair, store, None, 4)
+    rep = kesten_diagnostic(store, None, 4)
     assert not rep.relatively_unimodular
     assert "flagged" in rep.hint
 
 
 def test_kesten_requires_self_adjoint(z1_store):
     with pytest.raises(NotSelfAdjoint):
-        kesten_diagnostic(get_pair("z:1"), z1_store, z_delta(z1_store, 1), 3)
+        kesten_diagnostic(z1_store, z_delta(z1_store, 1), 3)
 
 
 def test_rd_profile_keeps_each_warning_once():
@@ -490,7 +511,7 @@ def test_rd_profile_keeps_each_warning_once():
     # truncated norm reads class keys only, so it never meets the cap
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 2, hp.Caps(max_orbit=23))
-    prof = rd.rd_profile(pair, store, None, 2, config={"rd.moment_n": 3})
+    prof = rd.rd_profile(store, None, 2, config={"rd.moment_n": 3})
     assert prof.partial
     at_2 = [rec for rec in prof.records if rec.r == 2]
     assert len(at_2) == 5

@@ -31,6 +31,8 @@ RUNS = [
         ("z:2", 5), ("sl2z1p:2", 5), ("bcp:5", 5))),
     *(["enumerate", "--pair", p, "--rmax", str(r)] for p, r in (
         ("bcp:2", 3), ("psl2z1p:2", 3), ("s4-h12", 4), ("dinf", 4))),
+    # the largest snapshot: the id and BFS depth of each of 1,861 cosets
+    ["enumerate", "--pair", "z:2", "--rmax", "30", "--no-classes"],
     ["rd-profile", "--pair", "z:1", "--rmax", "20", "--seed", "1"],
     ["rd-profile", "--pair", "z:2", "--rmax", "10", "--seed", "1"],
     ["rd-profile", "--pair", "psl2z1p:2", "--rmax", "5", "--seed", "1",
