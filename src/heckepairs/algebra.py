@@ -10,6 +10,11 @@ homomorphism), with the sizes R learned by the store's class search from
 its own products T_d * T_s with generator classes s, and cached on the
 store, so repeated convolutions are dictionary arithmetic.
 
+Exact sums run on integers: each operand is scaled once to integer
+numerators over its common denominator (the lcm of its denominators),
+the sums are plain int arithmetic, and one Fraction is built per output
+class (or per returned value).
+
 Coefficients are rationals, not complex: every computation in scope uses
 real data, so conjugation is the identity.  A complex payload would be a
 mechanical extension.
@@ -40,7 +45,8 @@ class HeckeElement:
 
     def __init__(self, store: CosetStore, coeffs: dict[int, Fraction]):
         self.store = store
-        self.coeffs = {d: Fraction(c) for d, c in coeffs.items() if c != 0}
+        self.coeffs = {d: c if type(c) is Fraction else Fraction(c)
+                       for d, c in coeffs.items() if c != 0}
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)
@@ -109,6 +115,15 @@ def _same_store(f: HeckeElement, g: HeckeElement) -> None:
         raise StoreMismatch("elements live over different stores")
 
 
+def _numerators(f: HeckeElement) -> tuple[int, dict[int, int]]:
+    """The common denominator of f's coefficients (the lcm of their
+    denominators, 1 for f = 0) and the integer numerators over it, by
+    class in f's order."""
+    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    return den, {d: c.numerator * (den // c.denominator)
+                 for d, c in f.coeffs.items()}
+
+
 def basis_element(store: CosetStore, dcid: int) -> HeckeElement:
     return HeckeElement(store, {dcid: Fraction(1)})
 
@@ -174,23 +189,30 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
     normalization (mass 1 per right coset)."""
     _same_store(f, g)
     store = f.store
-    out: dict[int, Fraction] = {}
-    for d1, c1 in f.coeffs.items():
-        for d2, c2 in g.coeffs.items():
-            w = c1 * c2
+    den_f, num_f = _numerators(f)
+    den_g, num_g = _numerators(g)
+    out: dict[int, int] = {}
+    for d1, n1 in num_f.items():
+        for d2, n2 in num_g.items():
+            w = n1 * n2
             for d, n in structure_constants(store, d1, d2).items():
-                out[d] = out.get(d, Fraction(0)) + w * n
-    return HeckeElement(store, out)
+                out[d] = out.get(d, 0) + w * n
+    den = den_f * den_g
+    return HeckeElement(store, {d: Fraction(n, den) for d, n in out.items()})
 
 
 def involution(f: HeckeElement) -> HeckeElement:
     """f*(Hx) = Delta(x^{-1}) f(Hx^{-1}); on the basis this sends T_d to
-    Delta(d) T_{inv(d)} (Delta is constant on classes)."""
+    Delta(d) T_{inv(d)} (Delta is constant on classes).  The class inverse
+    is a bijection, so each output class takes one term, and a coefficient
+    is rescaled only where Delta(d) = L(d) / R(d) is not 1."""
     store = f.store
     out: dict[int, Fraction] = {}
     for d, c in f.coeffs.items():
         e = store.class_inverse(d)
-        out[e] = out.get(e, Fraction(0)) + store.class_delta(d) * c
+        left, right = store.class_L(d), store.class_R(d)
+        out[e] = (c if left == right
+                  else Fraction(c.numerator * left, c.denominator * right))
     return HeckeElement(store, out)
 
 
@@ -215,24 +237,28 @@ class NormReport:
 def norms(f: HeckeElement) -> NormReport:
     """l1 = sum |c_d| R(d); l2^2 = sum c_d^2 R(d)."""
     store = f.store
-    l1 = Fraction(0)
-    l2sq = Fraction(0)
-    for d, c in f.coeffs.items():
+    den, num = _numerators(f)
+    l1 = l2sq = 0
+    for d, n in num.items():
         r = store.class_R(d)
-        l1 += abs(c) * r
-        l2sq += c * c * r
-    return NormReport(l1, l2sq)
+        l1 += abs(n) * r
+        l2sq += n * n * r
+    return NormReport(Fraction(l1, den), Fraction(l2sq, den * den))
 
 
 def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
     """s -> ||f||_{s,l} for every s of the grid, with each class term
     c_d^2 R(d) and base 1 + l(d) computed once."""
+    den, num = _numerators(f)
+    den_sq = den * den
     terms = []
-    for d, c in f.coeffs.items():
+    for d, n in num.items():
         if not l.defined_on(d):
             raise LengthUndefinedOnSupport(
                 f"length undefined on support class {d}")
-        terms.append((float(c * c * f.store.class_R(d)), 1.0 + float(l(d))))
+        # int true division rounds once, as float(c * c * R) does
+        terms.append((n * n * f.store.class_R(d) / den_sq,
+                      1.0 + float(l(d))))
     out = {}
     for s in s_grid:
         wsq = 0.0
@@ -245,12 +271,14 @@ def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
 def _pairing_at_identity(u: HeckeElement, v: HeckeElement) -> Fraction:
     """(u * v)(HeH) = sum_d R(d) u(inv d) v(d), avoiding the full product."""
     store = u.store
-    total = Fraction(0)
-    for d, cv in v.coeffs.items():
-        cu = u.coeffs.get(store.class_inverse(d))
-        if cu:
-            total += store.class_R(d) * cu * cv
-    return total
+    den_u, num_u = _numerators(u)
+    den_v, num_v = _numerators(v)
+    total = 0
+    for d, nv in num_v.items():
+        nu = num_u.get(store.class_inverse(d))
+        if nu:
+            total += store.class_R(d) * nu * nv
+    return Fraction(total, den_u * den_v)
 
 
 def power_moments(f: HeckeElement, n_max: int) -> list[Fraction]:

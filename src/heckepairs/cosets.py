@@ -107,6 +107,7 @@ class CosetStore:
         self._wl_frontier: list[int] = []
         self._wl_depth: int = -1
         self._gen_classes: Optional[list[int]] = None
+        self._unimod: Optional[UnimodularityReport] = None
         self._intern(pair.identity())         # coset 0 is H
 
     # -- interning ----------------------------------------------------------
@@ -292,6 +293,14 @@ class CosetStore:
         if obj.L is None:
             self.class_left_reps(dcid)
         return obj.L
+
+    def unimodularity(self) -> UnimodularityReport:
+        """The pair's relative-unimodularity report, probed once per store
+        (under its orbit cap) and read by every report and length that
+        depends on it."""
+        if self._unimod is None:
+            self._unimod = unimodularity_check(self.pair, self.caps.max_orbit)
+        return self._unimod
 
     def class_delta(self, dcid: int) -> Fraction:
         return Fraction(self.class_L(dcid), self.class_R(dcid))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import structure_constants
-from .cosets import CosetStore, unimodularity_check
+from .cosets import CosetStore
 from .errors import (EmptyStore, InfiniteH, LengthUndefinedOnSupport,
                      NotRelativelyUnimodular)
 from .groups import HeckePair
@@ -86,8 +86,7 @@ def characteristic_length(store: CosetStore,
     variant."""
     pair = store.pair
     if not use_lr:
-        report = unimodularity_check(pair, store.caps.max_orbit)
-        if not report.verdict:
+        if not store.unimodularity().verdict:
             raise NotRelativelyUnimodular(
                 f"{pair.label} is not relatively unimodular; "
                 "pass use_lr=True for the log(L*R) variant")

@@ -7,7 +7,9 @@ bound.  Verdicts are threshold reports over those raw numbers; the
 thresholds live in the config echoed into every report.
 
 A truncated operator holds only its ball and its CSR arrays, gathered from
-one class table per store; scipy is loaded by the power iteration alone.
+one class table per store.  numpy is loaded by the class table, the
+operator and the power iteration, and scipy by the power iteration alone,
+so a command that builds no truncated operator loads neither.
 The exact references that check an operator (its exact matvec, symmetry,
 base column and moments) are test oracles, not library code.
 """
@@ -19,16 +21,17 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import (HeckeElement, involution, norms, power_moments,
                       weighted_norms)
-from .cosets import CosetStore, unimodularity_check
+from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, NotSelfAdjoint)
 from .lengths import LengthFunction, linfit, word_length
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RD_DEFAULTS", "TruncatedOperator", "operator_matrix", "truncated_norm",
@@ -99,6 +102,8 @@ class TruncatedOperator:
 
     @cached_property
     def cols(self) -> list[list[tuple[int, Fraction]]]:
+        import numpy as np
+
         rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
         order = np.lexsort((rows, self.indices))
         out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.dim)]
@@ -111,6 +116,7 @@ class TruncatedOperator:
     def to_csr(self):
         """Float scipy CSR matrix; scipy is loaded here, by the power
         iteration alone."""
+        import numpy as np
         from scipy.sparse import csr_matrix
 
         values = np.array([float(c) for c in self.coeffs])
@@ -135,6 +141,8 @@ class _ClassTable:
     names no class and interns nothing."""
 
     def __init__(self, pair):
+        import numpy as np
+
         self.pair = pair
         self.radius = -1
         self.codes = np.zeros((0, 0), dtype=np.int32)
@@ -162,6 +170,8 @@ class _ClassTable:
         K[y][x] is its inverse class, read from the per-code inverse map.
         Raises CapExceeded, before any change, when the table would hold
         more than TABLE_ENTRIES_PER_COSET * max_cosets entries."""
+        import numpy as np
+
         if radius <= self.radius:
             return
         n0, n = len(self.codes), store.ball_ends[radius]
@@ -205,6 +215,8 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
     the table rows follow, so the nonzeros of the gather come out in
     row-major order.  A radius below 0 gives the empty operator, as the
     ball of that radius is empty."""
+    import numpy as np
+
     if radius > store.radius_complete:
         raise BallIncomplete(
             f"ball complete to {store.radius_complete}, need {radius}")
@@ -237,6 +249,8 @@ def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
                    max_iter: int = 20000) -> float:
     """Largest singular value of the truncated operator via power iteration
     on A^T A, from the deterministic start vector delta_He + uniform."""
+    import numpy as np
+
     if op.dim == 0:
         return 0.0
     a = op.to_csr()
@@ -377,20 +391,19 @@ def _symmetrized_random(store: CosetStore, classes: list[int], rng,
 
 
 def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
-               config: Optional[dict] = None, seed: int = 0,
-               unimod=None) -> RdProfile:
+               config: Optional[dict] = None, seed: int = 0) -> RdProfile:
     """Best norm-to-l2 ratios over families of test functions supported in
     the radius-r balls, with weighted-norm stability fits, for the store's
     pair.
 
     A non-unimodular pair short-circuits to the obstruction verdict: no
-    ratio data can rescue property (RD) there."""
+    ratio data can rescue property (RD) there.  The verdict is the
+    store's (``CosetStore.unimodularity``)."""
     import random
 
     cfg = _config(config)
     pair = store.pair
-    if unimod is None:
-        unimod = unimodularity_check(pair, store.caps.max_orbit)
+    unimod = store.unimodularity()
     profile = RdProfile(pair.label, "inconclusive", unimod.verdict,
                         r_max, seed, cfg)
     if not unimod.verdict:
@@ -610,8 +623,7 @@ class KestenReport:
 
 def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
                       n_moments: Optional[int] = None,
-                      config: Optional[dict] = None,
-                      unimod=None) -> KestenReport:
+                      config: Optional[dict] = None) -> KestenReport:
     """amenability_index = (best lower bound for ||lambda(f)||) / ||f||_1.
 
     The index sits in (0, 1] for relatively unimodular pairs; an index
@@ -619,12 +631,11 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     persistent gap is the non-amenable direction.  The hint thresholds are
     explicit config and the report is flagged when the pair is not
     relatively unimodular (the criterion is stated for the unimodular
-    setting).  The pair is the store's."""
+    setting).  The pair and its unimodularity verdict are the store's."""
     cfg = _config(config)
     pair = store.pair
     n = int(cfg["kesten.n"]) if n_moments is None else n_moments
-    if unimod is None:
-        unimod = unimodularity_check(pair, store.caps.max_orbit)
+    unimod = store.unimodularity()
     if f is None:
         if store.radius_complete < 1:
             store.enumerate_to(1)

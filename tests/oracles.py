@@ -128,6 +128,90 @@ def brute_structure_constants(store, d1, d2):
     return out
 
 
+# Exact Hecke-algebra arithmetic term by term in Fractions: the references
+# for the library's integer-numerator sums.  Each builds its output dict in
+# the order the library's loops visit classes and drops zeros itself, so a
+# library result must match it item for item.
+
+
+def _element(store, coeffs):
+    from heckepairs.algebra import HeckeElement
+
+    return HeckeElement(store, {d: c for d, c in coeffs.items() if c != 0})
+
+
+def fraction_convolve(f, g):
+    """f * g summed term by term over the library's structure constants."""
+    from heckepairs.algebra import structure_constants
+
+    store = f.store
+    out = {}
+    for d1, c1 in f.coeffs.items():
+        for d2, c2 in g.coeffs.items():
+            w = c1 * c2
+            for d, n in structure_constants(store, d1, d2).items():
+                out[d] = out.get(d, Fraction(0)) + w * n
+    return _element(store, out)
+
+
+def fraction_involution(f):
+    """f* = sum_d c_d Delta(d) T_{inv d}."""
+    store = f.store
+    out = {}
+    for d, c in f.coeffs.items():
+        e = store.class_inverse(d)
+        out[e] = out.get(e, Fraction(0)) + store.class_delta(d) * c
+    return _element(store, out)
+
+
+def fraction_norms(f):
+    """(l1, l2^2) = (sum |c_d| R(d), sum c_d^2 R(d))."""
+    l1 = l2sq = Fraction(0)
+    for d, c in f.coeffs.items():
+        r = f.store.class_R(d)
+        l1 += abs(c) * r
+        l2sq += c * c * r
+    return l1, l2sq
+
+
+def fraction_weighted_norms(f, l, s_grid):
+    """s -> sqrt(sum_d float(c_d^2 R(d)) (1 + l(d))^(2s))."""
+    import math
+
+    terms = [(float(c * c * f.store.class_R(d)), 1.0 + float(l(d)))
+             for d, c in f.coeffs.items()]
+    out = {}
+    for s in s_grid:
+        wsq = 0.0
+        for w, base in terms:
+            wsq += w * base ** (2.0 * s)
+        out[s] = math.sqrt(wsq)
+    return out
+
+
+def fraction_pairing_at_identity(u, v):
+    """(u * v)(HeH) = sum_d R(d) u(inv d) v(d)."""
+    store = u.store
+    total = Fraction(0)
+    for d, cv in v.coeffs.items():
+        cu = u.coeffs.get(store.class_inverse(d))
+        if cu:
+            total += store.class_R(d) * cu * cv
+    return total
+
+
+def fraction_power_moments(f, n_max):
+    """a_n = (f^{*n} * f^{*n})(HeH) for n = 1..n_max, with no
+    self-adjointness check."""
+    out = []
+    g = f
+    for n in range(1, n_max + 1):
+        if n > 1:
+            g = fraction_convolve(g, f)
+        out.append(fraction_pairing_at_identity(g, g))
+    return out
+
+
 def brute_operator_matrix(f, store, radius):
     """Exact entries of the compression of lambda(f) to the radius ball by
     the per-member loop: for every ball coset y and every member a of every

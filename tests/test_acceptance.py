@@ -203,8 +203,7 @@ def test_criterion_08_estimator_coherence_everywhere():
             pair = get_pair(label)
             store = hp.enumerate_ball(pair, PROFILE_RMAX[label])
             unimod = unimodularity_check(pair)
-            prof = rd_profile(store, None, PROFILE_RMAX[label] - 2,
-                              seed=0, unimod=unimod)
+            prof = rd_profile(store, None, PROFILE_RMAX[label] - 2, seed=0)
             if not unimod.verdict:
                 assert prof.verdict == "obstructed-nonunimodular"
             # default symmetrized ball-1 test function

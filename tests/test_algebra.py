@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heckepairs as hp
 from heckepairs import algebra
@@ -17,7 +19,10 @@ from heckepairs.lengths import word_length
 
 from conftest import FG_LABELS
 from oracles import (brute_structure_constants, central_trinomial,
-                     structure_constants_csv, tree_level)
+                     fraction_convolve, fraction_involution, fraction_norms,
+                     fraction_pairing_at_identity, fraction_power_moments,
+                     fraction_weighted_norms, structure_constants_csv,
+                     tree_level)
 
 
 def random_element(store, classes, rng, signed=True):
@@ -380,3 +385,100 @@ def test_hecke_element_json_round_trip():
     f = Q(2, 3) * z_delta(store, 1) + Q(-5, 7) * z_delta(store, -1)
     assert HeckeElement.from_json(store, f.to_json()) == f
     assert f.to_json() == {str(d): str(c) for d, c in f.coeffs.items()}
+
+
+# the integer-numerator kernel against the term-by-term Fraction oracles, on
+# radius-3 balls; bcp:2 has Delta != 1
+KERNEL_PAIRS = ["z:2", "dinf", "s4-h12", "psl2z1p:2", "bcp:2"]
+KERNEL_STORES = {}
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def kernel_store(label):
+    if label not in KERNEL_STORES:
+        store = hp.enumerate_ball(get_pair(label), 3)
+        KERNEL_STORES[label] = (store, store.classes_in_ball(3),
+                                word_length(store))
+    return KERNEL_STORES[label]
+
+
+def cancelling(f, g, classes):
+    """f plus a multiple of one more class b, chosen so that a class d of
+    f * g, to which f already contributes, sums to zero; (f', d), or None
+    when no class of ``classes`` reaches a class of f * g."""
+    store = f.store
+    fg = fraction_convolve(f, g).coeffs
+    for b in classes:
+        if b in f.coeffs:
+            continue
+        bg = fraction_convolve(basis_element(store, b), g).coeffs
+        for d, k in bg.items():
+            if d in fg:
+                return f + HeckeElement(store, {b: -fg[d] / k}), d
+    return None
+
+
+def assert_same(kernel, oracle):
+    assert list(kernel.coeffs.items()) == list(oracle.coeffs.items())
+    assert all(type(c) is Q for c in kernel.coeffs.values())
+
+
+@st.composite
+def kernel_cases(draw):
+    """(word length, f, g, cancelled class or None) on one pair's radius-3
+    ball, in one of three shapes: random f and g, the empty f (a nonzero
+    element minus itself), or an f whose product with g cancels on the
+    returned class."""
+    label = draw(st.sampled_from(KERNEL_PAIRS))
+    store, classes, l = kernel_store(label)
+    shape = draw(st.sampled_from(["random", "empty", "cancel"]))
+    numerators = st.integers(-50, 50)
+    if shape != "random":
+        numerators = numerators.filter(bool)
+
+    def element(min_size):
+        supp = draw(st.lists(st.sampled_from(classes), min_size=min_size,
+                             max_size=4, unique=True))
+        return HeckeElement(store, {
+            d: Q(draw(numerators), draw(st.sampled_from(PRIMES)))
+            for d in supp})
+
+    f, g = element(int(shape != "random")), element(2 * (shape == "cancel"))
+    gone = None
+    if shape == "empty":
+        f = f - f
+    elif shape == "cancel":
+        f, gone = cancelling(f, g, classes) or (f, None)
+    return l, f, g, gone
+
+
+@given(kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_fraction_oracle(case):
+    l, f, g, gone = case
+    fg = convolve(f, g)
+    assert gone is None or gone not in fg.coeffs
+    assert_same(fg, fraction_convolve(f, g))
+    assert_same(convolve(g, f), fraction_convolve(g, f))
+    assert_same(involution(f), fraction_involution(f))
+    rep = norms(f)
+    assert (rep.l1_exact, rep.l2_sq_exact) == fraction_norms(f)
+    assert type(rep.l1_exact) is Q and type(rep.l2_sq_exact) is Q
+    pairing = algebra._pairing_at_identity(f, g)
+    assert pairing == fraction_pairing_at_identity(f, g)
+    assert type(pairing) is Q
+    grid = [0.0, 0.5, 1.25, 3.0]
+    assert weighted_norms(f, l, grid) == fraction_weighted_norms(f, l, grid)
+    h = f + involution(f)
+    moments = power_moments(h, 2)
+    assert moments == fraction_power_moments(h, 2)
+    assert all(type(a) is Q for a in moments)
+
+
+def test_element_keeps_fraction_coefficients():
+    store = hp.enumerate_ball(get_pair("z:1"), 2)
+    c = Q(3, 7)
+    f = HeckeElement(store, {0: c, 1: 0, 2: Q(0, 5), 3: 2})
+    assert f.coeffs[0] is c
+    assert list(f.coeffs.items()) == [(0, c), (3, Q(2))]
+    assert type(f.coeffs[3]) is Q

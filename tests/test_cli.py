@@ -501,6 +501,23 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_numpy_loaded_by_the_operator_layer_only(tmp_path):
+    # numpy serves the truncated operators alone: importing the package
+    # and a growth run leave it unloaded
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, heckepairs, heckepairs.cli; "
+         "print('numpy' in sys.modules); "
+         "heckepairs.cli.main(['growth', '--pair', 'psl2z1p:2', "
+         f"'--rmax', '6', '--out', {str(tmp_path)!r}]); "
+         "print('numpy' in sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stderr.strip() == "False"
+    assert list(tmp_path.iterdir())
+
+
 def test_verify_command(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == EXIT_OK

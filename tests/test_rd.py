@@ -430,6 +430,29 @@ def test_reports_read_the_pair_from_the_store():
     assert rep.pair_label == bcp.pair.label == "bcp:2"
 
 
+def test_unimodularity_verdict_is_the_stores(monkeypatch):
+    # one probe pass per store, read by rd-profile, kesten and the
+    # characteristic length; no caller can hand in another pair's verdict
+    bcp = hp.enumerate_ball(get_pair("bcp:2"), 2)
+    assert rd_profile(bcp, None, 2, seed=0).verdict \
+        == "obstructed-nonunimodular"
+    z2 = hp.enumerate_ball(get_pair("z:2"), 4)
+    calls = []
+    real = hp.cosets.relative_modular
+
+    def counted(pair, g, *args):
+        calls.append(pair.label)
+        return real(pair, g, *args)
+
+    monkeypatch.setattr(hp.cosets, "relative_modular", counted)
+    prof = rd_profile(z2, None, 2, seed=0)
+    assert prof.unimodular and prof.verdict != "obstructed-nonunimodular"
+    assert kesten_diagnostic(z2, None, 2).relatively_unimodular
+    characteristic_length(z2)
+    assert calls == ["z:2"] * len(z2.pair.unimod_probes())
+    assert z2.unimodularity() is z2.unimodularity()
+
+
 def test_rd_weighted_fit_identity_family():
     cfg = dict(RD_DEFAULTS)
     prof = RdProfile("synthetic", "inconclusive", True, 5, 0, cfg)

@@ -67,6 +67,9 @@ RUNS = [
     # moment runs: rd-profile with rd.moment_n=3, kesten and verify
     ["ltable", "--pair", "bcp:2", "--rmax", "10"],
     ["ltable", "--pair", "psl2z1p:3", "--rmax", "6"],
+    # a non-unimodular pair through involution (Delta != 1) and four
+    # moment orders
+    ["kesten", "--pair", "bcp:3", "--rmax", "4", "--set", "kesten.n=4"],
     ["verify"],
 ]
 
