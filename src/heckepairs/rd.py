@@ -42,7 +42,8 @@ __all__ = [
 RD_DEFAULTS = {
     "rd.pad": 2,                 # padding radius beyond the support radius
     # picks each truncation radius by dim * sum R(d), unchanged so that
-    # reports stay the same; the build costs one class table per store
+    # reports stay the same; the build costs one class table per store,
+    # quadratic in the ball, with most entries copied by generator moves
     "rd.max_matrix_cost": 3_000_000,
     "rd.moment_n": 1,            # moment order mixed into the lower bound
     "rd.n_random": 2,            # random nonnegative test functions per radius
@@ -128,6 +129,7 @@ class TruncatedOperator:
 # max_cosets cap: 64 bytes of int32 codes, against the 290-490 bytes the
 # store spends on each coset it interns
 TABLE_ENTRIES_PER_COSET = 16
+_OFF_BALL = 2**31 - 1         # back-index entry of a move that leaves the ball
 
 
 class _ClassTable:
@@ -137,8 +139,14 @@ class _ClassTable:
     code is local to the table and keyed by the pair's class key, not by
     class id, so a class named after the table was built is still found.
     The table grows by whole BFS shells; the store's ball is append-only,
-    so its entries stay valid as the ball grows.  Reading keys of products
-    names no class and interns nothing."""
+    so its entries stay valid as the ball grows.
+
+    Right translation by any g keeps the class of x y^{-1}, so the entry
+    of (H x s^{-1}, H y s^{-1}) is the entry of (Hx, Hy) for every
+    generator s.  A row copies its entries along those moves from the
+    rows before it; only the entries that no generator reaches are read
+    as class keys of products.  Neither names a class nor interns a
+    coset."""
 
     def __init__(self, pair):
         import numpy as np
@@ -149,6 +157,8 @@ class _ClassTable:
         self.code_of: dict = {}       # class key -> code
         self.inverse: list[int] = []  # code -> code of the inverse class
         self._invs: list = []         # rep(x_i)^{-1}
+        # back[s, j]: ball position of H rep(x_j) s^{-1}, else _OFF_BALL
+        self._back = None
         e = pair.identity()
         self._identity = self._code(pair.class_key(e), e)
 
@@ -164,10 +174,34 @@ class _ClassTable:
             self.inverse[code] = self._code(self.pair.class_key(g_inv), g_inv)
         return code
 
+    def _grown_back(self, store: CosetStore, n0: int, n: int):
+        """The back-index grown to the first ``n`` ball cosets: the new
+        columns, and the old ones that led off the smaller ball, are
+        looked up in the store without interning."""
+        import numpy as np
+
+        pair = self.pair
+        moves = [pair.inv(s) for s in pair.shat()]
+        back = np.full((len(moves), n), _OFF_BALL, dtype=np.int32)
+        if self._back is not None:
+            back[:, :n0] = self._back
+        ball, reps, mul = store.ball, store.reps, pair.mul
+        position = {cid: p for p, cid in enumerate(ball[:n])}
+        for row, s_inv in zip(back, moves):
+            redo = np.flatnonzero(row[:n0] == _OFF_BALL).tolist()
+            for j in redo + list(range(n0, n)):
+                p = position.get(store._intern(mul(reps[ball[j]], s_inv),
+                                               insert=False))
+                if p is not None:
+                    row[j] = p
+        return back
+
     def extend(self, store: CosetStore, radius: int) -> None:
-        """Add the shells of depth up to ``radius``, one row at a time:
-        K[x][y] for the earlier rows y is the class key of a product, and
-        K[y][x] is its inverse class, read from the per-code inverse map.
+        """Add the shells of depth up to ``radius``, one row at a time.
+        Row i copies K[i][j] = K[back[s, i]][back[s, j]] for every
+        generator s that moves both cosets to earlier rows, takes the
+        class key of a product for each entry left, and fills K[j][i]
+        with the inverse class, read from the per-code inverse map.
         Raises CapExceeded, before any change, when the table would hold
         more than TABLE_ENTRIES_PER_COSET * max_cosets entries."""
         import numpy as np
@@ -182,25 +216,36 @@ class _ClassTable:
                 f"({TABLE_ENTRIES_PER_COSET} * max_cosets="
                 f"{store.caps.max_cosets})", cap=store.caps.max_cosets)
         pair = self.pair
-        mul, key, invs = pair.mul, pair.class_key, self._invs
-        invs += [pair.inv(store.reps[cid]) for cid in store.ball[n0:n]]
+        mul, key = pair.mul, pair.class_key
+        invs = self._invs + [pair.inv(store.reps[cid])
+                             for cid in store.ball[n0:n]]
+        back = self._grown_back(store, n0, n)
         codes = np.empty((n, n), dtype=np.int32)
         codes[:n0, :n0] = self.codes
-        inverse = np.zeros(0, dtype=np.int32)
+        inverse = np.array(self.inverse, dtype=np.int32)
         for i in range(n0, n):
-            x = store.reps[store.ball[i]]
-            keys = [key(mul(x, g)) for g in invs[:i]]
-            row = list(map(self.code_of.get, keys))
-            if None in row:
-                for j, code in enumerate(row):
-                    if code is None:
-                        row[j] = self._code(keys[j], mul(x, invs[j]))
-            if len(inverse) < len(self.inverse):
-                inverse = np.array(self.inverse, dtype=np.int32)
-            codes[i, :i] = row
-            codes[:i, i] = inverse[codes[i, :i]]
+            row = codes[i, :i]
+            row.fill(-1)
+            for moves in back:
+                b = moves[i]
+                if b < i:
+                    cols = moves[:i]
+                    ok = cols < i
+                    row[ok] = codes[b, cols[ok]]
+            left = np.flatnonzero(row < 0).tolist()
+            if left:
+                x = store.reps[store.ball[i]]
+                keys = [key(mul(x, invs[j])) for j in left]
+                got = list(map(self.code_of.get, keys))
+                if None in got:
+                    for k, code in enumerate(got):
+                        if code is None:
+                            got[k] = self._code(keys[k], mul(x, invs[left[k]]))
+                    inverse = np.array(self.inverse, dtype=np.int32)
+                row[left] = got
+            codes[:i, i] = inverse[row]
             codes[i, i] = self._identity
-        self.codes = codes
+        self.codes, self._invs, self._back = codes, invs, back
         self.radius = radius
 
 
@@ -248,7 +293,9 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
 def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
                    max_iter: int = 20000) -> float:
     """Largest singular value of the truncated operator via power iteration
-    on A^T A, from the deterministic start vector delta_He + uniform."""
+    on A^T A, from the deterministic start vector delta_He + uniform.
+    Each norm is math.sqrt(w.dot(w)), the float that np.linalg.norm
+    returns for a 1-D float64 array, without its dispatch."""
     import numpy as np
 
     if op.dim == 0:
@@ -258,17 +305,17 @@ def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
     v = np.full(op.dim, 1.0 / math.sqrt(op.dim))
     # row of H: the ball is in BFS order, so H comes first
     v[0] += 1.0
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     prev = -1.0
     stable = 0
     sigma = 0.0
     for _ in range(max_iter):
         w = a @ v
-        sigma = float(np.linalg.norm(w))
+        sigma = math.sqrt(w.dot(w))
         if sigma == 0.0:
             return 0.0
         u = at @ w
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u.dot(u))
         if nu == 0.0:
             return sigma
         v = u / nu
@@ -379,14 +426,14 @@ class RdProfile:
 
 def _symmetrized_random(store: CosetStore, classes: list[int], rng,
                         coeff_max: int, signed: bool) -> HeckeElement:
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     for d in classes:
         v = rng.randint(1, coeff_max)
         if signed and rng.random() < 0.5:
             v = -v
-        coeffs[d] = coeffs.get(d, Fraction(0)) + v
+        coeffs[d] = coeffs.get(d, 0) + v
         e = store.class_inverse(d)
-        coeffs[e] = coeffs.get(e, Fraction(0)) + v
+        coeffs[e] = coeffs.get(e, 0) + v
     return HeckeElement(store, coeffs)
 
 
@@ -480,9 +527,10 @@ def _truncation_radius(store: CosetStore, f: HeckeElement, want: int,
     """Largest truncation radius within the matrix-cost budget: the column
     count times the per-column row support sum_d R(d).  Any radius gives a
     valid lower bound, so the rule only trades sharpness for size,
-    deterministically.  It bounds the operator's nonzeros, not the build,
-    which is one class table per store; it is kept so that reports stay
-    the same."""
+    deterministically.  It bounds the operator's nonzeros, not the build:
+    that is one class table per store, dim^2 entries of which generator
+    moves copy most and class-key products fill the rest.  It is kept so
+    that reports stay the same."""
     budget = int(cfg["rd.max_matrix_cost"])
     supp = sum(store.class_R(d) for d in f.coeffs)
     hist = store.depth_histogram()

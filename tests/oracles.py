@@ -233,6 +233,64 @@ def brute_operator_matrix(f, store, radius):
     return out
 
 
+def direct_class_table(store, radius):
+    """Class keys of the ordered pairs of the radius ball's cosets by the
+    direct row-by-row fill: ``keys[i][j]`` is the class key of
+    rep(x_i) rep(x_j)^{-1} for x_i = ``store.ball[i]``.  Each entry below
+    the diagonal is the key of a product, and its mirror the key of that
+    product's inverse: dim (dim - 1) products, no generator moves."""
+    pair = store.pair
+    key, mul, inv = pair.class_key, pair.mul, pair.inv
+    n = store.ball_ends[radius]
+    reps = [store.reps[cid] for cid in store.ball[:n]]
+    keys = [[None] * n for _ in range(n)]
+    for i in range(n):
+        keys[i][i] = key(pair.identity())
+        for j in range(i):
+            g = mul(reps[i], inv(reps[j]))
+            keys[i][j] = key(g)
+            keys[j][i] = key(inv(g))
+    return keys
+
+
+def reference_truncated_norm(op, tol=1e-8, max_iter=20000):
+    """The power iteration of ``rd.truncated_norm`` with every norm taken
+    by ``np.linalg.norm``: on A^T A from delta_He + uniform, stopping
+    after five steps within ``tol``.  Warns of nothing at its cap."""
+    import math
+
+    import numpy as np
+
+    if op.dim == 0:
+        return 0.0
+    a = op.to_csr()
+    at = a.T.tocsr()
+    v = np.full(op.dim, 1.0 / math.sqrt(op.dim))
+    v[0] += 1.0
+    v /= np.linalg.norm(v)
+    prev = -1.0
+    stable = 0
+    sigma = 0.0
+    for _ in range(max_iter):
+        w = a @ v
+        sigma = float(np.linalg.norm(w))
+        if sigma == 0.0:
+            return 0.0
+        u = at @ w
+        nu = float(np.linalg.norm(u))
+        if nu == 0.0:
+            return sigma
+        v = u / nu
+        if prev >= 0 and abs(sigma - prev) <= tol * max(sigma, 1e-300):
+            stable += 1
+            if stable >= 5:
+                return sigma
+        else:
+            stable = 0
+        prev = sigma
+    return sigma
+
+
 def operator_entries(op):
     """The operator's exact entries keyed by (row coset id, column coset
     id)."""

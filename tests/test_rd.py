@@ -20,8 +20,9 @@ from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
                            truncated_norm)
 
 from oracles import (base_column_matches_f, brute_operator_matrix,
-                     central_trinomial, entries_to_csr,
-                     exact_truncated_moment, is_symmetric, operator_entries)
+                     central_trinomial, direct_class_table, entries_to_csr,
+                     exact_truncated_moment, is_symmetric, operator_entries,
+                     reference_truncated_norm)
 
 
 def z_delta(store, n):
@@ -215,6 +216,106 @@ def test_class_table_cap_skips_truncated_norm():
     table = store.class_table
     assert table.radius == 3 and len(table.codes) == 25
     assert table.codes.shape == (25, 25)
+
+
+def assert_table_matches_direct_fill(table, store, radius):
+    names = {code: key for key, code in table.code_of.items()}
+    want = direct_class_table(store, radius)
+    got = table.codes.tolist()
+    assert len(got) == len(want) == store.ball_ends[radius]
+    assert [[names[c] for c in row] for row in got] == want
+
+
+# (pair, radius) of the balls whose move-filled class tables are checked
+# entry by entry against the direct fill
+TABLE_BALLS = [("z:1", 10), ("z:2", 8), ("dinf", 8), ("s4-h12", 4),
+               ("psl2z1p:2", 5), ("psl2z1p:3", 3), ("sl2z1p:2", 3),
+               ("bcp:2", 4)]
+
+
+@pytest.mark.parametrize("label,radius", TABLE_BALLS)
+def test_class_table_moves_match_the_direct_fill(label, radius):
+    # generator moves copy entries between rows; every entry must still
+    # be the class of rep(x_i) rep(x_j)^{-1}, whether the table grows
+    # shell by shell or in one jump
+    pair = get_pair(label)
+    store = hp.enumerate_ball(pair, radius)
+    steps = rd._ClassTable(pair)
+    for r in range(radius + 1):
+        steps.extend(store, r)
+    jump = rd._ClassTable(pair)
+    jump.extend(store, radius)
+    for table in (steps, jump):
+        assert_table_matches_direct_fill(table, store, radius)
+
+
+@pytest.mark.parametrize("label,radius", TABLE_BALLS)
+def test_class_table_moves_on_a_ball_out_of_id_order(label, radius):
+    # member lists, and a coset of the next shell, are interned before
+    # the BFS resumes, so ball positions and coset ids part; the moves
+    # follow ball positions, and a move that led off the radius-1 ball
+    # is looked up again once the ball has grown
+    pair = get_pair(label)
+    store = hp.CosetStore(pair)
+    store.enumerate_to(1)
+    table = rd._ClassTable(pair)
+    table.extend(store, 1)
+    for d in store.classes_in_ball(1):
+        store.class_members(d)
+    last = store.reps[store.ball[-1]]
+    store.intern(next(g for g in (pair.mul(last, t)
+                                  for t in reversed(pair.shat()))
+                      if store.lookup(g) is None))
+    store.enumerate_to(radius)
+    n = store.ball_ends[radius]
+    assert store.ball[:n] != sorted(store.ball[:n])
+    table.extend(store, radius)
+    assert_table_matches_direct_fill(table, store, radius)
+
+
+@pytest.mark.parametrize("label,radius,share", [("z:2", 12, 0.10),
+                                                ("psl2z1p:2", 6, 0.25)])
+def test_class_table_pays_few_products(monkeypatch, label, radius, share):
+    # the direct fill pays dim (dim - 1) / 2 class-key products; the moves
+    # leave 6.0 % of them on z:2 and 22 % on the tree.  Every class key
+    # the fill reads is a product's, except one inverse key per new code
+    pair = get_pair(label)
+    store = hp.enumerate_ball(pair, radius)
+    table = rd._ClassTable(pair)
+    codes = len(table.inverse)
+    calls = [0]
+    real_key = pair.class_key
+
+    def key(x):
+        calls[0] += 1
+        return real_key(x)
+
+    monkeypatch.setattr(pair, "class_key", key)
+    table.extend(store, radius)
+    products = calls[0] - (len(table.inverse) - codes)
+    dim = store.ball_ends[radius]
+    assert 0 < products <= share * dim * (dim - 1) / 2
+
+
+@pytest.mark.parametrize("label,r_max", [("z:1", 8), ("z:2", 4),
+                                         ("psl2z1p:2", 3)])
+def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
+                                                    r_max):
+    # sqrt(w . w) is what np.linalg.norm computes for a 1-D float64
+    # array, so every norm of a profile is the same float
+    store = hp.enumerate_ball(get_pair(label), r_max + RD_DEFAULTS["rd.pad"])
+    ops = []
+    real_operator = rd.operator_matrix
+
+    def operator(f, store, radius):
+        ops.append(real_operator(f, store, radius))
+        return ops[-1]
+
+    monkeypatch.setattr(rd, "operator_matrix", operator)
+    rd_profile(store, None, r_max, seed=0)
+    assert ops
+    for op in ops:
+        assert truncated_norm(op) == reference_truncated_norm(op)
 
 
 def test_truncated_norm_closed_form(z1_store):

@@ -70,6 +70,10 @@ RUNS = [
     # a non-unimodular pair through involution (Delta != 1) and four
     # moment orders
     ["kesten", "--pair", "bcp:3", "--rmax", "4", "--set", "kesten.n=4"],
+    # the class tables that leave the largest share of their entries to
+    # class-key products rather than generator moves
+    ["rd-profile", "--pair", "sl2z1p:2", "--rmax", "5", "--seed", "1"],
+    ["kesten", "--pair", "psl2z1p:3", "--rmax", "5"],
     ["verify"],
 ]
 
