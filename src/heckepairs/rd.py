@@ -1,15 +1,18 @@
 """Operator-norm lower bounds and the empirical RD / amenability verdicts.
 
-Nothing here ever claims the value of ||lambda(f)||: the truncated
-operator P_R lambda(f) P_R and the moment roots a_n^(1/2n) are certified
-lower bounds, and for relatively unimodular pairs the l1 norm is an upper
-bound.  Verdicts are threshold reports over those raw numbers; the
-thresholds live in the config echoed into every report.
+Nothing here ever claims the value of ||lambda(f)||.  The moment roots
+a_n^(1/2n) are certified lower bounds, each decided in exact arithmetic.
+The norm of the truncated operator P_R lambda(f) P_R is a float, ||Av||
+for the float unit vector v that power iteration ends on, so it is a lower
+bound only up to rounding.  For relatively unimodular pairs the l1 norm is
+an upper bound.  Verdicts are threshold reports over those raw numbers;
+the thresholds live in the config echoed into every report.
 
 A truncated operator holds only its ball and its CSR arrays, gathered from
 one class table per store.  numpy is loaded by the class table, the
 operator and the power iteration, and scipy by the power iteration alone,
-so a command that builds no truncated operator loads neither.
+which runs scipy's sparse kernels on the operator's arrays and builds no
+sparse matrix; a command that builds no truncated operator loads neither.
 The exact references that check an operator (its exact matvec, symmetry,
 base column and moments) are test oracles, not library code.
 """
@@ -113,16 +116,6 @@ class TruncatedOperator:
                            self.terms[order].tolist()):
             out[j].append((i, coeffs[t]))
         return out
-
-    def to_csr(self):
-        """Float scipy CSR matrix; scipy is loaded here, by the power
-        iteration alone."""
-        import numpy as np
-        from scipy.sparse import csr_matrix
-
-        values = np.array([float(c) for c in self.coeffs])
-        return csr_matrix((values[self.terms], self.indices, self.indptr),
-                          shape=(self.dim, self.dim))
 
 
 # a class table may hold this many entries per coset of the store's
@@ -294,31 +287,44 @@ def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
                    max_iter: int = 20000) -> float:
     """Largest singular value of the truncated operator via power iteration
     on A^T A, from the deterministic start vector delta_He + uniform.
-    Each norm is math.sqrt(w.dot(w)), the float that np.linalg.norm
-    returns for a 1-D float64 array, without its dispatch."""
-    import numpy as np
 
-    if op.dim == 0:
+    Each step runs scipy's sparse kernels on the operator's own arrays,
+    into two vectors allocated once: ``csr_matvec`` is the product that
+    ``csr_matrix @ v`` runs after its checks, and ``csc_matvec`` reads the
+    CSR arrays of A as the CSC arrays of A^T, summing each entry over A's
+    rows in ascending order, as the sorted rows of A^T in CSR form would.
+    So no transpose is built and every float is that of the scipy-matrix
+    iteration.  Each norm is math.sqrt(w.dot(w)), the float that
+    np.linalg.norm returns for a 1-D float64 array, without its dispatch."""
+    import numpy as np
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+    n = op.dim
+    if n == 0:
         return 0.0
-    a = op.to_csr()
-    at = a.T.tocsr()
-    v = np.full(op.dim, 1.0 / math.sqrt(op.dim))
+    data = np.array([float(c) for c in op.coeffs])[op.terms]
+    indptr, indices = op.indptr, op.indices
+    v = np.full(n, 1.0 / math.sqrt(n))
     # row of H: the ball is in BFS order, so H comes first
     v[0] += 1.0
     v /= math.sqrt(v.dot(v))
+    w = np.empty(n)
+    u = np.empty(n)
     prev = -1.0
     stable = 0
     sigma = 0.0
     for _ in range(max_iter):
-        w = a @ v
+        w.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, v, w)      # w = A v
         sigma = math.sqrt(w.dot(w))
         if sigma == 0.0:
             return 0.0
-        u = at @ w
+        u.fill(0.0)
+        csc_matvec(n, n, indptr, indices, data, w, u)      # u = A^T w
         nu = math.sqrt(u.dot(u))
         if nu == 0.0:
             return sigma
-        v = u / nu
+        np.divide(u, nu, out=v)
         if prev >= 0 and abs(sigma - prev) <= tol * max(sigma, 1e-300):
             stable += 1
             if stable >= 5:
@@ -548,20 +554,33 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
                  profile) -> RdTestRecord:
     """Both lower bounds, the weighted norms and l2 of one test function.
     A cap hit on either bound zeroes that bound and marks the profile
-    partial; a truncation radius the budget clips is warned of.  A function
-    that is not self-adjoint has no moment root: the moments refuse it."""
+    partial; a truncation radius the budget clips is warned of, and so is
+    a power iteration that hits its iteration cap, whose ConvergenceWarning
+    goes into the report instead of to stderr.  A function that is not
+    self-adjoint has no moment root: the moments refuse it."""
     want = r + int(cfg["rd.pad"])
     r_trunc = _truncation_radius(store, f, want, cfg)
     if r_trunc < want:
         _warn(profile, f"truncation radius at r={r} clipped to {r_trunc} "
                        f"of {want} wanted (rd.max_matrix_cost)")
     trunc = 0.0
+    max_iter = int(cfg["rd.max_iter"])
     try:
-        trunc = truncated_norm(operator_matrix(f, store, r_trunc),
-                               float(cfg["rd.tol"]), int(cfg["rd.max_iter"]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            trunc = truncated_norm(operator_matrix(f, store, r_trunc),
+                                   float(cfg["rd.tol"]), max_iter)
     except CapExceeded as exc:
         profile.partial = True
         _warn(profile, f"truncated norm skipped at r={r}: {exc}")
+    for w in caught:
+        if issubclass(w.category, ConvergenceWarning):
+            _warn(profile, f"power iteration at r={r} hit its iteration cap "
+                           f"(rd.max_iter={max_iter}): trunc_norm there is "
+                           f"not converged")
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
     root = 0.0
     n_mom = int(cfg["rd.moment_n"])
     if n_mom > 0:

@@ -253,9 +253,21 @@ def direct_class_table(store, radius):
     return keys
 
 
+def to_csr(op):
+    """The truncated operator as a float scipy CSR matrix over its own
+    arrays: entry k is the coefficient ``op.coeffs[op.terms[k]]``."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    values = np.array([float(c) for c in op.coeffs])
+    return csr_matrix((values[op.terms], op.indices, op.indptr),
+                      shape=(op.dim, op.dim))
+
+
 def reference_truncated_norm(op, tol=1e-8, max_iter=20000):
-    """The power iteration of ``rd.truncated_norm`` with every norm taken
-    by ``np.linalg.norm``: on A^T A from delta_He + uniform, stopping
+    """The power iteration of ``rd.truncated_norm`` through scipy's public
+    sparse matrices, with every norm taken by ``np.linalg.norm``: on A^T A
+    from delta_He + uniform, with A^T built by ``a.T.tocsr()``, stopping
     after five steps within ``tol``.  Warns of nothing at its cap."""
     import math
 
@@ -263,7 +275,7 @@ def reference_truncated_norm(op, tol=1e-8, max_iter=20000):
 
     if op.dim == 0:
         return 0.0
-    a = op.to_csr()
+    a = to_csr(op)
     at = a.T.tocsr()
     v = np.full(op.dim, 1.0 / math.sqrt(op.dim))
     v[0] += 1.0

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as Q
 
 import numpy as np
@@ -22,7 +23,7 @@ from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
 from oracles import (base_column_matches_f, brute_operator_matrix,
                      central_trinomial, direct_class_table, entries_to_csr,
                      exact_truncated_moment, is_symmetric, operator_entries,
-                     reference_truncated_norm)
+                     reference_truncated_norm, to_csr)
 
 
 def z_delta(store, n):
@@ -108,7 +109,7 @@ def test_operator_matrix_matches_member_loop(label, r):
         entries = brute_operator_matrix(f, store, radius)
         assert sorted(op.ball) == store.ball_ids(radius)
         assert operator_entries(op) == entries
-        got, want = op.to_csr(), entries_to_csr(entries, op.ball)
+        got, want = to_csr(op), entries_to_csr(entries, op.ball)
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and np.array_equal(a, b), attr
@@ -194,7 +195,7 @@ def test_class_table_finds_classes_named_after_it():
     assert op.ball == store.ball_ids(3)
     assert operator_entries(op) == entries
     assert len(op.indices) > 0
-    got, want = op.to_csr(), entries_to_csr(entries, op.ball)
+    got, want = to_csr(op), entries_to_csr(entries, op.ball)
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
@@ -298,12 +299,17 @@ def test_class_table_pays_few_products(monkeypatch, label, radius, share):
 
 
 @pytest.mark.parametrize("label,r_max", [("z:1", 8), ("z:2", 4),
-                                         ("psl2z1p:2", 3)])
+                                         ("psl2z1p:2", 3), ("bcp:2", 5),
+                                         ("bcp:3", 4)])
 def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
                                                     r_max):
     # sqrt(w . w) is what np.linalg.norm computes for a 1-D float64
-    # array, so every norm of a profile is the same float
-    store = hp.enumerate_ball(get_pair(label), r_max + RD_DEFAULTS["rd.pad"])
+    # array, and the scipy kernels run on the operator's arrays are the
+    # products of the scipy matrices A and A.T.tocsr(), in the same order,
+    # so every norm is the same float, capped or not.  The bcp pairs are
+    # not relatively unimodular: rd-profile builds no operator there, and
+    # kesten's, as `hecke kesten --rmax r_max` builds it, is not symmetric,
+    # so A^T w is not A w
     ops = []
     real_operator = rd.operator_matrix
 
@@ -312,10 +318,41 @@ def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
         return ops[-1]
 
     monkeypatch.setattr(rd, "operator_matrix", operator)
-    rd_profile(store, None, r_max, seed=0)
+    store = hp.enumerate_ball(get_pair(label), r_max)
+    if store.unimodularity().verdict:
+        store.enumerate_to(r_max + RD_DEFAULTS["rd.pad"])
+        rd_profile(store, None, r_max, seed=0)
+    else:
+        kesten_diagnostic(store, n_moments=1)
+        assert not all(is_symmetric(op) for op in ops)
     assert ops
     for op in ops:
         assert truncated_norm(op) == reference_truncated_norm(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            for k in (1, 2, 7):
+                assert (truncated_norm(op, max_iter=k)
+                        == reference_truncated_norm(op, max_iter=k))
+
+
+def test_library_builds_no_sparse_matrix(monkeypatch):
+    # the power iteration runs scipy's kernels on the operator's own
+    # arrays: neither A nor its transpose becomes a scipy matrix
+    import scipy.sparse as sp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy sparse matrix was built")
+
+    for name in ("csr_matrix", "csc_matrix"):
+        monkeypatch.setattr(getattr(sp, name), "__init__", refuse)
+        monkeypatch.setattr(sp, name, refuse)
+    with pytest.raises(AssertionError):
+        sp.csr_matrix((2, 2))
+    store = hp.enumerate_ball(get_pair("z:2"), 4 + RD_DEFAULTS["rd.pad"])
+    prof = rd_profile(store, None, 4, seed=0)
+    assert all(rec.trunc_norm > 0 for rec in prof.records)
+    store = hp.enumerate_ball(get_pair("bcp:2"), 5)
+    assert kesten_diagnostic(store).trunc_norm > 0
 
 
 def test_truncated_norm_closed_form(z1_store):
@@ -332,6 +369,42 @@ def test_truncated_norm_warns_at_its_iteration_cap(z1_store):
     with pytest.warns(ConvergenceWarning):
         capped = truncated_norm(op, max_iter=1)
     assert 0 < capped <= truncated_norm(op)
+
+
+def test_profile_reports_a_capped_power_iteration(monkeypatch, z1_store):
+    # the cap's ConvergenceWarning goes into the report, once per radius,
+    # and not to stderr; the iteration is still rd.truncated_norm's, so a
+    # tracer that wraps it sees every call
+    calls = []
+    real_norm = rd.truncated_norm
+
+    def norm(*args):
+        calls.append(args)
+        return real_norm(*args)
+
+    monkeypatch.setattr(rd, "truncated_norm", norm)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prof = rd_profile(z1_store, None, 8, config={"rd.max_iter": 3},
+                          seed=1)
+    assert not [w for w in caught if w.category is ConvergenceWarning]
+    assert len(calls) == len(prof.records)
+    assert prof.warnings == [
+        f"power iteration at r={r} hit its iteration cap (rd.max_iter=3): "
+        f"trunc_norm there is not converged" for r in range(9)]
+    assert not prof.partial
+
+
+@pytest.mark.parametrize("label,r_max", [("z:1", 30), ("z:2", 6),
+                                         ("psl2z1p:2", 5), ("dinf", 5)])
+def test_default_profiles_converge(label, r_max):
+    # the longest iterations at default settings (993 steps for z:1's
+    # signed test function at r = 12) stay under rd.max_iter, so a
+    # default report names no capped iteration
+    store = hp.enumerate_ball(get_pair(label), r_max + RD_DEFAULTS["rd.pad"])
+    prof = rd_profile(store, None, r_max, seed=1)
+    assert prof.records
+    assert not [w for w in prof.warnings if "iteration cap" in w]
 
 
 def test_truncated_norm_of_the_zero_operator(z1_store):

@@ -34,6 +34,11 @@ RUNS = [
     # the largest snapshot: the id and BFS depth of each of 1,861 cosets
     ["enumerate", "--pair", "z:2", "--rmax", "30", "--no-classes"],
     ["rd-profile", "--pair", "z:1", "--rmax", "20", "--seed", "1"],
+    # the longest power iterations: a signed test function takes 993 steps
+    ["rd-profile", "--pair", "z:1", "--rmax", "30", "--seed", "1"],
+    # power iterations stopped by their cap, which the report names
+    ["rd-profile", "--pair", "z:1", "--rmax", "8", "--seed", "1",
+     "--set", "rd.max_iter=3"],
     ["rd-profile", "--pair", "z:2", "--rmax", "10", "--seed", "1"],
     ["rd-profile", "--pair", "psl2z1p:2", "--rmax", "5", "--seed", "1",
      *RD_TREE],
