@@ -10,10 +10,16 @@ homomorphism), with the sizes R learned by the store's class search from
 its own products T_d * T_s with generator classes s, and cached on the
 store, so repeated convolutions are dictionary arithmetic.
 
-Exact sums run on integers: each operand is scaled once to integer
-numerators over its common denominator (the lcm of its denominators),
-the sums are plain int arithmetic, and one Fraction is built per output
-class (or per returned value).
+An element is held as integer numerators over one lowest denominator:
+a pair (den, num) with den > 0, num mapping each support class to a
+nonzero int, and gcd(den, *num.values()) = 1.  That form is unique, so
+equality and hashing compare the pair.  Convolution, involution, sums and
+scalar multiples read and build pairs, with one gcd division per result;
+involution rescales once, by the lcm of the reduced denominators of the
+Delta(d) that are not 1.  Norms and moment pairings sum ints and build
+one Fraction per returned value.  ``HeckeElement.coeffs`` is a read-only
+Fraction view, built on first read.  Output dicts keep the order in
+which the loops first reach each class.
 
 Coefficients are rationals, not complex: every computation in scope uses
 real data, so conjugation is the identity.  A complex payload would be a
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cosets import CosetStore
 from .errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
@@ -39,43 +46,74 @@ __all__ = [
 
 
 class HeckeElement:
-    """Finite map DoubleCosetId -> exact rational coefficient."""
+    """Finite map DoubleCosetId -> exact rational coefficient, held as
+    integer numerators over one lowest denominator.
 
-    __slots__ = ("store", "coeffs")
+    ``num`` maps each support class to a nonzero int and ``den`` is a
+    positive int with gcd(den, *num.values()) = 1, so the pair is unique
+    and ``==`` and ``hash`` read it directly.  ``coeffs`` is a read-only
+    view of the coefficients as Fractions, built on first read."""
+
+    __slots__ = ("store", "den", "num", "_coeffs")
 
     def __init__(self, store: CosetStore, coeffs: dict[int, Fraction]):
+        # ints and Fractions are in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it
+        items = [(d, c if type(c) is int or type(c) is Fraction
+                  else Fraction(c))
+                 for d, c in coeffs.items() if c != 0]
+        den = math.lcm(*(c.denominator for _, c in items))
         self.store = store
-        self.coeffs = {d: c if type(c) is Fraction else Fraction(c)
-                       for d, c in coeffs.items() if c != 0}
+        self.den = den
+        self.num = {d: c.numerator * (den // c.denominator)
+                    for d, c in items}
+        self._coeffs = None
+
+    @classmethod
+    def _of(cls, store: CosetStore, den: int,
+            num: dict[int, int]) -> "HeckeElement":
+        """The element from a pair (den, num) already in canonical form."""
+        f = object.__new__(cls)
+        f.store, f.den, f.num, f._coeffs = store, den, num, None
+        return f
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        view = self._coeffs
+        if view is None:
+            den = self.den
+            view = self._coeffs = MappingProxyType(
+                {d: Fraction(n, den) for d, n in self.num.items()})
+        return view
 
     def support(self) -> list[int]:
-        return sorted(self.coeffs)
+        return sorted(self.num)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HeckeElement)
                 and self.store is other.store
-                and self.coeffs == other.coeffs)
+                and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.store), tuple(sorted(self.coeffs.items()))))
+        return hash((id(self.store), self.den,
+                     tuple(sorted(self.num.items()))))
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        _same_store(self, other)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return HeckeElement(self.store, out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-1) * other
+        return _combine(self, other, -1)
 
     def __rmul__(self, scalar) -> "HeckeElement":
-        s = Fraction(scalar)
-        return HeckeElement(self.store,
-                            {d: s * c for d, c in self.coeffs.items()})
+        if type(scalar) is not int and type(scalar) is not Fraction:
+            scalar = Fraction(scalar)
+        p = scalar.numerator
+        return _reduced(self.store, self.den * scalar.denominator,
+                        {d: p * n for d, n in self.num.items()})
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
@@ -115,17 +153,33 @@ def _same_store(f: HeckeElement, g: HeckeElement) -> None:
         raise StoreMismatch("elements live over different stores")
 
 
-def _numerators(f: HeckeElement) -> tuple[int, dict[int, int]]:
-    """The common denominator of f's coefficients (the lcm of their
-    denominators, 1 for f = 0) and the integer numerators over it, by
-    class in f's order."""
-    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
-    return den, {d: c.numerator * (den // c.denominator)
-                 for d, c in f.coeffs.items()}
+def _reduced(store: CosetStore, den: int,
+             num: dict[int, int]) -> HeckeElement:
+    """The element sum_d num[d] / den T_d for den > 0, in canonical form:
+    zero numerators dropped and one gcd divided out (den becomes 1 for the
+    zero element)."""
+    num = {d: n for d, n in num.items() if n}
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {d: n // g for d, n in num.items()}
+    return HeckeElement._of(store, den, num)
+
+
+def _combine(f: HeckeElement, g: HeckeElement, sign: int) -> HeckeElement:
+    """f + sign * g over the lcm of the two denominators, by class in f's
+    order and then g's."""
+    _same_store(f, g)
+    den = math.lcm(f.den, g.den)
+    a, b = den // f.den, sign * (den // g.den)
+    out = {d: a * n for d, n in f.num.items()}
+    for d, n in g.num.items():
+        out[d] = out.get(d, 0) + b * n
+    return _reduced(f.store, den, out)
 
 
 def basis_element(store: CosetStore, dcid: int) -> HeckeElement:
-    return HeckeElement(store, {dcid: Fraction(1)})
+    return HeckeElement._of(store, 1, {dcid: 1})
 
 
 def identity_element(store: CosetStore) -> HeckeElement:
@@ -189,31 +243,41 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
     normalization (mass 1 per right coset)."""
     _same_store(f, g)
     store = f.store
-    den_f, num_f = _numerators(f)
-    den_g, num_g = _numerators(g)
     out: dict[int, int] = {}
-    for d1, n1 in num_f.items():
-        for d2, n2 in num_g.items():
+    for d1, n1 in f.num.items():
+        for d2, n2 in g.num.items():
             w = n1 * n2
             for d, n in structure_constants(store, d1, d2).items():
                 out[d] = out.get(d, 0) + w * n
-    den = den_f * den_g
-    return HeckeElement(store, {d: Fraction(n, den) for d, n in out.items()})
+    return _reduced(store, f.den * g.den, out)
 
 
 def involution(f: HeckeElement) -> HeckeElement:
     """f*(Hx) = Delta(x^{-1}) f(Hx^{-1}); on the basis this sends T_d to
     Delta(d) T_{inv(d)} (Delta is constant on classes).  The class inverse
-    is a bijection, so each output class takes one term, and a coefficient
-    is rescaled only where Delta(d) = L(d) / R(d) is not 1."""
+    is a bijection, so each output class takes one term.  Where Delta = 1
+    on the whole support the numerators move over unchanged; otherwise the
+    denominator is scaled once, by the lcm of the reduced denominators of
+    the Delta(d) = L(d) / R(d) that are not 1."""
     store = f.store
-    out: dict[int, Fraction] = {}
-    for d, c in f.coeffs.items():
-        e = store.class_inverse(d)
+    terms = []
+    scale = 1
+    delta_one = True
+    for d, n in f.num.items():
         left, right = store.class_L(d), store.class_R(d)
-        out[e] = (c if left == right
-                  else Fraction(c.numerator * left, c.denominator * right))
-    return HeckeElement(store, out)
+        if left == right:
+            left = right = 1
+        else:
+            g = math.gcd(left, right)
+            left, right = left // g, right // g
+            scale = math.lcm(scale, right)
+            delta_one = False
+        terms.append((store.class_inverse(d), n, left, right))
+    if delta_one:
+        return HeckeElement._of(store, f.den, {e: n for e, n, _, _ in terms})
+    return _reduced(store, f.den * scale,
+                    {e: n * left * (scale // right)
+                     for e, n, left, right in terms})
 
 
 def is_self_adjoint(f: HeckeElement) -> bool:
@@ -237,9 +301,9 @@ class NormReport:
 def norms(f: HeckeElement) -> NormReport:
     """l1 = sum |c_d| R(d); l2^2 = sum c_d^2 R(d)."""
     store = f.store
-    den, num = _numerators(f)
+    den = f.den
     l1 = l2sq = 0
-    for d, n in num.items():
+    for d, n in f.num.items():
         r = store.class_R(d)
         l1 += abs(n) * r
         l2sq += n * n * r
@@ -249,10 +313,9 @@ def norms(f: HeckeElement) -> NormReport:
 def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
     """s -> ||f||_{s,l} for every s of the grid, with each class term
     c_d^2 R(d) and base 1 + l(d) computed once."""
-    den, num = _numerators(f)
-    den_sq = den * den
+    den_sq = f.den * f.den
     terms = []
-    for d, n in num.items():
+    for d, n in f.num.items():
         if not l.defined_on(d):
             raise LengthUndefinedOnSupport(
                 f"length undefined on support class {d}")
@@ -271,14 +334,13 @@ def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
 def _pairing_at_identity(u: HeckeElement, v: HeckeElement) -> Fraction:
     """(u * v)(HeH) = sum_d R(d) u(inv d) v(d), avoiding the full product."""
     store = u.store
-    den_u, num_u = _numerators(u)
-    den_v, num_v = _numerators(v)
+    num_u = u.num
     total = 0
-    for d, nv in num_v.items():
+    for d, nv in v.num.items():
         nu = num_u.get(store.class_inverse(d))
         if nu:
             total += store.class_R(d) * nu * nv
-    return Fraction(total, den_u * den_v)
+    return Fraction(total, u.den * v.den)
 
 
 def power_moments(f: HeckeElement, n_max: int) -> list[Fraction]:

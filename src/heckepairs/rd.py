@@ -564,23 +564,13 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
         _warn(profile, f"truncation radius at r={r} clipped to {r_trunc} "
                        f"of {want} wanted (rd.max_matrix_cost)")
     trunc = 0.0
-    max_iter = int(cfg["rd.max_iter"])
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConvergenceWarning)
-            trunc = truncated_norm(operator_matrix(f, store, r_trunc),
-                                   float(cfg["rd.tol"]), max_iter)
+        trunc = _noted_truncated_norm(
+            f, store, r_trunc, cfg, f"at r={r}",
+            lambda text: _warn(profile, text))
     except CapExceeded as exc:
         profile.partial = True
         _warn(profile, f"truncated norm skipped at r={r}: {exc}")
-    for w in caught:
-        if issubclass(w.category, ConvergenceWarning):
-            _warn(profile, f"power iteration at r={r} hit its iteration cap "
-                           f"(rd.max_iter={max_iter}): trunc_norm there is "
-                           f"not converged")
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename,
-                                   w.lineno, source=w.source)
     root = 0.0
     n_mom = int(cfg["rd.moment_n"])
     if n_mom > 0:
@@ -596,6 +586,31 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
     lower = max(trunc, root)
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,
                         lower / l2 if l2 else 0.0, weighted)
+
+
+def _noted_truncated_norm(f: HeckeElement, store: CosetStore, radius: int,
+                          cfg: dict, where: str, note) -> float:
+    """``truncated_norm`` of f's operator at the radius, by the
+    module-level function.  A power iteration that hits rd.max_iter is
+    passed to ``note`` as a report warning naming ``where``, instead of
+    reaching stderr as a ConvergenceWarning; any other warning is
+    re-emitted unchanged, and a CapExceeded propagates."""
+    max_iter = int(cfg["rd.max_iter"])
+    caught: list = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            return truncated_norm(operator_matrix(f, store, radius),
+                                  float(cfg["rd.tol"]), max_iter)
+    finally:
+        for w in caught:
+            if issubclass(w.category, ConvergenceWarning):
+                note(f"power iteration {where} hit its iteration cap "
+                     f"(rd.max_iter={max_iter}): trunc_norm there is not "
+                     f"converged")
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename,
+                                       w.lineno, source=w.source)
 
 
 def _warn(profile: RdProfile, text: str) -> None:
@@ -670,6 +685,7 @@ class KestenReport:
     relatively_unimodular: bool
     config: dict
     hint: str
+    warnings: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -685,6 +701,7 @@ class KestenReport:
             "relatively_unimodular": self.relatively_unimodular,
             "config": self.config,
             "hint": self.hint,
+            "warnings": list(self.warnings),
         }
 
 
@@ -698,7 +715,9 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     persistent gap is the non-amenable direction.  The hint thresholds are
     explicit config and the report is flagged when the pair is not
     relatively unimodular (the criterion is stated for the unimodular
-    setting).  The pair and its unimodularity verdict are the store's."""
+    setting).  The pair and its unimodularity verdict are the store's.
+    A power iteration that hits rd.max_iter is named in the report's
+    warnings."""
     cfg = _config(config)
     pair = store.pair
     n = int(cfg["kesten.n"]) if n_moments is None else n_moments
@@ -716,8 +735,9 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
         raise NotSelfAdjoint("kesten diagnostic needs f* = f") from None
     rho = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
     r_trunc = min(int(cfg["kesten.trunc_radius"]), store.radius_complete)
-    trunc = truncated_norm(operator_matrix(f, store, r_trunc),
-                           float(cfg["rd.tol"]), int(cfg["rd.max_iter"]))
+    notes: list[str] = []
+    trunc = _noted_truncated_norm(f, store, r_trunc, cfg,
+                                  f"at trunc_radius={r_trunc}", notes.append)
     l1 = norms(f).l1
     lower = max(rho[-1] if rho else 0.0, trunc)
     index = lower / l1 if l1 else 0.0
@@ -730,4 +750,5 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     if not unimod.verdict:
         hint += " (flagged: pair is not relatively unimodular)"
     return KestenReport(pair.label, f.to_text(), n, moments, rho, l1,
-                        trunc, r_trunc, index, unimod.verdict, cfg, hint)
+                        trunc, r_trunc, index, unimod.verdict, cfg, hint,
+                        notes)

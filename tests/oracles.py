@@ -140,6 +140,19 @@ def _element(store, coeffs):
     return HeckeElement(store, {d: c for d, c in coeffs.items() if c != 0})
 
 
+def fraction_add(f, g, sign=1):
+    """f + sign * g, by class in f's order and then g's."""
+    out = dict(f.coeffs)
+    for d, c in g.coeffs.items():
+        out[d] = out.get(d, Fraction(0)) + sign * c
+    return _element(f.store, out)
+
+
+def fraction_scale(s, f):
+    """s * f, by class in f's order."""
+    return _element(f.store, {d: Fraction(s) * c for d, c in f.coeffs.items()})
+
+
 def fraction_convolve(f, g):
     """f * g summed term by term over the library's structure constants."""
     from heckepairs.algebra import structure_constants

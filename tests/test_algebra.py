@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -19,7 +20,8 @@ from heckepairs.lengths import word_length
 
 from conftest import FG_LABELS
 from oracles import (brute_structure_constants, central_trinomial,
-                     fraction_convolve, fraction_involution, fraction_norms,
+                     fraction_add, fraction_convolve, fraction_involution,
+                     fraction_norms, fraction_scale,
                      fraction_pairing_at_identity, fraction_power_moments,
                      fraction_weighted_norms, structure_constants_csv,
                      tree_level)
@@ -476,9 +478,103 @@ def test_kernel_matches_fraction_oracle(case):
 
 
 def test_element_keeps_fraction_coefficients():
+    # coeffs reads the (den, num) pair back as Fractions: equal values,
+    # zeros dropped, in input order, and no way to write through it
     store = hp.enumerate_ball(get_pair("z:1"), 2)
-    c = Q(3, 7)
-    f = HeckeElement(store, {0: c, 1: 0, 2: Q(0, 5), 3: 2})
-    assert f.coeffs[0] is c
-    assert list(f.coeffs.items()) == [(0, c), (3, Q(2))]
-    assert type(f.coeffs[3]) is Q
+    f = HeckeElement(store, {0: Q(3, 7), 1: 0, 2: Q(0, 5), 3: 2})
+    assert (f.den, f.num) == (7, {0: 3, 3: 14})
+    assert list(f.coeffs.items()) == [(0, Q(3, 7)), (3, Q(2))]
+    assert all(type(c) is Q for c in f.coeffs.values())
+    with pytest.raises(TypeError):
+        f.coeffs[1] = Q(1)
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    # convolve, involution and == read and build (den, num) pairs only.
+    # The laws run once first to warm the structure constants and class
+    # sizes, since bcp's group elements carry Fractions of their own.  On
+    # bcp:2 the product's support has classes with Delta != 1, so
+    # involution rescales
+    cases = []
+    for label in ("psl2z1p:2", "bcp:2"):
+        store, classes, _ = kernel_store(label)
+        rng = random.Random(19)
+        f, g = (random_element(store, classes, rng) for _ in range(2))
+        fg = fraction_convolve(f, g)
+        assert involution(fg) == fraction_involution(fg)
+        cases.append((f, g, fg))
+    bcp_fg = cases[1][2]
+    assert any(bcp_fg.store.class_delta(d) != 1 for d in bcp_fg.num)
+
+    def laws():
+        return [law for f, g, fg in cases
+                for law in (convolve(f, g) == fg,
+                            involution(involution(fg)) == fg,
+                            convolve(involution(g), involution(f))
+                            == involution(fg))]
+
+    assert all(laws())
+    built = [0]
+    new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counted))
+    held = laws()
+    monkeypatch.undo()
+    assert built[0] == 0
+    assert all(held)
+
+
+def assert_canonical(h):
+    assert type(h.den) is int and h.den > 0
+    assert all(type(n) is int and n != 0 for n in h.num.values())
+    assert math.gcd(h.den, *h.num.values()) == 1
+
+
+@st.composite
+def canonical_cases(draw):
+    """(f, g, scalar) on one pair's radius-3 ball.  g is random, or
+    cancels f on some of its classes (so f + g drops or reduces them), or
+    is f again built from its coefficients in reverse order."""
+    label = draw(st.sampled_from(KERNEL_PAIRS))
+    store, classes, _ = kernel_store(label)
+    coeffs = st.builds(Q, st.integers(-50, 50), st.sampled_from(PRIMES))
+
+    def element():
+        supp = draw(st.lists(st.sampled_from(classes), max_size=4,
+                             unique=True))
+        return HeckeElement(store, {d: draw(coeffs) for d in supp})
+
+    f = element()
+    shape = draw(st.sampled_from(["random", "cancel", "twin"]))
+    if shape == "random":
+        g = element()
+    elif shape == "cancel":
+        g = element() + HeckeElement(store, {
+            d: -c for d, c in f.coeffs.items() if draw(st.booleans())})
+    else:
+        g = HeckeElement(store, dict(reversed(list(f.coeffs.items()))))
+    return f, g, draw(st.one_of(st.integers(-6, 6), coeffs))
+
+
+@given(canonical_cases())
+@settings(max_examples=80, deadline=None)
+def test_elements_are_canonical(case):
+    f, g, s = case
+    total, diff, scaled = f + g, f - g, s * f
+    for h in (f, g, total, diff, scaled, involution(f), convolve(f, g)):
+        assert_canonical(h)
+    assert (f == g) == (dict(f.coeffs) == dict(g.coeffs))
+    assert f != g or hash(f) == hash(g)
+    back = total - g
+    assert back == f and hash(back) == hash(f)
+    assert_same(total, fraction_add(f, g))
+    assert_same(diff, fraction_add(f, g, -1))
+    assert_same(scaled, fraction_scale(s, f))
+    assert_same(involution(f), fraction_involution(f))
+    for h in (f, total, scaled):
+        assert HeckeElement.from_text(h.store, h.to_text()) == h
+        assert HeckeElement.from_json(h.store, h.to_json()) == h

@@ -70,6 +70,7 @@ def test_kesten_artifact(tmp_path):
     report = json.loads(read(out / "kesten_s3-h12.json"))
     assert report["kesten"]["amenability_index"] == pytest.approx(1.0, abs=1e-6)
     assert report["kesten"]["moments"]           # exact rationals as strings
+    assert report["kesten"]["warnings"] == []
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -395,6 +395,40 @@ def test_profile_reports_a_capped_power_iteration(monkeypatch, z1_store):
     assert not prof.partial
 
 
+def test_kesten_reports_a_capped_power_iteration(monkeypatch):
+    # as in rd-profile: the cap goes into the report's warnings, not to
+    # stderr, through the module-level rd.truncated_norm
+    calls = []
+    real_norm = rd.truncated_norm
+
+    def norm(*args):
+        calls.append(args)
+        return real_norm(*args)
+
+    monkeypatch.setattr(rd, "truncated_norm", norm)
+    store = hp.enumerate_ball(get_pair("z:1"), 6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = kesten_diagnostic(store, None, 2, config={"rd.max_iter": 3})
+    assert not [w for w in caught if w.category is ConvergenceWarning]
+    assert len(calls) == 1
+    assert rep.warnings == [
+        "power iteration at trunc_radius=6 hit its iteration cap "
+        "(rd.max_iter=3): trunc_norm there is not converged"]
+    assert rep.as_dict()["warnings"] == rep.warnings
+    converged = kesten_diagnostic(store, None, 2)
+    assert rep.trunc_norm < converged.trunc_norm
+
+
+@pytest.mark.parametrize("label,r_max", [("z:1", 12), ("psl2z1p:2", 6),
+                                         ("bcp:2", 5)])
+def test_default_kesten_converges(label, r_max):
+    store = hp.enumerate_ball(get_pair(label), r_max)
+    rep = kesten_diagnostic(store)
+    assert rep.trunc_norm > 0
+    assert rep.warnings == [] and rep.as_dict()["warnings"] == []
+
+
 @pytest.mark.parametrize("label,r_max", [("z:1", 30), ("z:2", 6),
                                          ("psl2z1p:2", 5), ("dinf", 5)])
 def test_default_profiles_converge(label, r_max):

@@ -79,6 +79,9 @@ RUNS = [
     # class-key products rather than generator moves
     ["rd-profile", "--pair", "sl2z1p:2", "--rmax", "5", "--seed", "1"],
     ["kesten", "--pair", "psl2z1p:3", "--rmax", "5"],
+    # higher moments, whose exact sums carry the largest numerators
+    ["kesten", "--pair", "psl2z1p:2", "--rmax", "4", "--set", "kesten.n=10"],
+    ["kesten", "--pair", "bcp:2", "--rmax", "4", "--set", "kesten.n=8"],
     ["verify"],
 ]
 
