@@ -15,8 +15,9 @@ Element payloads
 * :class:`Mat2`  -- 2x2 matrix with det 1 and entries in Z[1/p], stored as
   an integer numerator matrix over a power of p (exposed as `Fraction`s).
   Used plain (SL2) or modulo +-1 (PSL2, sign-canonicalized).
-* :class:`Aff`   -- upper-triangular [[1, b], [0, a]] with a > 0; the ax+b
-  style groups (Bost-Connes full pair and its finitely generated p-version).
+* :class:`Aff`   -- [[1, b], [0, a]] with a > 0 as integers over one lowest
+  denominator (exposed as `Fraction`s); the ax+b style groups (Bost-Connes
+  full pair and its finitely generated p-version).
 * :class:`Perm`  -- permutation of {0..n-1} as a tuple of images.
 * :class:`Vec`   -- integer vector (Z^d with the trivial subgroup).
 * :class:`Dih`   -- infinite dihedral element x -> +-x + n as (shift, flip).
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from .errors import DomainError, HeckeError, MixedKinds, ParseError
@@ -88,12 +90,52 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True, slots=True)
 class Aff:
-    """The matrix [[1, b], [0, a]] with a > 0."""
+    """The matrix [[1, b], [0, a]] with a > 0, held as b = B/D, a = A/D.
 
-    b: Fraction
-    a: Fraction
+    B, A, D are integers over one lowest denominator: D > 0 and
+    gcd(B, A, D) = 1, which makes the representation unique.  ``Aff(b, a)``
+    takes ints or Fractions; ``b`` and ``a`` are read-only Fraction views.
+    Plain slots class, like :class:`Mat2`.
+    """
+
+    __slots__ = ("B", "A", "D")
+
+    def __init__(self, b, a):
+        # over the lcm of two lowest-terms denominators the numerators
+        # share no prime with it, so (B, A, D) is already reduced
+        db, da = b.denominator, a.denominator
+        d = db // gcd(db, da) * da
+        self.B = b.numerator * (d // db)
+        self.A = a.numerator * (d // da)
+        self.D = d
+
+    def __eq__(self, other):
+        return (isinstance(other, Aff) and self.B == other.B
+                and self.A == other.A and self.D == other.D)
+
+    def __hash__(self):
+        return hash((self.B, self.A, self.D))
+
+    def __repr__(self):
+        return f"Aff({self.B}, {self.A}, D={self.D})"
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+
+def _aff(B: int, A: int, D: int) -> Aff:
+    """The Aff with numerators B, A over D, taken as already reduced."""
+    x = object.__new__(Aff)
+    x.B = B
+    x.A = A
+    x.D = D
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -504,14 +546,16 @@ class AffinePair(HeckePair):
     G is not finitely generated, so ball enumeration is disabled and only
     pointwise queries (membership, L, R, modular values) are supported.
     With a prime p it is the finitely generated pair with b in Z[1/p] and
-    a a power of p, generated by {(b=1,a=1), (b=0,a=p)}.
+    a a power of p, generated by {(b=1,a=1), (b=0,a=p)}.  The group law,
+    membership and both keys are integer arithmetic on :class:`Aff`'s
+    (B, A, D).
     """
 
     payload_type = Aff
 
     def __init__(self, p: Optional[int]):
         self.p = p
-        u = Aff(Fraction(1), Fraction(1))
+        u = Aff(1, 1)
         if p is None:
             self.kind = "bc"
             self.label = "bc"
@@ -523,28 +567,40 @@ class AffinePair(HeckePair):
                 raise HeckeError(f"p must be prime, got {p}")
             self.kind = "bcp"
             self.label = f"bcp:{p}"
-            self.g_generators = [u, Aff(Fraction(0), Fraction(p))]
+            self.g_generators = [u, Aff(0, p)]
             self.notes = "generated by the unit translation and scaling by p"
         self.h_generators = [u]
         self.reduction_note = "none"
         super().__init__()
 
     def mul(self, x, y):
-        self._check_payload(x)
-        self._check_payload(y)
-        # [[1,b1],[0,a1]] * [[1,b2],[0,a2]] = [[1, b2 + b1*a2], [0, a1*a2]]
-        return Aff(y.b + x.b * y.a, x.a * y.a)
+        try:
+            b1, a1, d1 = x.B, x.A, x.D
+            b2, a2, d2 = y.B, y.A, y.D
+        except AttributeError:
+            self._check_payload(x)
+            self._check_payload(y)
+            raise
+        # [[1,b1],[0,a1]] * [[1,b2],[0,a2]] = [[1, b2 + b1*a2], [0, a1*a2]],
+        # over the denominator d1*d2
+        b = b2 * d1 + b1 * a2
+        a = a1 * a2
+        d = d1 * d2
+        g = gcd(b, a, d)
+        return _aff(b // g, a // g, d // g)
 
     def inv(self, x):
         self._check_payload(x)
-        return Aff(-x.b / x.a, 1 / x.a)
+        # (-b/a, 1/a) = (-B, D) / A, and gcd(B, D, A) = 1 already
+        return _aff(-x.B, x.D, x.A)
 
     def identity(self):
-        return Aff(Fraction(0), Fraction(1))
+        return _aff(0, 1, 1)
 
     def in_h(self, x) -> bool:
         self._check_payload(x)
-        return x.a == 1 and x.b.denominator == 1
+        # a = 1 makes gcd(B, D) = 1, so b is an integer only when D = 1
+        return x.A == 1 and x.D == 1
 
     def validate(self, x) -> None:
         self._check_payload(x)
@@ -563,16 +619,19 @@ class AffinePair(HeckePair):
         if self.p is not None:
             return list(self.g_generators)
         # a single witness disproves unimodularity for the full pair
-        return [Aff(Fraction(0), Fraction(2))]
+        return [Aff(0, 2)]
 
     def coset_fingerprint(self, x):
-        # H(b,a) = {(b + n*a, a)} <-> (a, b mod aZ)
-        return (x.a, x.b - (x.b / x.a).__floor__() * x.a)
+        # H(b,a) = {(b + n*a, a)} <-> (a, b mod aZ), and b mod aZ is
+        # (B mod A) / D; gcd(B mod A, A, D) = 1, so the triple is reduced
+        return (x.A, x.D, x.B % x.A)
 
     def class_key(self, x):
         # H(b,a)H = {(b + n*a + m, a)} <-> (a, b mod (Z + aZ)), and
-        # Z + aZ = (1/den a) Z
-        return (x.a, x.b % Fraction(1, x.a.denominator))
+        # Z + aZ = (1/den a) Z with den a = D/g, g = gcd(A, D), so b mod it
+        # is (B mod g) / D; gcd(B mod g, A, D) = 1 keeps the triple reduced
+        a, d = x.A, x.D
+        return (a, d, x.B % gcd(a, d))
 
     def parse(self, text: str):
         toks = text.split()

@@ -20,5 +20,11 @@ def z1_store():
     return hp.enumerate_ball(hp.get_pair("z:1"), 50)
 
 
+def pytest_report_header(config):
+    # pytest.ini's `pythonpath = src` goes ahead of PYTHONPATH, so name the
+    # package actually under test
+    return f"heckepairs under test: {hp.__file__}"
+
+
 def pytest_configure(config):
     config.addinivalue_line("markers", "acceptance: acceptance criteria")

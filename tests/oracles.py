@@ -27,6 +27,38 @@ def aff_to_mat(b, a):
     return ((Fraction(1), Fraction(b)), (Fraction(0), Fraction(a)))
 
 
+# The affine group law and its coset keys on (b, a) Fraction pairs, for
+# the matrices [[1, b], [0, a]] with a > 0: the rules the integer
+# payload in groups.AffinePair is held to.
+
+def fraction_aff_mul(x, y):
+    (b1, a1), (b2, a2) = x, y
+    return (b2 + b1 * a2, a1 * a2)
+
+
+def fraction_aff_inv(x):
+    b, a = x
+    return (-b / a, 1 / a)
+
+
+def fraction_aff_in_h(x):
+    b, a = x
+    return a == 1 and b.denominator == 1
+
+
+def fraction_aff_fingerprint(x):
+    # H(b,a) = {(b + n*a, a)} <-> (a, b mod aZ)
+    b, a = x
+    return (a, b - (b / a).__floor__() * a)
+
+
+def fraction_aff_class_key(x):
+    # H(b,a)H = {(b + n*a + m, a)} <-> (a, b mod (Z + aZ)), and
+    # Z + aZ = (1/den a) Z
+    b, a = x
+    return (a, b % Fraction(1, a.denominator))
+
+
 def laurent_mul(f, g):
     """Product of Laurent polynomials given as {exponent: coeff}."""
     out = {}

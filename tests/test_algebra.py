@@ -492,9 +492,8 @@ def test_element_keeps_fraction_coefficients():
 def test_kernel_builds_no_fraction(monkeypatch):
     # convolve, involution and == read and build (den, num) pairs only.
     # The laws run once first to warm the structure constants and class
-    # sizes, since bcp's group elements carry Fractions of their own.  On
-    # bcp:2 the product's support has classes with Delta != 1, so
-    # involution rescales
+    # sizes, which the kernel only reads.  On bcp:2 the product's support
+    # has classes with Delta != 1, so involution rescales
     cases = []
     for label in ("psl2z1p:2", "bcp:2"):
         store, classes, _ = kernel_store(label)

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 import heckepairs as hp
 from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
                                OrbitCapExceeded, ParseError)
+from heckepairs.algebra import structure_constants
 from heckepairs.groups import Aff, Dih, Mat2, Vec, get_pair
 
 from conftest import FG_LABELS
-from oracles import aff_to_mat, dih_inv, dih_mul, group_closure, mat_mul
+from oracles import (aff_to_mat, dih_inv, dih_mul, fraction_aff_class_key,
+                     fraction_aff_fingerprint, fraction_aff_in_h,
+                     fraction_aff_inv, fraction_aff_mul, group_closure,
+                     mat_mul)
 
 
 def random_word(pair, rng, max_len=6):
@@ -70,6 +75,85 @@ def test_affine_product_randomized_against_oracle(x, y):
     got = bc.mul(Aff(*x), Aff(*y))
     ((_, b), (_, a)) = mat_mul(aff_to_mat(*x), aff_to_mat(*y))
     assert (got.b, got.a) == (b, a)
+
+
+def _draw_affine(p, data):
+    """(b, a) with b in Q and a in Q_{>0} for the full pair (p = None), or
+    b in Z[1/p] and a a power of p, as Fractions."""
+    if p is None:
+        small = st.integers(1, 12)
+        return (Q(data.draw(st.integers(-40, 40)), data.draw(small)),
+                Q(data.draw(small), data.draw(small)))
+    return (Q(data.draw(st.integers(-60, 60)), p ** data.draw(st.integers(0, 4))),
+            Q(p) ** data.draw(st.integers(-4, 4)))
+
+
+def _as_pair(g):
+    return (g.b, g.a)
+
+
+@pytest.mark.parametrize("label,p", [("bc", None), ("bcp:2", 2), ("bcp:3", 3)])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_affine_payload_matches_fraction_oracle(label, p, data):
+    # the integer group law and keys against the Fraction rules in
+    # oracles.py; y is often x moved inside its right coset or its class,
+    # so that both sides of each key comparison are reached
+    pair = get_pair(label)
+    x = _draw_affine(p, data)
+    move = data.draw(st.sampled_from(["none", "coset", "class"]))
+    if move == "none":
+        y = _draw_affine(p, data)
+    else:
+        h = (Q(data.draw(st.integers(-5, 5))), Q(1))
+        y = fraction_aff_mul(h, x)
+        if move == "class":
+            y = fraction_aff_mul(y, (Q(data.draw(st.integers(-5, 5))), Q(1)))
+    gx, gy = Aff(*x), Aff(*y)
+    assert _as_pair(pair.mul(gx, gy)) == fraction_aff_mul(x, y)
+    assert _as_pair(pair.inv(gx)) == fraction_aff_inv(x)
+    assert pair.in_h(gx) == fraction_aff_in_h(x)
+    assert pair.in_h(pair.mul(gx, pair.inv(gy))) == fraction_aff_in_h(
+        fraction_aff_mul(x, fraction_aff_inv(y)))
+    assert ((pair.coset_fingerprint(gx) == pair.coset_fingerprint(gy))
+            == (fraction_aff_fingerprint(x) == fraction_aff_fingerprint(y)))
+    assert ((pair.class_key(gx) == pair.class_key(gy))
+            == (fraction_aff_class_key(x) == fraction_aff_class_key(y)))
+    # one reduced form, however the element is built
+    assert all(type(n) is int for n in (gx.B, gx.A, gx.D))
+    assert gx.D > 0 and math.gcd(gx.B, gx.A, gx.D) == 1
+    assert _as_pair(gx) == x
+    g = data.draw(st.integers(1, 6))
+    for built in (Aff(Q(gx.B * g, gx.D * g), Q(gx.A * g, gx.D * g)),
+                  pair.mul(pair.identity(), gx), pair.mul(gx, pair.identity()),
+                  pair.inv(pair.inv(gx))):
+        assert (built.B, built.A, built.D) == (gx.B, gx.A, gx.D)
+        assert built == gx and hash(built) == hash(gx)
+    if x[0].denominator == x[1].denominator == 1:
+        assert Aff(int(x[0]), int(x[1])) == gx
+
+
+def test_affine_group_law_builds_no_fraction(monkeypatch):
+    # products, inverses and both keys read and build integers only: the
+    # bcp:2 ball and every structure constant on its radius-3 classes
+    built = [0]
+    new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counted))
+    Q(1, 2)
+    assert built == [1]         # the counter sees a construction
+    built[0] = 0
+    store = hp.enumerate_ball(get_pair("bcp:2"), 3)
+    classes = store.classes_in_ball(3)
+    constants = [structure_constants(store, d1, d2)
+                 for d1 in classes for d2 in classes]
+    monkeypatch.undo()
+    assert built[0] == 0
+    assert len(classes) > 1 and all(constants)
 
 
 def test_sl2_product_matches_fraction_oracle():
@@ -214,6 +298,12 @@ def test_mixed_kinds():
     psl3 = get_pair("psl2z1p:3")
     with pytest.raises(MixedKinds):
         psl.mul(psl.identity(), psl3.identity())
+    for args in ((bc.identity(), psl.identity()),
+                 (psl.identity(), bc.identity())):
+        with pytest.raises(MixedKinds):
+            bc.mul(*args)
+    with pytest.raises(MixedKinds):
+        bc.inv(psl.identity())
 
 
 def test_dihedral_against_brute_oracle():

@@ -82,6 +82,10 @@ RUNS = [
     # higher moments, whose exact sums carry the largest numerators
     ["kesten", "--pair", "psl2z1p:2", "--rmax", "4", "--set", "kesten.n=10"],
     ["kesten", "--pair", "bcp:2", "--rmax", "4", "--set", "kesten.n=8"],
+    # every coset representative rendered from the affine payload's
+    # Fraction views, such as `aff -1/3 1` and `aff 0 1/27`
+    ["enumerate", "--pair", "bcp:3", "--rmax", "6"],
+    ["enumerate", "--pair", "bcp:5", "--rmax", "4"],
     ["verify"],
 ]
 
