@@ -86,9 +86,6 @@ class HeckeElement:
                 {d: Fraction(n, den) for d, n in self.num.items()})
         return view
 
-    def support(self) -> list[int]:
-        return sorted(self.num)
-
     def __bool__(self) -> bool:
         return bool(self.num)
 

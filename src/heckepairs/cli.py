@@ -26,12 +26,13 @@ import math
 import operator
 import os
 import sys
+from dataclasses import asdict, fields, is_dataclass
+from fractions import Fraction
 
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
                      CapExceeded, CosetStore)
 from .errors import HeckeError, NotRelativelyUnimodular
-from .growth import (GROWTH_DEFAULTS, GrowthSeries, classify_growth,
-                     growth_series)
+from .growth import GROWTH_DEFAULTS, classify_growth, growth_series
 from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
 from .lengths import characteristic_length, word_length
 from .rd import RD_DEFAULTS, kesten_diagnostic, rd_profile
@@ -114,19 +115,26 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _round_floats(obj):
-    """12 significant digits everywhere, so artifacts are byte-stable."""
+def _jsonable(obj):
+    """The one rule that turns a report into JSON: a dataclass is its
+    fields by name, a Fraction its string, every dict key a string (so
+    ``sort_keys`` orders them as strings), a tuple a list, and a float
+    keeps 12 significant digits, so artifacts are byte-stable."""
     if isinstance(obj, float):
         return float(format(obj, ".12g"))
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
 def write_json(path: str, obj: dict) -> None:
-    text = json.dumps(_round_floats(obj), sort_keys=True, indent=1)
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -235,11 +243,6 @@ def cmd_ltable(args, cfg, store, base, report) -> int:
     return EXIT_OK
 
 
-def _series_dict(series: GrowthSeries) -> dict:
-    return {"radii": series.radii, "ball": series.ball,
-            "shell": series.shell, "kind": series.kind}
-
-
 def cmd_growth(args, cfg, store, base, report) -> int:
     series = growth_series(store, args.rmax)
     verdict = classify_growth(series,
@@ -247,9 +250,8 @@ def cmd_growth(args, cfg, store, base, report) -> int:
                               tail_fraction=float(cfg["growth.tail_fraction"]),
                               min_r2=float(cfg["growth.min_r2"]))
     write_csv(base + ".csv", ["r", "ball", "shell"], series.as_rows())
-    report["series"] = _series_dict(series)
-    report["verdict"] = verdict.as_dict()
-    report["verdict"]["label"] = "empirical"
+    report["series"] = series
+    report["verdict"] = {**asdict(verdict), "label": "empirical"}
     write_json(base + ".json", report)
     print(f"wrote {base}.json: {verdict.kind} "
           f"(alpha={verdict.alpha}, beta={verdict.beta})")
@@ -259,18 +261,17 @@ def cmd_growth(args, cfg, store, base, report) -> int:
 def _growth_so_far(store, report) -> None:
     """The series on the radii the class search completed, which are
     exact."""
-    report["series"] = _series_dict(
-        growth_series(store, store.class_search_depth))
+    report["series"] = growth_series(store, store.class_search_depth)
 
 
 def cmd_rd_profile(args, cfg, store, base, report) -> int:
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
     profile = rd_profile(store, None, args.rmax, config=rd_cfg,
                          seed=int(cfg["seed"]))
-    report["profile"] = profile.as_dict()
+    report["profile"] = profile
     write_json(base + ".json", report)
     write_csv(base + ".csv", ["r", "best_ratio", "witness"],
-              [[r, v, w] for r, v, w in profile.best])
+              [[b.r, b.ratio, b.witness] for b in profile.best])
     print(f"wrote {base}.json: verdict {profile.verdict}")
     if profile.verdict == "inconclusive" or profile.partial:
         return EXIT_INCONCLUSIVE
@@ -281,7 +282,7 @@ def cmd_kesten(args, cfg, store, base, report) -> int:
     store.enumerate_to(args.rmax)
     rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
     report_obj = kesten_diagnostic(store, None, None, config=rd_cfg)
-    report["kesten"] = report_obj.as_dict()
+    report["kesten"] = report_obj
     write_json(base + ".json", report)
     print(f"wrote {base}.json: index "
           f"{report_obj.amenability_index:.6f} ({report_obj.hint})")
@@ -301,8 +302,7 @@ def cmd_verify(args, cfg) -> int:
     report = {
         "command": "verify",
         "config": cfg,
-        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                   for c in checks],
+        "checks": checks,
         "failures": n_bad,
     }
     write_json(os.path.join(args.out, "verify_report.json"), report)

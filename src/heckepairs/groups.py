@@ -465,11 +465,12 @@ class SL2ZpPair(HeckePair):
     def inv(self, x):
         self._check_payload(x)
         a, b, c, d = x.num
-        # num/p^k has inverse (d,-b,-c,a)/p^k since det(num) = p^{2k}
-        num, k = _reduce_mat((d, -b, -c, a), x.k, self.p)
+        # num/p^k has inverse (d,-b,-c,a)/p^k since det(num) = p^{2k}; its
+        # entries are num's up to sign and order, so it is already reduced
+        num = (d, -b, -c, a)
         if self.projective:
             num = _canon_sign(num)
-        return Mat2(num, k, self.p)
+        return Mat2(num, x.k, self.p)
 
     def identity(self):
         return Mat2((1, 0, 0, 1), 0, self.p)

@@ -82,11 +82,6 @@ class GrowthVerdict:
     tail_ratios: list[float]
     details: str
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha, "beta": self.beta,
-                "r2": self.r2, "tail_ratios": self.tail_ratios,
-                "details": self.details}
-
 
 def classify_growth(series: GrowthSeries,
                     delta: float = GROWTH_DEFAULTS["growth.delta"],

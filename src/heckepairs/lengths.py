@@ -10,7 +10,7 @@ for exact submultiplicativity checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -39,6 +39,10 @@ class LengthFunction:
     #: globally defined lengths (indicator, characteristic) evaluate lazily
     #: on classes outside the tabulated ball; the word length cannot
     extend: Optional[Callable] = None
+    #: memo of the lazy values, kept apart so that ``values`` stays the
+    #: tabulated domain whatever was evaluated before
+    _extended: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __call__(self, dcid: int):
         try:
@@ -46,9 +50,9 @@ class LengthFunction:
         except KeyError:
             pass
         if self.extend is not None:
-            v = self.extend(dcid)
-            self.values[dcid] = v
-            return v
+            if dcid not in self._extended:
+                self._extended[dcid] = self.extend(dcid)
+            return self._extended[dcid]
         raise LengthUndefinedOnSupport(
             f"{self.kind} length undefined on class {dcid}")
 

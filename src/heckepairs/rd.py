@@ -38,8 +38,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RD_DEFAULTS", "TruncatedOperator", "operator_matrix", "truncated_norm",
-    "spectral_lower_bound", "RdProfile", "rd_profile", "rd_weighted_fit",
-    "KestenReport", "kesten_diagnostic",
+    "spectral_lower_bound", "RdProfile", "BestRatio", "rd_profile",
+    "rd_weighted_fit", "KestenReport", "kesten_diagnostic",
 ]
 
 RD_DEFAULTS = {
@@ -379,20 +379,17 @@ class RdTestRecord:
     ratio: float
     weighted_norms: dict    # s -> ||f||_{s,l}
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r, "family": self.family, "nonneg": self.nonneg,
-            "lower_bound": self.lower_bound, "trunc_norm": self.trunc_norm,
-            "trunc_radius": self.trunc_radius,
-            "moment_root": self.moment_root, "l2": self.l2,
-            "ratio": self.ratio,
-            "weighted_norms": {str(s): v for s, v in self.weighted_norms.items()},
-        }
+
+@dataclass(frozen=True)
+class BestRatio:
+    r: int
+    ratio: float
+    witness: str            # the family that attains it
 
 
 @dataclass
 class RdProfile:
-    pair_label: str
+    pair: str
     verdict: str            # obstructed-nonunimodular | polynomial-compatible
     #                       # | superpolynomial-ratio | inconclusive
     unimodular: bool
@@ -400,7 +397,7 @@ class RdProfile:
     seed: int
     config: dict
     records: list = field(default_factory=list)
-    best: list = field(default_factory=list)   # (r, best_ratio, witness family)
+    best: list = field(default_factory=list)   # BestRatio per radius
     poly_slope: Optional[float] = None
     poly_r2: Optional[float] = None
     exp_slope: Optional[float] = None
@@ -408,26 +405,6 @@ class RdProfile:
     c_hat: Optional[float] = None
     partial: bool = False
     warnings: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "pair": self.pair_label,
-            "verdict": self.verdict,
-            "unimodular": self.unimodular,
-            "r_max": self.r_max,
-            "seed": self.seed,
-            "config": self.config,
-            "records": [rec.as_dict() for rec in self.records],
-            "best": [{"r": r, "ratio": ratio, "witness": w}
-                     for r, ratio, w in self.best],
-            "poly_slope": self.poly_slope,
-            "poly_r2": self.poly_r2,
-            "exp_slope": self.exp_slope,
-            "s_hat": self.s_hat,
-            "c_hat": self.c_hat,
-            "partial": self.partial,
-            "warnings": list(self.warnings),
-        }
 
 
 def _symmetrized_random(store: CosetStore, classes: list[int], rng,
@@ -502,19 +479,19 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
             if nonneg and (r not in best or rec.ratio > best[r][0]):
                 best[r] = (rec.ratio, family)
 
-    profile.best = [(r, v, w) for r, (v, w) in sorted(best.items())]
+    profile.best = [BestRatio(r, v, w) for r, (v, w) in sorted(best.items())]
     floor = 1.0 / math.sqrt(ball_size)
-    for r, v, _ in profile.best:
-        if v < floor:
+    for b in profile.best:
+        if b.ratio < floor:
             profile.warnings.append(
-                f"best ratio at r={r} below the sanity floor {floor:.3g}")
+                f"best ratio at r={b.r} below the sanity floor {floor:.3g}")
 
     if len(profile.best) >= 2:
-        xs = [math.log(1.0 + r) for r, _, _ in profile.best]
-        ys = [math.log(max(v, 1e-300)) for _, v, _ in profile.best]
+        xs = [math.log(1.0 + b.r) for b in profile.best]
+        ys = [math.log(max(b.ratio, 1e-300)) for b in profile.best]
         profile.poly_slope, _, profile.poly_r2 = linfit(xs, ys)
         profile.exp_slope, _, _ = linfit(
-            [float(r) for r, _, _ in profile.best], ys)
+            [float(b.r) for b in profile.best], ys)
 
     if len(profile.best) < 4:
         profile.verdict = "inconclusive"
@@ -673,8 +650,8 @@ def rd_weighted_fit(profile: RdProfile,
 
 @dataclass
 class KestenReport:
-    pair_label: str
-    f_text: str
+    pair: str
+    f: str
     n: int
     moments: list            # exact Fractions a_1..a_n
     rho: list                # floats a_n^(1/2n)
@@ -686,23 +663,6 @@ class KestenReport:
     config: dict
     hint: str
     warnings: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "pair": self.pair_label,
-            "f": self.f_text,
-            "n": self.n,
-            "moments": [str(a) for a in self.moments],
-            "rho": self.rho,
-            "l1": self.l1,
-            "trunc_norm": self.trunc_norm,
-            "trunc_radius": self.trunc_radius,
-            "amenability_index": self.amenability_index,
-            "relatively_unimodular": self.relatively_unimodular,
-            "config": self.config,
-            "hint": self.hint,
-            "warnings": list(self.warnings),
-        }
 
 
 def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,

@@ -122,8 +122,8 @@ def test_criterion_04_rd_obstruction_deterministic():
         outcomes = []
         for _ in range(3):
             store = hp.CosetStore(pair)
-            outcomes.append(rd_profile(store, None, 6, seed=0).as_dict())
-        assert outcomes[0]["verdict"] == "obstructed-nonunimodular"
+            outcomes.append(rd_profile(store, None, 6, seed=0))
+        assert outcomes[0].verdict == "obstructed-nonunimodular"
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 

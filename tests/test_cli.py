@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,9 @@ import pytest
 import heckepairs
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from heckepairs.cosets import CosetStore
+from heckepairs.growth import GrowthSeries, GrowthVerdict
+from heckepairs.rd import BestRatio, KestenReport, RdProfile, RdTestRecord
+from heckepairs.verify import CheckResult
 
 from oracles import tree_ball, tree_class_size, tree_level, tree_t1_times_tk
 
@@ -87,6 +91,35 @@ def test_determinism_byte_identical(tmp_path):
                            for p in out.iterdir())
             outs.append(blobs)
         assert outs[0] == outs[1]
+
+
+def test_report_keys_are_the_dataclass_fields(tmp_path):
+    # one rule writes every report object: its JSON keys are its fields
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    def run(*argv):
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+
+    run("rd-profile", "--pair", "z:1", "--rmax", "6")
+    prof = json.loads(read(tmp_path / "rd_profile_z-1.json"))["profile"]
+    assert set(prof) == fields(RdProfile)
+    assert prof["records"] and prof["best"]
+    for rec in prof["records"]:
+        assert set(rec) == fields(RdTestRecord)
+    for best in prof["best"]:
+        assert set(best) == fields(BestRatio)
+    run("kesten", "--pair", "z:1", "--rmax", "6")
+    kesten = json.loads(read(tmp_path / "kesten_z-1.json"))["kesten"]
+    assert set(kesten) == fields(KestenReport)
+    run("growth", "--pair", "z:1", "--rmax", "8")
+    growth = json.loads(read(tmp_path / "growth_z-1.json"))
+    assert set(growth["series"]) == fields(GrowthSeries)
+    assert set(growth["verdict"]) == fields(GrowthVerdict) | {"label"}
+    assert main(["verify", "--no-golden", "--out", str(tmp_path)]) == EXIT_OK
+    checks = json.loads(read(tmp_path / "verify_report.json"))["checks"]
+    assert checks and all(set(c) == fields(CheckResult) for c in checks)
 
 
 def test_usage_errors(tmp_path, capsys):

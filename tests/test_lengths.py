@@ -112,6 +112,26 @@ def test_characteristic_submultiplicative_exact():
                 assert lc.exact_base[d] <= lc.exact_base[d1] * lc.exact_base[d2]
 
 
+def test_lazy_values_leave_the_tabulated_domain_alone():
+    # the axiom check evaluates lc on product classes past its radius-2
+    # table; the table, which dominance fits and rd-profile families
+    # iterate, must not grow, so no result depends on what ran before
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
+    ind = indicator_length(store)
+    fresh = dominance_fit(characteristic_length(store), ind, store)
+    lc = characteristic_length(store)
+    table = dict(lc.values)
+    assert len(table) == 3
+    assert check_length_axioms(store, lc, 2) == []
+    assert lc.values == table
+    outside = [d for d in range(len(store.dcs)) if d not in table]
+    assert outside
+    for d in outside:
+        assert lc(d) == math.log(store.class_L(d)) and lc.defined_on(d)
+    assert dominance_fit(lc, ind, store) == fresh
+    assert fresh.n_classes == 3
+
+
 def test_averaged_length_dinf():
     pair = get_pair("dinf")
     av = averaged_length(pair, pair.word_length_on_g)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import heckepairs as hp
-from heckepairs import algebra, rd
+from heckepairs import algebra, cli, rd
 from heckepairs.algebra import (HeckeElement, basis_element, identity_element,
                                 involution, norms, power_moments)
 from heckepairs.errors import (BallIncomplete, ConvergenceWarning,
@@ -33,6 +34,13 @@ def z_delta(store, n):
 
 def z_walk(store):
     return z_delta(store, -1) + z_delta(store, 0) + z_delta(store, 1)
+
+
+def written(report, tmp_path):
+    """The report as the CLI writes it, read back."""
+    path = tmp_path / "report.json"
+    cli.write_json(str(path), report)
+    return json.loads(path.read_text())
 
 
 def test_operator_identity_is_identity_matrix(z1_store):
@@ -395,7 +403,7 @@ def test_profile_reports_a_capped_power_iteration(monkeypatch, z1_store):
     assert not prof.partial
 
 
-def test_kesten_reports_a_capped_power_iteration(monkeypatch):
+def test_kesten_reports_a_capped_power_iteration(monkeypatch, tmp_path):
     # as in rd-profile: the cap goes into the report's warnings, not to
     # stderr, through the module-level rd.truncated_norm
     calls = []
@@ -415,18 +423,18 @@ def test_kesten_reports_a_capped_power_iteration(monkeypatch):
     assert rep.warnings == [
         "power iteration at trunc_radius=6 hit its iteration cap "
         "(rd.max_iter=3): trunc_norm there is not converged"]
-    assert rep.as_dict()["warnings"] == rep.warnings
+    assert written(rep, tmp_path)["warnings"] == rep.warnings
     converged = kesten_diagnostic(store, None, 2)
     assert rep.trunc_norm < converged.trunc_norm
 
 
 @pytest.mark.parametrize("label,r_max", [("z:1", 12), ("psl2z1p:2", 6),
                                          ("bcp:2", 5)])
-def test_default_kesten_converges(label, r_max):
+def test_default_kesten_converges(label, r_max, tmp_path):
     store = hp.enumerate_ball(get_pair(label), r_max)
     rep = kesten_diagnostic(store)
     assert rep.trunc_norm > 0
-    assert rep.warnings == [] and rep.as_dict()["warnings"] == []
+    assert rep.warnings == [] and written(rep, tmp_path)["warnings"] == []
 
 
 @pytest.mark.parametrize("label,r_max", [("z:1", 30), ("z:2", 6),
@@ -546,8 +554,8 @@ def test_rd_profile_z_polynomial_compatible():
     assert prof.s_hat is not None and prof.s_hat <= 1.5
     assert prof.c_hat is not None and prof.c_hat > 0
     floor = 1.0 / math.sqrt(len(store.ball_ids(store.radius_complete)))
-    for _, ratio, _ in prof.best:
-        assert ratio >= floor
+    for best in prof.best:
+        assert best.ratio >= floor
     assert not prof.warnings
 
 
@@ -556,10 +564,10 @@ def test_rd_profile_obstructed_for_bcp():
     runs = []
     for _ in range(2):
         store = hp.CosetStore(pair)
-        runs.append(rd_profile(store, None, 5, seed=3).as_dict())
-    assert runs[0]["verdict"] == "obstructed-nonunimodular"
+        runs.append(rd_profile(store, None, 5, seed=3))
+    assert runs[0].verdict == "obstructed-nonunimodular"
     assert runs[0] == runs[1]          # deterministic
-    assert runs[0]["records"] == []    # no ratio data is even collected
+    assert runs[0].records == []       # no ratio data is even collected
 
 
 def test_rd_profile_psl2_shell_slope():
@@ -574,13 +582,11 @@ def test_rd_profile_psl2_shell_slope():
 
 
 def test_rd_profile_seed_recorded_and_deterministic():
-    a = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8),
-                   None, 6, seed=42).as_dict()
-    b = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8),
-                   None, 6, seed=42).as_dict()
+    a = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8), None, 6, seed=42)
+    b = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8), None, 6, seed=42)
     assert a == b
-    assert a["seed"] == 42
-    assert a["config"]["rd.pad"] == RD_DEFAULTS["rd.pad"]
+    assert a.seed == 42
+    assert a.config["rd.pad"] == RD_DEFAULTS["rd.pad"]
 
 
 def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
@@ -630,12 +636,12 @@ def test_reports_read_the_pair_from_the_store():
         characteristic_length(bcp)
     z2 = hp.enumerate_ball(get_pair("z:2"), 4)
     prof = rd_profile(z2, None, 2, seed=0)
-    assert prof.pair_label == z2.pair.label == "z:2"
+    assert prof.pair == z2.pair.label == "z:2"
     assert prof.verdict != "obstructed-nonunimodular"
     rep = kesten_diagnostic(z2, None, 2)
-    assert rep.pair_label == "z:2" and rep.relatively_unimodular
+    assert rep.pair == "z:2" and rep.relatively_unimodular
     rep = kesten_diagnostic(bcp, None, 2)
-    assert rep.pair_label == bcp.pair.label == "bcp:2"
+    assert rep.pair == bcp.pair.label == "bcp:2"
 
 
 def test_unimodularity_verdict_is_the_stores(monkeypatch):

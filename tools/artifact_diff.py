@@ -86,6 +86,11 @@ RUNS = [
     # Fraction views, such as `aff -1/3 1` and `aff 0 1/27`
     ["enumerate", "--pair", "bcp:3", "--rmax", "6"],
     ["enumerate", "--pair", "bcp:5", "--rmax", "4"],
+    # the serialization rule's edges: weighted-norm keys "10.0"-"12.0"
+    # sort as strings, before "2.0", and kesten names a capped iteration
+    ["rd-profile", "--pair", "z:1", "--rmax", "6",
+     "--set", "rd.s_grid_max=12"],
+    ["kesten", "--pair", "z:1", "--rmax", "6", "--set", "rd.max_iter=3"],
     ["verify"],
 ]
 
