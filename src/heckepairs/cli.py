@@ -221,22 +221,19 @@ def cmd_ltable(args, cfg, store, base, report) -> int:
         lc = characteristic_length(store)
     except NotRelativelyUnimodular:
         lc = None
-    rows = []
+    header = ["dc_id", "rep", "L", "R", "delta", "l_word", "l_char"]
+    rows, classes = [], []
     for d in store.classes_in_ball(args.rmax):
-        rows.append([
-            d,
-            pair.render(store.reps[store.dcs[d].rep_cid]),
-            store.class_L(d),
-            store.class_R(d),
-            str(store.class_delta(d)),
-            str(lw.values.get(d, "")),
-            format(lc.values[d], ".12g") if lc is not None else "NA",
-        ])
-    write_csv(base + ".csv",
-              ["dc_id", "rep", "L", "R", "delta", "l_word", "l_char"], rows)
-    report["classes"] = [
-        {"dc_id": r[0], "rep": r[1], "L": r[2], "R": r[3], "delta": r[4],
-         "l_word": r[5], "l_char": r[6]} for r in rows]
+        row = [d, pair.render(store.reps[store.dcs[d].rep_cid]),
+               store.class_L(d), store.class_R(d), store.class_delta(d)]
+        l_word = lw.values.get(d)
+        l_char = lc.values[d] if lc is not None else None
+        classes.append(dict(zip(header, row + [l_word, l_char])))
+        # the CSV writes a missing length as "" (l_word) or "NA" (l_char)
+        rows.append(row + ["" if l_word is None else l_word,
+                           "NA" if l_char is None else l_char])
+    write_csv(base + ".csv", header, rows)
+    report["classes"] = classes
     report["characteristic_length_available"] = lc is not None
     write_json(base + ".json", report)
     print(f"wrote {base}.csv ({len(rows)} classes)")

@@ -49,7 +49,7 @@ class Caps:
     max_orbit: int = DEFAULT_MAX_ORBIT
 
 
-@dataclass
+@dataclass(slots=True)
 class DoubleCoset:
     id: int
     key: object                       # the pair's class key
@@ -346,27 +346,35 @@ class CosetStore:
         x = _step_element(d1) and the left-coset representatives t of d2,
         H x H d2 = u_t H x t H, so the classes of the x t are exactly the
         support; each is named by its key."""
-        x = self._step_element(d1)
-        mul = self.pair.mul
-        support: dict = {}
-        for t in self.class_left_reps(d2):
-            y = mul(x, t)
-            e = self.class_of(y)
-            if e in support:
-                support[e][1] += 1
-            else:
-                support[e] = [y, 1]
-        return support
+        return self._support(self._step_element(d1), self.class_left_reps(d2))
 
     def product_count(self, d1: int, d2: int, x) -> int:
         """(T_{d1} * T_{d2})(Hx) = #{j : H x b_j^{-1} in d1} over the right
         cosets H b_j of d2.  The b_j^{-1} are, up to right H, the left-coset
         representatives of inv(d2), and right H does not move a class, so
         the count is R(d2) key comparisons: no member list, no interning."""
+        return self._count(x, self.class_left_reps(self.class_inverse(d2)),
+                           self.dcs[d1].key)
+
+    def _support(self, x, reps) -> dict:
+        """Class id -> [first x t met in it, how many x t land in it] over
+        the elements t of ``reps``, in the order met: one product per t."""
+        mul, class_of = self.pair.mul, self.class_of
+        support: dict = {}
+        for t in reps:
+            y = mul(x, t)
+            e = class_of(y)
+            if e in support:
+                support[e][1] += 1
+            else:
+                support[e] = [y, 1]
+        return support
+
+    def _count(self, x, reps, want) -> int:
+        """How many of the x t, over the elements t of ``reps``, carry the
+        class key ``want``: one product per t."""
         mul, key = self.pair.mul, self.pair.class_key
-        want = self.dcs[d1].key
-        return sum(key(mul(x, t)) == want
-                   for t in self.class_left_reps(self.class_inverse(d2)))
+        return sum(key(mul(x, t)) == want for t in reps)
 
     def word_lengths(self, r: int) -> dict[int, int]:
         """Class id -> word length for every class of word length <= r
@@ -406,15 +414,19 @@ class CosetStore:
             return False
         if self._gen_classes is None:
             self._gen_classes = self._generator_classes()
-        dcs = self.dcs
+        dcs, wl = self.dcs, self._wl_classes
+        gens = [(s, self.class_left_reps(s),
+                 self.class_left_reps(self.class_inverse(s)))
+                for s in self._gen_classes]
         found: dict[int, None] = {}
         for d in self._wl_frontier:
-            for s in self._gen_classes:
-                for e, (x, m) in self.product_support(d, s).items():
-                    if e in self._wl_classes or e in found:
+            x, want = self._step_element(d), dcs[d].key
+            for s, reps, inv_reps in gens:
+                for e, (y, m) in self._support(x, reps).items():
+                    if e in wl or e in found:
                         continue
                     found[e] = None
-                    c = self.product_count(d, s, x)
+                    c = self._count(y, inv_reps, want)
                     for side, num, den in (
                             ("L", dcs[d].L * m, c),
                             ("R", dcs[d].R * dcs[s].R * m, dcs[s].L * c)):

@@ -25,9 +25,9 @@ Element payloads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, neg
 from typing import Callable, Optional
 
 from .errors import DomainError, HeckeError, MixedKinds, ParseError
@@ -138,22 +138,68 @@ def _aff(B: int, A: int, D: int) -> Aff:
     return x
 
 
-@dataclass(frozen=True, slots=True)
 class Perm:
-    images: tuple[int, ...]
+    """Permutation of {0..n-1} as the tuple of its images.  Plain slots
+    class, like :class:`Mat2`."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.images,))
+
+    def __repr__(self):
+        return f"Perm(images={self.images!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Vec:
-    coords: tuple[int, ...]
+    """Integer vector, the tuple of its coordinates.  Plain slots class,
+    like :class:`Mat2`."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"Vec(coords={self.coords!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Dih:
-    """The isometry x -> -x + shift (flip) or x -> x + shift (no flip)."""
+    """The isometry x -> -x + shift (flip) or x -> x + shift (no flip).
+    Plain slots class, like :class:`Mat2`."""
 
-    shift: int
-    flip: bool
+    __slots__ = ("shift", "flip")
+
+    def __init__(self, shift: int, flip: bool):
+        self.shift = shift
+        self.flip = flip
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.shift == other.shift and self.flip == other.flip
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.shift, self.flip))
+
+    def __repr__(self):
+        return f"Dih(shift={self.shift!r}, flip={self.flip!r})"
 
 
 def _p_exponent(n: int, p: int) -> Optional[int]:
@@ -672,13 +718,15 @@ class ZPair(HeckePair):
         super().__init__()
 
     def mul(self, x, y):
-        self._check_payload(x)
-        self._check_payload(y)
-        return Vec(tuple(a + b for a, b in zip(x.coords, y.coords)))
+        if x.__class__ is not Vec or y.__class__ is not Vec:
+            self._check_payload(x)
+            self._check_payload(y)
+        return Vec(tuple(map(add, x.coords, y.coords)))
 
     def inv(self, x):
-        self._check_payload(x)
-        return Vec(tuple(-a for a in x.coords))
+        if x.__class__ is not Vec:
+            self._check_payload(x)
+        return Vec(tuple(map(neg, x.coords)))
 
     def identity(self):
         return Vec((0,) * self.d)
@@ -744,12 +792,14 @@ class PermPair(HeckePair):
         super().__init__()
 
     def mul(self, x, y):
-        self._check_payload(x)
-        self._check_payload(y)
-        return Perm(tuple(y.images[i] for i in x.images))
+        if x.__class__ is not Perm or y.__class__ is not Perm:
+            self._check_payload(x)
+            self._check_payload(y)
+        return Perm(tuple(map(y.images.__getitem__, x.images)))
 
     def inv(self, x):
-        self._check_payload(x)
+        if x.__class__ is not Perm:
+            self._check_payload(x)
         out = [0] * len(x.images)
         for i, j in enumerate(x.images):
             out[j] = i
@@ -771,11 +821,15 @@ class PermPair(HeckePair):
         return [Perm(t) for t in sorted(self._h_set)]
 
     def coset_fingerprint(self, x):
-        return min(self.mul(Perm(h), x).images for h in self._h_set)
+        # the least images of h x over h in H, composed on the tuples
+        at = x.images.__getitem__
+        return min(tuple(map(at, h)) for h in self._h_set)
 
     def class_key(self, x):
-        hs = [Perm(h) for h in self._h_set]
-        return min(self.mul(self.mul(a, x), b).images for a in hs for b in hs)
+        # the least images of a x b over a, b in H
+        at, hs = x.images.__getitem__, self._h_set
+        return min(tuple(map(b.__getitem__, map(at, a)))
+                   for a in hs for b in hs)
 
     def parse(self, text: str):
         toks = text.split()
@@ -825,14 +879,16 @@ class DihedralPair(HeckePair):
         super().__init__()
 
     def mul(self, x, y):
-        self._check_payload(x)
-        self._check_payload(y)
+        if x.__class__ is not Dih or y.__class__ is not Dih:
+            self._check_payload(x)
+            self._check_payload(y)
         # apply y after x: (x*y)(t) = y(x(t))  -- composition left to right
         shift = y.shift + (-x.shift if y.flip else x.shift)
         return Dih(shift, x.flip ^ y.flip)
 
     def inv(self, x):
-        self._check_payload(x)
+        if x.__class__ is not Dih:
+            self._check_payload(x)
         return x if x.flip else Dih(-x.shift, False)
 
     def identity(self):

@@ -6,6 +6,7 @@ force closures.  Tests compute expected values through these routes and
 compare the library against them.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -103,6 +104,42 @@ def perm_inv(x):
     for i, j in enumerate(x):
         out[j] = i
     return tuple(out)
+
+
+# Frozen-dataclass forms of groups.Vec, groups.Dih and groups.Perm, under
+# the same names so that their reprs compare, and the group laws on them:
+# the rules the slots payloads are held to.
+
+@dataclass(frozen=True, slots=True)
+class Vec:
+    coords: tuple
+
+
+@dataclass(frozen=True, slots=True)
+class Dih:
+    shift: int
+    flip: bool
+
+
+@dataclass(frozen=True, slots=True)
+class Perm:
+    images: tuple
+
+
+def dataclass_mul(x, y):
+    if isinstance(x, Vec):
+        return Vec(tuple(a + b for a, b in zip(x.coords, y.coords)))
+    if isinstance(x, Dih):
+        return Dih(*dih_mul((x.shift, x.flip), (y.shift, y.flip)))
+    return Perm(perm_mul(x.images, y.images))
+
+
+def dataclass_inv(x):
+    if isinstance(x, Vec):
+        return Vec(tuple(-a for a in x.coords))
+    if isinstance(x, Dih):
+        return Dih(*dih_inv((x.shift, x.flip)))
+    return Perm(perm_inv(x.images))
 
 
 def group_closure(gens, mul, identity, cap=100000):

@@ -33,6 +33,29 @@ def test_ltable_s3(tmp_path):
     assert [c[2:5] for c in cells] == [["1", "1", "1"], ["2", "2", "1"]]
 
 
+@pytest.mark.parametrize("label,unimodular", [("psl2z1p:2", True),
+                                               ("bcp:2", False)])
+def test_ltable_json_carries_native_values(tmp_path, label, unimodular):
+    # the JSON writes l_char as a float or null and l_word as a Fraction
+    # string; the CSV keeps its formatted text and its "NA"
+    out = tmp_path / "o"
+    assert main(["ltable", "--pair", label, "--rmax", "2",
+                 "--out", str(out)]) == EXIT_OK
+    slug = label.replace(":", "-")
+    report = json.loads(read(out / f"ltable_{slug}.json"))
+    rows = read(out / f"ltable_{slug}.csv").strip().splitlines()[1:]
+    assert report["characteristic_length_available"] is unimodular
+    assert len(report["classes"]) == len(rows) > 2
+    for row, line in zip(report["classes"], rows):
+        cells = line.split(",")
+        assert row["l_word"] == cells[5] and row["l_word"] in ("0", "1", "2")
+        if unimodular:
+            assert isinstance(row["l_char"], float)
+            assert format(row["l_char"], ".12g") == cells[6]
+        else:
+            assert row["l_char"] is None and cells[6] == "NA"
+
+
 def test_growth_z2_formula(tmp_path):
     out = tmp_path / "o"
     assert main(["growth", "--pair", "z:2", "--rmax", "25",

@@ -439,3 +439,53 @@ def test_bcp_class_search_sizes_every_class_without_orbits(label, radius,
         assert L == len(left_L_count(pair, rep))
         assert R == len(left_L_count(pair, pair.inv(rep)))
     assert sum(L != R for L, R in sizes.values()) > len(sizes) // 2
+
+
+@pytest.mark.parametrize("label,radius", [
+    ("z:2", 12), ("bcp:2", 10), ("psl2z1p:2", 8), ("dinf", 12)])
+def test_class_search_costs_its_products(label, radius, monkeypatch):
+    # the cost model of a depth, left-coset walks aside: L(s) products for
+    # each frontier class d and generator class s, which name
+    # supp(T_d * T_s), and an R(s)-product count for each class sized
+    # there, charged to the first (d, s) whose support met it
+    store = hp.CosetStore(get_pair(label))
+    store.enumerate_to(radius)
+    pair = store.pair
+    mul, left_reps = pair.mul, store.class_left_reps
+    muls = [0]
+    paused = [False]
+
+    def counted_mul(x, y):
+        muls[0] += not paused[0]
+        return mul(x, y)
+
+    def paused_left_reps(dcid):
+        paused[0], was = True, paused[0]
+        try:
+            return left_reps(dcid)
+        finally:
+            paused[0] = was
+
+    monkeypatch.setattr(pair, "mul", counted_mul)
+    monkeypatch.setattr(store, "class_left_reps", paused_left_reps)
+    store.word_lengths(0)
+    assert muls[0] == 0
+    while store.class_search_depth < radius:
+        frontier = store._wl_frontier
+        before = muls[0]
+        assert store._search_depth()
+        paused[0] = True
+        gens = store._gen_classes
+        sized = set(store._wl_frontier)
+        want = 0
+        for d in frontier:
+            for s in gens:
+                want += store.dcs[s].L
+                for e in store.product_support(d, s):
+                    if e in sized:
+                        sized.discard(e)
+                        want += store.dcs[s].R
+        paused[0] = False
+        assert not sized
+        assert muls[0] - before == want, store.class_search_depth
+    assert len(store._wl_classes) == len(store.word_lengths(radius))

@@ -13,6 +13,7 @@ from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
 from heckepairs.algebra import structure_constants
 from heckepairs.groups import Aff, Dih, Mat2, Vec, get_pair
 
+import oracles
 from conftest import FG_LABELS
 from oracles import (aff_to_mat, dih_inv, dih_mul, fraction_aff_class_key,
                      fraction_aff_fingerprint, fraction_aff_in_h,
@@ -304,6 +305,54 @@ def test_mixed_kinds():
             bc.mul(*args)
     with pytest.raises(MixedKinds):
         bc.inv(psl.identity())
+
+
+SLOTS_PAYLOAD_LABELS = ["z:1", "z:2", "z:3", "dinf", "s3-h12", "s4-h12"]
+
+
+def _as_dataclass(g):
+    """The frozen-dataclass payload of g's name, with g's fields."""
+    fields = type(g).__slots__
+    return getattr(oracles, type(g).__name__)(*(getattr(g, f) for f in fields))
+
+
+@pytest.mark.parametrize("label", SLOTS_PAYLOAD_LABELS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_slots_payloads_match_dataclass_oracle(label, data):
+    # products, inverses, ==, hash and repr of the slots payloads are those
+    # of the frozen dataclasses they replaced
+    pair = get_pair(label)
+    x, y = _draw_element(pair, data), _draw_element(pair, data)
+    ox, oy = _as_dataclass(x), _as_dataclass(y)
+    for got, want in ((pair.mul(x, y), oracles.dataclass_mul(ox, oy)),
+                      (pair.inv(x), oracles.dataclass_inv(ox))):
+        assert type(got) is pair.payload_type
+        assert _as_dataclass(got) == want
+    twin = type(x)(*(getattr(x, f) for f in type(x).__slots__))
+    assert twin is not x
+    for a, b, oa, ob in ((x, y, ox, oy), (x, twin, ox, ox)):
+        assert (a == b) == (oa == ob) and (a != b) == (oa != ob)
+        assert hash(a) == hash(oa) and hash(b) == hash(ob)
+    assert repr(x) == repr(ox)
+    assert x != ox and ox != x
+
+
+@pytest.mark.parametrize("label", SLOTS_PAYLOAD_LABELS)
+def test_slots_payloads_refuse_other_kinds(label):
+    # another pair's payload, or the frozen dataclass of the same name,
+    # fails the fast type test and then the payload check
+    pair = get_pair(label)
+    e = pair.identity()
+    others = [get_pair(other).identity()
+              for other in ("z:2", "dinf", "s3-h12", "bcp:2", "psl2z1p:2")]
+    others = [g for g in others if type(g) is not type(e)]
+    for g in others + [_as_dataclass(e)]:
+        for args in ((e, g), (g, e), (g, g)):
+            with pytest.raises(MixedKinds):
+                pair.mul(*args)
+        with pytest.raises(MixedKinds):
+            pair.inv(g)
 
 
 def test_dihedral_against_brute_oracle():

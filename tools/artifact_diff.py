@@ -91,6 +91,11 @@ RUNS = [
     ["rd-profile", "--pair", "z:1", "--rmax", "6",
      "--set", "rd.s_grid_max=12"],
     ["kesten", "--pair", "z:1", "--rmax", "6", "--set", "rd.max_iter=3"],
+    # the class search over each remaining payload: a length-3 `Vec`,
+    # `Dih` past radius 8 and `Perm`
+    ["growth", "--pair", "z:3", "--rmax", "12"],
+    ["growth", "--pair", "dinf", "--rmax", "40"],
+    ["growth", "--pair", "s4-h12", "--rmax", "6"],
     ["verify"],
 ]
 
