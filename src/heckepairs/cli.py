@@ -22,8 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
-import operator
 import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
@@ -35,7 +33,8 @@ from .errors import HeckeError, NotRelativelyUnimodular
 from .growth import GROWTH_DEFAULTS, classify_growth, growth_series
 from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
 from .lengths import characteristic_length, word_length
-from .rd import RD_DEFAULTS, kesten_diagnostic, rd_profile
+from .rd import (RD_DEFAULTS, RD_DOMAINS, check_domains, kesten_diagnostic,
+                 rd_profile)
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -51,30 +50,17 @@ CONFIG_DEFAULTS = {
     **RD_DEFAULTS,
 }
 
-# the config values with a domain: (key, comparison, bound); each must be a
-# finite number on the right side of its bound (a key with two bounds is
-# listed twice), and every other float value must be finite
+# the config values with a domain: the caps and growth rows, then rd's own
+# rows, checked by the one rule (``rd.check_domains``) that library calls of
+# rd_profile and kesten_diagnostic also run
 CONFIG_DOMAINS = (
     ("caps.max_cosets", ">=", 1),
     ("caps.max_orbit", ">=", 1),
     ("growth.delta", ">=", 0),
     ("growth.tail_fraction", ">", 0),
     ("growth.tail_fraction", "<=", 1),
-    ("rd.pad", ">=", 0),
-    ("rd.max_matrix_cost", ">=", 1),
-    ("rd.moment_n", ">=", 0),
-    ("rd.n_random", ">=", 0),
-    ("rd.coeff_max", ">=", 1),
-    ("rd.s_grid_max", ">=", 0),
-    ("rd.s_grid_step", ">", 0),
-    ("rd.tail_fraction", ">", 0),
-    ("rd.tail_fraction", "<=", 1),
-    ("rd.tol", ">", 0),
-    ("rd.max_iter", ">=", 1),
-    ("kesten.n", ">=", 0),
-    ("kesten.trunc_radius", ">=", 0),
+    *RD_DOMAINS,
 )
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _coerce(key: str, raw: str):
@@ -374,14 +360,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg["caps.max_cosets"] = args.max_cosets
         if getattr(args, "max_orbit", None) is not None:
             cfg["caps.max_orbit"] = args.max_orbit
-        for key, op, bound in CONFIG_DOMAINS:
-            value = cfg[key]
-            if not (math.isfinite(value) and _COMPARE[op](value, bound)):
-                raise HeckeError(
-                    f"{key} must be finite and {op} {bound}, got {value}")
-        for key, value in cfg.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise HeckeError(f"{key} must be finite, got {value}")
+        check_domains(cfg, CONFIG_DOMAINS)
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, cfg)
     except CapExceeded as exc:

@@ -211,7 +211,11 @@ class CosetStore:
         d = self.dc_of[cid]
         if d is not None:
             return d
-        key = self.pair.class_key(self.reps[cid])
+        return self._name_class(self.pair.class_key(self.reps[cid]), cid)
+
+    def _name_class(self, key, cid: int) -> int:
+        """Id of the class with key ``key``, which coset ``cid`` lies in;
+        a new key names a new class with ``cid`` as its rep."""
         d = self._classes.get(key)
         if d is None:
             d = self._classes[key] = len(self.dcs)
@@ -262,8 +266,9 @@ class CosetStore:
     def class_of(self, g) -> int:
         """Double-coset id of HgH for a canonical ``g``.  The coset Hg is
         interned only when its class is new, to give the class a rep."""
-        d = self._classes.get(self.pair.class_key(g))
-        return self.dc(self._intern(g)) if d is None else d
+        key = self.pair.class_key(g)
+        d = self._classes.get(key)
+        return self._name_class(key, self._intern(g)) if d is None else d
 
     def class_R(self, dcid: int) -> int:
         """R of the class: learned by resuming the class search on a

@@ -20,6 +20,7 @@ base column and moments) are test oracles, not library code.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,16 +31,17 @@ from .algebra import (HeckeElement, involution, norms, power_moments,
                       weighted_norms)
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
-                     NoStableFit, NotSelfAdjoint)
+                     HeckeError, NoStableFit, NotSelfAdjoint)
 from .lengths import LengthFunction, linfit, word_length
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "RD_DEFAULTS", "TruncatedOperator", "operator_matrix", "truncated_norm",
-    "spectral_lower_bound", "RdProfile", "BestRatio", "rd_profile",
-    "rd_weighted_fit", "KestenReport", "kesten_diagnostic",
+    "RD_DEFAULTS", "RD_DOMAINS", "check_domains", "TruncatedOperator",
+    "operator_matrix", "truncated_norm", "spectral_lower_bound", "RdProfile",
+    "BestRatio", "rd_profile", "rd_weighted_fit", "KestenReport",
+    "kesten_diagnostic",
 ]
 
 RD_DEFAULTS = {
@@ -64,6 +66,41 @@ RD_DEFAULTS = {
 }
 
 
+# the values of RD_DEFAULTS with a domain: (key, comparison, bound); each
+# must be a finite number on the right side of its bound (a key with two
+# bounds is listed twice), and every other float value must be finite
+RD_DOMAINS = (
+    ("rd.pad", ">=", 0),
+    ("rd.max_matrix_cost", ">=", 1),
+    ("rd.moment_n", ">=", 0),
+    ("rd.n_random", ">=", 0),
+    ("rd.coeff_max", ">=", 1),
+    ("rd.s_grid_max", ">=", 0),
+    ("rd.s_grid_step", ">", 0),
+    ("rd.tail_fraction", ">", 0),
+    ("rd.tail_fraction", "<=", 1),
+    ("rd.tol", ">", 0),
+    ("rd.max_iter", ">=", 1),
+    ("kesten.n", ">=", 0),
+    ("kesten.trunc_radius", ">=", 0),
+)
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def check_domains(cfg: dict, domains) -> None:
+    """Raise HeckeError naming the first key of ``domains`` whose value is
+    off its bound or not finite, else the first float of ``cfg`` that is
+    not finite."""
+    for key, op, bound in domains:
+        value = cfg[key]
+        if not (math.isfinite(value) and _COMPARE[op](value, bound)):
+            raise HeckeError(
+                f"{key} must be finite and {op} {bound}, got {value}")
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise HeckeError(f"{key} must be finite, got {value}")
+
+
 def _config(overrides: Optional[dict]) -> dict:
     cfg = dict(RD_DEFAULTS)
     if overrides:
@@ -71,6 +108,7 @@ def _config(overrides: Optional[dict]) -> dict:
         if unknown:
             raise KeyError(f"unknown rd config keys: {sorted(unknown)}")
         cfg.update(overrides)
+        check_domains(cfg, RD_DOMAINS)
     return cfg
 
 

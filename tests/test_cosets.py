@@ -489,3 +489,25 @@ def test_class_search_costs_its_products(label, radius, monkeypatch):
         assert not sized
         assert muls[0] - before == want, store.class_search_depth
     assert len(store._wl_classes) == len(store.word_lengths(radius))
+
+
+@pytest.mark.parametrize("label,text", [
+    ("z:2", "zvec 1 0"), ("bcp:2", "aff 0 2"), ("s4-h12", "perm 1 2 3 0"),
+    ("psl2z1p:2", "mat 2 0 0 1/2")])
+def test_class_of_computes_a_new_class_key_once(label, text, monkeypatch):
+    # naming a new class reuses the key class_of looked it up by
+    pair = get_pair(label)
+    store = hp.CosetStore(pair)
+    g = pair.parse(text)
+    key, calls = pair.class_key, []
+
+    def counted_key(x):
+        calls.append(x)
+        return key(x)
+
+    monkeypatch.setattr(pair, "class_key", counted_key)
+    d = store.class_of(g)
+    assert len(calls) == 1
+    assert d == len(store.dcs) - 1 and store.dcs[d].key == key(g)
+    assert store.reps[store.dcs[d].rep_cid] == g
+    assert store.class_of(g) == d and len(calls) == 2

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -11,7 +13,7 @@ import heckepairs as hp
 from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
                                OrbitCapExceeded, ParseError)
 from heckepairs.algebra import structure_constants
-from heckepairs.groups import Aff, Dih, Mat2, Vec, get_pair
+from heckepairs.groups import Aff, Dih, Mat2, Perm, Vec, get_pair
 
 import oracles
 from conftest import FG_LABELS
@@ -347,12 +349,60 @@ def test_slots_payloads_refuse_other_kinds(label):
     others = [get_pair(other).identity()
               for other in ("z:2", "dinf", "s3-h12", "bcp:2", "psl2z1p:2")]
     others = [g for g in others if type(g) is not type(e)]
+    if isinstance(e, Vec):
+        # a vector of another dimension is a payload of another pair
+        others.append(Vec((0,) * (pair.d + 1)))
     for g in others + [_as_dataclass(e)]:
         for args in ((e, g), (g, e), (g, g)):
             with pytest.raises(MixedKinds):
                 pair.mul(*args)
         with pytest.raises(MixedKinds):
             pair.inv(g)
+
+
+# instances of each payload class, built from their field tuples
+PAYLOAD_FIELDS = {
+    Mat2: [((1, 0, 0, 1), 0, 2), ((1, 0, 0, 1), 0, 3), ((4, 0, 0, 1), 1, 2),
+           ((1, 1, 0, 1), 0, 2)],
+    Aff: [(1, 2, 1), (1, 2, 3), (0, 1, 1), (-1, 2, 1)],
+    Perm: [((1, 0, 2),), ((0, 1, 2),), ((1, 0, 2, 3),)],
+    Vec: [((1, 2),), ((2, 1),), ((1, 2, 0),), ((1,),)],
+    Dih: [(3, True), (3, False), (-3, True), (0, False)],
+}
+
+
+def _rebuilt(cls, values):
+    """A payload with these field values, set without its __init__."""
+    x = object.__new__(cls)
+    for f, v in zip(dataclasses.fields(cls), values):
+        setattr(x, f.name, v)
+    return x
+
+
+@pytest.mark.parametrize("cls", list(PAYLOAD_FIELDS), ids=lambda c: c.__name__)
+def test_payload_identity_follows_its_fields(cls):
+    # one rule for every payload: an unfrozen slots dataclass whose ==,
+    # hash and repr are those of its field tuple
+    assert dataclasses.is_dataclass(cls)
+    assert not cls.__dataclass_params__.frozen
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    assert cls.__slots__ == names
+    xs = [_rebuilt(cls, v) for v in PAYLOAD_FIELDS[cls]]
+    for x, values in zip(xs, PAYLOAD_FIELDS[cls]):
+        assert not hasattr(x, "__dict__")
+        assert hash(x) == hash(values)
+        assert repr(x) == f"{cls.__name__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+        twin = _rebuilt(cls, values)
+        assert twin is not x and twin == x and hash(twin) == hash(x)
+    for (x, vx), (y, vy) in itertools.product(
+            zip(xs, PAYLOAD_FIELDS[cls]), repeat=2):
+        assert (x == y) == (vx == vy) and (x != y) == (vx != vy)
+    for other, fields in PAYLOAD_FIELDS.items():
+        if other is not cls:
+            for x, o in itertools.product(
+                    xs, (_rebuilt(other, v) for v in fields)):
+                assert x != o and o != x and not x == o
 
 
 def test_dihedral_against_brute_oracle():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction as Q
 
@@ -12,8 +13,8 @@ from heckepairs import algebra, cli, rd
 from heckepairs.algebra import (HeckeElement, basis_element, identity_element,
                                 involution, norms, power_moments)
 from heckepairs.errors import (BallIncomplete, ConvergenceWarning,
-                               NoStableFit, NotRelativelyUnimodular,
-                               NotSelfAdjoint)
+                               HeckeError, NoStableFit,
+                               NotRelativelyUnimodular, NotSelfAdjoint)
 from heckepairs.groups import get_pair
 from heckepairs.lengths import characteristic_length
 from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
@@ -755,3 +756,17 @@ def test_rd_profile_keeps_each_warning_once():
     assert all(rec.trunc_norm > 0 for rec in at_2)
     assert prof.warnings == [
         "moments skipped at r=2: left-H orbit exceeded max_orbit=23"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("rd.s_grid_step", 0.0), ("rd.max_iter", 0), ("kesten.n", -1)])
+@pytest.mark.parametrize("call", [rd_profile, kesten_diagnostic],
+                         ids=["rd_profile", "kesten_diagnostic"])
+def test_library_calls_check_config_domains(z1_store, call, key, value):
+    # the CLI's domain rows hold for library callers too: a step of 0
+    # would grow the s grid without end, an iteration cap of 0 would read
+    # trunc_norm 0.0
+    with pytest.raises(HeckeError, match=re.escape(key)):
+        call(z1_store, None, 1, config={key: value})
+    with pytest.raises(HeckeError, match=re.escape("rd.tol")):
+        call(z1_store, None, 1, config={"rd.tol": math.nan})

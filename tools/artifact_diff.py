@@ -20,6 +20,18 @@ import tempfile
 RD_TREE = ["--set", "rd.pad=1", "--set", "rd.n_random=1",
            "--set", "rd.max_matrix_cost=500000"]
 
+# custom pairs, each read from a spec file that main writes into its temp
+# dir under this name, so both checkouts read the same file
+SPECS = {
+    # S5 over S2 x S3: the spec's payloads are parsed by a scratch pair,
+    # and both pairs hash Perm payloads in the closure of H
+    "s5-h12.spec": ("kind=perm\nlabel=s5-h12\nn=5\n"
+                    "g_gen=perm 1 0 2 3 4\ng_gen=perm 1 2 3 4 0\n"
+                    "h_gen=perm 1 0 2 3 4\nh_gen=perm 0 1 3 4 2\n"
+                    "h_gen=perm 0 1 3 2 4\n"),
+    "z4.spec": "kind=zvec\nd=4\n",
+}
+
 RUNS = [
     *(["growth", "--pair", p, "--rmax", str(r)] for p, r in (
         ("psl2z1p:2", 8), ("psl2z1p:2", 12), ("psl2z1p:2", 16),
@@ -96,13 +108,18 @@ RUNS = [
     ["growth", "--pair", "z:3", "--rmax", "12"],
     ["growth", "--pair", "dinf", "--rmax", "40"],
     ["growth", "--pair", "s4-h12", "--rmax", "6"],
+    # pairs built from spec files, the one path that parses payloads
+    ["ltable", "--pair-spec", "s5-h12.spec", "--rmax", "4"],
+    ["growth", "--pair-spec", "z4.spec", "--rmax", "10"],
     ["verify"],
 ]
 
 
-def run(checkout: str, argv: list[str], out: str) -> dict:
-    """Run one command; its files, stdout, stderr and exit code."""
+def run(checkout: str, argv: list[str], out: str, specs: str) -> dict:
+    """Run one command, with each spec name in ``argv`` read from the dir
+    ``specs``; its files, stdout, stderr and exit code."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    argv = [os.path.join(specs, a) if a in SPECS else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "heckepairs.cli", *argv, "--out", out],
         cwd=out, env=env, capture_output=True, text=True)
@@ -135,12 +152,17 @@ def main(argv: list[str]) -> int:
     parent, change = (os.path.abspath(p) for p in argv)
     n_diff = 0
     with tempfile.TemporaryDirectory() as tmp:
+        specs = os.path.join(tmp, "specs")
+        os.mkdir(specs)
+        for name, text in SPECS.items():
+            with open(os.path.join(specs, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for i, cmd in enumerate(RUNS):
             results = []
             for side, checkout in (("parent", parent), ("change", change)):
                 out = os.path.join(tmp, f"{i}-{side}")
                 os.mkdir(out)
-                results.append(run(checkout, cmd, out))
+                results.append(run(checkout, cmd, out, specs))
             diff = differences(*results)
             if diff:
                 n_diff += 1
