@@ -11,6 +11,11 @@ Artifacts are deterministic given (config, seed): ids fix the ordering,
 floats are printed with 12 significant digits, and the resolved config
 (defaults included) plus the seed are echoed into every JSON report.
 
+``main`` builds its argument parser once per process (``build_parser`` is
+cached) and hands the same parser to every later call, so in-process
+callers such as the benchmark and the tests pay for it once; parsing never
+mutates it.
+
 Exit codes: 0 success / definite verdict; 1 invariant failure in verify;
 2 usage error; 3 cap hit or inconclusive verdict (partial artifacts are
 still written).
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -296,6 +302,7 @@ def cmd_verify(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hecke",

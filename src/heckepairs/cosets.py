@@ -135,13 +135,17 @@ class CosetStore:
         return cid
 
     def intern(self, g) -> int:
-        """Public interning; refused once the store is sealed."""
+        """Public interning of an element of the pair (``pair.validate``
+        refuses any other); refused once the store is sealed."""
         if self.sealed:
             raise StoreSealed("store is sealed")
+        self.pair.validate(g)
         return self._intern(self.pair.canon(g))
 
     def lookup(self, g) -> Optional[int]:
-        """Id of the coset Hg if it is already interned, else None."""
+        """Id of the coset Hg if it is already interned, else None; ``g``
+        must be an element of the pair, as for ``intern``."""
+        self.pair.validate(g)
         return self._intern(self.pair.canon(g), insert=False)
 
     # -- ball enumeration ----------------------------------------------------

@@ -684,6 +684,8 @@ class ZPair(HeckePair):
 
     def in_h(self, x) -> bool:
         self._check_payload(x)
+        if len(x.coords) != self.d:
+            raise MixedKinds(f"vector is not in Z^{self.d}")
         return all(a == 0 for a in x.coords)
 
     def validate(self, x) -> None:

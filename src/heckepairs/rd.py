@@ -89,11 +89,13 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 def check_domains(cfg: dict, domains) -> None:
     """Raise HeckeError naming the first key of ``domains`` whose value is
-    off its bound or not finite, else the first float of ``cfg`` that is
-    not finite."""
+    off its bound or a float that is not finite, else the first float of
+    ``cfg`` that is not finite.  Integers are compared exactly, so one too
+    large for a float is checked like any other."""
     for key, op, bound in domains:
         value = cfg[key]
-        if not (math.isfinite(value) and _COMPARE[op](value, bound)):
+        finite = not isinstance(value, float) or math.isfinite(value)
+        if not (finite and _COMPARE[op](value, bound)):
             raise HeckeError(
                 f"{key} must be finite and {op} {bound}, got {value}")
     for key, value in cfg.items():

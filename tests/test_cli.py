@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 import heckepairs
 from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from heckepairs.cosets import CosetStore
-from heckepairs.growth import GrowthSeries, GrowthVerdict
+from heckepairs.growth import GROWTH_DEFAULTS, GrowthSeries, GrowthVerdict
 from heckepairs.rd import BestRatio, KestenReport, RdProfile, RdTestRecord
 from heckepairs.verify import CheckResult
 
@@ -488,6 +489,22 @@ def test_nonpositive_caps_are_usage_errors(tmp_path, capsys, key, extra):
     assert key in capsys.readouterr().err
 
 
+def test_config_integer_too_large_for_a_float(tmp_path, capsys):
+    # ints are compared exactly; only floats are tested for finiteness
+    huge = int("9" * 401)
+    argv = ["growth", "--pair", "z:1", "--rmax", "2"]
+    plain = main(argv + ["--out", str(tmp_path / "plain")])
+    out = tmp_path / "huge"
+    assert main(argv + ["--set", f"caps.max_cosets={huge}",
+                        "--out", str(out)]) == plain
+    report = json.loads(read(out / "growth_z-1.json"))
+    assert report["config"]["caps.max_cosets"] == huge
+    capsys.readouterr()
+    assert main(argv + ["--set", f"caps.max_cosets={-huge}",
+                        "--out", str(tmp_path / "neg")]) == EXIT_USAGE
+    assert "caps.max_cosets" in capsys.readouterr().err
+
+
 def test_config_file_and_set_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("growth.delta=0.3\nseed=9\n")
@@ -545,6 +562,64 @@ def test_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "polynomial" in proc.stdout
+
+
+def _tree_bytes(root):
+    """The bytes of every file under ``root`` (none if it is missing)."""
+    files = {}
+    for d, _, names in os.walk(root):
+        for n in names:
+            with open(os.path.join(d, n), "rb") as fh:
+                files[os.path.relpath(os.path.join(d, n), root)] = fh.read()
+    return files
+
+
+def test_in_process_calls_share_one_parser(tmp_path, monkeypatch):
+    # main builds its parser once per process; every later call reuses it
+    # and writes what a fresh process writes, with no option of an earlier
+    # call carried into a later one
+    runs = [["growth", "--pair", "z:1", "--rmax", "6",
+             "--set", "growth.delta=0.5"],
+            ["enumerate", "--pair", "dinf", "--rmax", "3", "--no-classes"],
+            ["enumerate", "--pair", "dinf", "--rmax", "3"],
+            ["kesten", "--pair", "z:1", "--rmax", "4"],
+            ["growth", "--pair", "z:1", "--rmax", "6", "--bogus"],
+            ["growth", "--pair", "z:1", "--rmax", "6"]]
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    codes = []
+    for i, argv in enumerate(runs):
+        if i == 1:
+            monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+            argparse.ArgumentParser()
+            assert built == [1]     # the counter sees a construction
+            built[0] = 0
+        try:
+            codes.append(main(argv + ["--out", str(tmp_path / f"in{i}")]))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    monkeypatch.undo()
+    assert built == [0]
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"sub{i}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckepairs.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == codes[i], proc.stderr
+        assert _tree_bytes(tmp_path / f"in{i}") == _tree_bytes(out)
+    first = json.loads(read(tmp_path / "in0" / "growth_z-1.json"))
+    last = json.loads(read(tmp_path / "in5" / "growth_z-1.json"))
+    assert first["config"]["growth.delta"] == 0.5
+    assert last["config"] == {**first["config"], **GROWTH_DEFAULTS}
+    snapshots = [json.loads(read(tmp_path / f"in{i}" / "enumerate_dinf.json"))
+                 ["snapshot"] for i in (1, 2)]
+    assert snapshots[0] != snapshots[1]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -8,7 +8,8 @@ from heckepairs.algebra import HeckeElement
 from heckepairs.cosets import (Caps, check_interning_soundness, enumerate_ball,
                                left_L_count, relative_modular,
                                unimodularity_check, verify_hecke)
-from heckepairs.errors import CapExceeded, OrbitCapExceeded, StoreSealed
+from heckepairs.errors import (CapExceeded, HeckeError, OrbitCapExceeded,
+                               StoreSealed)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.rd import operator_matrix
 
@@ -48,6 +49,26 @@ def test_intern_psl2_h_translate():
     assert prod in (((1, 1), (0, 1)), ((-1, -1), (0, -1)))
     store = hp.CosetStore(pair)
     assert store.intern(g2) == store.intern(tg2)
+
+
+# the group G of each pair; pairs on the same G share their elements, and
+# the affine pairs (skipped) share translations
+AMBIENT = {"z:1": "Z", "z:2": "Z^2", "dinf": "Dinf", "s3-h12": "S3",
+           "s4-h12": "S4", "s4-h12-34": "S4", "sl2z1p:2": "SL2(Z[1/2])",
+           "psl2z1p:2": "SL2(Z[1/2])", "sl2z1p:3": "SL2(Z[1/3])"}
+
+
+@pytest.mark.parametrize("label,other", [
+    (a, b) for a in AMBIENT for b in AMBIENT if AMBIENT[a] != AMBIENT[b]])
+def test_public_interning_refuses_another_pairs_element(label, other):
+    store = hp.CosetStore(get_pair(label))
+    store.intern(store.pair.identity())
+    for g in get_pair(other).g_generators:
+        with pytest.raises(HeckeError):
+            store.intern(g)
+        with pytest.raises(HeckeError):
+            store.lookup(g)
+        assert len(store) == 1
 
 
 def test_enumerate_ball_z_r5():

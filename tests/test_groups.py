@@ -358,6 +358,8 @@ def test_slots_payloads_refuse_other_kinds(label):
                 pair.mul(*args)
         with pytest.raises(MixedKinds):
             pair.inv(g)
+        with pytest.raises(MixedKinds):
+            pair.in_h(g)
 
 
 # instances of each payload class, built from their field tuples

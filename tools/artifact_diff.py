@@ -111,6 +111,10 @@ RUNS = [
     # pairs built from spec files, the one path that parses payloads
     ["ltable", "--pair-spec", "s5-h12.spec", "--rmax", "4"],
     ["growth", "--pair-spec", "z4.spec", "--rmax", "10"],
+    # a config integer too large for a float, which is compared exactly
+    # and caps nothing here
+    ["growth", "--pair", "z:1", "--rmax", "2",
+     "--set", "caps.max_cosets=" + "9" * 401],
     ["verify"],
 ]
 
