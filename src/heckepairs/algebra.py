@@ -251,9 +251,12 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
 
 def involution(f: HeckeElement) -> HeckeElement:
     """f*(Hx) = Delta(x^{-1}) f(Hx^{-1}); on the basis this sends T_d to
-    Delta(d) T_{inv(d)} (Delta is constant on classes).  The class inverse
-    is a bijection, so each output class takes one term.  Where Delta = 1
-    on the whole support the numerators move over unchanged; otherwise the
+    Delta(d) T_{inv(d)} (Delta is constant on classes).  It is the adjoint
+    of x -> f * x for the L-weighted pairing sum_d L(d) x(d) y(d), not for
+    the R-weighted one of l2(H\\G), whose adjoint is d -> f(inv d); the
+    two agree where Delta = 1 on the support.  The class inverse is a
+    bijection, so each output class takes one term.  Where Delta = 1 on
+    the whole support the numerators move over unchanged; otherwise the
     denominator is scaled once, by the lcm of the reduced denominators of
     the Delta(d) = L(d) / R(d) that are not 1."""
     store = f.store

@@ -2,8 +2,10 @@
 
 Subcommands: enumerate, ltable, growth, rd-profile, kesten, verify.
 The five pair subcommands share one runner, ``run_pair_command``: it
-makes the pair's store, calls the subcommand's body, and on a cap hit
-writes the body's JSON report marked partial.  Each body enumerates what
+resolves the run config (no other command reads one), makes the pair's
+store, calls the subcommand's body, and on a cap hit writes the body's
+JSON report marked partial.  verify takes only ``--out`` and
+``--no-golden`` and echoes the default config.  Each body enumerates what
 it reads: enumerate, ltable and kesten the radius-rmax Schreier ball,
 rd-profile its padded ball, and growth no ball at all, since its series
 comes from the class-level word-length search.
@@ -37,7 +39,8 @@ from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
                      CapExceeded, CosetStore)
 from .errors import HeckeError, NotRelativelyUnimodular
 from .growth import GROWTH_DEFAULTS, classify_growth, growth_series
-from .groups import HeckePair, catalog_labels, get_pair, load_pair_spec
+from .groups import (HeckePair, catalog_labels, get_pair, load_pair_spec,
+                     read_key_values)
 from .lengths import characteristic_length, word_length
 from .rd import (RD_DEFAULTS, RD_DOMAINS, check_domains, kesten_diagnostic,
                  rd_profile)
@@ -90,15 +93,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         cfg[key] = _coerce(key, raw.strip())
 
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise HeckeError(f"bad config line {line!r}")
-                key, _, raw = line.partition("=")
-                apply(key, raw, path)
+        for key, raw in read_key_values(path, "config"):
+            apply(key, raw, path)
     for item in overrides or []:
         if "=" not in item:
             raise HeckeError(f"--set needs key=value, got {item!r}")
@@ -147,45 +143,46 @@ def _slug(label: str) -> str:
 
 
 def _resolve_pair(args) -> HeckePair:
-    if getattr(args, "pair_spec", None):
+    if args.pair_spec:
         return load_pair_spec(args.pair_spec)
     if not args.pair:
         raise HeckeError("--pair or --pair-spec is required")
     return get_pair(args.pair)
 
 
-def _caps(cfg: dict) -> Caps:
-    return Caps(int(cfg["caps.max_cosets"]), int(cfg["caps.max_orbit"]))
-
-
-def _report_head(pair: HeckePair, cfg: dict, args) -> dict:
-    return {
-        "pair": pair.describe(),
-        "seed": int(cfg["seed"]),
-        "config": cfg,
-        "command": args.command,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def run_pair_command(args, cfg) -> int:
-    """Run a pair subcommand: resolve the pair, make its store and hand
-    it to the subcommand's body, which enumerates what it reads, writes its
-    artifacts under ``<out>/<command>_<pair>`` and returns the exit code.
-    A body fills the report only after the work that can hit a cap.  On
-    a cap hit the report is written as the body left it, with what the
-    subcommand's ``on_cap`` adds from the store, marked partial with the
-    cap message, and the cap is re-raised (exit 3)."""
+def run_pair_command(args) -> int:
+    """Run a pair subcommand: resolve its config and pair, make the pair's
+    store and hand it, with the config and the config's rd slice, to the
+    subcommand's body, which enumerates what it reads, writes its artifacts
+    under ``<out>/<command>_<pair>`` and returns the exit code.  A body
+    fills the report only after the work that can hit a cap.  On a cap hit
+    the report is written as the body left it, with what the subcommand's
+    ``on_cap`` adds from the store, marked partial with the cap message,
+    and the cap is re-raised (exit 3)."""
+    if args.rmax < 0:
+        raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
+    cfg = load_config(args.config, args.set)
+    for key, flag in (("seed", args.seed),
+                      ("caps.max_cosets", args.max_cosets),
+                      ("caps.max_orbit", args.max_orbit)):
+        if flag is not None:
+            cfg[key] = flag
+    check_domains(cfg, CONFIG_DOMAINS)
+    os.makedirs(args.out, exist_ok=True)
+    rd_cfg = {k: cfg[k] for k in RD_DEFAULTS}
     pair = _resolve_pair(args)
     base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"
                                   f"{_slug(pair.label)}")
-    report = _report_head(pair, cfg, args)
-    store = CosetStore(pair, _caps(cfg))
+    report = {"pair": pair.describe(), "seed": int(cfg["seed"]),
+              "config": cfg, "command": args.command}
+    store = CosetStore(pair, Caps(cfg["caps.max_cosets"],
+                                  cfg["caps.max_orbit"]))
     try:
-        return args.body(args, cfg, store, base, report)
+        return args.body(args, cfg, rd_cfg, store, base, report)
     except CapExceeded as exc:
         if args.on_cap is not None:
             args.on_cap(store, report)
@@ -196,7 +193,7 @@ def run_pair_command(args, cfg) -> int:
         raise
 
 
-def cmd_enumerate(args, cfg, store, base, report) -> int:
+def cmd_enumerate(args, cfg, rd_cfg, store, base, report) -> int:
     store.enumerate_to(args.rmax)
     report["snapshot"] = store.snapshot(compute_classes=not args.no_classes)
     write_json(base + ".json", report)
@@ -205,7 +202,7 @@ def cmd_enumerate(args, cfg, store, base, report) -> int:
     return EXIT_OK
 
 
-def cmd_ltable(args, cfg, store, base, report) -> int:
+def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
     store.enumerate_to(args.rmax)
     pair = store.pair
     lw = word_length(store)
@@ -232,7 +229,7 @@ def cmd_ltable(args, cfg, store, base, report) -> int:
     return EXIT_OK
 
 
-def cmd_growth(args, cfg, store, base, report) -> int:
+def cmd_growth(args, cfg, rd_cfg, store, base, report) -> int:
     series = growth_series(store, args.rmax)
     verdict = classify_growth(series,
                               delta=float(cfg["growth.delta"]),
@@ -253,8 +250,7 @@ def _growth_so_far(store, report) -> None:
     report["series"] = growth_series(store, store.class_search_depth)
 
 
-def cmd_rd_profile(args, cfg, store, base, report) -> int:
-    rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
+def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
     profile = rd_profile(store, None, args.rmax, config=rd_cfg,
                          seed=int(cfg["seed"]))
     report["profile"] = profile
@@ -267,9 +263,8 @@ def cmd_rd_profile(args, cfg, store, base, report) -> int:
     return EXIT_OK
 
 
-def cmd_kesten(args, cfg, store, base, report) -> int:
+def cmd_kesten(args, cfg, rd_cfg, store, base, report) -> int:
     store.enumerate_to(args.rmax)
-    rd_cfg = {k: v for k, v in cfg.items() if k in RD_DEFAULTS}
     report_obj = kesten_diagnostic(store, None, None, config=rd_cfg)
     report["kesten"] = report_obj
     write_json(base + ".json", report)
@@ -278,7 +273,8 @@ def cmd_kesten(args, cfg, store, base, report) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
+    os.makedirs(args.out, exist_ok=True)
     checks = run_verification(include_golden=not args.no_golden)
     n_bad = 0
     for c in checks:
@@ -290,7 +286,7 @@ def cmd_verify(args, cfg) -> int:
         n_bad += 0 if c.ok else 1
     report = {
         "command": "verify",
-        "config": cfg,
+        "config": CONFIG_DEFAULTS,
         "checks": checks,
         "failures": n_bad,
     }
@@ -310,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "growth/RD diagnostics for discrete Hecke pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_pair=True):
-        if needs_pair:
-            p.add_argument("--pair", help="catalog label, e.g. " +
-                           ", ".join(catalog_labels()))
-            p.add_argument("--pair-spec",
-                           help="custom pair spec file (key=value lines)")
+    def pair_command(name, text, body, on_cap=None):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--pair", help="catalog label, e.g. " +
+                       ", ".join(catalog_labels()))
+        p.add_argument("--pair-spec",
+                       help="custom pair spec file (key=value lines)")
         p.add_argument("--rmax", type=int, default=4,
                        help="enumeration radius (default 4)")
         p.add_argument("--seed", type=int, default=None,
@@ -327,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override one config key")
         p.add_argument("--out", default="hecke-out",
                        help="output directory (default hecke-out)")
-
-    def pair_command(name, text, body, on_cap=None):
-        p = sub.add_parser(name, help=text)
-        common(p)
         p.set_defaults(func=run_pair_command, body=body, on_cap=on_cap)
         return p
 
@@ -347,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle equivalence, invariants and "
                                       "golden snapshots")
-    common(p, needs_pair=False)
+    p.add_argument("--out", default="hecke-out",
+                   help="output directory (default hecke-out)")
     p.add_argument("--no-golden", action="store_true",
                    help="skip golden snapshot comparison")
     p.set_defaults(func=cmd_verify)
@@ -355,21 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.rmax < 0:
-            raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
-        cfg = load_config(args.config, args.set)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if getattr(args, "max_cosets", None) is not None:
-            cfg["caps.max_cosets"] = args.max_cosets
-        if getattr(args, "max_orbit", None) is not None:
-            cfg["caps.max_orbit"] = args.max_orbit
-        check_domains(cfg, CONFIG_DOMAINS)
-        os.makedirs(args.out, exist_ok=True)
-        return args.func(args, cfg)
+        return args.func(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -785,15 +785,20 @@ class PermPair(HeckePair):
                    for a in hs for b in hs)
 
     def parse(self, text: str):
-        toks = text.split()
-        if len(toks) < 2 or toks[0] != "perm":
-            raise ParseError("expected 'perm i0 i1 ... ik'", 0)
-        v = Perm(tuple(_parse_int(t, i + 1) for i, t in enumerate(toks[1:])))
+        v = Perm(_parse_perm(text))
         self.validate(v)
         return v
 
     def render(self, x) -> str:
         return "perm " + " ".join(str(a) for a in x.images)
+
+
+def _parse_perm(text: str) -> tuple[int, ...]:
+    """The images of ``perm i0 i1 ... ik``, not checked for a permutation."""
+    toks = text.split()
+    if len(toks) < 2 or toks[0] != "perm":
+        raise ParseError("expected 'perm i0 i1 ... ik'", 0)
+    return tuple(_parse_int(t, i + 1) for i, t in enumerate(toks[1:]))
 
 
 def _perm_closure(gens: list, pair: PermPair, cap: int = 10 ** 4) -> list:
@@ -932,6 +937,20 @@ def get_pair(label: str) -> HeckePair:
         "or a custom spec file")
 
 
+def read_key_values(path: str, what: str):
+    """The stripped (key, value) pairs of a key=value file, skipping blank
+    and ``#`` lines; a line without ``=`` is a bad ``what`` line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise HeckeError(f"bad {what} line {line!r}")
+            key, _, value = line.partition("=")
+            yield key.strip(), value.strip()
+
+
 def load_pair_spec(path: str) -> HeckePair:
     """Build a custom finite-H pair from a line-oriented key=value file.
 
@@ -944,39 +963,29 @@ def load_pair_spec(path: str) -> HeckePair:
     n = None
     g_texts: list[str] = []
     h_texts: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise HeckeError(f"bad pair-spec line {line!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key == "kind":
-                kind = val
-            elif key == "label":
-                label = val
-            elif key in ("n", "d"):
-                try:
-                    n = int(val)
-                except ValueError:
-                    raise HeckeError(
-                        f"pair-spec key {key!r} needs an integer, "
-                        f"got {val!r}") from None
-            elif key == "g_gen":
-                g_texts.append(val)
-            elif key == "h_gen":
-                h_texts.append(val)
-            else:
-                raise HeckeError(f"unknown pair-spec key {key!r}")
+    for key, val in read_key_values(path, "pair-spec"):
+        if key == "kind":
+            kind = val
+        elif key == "label":
+            label = val
+        elif key in ("n", "d"):
+            try:
+                n = int(val)
+            except ValueError:
+                raise HeckeError(
+                    f"pair-spec key {key!r} needs an integer, "
+                    f"got {val!r}") from None
+        elif key == "g_gen":
+            g_texts.append(val)
+        elif key == "h_gen":
+            h_texts.append(val)
+        else:
+            raise HeckeError(f"unknown pair-spec key {key!r}")
     if kind == "perm":
         if n is None or not g_texts:
             raise HeckeError("perm spec needs n and at least one g_gen")
-        scratch = PermPair(label or "custom-perm", n,
-                           [tuple(range(n))], [tuple(range(n))])
-        g = [scratch.parse(t).images for t in g_texts]
-        h = [scratch.parse(t).images for t in h_texts] or [tuple(range(n))]
+        g = [_parse_perm(t) for t in g_texts]
+        h = [_parse_perm(t) for t in h_texts] or [tuple(range(n))]
         return PermPair(label or "custom-perm", n, g, h)
     if kind == "zvec":
         if n is None:

@@ -108,7 +108,7 @@ def _config(overrides: Optional[dict]) -> dict:
     if overrides:
         unknown = set(overrides) - set(cfg)
         if unknown:
-            raise KeyError(f"unknown rd config keys: {sorted(unknown)}")
+            raise HeckeError(f"unknown rd config keys: {sorted(unknown)}")
         cfg.update(overrides)
         check_domains(cfg, RD_DOMAINS)
     return cfg

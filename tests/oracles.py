@@ -9,6 +9,9 @@ compare the library against them.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from heckepairs.errors import DomainError
+from heckepairs.groups import HeckePair
+
 
 def mat_mul(m, n):
     """2x2 rational matrix product on ((a,b),(c,d)) nests."""
@@ -548,3 +551,68 @@ def tree_tj_times_tk(p, j, k):
         power = _sphere_times_a1(power, p)
     assert all(n % 2 == 0 for n, c in out.items() if c)
     return {n // 2: c for n, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# product pairs
+
+
+class ProductPair(HeckePair):
+    """(G1 x G2, H1 x H2) over two pairs, generated by the union of the
+    factors' embedded generators.  A payload is a tuple (x1, x2); the law,
+    inverse, membership and both keys act componentwise, so classes are
+    pairs of classes, the word length is l1 + l2, and L, R and Delta
+    multiply."""
+
+    payload_type = tuple
+
+    def __init__(self, a: HeckePair, b: HeckePair):
+        self.factors = (a, b)
+        self.kind = "product"
+        self.label = f"{a.label}*{b.label}"
+        e1, e2 = a.identity(), b.identity()
+        self.g_generators = ([(g, e2) for g in a.g_generators]
+                             + [(e1, g) for g in b.g_generators])
+        self.h_generators = ([(h, e2) for h in a.h_generators]
+                             + [(e1, h) for h in b.h_generators])
+        super().__init__()
+
+    def mul(self, x, y):
+        a, b = self.factors
+        return (a.mul(x[0], y[0]), b.mul(x[1], y[1]))
+
+    def inv(self, x):
+        a, b = self.factors
+        return (a.inv(x[0]), b.inv(x[1]))
+
+    def identity(self):
+        a, b = self.factors
+        return (a.identity(), b.identity())
+
+    def canon(self, x):
+        a, b = self.factors
+        return (a.canon(x[0]), b.canon(x[1]))
+
+    def in_h(self, x) -> bool:
+        a, b = self.factors
+        return a.in_h(x[0]) and b.in_h(x[1])
+
+    def validate(self, x) -> None:
+        self._check_payload(x)
+        if len(x) != 2:
+            raise DomainError("a product payload is a pair")
+        a, b = self.factors
+        a.validate(x[0])
+        b.validate(x[1])
+
+    def coset_fingerprint(self, x):
+        a, b = self.factors
+        return (a.coset_fingerprint(x[0]), b.coset_fingerprint(x[1]))
+
+    def class_key(self, x):
+        a, b = self.factors
+        return (a.class_key(x[0]), b.class_key(x[1]))
+
+    def render(self, x) -> str:
+        a, b = self.factors
+        return f"{a.render(x[0])} ; {b.render(x[1])}"

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as Q
@@ -131,6 +132,55 @@ def test_involution_is_involutive_and_antimultiplicative(label):
         assert involution(involution(f)) == f
         assert involution(convolve(f, g)) == convolve(involution(g),
                                                       involution(f))
+
+
+def weighted_pairing(u, v, size):
+    """<u, v>_w = sum_d w(d) u(d) v(d) for the class size w (class_R or
+    class_L); with class_R it is the inner product of l2(H\\G) on class
+    functions, as ||T_d||^2 = R(d)."""
+    return sum(size(d) * c * v.coeffs.get(d, 0) for d, c in u.coeffs.items())
+
+
+def flip(f):
+    """f~(d) = f(inv d)."""
+    return HeckeElement(f.store, {f.store.class_inverse(d): c
+                                  for d, c in f.coeffs.items()})
+
+
+@functools.cache
+def length3_classes(label):
+    store = hp.CosetStore(get_pair(label))
+    return store, sorted(store.word_lengths(3))
+
+
+@pytest.mark.parametrize("label", ["bcp:2", "bcp:3", "psl2z1p:2"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_r_weighted_adjoint_is_the_flip(label, data):
+    # <f*x, y>_R = <x, f~*y>_R on every pair, unimodular or not
+    store, classes = length3_classes(label)
+    coeff = st.fractions(-9, 9, max_denominator=4)
+    f, x, y = (HeckeElement(store, data.draw(st.dictionaries(
+        st.sampled_from(classes), coeff, min_size=1, max_size=3)))
+        for _ in range(3))
+    assert (weighted_pairing(convolve(f, x), y, store.class_R)
+            == weighted_pairing(x, convolve(flip(f), y), store.class_R))
+
+
+def test_involution_is_the_l_weighted_adjoint_only():
+    # on bcp:2, Delta(d) = 1/2 for d = H diag(2, 1) H: involution(f) is the
+    # adjoint for the L-weights and off by Delta for the R-weights
+    store = hp.enumerate_ball(get_pair("bcp:2"), 2)
+    d = store.dc(store.lookup(Aff(Q(0), Q(2))))
+    f = y = basis_element(store, d)
+    x = identity_element(store)
+    lhs = convolve(f, x)
+    assert (weighted_pairing(lhs, y, store.class_L)
+            == weighted_pairing(x, convolve(involution(f), y), store.class_L))
+    assert (weighted_pairing(lhs, y, store.class_R)
+            != weighted_pairing(x, convolve(involution(f), y), store.class_R))
+    assert (weighted_pairing(lhs, y, store.class_R)
+            == weighted_pairing(x, convolve(flip(f), y), store.class_R))
 
 
 @pytest.mark.parametrize("label", ["z:1", "z:2", "dinf", "s3-h12", "bcp:2"])

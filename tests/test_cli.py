@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -77,6 +78,39 @@ def test_rd_profile_bcp_obstructed(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "rd_profile_bcp-2.json"))
     assert report["profile"]["verdict"] == "obstructed-nonunimodular"
+
+
+def test_rd_profile_inconclusive_writes_its_artifacts(tmp_path):
+    out = tmp_path / "o"
+    assert main(["rd-profile", "--pair", "z:1", "--rmax", "2",
+                 "--out", str(out)]) == EXIT_INCONCLUSIVE
+    report = json.loads(read(out / "rd_profile_z-1.json"))
+    assert report["profile"]["verdict"] == "inconclusive"
+    rows = read(out / "rd_profile_z-1.csv").splitlines()
+    assert rows[0] == "r,best_ratio,witness"
+    assert [int(row.split(",")[0]) for row in rows[1:]] == [
+        b["r"] for b in report["profile"]["best"]]
+
+
+def test_rd_profile_superpolynomial_ratio_on_the_tree(tmp_path):
+    out = tmp_path / "o"
+    assert main(["rd-profile", "--pair", "psl2z1p:2", "--rmax", "5",
+                 "--set", "rd.pad=1", "--set", "rd.n_random=1",
+                 "--set", "rd.max_matrix_cost=500000",
+                 "--set", "rd.s_grid_max=0",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(read(out / "rd_profile_psl2z1p-2.json"))
+    assert report["profile"]["verdict"] == "superpolynomial-ratio"
+
+
+def test_growth_without_a_stable_fit_is_inconclusive(tmp_path):
+    out = tmp_path / "o"
+    assert main(["growth", "--pair", "z:1", "--rmax", "40",
+                 "--set", "growth.min_r2=1.0",
+                 "--out", str(out)]) == EXIT_INCONCLUSIVE
+    verdict = json.loads(read(out / "growth_z-1.json"))["verdict"]
+    assert (verdict["kind"], verdict["details"]) == ("inconclusive",
+                                                     "no stable fit")
 
 
 def test_enumerate_snapshot_schema(tmp_path):
@@ -213,9 +247,35 @@ def test_negative_rmax_is_usage_error(tmp_path, capsys):
                 ["growth", "--pair", "z:1"], ["rd-profile", "--pair", "z:1"],
                 ["kesten", "--pair", "z:1"], ["verify"]):
         out = tmp_path / cmd[0]
-        assert main(cmd + ["--rmax", "-1", "--out", str(out)]) == EXIT_USAGE
+        argv = cmd + ["--rmax", "-1", "--out", str(out)]
+        if cmd == ["verify"]:
+            # verify takes no --rmax: the parser refuses it
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+        else:
+            assert main(argv) == EXIT_USAGE
         assert not out.exists()
         assert "--rmax" in capsys.readouterr().err
+
+
+def test_verify_takes_only_out_and_no_golden(tmp_path, capsys):
+    # the pair options would change nothing verify computes
+    for option in (["--rmax", "9"], ["--seed", "7"], ["--max-cosets", "5"],
+                   ["--max-orbit", "5"], ["--config", "run.cfg"],
+                   ["--set", "growth.delta=0.5"]):
+        out = tmp_path / "v"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *option, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert not out.exists()
+        assert (f"unrecognized arguments: {' '.join(option)}"
+                in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == EXIT_OK
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--out", "--no-golden"}
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
@@ -520,6 +580,42 @@ def test_config_file_and_set_override(tmp_path):
     bad.write_text("no.such.key=1\n")
     assert main(["growth", "--pair", "z:1", "--rmax", "4",
                  "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
+
+
+def test_key_value_files_skip_blank_and_comment_lines(tmp_path):
+    # each commented line would be refused if it were read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a run\n\n  seed = 9 \n#growth.delta=x\n\n")
+    spec = tmp_path / "pair.spec"
+    spec.write_text("# C6 over C3\nkind=perm\n\nlabel=c6-h3\nn=6\n"
+                    "# g_gen=perm 0\ng_gen=perm 1 2 3 4 5 0\n"
+                    "h_gen=perm 2 3 4 5 0 1\n\n")
+    out = tmp_path / "o"
+    assert main(["ltable", "--pair-spec", str(spec), "--config", str(cfg),
+                 "--rmax", "6", "--out", str(out)]) == EXIT_OK
+    report = json.loads(read(out / "ltable_c6-h3.json"))
+    assert report["seed"] == 9
+    assert report["pair"]["g_generators"] == ["perm 1 2 3 4 5 0"]
+    assert len(report["classes"]) == 2
+
+
+@pytest.mark.parametrize("name,text,extra,message", [
+    ("bad.cfg", "seed=1\nseed 9\n", ["--pair", "z:1", "--config"],
+     "bad config line 'seed 9'"),
+    ("bad.spec", "kind=zvec\nd 2\n", ["--pair-spec"],
+     "bad pair-spec line 'd 2'"),
+    (None, None, ["--pair", "z:1", "--set", "seed"],
+     "--set needs key=value, got 'seed'")])
+def test_lines_without_equals_are_usage_errors(tmp_path, capsys, name, text,
+                                               extra, message):
+    if name:
+        (tmp_path / name).write_text(text)
+        extra = extra + [str(tmp_path / name)]
+    out = tmp_path / "o"
+    assert main(["growth", "--rmax", "3", "--out", str(out)]
+                + extra) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert _tree_bytes(out) == {}
 
 
 def test_custom_pair_spec(tmp_path):

@@ -770,3 +770,6 @@ def test_library_calls_check_config_domains(z1_store, call, key, value):
         call(z1_store, None, 1, config={key: value})
     with pytest.raises(HeckeError, match=re.escape("rd.tol")):
         call(z1_store, None, 1, config={"rd.tol": math.nan})
+    # an unknown key is a config error like the others
+    with pytest.raises(HeckeError, match=re.escape("rd.bogus")):
+        call(z1_store, None, 1, config={"rd.bogus": 1})

@@ -23,8 +23,9 @@ RD_TREE = ["--set", "rd.pad=1", "--set", "rd.n_random=1",
 # custom pairs, each read from a spec file that main writes into its temp
 # dir under this name, so both checkouts read the same file
 SPECS = {
-    # S5 over S2 x S3: the spec's payloads are parsed by a scratch pair,
-    # and both pairs hash Perm payloads in the closure of H
+    # S5 over S2 x S3: the spec's payloads are parsed by the perm grammar
+    # of PermPair.parse, and the pair hashes Perm payloads in the closure
+    # of H
     "s5-h12.spec": ("kind=perm\nlabel=s5-h12\nn=5\n"
                     "g_gen=perm 1 0 2 3 4\ng_gen=perm 1 2 3 4 0\n"
                     "h_gen=perm 1 0 2 3 4\nh_gen=perm 0 1 3 4 2\n"
@@ -116,6 +117,10 @@ RUNS = [
     ["growth", "--pair", "z:1", "--rmax", "2",
      "--set", "caps.max_cosets=" + "9" * 401],
     ["verify"],
+    # verify takes only --out and --no-golden: a pair option is a usage
+    # error that writes nothing (a checkout that took it wrote a report
+    # echoing caps it never applied)
+    ["verify", "--max-cosets", "5"],
 ]
 
 
