@@ -16,10 +16,10 @@ nonzero int, and gcd(den, *num.values()) = 1.  That form is unique, so
 equality and hashing compare the pair.  Convolution, involution, sums and
 scalar multiples read and build pairs, with one gcd division per result;
 involution rescales once, by the lcm of the reduced denominators of the
-Delta(d) that are not 1.  Norms and moment pairings sum ints and build
-one Fraction per returned value.  ``HeckeElement.coeffs`` is a read-only
-Fraction view, built on first read.  Output dicts keep the order in
-which the loops first reach each class.
+Delta(d) that are not 1.  Norms sum ints and build one Fraction per
+returned value.  ``HeckeElement.coeffs`` is a read-only Fraction view,
+built on first read.  Output dicts keep the order in which the loops
+first reach each class.
 
 Coefficients are rationals, not complex: every computation in scope uses
 real data, so conjugation is the identity.  A complex payload would be a
@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 from .cosets import CosetStore
 from .errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
-                     NotSelfAdjoint, StoreMismatch)
+                     StoreMismatch)
 
 __all__ = [
     "HeckeElement", "NormReport",
@@ -280,10 +280,6 @@ def involution(f: HeckeElement) -> HeckeElement:
                      for e, n, left, right in terms})
 
 
-def is_self_adjoint(f: HeckeElement) -> bool:
-    return involution(f) == f
-
-
 @dataclass
 class NormReport:
     l1_exact: Fraction
@@ -331,35 +327,21 @@ def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
     return out
 
 
-def _pairing_at_identity(u: HeckeElement, v: HeckeElement) -> Fraction:
-    """(u * v)(HeH) = sum_d R(d) u(inv d) v(d), avoiding the full product."""
-    store = u.store
-    num_u = u.num
-    total = 0
-    for d, nv in v.num.items():
-        nu = num_u.get(store.class_inverse(d))
-        if nu:
-            total += store.class_R(d) * nu * nv
-    return Fraction(total, u.den * v.den)
-
-
 def power_moments(f: HeckeElement, n_max: int) -> list[Fraction]:
-    """a_n = (f^{*2n})(HeH) for n = 1..n_max; requires f* = f.
+    """a_n = ||f^{*n}||_2^2 = sum_d R(d) f^{*n}(d)^2 for n = 1..n_max.
 
-    Computed as a_n = (f^{*n} * f^{*n})(HeH), so supports only grow to the
-    n_max-fold product.
+    f^{*n} is lambda(f)^n delta_H, so a_n <= ||lambda(f)||^{2n} for every
+    f, with no self-adjointness or unimodularity assumption.  Where
+    f(inv d) = f(d), as for f* = f on a relatively unimodular pair, it is
+    also the return moment (f^{*2n})(HeH) = sum_d R(d) g(inv d) g(d) for
+    g = f^{*n}.
     """
-    if not is_self_adjoint(f):
-        raise NotSelfAdjoint("moments need f* = f")
     out: list[Fraction] = []
     g = f
     for n in range(1, n_max + 1):
         if n > 1:
             g = convolve(g, f)
-        a_n = _pairing_at_identity(g, g)
-        if a_n < 0:
-            raise NonBiInvariantResult(f"moment a_{n} negative: {a_n}")
-        out.append(a_n)
+        out.append(norms(g).l2_sq_exact)
     return out
 
 

@@ -155,14 +155,15 @@ def _resolve_pair(args) -> HeckePair:
 
 
 def run_pair_command(args) -> int:
-    """Run a pair subcommand: resolve its config and pair, make the pair's
-    store and hand it, with the config and the config's rd slice, to the
-    subcommand's body, which enumerates what it reads, writes its artifacts
-    under ``<out>/<command>_<pair>`` and returns the exit code.  A body
-    fills the report only after the work that can hit a cap.  On a cap hit
-    the report is written as the body left it, with what the subcommand's
-    ``on_cap`` adds from the store, marked partial with the cap message,
-    and the cap is re-raised (exit 3)."""
+    """Run a pair subcommand: resolve its config and pair, then make the
+    out directory and the pair's store and hand the store, with the config
+    and the config's rd slice, to the subcommand's body, which enumerates
+    what it reads, writes its artifacts under ``<out>/<command>_<pair>``
+    and returns the exit code.  Bad input fails before anything is
+    written.  A body fills the report only after the work that can hit a
+    cap.  On a cap hit the report is written as the body left it, with
+    what the subcommand's ``on_cap`` adds from the store, marked partial
+    with the cap message, and the cap is re-raised (exit 3)."""
     if args.rmax < 0:
         raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
     cfg = load_config(args.config, args.set)
@@ -172,9 +173,9 @@ def run_pair_command(args) -> int:
         if flag is not None:
             cfg[key] = flag
     check_domains(cfg, CONFIG_DOMAINS)
+    pair = _resolve_pair(args)
     os.makedirs(args.out, exist_ok=True)
     rd_cfg = {k: cfg[k] for k in RD_DEFAULTS}
-    pair = _resolve_pair(args)
     base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"
                                   f"{_slug(pair.label)}")
     report = {"pair": pair.describe(), "seed": int(cfg["seed"]),

@@ -63,12 +63,9 @@ class NonBiInvariantResult(HeckeError):
     classes breaks the degree identity sum_d c_d R(d) = R(d1) R(d2) in the
     structure constants, the class search's counting rule
     L(e) c_e = L(d) m_e or R(e) = R(d) R(s) m_e / (L(s) c_e) leaves no
-    whole class size, or a moment <f^{*n}, f^{*n}> comes out negative.
-    Must never fire; indicates a wrong coset or class key, or a miscount."""
-
-
-class NotSelfAdjoint(HeckeError):
-    """Moment computations require f* = f."""
+    whole class size.  A moment a_n = ||f^{*n}||^2 is a sum of squares,
+    so it needs no check of its own.  Must never fire; indicates a wrong
+    coset or class key, or a miscount."""
 
 
 class LengthUndefinedOnSupport(HeckeError):

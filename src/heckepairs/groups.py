@@ -939,8 +939,14 @@ def get_pair(label: str) -> HeckePair:
 
 def read_key_values(path: str, what: str):
     """The stripped (key, value) pairs of a key=value file, skipping blank
-    and ``#`` lines; a line without ``=`` is a bad ``what`` line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    and ``#`` lines; a line without ``=`` is a bad ``what`` line, and a
+    file that cannot be opened is a HeckeError naming it."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise HeckeError(f"cannot read {what} file {path!r}: "
+                         f"{exc.strerror}") from None
+    with fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

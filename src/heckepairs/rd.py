@@ -1,7 +1,9 @@
 """Operator-norm lower bounds and the empirical RD / amenability verdicts.
 
 Nothing here ever claims the value of ||lambda(f)||.  The moment roots
-a_n^(1/2n) are certified lower bounds, each decided in exact arithmetic.
+a_n^(1/2n) are certified lower bounds for every f, each decided in exact
+arithmetic: a_n = ||f^{*n}||^2 is the squared R-norm of
+lambda(f)^n delta_H.
 The norm of the truncated operator P_R lambda(f) P_R is a float, ||Av||
 for the float unit vector v that power iteration ends on, so it is a lower
 bound only up to rounding.  For relatively unimodular pairs the l1 norm is
@@ -31,7 +33,7 @@ from .algebra import (HeckeElement, involution, norms, power_moments,
                       weighted_norms)
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
-                     HeckeError, NoStableFit, NotSelfAdjoint)
+                     HeckeError, NoStableFit)
 from .lengths import LengthFunction, linfit, word_length
 
 if TYPE_CHECKING:
@@ -397,7 +399,7 @@ def _nth_root(q: Fraction, k: int) -> float:
 
 def spectral_lower_bound(f: HeckeElement, n_max: int) -> list[float]:
     """rho_n = a_n^(1/2n); each is a certified lower bound for
-    ||lambda(f)|| when f* = f."""
+    ||lambda(f)||, for every f."""
     moments = power_moments(f, n_max)
     return [_nth_root(a, 2 * n) for n, a in enumerate(moments, start=1)]
 
@@ -573,8 +575,8 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
     A cap hit on either bound zeroes that bound and marks the profile
     partial; a truncation radius the budget clips is warned of, and so is
     a power iteration that hits its iteration cap, whose ConvergenceWarning
-    goes into the report instead of to stderr.  A function that is not
-    self-adjoint has no moment root: the moments refuse it."""
+    goes into the report instead of to stderr.  The moment root is
+    certified for every f, self-adjoint or not."""
     want = r + int(cfg["rd.pad"])
     r_trunc = _truncation_radius(store, f, want, cfg)
     if r_trunc < want:
@@ -593,8 +595,6 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
     if n_mom > 0:
         try:
             root = spectral_lower_bound(f, n_mom)[-1]
-        except NotSelfAdjoint:
-            pass
         except CapExceeded as exc:
             profile.partial = True
             _warn(profile, f"moments skipped at r={r}: {exc}")
@@ -693,7 +693,7 @@ class KestenReport:
     pair: str
     f: str
     n: int
-    moments: list            # exact Fractions a_1..a_n
+    moments: list            # exact Fractions a_k = ||f^{*k}||^2, k = 1..n
     rho: list                # floats a_n^(1/2n)
     l1: float
     trunc_norm: float
@@ -729,10 +729,7 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
         raw = HeckeElement(store, {d: Fraction(1) for d in ball1})
         sym = Fraction(1, 2) * (raw + involution(raw))
         f = Fraction(1, norms(sym).l1_exact) * sym
-    try:
-        moments = power_moments(f, n)     # checks f* = f, once
-    except NotSelfAdjoint:
-        raise NotSelfAdjoint("kesten diagnostic needs f* = f") from None
+    moments = power_moments(f, n)
     rho = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
     r_trunc = min(int(cfg["kesten.trunc_radius"]), store.radius_complete)
     notes: list[str] = []

@@ -274,26 +274,14 @@ def fraction_weighted_norms(f, l, s_grid):
     return out
 
 
-def fraction_pairing_at_identity(u, v):
-    """(u * v)(HeH) = sum_d R(d) u(inv d) v(d)."""
-    store = u.store
-    total = Fraction(0)
-    for d, cv in v.coeffs.items():
-        cu = u.coeffs.get(store.class_inverse(d))
-        if cu:
-            total += store.class_R(d) * cu * cv
-    return total
-
-
 def fraction_power_moments(f, n_max):
-    """a_n = (f^{*n} * f^{*n})(HeH) for n = 1..n_max, with no
-    self-adjointness check."""
+    """a_n = ||f^{*n}||^2 = sum_d R(d) f^{*n}(d)^2 for n = 1..n_max."""
     out = []
     g = f
     for n in range(1, n_max + 1):
         if n > 1:
             g = fraction_convolve(g, f)
-        out.append(fraction_pairing_at_identity(g, g))
+        out.append(fraction_norms(g)[1])
     return out
 
 
@@ -449,6 +437,14 @@ def exact_truncated_moment(op, n):
     return vec.get(h, Fraction(0))
 
 
+def exact_truncated_norm_sq(op, n):
+    """||A^n delta_He||^2 in exact rational arithmetic."""
+    vec = {op.ball.index(0): Fraction(1)}
+    for _ in range(n):
+        vec = exact_matvec(op, vec)
+    return sum(c * c for c in vec.values())
+
+
 def structure_constants_csv(store, dcids):
     """CSV dump 'd1,d2,d,coeff' of the library's structure constants for
     all ordered pairs from ``dcids``."""
@@ -466,9 +462,9 @@ def structure_constants_csv(store, dcids):
 def covering_radius(f, n):
     """Smallest Schreier radius whose ball holds every member coset of
     supp(f^{*k}) for k <= 2n.  At that padding the truncation clips
-    nothing that the 2n-step moment can reach, so the matrix moment equals
-    the convolution moment bit for bit (and rho_n <= truncated norm).
-    Extends the store's BFS as needed."""
+    nothing that the 2n-step walk from H can reach, so ||A^k delta_He||^2
+    equals the moment a_k for k <= 2n bit for bit (and rho_n <= truncated
+    norm).  Extends the store's BFS as needed."""
     from heckepairs.algebra import convolve
 
     store = f.store

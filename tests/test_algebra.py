@@ -11,19 +11,18 @@ import heckepairs as hp
 from heckepairs import algebra
 from heckepairs.algebra import (HeckeElement, basis_element, convolve,
                                 convolution_power_moment, identity_element,
-                                involution, is_self_adjoint, norms,
-                                power_moments, structure_constants,
-                                weighted_norms)
+                                involution, norms, power_moments,
+                                structure_constants, weighted_norms)
 from heckepairs.errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
-                               NotSelfAdjoint, StoreMismatch)
+                               StoreMismatch)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.lengths import word_length
+from heckepairs.rd import spectral_lower_bound
 
 from conftest import FG_LABELS
 from oracles import (brute_structure_constants, central_trinomial,
                      fraction_add, fraction_convolve, fraction_involution,
-                     fraction_norms, fraction_scale,
-                     fraction_pairing_at_identity, fraction_power_moments,
+                     fraction_norms, fraction_scale, fraction_power_moments,
                      fraction_weighted_norms, structure_constants_csv,
                      tree_level)
 
@@ -203,10 +202,48 @@ def test_moments_against_polynomial_oracle(z1_store):
     assert convolution_power_moment(f, 2) == 19
 
 
-def test_moments_need_self_adjoint(z1_store):
-    with pytest.raises(NotSelfAdjoint):
-        power_moments(z_delta(z1_store, 1), 2)
-    assert is_self_adjoint(z_delta(z1_store, 1) + z_delta(z1_store, -1))
+def test_moments_of_the_unitary_shift(z1_store):
+    # T_1 on z:1 is the shift, unitary and not self-adjoint: each power is
+    # a unit vector, so every moment and every root is 1
+    shift = z_delta(z1_store, 1)
+    assert power_moments(shift, 5) == [Q(1)] * 5
+    assert spectral_lower_bound(shift, 5) == [1.0] * 5
+
+
+def schur_bound_up(f):
+    """U = sum_d |c_d| ceil(sqrt(L(d) R(d))), Schur's bound on
+    ||lambda(f)|| rounded up."""
+    store = f.store
+    total = Q(0)
+    for d, c in f.coeffs.items():
+        lr = store.class_L(d) * store.class_R(d)
+        root = math.isqrt(lr)
+        total += abs(c) * (root if root * root == lr else root + 1)
+    return total
+
+
+@functools.cache
+def length2_classes(label):
+    store = hp.CosetStore(get_pair(label))
+    return store, sorted(store.word_lengths(2))
+
+
+@pytest.mark.parametrize("label", ["z:1", "z:2", "dinf", "s4-h12",
+                                   "psl2z1p:2", "bcp:2", "bcp:3"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_moments_are_norms_of_powers(label, data):
+    # a_n = ||f^{*n}||_R^2 for every signed f, self-adjoint or not, and
+    # ||f^{*n}||_R <= ||lambda(f)||^n <= U^n for Schur's bound U
+    store, classes = length2_classes(label)
+    f = HeckeElement(store, data.draw(st.dictionaries(
+        st.sampled_from(classes), st.fractions(-9, 9, max_denominator=4)
+        .filter(bool), min_size=1, max_size=4)))
+    moments = power_moments(f, 3)
+    assert moments == fraction_power_moments(f, 3)
+    u = schur_bound_up(f)
+    for n, a in enumerate(moments, start=1):
+        assert a <= u ** (2 * n)
 
 
 def test_moment_nonnegative_and_identity():
@@ -516,14 +553,10 @@ def test_kernel_matches_fraction_oracle(case):
     rep = norms(f)
     assert (rep.l1_exact, rep.l2_sq_exact) == fraction_norms(f)
     assert type(rep.l1_exact) is Q and type(rep.l2_sq_exact) is Q
-    pairing = algebra._pairing_at_identity(f, g)
-    assert pairing == fraction_pairing_at_identity(f, g)
-    assert type(pairing) is Q
     grid = [0.0, 0.5, 1.25, 3.0]
     assert weighted_norms(f, l, grid) == fraction_weighted_norms(f, l, grid)
-    h = f + involution(f)
-    moments = power_moments(h, 2)
-    assert moments == fraction_power_moments(h, 2)
+    moments = power_moments(f, 2)
+    assert moments == fraction_power_moments(f, 2)
     assert all(type(a) is Q for a in moments)
 
 

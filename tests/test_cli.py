@@ -618,6 +618,22 @@ def test_lines_without_equals_are_usage_errors(tmp_path, capsys, name, text,
     assert _tree_bytes(out) == {}
 
 
+@pytest.mark.parametrize("flag,what", [("--config", "config"),
+                                       ("--pair-spec", "pair-spec")])
+def test_missing_key_value_file_is_a_usage_error(tmp_path, capsys, flag,
+                                                 what):
+    # exit 2 with a message naming the file, and no --out directory
+    missing = tmp_path / "nosuch"
+    out = tmp_path / "o"
+    extra = ["--pair", "z:1"] if flag == "--config" else []
+    assert main(["growth", flag, str(missing), "--rmax", "3",
+                 "--out", str(out)] + extra) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot read {what} file {str(missing)!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_custom_pair_spec(tmp_path):
     spec = tmp_path / "pair.cfg"
     spec.write_text("kind=perm\nlabel=c6-h3\nn=6\n"

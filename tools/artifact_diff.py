@@ -121,6 +121,10 @@ RUNS = [
     # error that writes nothing (a checkout that took it wrote a report
     # echoing caps it never applied)
     ["verify", "--max-cosets", "5"],
+    # a key=value file that does not exist: a usage error that names it
+    # and writes nothing (a checkout without the check crashed with exit 1)
+    ["growth", "--pair", "z:1", "--config", "nosuch.cfg"],
+    ["growth", "--pair-spec", "nosuch.spec"],
 ]
 
 
