@@ -208,10 +208,11 @@ def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     right cosets of d2 counted at Hx onto the left cosets of d1 counted
     for (T_{inv d2} * T_{inv d1})(H x^{-1}), so
     c_e(d1, d2) = c_{inv e}(inv d2, inv d1) with no Delta factor.  When
-    L(d1) < R(d2) the mirrored pair is computed (and cached) instead, for
-    R(d1) + |supp| L(d1) products and the left cosets of d1 and inv(d1)
-    alone; it never mirrors back, as L(inv d2) = R(d2) > L(d1) =
-    R(inv d1).  Either way the result must satisfy the degree identity
+    L(d1) + R(d1) < L(d2) + R(d2) the mirrored pair is computed (and
+    cached) instead, for R(d1) + |supp| L(d1) products and the left cosets
+    of d1 and inv(d1) alone.  Inversion swaps L and R, so the mirrored
+    pair's test is the strict reverse of this one and it never mirrors
+    back.  Either way the result must satisfy the degree identity
     sum_d c_d R(d) = R(d1) R(d2), with every R learned by the store's
     class search, not from this product; a failure caches nothing.
     """
@@ -219,14 +220,15 @@ def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     cached = store.sc_cache.get(key)
     if cached is not None:
         return cached
-    if store.class_L(d1) < store.class_R(d2):
+    L, R = store.class_L, store.class_R
+    if L(d1) + R(d1) < L(d2) + R(d2):
         inv = store.class_inverse
         out = {inv(e): c for e, c in
                structure_constants(store, inv(d2), inv(d1)).items()}
     else:
         out = direct_count(store, d1, d2)
-    degree = sum(c * store.class_R(d) for d, c in out.items())
-    want = store.class_R(d1) * store.class_R(d2)
+    degree = sum(c * R(d) for d, c in out.items())
+    want = R(d1) * R(d2)
     if degree != want:
         raise NonBiInvariantResult(
             f"product T[{d1}]*T[{d2}] breaks the degree identity: "

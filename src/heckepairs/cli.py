@@ -38,7 +38,7 @@ from fractions import Fraction
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
                      CapExceeded, CosetStore)
 from .errors import HeckeError, NotRelativelyUnimodular
-from .growth import GROWTH_DEFAULTS, classify_growth, growth_series
+from .growth import classify_growth, growth_series
 from .groups import (HeckePair, catalog_labels, get_pair, load_pair_spec,
                      read_key_values)
 from .lengths import characteristic_length, word_length
@@ -55,19 +55,15 @@ CONFIG_DEFAULTS = {
     "caps.max_cosets": DEFAULT_MAX_COSETS,
     "caps.max_orbit": DEFAULT_MAX_ORBIT,
     "seed": 0,
-    **GROWTH_DEFAULTS,
     **RD_DEFAULTS,
 }
 
-# the config values with a domain: the caps and growth rows, then rd's own
-# rows, checked by the one rule (``rd.check_domains``) that library calls of
+# the config values with a domain: the caps rows, then rd's own rows,
+# checked by the one rule (``rd.check_domains``) that library calls of
 # rd_profile and kesten_diagnostic also run
 CONFIG_DOMAINS = (
     ("caps.max_cosets", ">=", 1),
     ("caps.max_orbit", ">=", 1),
-    ("growth.delta", ">=", 0),
-    ("growth.tail_fraction", ">", 0),
-    ("growth.tail_fraction", "<=", 1),
     *RD_DOMAINS,
 )
 
@@ -121,10 +117,15 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path: str, obj: dict) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
+def _write(path: str, text: str) -> None:
+    """Write one artifact, making its directory first."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+
+
+def write_json(path: str, obj: dict) -> None:
+    _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n")
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -134,8 +135,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     for row in rows:
         writer.writerow([format(v, ".12g") if isinstance(v, float) else v
                          for v in row])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    _write(path, buf.getvalue())
 
 
 def _slug(label: str) -> str:
@@ -156,14 +156,15 @@ def _resolve_pair(args) -> HeckePair:
 
 def run_pair_command(args) -> int:
     """Run a pair subcommand: resolve its config and pair, then make the
-    out directory and the pair's store and hand the store, with the config
-    and the config's rd slice, to the subcommand's body, which enumerates
-    what it reads, writes its artifacts under ``<out>/<command>_<pair>``
-    and returns the exit code.  Bad input fails before anything is
-    written.  A body fills the report only after the work that can hit a
-    cap.  On a cap hit the report is written as the body left it, with
-    what the subcommand's ``on_cap`` adds from the store, marked partial
-    with the cap message, and the cap is re-raised (exit 3)."""
+    pair's store and hand it, with the config and the config's rd slice,
+    to the subcommand's body, which enumerates what it reads, writes its
+    artifacts under ``<out>/<command>_<pair>`` and returns the exit code.
+    The out directory is made with the first artifact, so bad input, or a
+    pair the body refuses, writes nothing.  A body fills the report only
+    after the work that can hit a cap.  On a cap hit the report is written
+    as the body left it, with what the subcommand's ``on_cap`` adds from
+    the store, marked partial with the cap message, and the cap is
+    re-raised (exit 3)."""
     if args.rmax < 0:
         raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
     cfg = load_config(args.config, args.set)
@@ -174,7 +175,6 @@ def run_pair_command(args) -> int:
             cfg[key] = flag
     check_domains(cfg, CONFIG_DOMAINS)
     pair = _resolve_pair(args)
-    os.makedirs(args.out, exist_ok=True)
     rd_cfg = {k: cfg[k] for k in RD_DEFAULTS}
     base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"
                                   f"{_slug(pair.label)}")
@@ -232,16 +232,12 @@ def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
 
 def cmd_growth(args, cfg, rd_cfg, store, base, report) -> int:
     series = growth_series(store, args.rmax)
-    verdict = classify_growth(series,
-                              delta=float(cfg["growth.delta"]),
-                              tail_fraction=float(cfg["growth.tail_fraction"]),
-                              min_r2=float(cfg["growth.min_r2"]))
+    verdict = classify_growth(series, store)
     write_csv(base + ".csv", ["r", "ball", "shell"], series.as_rows())
     report["series"] = series
     report["verdict"] = {**asdict(verdict), "label": "empirical"}
     write_json(base + ".json", report)
-    print(f"wrote {base}.json: {verdict.kind} "
-          f"(alpha={verdict.alpha}, beta={verdict.beta})")
+    print(f"wrote {base}.json: {verdict.kind}, {verdict.details}")
     return EXIT_OK if verdict.kind != "inconclusive" else EXIT_INCONCLUSIVE
 
 
@@ -275,7 +271,6 @@ def cmd_kesten(args, cfg, rd_cfg, store, base, report) -> int:
 
 
 def cmd_verify(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     checks = run_verification(include_golden=not args.no_golden)
     n_bad = 0
     for c in checks:

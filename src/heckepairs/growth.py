@@ -1,4 +1,4 @@
-"""Ball/shell counting and empirical growth classification.
+"""Ball/shell counting and exact growth types.
 
 G_l(r) counts the right cosets Hx with l(x) <= r.  Length functions on a
 pair are bi-H-invariant, so the ball B_{r,l} is a union of double cosets
@@ -10,29 +10,30 @@ not), so the series needs no enumerated ball; for other lengths small
 values could hide outside any finite ball, so the class route requires an
 exhausted coset space.
 
-Verdicts are empirical: asymptotic growth classes are not decidable from
-finite data, and intermediate growth is only ever reported as
-inconclusive at this scale.
+The growth type is read from the shortest recurrence of the ball series
+(Berlekamp-Massey), found on a prefix and checked in ints on every later
+term (an integer sequence's recurrence has integer coefficients, by
+Fatou's lemma).  In its characteristic polynomial chi, roots 0 are a
+finite transient, chi = x^k (x - 1)^m is growth of degree m - 1, and a
+real root above 1 is exponential growth.  A check on finitely many terms
+is not a proof, so verdicts are empirical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from typing import Optional, Union
 
-from .cosets import CosetStore
+from .cosets import CapExceeded, CosetStore
 from .errors import BallIncomplete
-from .lengths import LengthFunction, linfit
+from .lengths import LengthFunction
 
 __all__ = ["GrowthSeries", "GrowthVerdict", "growth_series",
-           "classify_growth", "GROWTH_DEFAULTS"]
-
-GROWTH_DEFAULTS = {
-    "growth.delta": 0.2,           # tail ball ratios must exceed 1+delta for "exponential"
-    "growth.tail_fraction": 0.5,   # fraction of radii used for the fits
-    "growth.min_r2": 0.98,         # fit quality gate for "polynomial"
-}
+           "classify_growth"]
 
 
 @dataclass
@@ -75,41 +76,128 @@ def growth_series(store: CosetStore, r_max: int,
 
 @dataclass
 class GrowthVerdict:
-    kind: str                 # polynomial | exponential | inconclusive
-    alpha: Optional[float]    # fitted degree (polynomial)
-    beta: Optional[float]     # fitted base (exponential)
-    r2: float
-    tail_ratios: list[float]
+    kind: str               # polynomial | exponential | finite | inconclusive
     details: str
+    alpha: Optional[int] = None         # degree (polynomial)
+    beta: Union[int, tuple, None] = None    # base, or a bracket (lo, hi]
+    index: Optional[int] = None         # right cosets (finite)
+    chi: Optional[list[int]] = None     # highest degree first
 
 
 def classify_growth(series: GrowthSeries,
-                    delta: float = GROWTH_DEFAULTS["growth.delta"],
-                    tail_fraction: float = GROWTH_DEFAULTS["growth.tail_fraction"],
-                    min_r2: float = GROWTH_DEFAULTS["growth.min_r2"]) -> GrowthVerdict:
-    """Empirical classification: exponential when the tail ball ratios
-    stay above 1 + delta and ln G fits r at least as well (r2) as ln r,
-    base fitted from ln G vs r; polynomial when the log-log fit of the
-    tail is good; otherwise inconclusive."""
-    rs = [r for r, g in zip(series.radii, series.ball) if g > 0 and r >= 1]
-    if len(rs) < 4:
-        return GrowthVerdict("inconclusive", None, None, 0.0, [],
-                             "too few radii")
-    tail_start = rs[0] + int((rs[-1] - rs[0]) * (1.0 - tail_fraction))
-    tail = [r for r in rs if r >= tail_start]
-    if len(tail) < 3:
-        tail = rs[-3:]
-    g = {r: series.ball[series.radii.index(r)] for r in rs}
-    ratios = [g[b] / g[a] for a, b in zip(tail, tail[1:])]
+                    store: Optional[CosetStore] = None) -> GrowthVerdict:
+    """The growth type from the shortest recurrence of G(r), r <= D // 2,
+    checked through r = D, for D = r_max.  Given the store a word-length
+    series was read from, an ended class search reads "finite", and while
+    no recurrence passes the search resumes with D doubled, to at least 8
+    and at most max(r_max, 32); a cap hit on the way reads inconclusive."""
+    r_max = depth = series.radii[-1]
+    ball = series.ball
+    while True:
+        if store is not None and store.class_search_depth < depth:
+            return GrowthVerdict(                   # the search has ended
+                "finite", f"index {ball[-1]}, the class search ended at "
+                f"depth {store.class_search_depth}", index=ball[-1])
+        a = depth // 2
+        chi = _shortest_recurrence(ball[:a + 1])
+        where = f"found on r <= {a}, checked through r <= {depth}"
+        if chi is not None and not any(
+                sum(c * g for c, g in zip(chi, ball[r::-1]))
+                for r in range(a + 1, depth + 1)):
+            return _read_chi(chi, f"recurrence of order {len(chi) - 1} "
+                                  f"{where}")
+        deeper = min(max(2 * depth, 8), max(r_max, 32))
+        if store is None or deeper <= depth:
+            return GrowthVerdict("inconclusive", f"no recurrence {where}")
+        depth = deeper
+        try:
+            ball = growth_series(store, depth).ball
+        except CapExceeded as exc:
+            return GrowthVerdict("inconclusive",
+                                 f"cap hit at depth {depth}: {exc}")
 
-    logs = [math.log(g[r]) for r in tail]
-    exp_slope, _, exp_r2 = linfit([float(r) for r in tail], logs)
-    slope, _, r2 = linfit([math.log(r) for r in tail], logs)
-    if ratios and min(ratios) > 1.0 + delta and exp_r2 >= r2:
-        return GrowthVerdict("exponential", None, math.exp(exp_slope), exp_r2,
-                             ratios, f"tail ratios all > {1 + delta}")
-    if r2 >= min_r2:
-        return GrowthVerdict("polynomial", slope, None, r2, ratios,
-                             f"log-log tail fit r2={r2:.4f}")
-    return GrowthVerdict("inconclusive", slope, None, r2, ratios,
-                         "no stable fit")
+
+def _read_chi(chi: list[int], where: str) -> GrowthVerdict:
+    """The type chi gives; ``where`` says how its recurrence was found."""
+    q, m = chi, 0
+    while q[-1] == 0:                   # roots at 0: a finite transient
+        q = q[:-1]
+    while len(q) > 1 and sum(q) == 0:   # divide out x - 1
+        q, m = list(accumulate(q[:-1])), m + 1
+    beta = _largest_root_above_one(q)
+    if beta is not None:
+        base = beta if isinstance(beta, int) else "in (%s, %s]" % beta
+        return GrowthVerdict("exponential", f"base {base}, {where}",
+                             beta=beta, chi=chi)
+    if len(q) == 1 and m:
+        return GrowthVerdict("polynomial", f"degree {m - 1}, {where}",
+                             alpha=m - 1, chi=chi)
+    return GrowthVerdict("inconclusive", "chi has roots other than 0 and 1 "
+                         f"and none above 1, {where}", chi=chi)
+
+
+def _shortest_recurrence(seq: list[int]) -> Optional[list[int]]:
+    """[1, c_1, ..., c_L] with sum_i c_i s(n - i) = 0 for n >= L: the
+    shortest recurrence of ``seq`` (Berlekamp-Massey, fraction-free) and
+    its chi.  None unless the 2L terms that fix it are there and its
+    coefficients are integers."""
+    c, b, size, gap, bd = [1], [1], 0, 1, 1
+    for n in range(len(seq)):
+        d = sum(ci * s for ci, s in zip(c, seq[n::-1]))
+        if d:
+            c, old = [bd * ci for ci in c] + [0] * (len(b) + gap - len(c)), c
+            for i, bi in enumerate(b):
+                c[i + gap] -= d * bi
+            if 2 * size <= n:
+                size, b, bd, gap = n + 1 - size, old, d, 0
+        gap += 1
+    c = (c + [0] * size)[:size + 1]
+    if 2 * size > len(seq) or any(ci % c[0] for ci in c):
+        return None
+    return [ci // c[0] for ci in c]
+
+
+def _largest_root_above_one(q: list[int]):
+    """The largest real root of the monic integer q (q(1) != 0) if it
+    exceeds 1: an int when it is one, else a bracket (lo, hi] of width
+    2^-32.  The Sturm sequence of q's square-free part counts the roots
+    above a point; signs of q alone miss pairs: (x - 2)(x - 4) > 0 at 1, 9."""
+    if len(q) == 1:
+        return None
+    chain = [q, [c * (len(q) - 1 - i) for i, c in enumerate(q[:-1])]]
+    while rem := _divmod(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in rem])
+    chain = [_divmod(p, chain[-1])[0] for p in chain]
+
+    def above(x) -> bool:
+        return _changes(_value(p, x) for p in chain) > _changes(
+            p[0] for p in chain)
+
+    if not above(1):
+        return None
+    lo, hi = 1, 1 + max(map(abs, q))    # above(lo), not above(hi)
+    while hi - lo > 2 ** -32:
+        # integer midpoints first, so that an integer root is met as hi
+        if hi - lo == 1 and _value(q, hi) == 0:
+            return hi
+        mid = (lo + hi) // 2 if hi - lo > 1 else Fraction(lo + hi, 2)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return lo, hi
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder over Q, highest degree first."""
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        quotient.append(Fraction(a[0]) / b[0])
+        a = [x - quotient[-1] * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    return quotient, a[next((i for i, x in enumerate(a) if x), len(a)):]
+
+
+def _value(p: list, x):
+    return reduce(lambda v, c: v * x + c, p, 0)
+
+
+def _changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))

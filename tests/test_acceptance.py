@@ -132,19 +132,19 @@ def test_criterion_05_growth():
         z1 = hp.enumerate_ball(get_pair("z:1"), 40)
         s1 = growth_series(z1, 40)
         assert s1.ball == [2 * r + 1 for r in range(41)]
-        v1 = classify_growth(s1)
-        assert v1.kind == "polynomial" and abs(v1.alpha - 1) <= 0.3
+        v1 = classify_growth(s1, z1)
+        assert v1.kind == "polynomial" and v1.alpha == 1
 
         z2 = hp.enumerate_ball(get_pair("z:2"), 25)
         s2 = growth_series(z2, 25)
         assert s2.ball == [2 * r * r + 2 * r + 1 for r in range(26)]
-        v2 = classify_growth(s2)
-        assert v2.kind == "polynomial" and abs(v2.alpha - 2) <= 0.3
+        v2 = classify_growth(s2, z2)
+        assert v2.kind == "polynomial" and v2.alpha == 2
 
         psl = hp.enumerate_ball(get_pair("psl2z1p:2"), 8)
         sp = growth_series(psl, 8)
-        vp = classify_growth(sp)
-        assert vp.kind == "exponential"
+        vp = classify_growth(sp, psl)
+        assert vp.kind == "exponential" and vp.beta == 4
         tail_shell_ratios = [sp.shell[i + 1] / sp.shell[i]
                              for i in range(4, 8)]
         assert min(tail_shell_ratios) >= 3

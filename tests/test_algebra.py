@@ -362,6 +362,46 @@ def test_structure_constants_mirrored_miscount_caches_neither_side(
     assert mirror not in store.sc_cache
 
 
+def test_structure_constants_read_the_cheaper_side(monkeypatch):
+    # on bcp:2 a class with (L, R) = (2^k, 1) has 2^k left cosets: a
+    # product with it on the right reads L(d2) + |supp| R(d2) left-coset
+    # representatives as it stands and R(d1) + |supp| L(d1) mirrored, and
+    # is mirrored whenever L(d1) + R(d1) < L(d2) + R(d2)
+    store = hp.enumerate_ball(get_pair("bcp:2"), 3)
+    store.word_lengths(6)      # the supports are sized: only products read
+    L, R = store.class_L, store.class_R
+    reads = [0]
+    support, count = store._support, store._count
+
+    def read_support(x, reps):
+        reads[0] += len(reps)
+        return support(x, reps)
+
+    def read_count(x, reps, want):
+        reads[0] += len(reps)
+        return count(x, reps, want)
+
+    monkeypatch.setattr(store, "_support", read_support)
+    monkeypatch.setattr(store, "_count", read_count)
+    classes = store.classes_in_ball(3)
+    right = [d for d in classes if R(d) == 1 and L(d) > 1]
+    assert sorted({L(d) for d in right}) == [2, 4, 8]
+    total = mirrored = 0
+    for d2 in right:
+        for d1 in classes:
+            store.sc_cache.clear()
+            reads[0] = 0
+            supp = len(structure_constants(store, d1, d2))
+            direct = L(d2) + supp * R(d2)
+            if L(d1) + R(d1) < L(d2) + R(d2):
+                assert reads[0] == R(d1) + supp * L(d1) < direct
+                mirrored += 1
+            else:
+                assert reads[0] == direct
+            total += direct - reads[0]
+    assert mirrored and total > 0
+
+
 def test_convolution_lookups_intern_nothing_stray():
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
     classes = store.classes_in_ball(3)

@@ -9,9 +9,10 @@ import sys
 import pytest
 
 import heckepairs
-from heckepairs.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from heckepairs.cli import (CONFIG_DEFAULTS, EXIT_INCONCLUSIVE, EXIT_OK,
+                           EXIT_USAGE, main)
 from heckepairs.cosets import CosetStore
-from heckepairs.growth import GROWTH_DEFAULTS, GrowthSeries, GrowthVerdict
+from heckepairs.growth import GrowthSeries, GrowthVerdict
 from heckepairs.rd import BestRatio, KestenReport, RdProfile, RdTestRecord
 from heckepairs.verify import CheckResult
 
@@ -66,10 +67,11 @@ def test_growth_z2_formula(tmp_path):
     assert rows[-1] == "25,1301,100"
     report = json.loads(read(out / "growth_z-2.json"))
     assert report["verdict"]["kind"] == "polynomial"
-    assert abs(report["verdict"]["alpha"] - 2) <= 0.3
+    assert report["verdict"]["alpha"] == 2
+    assert report["verdict"]["chi"] == [1, -3, 3, -1]
     assert report["verdict"]["label"] == "empirical"
     # thresholds echoed even when defaulted
-    assert report["config"]["growth.delta"] == 0.2
+    assert report["config"]["rd.stable_slope"] == 0.1
 
 
 def test_rd_profile_bcp_obstructed(tmp_path):
@@ -103,14 +105,60 @@ def test_rd_profile_superpolynomial_ratio_on_the_tree(tmp_path):
     assert report["profile"]["verdict"] == "superpolynomial-ratio"
 
 
-def test_growth_without_a_stable_fit_is_inconclusive(tmp_path):
+def test_growth_capped_past_rmax_is_inconclusive(tmp_path, capsys):
+    # z:3's order-4 recurrence needs 8 terms to be found: the class search
+    # resumes past rmax 4, and at depth 8 (833 cosets) it hits the cap
     out = tmp_path / "o"
-    assert main(["growth", "--pair", "z:1", "--rmax", "40",
-                 "--set", "growth.min_r2=1.0",
+    assert main(["growth", "--pair", "z:3", "--rmax", "4",
+                 "--max-cosets", "200",
                  "--out", str(out)]) == EXIT_INCONCLUSIVE
-    verdict = json.loads(read(out / "growth_z-1.json"))["verdict"]
-    assert (verdict["kind"], verdict["details"]) == ("inconclusive",
-                                                     "no stable fit")
+    report = json.loads(read(out / "growth_z-3.json"))
+    assert report["series"]["ball"] == [1, 7, 25, 63, 129]
+    assert "partial" not in report
+    verdict = report["verdict"]
+    assert verdict["kind"] == "inconclusive"
+    assert verdict["details"].startswith("cap hit at depth 8: ")
+    assert "max_cosets=200" in verdict["details"]
+    assert verdict["details"] in capsys.readouterr().out
+
+
+def test_growth_reads_z1_at_rmax_0_and_1(tmp_path):
+    for rmax in ("0", "1"):
+        out = tmp_path / rmax
+        assert main(["growth", "--pair", "z:1", "--rmax", rmax,
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(read(out / "growth_z-1.json"))
+        assert report["series"]["radii"] == list(range(int(rmax) + 1))
+        verdict = report["verdict"]
+        assert (verdict["kind"], verdict["alpha"]) == ("polynomial", 1)
+        assert verdict["details"].endswith(
+            "found on r <= 4, checked through r <= 8")
+
+
+def test_growth_keys_are_gone(tmp_path, capsys):
+    out = tmp_path / "o"
+    for key in ("growth.delta", "growth.tail_fraction", "growth.min_r2"):
+        assert key not in CONFIG_DEFAULTS
+        assert main(["growth", "--pair", "z:1", "--set", f"{key}=0.2",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_refused_pair_writes_no_out_directory(tmp_path, capsys):
+    # bc has no finite generating set: each body refuses it before its
+    # first artifact, so the out directory is never made
+    for cmd in ("growth", "kesten", "ltable", "enumerate"):
+        out = tmp_path / cmd
+        assert main([cmd, "--pair", "bc", "--rmax", "2",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "no finite generating set" in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "rd"
+    assert main(["rd-profile", "--pair", "bc", "--rmax", "2",
+                 "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["rd_profile_bc.csv",
+                                                      "rd_profile_bc.json"]
 
 
 def test_enumerate_snapshot_schema(tmp_path):
@@ -195,7 +243,8 @@ def test_usage_errors(tmp_path, capsys):
             ("'d'", ["--pair-spec", str(tmp_path / "d.spec")]),
             ("'n'", ["--pair-spec", str(tmp_path / "n.spec")]),
             ("'seed'", ["--pair", "z:1", "--set", "seed=abc"]),
-            ("'growth.delta'", ["--pair", "z:1", "--set", "growth.delta=x"]),
+            ("'rd.stable_slope'", ["--pair", "z:1",
+                                   "--set", "rd.stable_slope=x"]),
             ("'rd.n_random'", ["--pair", "z:1",
                                "--config", str(tmp_path / "bad.cfg")])):
         assert main(["growth", "--rmax", "3", "--out", str(tmp_path / "z")]
@@ -214,17 +263,17 @@ def test_usage_errors(tmp_path, capsys):
             ("rd-profile", "rd.pad=-1"),
             ("kesten", "kesten.n=-1"),
             ("kesten", "kesten.trunc_radius=-1"),
-            ("growth", "growth.delta=nan"),
-            ("growth", "growth.delta=-0.5"),
-            ("growth", "growth.tail_fraction=7"),
-            ("growth", "growth.tail_fraction=0"),
+            ("growth", "rd.s_grid_max=nan"),
+            ("growth", "rd.s_grid_max=-0.5"),
+            ("growth", "rd.tail_fraction=7"),
+            ("growth", "rd.tail_fraction=0"),
             ("rd-profile", "rd.tail_fraction=1.5"),
             ("rd-profile", "rd.tail_fraction=-inf"),
             ("kesten", "rd.tol=nan"),
             ("kesten", "rd.tol=0"),
             ("rd-profile", "rd.max_matrix_cost=0"),
             # float values without a bound must still be finite
-            ("growth", "growth.min_r2=nan"),
+            ("growth", "rd.stable_slope=nan"),
             ("rd-profile", "rd.stable_slope=inf"),
             ("kesten", "kesten.amenable_min=nan"),
             ("kesten", "kesten.nonamenable_max=-inf")):
@@ -233,7 +282,7 @@ def test_usage_errors(tmp_path, capsys):
                      "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         key = setting.partition("=")[0]
-        want = ", got " if key in {"growth.min_r2", "rd.stable_slope",
+        want = ", got " if key in {"rd.stable_slope",
                                    "kesten.amenable_min",
                                    "kesten.nonamenable_max"} else " and "
         assert f"{key} must be finite{want}" in capsys.readouterr().err
@@ -263,7 +312,7 @@ def test_verify_takes_only_out_and_no_golden(tmp_path, capsys):
     # the pair options would change nothing verify computes
     for option in (["--rmax", "9"], ["--seed", "7"], ["--max-cosets", "5"],
                    ["--max-orbit", "5"], ["--config", "run.cfg"],
-                   ["--set", "growth.delta=0.5"]):
+                   ["--set", "rd.stable_slope=0.5"]):
         out = tmp_path / "v"
         with pytest.raises(SystemExit) as exc:
             main(["verify", *option, "--out", str(out)])
@@ -567,14 +616,14 @@ def test_config_integer_too_large_for_a_float(tmp_path, capsys):
 
 def test_config_file_and_set_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("growth.delta=0.3\nseed=9\n")
+    cfgfile.write_text("rd.s_grid_step=0.3\nseed=9\n")
     out = tmp_path / "o"
     assert main(["growth", "--pair", "z:1", "--rmax", "10",
-                 "--config", str(cfgfile), "--set", "growth.min_r2=0.9",
+                 "--config", str(cfgfile), "--set", "rd.stable_slope=0.9",
                  "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "growth_z-1.json"))
-    assert report["config"]["growth.delta"] == 0.3
-    assert report["config"]["growth.min_r2"] == 0.9
+    assert report["config"]["rd.s_grid_step"] == 0.3
+    assert report["config"]["rd.stable_slope"] == 0.9
     assert report["seed"] == 9
     bad = tmp_path / "bad.cfg"
     bad.write_text("no.such.key=1\n")
@@ -585,7 +634,7 @@ def test_config_file_and_set_override(tmp_path):
 def test_key_value_files_skip_blank_and_comment_lines(tmp_path):
     # each commented line would be refused if it were read
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# a run\n\n  seed = 9 \n#growth.delta=x\n\n")
+    cfg.write_text("# a run\n\n  seed = 9 \n#rd.stable_slope=x\n\n")
     spec = tmp_path / "pair.spec"
     spec.write_text("# C6 over C3\nkind=perm\n\nlabel=c6-h3\nn=6\n"
                     "# g_gen=perm 0\ng_gen=perm 1 2 3 4 5 0\n"
@@ -691,7 +740,7 @@ def test_in_process_calls_share_one_parser(tmp_path, monkeypatch):
     # and writes what a fresh process writes, with no option of an earlier
     # call carried into a later one
     runs = [["growth", "--pair", "z:1", "--rmax", "6",
-             "--set", "growth.delta=0.5"],
+             "--set", "rd.stable_slope=0.5"],
             ["enumerate", "--pair", "dinf", "--rmax", "3", "--no-classes"],
             ["enumerate", "--pair", "dinf", "--rmax", "3"],
             ["kesten", "--pair", "z:1", "--rmax", "4"],
@@ -727,8 +776,8 @@ def test_in_process_calls_share_one_parser(tmp_path, monkeypatch):
         assert _tree_bytes(tmp_path / f"in{i}") == _tree_bytes(out)
     first = json.loads(read(tmp_path / "in0" / "growth_z-1.json"))
     last = json.loads(read(tmp_path / "in5" / "growth_z-1.json"))
-    assert first["config"]["growth.delta"] == 0.5
-    assert last["config"] == {**first["config"], **GROWTH_DEFAULTS}
+    assert first["config"]["rd.stable_slope"] == 0.5
+    assert last["config"] == {**first["config"], "rd.stable_slope": 0.1}
     snapshots = [json.loads(read(tmp_path / f"in{i}" / "enumerate_dinf.json"))
                  ["snapshot"] for i in (1, 2)]
     assert snapshots[0] != snapshots[1]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import heckepairs as hp
@@ -12,8 +14,8 @@ def test_z_ball_formula_r40():
     series = growth_series(store, 40)
     assert series.ball == [2 * r + 1 for r in range(41)]
     verdict = classify_growth(series)
-    assert verdict.kind == "polynomial"
-    assert abs(verdict.alpha - 1) <= 0.3
+    assert (verdict.kind, verdict.alpha) == ("polynomial", 1)
+    assert verdict.chi == [1, -2, 1]
 
 
 def test_z2_diamond_formula_r25():
@@ -25,11 +27,16 @@ def test_z2_diamond_formula_r25():
     series = growth_series(store, 25)
     for r in range(26):
         assert series.ball[r] == diamond(r) == 2 * r * r + 2 * r + 1
-    # at r_max = 8 the tail ratios (145/113 = 1.28) still exceed 1 + delta
-    for r_max in (25, 8):
-        verdict = classify_growth(growth_series(store, r_max))
-        assert verdict.kind == "polynomial"
-        assert abs(verdict.alpha - 2) <= 0.3
+    # the order-3 recurrence needs 6 terms to be found: at r_max 8 the
+    # class search resumes to depth 16 and is checked there
+    for r_max, found, checked in ((25, 12, 25), (8, 8, 16), (4, 8, 16)):
+        verdict = classify_growth(growth_series(store, r_max), store)
+        assert (verdict.kind, verdict.alpha) == ("polynomial", 2)
+        assert verdict.details == (
+            f"degree 2, recurrence of order 3 found on r <= {found}, "
+            f"checked through r <= {checked}")
+    # the series alone cannot go deeper
+    assert classify_growth(growth_series(store, 8)).kind == "inconclusive"
 
 
 def test_shell_consistency_and_monotonicity():
@@ -58,7 +65,7 @@ def test_psl2_exponential(psl2_store_r8):
     assert verdict.kind == "exponential"
     shell_ratios = [series.shell[i + 1] / series.shell[i] for i in range(1, 8)]
     assert min(shell_ratios) >= 3
-    assert verdict.beta == pytest.approx(4.0, abs=0.1)
+    assert (verdict.beta, verdict.chi) == (4, [1, -5, 4])
 
 
 def test_dinf_linear_growth():
@@ -66,17 +73,20 @@ def test_dinf_linear_growth():
     series = growth_series(store, 20)
     assert series.ball == [1 + 2 * r for r in range(21)]
     verdict = classify_growth(series)
-    assert verdict.kind == "polynomial"
-    assert abs(verdict.alpha - 1) <= 0.3
+    assert (verdict.kind, verdict.alpha) == ("polynomial", 1)
 
 
 def test_finite_pair_growth_stabilizes():
     store = hp.enumerate_ball(get_pair("s3-h12"), 8)
     series = growth_series(store, 8)
     assert series.ball[-1] == 3
+    verdict = classify_growth(series, store)
+    assert (verdict.kind, verdict.index) == ("finite", 3)
+    # the series alone reads a recurrence G(r) = G(r - 1) from r = 2 on:
+    # chi = x (x - 1), a root at 0 for the transient
     verdict = classify_growth(series)
-    assert verdict.kind == "polynomial"
-    assert abs(verdict.alpha) <= 0.1
+    assert (verdict.kind, verdict.alpha, verdict.chi) == (
+        "polynomial", 0, [1, -1, 0])
 
 
 def test_growth_requires_complete_ball():
@@ -109,3 +119,62 @@ def test_growth_with_characteristic_length_needs_saturation():
 def test_classify_inconclusive_on_thin_data():
     series = GrowthSeries([0, 1], [1, 3], [1, 2], "word-schreier")
     assert classify_growth(series).kind == "inconclusive"
+
+
+@pytest.mark.parametrize("label,rmax,kind,value", [
+    ("z:1", 4, "polynomial", 1), ("dinf", 4, "polynomial", 1),
+    ("z:2", 4, "polynomial", 2), ("z:3", 4, "polynomial", 3),
+    ("z:3", 14, "polynomial", 3), ("bcp:2", 4, "exponential", 2),
+    ("bcp:3", 4, "exponential", 3), ("bcp:5", 4, "exponential", 5),
+    ("psl2z1p:2", 4, "exponential", 4), ("sl2z1p:2", 4, "exponential", 4),
+    ("psl2z1p:3", 4, "exponential", 9), ("s3-h12", 4, "finite", 3),
+    ("s4-h12", 4, "finite", 12), ("s4-h12-34", 4, "finite", 6)])
+def test_catalog_growth_types_are_exact(label, rmax, kind, value):
+    store = hp.CosetStore(get_pair(label))
+    verdict = classify_growth(growth_series(store, rmax), store)
+    field = {"polynomial": "alpha", "exponential": "beta", "finite": "index"}
+    assert (verdict.kind, getattr(verdict, field[kind])) == (kind, value)
+
+
+def _series(ball):
+    shell = [ball[0]] + [b - a for a, b in zip(ball, ball[1:])]
+    return GrowthSeries(list(range(len(ball))), ball, shell, "word-schreier")
+
+
+def test_one_changed_term_past_the_prefix_is_inconclusive():
+    ball = [2 * r * r + 2 * r + 1 for r in range(26)]
+    assert classify_growth(_series(ball)).alpha == 2
+    for r in (13, 20, 25):
+        changed = ball[:r] + [ball[r] + 1] + ball[r + 1:]
+        verdict = classify_growth(_series(changed))
+        assert verdict.kind == "inconclusive"
+        assert verdict.details == ("no recurrence found on r <= 12, "
+                                   "checked through r <= 25")
+
+
+def test_characteristic_roots_read_exactly():
+    # two roots above 1, where q > 0 at 1 and at its root bound 9: the
+    # largest is 4, found only by counting roots
+    two = [1 + 2 ** r + 4 ** r for r in range(12)]
+    verdict = classify_growth(_series(two))
+    assert (verdict.kind, verdict.beta) == ("exponential", 4)
+    assert verdict.chi == [1, -7, 14, -8]
+    # the golden ratio is bracketed, not rounded
+    fib = [1, 2]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    lo, hi = classify_growth(_series(fib)).beta
+    assert hi - lo <= Fraction(1, 2 ** 32)
+    assert lo < (1 + 5 ** 0.5) / 2 < hi
+    assert lo * lo - lo - 1 < 0 <= hi * hi - hi - 1
+    # a root -1 beside (x - 1)^2 is neither polynomial of one degree nor
+    # exponential
+    wobble = [r + (r % 2) for r in range(12)]
+    verdict = classify_growth(_series(wobble))
+    assert verdict.kind == "inconclusive"
+    assert verdict.chi == [1, -1, -1, 1]
+    # a double root: every Sturm polynomial of chi vanishes at 3, so roots
+    # are counted on its square-free part, and 5 is found above 3
+    double = [(r + 1) * 3 ** r + 5 ** r for r in range(14)]
+    verdict = classify_growth(_series(double))
+    assert (verdict.beta, verdict.chi) == (5, [1, -11, 39, -45])

@@ -2,12 +2,14 @@
 factors': the coset store, the class search and the structure constants
 checked on class spaces of rank 2."""
 
+from itertools import accumulate
+
 import pytest
 
 from heckepairs.algebra import structure_constants
 from heckepairs.cosets import CosetStore
 from heckepairs.groups import get_pair
-from heckepairs.growth import growth_series
+from heckepairs.growth import classify_growth, growth_series
 
 from oracles import ProductPair
 
@@ -62,3 +64,48 @@ def test_product_structure_constants_are_the_tensor():
         assert got == {(e, f): m * n
                        for e, m in structure_constants(sa, a1, a2).items()
                        for f, n in structure_constants(sb, b1, b2).items()}
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _nonzero_roots(chi):
+    """chi without its roots at 0, highest degree first."""
+    while chi[-1] == 0:
+        chi = chi[:-1]
+    return chi
+
+
+@pytest.mark.parametrize("a,b,kind,value,chi", [
+    ("z:1", "dinf", "polynomial", 2, [1, -3, 3, -1]),
+    ("z:1", "psl2z1p:2", "exponential", 4, [1, -6, 9, -4]),
+    # two roots above 1: (x - 1)(x - 2)(x - 4)
+    ("psl2z1p:2", "bcp:2", "exponential", 4, [1, -7, 14, -8]),
+    # a finite factor leaves a transient: x (x - 1)^2
+    ("dinf", "s3-h12", "polynomial", 1, [1, -2, 1, 0])])
+def test_product_growth_is_the_factors_recurrences(a, b, kind, value, chi):
+    # the ball series is the partial sum of the shells' Cauchy product, so
+    # chi, without roots at 0, is (x - 1) times the factors' shell
+    # polynomials: each factor's chi over x - 1 (1 for a finite factor)
+    verdicts = [classify_growth(growth_series(s, 4), s)
+                for s in _stores(a, b)]
+    prod = verdicts[0]
+    field = "alpha" if kind == "polynomial" else "beta"
+    assert (prod.kind, getattr(prod, field), prod.chi) == (kind, value, chi)
+    want = [1, -1]
+    for v in verdicts[1:]:
+        if v.kind != "finite":
+            want = _times(want, list(accumulate(_nonzero_roots(v.chi)[:-1])))
+    assert _nonzero_roots(prod.chi) == want
+
+
+def test_product_of_finite_pairs_is_finite():
+    stores = _stores("s3-h12", "s4-h12")
+    verdicts = [classify_growth(growth_series(s, 4), s) for s in stores]
+    assert [(v.kind, v.index) for v in verdicts] == [
+        ("finite", 36), ("finite", 3), ("finite", 12)]

@@ -125,6 +125,16 @@ RUNS = [
     # and writes nothing (a checkout without the check crashed with exit 1)
     ["growth", "--pair", "z:1", "--config", "nosuch.cfg"],
     ["growth", "--pair-spec", "nosuch.spec"],
+    # growth verdicts that resume the class search past rmax, or stop it:
+    # z:2's and z:3's recurrences need more terms than rmax 4 gives, a cap
+    # hit on the way is inconclusive, and the search ends on s4-h12
+    ["growth", "--pair", "z:2"],
+    ["growth", "--pair", "s4-h12"],
+    ["growth", "--pair", "z:3", "--rmax", "4"],
+    ["growth", "--pair", "z:3", "--rmax", "4", "--max-cosets", "200"],
+    ["growth", "--pair", "z:1", "--rmax", "1"],
+    # a pair without a finite generating set: exit 2 with its message
+    ["growth", "--pair", "bc"],
 ]
 
 
