@@ -9,6 +9,10 @@ JSON report marked partial.  verify takes only ``--out`` and
 it reads: enumerate, ltable and kesten the radius-rmax Schreier ball,
 rd-profile its padded ball, and growth no ball at all, since its series
 comes from the class-level word-length search.
+Each settable value is declared once, with its default and its domain,
+in ``CONFIG_KEYS``, whose rd.* and kesten.* rows are ``rd.RD_KEYS``; the
+config file, ``--set`` and the flags all set values by ``rd.set_values``,
+and ``rd.check_domains`` refuses a resolved config before anything runs.
 Artifacts are deterministic given (config, seed): ids fix the ordering,
 floats are printed with 12 significant digits, and the resolved config
 (defaults included) plus the seed are echoed into every JSON report.
@@ -42,8 +46,8 @@ from .growth import classify_growth, growth_series
 from .groups import (HeckePair, catalog_labels, get_pair, load_pair_spec,
                      read_key_values)
 from .lengths import characteristic_length, word_length
-from .rd import (RD_DEFAULTS, RD_DOMAINS, check_domains, kesten_diagnostic,
-                 rd_profile)
+from .rd import (RD_KEYS, check_domains, kesten_diagnostic, rd_profile,
+                 set_values)
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -51,51 +55,31 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-CONFIG_DEFAULTS = {
-    "caps.max_cosets": DEFAULT_MAX_COSETS,
-    "caps.max_orbit": DEFAULT_MAX_ORBIT,
-    "seed": 0,
-    **RD_DEFAULTS,
+# the one config table, rows as in ``rd.RD_KEYS``: caps, seed, then rd's
+CONFIG_KEYS = {
+    "caps.max_cosets": (DEFAULT_MAX_COSETS, (">=", 1)),
+    "caps.max_orbit": (DEFAULT_MAX_ORBIT, (">=", 1)),
+    "seed": (0,),
+    **RD_KEYS,
 }
-
-# the config values with a domain: the caps rows, then rd's own rows,
-# checked by the one rule (``rd.check_domains``) that library calls of
-# rd_profile and kesten_diagnostic also run
-CONFIG_DOMAINS = (
-    ("caps.max_cosets", ">=", 1),
-    ("caps.max_orbit", ">=", 1),
-    *RD_DOMAINS,
-)
+CONFIG_DEFAULTS = {key: row[0] for key, row in CONFIG_KEYS.items()}
 
 
-def _coerce(key: str, raw: str):
-    kind = type(CONFIG_DEFAULTS[key])
-    try:
-        return kind(raw)
-    except ValueError:
-        raise HeckeError(
-            f"config key {key!r} needs {kind.__name__}, got {raw!r}") from None
+def _key_value(item: str) -> tuple[str, str]:
+    if "=" not in item:
+        raise HeckeError(f"--set needs key=value, got {item!r}")
+    key, _, raw = item.partition("=")
+    return key.strip(), raw.strip()
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """Resolved run config: defaults, then the key=value file, then --set
-    overrides.  Unknown keys are usage errors."""
+    overrides, each value set by ``rd.set_values``.  Unknown keys are
+    usage errors."""
     cfg = dict(CONFIG_DEFAULTS)
-
-    def apply(key: str, raw: str, origin: str):
-        key = key.strip()
-        if key not in cfg:
-            raise HeckeError(f"unknown config key {key!r} ({origin})")
-        cfg[key] = _coerce(key, raw.strip())
-
     if path:
-        for key, raw in read_key_values(path, "config"):
-            apply(key, raw, path)
-    for item in overrides or []:
-        if "=" not in item:
-            raise HeckeError(f"--set needs key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        apply(key, raw, "--set")
+        set_values(cfg, CONFIG_KEYS, read_key_values(path, "config"), path)
+    set_values(cfg, CONFIG_KEYS, map(_key_value, overrides or []), "--set")
     return cfg
 
 
@@ -168,17 +152,16 @@ def run_pair_command(args) -> int:
     if args.rmax < 0:
         raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
     cfg = load_config(args.config, args.set)
-    for key, flag in (("seed", args.seed),
-                      ("caps.max_cosets", args.max_cosets),
-                      ("caps.max_orbit", args.max_orbit)):
-        if flag is not None:
-            cfg[key] = flag
-    check_domains(cfg, CONFIG_DOMAINS)
+    flags = (("seed", args.seed), ("caps.max_cosets", args.max_cosets),
+             ("caps.max_orbit", args.max_orbit))
+    set_values(cfg, CONFIG_KEYS, [(k, v) for k, v in flags if v is not None],
+               "flag")
+    check_domains(cfg, CONFIG_KEYS)
     pair = _resolve_pair(args)
-    rd_cfg = {k: cfg[k] for k in RD_DEFAULTS}
+    rd_cfg = {k: cfg[k] for k in RD_KEYS}
     base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"
                                   f"{_slug(pair.label)}")
-    report = {"pair": pair.describe(), "seed": int(cfg["seed"]),
+    report = {"pair": pair.describe(), "seed": cfg["seed"],
               "config": cfg, "command": args.command}
     store = CosetStore(pair, Caps(cfg["caps.max_cosets"],
                                   cfg["caps.max_orbit"]))
@@ -249,7 +232,7 @@ def _growth_so_far(store, report) -> None:
 
 def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
     profile = rd_profile(store, None, args.rmax, config=rd_cfg,
-                         seed=int(cfg["seed"]))
+                         seed=cfg["seed"])
     report["profile"] = profile
     write_json(base + ".json", report)
     write_csv(base + ".csv", ["r", "best_ratio", "witness"],
@@ -262,7 +245,7 @@ def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
 
 def cmd_kesten(args, cfg, rd_cfg, store, base, report) -> int:
     store.enumerate_to(args.rmax)
-    report_obj = kesten_diagnostic(store, None, None, config=rd_cfg)
+    report_obj = kesten_diagnostic(store, config=rd_cfg)
     report["kesten"] = report_obj
     write_json(base + ".json", report)
     print(f"wrote {base}.json: index "

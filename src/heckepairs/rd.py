@@ -8,7 +8,10 @@ The norm of the truncated operator P_R lambda(f) P_R is a float, ||Av||
 for the float unit vector v that power iteration ends on, so it is a lower
 bound only up to rounding.  For relatively unimodular pairs the l1 norm is
 an upper bound.  Verdicts are threshold reports over those raw numbers;
-the thresholds live in the config echoed into every report.
+the thresholds live in the config echoed into every report.  Each setting
+is one row of ``RD_KEYS``, its default and its domain; a library call's
+``config`` is set and checked by the rule the CLI runs, so the code reads
+resolved values of their defaults' types.
 
 A truncated operator holds only its ball and its CSR arrays, gathered from
 one class table per store.  numpy is loaded by the class table, the
@@ -40,79 +43,91 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "RD_DEFAULTS", "RD_DOMAINS", "check_domains", "TruncatedOperator",
+    "RD_KEYS", "RD_DEFAULTS", "S_GRID_MAX_POINTS", "set_values",
+    "check_domains", "TruncatedOperator",
     "operator_matrix", "truncated_norm", "spectral_lower_bound", "RdProfile",
     "BestRatio", "rd_profile", "rd_weighted_fit", "KestenReport",
     "kesten_diagnostic",
 ]
 
-RD_DEFAULTS = {
-    "rd.pad": 2,                 # padding radius beyond the support radius
+# one row per key: its default, then its domain as (comparison, bound)
+# pairs.  A value takes its default's type, which must hold it exactly; a
+# bounded value must be finite and on the right side of each bound, and
+# every float value must be finite
+RD_KEYS = {
+    "rd.pad": (2, (">=", 0)),           # padding beyond the support radius
     # picks each truncation radius by dim * sum R(d), unchanged so that
     # reports stay the same; the build costs one class table per store,
     # quadratic in the ball, with most entries copied by generator moves
-    "rd.max_matrix_cost": 3_000_000,
-    "rd.moment_n": 1,            # moment order mixed into the lower bound
-    "rd.n_random": 2,            # random nonnegative test functions per radius
-    "rd.coeff_max": 9,           # coefficient range of random functions
-    "rd.s_grid_max": 3.0,        # weighted-fit exponent grid
-    "rd.s_grid_step": 0.25,
-    "rd.stable_slope": 0.1,      # max log-log tail slope for a "stable" ratio
-    "rd.tail_fraction": 0.5,
-    "rd.tol": 1e-8,              # power iteration relative tolerance
-    "rd.max_iter": 20000,
-    "kesten.n": 8,               # moments in the Kesten diagnostic
-    "kesten.trunc_radius": 6,
-    "kesten.amenable_min": 0.99,     # report hints only; flagged heuristic
-    "kesten.nonamenable_max": 0.95,
+    "rd.max_matrix_cost": (3_000_000, (">=", 1)),
+    "rd.moment_n": (1, (">=", 0)),      # moment order mixed into the bound
+    "rd.n_random": (2, (">=", 0)),      # random nonnegative functions per r
+    "rd.coeff_max": (9, (">=", 1)),     # their coefficient range
+    "rd.s_grid_max": (3.0, (">=", 0)),  # weighted-fit exponent grid
+    "rd.s_grid_step": (0.25, (">", 0)),
+    "rd.stable_slope": (0.1,),          # max tail slope of a stable ratio
+    "rd.tail_fraction": (0.5, (">", 0), ("<=", 1)),
+    "rd.tol": (1e-8, (">", 0)),         # power iteration relative tolerance
+    "rd.max_iter": (20000, (">=", 1)),
+    "kesten.n": (8, (">=", 0)),         # moments in the Kesten diagnostic
+    "kesten.trunc_radius": (6, (">=", 0)),
+    "kesten.amenable_min": (0.99,),     # report hints only, flagged
+    "kesten.nonamenable_max": (0.95,),
 }
-
-
-# the values of RD_DEFAULTS with a domain: (key, comparison, bound); each
-# must be a finite number on the right side of its bound (a key with two
-# bounds is listed twice), and every other float value must be finite
-RD_DOMAINS = (
-    ("rd.pad", ">=", 0),
-    ("rd.max_matrix_cost", ">=", 1),
-    ("rd.moment_n", ">=", 0),
-    ("rd.n_random", ">=", 0),
-    ("rd.coeff_max", ">=", 1),
-    ("rd.s_grid_max", ">=", 0),
-    ("rd.s_grid_step", ">", 0),
-    ("rd.tail_fraction", ">", 0),
-    ("rd.tail_fraction", "<=", 1),
-    ("rd.tol", ">", 0),
-    ("rd.max_iter", ">=", 1),
-    ("kesten.n", ">=", 0),
-    ("kesten.trunc_radius", ">=", 0),
-)
+RD_DEFAULTS = {key: row[0] for key, row in RD_KEYS.items()}
+S_GRID_MAX_POINTS = 10_000     # a bound on the grid's memory, not a key
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-def check_domains(cfg: dict, domains) -> None:
-    """Raise HeckeError naming the first key of ``domains`` whose value is
-    off its bound or a float that is not finite, else the first float of
-    ``cfg`` that is not finite.  Integers are compared exactly, so one too
+def set_values(cfg: dict, table: dict, items, origin: str) -> None:
+    """Set each (key, value) of ``items`` in ``cfg`` as the type of the
+    key's default in ``table``: a string is parsed as that type, and any
+    other value must be exactly representable in it (3.0 for an int key,
+    never 1.9).  An unknown key or a refused value is a HeckeError naming
+    the key; NaN passes, for ``check_domains`` to refuse."""
+    for key, value in items:
+        if key not in table:
+            raise HeckeError(f"unknown config key {key!r} ({origin})")
+        kind = type(table[key][0])
+        try:
+            out = kind(value)
+            exact = isinstance(value, str) or out == value or out != out
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise HeckeError(f"config key {key!r} needs {kind.__name__}, "
+                             f"got {value!r}")
+        cfg[key] = out
+
+
+def check_domains(cfg: dict, table: dict) -> None:
+    """Raise HeckeError naming the first key of ``table`` whose value is
+    off a bound of its row or a float that is not finite, then naming
+    rd.s_grid_max and rd.s_grid_step when their grid would hold more than
+    S_GRID_MAX_POINTS points, counted before any is made.  ``table``
+    holds the rows of RD_KEYS.  Integers are compared exactly, so one too
     large for a float is checked like any other."""
-    for key, op, bound in domains:
+    for key, (_, *bounds) in table.items():
         value = cfg[key]
         finite = not isinstance(value, float) or math.isfinite(value)
-        if not (finite and _COMPARE[op](value, bound)):
-            raise HeckeError(
-                f"{key} must be finite and {op} {bound}, got {value}")
-    for key, value in cfg.items():
-        if isinstance(value, float) and not math.isfinite(value):
+        for op, bound in bounds:
+            if not (finite and _COMPARE[op](value, bound)):
+                raise HeckeError(
+                    f"{key} must be finite and {op} {bound}, got {value}")
+        if not finite:
             raise HeckeError(f"{key} must be finite, got {value}")
+    s_max, step = cfg["rd.s_grid_max"], cfg["rd.s_grid_step"]
+    if (s_max + 1e-9) / step >= S_GRID_MAX_POINTS:
+        raise HeckeError(
+            f"rd.s_grid_max={s_max} and rd.s_grid_step={step} give a "
+            f"weighted-norm grid of more than {S_GRID_MAX_POINTS} points")
 
 
 def _config(overrides: Optional[dict]) -> dict:
     cfg = dict(RD_DEFAULTS)
     if overrides:
-        unknown = set(overrides) - set(cfg)
-        if unknown:
-            raise HeckeError(f"unknown rd config keys: {sorted(unknown)}")
-        cfg.update(overrides)
-        check_domains(cfg, RD_DOMAINS)
+        set_values(cfg, RD_KEYS, overrides.items(), "rd config")
+        check_domains(cfg, RD_KEYS)
     return cfg
 
 
@@ -482,7 +497,7 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
         profile.verdict = "obstructed-nonunimodular"
         return profile
 
-    pad = int(cfg["rd.pad"])
+    pad = cfg["rd.pad"]
     store.enumerate_to(r_max + pad)
     if l is None:
         l = word_length(store)
@@ -507,11 +522,11 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
         if ball_classes:
             fams.append(("ball", True, HeckeElement(
                 store, {d: Fraction(1) for d in ball_classes})))
-        for i in range(int(cfg["rd.n_random"])):
+        for i in range(cfg["rd.n_random"]):
             fams.append((f"random-{i}", True, _symmetrized_random(
-                store, ball_classes, rng, int(cfg["rd.coeff_max"]), False)))
+                store, ball_classes, rng, cfg["rd.coeff_max"], False)))
         fams.append(("signed", False, _symmetrized_random(
-            store, ball_classes, rng, int(cfg["rd.coeff_max"]), True)))
+            store, ball_classes, rng, cfg["rd.coeff_max"], True)))
         for family, nonneg, f in fams:
             if not f:
                 continue
@@ -556,7 +571,7 @@ def _truncation_radius(store: CosetStore, f: HeckeElement, want: int,
     that is one class table per store, dim^2 entries of which generator
     moves copy most and class-key products fill the rest.  It is kept so
     that reports stay the same."""
-    budget = int(cfg["rd.max_matrix_cost"])
+    budget = cfg["rd.max_matrix_cost"]
     supp = sum(store.class_R(d) for d in f.coeffs)
     hist = store.depth_histogram()
     radius = 0
@@ -577,7 +592,7 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
     a power iteration that hits its iteration cap, whose ConvergenceWarning
     goes into the report instead of to stderr.  The moment root is
     certified for every f, self-adjoint or not."""
-    want = r + int(cfg["rd.pad"])
+    want = r + cfg["rd.pad"]
     r_trunc = _truncation_radius(store, f, want, cfg)
     if r_trunc < want:
         _warn(profile, f"truncation radius at r={r} clipped to {r_trunc} "
@@ -591,7 +606,7 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
         profile.partial = True
         _warn(profile, f"truncated norm skipped at r={r}: {exc}")
     root = 0.0
-    n_mom = int(cfg["rd.moment_n"])
+    n_mom = cfg["rd.moment_n"]
     if n_mom > 0:
         try:
             root = spectral_lower_bound(f, n_mom)[-1]
@@ -612,13 +627,13 @@ def _noted_truncated_norm(f: HeckeElement, store: CosetStore, radius: int,
     passed to ``note`` as a report warning naming ``where``, instead of
     reaching stderr as a ConvergenceWarning; any other warning is
     re-emitted unchanged, and a CapExceeded propagates."""
-    max_iter = int(cfg["rd.max_iter"])
+    max_iter = cfg["rd.max_iter"]
     caught: list = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ConvergenceWarning)
             return truncated_norm(operator_matrix(f, store, radius),
-                                  float(cfg["rd.tol"]), max_iter)
+                                  cfg["rd.tol"], max_iter)
     finally:
         for w in caught:
             if issubclass(w.category, ConvergenceWarning):
@@ -638,8 +653,7 @@ def _warn(profile: RdProfile, text: str) -> None:
 
 
 def _s_grid(cfg) -> list[float]:
-    step = float(cfg["rd.s_grid_step"])
-    s_max = float(cfg["rd.s_grid_max"])
+    step, s_max = cfg["rd.s_grid_step"], cfg["rd.s_grid_max"]
     out = []
     s = 0.0
     while s <= s_max + 1e-9:
@@ -655,8 +669,8 @@ def rd_weighted_fit(profile: RdProfile,
     the sampled range.  Raises NoStableFit when every s trends upward."""
     if s_grid is None:
         s_grid = _s_grid(profile.config)
-    stable_slope = float(profile.config["rd.stable_slope"])
-    tail_fraction = float(profile.config["rd.tail_fraction"])
+    stable_slope = profile.config["rd.stable_slope"]
+    tail_fraction = profile.config["rd.tail_fraction"]
     per_r: dict[int, dict[float, float]] = {}
     for rec in profile.records:
         if not rec.nonneg:
@@ -706,7 +720,6 @@ class KestenReport:
 
 
 def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
-                      n_moments: Optional[int] = None,
                       config: Optional[dict] = None) -> KestenReport:
     """amenability_index = (best lower bound for ||lambda(f)||) / ||f||_1.
 
@@ -716,11 +729,11 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     explicit config and the report is flagged when the pair is not
     relatively unimodular (the criterion is stated for the unimodular
     setting).  The pair and its unimodularity verdict are the store's.
-    A power iteration that hits rd.max_iter is named in the report's
-    warnings."""
+    The moment count is kesten.n, the one that the report echoes.  A power
+    iteration that hits rd.max_iter is named in the report's warnings."""
     cfg = _config(config)
     pair = store.pair
-    n = int(cfg["kesten.n"]) if n_moments is None else n_moments
+    n = cfg["kesten.n"]
     unimod = store.unimodularity()
     if f is None:
         if store.radius_complete < 1:
@@ -731,16 +744,16 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
         f = Fraction(1, norms(sym).l1_exact) * sym
     moments = power_moments(f, n)
     rho = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
-    r_trunc = min(int(cfg["kesten.trunc_radius"]), store.radius_complete)
+    r_trunc = min(cfg["kesten.trunc_radius"], store.radius_complete)
     notes: list[str] = []
     trunc = _noted_truncated_norm(f, store, r_trunc, cfg,
                                   f"at trunc_radius={r_trunc}", notes.append)
     l1 = norms(f).l1
     lower = max(rho[-1] if rho else 0.0, trunc)
     index = lower / l1 if l1 else 0.0
-    if index >= float(cfg["kesten.amenable_min"]):
+    if index >= cfg["kesten.amenable_min"]:
         hint = "consistent-with-amenable"
-    elif index <= float(cfg["kesten.nonamenable_max"]):
+    elif index <= cfg["kesten.nonamenable_max"]:
         hint = "gap-suggests-nonamenable"
     else:
         hint = "inconclusive"

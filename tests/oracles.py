@@ -13,6 +13,15 @@ from heckepairs.errors import DomainError
 from heckepairs.groups import HeckePair
 
 
+def off_domain(table):
+    """(key, value) pairs, one per domain row of a config table whose rows
+    are (default, (comparison, bound), ...): each value lies just off its
+    bound, read from the row alone."""
+    step = {">=": -1, ">": 0, "<=": 1}
+    return [(key, bound + step[op]) for key, (_, *bounds) in table.items()
+            for op, bound in bounds]
+
+
 def mat_mul(m, n):
     """2x2 rational matrix product on ((a,b),(c,d)) nests."""
     (a1, b1), (c1, d1) = m

@@ -186,8 +186,8 @@ def test_criterion_07_spectral_estimators_on_z():
         assert 2.70 <= rho[19] <= 3.00
         tn = truncated_norm(operator_matrix(f, store, 50))
         assert abs(tn - (1 + 2 * math.cos(math.pi / 102))) <= 1e-3
-        kes = kesten_diagnostic(store, f, 20,
-                                config={"kesten.trunc_radius": 50})
+        kes = kesten_diagnostic(store, f, config={
+            "kesten.n": 20, "kesten.trunc_radius": 50})
         assert kes.amenability_index >= 0.93
         assert time.monotonic() - c.t0 < 60.0
 

@@ -9,14 +9,15 @@ import sys
 import pytest
 
 import heckepairs
-from heckepairs.cli import (CONFIG_DEFAULTS, EXIT_INCONCLUSIVE, EXIT_OK,
-                           EXIT_USAGE, main)
+from heckepairs.cli import (CONFIG_DEFAULTS, CONFIG_KEYS, EXIT_INCONCLUSIVE,
+                           EXIT_OK, EXIT_USAGE, main)
 from heckepairs.cosets import CosetStore
 from heckepairs.growth import GrowthSeries, GrowthVerdict
 from heckepairs.rd import BestRatio, KestenReport, RdProfile, RdTestRecord
 from heckepairs.verify import CheckResult
 
-from oracles import tree_ball, tree_class_size, tree_level, tree_t1_times_tk
+from oracles import (off_domain, tree_ball, tree_class_size, tree_level,
+                     tree_t1_times_tk)
 
 
 def read(path):
@@ -289,6 +290,49 @@ def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("key,value", off_domain(CONFIG_KEYS))
+def test_each_domain_row_is_a_usage_error(tmp_path, capsys, key, value):
+    cmd = {"caps": "enumerate", "rd": "rd-profile",
+           "kesten": "kesten"}[key.partition(".")[0]]
+    out = tmp_path / "o"
+    assert main([cmd, "--pair", "z:1", "--rmax", "2", "--set",
+                 f"{key}={value}", "--out", str(out)]) == EXIT_USAGE
+    assert f"{key} must be finite and " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["rd.s_grid_step=1e-9",
+                                     "rd.s_grid_max=1e12"])
+def test_oversized_weighted_norm_grid_is_a_usage_error(tmp_path, capsys,
+                                                       setting):
+    out = tmp_path / "o"
+    assert main(["rd-profile", "--pair", "z:1", "--rmax", "2",
+                 "--set", setting, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "rd.s_grid_max=" in err and "rd.s_grid_step=" in err
+    assert "more than 10000 points" in err
+    assert not out.exists()
+
+
+def test_readme_lists_exactly_the_config_keys():
+    # README's "Configuration keys" table against the one config table:
+    # a key added or dropped on one side fails, and so does a default
+    readme = read(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"))
+    table = readme.split("\n## Configuration keys\n")[1].split("\n## ")[0]
+    listed = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            keys = re.findall(r"`([^`]+)`", cells[0])
+            defaults = cells[1].split(" / ")
+            assert len(keys) == len(defaults), line
+            listed.update(zip(keys, defaults))
+    assert set(listed) == set(CONFIG_KEYS)
+    for key, default in listed.items():
+        assert float(default) == CONFIG_DEFAULTS[key], key
 
 
 def test_negative_rmax_is_usage_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -24,8 +25,8 @@ from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
 
 from oracles import (base_column_matches_f, brute_operator_matrix,
                      central_trinomial, direct_class_table, entries_to_csr,
-                     exact_truncated_moment, is_symmetric, operator_entries,
-                     reference_truncated_norm, to_csr)
+                     exact_truncated_moment, is_symmetric, off_domain,
+                     operator_entries, reference_truncated_norm, to_csr)
 
 
 def z_delta(store, n):
@@ -332,7 +333,7 @@ def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
         store.enumerate_to(r_max + RD_DEFAULTS["rd.pad"])
         rd_profile(store, None, r_max, seed=0)
     else:
-        kesten_diagnostic(store, n_moments=1)
+        kesten_diagnostic(store, config={"kesten.n": 1})
         assert not all(is_symmetric(op) for op in ops)
     assert ops
     for op in ops:
@@ -418,14 +419,15 @@ def test_kesten_reports_a_capped_power_iteration(monkeypatch, tmp_path):
     store = hp.enumerate_ball(get_pair("z:1"), 6)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = kesten_diagnostic(store, None, 2, config={"rd.max_iter": 3})
+        rep = kesten_diagnostic(store, config={"kesten.n": 2,
+                                               "rd.max_iter": 3})
     assert not [w for w in caught if w.category is ConvergenceWarning]
     assert len(calls) == 1
     assert rep.warnings == [
         "power iteration at trunc_radius=6 hit its iteration cap "
         "(rd.max_iter=3): trunc_norm there is not converged"]
     assert written(rep, tmp_path)["warnings"] == rep.warnings
-    converged = kesten_diagnostic(store, None, 2)
+    converged = kesten_diagnostic(store, config={"kesten.n": 2})
     assert rep.trunc_norm < converged.trunc_norm
 
 
@@ -462,7 +464,8 @@ def test_negative_truncation_radius_gives_the_empty_operator():
     # only, and radius -1 must not read one of them
     pair = get_pair("z:1")
     store = hp.CosetStore(pair)
-    rep = kesten_diagnostic(store, identity_element(store), 2)
+    rep = kesten_diagnostic(store, identity_element(store),
+                            config={"kesten.n": 2})
     assert rep.trunc_radius == -1 and rep.trunc_norm == 0.0
     store = hp.enumerate_ball(pair, 3)
     f = z_walk(store)
@@ -621,7 +624,7 @@ def test_kesten_checks_self_adjointness_once(monkeypatch):
     monkeypatch.setattr(algebra, "involution", involution_counted)
     pair = get_pair("z:1")
     store = hp.enumerate_ball(pair, 6)
-    rep = kesten_diagnostic(store, z_walk(store), 3)
+    rep = kesten_diagnostic(store, z_walk(store), config={"kesten.n": 3})
     assert calls[0] == 0
     assert len(rep.moments) == 3
 
@@ -635,9 +638,9 @@ def test_reports_read_the_pair_from_the_store():
     prof = rd_profile(z2, None, 2, seed=0)
     assert prof.pair == z2.pair.label == "z:2"
     assert prof.verdict != "obstructed-nonunimodular"
-    rep = kesten_diagnostic(z2, None, 2)
+    rep = kesten_diagnostic(z2, config={"kesten.n": 2})
     assert rep.pair == "z:2" and rep.relatively_unimodular
-    rep = kesten_diagnostic(bcp, None, 2)
+    rep = kesten_diagnostic(bcp, config={"kesten.n": 2})
     assert rep.pair == bcp.pair.label == "bcp:2"
 
 
@@ -658,7 +661,7 @@ def test_unimodularity_verdict_is_the_stores(monkeypatch):
     monkeypatch.setattr(hp.cosets, "relative_modular", counted)
     prof = rd_profile(z2, None, 2, seed=0)
     assert prof.unimodular and prof.verdict != "obstructed-nonunimodular"
-    assert kesten_diagnostic(z2, None, 2).relatively_unimodular
+    assert kesten_diagnostic(z2, config={"kesten.n": 2}).relatively_unimodular
     characteristic_length(z2)
     assert calls == ["z:2"] * len(z2.pair.unimod_probes())
     assert z2.unimodularity() is z2.unimodularity()
@@ -693,8 +696,8 @@ def test_rd_weighted_fit_no_stable_fit():
 def test_kesten_z_at_n20():
     store = hp.enumerate_ball(get_pair("z:1"), 50)
     f = z_walk(store)
-    rep = kesten_diagnostic(store, f, 20,
-                            config={"kesten.trunc_radius": 50})
+    rep = kesten_diagnostic(store, f, config={"kesten.n": 20,
+                                              "kesten.trunc_radius": 50})
     assert rep.amenability_index >= 0.93
     assert rep.amenability_index <= 1 + 1e-12
     assert rep.l1 == pytest.approx(3.0)
@@ -720,7 +723,7 @@ def test_kesten_psl2_gap():
     f = basis_element(store, c)
     f = Q(1, 2) * (f + involution(f))
     f = Q(1, norms(f).l1_exact) * f
-    rep = kesten_diagnostic(store, f, 8)
+    rep = kesten_diagnostic(store, f, config={"kesten.n": 8})
     assert 0.5 <= rep.amenability_index <= 0.95
     assert rep.hint.startswith("gap-suggests-nonamenable")
 
@@ -728,14 +731,15 @@ def test_kesten_psl2_gap():
 def test_kesten_flags_nonunimodular():
     pair = get_pair("bcp:2")
     store = hp.enumerate_ball(pair, 2)
-    rep = kesten_diagnostic(store, None, 4)
+    rep = kesten_diagnostic(store, config={"kesten.n": 4})
     assert not rep.relatively_unimodular
     assert "flagged" in rep.hint
 
 
 def test_kesten_takes_a_non_symmetric_f(z1_store):
     # the shift T_1 is unitary: each moment ||T_1^{*n}||^2 is 1
-    rep = kesten_diagnostic(z1_store, z_delta(z1_store, 1), 3)
+    rep = kesten_diagnostic(z1_store, z_delta(z1_store, 1),
+                            config={"kesten.n": 3})
     assert rep.moments == [1, 1, 1]
     assert rep.rho == [1.0, 1.0, 1.0]
 
@@ -756,18 +760,72 @@ def test_rd_profile_keeps_each_warning_once():
         "moments skipped at r=2: left-H orbit exceeded max_orbit=23"]
 
 
-@pytest.mark.parametrize("key,value", [
-    ("rd.s_grid_step", 0.0), ("rd.max_iter", 0), ("kesten.n", -1)])
-@pytest.mark.parametrize("call", [rd_profile, kesten_diagnostic],
-                         ids=["rd_profile", "kesten_diagnostic"])
+# the first three cases, then one off each remaining domain row of RD_KEYS
+_OFF_DOMAIN = [("rd.s_grid_step", 0.0), ("rd.max_iter", 0), ("kesten.n", -1)]
+
+
+@pytest.mark.parametrize("key,value", _OFF_DOMAIN + [
+    case for case in off_domain(rd.RD_KEYS) if case not in _OFF_DOMAIN])
+@pytest.mark.parametrize("call", [
+    lambda store, config: rd_profile(store, None, 1, config=config),
+    lambda store, config: kesten_diagnostic(
+        store, config={"kesten.n": 1, **config})],
+    ids=["rd_profile", "kesten_diagnostic"])
 def test_library_calls_check_config_domains(z1_store, call, key, value):
     # the CLI's domain rows hold for library callers too: a step of 0
     # would grow the s grid without end, an iteration cap of 0 would read
     # trunc_norm 0.0
     with pytest.raises(HeckeError, match=re.escape(key)):
-        call(z1_store, None, 1, config={key: value})
+        call(z1_store, {key: value})
     with pytest.raises(HeckeError, match=re.escape("rd.tol")):
-        call(z1_store, None, 1, config={"rd.tol": math.nan})
+        call(z1_store, {"rd.tol": math.nan})
     # an unknown key is a config error like the others
     with pytest.raises(HeckeError, match=re.escape("rd.bogus")):
-        call(z1_store, None, 1, config={"rd.bogus": 1})
+        call(z1_store, {"rd.bogus": 1})
+
+
+def test_library_values_must_fit_their_defaults_type():
+    # a value is set as its default's type only if that type holds it
+    # exactly, as on the command line
+    store = hp.enumerate_ball(get_pair("z:1"), 6)
+    for key, value in (("rd.n_random", 1.9), ("kesten.n", 2.5),
+                       ("kesten.trunc_radius", math.inf),
+                       ("rd.tol", 10**400), ("rd.pad", "x")):
+        with pytest.raises(HeckeError, match=f"'{re.escape(key)}' needs"):
+            kesten_diagnostic(store, config={key: value})
+    with pytest.raises(HeckeError, match="'rd.n_random' needs int, got 1.9"):
+        rd_profile(store, None, 2, config={"rd.n_random": 1.9})
+    rep = kesten_diagnostic(store, config={"kesten.n": 3.0, "rd.tol": 1})
+    assert rep.n == 3 and type(rep.n) is int
+    assert type(rep.config["rd.tol"]) is float
+    prof = rd_profile(store, None, 2, config={"rd.s_grid_max": 1})
+    assert prof.config["rd.s_grid_max"] == 1.0
+    assert list(prof.records[0].weighted_norms) == [0.0, 0.25, 0.5, 0.75,
+                                                    1.0]
+
+
+def test_kesten_n_is_the_moment_count_it_echoes():
+    store = hp.enumerate_ball(get_pair("z:1"), 6)
+    assert "n_moments" not in inspect.signature(kesten_diagnostic).parameters
+    for config in (None, {"kesten.n": 3}, {"kesten.n": 0}):
+        rep = kesten_diagnostic(store, config=config)
+        assert rep.n == rep.config["kesten.n"] == len(rep.moments)
+
+
+@pytest.mark.parametrize("setting", [{"rd.s_grid_step": 1e-9},
+                                     {"rd.s_grid_max": 1e12},
+                                     {"rd.s_grid_max": 2500.0}])
+def test_oversized_weighted_norm_grid_is_refused(setting):
+    # counted from the two values before any grid point is made
+    store = hp.enumerate_ball(get_pair("z:1"), 4)
+    for call in (lambda: rd_profile(store, None, 2, config=setting),
+                 lambda: kesten_diagnostic(store, config=setting)):
+        with pytest.raises(HeckeError, match=r"rd\.s_grid_max=.* and "
+                           r"rd\.s_grid_step=.* more than 10000 points"):
+            call()
+
+
+def test_largest_weighted_norm_grid_is_accepted():
+    cfg = {**RD_DEFAULTS, "rd.s_grid_max": 2499.75}
+    rd.check_domains(cfg, rd.RD_KEYS)
+    assert len(rd._s_grid(cfg)) == rd.S_GRID_MAX_POINTS

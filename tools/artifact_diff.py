@@ -20,8 +20,8 @@ import tempfile
 RD_TREE = ["--set", "rd.pad=1", "--set", "rd.n_random=1",
            "--set", "rd.max_matrix_cost=500000"]
 
-# custom pairs, each read from a spec file that main writes into its temp
-# dir under this name, so both checkouts read the same file
+# input files that main writes into its temp dir under these names, so
+# both checkouts read the same file: custom pair specs and a config file
 SPECS = {
     # S5 over S2 x S3: the spec's payloads are parsed by the perm grammar
     # of PermPair.parse, and the pair hashes Perm payloads in the closure
@@ -31,6 +31,15 @@ SPECS = {
                     "h_gen=perm 1 0 2 3 4\nh_gen=perm 0 1 3 4 2\n"
                     "h_gen=perm 0 1 3 2 4\n"),
     "z4.spec": "kind=zvec\nd=4\n",
+    # all 18 settable values at their defaults
+    "defaults.cfg": ("caps.max_cosets=2000000\ncaps.max_orbit=100000\n"
+                     "seed=0\nrd.pad=2\nrd.max_matrix_cost=3000000\n"
+                     "rd.moment_n=1\nrd.n_random=2\nrd.coeff_max=9\n"
+                     "rd.s_grid_max=3.0\nrd.s_grid_step=0.25\n"
+                     "rd.stable_slope=0.1\nrd.tail_fraction=0.5\n"
+                     "rd.tol=1e-8\nrd.max_iter=20000\nkesten.n=8\n"
+                     "kesten.trunc_radius=6\nkesten.amenable_min=0.99\n"
+                     "kesten.nonamenable_max=0.95\n"),
 }
 
 RUNS = [
@@ -104,6 +113,9 @@ RUNS = [
     ["rd-profile", "--pair", "z:1", "--rmax", "6",
      "--set", "rd.s_grid_max=12"],
     ["kesten", "--pair", "z:1", "--rmax", "6", "--set", "rd.max_iter=3"],
+    # every value read from a config file, and the one moment-count setter
+    ["rd-profile", "--pair", "z:1", "--rmax", "6", "--config", "defaults.cfg"],
+    ["kesten", "--pair", "z:1", "--rmax", "6", "--set", "kesten.n=3"],
     # the class search over each remaining payload: a length-3 `Vec`,
     # `Dih` past radius 8 and `Perm`
     ["growth", "--pair", "z:3", "--rmax", "12"],
@@ -139,8 +151,8 @@ RUNS = [
 
 
 def run(checkout: str, argv: list[str], out: str, specs: str) -> dict:
-    """Run one command, with each spec name in ``argv`` read from the dir
-    ``specs``; its files, stdout, stderr and exit code."""
+    """Run one command, with each input file name in ``argv`` read from
+    the dir ``specs``; its files, stdout, stderr and exit code."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     argv = [os.path.join(specs, a) if a in SPECS else a for a in argv]
     proc = subprocess.run(
