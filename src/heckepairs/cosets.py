@@ -12,10 +12,13 @@ interning x t unless the class is new.  Products of classes are read off
 class keys and left-coset representatives (``product_support``,
 ``product_count``), and the class sizes L and R are learned by one counting
 rule along a class-level word-length search that the store resumes on
-demand (``word_lengths``).  Member cosets (right-H orbits) are built only
-for the code that reads members, and left cosets are walked only for a
-right factor of a product or a class the search has not sized; both walks
-stay the arbiters of the class keys and of every learned size.
+demand (``word_lengths``).  Both step from each class's rep, and the
+search's products depend on a rep only through its right coset, so the
+ids it gives follow from the pair and the calls made on the class layer,
+whatever Schreier ball was enumerated.  Member cosets (right-H orbits) are
+built only for the code that reads members, and left cosets are walked
+only for a right factor of a product or a class the search has not sized;
+both walks stay the arbiters of the class keys and of every learned size.
 
 A sealed store no longer accepts user-driven interning, but analysis
 operations (double-coset orbits, class inverses, resumed BFS) may still
@@ -100,7 +103,6 @@ class CosetStore:
         self._ids: dict = {}                  # coset key -> cid
         self._classes: dict = {}              # class key -> double coset id
         self._frontier: list[int] = []
-        self._ball_heads: Optional[dict] = None   # class key -> first ball cid
         # the class-level word-length search: class -> word length for the
         # depths done, the last depth's classes, the generator classes
         self._wl_classes: dict[int, int] = {}
@@ -156,8 +158,7 @@ class CosetStore:
         is found; once the space is exhausted ``ball_ends`` stays flat."""
         pair = self.pair
         shat = pair.shat()
-        start_radius = self.radius_complete
-        if start_radius < 0:
+        if self.radius_complete < 0:
             self.wl[0] = 0
             self._frontier = [0]
             self.ball.append(0)
@@ -183,8 +184,6 @@ class CosetStore:
             self.radius_complete = max(self.radius_complete, r_max)
             self.ball_ends += [len(self.ball)] * (
                 self.radius_complete + 1 - len(self.ball_ends))
-        if self.radius_complete != start_radius:
-            self._ball_heads = None
 
     def seal(self) -> None:
         self.sealed = True
@@ -335,27 +334,14 @@ class CosetStore:
 
     # -- products of classes and the class search ----------------------------
 
-    def _step_element(self, dcid: int):
-        """The element that products of the class are taken from: its
-        first Schreier-ball coset, the head of its member list, so new
-        classes get the ids a walk over the members would give them; else
-        its rep."""
-        if self._ball_heads is None:
-            heads: dict = {}
-            key = self.pair.class_key
-            for cid in self.ball_ids(self.radius_complete):
-                heads.setdefault(key(self.reps[cid]), cid)
-            self._ball_heads = heads
-        obj = self.dcs[dcid]
-        return self.reps[self._ball_heads.get(obj.key, obj.rep_cid)]
-
     def product_support(self, d1: int, d2: int) -> dict:
         """supp(T_{d1} * T_{d2}) as class id -> [one element of the class,
-        how many of the products land in it], in the order met.  With
-        x = _step_element(d1) and the left-coset representatives t of d2,
+        how many of the products land in it], in the order met.  With x the
+        rep of d1 and the left-coset representatives t of d2,
         H x H d2 = u_t H x t H, so the classes of the x t are exactly the
         support; each is named by its key."""
-        return self._support(self._step_element(d1), self.class_left_reps(d2))
+        return self._support(self.reps[self.dcs[d1].rep_cid],
+                             self.class_left_reps(d2))
 
     def product_count(self, d1: int, d2: int, x) -> int:
         """(T_{d1} * T_{d2})(Hx) = #{j : H x b_j^{-1} in d1} over the right
@@ -403,7 +389,7 @@ class CosetStore:
         """Run the next depth of the class-level breadth-first search;
         False once there is none.
 
-        From a class d of the last depth the search steps to
+        From the rep of a class d of the last depth the search steps to
         supp(T_d * T_s) for each generator class s, and sizes each class e
         it meets first by one counting rule.  Of the L(s) products x t that
         name the support, m_e land in e, and c_e = (T_d * T_s)(e).
@@ -429,7 +415,7 @@ class CosetStore:
                 for s in self._gen_classes]
         found: dict[int, None] = {}
         for d in self._wl_frontier:
-            x, want = self._step_element(d), dcs[d].key
+            x, want = self.reps[dcs[d].rep_cid], dcs[d].key
             for s, reps, inv_reps in gens:
                 for e, (y, m) in self._support(x, reps).items():
                     if e in wl or e in found:

@@ -90,9 +90,14 @@ def classify_growth(series: GrowthSeries,
     checked through r = D, for D = r_max.  Given the store a word-length
     series was read from, an ended class search reads "finite", and while
     no recurrence passes the search resumes with D doubled, to at least 8
-    and at most max(r_max, 32); a cap hit on the way reads inconclusive."""
+    and at most max(r_max, 32).  It resumes one depth at a time and reads
+    inconclusive once it has named more than the class budget,
+    max(64 N, 10,000) for the N classes of word length <= r_max, or on a
+    cap hit."""
     r_max = depth = series.radii[-1]
     ball = series.ball
+    if store is not None:
+        budget = max(64 * len(store.word_lengths(r_max)), 10_000)
     while True:
         if store is not None and store.class_search_depth < depth:
             return GrowthVerdict(                   # the search has ended
@@ -111,6 +116,13 @@ def classify_growth(series: GrowthSeries,
             return GrowthVerdict("inconclusive", f"no recurrence {where}")
         depth = deeper
         try:
+            for k in range(store.class_search_depth + 1, depth + 1):
+                named = len(store.word_lengths(k))
+                # a search that ended short of k reads finite, not budget
+                if named > budget and store.class_search_depth == k:
+                    return GrowthVerdict("inconclusive", (
+                        f"class budget {budget} exceeded: {named} classes "
+                        f"named by depth {k}, no recurrence {where}"))
             ball = growth_series(store, depth).ball
         except CapExceeded as exc:
             return GrowthVerdict("inconclusive",

@@ -573,12 +573,9 @@ def _truncation_radius(store: CosetStore, f: HeckeElement, want: int,
     that reports stay the same."""
     budget = cfg["rd.max_matrix_cost"]
     supp = sum(store.class_R(d) for d in f.coeffs)
-    hist = store.depth_histogram()
     radius = 0
-    dim = 0
-    for rr in range(min(want, store.radius_complete) + 1):
-        dim += hist[rr] if rr < len(hist) else 0
-        if rr > 0 and dim * supp > budget:
+    for rr in range(1, min(want, store.radius_complete) + 1):
+        if store.ball_ends[rr] * supp > budget:
             break
         radius = rr
     return radius

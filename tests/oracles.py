@@ -9,6 +9,7 @@ compare the library against them.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from heckepairs.algebra import HeckeElement
 from heckepairs.errors import DomainError
 from heckepairs.groups import HeckePair
 
@@ -518,6 +519,17 @@ def tree_ball(p, r):
     return sum(tree_class_size(p, k) for k in range(r + 1))
 
 
+def tree_nonneg_norm(p, coeffs):
+    """||lambda(f)|| for f = sum_k coeffs[k] T_k with every coeffs[k] >= 0.
+    T_k = S_2k(A_1), where S_0 = 1, S_1 = x, S_2 = x^2 - (p+1) and
+    S_(n+1) = x S_n - p S_(n-1); A_1's spectrum on the tree is
+    [-2 sqrt p, 2 sqrt p] and |S_n| peaks at its ends, so the norm is the
+    value at 2 sqrt p, where S_2k = p^(k-1) (p + 1 + 2k (p - 1)) for k >= 1
+    (Cartier 1973; Figa-Talamanca-Nebbia, LMS LN 162, 1991)."""
+    return sum(c if k == 0 else c * p ** (k - 1) * (p + 1 + 2 * k * (p - 1))
+               for k, c in coeffs.items())
+
+
 def _sphere_times_a1(op, p):
     """A_1 * sum_n c_n A_n by A_1 A_0 = A_1, A_1 A_1 = A_2 + (p+1) A_0 and
     A_1 A_n = A_{n+1} + p A_{n-1} for n >= 2."""
@@ -621,3 +633,57 @@ class ProductPair(HeckePair):
     def render(self, x) -> str:
         a, b = self.factors
         return f"{a.render(x[0])} ; {b.render(x[1])}"
+
+
+# ---------------------------------------------------------------------------
+# the finite-H transfer
+
+
+class LiftPair(HeckePair):
+    """(G, {1}) over a pair (G, H): the base pair's law, inverse and canon,
+    with H trivial, so each coset and each class is one element and both
+    keys are the element.  For H finite, iota(f)(g) = f(HgH) / |H| maps the
+    base's Hecke algebra into C[G] as a *-homomorphism (``lift``), and
+    ||phi||_R^2 = |H| ||iota phi||^2, so a_n(iota f) |H| = a_n(f)."""
+
+    def __init__(self, base: HeckePair):
+        self.base = base
+        self.kind = "lift"
+        self.label = f"lift({base.label})"
+        self.payload_type = base.payload_type
+        self.g_generators = [*base.g_generators, *base.h_generators]
+        self.h_generators = []
+        super().__init__()
+
+    def mul(self, x, y):
+        return self.base.mul(x, y)
+
+    def inv(self, x):
+        return self.base.inv(x)
+
+    def identity(self):
+        return self.base.identity()
+
+    def canon(self, x):
+        return self.base.canon(x)
+
+    def in_h(self, x) -> bool:
+        return x == self.base.identity()
+
+    def coset_fingerprint(self, x):
+        return self.base.canon(x)
+
+    class_key = coset_fingerprint
+
+    def lift(self, f, store):
+        """iota(f) on ``store``, a store of this pair, for f on a store of
+        the base pair: each element of each class HxH carries f / |H|."""
+        base, hs = self.base, self.base.h_elements()
+        coeffs = {}
+        for d, c in f.coeffs.items():
+            x = f.store.reps[f.store.dcs[d].rep_cid]
+            for a in hs:
+                for b in hs:
+                    g = base.canon(base.mul(base.mul(a, x), b))
+                    coeffs[store.class_of(g)] = c / len(hs)
+        return HeckeElement(store, coeffs)

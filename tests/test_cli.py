@@ -123,6 +123,26 @@ def test_growth_capped_past_rmax_is_inconclusive(tmp_path, capsys):
     assert verdict["details"] in capsys.readouterr().out
 
 
+def test_growth_stops_at_the_class_budget(tmp_path, capsys):
+    # Z^5's order-6 recurrence needs D = 32, about 9 x 10^6 cosets; at the
+    # default rmax 4 the 681 classes of word length <= 4 set the budget at
+    # 64 x 681 = 43,584, and the search stops at depth 11 with a complete
+    # report
+    (tmp_path / "z5.spec").write_text("kind=zvec\nd=5\n")
+    out = tmp_path / "o"
+    assert main(["growth", "--pair-spec", str(tmp_path / "z5.spec"),
+                 "--out", str(out)]) == EXIT_INCONCLUSIVE
+    report = json.loads(read(out / "growth_z-5.json"))
+    assert report["series"]["ball"] == [1, 11, 61, 231, 681]
+    assert "partial" not in report
+    verdict = report["verdict"]
+    assert verdict["kind"] == "inconclusive"
+    assert verdict["details"].startswith(
+        "class budget 43584 exceeded: 56695 classes named by depth 11")
+    assert verdict["details"] in capsys.readouterr().out
+    assert read(out / "growth_z-5.csv").splitlines()[-1] == "4,681,450"
+
+
 def test_growth_reads_z1_at_rmax_0_and_1(tmp_path):
     for rmax in ("0", "1"):
         out = tmp_path / rmax

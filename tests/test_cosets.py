@@ -14,8 +14,8 @@ from heckepairs.groups import Aff, get_pair
 from heckepairs.rd import operator_matrix
 
 from conftest import FG_LABELS
-from oracles import (dih_mul, double_coset, group_closure, mat_mul,
-                     perm_mul, right_cosets)
+from oracles import (ProductPair, dih_mul, double_coset, group_closure,
+                     mat_mul, perm_mul, right_cosets)
 
 
 def test_intern_identity_and_h_element():
@@ -460,6 +460,30 @@ def test_bcp_class_search_sizes_every_class_without_orbits(label, radius,
         assert L == len(left_L_count(pair, rep))
         assert R == len(left_L_count(pair, pair.inv(rep)))
     assert sum(L != R for L, R in sizes.values()) > len(sizes) // 2
+
+
+@pytest.mark.parametrize("label", [
+    "z:1", "z:2", "z:3", "dinf", "s3-h12", "s4-h12", "s4-h12-34", "bcp:2",
+    "bcp:3", "bcp:5", "sl2z1p:2", "psl2z1p:2", "psl2z1p:3",
+    "z:1*psl2z1p:2", "psl2z1p:2*bcp:2", "dinf*s3-h12"])
+def test_class_ids_do_not_depend_on_the_ball(label):
+    # the class search steps from each class's rep, and a rep's right coset
+    # is all that its products' classes depend on: so whatever ball was
+    # enumerated first, the search names the same classes the same way
+    r = 8
+
+    def triples(radius):
+        pairs = [get_pair(part) for part in label.split("*")]
+        store = hp.CosetStore(ProductPair(*pairs) if len(pairs) == 2
+                              else pairs[0])
+        if radius is not None:
+            store.enumerate_to(radius)
+        return [(d, store.dcs[d].key, n)
+                for d, n in sorted(store.word_lengths(r).items())]
+
+    bare = triples(None)
+    for radius in (r - 3, r, r + 2):
+        assert triples(radius) == bare, radius
 
 
 @pytest.mark.parametrize("label,radius", [

@@ -136,6 +136,22 @@ def test_catalog_growth_types_are_exact(label, rmax, kind, value):
     assert (verdict.kind, getattr(verdict, field[kind])) == (kind, value)
 
 
+@pytest.mark.parametrize("rmax,budget,named,depth", [
+    (0, 10_000, 11_969, 11), (4, 64 * 321, 22_569, 13)])
+def test_resumed_search_stops_at_the_class_budget(rmax, budget, named, depth):
+    # z:4's order-5 recurrence needs 10 terms, so D = 32 and about 10^6
+    # cosets; the budget is 64 classes per class of word length <= rmax
+    # (321 at rmax 4), at least 10,000, and the search stops at the first
+    # depth past it, the ball of Z^4 of that radius
+    store = hp.CosetStore(get_pair("z:4"))
+    verdict = classify_growth(growth_series(store, rmax), store)
+    assert verdict.kind == "inconclusive"
+    assert verdict.details.startswith(
+        f"class budget {budget} exceeded: {named} classes named by depth "
+        f"{depth}, no recurrence found on r <= 4, checked through r <= 8")
+    assert store.class_search_depth == depth
+
+
 def _series(ball):
     shell = [ball[0]] + [b - a for a, b in zip(ball, ball[1:])]
     return GrowthSeries(list(range(len(ball))), ball, shell, "word-schreier")

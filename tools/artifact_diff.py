@@ -145,6 +145,13 @@ RUNS = [
     ["growth", "--pair", "z:3", "--rmax", "4"],
     ["growth", "--pair", "z:3", "--rmax", "4", "--max-cosets", "200"],
     ["growth", "--pair", "z:1", "--rmax", "1"],
+    # the class budget's floor: z:3 from rmax 0 names 6,017 classes by
+    # D = 16, under the 10,000 that any rmax allows
+    ["growth", "--pair", "z:3", "--rmax", "0"],
+    # the smallest radius where bcp:2's class ids, which the class search
+    # gives stepping from each class's rep, differ from those of a walk
+    # over each class's members
+    ["ltable", "--pair", "bcp:2", "--rmax", "7"],
     # a pair without a finite generating set: exit 2 with its message
     ["growth", "--pair", "bc"],
 ]
