@@ -15,17 +15,23 @@ resolved values of their defaults' types.
 
 A truncated operator holds only its ball and its CSR arrays, gathered from
 one class table per store.  numpy is loaded by the class table, the
-operator and the power iteration, and scipy by the power iteration alone,
-which runs scipy's sparse kernels on the operator's arrays and builds no
-sparse matrix; a command that builds no truncated operator loads neither.
+operator and the power iteration.  Of scipy, the power iteration alone
+loads one compiled module, the sparse kernels ``_sparsetools``, straight
+from its file without the scipy or scipy.sparse package; it runs them on
+the operator's arrays and builds no sparse matrix.  A command that builds
+no truncated operator loads neither numpy nor any of scipy.
 The exact references that check an operator (its exact matvec, symmetry,
 base column and moments) are test oracles, not library code.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -340,22 +346,63 @@ def operator_matrix(f: HeckeElement, store: CosetStore,
                              j.astype(np.int32), terms)
 
 
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+def _sparse_kernels():
+    """scipy's compiled sparse kernels, the extension module
+    ``scipy.sparse._sparsetools``, loaded from its file in scipy's
+    ``sparse/`` directory without running the ``__init__`` of scipy or
+    scipy.sparse, which load 325 modules (75 of them scipy's) and about
+    22 MB that the kernels do not use.  ``importlib.util.find_spec``
+    locates scipy without importing it.
+
+    The module is loaded under its real name and entered in
+    ``sys.modules``, where a later call and a later ``import
+    scipy.sparse`` find it; one already there, whichever import loaded
+    it, is returned as it is.  So one copy is loaded in either order.  A
+    scipy.sparse imported later serves it to ``from scipy.sparse import
+    _sparsetools`` but has no ``_sparsetools`` attribute, as with any
+    submodule entered before its package.  Raises ImportError naming
+    scipy and the directory searched when scipy or the extension is not
+    found; there is no other way to the kernels."""
+    module = sys.modules.get(_KERNELS)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError(f"scipy not found on sys.path {sys.path}")
+    where = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    spec = importlib.machinery.FileFinder(where, (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(_KERNELS)
+    if spec is None:
+        raise ImportError(f"scipy's compiled {_KERNELS} not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_KERNELS] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
                    max_iter: int = 20000) -> float:
     """Largest singular value of the truncated operator via power iteration
     on A^T A, from the deterministic start vector delta_He + uniform.
 
-    Each step runs scipy's sparse kernels on the operator's own arrays,
-    into two vectors allocated once: ``csr_matvec`` is the product that
-    ``csr_matrix @ v`` runs after its checks, and ``csc_matvec`` reads the
-    CSR arrays of A as the CSC arrays of A^T, summing each entry over A's
-    rows in ascending order, as the sorted rows of A^T in CSR form would.
-    So no transpose is built and every float is that of the scipy-matrix
-    iteration.  Each norm is math.sqrt(w.dot(w)), the float that
-    np.linalg.norm returns for a 1-D float64 array, without its dispatch."""
+    Each step runs scipy's compiled sparse kernels, which
+    ``_sparse_kernels`` loads without importing scipy.sparse, on the
+    operator's own arrays, into two vectors allocated once:
+    ``csr_matvec`` is the product that ``csr_matrix @ v`` runs after its
+    checks, and ``csc_matvec`` reads the CSR arrays of A as the CSC arrays
+    of A^T, summing each entry over A's rows in ascending order, as the
+    sorted rows of A^T in CSR form would.  So no transpose is built and
+    every float is that of the scipy-matrix iteration.  Each norm is
+    math.sqrt(w.dot(w)), the float that np.linalg.norm returns for a 1-D
+    float64 array, without its dispatch."""
     import numpy as np
-    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
+    kernels = _sparse_kernels()
+    csr_matvec, csc_matvec = kernels.csr_matvec, kernels.csc_matvec
     n = op.dim
     if n == 0:
         return 0.0

@@ -848,7 +848,8 @@ def test_in_process_calls_share_one_parser(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves the power iteration alone and is loaded there
+    # the power iteration alone loads from scipy, and only its compiled
+    # sparse kernels: importing the package loads nothing of scipy
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, heckepairs, heckepairs.cli; "
@@ -856,6 +857,47 @@ def test_import_leaves_scipy_unloaded():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# runs rd-profile and kesten with scipy.sparse imported before them
+# ("package-first") or not, then imports scipy.sparse, and prints which
+# scipy modules the runs left loaded and whether the package's kernels
+# are the very ones the power iteration ran
+_KERNELS_CHILD = """
+import json, sys
+from heckepairs import cli
+order, out = sys.argv[1:]
+if order == "package-first":
+    import scipy.sparse
+runs = [["rd-profile", "--pair", "z:1", "--rmax", "4"],
+        ["kesten", "--pair", "z:1", "--rmax", "3"]]
+codes = [cli.main(argv + ["--out", out]) for argv in runs]
+names = ["scipy", "scipy.sparse", "scipy.sparse._sparsetools"]
+loaded = [name in sys.modules for name in names]
+used = sys.modules["scipy.sparse._sparsetools"]
+import scipy.sparse
+from scipy.sparse import _sparsetools
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "same": [_sparsetools is used,
+                           _sparsetools.csr_matvec is used.csr_matvec,
+                           _sparsetools.csc_matvec is used.csc_matvec]}))
+"""
+
+
+@pytest.mark.parametrize("order", ["kernels-first", "package-first"])
+def test_power_iteration_loads_the_kernels_alone(tmp_path, order):
+    # rd-profile and kesten load scipy's compiled sparse kernels without
+    # running scipy's or scipy.sparse's __init__, and an import of
+    # scipy.sparse before or after them shares the one module object
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNELS_CHILD, order, str(tmp_path)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [EXIT_OK, EXIT_OK]
+    package = order == "package-first"
+    assert got["loaded"] == [package, package, True]
+    assert got["same"] == [True, True, True]
 
 
 def test_numpy_loaded_by_the_operator_layer_only(tmp_path):

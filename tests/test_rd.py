@@ -1,8 +1,12 @@
+import importlib.machinery
+import importlib.util
 import inspect
 import json
 import math
+import os
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction as Q
 
@@ -363,6 +367,35 @@ def test_library_builds_no_sparse_matrix(monkeypatch):
     assert all(rec.trunc_norm > 0 for rec in prof.records)
     store = hp.enumerate_ball(get_pair("bcp:2"), 5)
     assert kesten_diagnostic(store).trunc_norm > 0
+
+
+@pytest.mark.parametrize("lost", ["scipy", "kernels"])
+def test_missing_kernels_raise_import_error(monkeypatch, lost):
+    # the kernels come from scipy's sparse/ directory or not at all: when
+    # scipy, or its compiled _sparsetools there, is not found, the power
+    # iteration raises ImportError naming scipy and where it looked
+    store = hp.enumerate_ball(get_pair("z:1"), 2)
+    op = operator_matrix(z_walk(store), store, 2)
+    kernels = rd._sparse_kernels()
+    with monkeypatch.context() as patch:
+        patch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        if lost == "scipy":
+            patch.setattr(importlib.util, "find_spec",
+                          lambda name, package=None: None)
+            where = "sys.path"
+        else:
+            class Finder(importlib.machinery.FileFinder):
+                def find_spec(self, fullname, target=None):
+                    return None
+
+            patch.setattr(importlib.machinery, "FileFinder", Finder)
+            where = os.path.dirname(kernels.__file__)
+        with pytest.raises(ImportError, match="scipy") as err:
+            truncated_norm(op)
+        assert where in str(err.value)
+        assert "scipy.sparse._sparsetools" not in sys.modules
+    assert sys.modules["scipy.sparse._sparsetools"] is kernels
+    assert truncated_norm(op) == reference_truncated_norm(op)
 
 
 def test_truncated_norm_closed_form(z1_store):
