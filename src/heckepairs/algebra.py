@@ -40,8 +40,7 @@ from .errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
 __all__ = [
     "HeckeElement", "NormReport",
     "basis_element", "identity_element", "convolve", "involution",
-    "norms", "weighted_norms", "power_moments", "convolution_power_moment",
-    "structure_constants",
+    "norms", "weighted_norms", "power_moments", "structure_constants",
 ]
 
 
@@ -136,13 +135,6 @@ class HeckeElement:
             coeffs[int(parts["dc"])] = (coeffs.get(int(parts["dc"]), Fraction(0))
                                         + Fraction(parts["coeff"]))
         return cls(store, coeffs)
-
-    def to_json(self) -> dict:
-        return {str(d): str(c) for d, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, store: CosetStore, obj: dict) -> "HeckeElement":
-        return cls(store, {int(d): Fraction(c) for d, c in obj.items()})
 
 
 def _same_store(f: HeckeElement, g: HeckeElement) -> None:
@@ -345,8 +337,3 @@ def power_moments(f: HeckeElement, n_max: int) -> list[Fraction]:
             g = convolve(g, f)
         out.append(norms(g).l2_sq_exact)
     return out
-
-
-def convolution_power_moment(f: HeckeElement, n: int) -> Fraction:
-    return power_moments(f, n)[-1]
-

@@ -20,10 +20,9 @@ built only for the code that reads members, and left cosets are walked
 only for a right factor of a product or a class the search has not sized;
 both walks stay the arbiters of the class keys and of every learned size.
 
-A sealed store no longer accepts user-driven interning, but analysis
-operations (double-coset orbits, class inverses, resumed BFS) may still
-append cosets; those appends are deterministic and append-only, so data
-returned earlier is never invalidated.
+A store only appends: interning, double-coset orbits, class inverses and
+a resumed BFS may add cosets at any time; those appends are deterministic,
+so data returned earlier is never invalidated.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (BallIncomplete, CapExceeded, EmptyStore, HeckeError,
-                     NonBiInvariantResult, OrbitCapExceeded, StoreSealed)
+                     NonBiInvariantResult, OrbitCapExceeded)
 from .groups import HeckePair
 
 __all__ = [
@@ -94,7 +93,6 @@ class CosetStore:
         self.dc_of: list[Optional[int]] = []  # cid -> double coset id
         self.dcs: list[DoubleCoset] = []
         self.radius_complete: int = -1
-        self.sealed: bool = False
         self.saturated: bool = False          # BFS exhausted the coset space
         self.sc_cache: dict = {}              # (d1, d2) -> {d: int}; see algebra
         # class codes of the pairs of ball cosets, grown by BFS shells and
@@ -127,8 +125,7 @@ class CosetStore:
             return cid
         if len(self.reps) >= self.caps.max_cosets:
             raise CapExceeded(
-                f"coset store exceeded max_cosets={self.caps.max_cosets}",
-                cap=self.caps.max_cosets)
+                f"coset store exceeded max_cosets={self.caps.max_cosets}")
         cid = len(self.reps)
         self.reps.append(g)
         self.wl.append(None)
@@ -138,9 +135,7 @@ class CosetStore:
 
     def intern(self, g) -> int:
         """Public interning of an element of the pair (``pair.validate``
-        refuses any other); refused once the store is sealed."""
-        if self.sealed:
-            raise StoreSealed("store is sealed")
+        refuses any other)."""
         self.pair.validate(g)
         return self._intern(self.pair.canon(g))
 
@@ -185,9 +180,6 @@ class CosetStore:
             self.ball_ends += [len(self.ball)] * (
                 self.radius_complete + 1 - len(self.ball_ends))
 
-    def seal(self) -> None:
-        self.sealed = True
-
     def ball_ids(self, r: int) -> list[int]:
         """Ids of the ball of radius r, in increasing order."""
         if r > self.radius_complete:
@@ -201,10 +193,6 @@ class CosetStore:
             raise EmptyStore("no enumerated cosets")
         ends = self.ball_ends
         return [ends[0]] + [b - a for a, b in zip(ends, ends[1:])]
-
-    def wl_lower_bound(self, cid: int) -> int:
-        w = self.wl[cid]
-        return w if w is not None else self.radius_complete + 1
 
     # -- double cosets -------------------------------------------------------
 
@@ -245,7 +233,7 @@ class CosetStore:
                     if len(members) >= self.caps.max_orbit:
                         raise OrbitCapExceeded(
                             f"right-H orbit exceeded max_orbit="
-                            f"{self.caps.max_orbit}", cap=self.caps.max_orbit)
+                            f"{self.caps.max_orbit}")
                     seen.add(tid)
                     members.append(tid)
         return tuple(sorted(seen))
@@ -501,11 +489,10 @@ class CosetStore:
 
 def enumerate_ball(pair: HeckePair, r_max: int,
                    caps: Caps = Caps()) -> CosetStore:
-    """Enumerate the full ball {H s1..sk : k <= r_max, s in S-hat} and seal
-    the store."""
+    """A new store with the full ball {H s1..sk : k <= r_max, s in S-hat}
+    enumerated; it grows on later calls like any other store."""
     store = CosetStore(pair, caps)
     store.enumerate_to(r_max)
-    store.seal()
     return store
 
 
@@ -531,8 +518,7 @@ def left_L_count(pair: HeckePair, g, max_orbit: int = DEFAULT_MAX_ORBIT) -> list
                 continue
             if len(reps) >= max_orbit:
                 raise OrbitCapExceeded(
-                    f"left-H orbit exceeded max_orbit={max_orbit}",
-                    cap=max_orbit)
+                    f"left-H orbit exceeded max_orbit={max_orbit}")
             seen.add(key)
             reps.append(z)
     # one element at a time, so no second list is held at the peak

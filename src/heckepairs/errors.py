@@ -25,12 +25,9 @@ class DomainError(HeckeError):
     """Element is well-formed but outside the instance's domain."""
 
 
-class StoreSealed(HeckeError):
-    """User-driven interning attempted on a sealed coset store."""
-
-
 class StoreMismatch(HeckeError):
-    """Two Hecke elements live over different coset stores."""
+    """Two Hecke elements, or an element and a store, live over different
+    coset stores."""
 
 
 class CapExceeded(HeckeError):
@@ -38,12 +35,9 @@ class CapExceeded(HeckeError):
     truncated operators past its share of it.
 
     What a layer finished before the cap stays readable on its store: the
-    class search, for one, records a depth only once it is complete.
+    class search, for one, records a depth only once it is complete.  The
+    message names the cap that was hit.
     """
-
-    def __init__(self, message, cap=None):
-        super().__init__(message)
-        self.cap = cap
 
 
 class OrbitCapExceeded(CapExceeded):

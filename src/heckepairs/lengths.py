@@ -22,7 +22,7 @@ from .groups import HeckePair
 
 __all__ = [
     "LengthFunction", "word_length", "characteristic_length",
-    "indicator_length", "AveragedLength", "averaged_length",
+    "indicator_length", "AveragedLength",
     "length_of_element", "pseudometric_checks", "PseudometricReport",
     "dominance_fit", "DominanceFit", "check_length_axioms", "linfit",
 ]
@@ -158,10 +158,6 @@ class AveragedLength:
         values = {d: evaluate(d)
                   for d in store.classes_in_ball(store.radius_complete)}
         return LengthFunction("averaged-finite-h", values, extend=evaluate)
-
-
-def averaged_length(pair: HeckePair, base: Callable) -> AveragedLength:
-    return AveragedLength(pair, base)
 
 
 # ---------------------------------------------------------------------------

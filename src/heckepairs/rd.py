@@ -42,7 +42,7 @@ from .algebra import (HeckeElement, involution, norms, power_moments,
                       weighted_norms)
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
-                     HeckeError, NoStableFit)
+                     HeckeError, NoStableFit, StoreMismatch)
 from .lengths import LengthFunction, linfit, word_length
 
 if TYPE_CHECKING:
@@ -110,9 +110,10 @@ def check_domains(cfg: dict, table: dict) -> None:
     """Raise HeckeError naming the first key of ``table`` whose value is
     off a bound of its row or a float that is not finite, then naming
     rd.s_grid_max and rd.s_grid_step when their grid would hold more than
-    S_GRID_MAX_POINTS points, counted before any is made.  ``table``
-    holds the rows of RD_KEYS.  Integers are compared exactly, so one too
-    large for a float is checked like any other."""
+    S_GRID_MAX_POINTS points, counted before any is made, then naming the
+    two kesten hint thresholds when they overlap.  ``table`` holds the
+    rows of RD_KEYS.  Integers are compared exactly, so one too large for
+    a float is checked like any other."""
     for key, (_, *bounds) in table.items():
         value = cfg[key]
         finite = not isinstance(value, float) or math.isfinite(value)
@@ -127,6 +128,10 @@ def check_domains(cfg: dict, table: dict) -> None:
         raise HeckeError(
             f"rd.s_grid_max={s_max} and rd.s_grid_step={step} give a "
             f"weighted-norm grid of more than {S_GRID_MAX_POINTS} points")
+    low, high = cfg["kesten.nonamenable_max"], cfg["kesten.amenable_min"]
+    if low > high:
+        raise HeckeError(f"kesten.nonamenable_max={low} exceeds "
+                         f"kesten.amenable_min={high}")
 
 
 def _config(overrides: Optional[dict]) -> dict:
@@ -270,7 +275,7 @@ class _ClassTable:
             raise CapExceeded(
                 f"class table of {n} cosets exceeds {limit} entries "
                 f"({TABLE_ENTRIES_PER_COSET} * max_cosets="
-                f"{store.caps.max_cosets})", cap=store.caps.max_cosets)
+                f"{store.caps.max_cosets})")
         pair = self.pair
         mul, key = pair.mul, pair.class_key
         invs = self._invs + [pair.inv(store.reps[cid])
@@ -305,19 +310,19 @@ class _ClassTable:
         self.radius = radius
 
 
-def operator_matrix(f: HeckeElement, store: CosetStore,
-                    radius: int) -> TruncatedOperator:
-    """Exact matrix of the compression of lambda(f) to the radius ball:
-    A[x][y] = f evaluated at the class of rep(x) rep(y)^{-1}.
+def operator_matrix(f: HeckeElement, radius: int) -> TruncatedOperator:
+    """Exact matrix of the compression of lambda(f) to the radius ball of
+    f's store: A[x][y] = f evaluated at the class of rep(x) rep(y)^{-1}.
 
-    Gathered from the store's class table (``store.class_table``), which
-    is extended to ``radius`` first: each entry is the coefficient of its
-    code's class.  The ball is the prefix of the store's BFS order that
-    the table rows follow, so the nonzeros of the gather come out in
+    Gathered from the class table of f's store (``store.class_table``),
+    which is extended to ``radius`` first: each entry is the coefficient
+    of its code's class.  The ball is the prefix of the store's BFS order
+    that the table rows follow, so the nonzeros of the gather come out in
     row-major order.  A radius below 0 gives the empty operator, as the
     ball of that radius is empty."""
     import numpy as np
 
+    store = f.store
     if radius > store.radius_complete:
         raise BallIncomplete(
             f"ball complete to {store.radius_complete}, need {radius}")
@@ -384,8 +389,8 @@ def _sparse_kernels():
     return module
 
 
-def truncated_norm(op: TruncatedOperator, tol: float = 1e-8,
-                   max_iter: int = 20000) -> float:
+def truncated_norm(op: TruncatedOperator, tol: float = RD_DEFAULTS["rd.tol"],
+                   max_iter: int = RD_DEFAULTS["rd.max_iter"]) -> float:
     """Largest singular value of the truncated operator via power iteration
     on A^T A, from the deterministic start vector delta_He + uniform.
 
@@ -549,19 +554,19 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
     if l is None:
         l = word_length(store)
     rng = random.Random(seed)
-    s_grid = _s_grid(cfg)
     ball_size = len(store.ball)
 
-    classes_by_r: dict[int, list[int]] = {}
+    # the ball of radius r holds the classes with l <= r, and its shell
+    # those it adds to the ball of radius r - 1
+    shells: dict[int, list[int]] = {}
     for d, v in l.values.items():
-        r = int(math.floor(float(v)))
-        classes_by_r.setdefault(r, []).append(d)
+        shells.setdefault(max(0, math.ceil(float(v))), []).append(d)
 
     best: dict[int, tuple[float, str]] = {}
+    ball_classes: list[int] = []
     for r in range(r_max + 1):
-        ball_classes = sorted(
-            d for d, v in l.values.items() if float(v) <= r)
-        shell_classes = sorted(classes_by_r.get(r, []))
+        shell_classes = sorted(shells.get(r, []))
+        ball_classes = sorted(ball_classes + shell_classes)
         fams: list[tuple[str, bool, HeckeElement]] = []
         if shell_classes:
             fams.append(("shell", True, HeckeElement(
@@ -577,8 +582,7 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
         for family, nonneg, f in fams:
             if not f:
                 continue
-            rec = _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
-                               profile)
+            rec = _test_record(r, family, nonneg, f, l, profile)
             profile.records.append(rec)
             if nonneg and (r not in best or rec.ratio > best[r][0]):
                 best[r] = (rec.ratio, family)
@@ -601,7 +605,7 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
         profile.verdict = "inconclusive"
         return profile
     try:
-        fit = rd_weighted_fit(profile, s_grid)
+        fit = rd_weighted_fit(profile)
         profile.s_hat, profile.c_hat = fit
         profile.verdict = "polynomial-compatible"
     except NoStableFit:
@@ -609,16 +613,16 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
     return profile
 
 
-def _truncation_radius(store: CosetStore, f: HeckeElement, want: int,
-                       cfg: dict) -> int:
-    """Largest truncation radius within the matrix-cost budget: the column
-    count times the per-column row support sum_d R(d).  Any radius gives a
+def _truncation_radius(f: HeckeElement, want: int, budget: int) -> int:
+    """Largest truncation radius, at most ``want``, of f's store within
+    the matrix-cost budget (rd.max_matrix_cost): the column count times
+    the per-column row support sum_d R(d).  Any radius gives a
     valid lower bound, so the rule only trades sharpness for size,
     deterministically.  It bounds the operator's nonzeros, not the build:
     that is one class table per store, dim^2 entries of which generator
     moves copy most and class-key products fill the rest.  It is kept so
     that reports stay the same."""
-    budget = cfg["rd.max_matrix_cost"]
+    store = f.store
     supp = sum(store.class_R(d) for d in f.coeffs)
     radius = 0
     for rr in range(1, min(want, store.radius_complete) + 1):
@@ -628,24 +632,24 @@ def _truncation_radius(store: CosetStore, f: HeckeElement, want: int,
     return radius
 
 
-def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
-                 profile) -> RdTestRecord:
-    """Both lower bounds, the weighted norms and l2 of one test function.
-    A cap hit on either bound zeroes that bound and marks the profile
-    partial; a truncation radius the budget clips is warned of, and so is
-    a power iteration that hits its iteration cap, whose ConvergenceWarning
-    goes into the report instead of to stderr.  The moment root is
-    certified for every f, self-adjoint or not."""
+def _test_record(r, family, nonneg, f, l, profile) -> RdTestRecord:
+    """Both lower bounds, the weighted norms and l2 of one test function,
+    under the profile's config.  A cap hit on either bound zeroes that
+    bound and marks the profile partial; a truncation radius the budget
+    clips is warned of, and so is a power iteration that hits its
+    iteration cap, whose ConvergenceWarning goes into the report instead
+    of to stderr.  The moment root is certified for every f, self-adjoint
+    or not."""
+    cfg = profile.config
     want = r + cfg["rd.pad"]
-    r_trunc = _truncation_radius(store, f, want, cfg)
+    r_trunc = _truncation_radius(f, want, cfg["rd.max_matrix_cost"])
     if r_trunc < want:
         _warn(profile, f"truncation radius at r={r} clipped to {r_trunc} "
                        f"of {want} wanted (rd.max_matrix_cost)")
     trunc = 0.0
     try:
         trunc = _noted_truncated_norm(
-            f, store, r_trunc, cfg, f"at r={r}",
-            lambda text: _warn(profile, text))
+            f, r_trunc, cfg, f"at r={r}", lambda text: _warn(profile, text))
     except CapExceeded as exc:
         profile.partial = True
         _warn(profile, f"truncated norm skipped at r={r}: {exc}")
@@ -657,15 +661,15 @@ def _test_record(r, family, nonneg, f, store, l, s_grid, cfg,
         except CapExceeded as exc:
             profile.partial = True
             _warn(profile, f"moments skipped at r={r}: {exc}")
-    weighted = weighted_norms(f, l, s_grid)
+    weighted = weighted_norms(f, l, _s_grid(cfg))
     l2 = norms(f).l2
     lower = max(trunc, root)
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,
                         lower / l2 if l2 else 0.0, weighted)
 
 
-def _noted_truncated_norm(f: HeckeElement, store: CosetStore, radius: int,
-                          cfg: dict, where: str, note) -> float:
+def _noted_truncated_norm(f: HeckeElement, radius: int, cfg: dict,
+                          where: str, note) -> float:
     """``truncated_norm`` of f's operator at the radius, by the
     module-level function.  A power iteration that hits rd.max_iter is
     passed to ``note`` as a report warning naming ``where``, instead of
@@ -676,7 +680,7 @@ def _noted_truncated_norm(f: HeckeElement, store: CosetStore, radius: int,
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ConvergenceWarning)
-            return truncated_norm(operator_matrix(f, store, radius),
+            return truncated_norm(operator_matrix(f, radius),
                                   cfg["rd.tol"], max_iter)
     finally:
         for w in caught:
@@ -706,13 +710,11 @@ def _s_grid(cfg) -> list[float]:
     return out
 
 
-def rd_weighted_fit(profile: RdProfile,
-                    s_grid: Optional[list[float]] = None) -> tuple[float, float]:
-    """Smallest s in the grid whose weighted ratios N(f)/||f||_{s,l} show
-    no upward tail trend, together with the constant c that bounds them on
-    the sampled range.  Raises NoStableFit when every s trends upward."""
-    if s_grid is None:
-        s_grid = _s_grid(profile.config)
+def rd_weighted_fit(profile: RdProfile) -> tuple[float, float]:
+    """Smallest s in the profile's grid (0 to rd.s_grid_max in steps of
+    rd.s_grid_step) whose weighted ratios N(f)/||f||_{s,l} show no upward
+    tail trend, together with the constant c that bounds them on the
+    sampled range.  Raises NoStableFit when every s trends upward."""
     stable_slope = profile.config["rd.stable_slope"]
     tail_fraction = profile.config["rd.tail_fraction"]
     per_r: dict[int, dict[float, float]] = {}
@@ -730,7 +732,7 @@ def rd_weighted_fit(profile: RdProfile,
         raise NoStableFit("too few radii for a stability fit")
     tail_start = rs[0] + int((rs[-1] - rs[0]) * (1.0 - tail_fraction))
     tail = [r for r in rs if r >= tail_start] or rs[-3:]
-    for s in s_grid:
+    for s in _s_grid(profile.config):
         xs = [math.log(1.0 + r) for r in tail if s in per_r[r]]
         ys = [math.log(max(per_r[r][s], 1e-300)) for r in tail if s in per_r[r]]
         if len(xs) < 3:
@@ -772,9 +774,12 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     persistent gap is the non-amenable direction.  The hint thresholds are
     explicit config and the report is flagged when the pair is not
     relatively unimodular (the criterion is stated for the unimodular
-    setting).  The pair and its unimodularity verdict are the store's.
-    The moment count is kesten.n, the one that the report echoes.  A power
-    iteration that hits rd.max_iter is named in the report's warnings."""
+    setting).  The pair and its unimodularity verdict are the store's, and
+    a given f must live over the store (else StoreMismatch).  The moment
+    count is kesten.n, the one that the report echoes.  A power iteration
+    that hits rd.max_iter is named in the report's warnings."""
+    if f is not None and f.store is not store:
+        raise StoreMismatch("f lives over another store")
     cfg = _config(config)
     pair = store.pair
     n = cfg["kesten.n"]
@@ -790,7 +795,7 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     rho = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
     r_trunc = min(cfg["kesten.trunc_radius"], store.radius_complete)
     notes: list[str] = []
-    trunc = _noted_truncated_norm(f, store, r_trunc, cfg,
+    trunc = _noted_truncated_norm(f, r_trunc, cfg,
                                   f"at trunc_radius={r_trunc}", notes.append)
     l1 = norms(f).l1
     lower = max(rho[-1] if rho else 0.0, trunc)

@@ -247,8 +247,8 @@ def _check_spectral_examples() -> list[CheckResult]:
     a = power_moments(f, 2)
     out.append(CheckResult("z-moments", a == [Fraction(3), Fraction(19)],
                            f"a_1={a[0]}, a_2={a[1]}"))
-    t10 = truncated_norm(operator_matrix(f, store, 10))
-    t50 = truncated_norm(operator_matrix(f, store, 50))
+    t10 = truncated_norm(operator_matrix(f, 10))
+    t50 = truncated_norm(operator_matrix(f, 50))
     out.append(CheckResult("z-projection-monotone", t10 <= t50 + 1e-9,
                            f"{t10:.6f} vs {t50:.6f}"))
     out.append(CheckResult("z-l1-bound", t50 <= float(norms(f).l1) + 1e-9))

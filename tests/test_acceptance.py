@@ -18,7 +18,7 @@ from heckepairs.algebra import (HeckeElement, basis_element, convolve,
                                 power_moments)
 from heckepairs.cosets import Caps, relative_modular, unimodularity_check
 from heckepairs.groups import Aff, get_pair
-from heckepairs.lengths import (averaged_length, characteristic_length,
+from heckepairs.lengths import (AveragedLength, characteristic_length,
                                 check_length_axioms, indicator_length,
                                 word_length)
 from heckepairs.growth import classify_growth, growth_series
@@ -184,7 +184,7 @@ def test_criterion_07_spectral_estimators_on_z():
         assert moments == [central_trinomial(2 * n) for n in range(1, 21)]
         rho = spectral_lower_bound(f, 20)
         assert 2.70 <= rho[19] <= 3.00
-        tn = truncated_norm(operator_matrix(f, store, 50))
+        tn = truncated_norm(operator_matrix(f, 50))
         assert abs(tn - (1 + 2 * math.cos(math.pi / 102))) <= 1e-3
         kes = kesten_diagnostic(store, f, config={
             "kesten.n": 20, "kesten.trunc_radius": 50})
@@ -223,14 +223,14 @@ def test_criterion_08_estimator_coherence_everywhere():
             # return moment <A^2n delta_H, delta_H> on relatively
             # unimodular ones
             pad = covering_radius(f, 2)
-            op = operator_matrix(f, store, pad)
+            op = operator_matrix(f, pad)
             for n in (1, 2):
                 assert exact_truncated_norm_sq(op, n) == moments[n - 1]
                 if unimod.verdict:
                     assert exact_truncated_moment(op, n) == moments[n - 1]
             # projection monotonicity (tol 1e-9)
             radii = sorted({1, max(1, pad // 2), pad})
-            tns = [truncated_norm(operator_matrix(f, store, r))
+            tns = [truncated_norm(operator_matrix(f, r))
                    for r in radii]
             for a, b in zip(tns, tns[1:]):
                 assert b >= a - 1e-9
@@ -262,14 +262,14 @@ def test_criterion_09_length_function_suite():
             assert check_length_axioms(store, lc, half) == []
             if pair.h_elements() is not None and pair.word_length_on_g(
                     pair.identity()) is not None:
-                av = averaged_length(pair, pair.word_length_on_g)
+                av = AveragedLength(pair, pair.word_length_on_g)
                 assert check_length_axioms(
                     store, av.as_length_function(store), half) == []
         # the H-averaging bound, exact on the dihedral radius-8 ball:
         # l1(g) <= |H| l(g) + 2 sum_{h in H} l(h)
         pair = get_pair("dinf")
         store = hp.enumerate_ball(pair, 8)
-        av = averaged_length(pair, pair.word_length_on_g)
+        av = AveragedLength(pair, pair.word_length_on_g)
         h_sum = sum(pair.word_length_on_g(h) for h in pair.h_elements())
         for cid in store.ball_ids(8):
             for h in pair.h_elements():

@@ -336,6 +336,19 @@ def test_oversized_weighted_norm_grid_is_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_overlapping_kesten_thresholds_are_a_usage_error(tmp_path, capsys):
+    # psl2z1p:2 is non-amenable (exact norm 6/7); with these thresholds its
+    # index 0.676 would read "consistent-with-amenable"
+    out = tmp_path / "o"
+    assert main(["kesten", "--pair", "psl2z1p:2", "--rmax", "4",
+                 "--set", "kesten.amenable_min=0.5",
+                 "--set", "kesten.nonamenable_max=0.9",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "kesten.nonamenable_max=0.9 exceeds kesten.amenable_min=0.5" in err
+    assert not out.exists()
+
+
 def test_readme_lists_exactly_the_config_keys():
     # README's "Configuration keys" table against the one config table:
     # a key added or dropped on one side fails, and so does a default

@@ -8,8 +8,7 @@ from heckepairs.algebra import HeckeElement
 from heckepairs.cosets import (Caps, check_interning_soundness, enumerate_ball,
                                left_L_count, relative_modular,
                                unimodularity_check, verify_hecke)
-from heckepairs.errors import (CapExceeded, HeckeError, OrbitCapExceeded,
-                               StoreSealed)
+from heckepairs.errors import CapExceeded, HeckeError, OrbitCapExceeded
 from heckepairs.groups import Aff, get_pair
 from heckepairs.rd import operator_matrix
 
@@ -291,11 +290,8 @@ def test_wl_lipschitz_along_edges(label):
                 assert abs(store.wl[t] - store.wl[cid]) <= 1
 
 
-def test_store_sealed_and_caps():
+def test_store_caps():
     pair = get_pair("z:1")
-    store = enumerate_ball(pair, 3)
-    with pytest.raises(StoreSealed):
-        store.intern(pair.parse("zvec 9"))
     with pytest.raises(CapExceeded):
         enumerate_ball(pair, 5, Caps(max_cosets=4))
     with pytest.raises(OrbitCapExceeded):
@@ -312,8 +308,6 @@ def test_resumable_bfs_and_orbit_wl():
     # orbit interned cosets beyond the ball have unknown depth
     unknown = [m for m in store.class_members(d) if store.wl[m] is None]
     assert unknown
-    for m in unknown:
-        assert store.wl_lower_bound(m) == 2
     # resuming the BFS assigns the same depths a fresh enumeration finds
     store.enumerate_to(4)
     fresh = enumerate_ball(pair, 4)
@@ -340,7 +334,7 @@ def test_ball_is_the_bfs_order_after_orbits():
     for r in range(5):
         prefix = store.ball[:store.ball_ends[r]]
         assert sorted(prefix) == store.ball_ids(r)
-        assert operator_matrix(f, store, r).ball == prefix
+        assert operator_matrix(f, r).ball == prefix
     depths = [store.wl[cid] for cid in store.ball]
     assert depths == sorted(depths)
     hist = [0] * 5

@@ -9,7 +9,7 @@ from heckepairs.errors import (CapExceeded, InfiniteH,
                                LengthUndefinedOnSupport,
                                NotRelativelyUnimodular)
 from heckepairs.groups import get_pair
-from heckepairs.lengths import (LengthFunction, averaged_length,
+from heckepairs.lengths import (AveragedLength, LengthFunction,
                                 characteristic_length, check_length_axioms,
                                 dominance_fit, indicator_length,
                                 length_of_element, pseudometric_checks,
@@ -134,13 +134,13 @@ def test_lazy_values_leave_the_tabulated_domain_alone():
 
 def test_averaged_length_dinf():
     pair = get_pair("dinf")
-    av = averaged_length(pair, pair.word_length_on_g)
+    av = AveragedLength(pair, pair.word_length_on_g)
     # kernel of l' contains H
     for h in pair.h_elements():
         assert av.l_prime(h) == 0
     # l1 = l and l' = l when H is trivial
     zpair = get_pair("z:1")
-    avz = averaged_length(zpair, zpair.word_length_on_g)
+    avz = AveragedLength(zpair, zpair.word_length_on_g)
     for n in range(-5, 6):
         g = zpair.parse(f"zvec {n}")
         assert avz.l1(g) == abs(n) == avz.l_prime(g)
@@ -149,7 +149,7 @@ def test_averaged_length_dinf():
 def test_averaged_bound_pointwise_exact_on_radius8_ball():
     # l1(g) <= |H| l(g) + 2 sum_H l, checked exactly on the whole ball
     pair = get_pair("dinf")
-    av = averaged_length(pair, pair.word_length_on_g)
+    av = AveragedLength(pair, pair.word_length_on_g)
     assert av.eta == 2
     store = hp.enumerate_ball(pair, 8)
     checked = 0
@@ -164,13 +164,13 @@ def test_averaged_bound_pointwise_exact_on_radius8_ball():
 
 def test_averaged_infinite_h():
     with pytest.raises(InfiniteH):
-        averaged_length(get_pair("psl2z1p:2"), lambda g: 0)
+        AveragedLength(get_pair("psl2z1p:2"), lambda g: 0)
 
 
 def test_averaged_as_length_function():
     pair = get_pair("dinf")
     store = hp.enumerate_ball(pair, 8)
-    av = averaged_length(pair, pair.word_length_on_g)
+    av = AveragedLength(pair, pair.word_length_on_g)
     lf = av.as_length_function(store)
     assert lf.kind == "averaged-finite-h"
     assert check_length_axioms(store, lf, 4) == []

@@ -19,7 +19,7 @@ from heckepairs.algebra import (HeckeElement, basis_element, identity_element,
                                 involution, norms, power_moments)
 from heckepairs.errors import (BallIncomplete, ConvergenceWarning,
                                HeckeError, NoStableFit,
-                               NotRelativelyUnimodular)
+                               NotRelativelyUnimodular, StoreMismatch)
 from heckepairs.groups import get_pair
 from heckepairs.lengths import characteristic_length
 from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
@@ -50,7 +50,7 @@ def written(report, tmp_path):
 
 
 def test_operator_identity_is_identity_matrix(z1_store):
-    op = operator_matrix(identity_element(z1_store), z1_store, 3)
+    op = operator_matrix(identity_element(z1_store), 3)
     assert op.dim == 7
     for j, col in enumerate(op.cols):
         assert col == [(j, Q(1))]
@@ -60,7 +60,7 @@ def test_operator_identity_is_identity_matrix(z1_store):
 def test_operator_z_is_tridiagonal_with_diagonal(z1_store):
     # frozen structure: at R=2 the matrix of delta_{-1}+delta_0+delta_1 is
     # the 5x5 adjacency-plus-identity of the path -2..2
-    op = operator_matrix(z_walk(z1_store), z1_store, 2)
+    op = operator_matrix(z_walk(z1_store), 2)
     assert op.dim == 5
     coords = [z1_store.reps[cid].coords[0] for cid in op.ball]
     entries = {(coords[i], coords[j]): v
@@ -74,7 +74,7 @@ def test_operator_s3_row_sums():
     store = hp.enumerate_ball(get_pair("s3-h12"), 3)
     classes = store.classes_in_ball(3)
     d = next(x for x in classes if x != store.identity_class())
-    op = operator_matrix(basis_element(store, d), store, 3)
+    op = operator_matrix(basis_element(store, d), 3)
     assert op.dim == 3
     rows = {}
     for col in op.cols:
@@ -85,7 +85,7 @@ def test_operator_s3_row_sums():
 
 def test_operator_base_column_and_symmetry(z1_store):
     f = z_walk(z1_store)
-    op = operator_matrix(f, z1_store, 6)
+    op = operator_matrix(f, 6)
     assert base_column_matches_f(op, f, z1_store)
     assert is_symmetric(op)
     # row support per column bounded by sum of R over the support
@@ -95,7 +95,7 @@ def test_operator_base_column_and_symmetry(z1_store):
 
 def test_operator_requires_complete_ball(z1_store):
     with pytest.raises(BallIncomplete):
-        operator_matrix(identity_element(z1_store), z1_store, 99)
+        operator_matrix(identity_element(z1_store), 99)
 
 
 @pytest.mark.parametrize("label,r", [
@@ -118,7 +118,7 @@ def test_operator_matrix_matches_member_loop(label, r):
         for d in classes:     # member lists are built on first use
             store.class_members(d)
         n = len(store)
-        op = operator_matrix(f, store, radius)
+        op = operator_matrix(f, radius)
         assert len(store) == n
         entries = brute_operator_matrix(f, store, radius)
         assert sorted(op.ball) == store.ball_ids(radius)
@@ -151,12 +151,12 @@ def test_operator_products_pinned_by_class_patterns(monkeypatch):
         products[0] += inside[0]
         return real_mul(x, y)
 
-    def operator(f, store, radius):
+    def operator(f, radius):
         for d in f.coeffs:
             requested[d] = max(requested.get(d, -1), radius)
         inside[0] = True
         try:
-            return real_operator(f, store, radius)
+            return real_operator(f, radius)
         finally:
             inside[0] = False
 
@@ -179,10 +179,10 @@ def test_operator_builds_no_orbit_and_interns_nothing(monkeypatch):
     sizes = []
     real_operator = rd.operator_matrix
 
-    def operator(f, store, radius):
-        n = len(store)
-        op = real_operator(f, store, radius)
-        sizes.append((n, len(store)))
+    def operator(f, radius):
+        n = len(f.store)
+        op = real_operator(f, radius)
+        sizes.append((n, len(f.store)))
         return op
 
     monkeypatch.setattr(hp.CosetStore, "_compute_orbit",
@@ -198,13 +198,13 @@ def test_class_table_finds_classes_named_after_it():
     # codes are keyed by class key: a table built before any class is
     # named still gives the entries of a class named afterwards
     store = hp.enumerate_ball(get_pair("z:2"), 4)
-    zero = operator_matrix(HeckeElement(store, {}), store, 4)
+    zero = operator_matrix(HeckeElement(store, {}), 4)
     assert zero.dim == 41 and len(zero.indices) == 0
     assert store.dcs == [] and store.class_table.radius == 4
     ball = store.ball_ids(3)
     d1, d2 = store.dc(ball[7]), store.dc(ball[-1])
     f = HeckeElement(store, {d1: Q(2), d2: Q(-3, 5)})
-    op = operator_matrix(f, store, 3)
+    op = operator_matrix(f, 3)
     entries = brute_operator_matrix(f, store, 3)
     assert op.ball == store.ball_ids(3)
     assert operator_entries(op) == entries
@@ -327,8 +327,8 @@ def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
     ops = []
     real_operator = rd.operator_matrix
 
-    def operator(f, store, radius):
-        ops.append(real_operator(f, store, radius))
+    def operator(f, radius):
+        ops.append(real_operator(f, radius))
         return ops[-1]
 
     monkeypatch.setattr(rd, "operator_matrix", operator)
@@ -375,7 +375,7 @@ def test_missing_kernels_raise_import_error(monkeypatch, lost):
     # scipy, or its compiled _sparsetools there, is not found, the power
     # iteration raises ImportError naming scipy and where it looked
     store = hp.enumerate_ball(get_pair("z:1"), 2)
-    op = operator_matrix(z_walk(store), store, 2)
+    op = operator_matrix(z_walk(store), 2)
     kernels = rd._sparse_kernels()
     with monkeypatch.context() as patch:
         patch.delitem(sys.modules, "scipy.sparse._sparsetools")
@@ -400,7 +400,7 @@ def test_missing_kernels_raise_import_error(monkeypatch, lost):
 
 def test_truncated_norm_closed_form(z1_store):
     # eigenvalues of the 101-point section are 1 + 2cos(k pi / 102)
-    op = operator_matrix(z_walk(z1_store), z1_store, 50)
+    op = operator_matrix(z_walk(z1_store), 50)
     want = 1 + 2 * math.cos(math.pi / 102)
     assert truncated_norm(op) == pytest.approx(want, abs=1e-4)
 
@@ -408,7 +408,7 @@ def test_truncated_norm_closed_form(z1_store):
 def test_truncated_norm_warns_at_its_iteration_cap(z1_store):
     # one step of power iteration on A^T A reads ||A v|| for a unit v, so
     # the capped value still lies below the converged norm
-    op = operator_matrix(z_walk(z1_store), z1_store, 10)
+    op = operator_matrix(z_walk(z1_store), 10)
     with pytest.warns(ConvergenceWarning):
         capped = truncated_norm(op, max_iter=1)
     assert 0 < capped <= truncated_norm(op)
@@ -486,7 +486,7 @@ def test_default_profiles_converge(label, r_max):
 
 
 def test_truncated_norm_of_the_zero_operator(z1_store):
-    op = operator_matrix(HeckeElement(z1_store, {}), z1_store, 3)
+    op = operator_matrix(HeckeElement(z1_store, {}), 3)
     assert op.dim == 7 and op.indices.size == 0
     assert truncated_norm(op) == 0.0
 
@@ -502,8 +502,8 @@ def test_negative_truncation_radius_gives_the_empty_operator():
     assert rep.trunc_radius == -1 and rep.trunc_norm == 0.0
     store = hp.enumerate_ball(pair, 3)
     f = z_walk(store)
-    assert operator_matrix(f, store, 3).dim == 7
-    op = operator_matrix(f, store, -1)
+    assert operator_matrix(f, 3).dim == 7
+    op = operator_matrix(f, -1)
     assert op.dim == 0 and op.ball == [] and op.indices.size == 0
     assert list(op.indptr) == [0]
     assert truncated_norm(op) == 0.0
@@ -511,7 +511,7 @@ def test_negative_truncation_radius_gives_the_empty_operator():
 
 def test_projection_monotonicity(z1_store):
     f = z_walk(z1_store)
-    values = [truncated_norm(operator_matrix(f, z1_store, r))
+    values = [truncated_norm(operator_matrix(f, r))
               for r in (5, 10, 20, 50)]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-9
@@ -551,7 +551,7 @@ def test_moment_matrix_exactness(z1_store):
     # the convolution moment equals the matrix moment bit for bit
     f = z_walk(z1_store)
     moments = power_moments(f, 3)
-    op = operator_matrix(f, z1_store, 10)
+    op = operator_matrix(f, 10)
     for n in (1, 2, 3):
         assert exact_truncated_moment(op, n) == moments[n - 1]
 
@@ -560,7 +560,7 @@ def test_moment_matrix_exactness(z1_store):
     g = HeckeElement(store, {d: Q(1, 3) for d in classes})
     g = Q(1, 2) * (g + involution(g))
     m = power_moments(g, 4)
-    opg = operator_matrix(g, store, 6)
+    opg = operator_matrix(g, 6)
     for n in range(1, 5):
         assert exact_truncated_moment(opg, n) == m[n - 1]
 
@@ -570,7 +570,7 @@ def test_lower_bound_coherence(z1_store):
     f = z_walk(z1_store)
     rho = spectral_lower_bound(f, 5)
     for n in range(1, 6):
-        tn = truncated_norm(operator_matrix(f, z1_store, 2 * n))
+        tn = truncated_norm(operator_matrix(f, 2 * n))
         assert rho[n - 1] <= tn + 1e-6
 
 
@@ -580,7 +580,7 @@ def test_l1_upper_bound_for_unimodular(z1_store):
     for _ in range(10):
         supp = rng.sample(classes, k=3)
         f = HeckeElement(z1_store, {d: Q(rng.randint(1, 5)) for d in supp})
-        tn = truncated_norm(operator_matrix(f, z1_store, 20))
+        tn = truncated_norm(operator_matrix(f, 20))
         assert tn <= float(norms(f).l1) + 1e-9
 
 
@@ -701,20 +701,20 @@ def test_unimodularity_verdict_is_the_stores(monkeypatch):
 
 
 def test_rd_weighted_fit_identity_family():
-    cfg = dict(RD_DEFAULTS)
+    cfg = dict(RD_DEFAULTS, **{"rd.s_grid_max": 1.0, "rd.s_grid_step": 0.5})
     prof = RdProfile("synthetic", "inconclusive", True, 5, 0, cfg)
     grid = [0.0, 0.5, 1.0]
     for r in range(6):
         prof.records.append(RdTestRecord(
             r, "ball", True, 1.0, 1.0, r, 1.0, 1.0, 1.0,
             {s: 1.0 for s in grid}))
-    s_hat, c_hat = rd_weighted_fit(prof, grid)
+    s_hat, c_hat = rd_weighted_fit(prof)
     assert s_hat == 0.0
     assert c_hat == pytest.approx(1.0)
 
 
 def test_rd_weighted_fit_no_stable_fit():
-    cfg = dict(RD_DEFAULTS)
+    cfg = dict(RD_DEFAULTS, **{"rd.s_grid_max": 0.5, "rd.s_grid_step": 0.5})
     prof = RdProfile("synthetic", "inconclusive", True, 7, 0, cfg)
     grid = [0.0, 0.5]
     for r in range(8):
@@ -723,7 +723,7 @@ def test_rd_weighted_fit_no_stable_fit():
             r, "ball", True, growing, growing, r, 0.0, 1.0, growing,
             {s: 1.0 for s in grid}))
     with pytest.raises(NoStableFit):
-        rd_weighted_fit(prof, grid)
+        rd_weighted_fit(prof)
 
 
 def test_kesten_z_at_n20():
@@ -775,6 +775,39 @@ def test_kesten_takes_a_non_symmetric_f(z1_store):
                             config={"kesten.n": 3})
     assert rep.moments == [1, 1, 1]
     assert rep.rho == [1.0, 1.0, 1.0]
+
+
+def test_kesten_refuses_an_f_from_another_store():
+    # class ids follow the order of first calls, so a second z:2 store
+    # built in another order gives f's ids to other classes: read against
+    # it, f would be another element (index 0.9864 instead of 0.9033)
+    pair = get_pair("z:2")
+    a = hp.enumerate_ball(pair, 4)
+    b = hp.CosetStore(pair)
+    b.word_lengths(3)
+    b.enumerate_to(4)
+    d = a.dc(a.ball[a.ball_ends[4] - 1])
+    f = identity_element(a) + basis_element(a, d)
+    assert [a.dcs[c].key for c in f.coeffs] != [b.dcs[c].key for c in f.coeffs]
+    with pytest.raises(StoreMismatch):
+        kesten_diagnostic(b, f)
+    rep = kesten_diagnostic(a, f)
+    assert rep.amenability_index == pytest.approx(0.9033, abs=1e-4)
+
+
+def test_overlapping_kesten_thresholds_are_refused(z1_store):
+    # an index between amenable_min and nonamenable_max would fit both
+    # hints; equal thresholds leave no such index and are allowed
+    overlap = {"kesten.amenable_min": 0.5, "kesten.nonamenable_max": 0.9}
+    for call in (lambda: kesten_diagnostic(z1_store, config=overlap),
+                 lambda: rd_profile(z1_store, None, 1, config=overlap)):
+        with pytest.raises(HeckeError, match=r"kesten\.nonamenable_max=0\.9 "
+                           r"exceeds kesten\.amenable_min=0\.5"):
+            call()
+    rep = kesten_diagnostic(z1_store, config={
+        "kesten.n": 1, "kesten.amenable_min": 0.9,
+        "kesten.nonamenable_max": 0.9})
+    assert rep.hint in ("consistent-with-amenable", "gap-suggests-nonamenable")
 
 
 def test_rd_profile_keeps_each_warning_once():

@@ -88,6 +88,9 @@ RUNS = [
     # a coset cap hit inside the class search: the partial growth series
     # holds the depths the search completed (radii 0-6)
     ["growth", "--pair", "z:2", "--rmax", "25", "--max-cosets", "100"],
+    # a class-table cap hit: the truncated norms from r = 2 on are skipped
+    # with a warning each, and the partial report is written
+    ["rd-profile", "--pair", "z:2", "--rmax", "4", "--max-cosets", "100"],
     # ltable past the radii above: on bcp:2 at rmax 10 the class search
     # names classes outside the ball; psl2z1p:3 is the degree-4 tree.
     # Structure constants counted from the cheaper side are reached by the
