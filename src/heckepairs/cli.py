@@ -10,9 +10,11 @@ it reads: enumerate, ltable and kesten the radius-rmax Schreier ball,
 rd-profile its padded ball, and growth no ball at all, since its series
 comes from the class-level word-length search.
 Each settable value is declared once, with its default and its domain,
-in ``CONFIG_KEYS``, whose rd.* and kesten.* rows are ``rd.RD_KEYS``; the
-config file, ``--set`` and the flags all set values by ``rd.set_values``,
-and ``rd.check_domains`` refuses a resolved config before anything runs.
+in ``CONFIG_KEYS``, whose rd.* and kesten.* rows are ``config.RD_KEYS``;
+``config.set_values`` sets each value of the file, ``--set`` and the flags,
+and ``config.check_domains`` refuses a resolved config before anything runs.
+Each body imports the modules it runs (growth, lengths, rd or verify) when
+called, so importing this module loads only the store, pairs and config.
 Artifacts are deterministic given (config, seed): ids fix the ordering,
 floats are printed with 12 significant digits, and the resolved config
 (defaults included) plus the seed are echoed into every JSON report.
@@ -39,23 +41,19 @@ import sys
 from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 
+from .config import RD_KEYS, check_domains, set_values
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
                      CapExceeded, CosetStore)
 from .errors import HeckeError, NotRelativelyUnimodular
-from .growth import classify_growth, growth_series
 from .groups import (HeckePair, catalog_labels, get_pair, load_pair_spec,
                      read_key_values)
-from .lengths import characteristic_length, word_length
-from .rd import (RD_KEYS, check_domains, kesten_diagnostic, rd_profile,
-                 set_values)
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-# the one config table, rows as in ``rd.RD_KEYS``: caps, seed, then rd's
+# the one config table, rows as in ``config.RD_KEYS``: caps, seed, then rd's
 CONFIG_KEYS = {
     "caps.max_cosets": (DEFAULT_MAX_COSETS, (">=", 1)),
     "caps.max_orbit": (DEFAULT_MAX_ORBIT, (">=", 1)),
@@ -74,7 +72,7 @@ def _key_value(item: str) -> tuple[str, str]:
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """Resolved run config: defaults, then the key=value file, then --set
-    overrides, each value set by ``rd.set_values``.  Unknown keys are
+    overrides, each value set by ``config.set_values``.  Unknown keys are
     usage errors."""
     cfg = dict(CONFIG_DEFAULTS)
     if path:
@@ -102,10 +100,13 @@ def _jsonable(obj):
 
 
 def _write(path: str, text: str) -> None:
-    """Write one artifact, making its directory first."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write one artifact, making its directory first, or raise HeckeError."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise HeckeError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_json(path: str, obj: dict) -> None:
@@ -187,6 +188,7 @@ def cmd_enumerate(args, cfg, rd_cfg, store, base, report) -> int:
 
 
 def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
+    from .lengths import characteristic_length, word_length
     store.enumerate_to(args.rmax)
     pair = store.pair
     lw = word_length(store)
@@ -214,6 +216,7 @@ def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
 
 
 def cmd_growth(args, cfg, rd_cfg, store, base, report) -> int:
+    from .growth import classify_growth, growth_series
     series = growth_series(store, args.rmax)
     verdict = classify_growth(series, store)
     write_csv(base + ".csv", ["r", "ball", "shell"], series.as_rows())
@@ -227,10 +230,12 @@ def cmd_growth(args, cfg, rd_cfg, store, base, report) -> int:
 def _growth_so_far(store, report) -> None:
     """The series on the radii the class search completed, which are
     exact."""
+    from .growth import growth_series
     report["series"] = growth_series(store, store.class_search_depth)
 
 
 def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
+    from .rd import rd_profile
     profile = rd_profile(store, None, args.rmax, config=rd_cfg,
                          seed=cfg["seed"])
     report["profile"] = profile
@@ -244,6 +249,7 @@ def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
 
 
 def cmd_kesten(args, cfg, rd_cfg, store, base, report) -> int:
+    from .rd import kesten_diagnostic
     store.enumerate_to(args.rmax)
     report_obj = kesten_diagnostic(store, config=rd_cfg)
     report["kesten"] = report_obj
@@ -254,6 +260,7 @@ def cmd_kesten(args, cfg, rd_cfg, store, base, report) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
     checks = run_verification(include_golden=not args.no_golden)
     n_bad = 0
     for c in checks:

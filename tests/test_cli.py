@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -180,6 +181,20 @@ def test_refused_pair_writes_no_out_directory(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == ["rd_profile_bc.csv",
                                                       "rd_profile_bc.json"]
+
+
+@pytest.mark.parametrize("argv", [["growth", "--pair", "z:1", "--rmax", "2"],
+                                  ["verify", "--no-golden"]],
+                         ids=["growth", "verify"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # an out directory under a regular file cannot be made: the run exits
+    # 2 naming the path, writes nothing, and is not verify's exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert f"cannot write {out}{os.sep}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_enumerate_snapshot_schema(tmp_path):
@@ -860,16 +875,66 @@ def test_in_process_calls_share_one_parser(tmp_path, monkeypatch):
     assert snapshots[0] != snapshots[1]
 
 
+def _loaded_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` once a child has run ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport json, sys; print(json.dumps(list(sys.modules)))"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _submodules(names) -> set[str]:
+    return {f"heckepairs.{name}" for name in names}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _loaded_after("import heckepairs")
+    assert "heckepairs" in loaded
+    assert not {name for name in loaded if name.startswith("heckepairs.")}
+
+
+def test_cli_import_loads_no_command_module():
+    # the commands' modules load when a command body runs
+    loaded = _loaded_after("import heckepairs.cli")
+    assert "heckepairs.cli" in loaded
+    assert not loaded & _submodules(
+        ["rd", "growth", "lengths", "algebra", "verify", "oracle"])
+
+
+def test_rd_profile_loads_neither_verify_nor_oracle(tmp_path):
+    loaded = _loaded_after(
+        "from heckepairs import cli; "
+        "cli.main(['rd-profile', '--pair', 'z:1', '--rmax', '3', "
+        f"'--out', {str(tmp_path)!r}])")
+    assert "heckepairs.rd" in loaded
+    assert not loaded & _submodules(["verify", "oracle"])
+    assert list(tmp_path.iterdir())
+
+
+def test_exports_are_the_modules_attributes(monkeypatch):
+    # each exported name is read from its module on every access, so it
+    # is the module's object, a monkeypatch of the module included
+    table = heckepairs._EXPORTS
+    assert heckepairs.__all__ == list(table)
+    assert set(table) <= set(dir(heckepairs))
+    for name, module in table.items():
+        owner = importlib.import_module(f"heckepairs.{module}")
+        assert getattr(heckepairs, name) is getattr(owner, name)
+    monkeypatch.setattr(heckepairs.rd, "rd_profile", "patched")
+    assert heckepairs.rd_profile == "patched"
+    namespace: dict = {}
+    exec("from heckepairs import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(table)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        heckepairs.no_such_name
+
+
 def test_import_leaves_scipy_unloaded():
     # the power iteration alone loads from scipy, and only its compiled
     # sparse kernels: importing the package loads nothing of scipy
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, heckepairs, heckepairs.cli; "
-         "print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert "scipy" not in _loaded_after("import heckepairs, heckepairs.cli")
 
 
 # runs rd-profile and kesten with scipy.sparse imported before them
@@ -915,18 +980,15 @@ def test_power_iteration_loads_the_kernels_alone(tmp_path, order):
 
 def test_numpy_loaded_by_the_operator_layer_only(tmp_path):
     # numpy serves the truncated operators alone: importing the package
-    # and a growth run leave it unloaded
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, heckepairs, heckepairs.cli; "
-         "print('numpy' in sys.modules); "
-         "heckepairs.cli.main(['growth', '--pair', 'psl2z1p:2', "
-         f"'--rmax', '6', '--out', {str(tmp_path)!r}]); "
-         "print('numpy' in sys.modules, file=sys.stderr)"],
-        capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "False"
-    assert proc.stderr.strip() == "False"
+    # and a growth run leave it unloaded, and growth loads neither the
+    # operator layer nor verify's checks
+    assert "numpy" not in _loaded_after("import heckepairs, heckepairs.cli")
+    loaded = _loaded_after(
+        "import heckepairs.cli; "
+        "heckepairs.cli.main(['growth', '--pair', 'psl2z1p:2', "
+        f"'--rmax', '6', '--out', {str(tmp_path)!r}])")
+    assert "heckepairs.growth" in loaded
+    assert not loaded & ({"numpy"} | _submodules(["rd", "verify", "oracle"]))
     assert list(tmp_path.iterdir())
 
 

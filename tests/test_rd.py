@@ -22,10 +22,11 @@ from heckepairs.errors import (BallIncomplete, ConvergenceWarning,
                                NotRelativelyUnimodular, StoreMismatch)
 from heckepairs.groups import get_pair
 from heckepairs.lengths import characteristic_length
-from heckepairs.rd import (RD_DEFAULTS, RdProfile, RdTestRecord,
-                           kesten_diagnostic, operator_matrix, rd_profile,
-                           rd_weighted_fit, spectral_lower_bound,
-                           truncated_norm)
+from heckepairs.config import (RD_DEFAULTS, RD_KEYS, S_GRID_MAX_POINTS,
+                               check_domains)
+from heckepairs.rd import (RdProfile, RdTestRecord, kesten_diagnostic,
+                           operator_matrix, rd_profile, rd_weighted_fit,
+                           spectral_lower_bound, truncated_norm)
 
 from oracles import (base_column_matches_f, brute_operator_matrix,
                      central_trinomial, direct_class_table, entries_to_csr,
@@ -831,7 +832,7 @@ _OFF_DOMAIN = [("rd.s_grid_step", 0.0), ("rd.max_iter", 0), ("kesten.n", -1)]
 
 
 @pytest.mark.parametrize("key,value", _OFF_DOMAIN + [
-    case for case in off_domain(rd.RD_KEYS) if case not in _OFF_DOMAIN])
+    case for case in off_domain(RD_KEYS) if case not in _OFF_DOMAIN])
 @pytest.mark.parametrize("call", [
     lambda store, config: rd_profile(store, None, 1, config=config),
     lambda store, config: kesten_diagnostic(
@@ -893,5 +894,5 @@ def test_oversized_weighted_norm_grid_is_refused(setting):
 
 def test_largest_weighted_norm_grid_is_accepted():
     cfg = {**RD_DEFAULTS, "rd.s_grid_max": 2499.75}
-    rd.check_domains(cfg, rd.RD_KEYS)
-    assert len(rd._s_grid(cfg)) == rd.S_GRID_MAX_POINTS
+    check_domains(cfg, RD_KEYS)
+    assert len(rd._s_grid(cfg)) == S_GRID_MAX_POINTS

@@ -4,7 +4,8 @@ checkouts.
     python tools/artifact_diff.py PARENT CHANGE
 
 Each run executes in both checkouts, with ``PYTHONPATH=<checkout>/src`` and
-its own empty ``--out`` directory.  A run differs when its files (names or
+its own empty ``--out`` directory; a run that gives its own ``--out`` keeps
+it.  A run differs when its files (names or
 bytes), its stdout (with the out directory replaced by ``OUT``), its stderr
 or its exit code differ.  Every differing run is printed with what differs;
 the exit code is 1 if any run differs, else 0.  Standard library only.
@@ -157,16 +158,23 @@ RUNS = [
     ["ltable", "--pair", "bcp:2", "--rmax", "7"],
     # a pair without a finite generating set: exit 2 with its message
     ["growth", "--pair", "bc"],
+    # an out directory that cannot be made: a usage error that names the
+    # path and writes nothing (a checkout without the check crashed with
+    # exit 1 after all its work)
+    ["growth", "--pair", "z:1", "--rmax", "2", "--out", "/dev/null/x"],
 ]
 
 
 def run(checkout: str, argv: list[str], out: str, specs: str) -> dict:
     """Run one command, with each input file name in ``argv`` read from
-    the dir ``specs``; its files, stdout, stderr and exit code."""
+    the dir ``specs`` and ``--out out`` unless ``argv`` gives one; its
+    files under ``out``, stdout, stderr and exit code."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     argv = [os.path.join(specs, a) if a in SPECS else a for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", out]
     proc = subprocess.run(
-        [sys.executable, "-m", "heckepairs.cli", *argv, "--out", out],
+        [sys.executable, "-m", "heckepairs.cli", *argv],
         cwd=out, env=env, capture_output=True, text=True)
     files = {}
     for root, _, names in os.walk(out):
