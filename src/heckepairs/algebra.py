@@ -303,22 +303,32 @@ def norms(f: HeckeElement) -> NormReport:
 def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
     """s -> ||f||_{s,l} for every s of the grid, with each class term
     c_d^2 R(d) and base 1 + l(d) computed once."""
+    return _weighted_norms(f, l, list(s_grid), {})
+
+
+def _weighted_norms(f: HeckeElement, l, s_grid: list, powers: dict) -> dict:
+    """``weighted_norms`` with the powers (1 + l(d))^(2s) over ``s_grid``
+    read from ``powers``, class -> list by grid point, and a class's list
+    computed there on its first use, so callers that pass one dict for one
+    l and one grid, as a profile does, compute each class's powers once.
+    Each norm sums w_d * base_d^(2s) over f's classes in order, one float
+    at a time, as the single-call loop does, so the floats are the same;
+    a class undefined under l raises before it is cached."""
     den_sq = f.den * f.den
-    terms = []
+    R = f.store.class_R
+    acc = [0.0] * len(s_grid)
     for d, n in f.num.items():
-        if not l.defined_on(d):
-            raise LengthUndefinedOnSupport(
-                f"length undefined on support class {d}")
+        p = powers.get(d)
+        if p is None:
+            if not l.defined_on(d):
+                raise LengthUndefinedOnSupport(
+                    f"length undefined on support class {d}")
+            base = 1.0 + float(l(d))
+            p = powers[d] = [base ** (2.0 * s) for s in s_grid]
         # int true division rounds once, as float(c * c * R) does
-        terms.append((n * n * f.store.class_R(d) / den_sq,
-                      1.0 + float(l(d))))
-    out = {}
-    for s in s_grid:
-        wsq = 0.0
-        for w, base in terms:
-            wsq += w * base ** (2.0 * s)
-        out[s] = math.sqrt(wsq)
-    return out
+        w = n * n * R(d) / den_sq
+        acc = [a + w * q for a, q in zip(acc, p)]
+    return {s: math.sqrt(a) for s, a in zip(s_grid, acc)}
 
 
 def power_moments(f: HeckeElement, n_max: int) -> list[Fraction]:

@@ -109,6 +109,22 @@ def _write(path: str, text: str) -> None:
         raise HeckeError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an out directory that cannot be made or
+    written: its nearest existing ancestor (itself, if it exists) must be
+    a writable directory.  Creates nothing."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        why = "is not a directory"
+    elif not os.access(path, os.W_OK | os.X_OK):
+        why = "is not writable"
+    else:
+        return
+    raise HeckeError(f"cannot write {os.path.join(out, '')}: {path} {why}")
+
+
 def write_json(path: str, obj: dict) -> None:
     _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n")
 
@@ -144,7 +160,8 @@ def run_pair_command(args) -> int:
     pair's store and hand it, with the config and the config's rd slice,
     to the subcommand's body, which enumerates what it reads, writes its
     artifacts under ``<out>/<command>_<pair>`` and returns the exit code.
-    The out directory is made with the first artifact, so bad input, or a
+    An out directory that cannot be made is refused before the store is,
+    and the directory is made with the first artifact, so bad input, or a
     pair the body refuses, writes nothing.  A body fills the report only
     after the work that can hit a cap.  On a cap hit the report is written
     as the body left it, with what the subcommand's ``on_cap`` adds from
@@ -160,6 +177,7 @@ def run_pair_command(args) -> int:
     check_domains(cfg, CONFIG_KEYS)
     pair = _resolve_pair(args)
     rd_cfg = {k: cfg[k] for k in RD_KEYS}
+    _check_out(args.out)
     base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"
                                   f"{_slug(pair.label)}")
     report = {"pair": pair.describe(), "seed": cfg["seed"],
@@ -261,6 +279,7 @@ def cmd_kesten(args, cfg, rd_cfg, store, base, report) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_verification
+    _check_out(args.out)
     checks = run_verification(include_golden=not args.no_golden)
     n_bad = 0
     for c in checks:

@@ -13,13 +13,18 @@ is one row of ``config.RD_KEYS``, its default and its domain; a library
 call's ``config`` is set and checked by the rule the CLI runs, so the
 code reads resolved values of their defaults' types.
 
-A truncated operator holds only its ball and its CSR arrays, gathered from
-one class table per store.  numpy is loaded by the class table, the
-operator and the power iteration.  Of scipy, the power iteration alone
-loads one compiled module, the sparse kernels ``_sparsetools``, straight
-from its file without the scipy or scipy.sparse package; it runs them on
-the operator's arrays and builds no sparse matrix.  A command that builds
-no truncated operator loads neither numpy nor any of scipy.
+A truncated operator holds only its ball, f's ints and its CSR arrays,
+gathered from one class table per store.  The table's code ->
+inverse-code map is an array grown in place, and the table keeps the
+last pattern it gave, so the test functions of one radius that share a
+support scan its block once.  Floats come from f's ints, n / den, never
+from Fractions; a profile computes each class's weighted-norm powers
+once.  numpy is loaded by the class table, the operator and the power
+iteration.  Of scipy, the power iteration alone loads one compiled
+module, the sparse kernels ``_sparsetools``, straight from its file
+without the scipy or scipy.sparse package; it runs them on the
+operator's arrays and builds no sparse matrix.  A command that builds no
+truncated operator loads neither numpy nor any of scipy.
 The exact references that check an operator (its exact matvec, symmetry,
 base column and moments) are test oracles, not library code.
 """
@@ -37,8 +42,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .algebra import (HeckeElement, involution, norms, power_moments,
-                      weighted_norms)
+from .algebra import (HeckeElement, _weighted_norms, involution, norms,
+                      power_moments)
 from .config import RD_DEFAULTS, RD_KEYS, check_domains, set_values
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
@@ -74,17 +79,20 @@ class TruncatedOperator:
 
     Stored in CSR form: row i holds the columns ``indices[indptr[i]:
     indptr[i + 1]]`` in increasing order, and each entry is the coefficient
-    ``coeffs[terms[k]]`` of one support class.  Row and column i are the
-    coset ``ball[i]``.  ``cols[j]`` is the exact column of the j-th ball
-    coset as (row index, coefficient) pairs; per column the row support is
-    bounded by sum_d R(d) over supp(f).  The operator keeps neither f nor
-    its store: the exact references that check it against them live with
-    the test oracles.
+    ``nums[terms[k]] / den`` of one support class.  Row and column i are
+    the coset ``ball[i]``.  The three index arrays are read-only: operators
+    of one support and radius share them.  ``coeffs`` and ``cols`` are
+    exact views, built on first read: the coefficients as Fractions, and
+    the column of the j-th ball coset as (row index, coefficient) pairs;
+    per column the row support is bounded by sum_d R(d) over supp(f).  The
+    operator keeps neither f nor its store: the exact references that
+    check it against them live with the test oracles.
     """
 
     radius: int
     ball: list[int]
-    coeffs: list[Fraction]      # c_d per support class, by class id
+    nums: list[int]     # f's numerator per support class, by class id
+    den: int            # f's denominator
     indptr: np.ndarray
     indices: np.ndarray
     terms: np.ndarray
@@ -92,6 +100,20 @@ class TruncatedOperator:
     @property
     def dim(self) -> int:
         return len(self.ball)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The float value of each stored entry, in CSR order: the
+        quotient n / den of f's ints, correctly rounded as
+        float(Fraction(n, den)) is, with no Fraction built."""
+        import numpy as np
+
+        den = self.den
+        return np.array([n / den for n in self.nums])[self.terms]
+
+    @cached_property
+    def coeffs(self) -> list[Fraction]:
+        return [Fraction(n, self.den) for n in self.nums]
 
     @cached_property
     def cols(self) -> list[list[tuple[int, Fraction]]]:
@@ -128,7 +150,14 @@ class _ClassTable:
     generator s.  A row copies its entries along those moves from the
     rows before it; only the entries that no generator reaches are read
     as class keys of products.  Neither names a class nor interns a
-    coset."""
+    coset.
+
+    The code -> inverse-code map is an int32 array, grown in place
+    (doubling) as codes are added, so a row's mirror is one gather.  The
+    table also keeps the last operator pattern that ``operator_matrix``
+    gathered from it, one entry: (dim, support class ids) -> (indptr,
+    indices, terms).  A block's entries never change as the table grows,
+    so that pattern stays valid."""
 
     def __init__(self, pair):
         import numpy as np
@@ -137,12 +166,18 @@ class _ClassTable:
         self.radius = -1
         self.codes = np.zeros((0, 0), dtype=np.int32)
         self.code_of: dict = {}       # class key -> code
-        self.inverse: list[int] = []  # code -> code of the inverse class
+        self._inverse = np.zeros(16, dtype=np.int32)  # code -> inverse code
+        self.pattern = None           # ((dim, support), (indptr, ...))
         self._invs: list = []         # rep(x_i)^{-1}
         # back[s, j]: ball position of H rep(x_j) s^{-1}, else _OFF_BALL
         self._back = None
         e = pair.identity()
         self._identity = self._code(pair.class_key(e), e)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The code of each code's inverse class, by code."""
+        return self._inverse[:len(self.code_of)]
 
     def _code(self, key, g) -> int:
         """Code of the class with key ``key``, of which ``g`` is one
@@ -150,10 +185,16 @@ class _ClassTable:
         inverting ``g``."""
         code = self.code_of.get(key)
         if code is None:
-            code = self.code_of[key] = len(self.inverse)
-            self.inverse.append(code)
+            code = self.code_of[key] = len(self.code_of)
+            if code == len(self._inverse):
+                import numpy as np
+
+                grown = np.empty(2 * code, dtype=np.int32)
+                grown[:code] = self._inverse
+                self._inverse = grown
             g_inv = self.pair.inv(g)
-            self.inverse[code] = self._code(self.pair.class_key(g_inv), g_inv)
+            self._inverse[code] = self._code(self.pair.class_key(g_inv),
+                                             g_inv)
         return code
 
     def _grown_back(self, store: CosetStore, n0: int, n: int):
@@ -204,7 +245,6 @@ class _ClassTable:
         back = self._grown_back(store, n0, n)
         codes = np.empty((n, n), dtype=np.int32)
         codes[:n0, :n0] = self.codes
-        inverse = np.array(self.inverse, dtype=np.int32)
         for i in range(n0, n):
             row = codes[i, :i]
             row.fill(-1)
@@ -223,9 +263,8 @@ class _ClassTable:
                     for k, code in enumerate(got):
                         if code is None:
                             got[k] = self._code(keys[k], mul(x, invs[left[k]]))
-                    inverse = np.array(self.inverse, dtype=np.int32)
                 row[left] = got
-            codes[:i, i] = inverse[row]
+            codes[:i, i] = self._inverse[row]
             codes[i, i] = self._identity
         self.codes, self._invs, self._back = codes, invs, back
         self.radius = radius
@@ -238,11 +277,13 @@ def operator_matrix(f: HeckeElement, radius: int) -> TruncatedOperator:
     Gathered from the class table of f's store (``store.class_table``),
     which is extended to ``radius`` first: each entry is the coefficient
     of its code's class.  The ball is the prefix of the store's BFS order
-    that the table rows follow, so the nonzeros of the gather come out in
-    row-major order.  A radius below 0 gives the empty operator, as the
-    ball of that radius is empty."""
-    import numpy as np
-
+    that the table rows follow, so one flat scan of the gathered block
+    gives the nonzeros in row-major order.  The pattern (indptr, indices,
+    terms) depends only on the ball's size and f's support, so the table
+    keeps the last one; a call with the same support and radius, as the
+    ball, random and signed test functions of one profile radius are,
+    reuses its arrays and only the coefficients differ.  A radius below 0
+    gives the empty operator, as the ball of that radius is empty."""
     store = f.store
     if radius > store.radius_complete:
         raise BallIncomplete(
@@ -252,24 +293,38 @@ def operator_matrix(f: HeckeElement, radius: int) -> TruncatedOperator:
         table = store.class_table = _ClassTable(store.pair)
     table.extend(store, radius)
     dim = store.ball_ends[radius] if radius >= 0 else 0
-    support = sorted(f.coeffs)
-    term = np.zeros(len(table.inverse), dtype=np.int32)   # code -> 1 + term
+    support = sorted(f.num)
+    key = (dim, support)
+    if table.pattern is not None and table.pattern[0] == key:
+        arrays = table.pattern[1]
+    else:
+        arrays = _pattern(table, store, dim, support)
+        for a in arrays:
+            a.flags.writeable = False
+        table.pattern = (key, arrays)
+    return TruncatedOperator(radius, store.ball[:dim],
+                             [f.num[d] for d in support], f.den, *arrays)
+
+
+def _pattern(table: _ClassTable, store: CosetStore, dim: int,
+             support: list[int]):
+    """(indptr, indices, terms) of the operators on the first ``dim``
+    ball cosets with the given sorted support: the block's nonzeros by
+    one ``flatnonzero`` over the gathered block, row-major, each row's
+    start found by ``searchsorted``."""
+    import numpy as np
+
+    term = np.zeros(len(table.code_of), dtype=np.int32)   # code -> 1 + term
     for k, d in enumerate(support):
         code = table.code_of.get(store.dcs[d].key)
         if code is not None:
             term[code] = k + 1
-    if term.any():
-        hit = term[table.codes[:dim, :dim]]
-        i, j = np.nonzero(hit)
-        terms = hit[i, j] - 1
-    else:
-        i = j = np.zeros(0, dtype=np.int64)
-        terms = np.zeros(0, dtype=np.int32)
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(i, minlength=dim), out=indptr[1:])
-    return TruncatedOperator(radius, store.ball[:dim],
-                             [f.coeffs[d] for d in support], indptr,
-                             j.astype(np.int32), terms)
+    hit = term[table.codes[:dim, :dim]].ravel()
+    flat = np.flatnonzero(hit)
+    step = max(dim, 1)
+    indptr = np.searchsorted(flat, np.arange(0, dim * dim + 1, step))
+    return (indptr.astype(np.int32), (flat % step).astype(np.int32),
+            hit[flat] - 1)
 
 
 _KERNELS = "scipy.sparse._sparsetools"
@@ -322,7 +377,8 @@ def truncated_norm(op: TruncatedOperator, tol: float = RD_DEFAULTS["rd.tol"],
     checks, and ``csc_matvec`` reads the CSR arrays of A as the CSC arrays
     of A^T, summing each entry over A's rows in ascending order, as the
     sorted rows of A^T in CSR form would.  So no transpose is built and
-    every float is that of the scipy-matrix iteration.  Each norm is
+    every float is that of the scipy-matrix iteration.  The entries are
+    ``op.data``, built from f's ints without a Fraction.  Each norm is
     math.sqrt(w.dot(w)), the float that np.linalg.norm returns for a 1-D
     float64 array, without its dispatch."""
     import numpy as np
@@ -332,7 +388,7 @@ def truncated_norm(op: TruncatedOperator, tol: float = RD_DEFAULTS["rd.tol"],
     n = op.dim
     if n == 0:
         return 0.0
-    data = np.array([float(c) for c in op.coeffs])[op.terms]
+    data = op.data
     indptr, indices = op.indptr, op.indices
     v = np.full(n, 1.0 / math.sqrt(n))
     # row of H: the ball is in BFS order, so H comes first
@@ -483,6 +539,10 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
     for d, v in l.values.items():
         shells.setdefault(max(0, math.ceil(float(v))), []).append(d)
 
+    # the weighted-norm grid, and each class's powers over it, computed
+    # once for the profile
+    grid = _s_grid(cfg)
+    powers: dict[int, list[float]] = {}
     best: dict[int, tuple[float, str]] = {}
     ball_classes: list[int] = []
     for r in range(r_max + 1):
@@ -503,7 +563,8 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
         for family, nonneg, f in fams:
             if not f:
                 continue
-            rec = _test_record(r, family, nonneg, f, l, profile)
+            rec = _test_record(r, family, nonneg, f, l, grid, powers,
+                               profile)
             profile.records.append(rec)
             if nonneg and (r not in best or rec.ratio > best[r][0]):
                 best[r] = (rec.ratio, family)
@@ -544,7 +605,7 @@ def _truncation_radius(f: HeckeElement, want: int, budget: int) -> int:
     moves copy most and class-key products fill the rest.  It is kept so
     that reports stay the same."""
     store = f.store
-    supp = sum(store.class_R(d) for d in f.coeffs)
+    supp = sum(store.class_R(d) for d in f.num)
     radius = 0
     for rr in range(1, min(want, store.radius_complete) + 1):
         if store.ball_ends[rr] * supp > budget:
@@ -553,9 +614,11 @@ def _truncation_radius(f: HeckeElement, want: int, budget: int) -> int:
     return radius
 
 
-def _test_record(r, family, nonneg, f, l, profile) -> RdTestRecord:
-    """Both lower bounds, the weighted norms and l2 of one test function,
-    under the profile's config.  A cap hit on either bound zeroes that
+def _test_record(r, family, nonneg, f, l, grid, powers,
+                 profile) -> RdTestRecord:
+    """Both lower bounds, the weighted norms over ``grid`` (with the
+    profile's class powers ``powers``) and l2 of one test function, under
+    the profile's config.  A cap hit on either bound zeroes that
     bound and marks the profile partial; a truncation radius the budget
     clips is warned of, and so is a power iteration that hits its
     iteration cap, whose ConvergenceWarning goes into the report instead
@@ -582,7 +645,7 @@ def _test_record(r, family, nonneg, f, l, profile) -> RdTestRecord:
         except CapExceeded as exc:
             profile.partial = True
             _warn(profile, f"moments skipped at r={r}: {exc}")
-    weighted = weighted_norms(f, l, _s_grid(cfg))
+    weighted = _weighted_norms(f, l, grid, powers)
     l2 = norms(f).l2
     lower = max(trunc, root)
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,

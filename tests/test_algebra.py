@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckepairs as hp
@@ -99,6 +99,44 @@ def test_norm_examples():
     short = word_length(hp.enumerate_ball(get_pair("z:1"), 1))
     with pytest.raises(LengthUndefinedOnSupport):
         weighted_norms(missing, short, [1.0])[1.0]
+
+
+def test_undefined_length_raises_after_other_powers_are_cached():
+    # the profile's power cache holds only classes with a length: a class
+    # without one raises on every call, whatever else is cached
+    store = hp.enumerate_ball(get_pair("z:1"), 3)
+    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1))
+    near = z_delta(store, -1) + z_delta(store, 0) + z_delta(store, 1)
+    far = near + z_delta(store, 3)
+    grid = [0.0, 0.5, 2.0]
+    powers: dict = {}
+    assert (algebra._weighted_norms(near, short, grid, powers)
+            == weighted_norms(near, short, grid))
+    assert sorted(powers) == sorted(near.num)
+    for _ in range(2):
+        with pytest.raises(LengthUndefinedOnSupport):
+            algebra._weighted_norms(far, short, grid, powers)
+        assert sorted(powers) == sorted(near.num)
+
+
+@given(st.integers(-2**1100, 2**1100), st.integers(1, 2**1100))
+@example(10**400, 1)
+@example(-10**400, 3)
+@example(1, 10**400)
+@example(2**1024 - 2**970, 1)
+@example(2**1024 - 2**970 - 1, 1)
+@settings(max_examples=300, deadline=None)
+def test_int_quotient_is_the_fraction_float(n, den):
+    # n / den is correctly rounded, as float(Fraction(n, den)) is: the
+    # truncated operator's data and the weighted norms build no Fraction.
+    # A quotient past the float range raises OverflowError in both
+    try:
+        want = float(Q(n, den))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            n / den
+        return
+    assert n / den == want
 
 
 def test_s3_norm_from_R():

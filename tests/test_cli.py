@@ -197,6 +197,50 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+def test_unwritable_out_is_refused_before_the_checks(tmp_path, capsys):
+    # verify runs none of its checks, so prints no PASS line, when its out
+    # directory cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["verify", "--no-golden", "--out",
+                 str(blocker / "out")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert f"{blocker} is not a directory" in captured.err
+
+
+@pytest.mark.parametrize("out", ["file/out", "file/a/b", "file"])
+def test_unwritable_out_is_refused_before_the_profile(tmp_path, capsys,
+                                                      monkeypatch, out):
+    # the nearest existing ancestor of --out is checked before the store
+    # is made: rd_profile is never called and nothing is created
+    from heckepairs import rd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rd_profile ran")
+
+    monkeypatch.setattr(rd, "rd_profile", refuse)
+    (tmp_path / "file").write_text("")
+    assert main(["rd-profile", "--pair", "z:2", "--rmax", "10",
+                 "--out", str(tmp_path / out)]) == EXIT_USAGE
+    assert "is not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_read_only_out_is_refused_before_the_work(tmp_path, capsys,
+                                                  monkeypatch):
+    # an existing ancestor that is a directory but not writable is refused
+    # as well, naming it
+    from heckepairs import rd
+
+    monkeypatch.setattr(rd, "rd_profile", None)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main(["rd-profile", "--pair", "z:1", "--out",
+                 str(tmp_path / "a" / "b")]) == EXIT_USAGE
+    assert f"{tmp_path} is not writable" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_snapshot_schema(tmp_path):
     out = tmp_path / "o"
     assert main(["enumerate", "--pair", "psl2z1p:2", "--rmax", "2",

@@ -30,8 +30,9 @@ from heckepairs.rd import (RdProfile, RdTestRecord, kesten_diagnostic,
 
 from oracles import (base_column_matches_f, brute_operator_matrix,
                      central_trinomial, direct_class_table, entries_to_csr,
-                     exact_truncated_moment, is_symmetric, off_domain,
-                     operator_entries, reference_truncated_norm, to_csr)
+                     exact_truncated_moment, fraction_weighted_norms,
+                     is_symmetric, off_domain, operator_entries,
+                     reference_truncated_norm, to_csr)
 
 
 def z_delta(store, n):
@@ -311,6 +312,113 @@ def test_class_table_pays_few_products(monkeypatch, label, radius, share):
     products = calls[0] - (len(table.inverse) - codes)
     dim = store.ball_ends[radius]
     assert 0 < products <= share * dim * (dim - 1) / 2
+
+
+@pytest.fixture(scope="module", params=[("z:2", 10), ("psl2z1p:2", 5)],
+                ids=["z:2", "psl2z1p:2"])
+def profiled(request):
+    """One default profile of the pair to r_max: its store, each operator
+    it built as (f, radius, op), and each record with its f, length and
+    grid."""
+    label, r_max = request.param
+    store = hp.CosetStore(get_pair(label))
+    ops, records = [], []
+    real_operator, real_record = rd.operator_matrix, rd._test_record
+
+    def operator(f, radius):
+        ops.append((f, radius, real_operator(f, radius)))
+        return ops[-1][2]
+
+    def record(r, family, nonneg, f, l, grid, powers, profile):
+        rec = real_record(r, family, nonneg, f, l, grid, powers, profile)
+        records.append((f, l, list(grid), rec))
+        return rec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rd, "operator_matrix", operator)
+        mp.setattr(rd, "_test_record", record)
+        rd_profile(store, None, r_max, seed=1)
+    return store, ops, records
+
+
+def fraction_data(op):
+    return np.array([float(c) for c in op.coeffs])[op.terms]
+
+
+def test_profile_operators_equal_cold_builds(profiled):
+    # the ball, random and signed functions of one radius share one
+    # pattern; each shared or fresh build must equal a build on a new
+    # table and the CSR of the direct class-key fill, array for array
+    store, ops, _ = profiled
+    dim_max = max(op.dim for _, _, op in ops)
+    radius_max = max(r for _, r, op in ops if op.dim == dim_max)
+    keys = direct_class_table(store, radius_max)
+    key_id: dict = {}
+    direct = np.array([[key_id.setdefault(k, len(key_id)) for k in row]
+                       for row in keys], dtype=np.int64)
+    shared = 0
+    for n, (f, radius, op) in enumerate(ops):
+        table = store.class_table
+        store.class_table = rd._ClassTable(store.pair)
+        try:
+            cold = operator_matrix(f, radius)
+        finally:
+            store.class_table = table
+        term = np.zeros(len(key_id), dtype=np.int64)
+        for k, d in enumerate(sorted(f.num)):
+            if store.dcs[d].key in key_id:
+                term[key_id[store.dcs[d].key]] = k + 1
+        hit = term[direct[:op.dim, :op.dim]]
+        rows, cols = np.nonzero(hit)
+        want = {"indptr": np.concatenate(
+                    ([0], np.cumsum(np.bincount(rows, minlength=op.dim)))),
+                "indices": cols, "terms": hit[rows, cols] - 1,
+                "data": fraction_data(op)}
+        for attr, value in want.items():
+            got = getattr(op, attr)
+            assert got.shape == value.shape and (got == value).all(), attr
+            again = getattr(cold, attr)
+            assert again.dtype == got.dtype, attr
+            assert again.shape == got.shape and (again == got).all(), attr
+        assert op.nums == cold.nums and op.den == cold.den
+        assert op.indptr.dtype == op.indices.dtype == np.int32
+        assert op.terms.dtype == np.int32
+        shared += n > 0 and op.indptr is ops[n - 1][2].indptr
+    assert shared > 0
+    f, radius, op = ops[-1]
+    assert store.class_table.pattern[0] == (op.dim, sorted(f.num))
+    assert store.class_table.pattern[1] == (op.indptr, op.indices, op.terms)
+
+
+def test_the_table_keeps_one_pattern():
+    # one slot: a second support replaces the first pattern, a repeat of
+    # it shares the arrays, and shared arrays are read-only
+    store = hp.enumerate_ball(get_pair("z:1"), 4)
+    a = operator_matrix(z_walk(store), 3)
+    table = store.class_table
+    assert table.pattern[1] == (a.indptr, a.indices, a.terms)
+    b = operator_matrix(z_walk(store), 3)
+    assert all(x is y for x, y in zip(table.pattern[1],
+                                      (b.indptr, b.indices, b.terms)))
+    assert b.indptr is a.indptr and b.terms is a.terms
+    with pytest.raises(ValueError):
+        b.indices[0] = 0
+    c = operator_matrix(z_walk(store), 4)
+    assert c.indptr is not a.indptr and len(table.pattern) == 2
+    assert table.pattern[0] == (c.dim, sorted(z_walk(store).num))
+    d = operator_matrix(identity_element(store), 4)
+    assert table.pattern[0] == (d.dim, [store.identity_class()])
+    assert d.indices.tolist() == list(range(d.dim))
+
+
+def test_profile_weighted_norms_equal_the_fraction_oracle(profiled):
+    # the profile computes each class's powers once; every record's norms
+    # are still the floats of the Fraction loop
+    _, _, records = profiled
+    assert records
+    for f, l, grid, rec in records:
+        assert rec.weighted_norms == fraction_weighted_norms(f, l, grid)
+        assert rec.weighted_norms == algebra.weighted_norms(f, l, grid)
 
 
 @pytest.mark.parametrize("label,r_max", [("z:1", 8), ("z:2", 4),
