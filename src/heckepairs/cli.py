@@ -5,10 +5,10 @@ The five pair subcommands share one runner, ``run_pair_command``: it
 resolves the run config (no other command reads one), makes the pair's
 store, calls the subcommand's body, and on a cap hit writes the body's
 JSON report marked partial.  verify takes only ``--out`` and
-``--no-golden`` and echoes the default config.  Each body enumerates what
-it reads: enumerate, ltable and kesten the radius-rmax Schreier ball,
-rd-profile its padded ball, and growth no ball at all, since its series
-comes from the class-level word-length search.
+``--no-golden`` and echoes the default config.  Each body enumerates the
+Schreier ball it reads: enumerate and ltable to rmax, kesten to
+min(rmax, kesten.trunc_radius), rd-profile to rmax + rd.pad, growth none;
+word lengths come from the class-level search, to rmax.
 Each settable value is declared once, with its default and its domain,
 in ``CONFIG_KEYS``, whose rd.* and kesten.* rows are ``config.RD_KEYS``;
 ``config.set_values`` sets each value of the file, ``--set`` and the flags,
@@ -209,7 +209,7 @@ def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
     from .lengths import characteristic_length, word_length
     store.enumerate_to(args.rmax)
     pair = store.pair
-    lw = word_length(store)
+    lw = word_length(store, args.rmax)
     try:
         lc = characteristic_length(store)
     except NotRelativelyUnimodular:
@@ -219,12 +219,11 @@ def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
     for d in store.classes_in_ball(args.rmax):
         row = [d, pair.render(store.reps[store.dcs[d].rep_cid]),
                store.class_L(d), store.class_R(d), store.class_delta(d)]
-        l_word = lw.values.get(d)
+        # a coset at BFS depth k lies in a class of word length <= k
+        l_word = lw(d)
         l_char = lc.values[d] if lc is not None else None
         classes.append(dict(zip(header, row + [l_word, l_char])))
-        # the CSV writes a missing length as "" (l_word) or "NA" (l_char)
-        rows.append(row + ["" if l_word is None else l_word,
-                           "NA" if l_char is None else l_char])
+        rows.append(row + [l_word, "NA" if l_char is None else l_char])
     write_csv(base + ".csv", header, rows)
     report["classes"] = classes
     report["characteristic_length_available"] = lc is not None
@@ -254,8 +253,7 @@ def _growth_so_far(store, report) -> None:
 
 def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
     from .rd import rd_profile
-    profile = rd_profile(store, None, args.rmax, config=rd_cfg,
-                         seed=cfg["seed"])
+    profile = rd_profile(store, args.rmax, config=rd_cfg, seed=cfg["seed"])
     report["profile"] = profile
     write_json(base + ".json", report)
     write_csv(base + ".csv", ["r", "best_ratio", "witness"],
@@ -268,7 +266,7 @@ def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
 
 def cmd_kesten(args, cfg, rd_cfg, store, base, report) -> int:
     from .rd import kesten_diagnostic
-    store.enumerate_to(args.rmax)
+    store.enumerate_to(min(args.rmax, rd_cfg["kesten.trunc_radius"]))
     report_obj = kesten_diagnostic(store, config=rd_cfg)
     report["kesten"] = report_obj
     write_json(base + ".json", report)

@@ -8,7 +8,7 @@ the store's class-level search (``CosetStore.word_lengths``) yields by
 depth r_max, whether or not they meet a Schreier ball (on bcp:2 some do
 not), so the series needs no enumerated ball; for other lengths small
 values could hide outside any finite ball, so the class route requires an
-exhausted coset space.
+exhausted coset space, and its series is classified without the store.
 
 The growth type is read from the shortest recurrence of the ball series
 (Berlekamp-Massey), found on a prefix and checked in ints on every later
@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Optional, Union
 
 from .cosets import CapExceeded, CosetStore
-from .errors import BallIncomplete
+from .errors import BallIncomplete, HeckeError
 from .lengths import LengthFunction
 
 __all__ = ["GrowthSeries", "GrowthVerdict", "growth_series",
@@ -52,6 +52,8 @@ def growth_series(store: CosetStore, r_max: int,
     """G(r) = number of right cosets with length <= r, for r = 0..r_max.
     The word length (``l`` None or of kind word-schreier) is read from the
     store's class search, resumed to depth r_max."""
+    if r_max < 0:
+        raise HeckeError(f"growth needs r_max >= 0, got {r_max}")
     if l is None or l.kind == "word-schreier":
         kind, values = "word-schreier", store.word_lengths(r_max)
     elif not store.saturated:
@@ -93,7 +95,11 @@ def classify_growth(series: GrowthSeries,
     and at most max(r_max, 32).  It resumes one depth at a time and reads
     inconclusive once it has named more than the class budget,
     max(64 N, 10,000) for the N classes of word length <= r_max, or on a
-    cap hit."""
+    cap hit.  A store given with a series of another length is refused."""
+    if not series.radii:
+        raise HeckeError("growth series has no radii")
+    if store is not None and series.kind != "word-schreier":
+        raise HeckeError(f"a store reads the word length, not {series.kind}")
     r_max = depth = series.radii[-1]
     ball = series.ball
     if store is not None:

@@ -4,7 +4,8 @@ A length function on a pair is bi-H-invariant, so it lives on double
 cosets: ``LengthFunction.values`` maps class ids to nonnegative values
 (exact rationals for the word and indicator lengths, floats for the
 logarithmic characteristic length, which also carries its integer base
-for exact submultiplicativity checks).
+for exact submultiplicativity checks).  The word length is tabulated by
+the class search, to the radius its caller names.
 """
 
 from __future__ import annotations
@@ -60,27 +61,23 @@ class LengthFunction:
         return dcid in self.values or self.extend is not None
 
 
-def word_length(store: CosetStore) -> LengthFunction:
-    """Word length of the pair: l(d) = least n with d inside the n-fold
-    product of H S-hat H, read off the store's class-level search
-    (``CosetStore.word_lengths``) up to the enumerated radius.  From a
-    class d the search steps to the classes of x t_j, for one coset Hx of
-    d and the left-coset representatives t_j of each generator class s:
-    those classes are exactly supp(T_d * T_s), so no member coset of d is
-    visited, and counting the x t_j per class gives the class sizes L and
-    R on the way.
+def word_length(store: CosetStore, r: int) -> LengthFunction:
+    """Word length of the pair on the classes of word length <= r: l(d) =
+    least n with d inside the n-fold product of H S-hat H, read off the
+    store's class-level search (``CosetStore.word_lengths``), resumed to
+    depth r; it enumerates no Schreier ball.  From a class d the search
+    steps to the classes of x t_j, for one coset Hx of d and the left-coset
+    representatives t_j of each generator class s: those classes are
+    exactly supp(T_d * T_s), so no member coset of d is visited, and
+    counting the x t_j per class gives the class sizes L and R on the way.
 
     This is the word length of the pair's coset completion with respect to
     the compact set H S-hat, and it satisfies the length axioms exactly;
     plain per-coset Schreier depth minimized over a class can fail
     subadditivity (H-moves in the middle of a word are free here, not
-    there).  Values are produced for every class within the store's
-    enumerated radius."""
-    if store.radius_complete < 0:
-        raise EmptyStore("enumerate before asking for word length")
-    found = store.word_lengths(store.radius_complete)
-    return LengthFunction("word-schreier",
-                          {d: Fraction(n) for d, n in found.items()})
+    there)."""
+    return LengthFunction("word-schreier", {
+        d: Fraction(n) for d, n in store.word_lengths(r).items()})
 
 
 def characteristic_length(store: CosetStore,

@@ -8,10 +8,11 @@ The norm of the truncated operator P_R lambda(f) P_R is a float, ||Av||
 for the float unit vector v that power iteration ends on, so it is a lower
 bound only up to rounding.  For relatively unimodular pairs the l1 norm is
 an upper bound.  Verdicts are threshold reports over those raw numbers;
-the thresholds live in the config echoed into every report.  Each setting
-is one row of ``config.RD_KEYS``, its default and its domain; a library
-call's ``config`` is set and checked by the rule the CLI runs, so the
-code reads resolved values of their defaults' types.
+the thresholds live in the config echoed into every report.  A profile
+reads word lengths only to its r_max.  Each setting is one row of
+``config.RD_KEYS``, its default and its domain; a library call's
+``config`` is set and checked by the rule the CLI runs, so the code reads
+resolved values of their defaults' types.
 
 A truncated operator holds only its ball, f's ints and its CSR arrays,
 gathered from one class table per store.  The table's code ->
@@ -48,7 +49,7 @@ from .config import RD_DEFAULTS, RD_KEYS, check_domains, set_values
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, StoreMismatch)
-from .lengths import LengthFunction, linfit, word_length
+from .lengths import linfit, word_length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -506,11 +507,11 @@ def _symmetrized_random(store: CosetStore, classes: list[int], rng,
     return HeckeElement(store, coeffs)
 
 
-def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
-               config: Optional[dict] = None, seed: int = 0) -> RdProfile:
+def rd_profile(store: CosetStore, r_max: int, config: Optional[dict] = None,
+               seed: int = 0) -> RdProfile:
     """Best norm-to-l2 ratios over families of test functions supported in
-    the radius-r balls, with weighted-norm stability fits, for the store's
-    pair.
+    the word-length balls of radius r <= r_max (the class search runs to
+    r_max), with weighted-norm stability fits, for the store's pair.
 
     A non-unimodular pair short-circuits to the obstruction verdict: no
     ratio data can rescue property (RD) there.  The verdict is the
@@ -526,18 +527,15 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
         profile.verdict = "obstructed-nonunimodular"
         return profile
 
-    pad = cfg["rd.pad"]
-    store.enumerate_to(r_max + pad)
-    if l is None:
-        l = word_length(store)
+    store.enumerate_to(r_max + cfg["rd.pad"])
+    l = word_length(store, r_max)
     rng = random.Random(seed)
-    ball_size = len(store.ball)
 
     # the ball of radius r holds the classes with l <= r, and its shell
-    # those it adds to the ball of radius r - 1
+    # those of length r
     shells: dict[int, list[int]] = {}
     for d, v in l.values.items():
-        shells.setdefault(max(0, math.ceil(float(v))), []).append(d)
+        shells.setdefault(int(v), []).append(d)
 
     # the weighted-norm grid, and each class's powers over it, computed
     # once for the profile
@@ -570,7 +568,7 @@ def rd_profile(store: CosetStore, l: Optional[LengthFunction], r_max: int,
                 best[r] = (rec.ratio, family)
 
     profile.best = [BestRatio(r, v, w) for r, (v, w) in sorted(best.items())]
-    floor = 1.0 / math.sqrt(ball_size)
+    floor = 1.0 / math.sqrt(len(store.ball))
     for b in profile.best:
         if b.ratio < floor:
             profile.warnings.append(

@@ -196,7 +196,7 @@ def _check_learned_sizes() -> list[CheckResult]:
     for label in LAW_PAIRS:
         pair = get_pair(label)
         store = enumerate_ball(pair, 2)
-        searched = word_length(store).values
+        searched = word_length(store, 2).values
         wrong = []
         for d in searched:
             obj = store.dcs[d]

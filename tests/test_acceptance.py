@@ -122,7 +122,7 @@ def test_criterion_04_rd_obstruction_deterministic():
         outcomes = []
         for _ in range(3):
             store = hp.CosetStore(pair)
-            outcomes.append(rd_profile(store, None, 6, seed=0))
+            outcomes.append(rd_profile(store, 6, seed=0))
         assert outcomes[0].verdict == "obstructed-nonunimodular"
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
@@ -203,7 +203,7 @@ def test_criterion_08_estimator_coherence_everywhere():
             pair = get_pair(label)
             store = hp.enumerate_ball(pair, PROFILE_RMAX[label])
             unimod = unimodularity_check(pair)
-            prof = rd_profile(store, None, PROFILE_RMAX[label] - 2, seed=0)
+            prof = rd_profile(store, PROFILE_RMAX[label] - 2, seed=0)
             if not unimod.verdict:
                 assert prof.verdict == "obstructed-nonunimodular"
             # default symmetrized ball-1 test function
@@ -253,7 +253,8 @@ def test_criterion_09_length_function_suite():
             r, half = LENGTH_RADII[label]
             pair = get_pair(label)
             store = hp.enumerate_ball(pair, r)
-            assert check_length_axioms(store, word_length(store), half) == []
+            assert check_length_axioms(store, word_length(store, r),
+                                       half) == []
             assert check_length_axioms(store, indicator_length(store), half) == []
             if unimodularity_check(pair).verdict:
                 lc = characteristic_length(store)
@@ -281,17 +282,17 @@ def test_criterion_09_length_function_suite():
 def test_criterion_10_rd_compatibility_shadows():
     with criterion(10, "RD compatibility shadows"):
         z1 = hp.enumerate_ball(get_pair("z:1"), 22)
-        p1 = rd_profile(z1, None, 20, seed=0)
+        p1 = rd_profile(z1, 20, seed=0)
         assert p1.verdict == "polynomial-compatible"
         assert p1.s_hat is not None and p1.c_hat is not None
 
         z2 = hp.enumerate_ball(get_pair("z:2"), 12)
-        p2 = rd_profile(z2, None, 10, seed=0)
+        p2 = rd_profile(z2, 10, seed=0)
         assert p2.verdict == "polynomial-compatible"
         assert p2.s_hat is not None and p2.c_hat is not None
 
         psl = hp.enumerate_ball(get_pair("psl2z1p:2"), 6)
-        pp = rd_profile(psl, None, 5, seed=0,
+        pp = rd_profile(psl, 5, seed=0,
                         config={"rd.pad": 1, "rd.n_random": 1,
                                 "rd.max_matrix_cost": 500_000})
         assert pp.unimodular

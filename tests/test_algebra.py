@@ -85,7 +85,7 @@ def test_norm_examples():
     ident = identity_element(store)
     rep = norms(ident)
     assert rep.l1_exact == 1 and rep.l2_sq_exact == 1
-    lw = word_length(store)
+    lw = word_length(store, 3)
     assert weighted_norms(ident, lw, [2.0])[2.0] == pytest.approx(1.0)
 
     f = z_delta(store, -1) + z_delta(store, 0) + z_delta(store, 1)
@@ -96,7 +96,7 @@ def test_norm_examples():
 
     missing = HeckeElement(store, {store.dc(store.lookup(
         store.pair.parse("zvec 3"))): Q(1)})
-    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1))
+    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1), 1)
     with pytest.raises(LengthUndefinedOnSupport):
         weighted_norms(missing, short, [1.0])[1.0]
 
@@ -105,7 +105,7 @@ def test_undefined_length_raises_after_other_powers_are_cached():
     # the profile's power cache holds only classes with a length: a class
     # without one raises on every call, whatever else is cached
     store = hp.enumerate_ball(get_pair("z:1"), 3)
-    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1))
+    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1), 1)
     near = z_delta(store, -1) + z_delta(store, 0) + z_delta(store, 1)
     far = near + z_delta(store, 3)
     grid = [0.0, 0.5, 2.0]
@@ -381,7 +381,7 @@ def test_structure_constants_mirrored_miscount_caches_neither_side(
     # short there breaks the mirror's degree identity, and neither
     # orientation is cached
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
-    by_level = {int(v): d for d, v in word_length(store).values.items()}
+    by_level = {int(v): d for d, v in word_length(store, 2).values.items()}
     d1, d2 = by_level[1], by_level[2]
     mirror = (store.class_inverse(d2), store.class_inverse(d1))
     store.word_lengths(3)      # the support is sized, so only counts run
@@ -467,7 +467,7 @@ def test_structure_constants_build_no_members(monkeypatch):
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
     pair = store.pair
     classes = store.classes_in_ball(3)
-    lw = word_length(store)
+    lw = word_length(store, 3)
     by_level = {int(v): d for d, v in lw.values.items()}
     muls = [0]
     paused = [False]
@@ -558,7 +558,7 @@ def kernel_store(label):
     if label not in KERNEL_STORES:
         store = hp.enumerate_ball(get_pair(label), 3)
         KERNEL_STORES[label] = (store, store.classes_in_ball(3),
-                                word_length(store))
+                                word_length(store, 3))
     return KERNEL_STORES[label]
 
 

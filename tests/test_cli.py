@@ -38,27 +38,35 @@ def test_ltable_s3(tmp_path):
     assert [c[2:5] for c in cells] == [["1", "1", "1"], ["2", "2", "1"]]
 
 
+# the radii each pair's table is written at
+LTABLE_RADII = {"psl2z1p:2": (2,), "bcp:2": (2, 8), "s4-h12": (4,)}
+
+
 @pytest.mark.parametrize("label,unimodular", [("psl2z1p:2", True),
-                                               ("bcp:2", False)])
+                                               ("bcp:2", False),
+                                               ("s4-h12", True)])
 def test_ltable_json_carries_native_values(tmp_path, label, unimodular):
     # the JSON writes l_char as a float or null and l_word as a Fraction
-    # string; the CSV keeps its formatted text and its "NA"
-    out = tmp_path / "o"
-    assert main(["ltable", "--pair", label, "--rmax", "2",
-                 "--out", str(out)]) == EXIT_OK
+    # string; the CSV keeps its formatted text and its "NA".  Every ball
+    # class has a word length <= rmax, its coset's BFS depth bounding it
     slug = label.replace(":", "-")
-    report = json.loads(read(out / f"ltable_{slug}.json"))
-    rows = read(out / f"ltable_{slug}.csv").strip().splitlines()[1:]
-    assert report["characteristic_length_available"] is unimodular
-    assert len(report["classes"]) == len(rows) > 2
-    for row, line in zip(report["classes"], rows):
-        cells = line.split(",")
-        assert row["l_word"] == cells[5] and row["l_word"] in ("0", "1", "2")
-        if unimodular:
-            assert isinstance(row["l_char"], float)
-            assert format(row["l_char"], ".12g") == cells[6]
-        else:
-            assert row["l_char"] is None and cells[6] == "NA"
+    for rmax in LTABLE_RADII[label]:
+        out = tmp_path / str(rmax)
+        assert main(["ltable", "--pair", label, "--rmax", str(rmax),
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(read(out / f"ltable_{slug}.json"))
+        rows = read(out / f"ltable_{slug}.csv").strip().splitlines()[1:]
+        assert report["characteristic_length_available"] is unimodular
+        assert len(report["classes"]) == len(rows) > 2
+        for row, line in zip(report["classes"], rows):
+            cells = line.split(",")
+            assert row["l_word"] == cells[5]
+            assert row["l_word"] in [str(k) for k in range(rmax + 1)]
+            if unimodular:
+                assert isinstance(row["l_char"], float)
+                assert format(row["l_char"], ".12g") == cells[6]
+            else:
+                assert row["l_char"] is None and cells[6] == "NA"
 
 
 def test_growth_z2_formula(tmp_path):
@@ -261,6 +269,26 @@ def test_kesten_artifact(tmp_path):
     assert report["kesten"]["amenability_index"] == pytest.approx(1.0, abs=1e-6)
     assert report["kesten"]["moments"]           # exact rationals as strings
     assert report["kesten"]["warnings"] == []
+
+
+def test_kesten_enumerates_only_its_truncation_radius(tmp_path,
+                                                      monkeypatch):
+    # kesten reads the ball of radius kesten.trunc_radius (6) at most, so
+    # rmax 12 enumerates no further and writes the bytes of rmax 6
+    asked = []
+    enumerate_to = CosetStore.enumerate_to
+
+    def recorded(store, r_max):
+        asked.append(r_max)
+        return enumerate_to(store, r_max)
+
+    monkeypatch.setattr(CosetStore, "enumerate_to", recorded)
+    for rmax in ("12", "6"):
+        assert main(["kesten", "--pair", "psl2z1p:2", "--rmax", rmax,
+                     "--out", str(tmp_path / rmax)]) == EXIT_OK
+    assert asked and max(asked) == 6
+    assert read(tmp_path / "12" / "kesten_psl2z1p-2.json") \
+        == read(tmp_path / "6" / "kesten_psl2z1p-2.json")
 
 
 def test_determinism_byte_identical(tmp_path):

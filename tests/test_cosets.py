@@ -445,7 +445,7 @@ def test_bcp_class_search_sizes_every_class_without_orbits(label, radius,
                         lambda store, start: built.append(start))
     pair = get_pair(label)
     store = enumerate_ball(pair, radius)
-    lw = hp.word_length(store)
+    lw = hp.word_length(store, radius)
     assert built == [] and all(o.member_cids is None for o in store.dcs)
     assert sorted(lw.values) == list(range(len(store.dcs)))
     sizes = {d: (store.dcs[d].L, store.dcs[d].R) for d in lw.values}
@@ -466,18 +466,28 @@ def test_class_ids_do_not_depend_on_the_ball(label):
     # enumerated first, the search names the same classes the same way
     r = 8
 
-    def triples(radius):
+    def store_at(radius):
         pairs = [get_pair(part) for part in label.split("*")]
         store = hp.CosetStore(ProductPair(*pairs) if len(pairs) == 2
                               else pairs[0])
         if radius is not None:
             store.enumerate_to(radius)
+        return store
+
+    def triples(radius):
+        store = store_at(radius)
         return [(d, store.dcs[d].key, n)
                 for d, n in sorted(store.word_lengths(r).items())]
 
     bare = triples(None)
     for radius in (r - 3, r, r + 2):
         assert triples(radius) == bare, radius
+    # the word length at radius r is the search's, on a bare store as on
+    # one enumerated to r, and it enumerates nothing
+    store = store_at(None)
+    assert hp.word_length(store, r).values \
+        == hp.word_length(store_at(r), r).values
+    assert store.radius_complete == -1
 
 
 @pytest.mark.parametrize("label,radius", [

@@ -32,7 +32,7 @@ def test_tree_norms_of_the_shells():
 @pytest.mark.parametrize("label,p,r_max", TREES)
 def test_rd_profile_bounds_stay_below_the_exact_norms(label, p, r_max):
     store = CosetStore(get_pair(label))
-    profile = rd_profile(store, None, r_max, config={"rd.n_random": 0})
+    profile = rd_profile(store, r_max, config={"rd.n_random": 0})
     wl = store.word_lengths(r_max)
     # one class per word length k, the tree's level k
     assert sorted(store.dcs[d].key for d in wl) == list(range(r_max + 1))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import heckepairs as hp
-from heckepairs.errors import BallIncomplete
+from heckepairs.errors import BallIncomplete, HeckeError
 from heckepairs.growth import GrowthSeries, classify_growth, growth_series
 from heckepairs.groups import get_pair
 from heckepairs.lengths import characteristic_length
@@ -114,6 +114,30 @@ def test_growth_with_characteristic_length_needs_saturation():
     lc3 = characteristic_length(s3)
     series = growth_series(s3, 2, lc3)
     assert series.ball[-1] == 3
+
+
+@pytest.mark.parametrize("label,rmax,kind", [
+    ("s3-h12", 0, "inconclusive"), ("s3-h12", 2, "polynomial"),
+    ("s4-h12", 1, "inconclusive"), ("s4-h12", 3, "polynomial")])
+def test_classify_reads_the_series_it_is_given(label, rmax, kind):
+    # with its store, a characteristic-length series was read through the
+    # store's word-length search: "finite" at the smaller rmax, a degree-0
+    # recurrence at the larger.  That is refused; alone, the series reads
+    # as given
+    store = hp.enumerate_ball(get_pair(label), 6)
+    series = growth_series(store, rmax, characteristic_length(store))
+    with pytest.raises(HeckeError, match="word length, not characteristic"):
+        classify_growth(series, store)
+    assert classify_growth(series).kind == kind
+
+
+def test_negative_radius_is_refused():
+    store = hp.CosetStore(get_pair("z:1"))
+    with pytest.raises(HeckeError, match="r_max >= 0, got -1"):
+        growth_series(store, -1)
+    with pytest.raises(HeckeError, match="no radii"):
+        classify_growth(GrowthSeries([], [], [], "word-schreier"), store)
+    assert store.class_search_depth == -1
 
 
 def test_classify_inconclusive_on_thin_data():

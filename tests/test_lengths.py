@@ -17,14 +17,14 @@ from heckepairs.lengths import (AveragedLength, LengthFunction,
 
 def test_word_length_examples():
     z = hp.enumerate_ball(get_pair("z:1"), 6)
-    lw = word_length(z)
+    lw = word_length(z, 6)
     assert lw(z.identity_class()) == 0
     for n in range(-6, 7):
         d = z.dc(z.lookup(z.pair.parse(f"zvec {n}")))
         assert lw(d) == abs(n)
 
     psl = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
-    lwp = word_length(psl)
+    lwp = word_length(psl, 3)
     g2 = psl.pair.parse("mat 2 0 0 1/2")
     assert lwp(psl.dc(psl.lookup(g2))) == 1
     assert lwp(psl.identity_class()) == 0
@@ -34,10 +34,10 @@ def test_capped_word_length_leaves_completed_depths_exact():
     # the 63-coset ball fits in 64 cosets; the class reps the search
     # interns pass the cap at depth 4, after depths 0-3 are recorded
     pair = get_pair("bcp:3")
-    full = word_length(hp.enumerate_ball(pair, 5))
+    full = word_length(hp.enumerate_ball(pair, 5), 5)
     store = hp.enumerate_ball(pair, 5, Caps(max_cosets=64))
     with pytest.raises(CapExceeded):
-        word_length(store)
+        word_length(store, 5)
     assert store.class_search_depth == 3
     assert store.word_lengths(3) == {d: n for d, n in full.values.items()
                                      if n <= 3}
@@ -53,7 +53,7 @@ AXIOM_RADII = {"z:1": (8, 4), "z:2": (6, 3), "dinf": (8, 4), "s3-h12": (6, 3),
 def test_word_length_axioms(label):
     r, half = AXIOM_RADII[label]
     store = hp.enumerate_ball(get_pair(label), r)
-    assert check_length_axioms(store, word_length(store), half) == []
+    assert check_length_axioms(store, word_length(store, r), half) == []
 
 
 @pytest.mark.parametrize("label", sorted(AXIOM_RADII))
@@ -185,7 +185,7 @@ def test_pseudometric_zero_length():
 
 def test_pseudometric_z_is_absolute_difference():
     store = hp.enumerate_ball(get_pair("z:1"), 10)
-    lw = word_length(store)
+    lw = word_length(store, 10)
     pair = store.pair
     for m in range(-5, 5):
         for n in range(-5, 5):
@@ -197,7 +197,7 @@ def test_pseudometric_z_is_absolute_difference():
 
 def test_pseudometric_psl2_random_triples():
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 4)
-    lw = word_length(store)
+    lw = word_length(store, 4)
     rep = pseudometric_checks(store, lw, n_samples=100, seed=7)
     assert rep.ok
     assert rep.samples == 100
@@ -205,14 +205,14 @@ def test_pseudometric_psl2_random_triples():
 
 def test_dominance_self():
     store = hp.enumerate_ball(get_pair("z:1"), 8)
-    lw = word_length(store)
+    lw = word_length(store, 8)
     fit = dominance_fit(lw, lw, store)
     assert fit.c1 == 1.0 and fit.c0 == 0.0 and fit.holds
 
 
 def test_dominance_word_over_indicator():
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
-    lw = word_length(store)
+    lw = word_length(store, 3)
     ind = indicator_length(store)
     fit = dominance_fit(lw, ind, store)
     assert fit.holds
@@ -223,7 +223,7 @@ def test_dominance_word_over_indicator():
 def test_dominance_word_over_characteristic_psl2():
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 4)
-    lw = word_length(store)
+    lw = word_length(store, 4)
     lc = characteristic_length(store)
     fit = dominance_fit(lw, lc, store)
     assert fit.holds
@@ -232,6 +232,6 @@ def test_dominance_word_over_characteristic_psl2():
 
 def test_length_undefined_raises():
     store = hp.enumerate_ball(get_pair("z:1"), 3)
-    lw = word_length(store)
+    lw = word_length(store, 3)
     with pytest.raises(LengthUndefinedOnSupport):
         lw(999)

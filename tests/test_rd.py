@@ -164,7 +164,7 @@ def test_operator_products_pinned_by_class_patterns(monkeypatch):
 
     monkeypatch.setattr(pair, "mul", mul)
     monkeypatch.setattr(rd, "operator_matrix", operator)
-    rd_profile(store, None, 6, seed=0)
+    rd_profile(store, 6, seed=0)
     dim = len(store.ball_ids(max(requested.values())))
     member_loop = sum(store.class_R(d) * len(store.ball_ids(radius))
                       for d, radius in requested.items())
@@ -190,7 +190,7 @@ def test_operator_builds_no_orbit_and_interns_nothing(monkeypatch):
     monkeypatch.setattr(hp.CosetStore, "_compute_orbit",
                         lambda self, start: orbits.append(start))
     monkeypatch.setattr(rd, "operator_matrix", operator)
-    prof = rd_profile(store, None, 4, seed=0)
+    prof = rd_profile(store, 4, seed=0)
     assert orbits == []
     assert sizes and all(before == after for before, after in sizes)
     assert all(rec.trunc_norm > 0 for rec in prof.records)
@@ -223,7 +223,7 @@ def test_class_table_cap_skips_truncated_norm():
     # norm from r = 2 on, and the refused extensions leave the table as is
     pair = get_pair("z:2")
     store = hp.CosetStore(pair, hp.Caps(max_cosets=100))
-    prof = rd_profile(store, None, 4, seed=0)
+    prof = rd_profile(store, 4, seed=0)
     assert prof.partial
     assert all((rec.trunc_norm > 0) == (rec.r < 2) for rec in prof.records)
     assert prof.warnings == [
@@ -337,7 +337,7 @@ def profiled(request):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rd, "operator_matrix", operator)
         mp.setattr(rd, "_test_record", record)
-        rd_profile(store, None, r_max, seed=1)
+        rd_profile(store, r_max, seed=1)
     return store, ops, records
 
 
@@ -444,7 +444,7 @@ def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
     store = hp.enumerate_ball(get_pair(label), r_max)
     if store.unimodularity().verdict:
         store.enumerate_to(r_max + RD_DEFAULTS["rd.pad"])
-        rd_profile(store, None, r_max, seed=0)
+        rd_profile(store, r_max, seed=0)
     else:
         kesten_diagnostic(store, config={"kesten.n": 1})
         assert not all(is_symmetric(op) for op in ops)
@@ -472,7 +472,7 @@ def test_library_builds_no_sparse_matrix(monkeypatch):
     with pytest.raises(AssertionError):
         sp.csr_matrix((2, 2))
     store = hp.enumerate_ball(get_pair("z:2"), 4 + RD_DEFAULTS["rd.pad"])
-    prof = rd_profile(store, None, 4, seed=0)
+    prof = rd_profile(store, 4, seed=0)
     assert all(rec.trunc_norm > 0 for rec in prof.records)
     store = hp.enumerate_ball(get_pair("bcp:2"), 5)
     assert kesten_diagnostic(store).trunc_norm > 0
@@ -537,7 +537,7 @@ def test_profile_reports_a_capped_power_iteration(monkeypatch, z1_store):
     monkeypatch.setattr(rd, "truncated_norm", norm)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        prof = rd_profile(z1_store, None, 8, config={"rd.max_iter": 3},
+        prof = rd_profile(z1_store, 8, config={"rd.max_iter": 3},
                           seed=1)
     assert not [w for w in caught if w.category is ConvergenceWarning]
     assert len(calls) == len(prof.records)
@@ -589,7 +589,7 @@ def test_default_profiles_converge(label, r_max):
     # signed test function at r = 12) stay under rd.max_iter, so a
     # default report names no capped iteration
     store = hp.enumerate_ball(get_pair(label), r_max + RD_DEFAULTS["rd.pad"])
-    prof = rd_profile(store, None, r_max, seed=1)
+    prof = rd_profile(store, r_max, seed=1)
     assert prof.records
     assert not [w for w in prof.warnings if "iteration cap" in w]
 
@@ -695,7 +695,7 @@ def test_l1_upper_bound_for_unimodular(z1_store):
 
 def test_rd_profile_z_polynomial_compatible():
     store = hp.enumerate_ball(get_pair("z:1"), 22)
-    prof = rd_profile(store, None, 20, seed=0)
+    prof = rd_profile(store, 20, seed=0)
     assert prof.verdict == "polynomial-compatible"
     assert prof.s_hat is not None and prof.s_hat <= 1.5
     assert prof.c_hat is not None and prof.c_hat > 0
@@ -710,7 +710,7 @@ def test_rd_profile_obstructed_for_bcp():
     runs = []
     for _ in range(2):
         store = hp.CosetStore(pair)
-        runs.append(rd_profile(store, None, 5, seed=3))
+        runs.append(rd_profile(store, 5, seed=3))
     assert runs[0].verdict == "obstructed-nonunimodular"
     assert runs[0] == runs[1]          # deterministic
     assert runs[0].records == []       # no ratio data is even collected
@@ -719,7 +719,7 @@ def test_rd_profile_obstructed_for_bcp():
 def test_rd_profile_psl2_shell_slope():
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 6)
-    prof = rd_profile(store, None, 5,
+    prof = rd_profile(store, 5,
                       config={"rd.pad": 1, "rd.n_random": 1}, seed=0)
     assert prof.unimodular
     assert prof.poly_slope is not None and prof.poly_slope <= 2.5
@@ -728,11 +728,25 @@ def test_rd_profile_psl2_shell_slope():
 
 
 def test_rd_profile_seed_recorded_and_deterministic():
-    a = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8), None, 6, seed=42)
-    b = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8), None, 6, seed=42)
+    a = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8), 6, seed=42)
+    b = rd_profile(hp.enumerate_ball(get_pair("z:1"), 8), 6, seed=42)
     assert a == b
     assert a.seed == 42
     assert a.config["rd.pad"] == RD_DEFAULTS["rd.pad"]
+
+
+@pytest.mark.parametrize("label,r_max,config", [
+    ("z:2", 10, {}), ("psl2z1p:2", 5, {"rd.pad": 1})])
+def test_rd_profile_searches_classes_to_r_max(label, r_max, config):
+    # the records read the word length only on classes of length <= r_max,
+    # so the class search stops there; a store searched through the padded
+    # radius first gives the same records
+    fresh = hp.CosetStore(get_pair(label))
+    prof = rd_profile(fresh, r_max, config=config)
+    assert fresh.class_search_depth == r_max
+    searched = hp.CosetStore(get_pair(label))
+    searched.word_lengths(r_max + config.get("rd.pad", RD_DEFAULTS["rd.pad"]))
+    assert rd_profile(searched, r_max, config=config).records == prof.records
 
 
 def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
@@ -747,7 +761,7 @@ def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
 
     monkeypatch.setattr(algebra, "involution", involution_counted)
     store = hp.enumerate_ball(get_pair("z:1"), 6)
-    prof = rd_profile(store, None, 4, seed=0)
+    prof = rd_profile(store, 4, seed=0)
     assert len(prof.records) == 25
     assert calls[0] == 0
     assert all(rec.moment_root > 0 for rec in prof.records)
@@ -777,7 +791,7 @@ def test_reports_read_the_pair_from_the_store():
     with pytest.raises(NotRelativelyUnimodular):
         characteristic_length(bcp)
     z2 = hp.enumerate_ball(get_pair("z:2"), 4)
-    prof = rd_profile(z2, None, 2, seed=0)
+    prof = rd_profile(z2, 2, seed=0)
     assert prof.pair == z2.pair.label == "z:2"
     assert prof.verdict != "obstructed-nonunimodular"
     rep = kesten_diagnostic(z2, config={"kesten.n": 2})
@@ -790,7 +804,7 @@ def test_unimodularity_verdict_is_the_stores(monkeypatch):
     # one probe pass per store, read by rd-profile, kesten and the
     # characteristic length; no caller can hand in another pair's verdict
     bcp = hp.enumerate_ball(get_pair("bcp:2"), 2)
-    assert rd_profile(bcp, None, 2, seed=0).verdict \
+    assert rd_profile(bcp, 2, seed=0).verdict \
         == "obstructed-nonunimodular"
     z2 = hp.enumerate_ball(get_pair("z:2"), 4)
     calls = []
@@ -801,7 +815,7 @@ def test_unimodularity_verdict_is_the_stores(monkeypatch):
         return real(pair, g, *args)
 
     monkeypatch.setattr(hp.cosets, "relative_modular", counted)
-    prof = rd_profile(z2, None, 2, seed=0)
+    prof = rd_profile(z2, 2, seed=0)
     assert prof.unimodular and prof.verdict != "obstructed-nonunimodular"
     assert kesten_diagnostic(z2, config={"kesten.n": 2}).relatively_unimodular
     characteristic_length(z2)
@@ -909,7 +923,7 @@ def test_overlapping_kesten_thresholds_are_refused(z1_store):
     # hints; equal thresholds leave no such index and are allowed
     overlap = {"kesten.amenable_min": 0.5, "kesten.nonamenable_max": 0.9}
     for call in (lambda: kesten_diagnostic(z1_store, config=overlap),
-                 lambda: rd_profile(z1_store, None, 1, config=overlap)):
+                 lambda: rd_profile(z1_store, 1, config=overlap)):
         with pytest.raises(HeckeError, match=r"kesten\.nonamenable_max=0\.9 "
                            r"exceeds kesten\.amenable_min=0\.5"):
             call()
@@ -926,7 +940,7 @@ def test_rd_profile_keeps_each_warning_once():
     # truncated norm reads class keys only, so it never meets the cap
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 2, hp.Caps(max_orbit=23))
-    prof = rd.rd_profile(store, None, 2, config={"rd.moment_n": 3})
+    prof = rd.rd_profile(store, 2, config={"rd.moment_n": 3})
     assert prof.partial
     at_2 = [rec for rec in prof.records if rec.r == 2]
     assert len(at_2) == 5
@@ -942,7 +956,7 @@ _OFF_DOMAIN = [("rd.s_grid_step", 0.0), ("rd.max_iter", 0), ("kesten.n", -1)]
 @pytest.mark.parametrize("key,value", _OFF_DOMAIN + [
     case for case in off_domain(RD_KEYS) if case not in _OFF_DOMAIN])
 @pytest.mark.parametrize("call", [
-    lambda store, config: rd_profile(store, None, 1, config=config),
+    lambda store, config: rd_profile(store, 1, config=config),
     lambda store, config: kesten_diagnostic(
         store, config={"kesten.n": 1, **config})],
     ids=["rd_profile", "kesten_diagnostic"])
@@ -969,11 +983,11 @@ def test_library_values_must_fit_their_defaults_type():
         with pytest.raises(HeckeError, match=f"'{re.escape(key)}' needs"):
             kesten_diagnostic(store, config={key: value})
     with pytest.raises(HeckeError, match="'rd.n_random' needs int, got 1.9"):
-        rd_profile(store, None, 2, config={"rd.n_random": 1.9})
+        rd_profile(store, 2, config={"rd.n_random": 1.9})
     rep = kesten_diagnostic(store, config={"kesten.n": 3.0, "rd.tol": 1})
     assert rep.n == 3 and type(rep.n) is int
     assert type(rep.config["rd.tol"]) is float
-    prof = rd_profile(store, None, 2, config={"rd.s_grid_max": 1})
+    prof = rd_profile(store, 2, config={"rd.s_grid_max": 1})
     assert prof.config["rd.s_grid_max"] == 1.0
     assert list(prof.records[0].weighted_norms) == [0.0, 0.25, 0.5, 0.75,
                                                     1.0]
@@ -993,7 +1007,7 @@ def test_kesten_n_is_the_moment_count_it_echoes():
 def test_oversized_weighted_norm_grid_is_refused(setting):
     # counted from the two values before any grid point is made
     store = hp.enumerate_ball(get_pair("z:1"), 4)
-    for call in (lambda: rd_profile(store, None, 2, config=setting),
+    for call in (lambda: rd_profile(store, 2, config=setting),
                  lambda: kesten_diagnostic(store, config=setting)):
         with pytest.raises(HeckeError, match=r"rd\.s_grid_max=.* and "
                            r"rd\.s_grid_step=.* more than 10000 points"):

@@ -28,7 +28,7 @@ def level(store, d, p):
     ("psl2z1p:2", 2, 5), ("sl2z1p:2", 2, 5), ("psl2z1p:3", 3, 3)])
 def test_tree_classes_match_closed_forms(label, p, radius):
     store = hp.enumerate_ball(get_pair(label), radius)
-    lw = word_length(store)
+    lw = word_length(store, radius)
     learned = {d: store.class_R(d) for d in lw.values}
     assert growth_series(store, radius, lw).ball == [
         tree_ball(p, r) for r in range(radius + 1)]
@@ -50,7 +50,7 @@ def test_tree_classes_match_closed_forms(label, p, radius):
     ("psl2z1p:3", 3, 2), ("sl2z1p:3", 3, 2)])
 def test_tree_products_follow_the_sphere_recursion(label, p, kmax):
     store = hp.enumerate_ball(get_pair(label), kmax)
-    lw = word_length(store)
+    lw = word_length(store, kmax)
     by_level = {int(v): d for d, v in lw.values.items()}
     for k in range(1, kmax + 1):
         sc = structure_constants(store, by_level[1], by_level[k])
@@ -76,7 +76,7 @@ def test_tree_learned_sizes_to_level_9():
 @pytest.mark.parametrize("label,p", [("psl2z1p:2", 2), ("psl2z1p:3", 3)])
 def test_tree_products_to_level_8_follow_the_sphere_recursion(label, p):
     store = hp.enumerate_ball(get_pair(label), 4)
-    lw = word_length(store)
+    lw = word_length(store, 4)
     by_level = {int(v): d for d, v in lw.values.items()}
     for j in range(1, 5):
         for k in range(1, 5):
@@ -93,7 +93,7 @@ def test_reduced_and_unreduced_tree_pairs_agree(p, radius):
     tables = []
     for label in (f"sl2z1p:{p}", f"psl2z1p:{p}"):
         store = hp.enumerate_ball(get_pair(label), radius)
-        lw = word_length(store)
+        lw = word_length(store, radius)
         by_level = {level(store, d, p): d for d in lw.values}
         assert sorted(by_level) == list(range(radius + 1))
         rows = {k: (store.class_R(d), store.class_L(d), lw(d))

@@ -162,6 +162,15 @@ RUNS = [
     # path and writes nothing (a checkout without the check crashed with
     # exit 1 after all its work)
     ["growth", "--pair", "z:1", "--rmax", "2", "--out", "/dev/null/x"],
+    # kesten past its truncation radius (6), whose ball is all it reads,
+    # and below its own radius 1
+    ["kesten", "--pair", "psl2z1p:2", "--rmax", "12"],
+    ["kesten", "--pair", "z:1", "--rmax", "0"],
+    # rd-profile's class search stops at rmax: third moments whose products
+    # pass it, and no padding at all
+    ["rd-profile", "--pair", "psl2z1p:3", "--rmax", "4",
+     "--set", "rd.moment_n=3"],
+    ["rd-profile", "--pair", "z:2", "--rmax", "6", "--set", "rd.pad=0"],
 ]
 
 
