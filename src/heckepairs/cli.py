@@ -6,9 +6,10 @@ resolves the run config (no other command reads one), makes the pair's
 store, calls the subcommand's body, and on a cap hit writes the body's
 JSON report marked partial.  verify takes only ``--out`` and
 ``--no-golden`` and echoes the default config.  Each body enumerates the
-Schreier ball it reads: enumerate and ltable to rmax, kesten to
-min(rmax, kesten.trunc_radius), rd-profile to rmax + rd.pad, growth none;
-word lengths come from the class-level search, to rmax.
+Schreier ball it reads: enumerate to rmax, kesten to min(rmax,
+kesten.trunc_radius) (its default f enumerates radius 1, so --rmax 0
+truncates at 1), rd-profile to rmax + rd.pad, ltable and growth none;
+classes and word lengths come from the class-level search, to rmax.
 Each settable value is declared once, with its default and its domain,
 in ``CONFIG_KEYS``, whose rd.* and kesten.* rows are ``config.RD_KEYS``;
 ``config.set_values`` sets each value of the file, ``--set`` and the flags,
@@ -207,21 +208,19 @@ def cmd_enumerate(args, cfg, rd_cfg, store, base, report) -> int:
 
 def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
     from .lengths import characteristic_length, word_length
-    store.enumerate_to(args.rmax)
     pair = store.pair
     lw = word_length(store, args.rmax)
     try:
-        lc = characteristic_length(store)
+        lc = characteristic_length(store, args.rmax)
     except NotRelativelyUnimodular:
         lc = None
     header = ["dc_id", "rep", "L", "R", "delta", "l_word", "l_char"]
     rows, classes = [], []
-    for d in store.classes_in_ball(args.rmax):
+    for d in sorted(lw.values):
         row = [d, pair.render(store.reps[store.dcs[d].rep_cid]),
                store.class_L(d), store.class_R(d), store.class_delta(d)]
-        # a coset at BFS depth k lies in a class of word length <= k
         l_word = lw(d)
-        l_char = lc.values[d] if lc is not None else None
+        l_char = lc(d) if lc is not None else None
         classes.append(dict(zip(header, row + [l_word, l_char])))
         rows.append(row + [l_word, "NA" if l_char is None else l_char])
     write_csv(base + ".csv", header, rows)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (BallIncomplete, CapExceeded, EmptyStore, HeckeError,
+from .errors import (BallIncomplete, CapExceeded, HeckeError,
                      NonBiInvariantResult, OrbitCapExceeded)
 from .groups import HeckePair
 
@@ -186,13 +186,6 @@ class CosetStore:
             raise BallIncomplete(
                 f"ball complete to {self.radius_complete}, requested {r}")
         return sorted(self.ball[:self.ball_ends[r]]) if r >= 0 else []
-
-    def depth_histogram(self) -> list[int]:
-        """Count of cosets per BFS depth 0..radius_complete."""
-        if self.radius_complete < 0:
-            raise EmptyStore("no enumerated cosets")
-        ends = self.ball_ends
-        return [ends[0]] + [b - a for a, b in zip(ends, ends[1:])]
 
     # -- double cosets -------------------------------------------------------
 

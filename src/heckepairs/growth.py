@@ -8,7 +8,8 @@ the store's class-level search (``CosetStore.word_lengths``) yields by
 depth r_max, whether or not they meet a Schreier ball (on bcp:2 some do
 not), so the series needs no enumerated ball; for other lengths small
 values could hide outside any finite ball, so the class route requires an
-exhausted coset space, and its series is classified without the store.
+exhausted coset space, evaluates the length on each of its classes, and
+its series is classified without the store.
 
 The growth type is read from the shortest recurrence of the ball series
 (Berlekamp-Massey), found on a prefix and checked in ints on every later
@@ -51,7 +52,8 @@ def growth_series(store: CosetStore, r_max: int,
                   l: Optional[LengthFunction] = None) -> GrowthSeries:
     """G(r) = number of right cosets with length <= r, for r = 0..r_max.
     The word length (``l`` None or of kind word-schreier) is read from the
-    store's class search, resumed to depth r_max."""
+    store's class search, resumed to depth r_max; any other length on
+    every class of the exhausted coset space, whatever its table."""
     if r_max < 0:
         raise HeckeError(f"growth needs r_max >= 0, got {r_max}")
     if l is None or l.kind == "word-schreier":
@@ -62,18 +64,15 @@ def growth_series(store: CosetStore, r_max: int,
             "space (infinite pairs can hide small values outside any "
             "finite ball)")
     else:
-        kind, values = l.kind, l.values
+        kind, values = l.kind, {
+            d: l(d) for d in store.classes_in_ball(store.radius_complete)}
     shell = [0] * (r_max + 1)
     for d, v in values.items():
         v = float(v)
         if v <= r_max:
             shell[int(math.floor(v))] += store.class_R(d)
-    ball = []
-    total = 0
-    for s in shell:
-        total += s
-        ball.append(total)
-    return GrowthSeries(list(range(r_max + 1)), ball, shell, kind)
+    return GrowthSeries(list(range(r_max + 1)), list(accumulate(shell)),
+                        shell, kind)
 
 
 @dataclass

@@ -4,8 +4,9 @@ A length function on a pair is bi-H-invariant, so it lives on double
 cosets: ``LengthFunction.values`` maps class ids to nonnegative values
 (exact rationals for the word and indicator lengths, floats for the
 logarithmic characteristic length, which also carries its integer base
-for exact submultiplicativity checks).  The word length is tabulated by
-the class search, to the radius its caller names.
+for exact submultiplicativity checks).  Each length is tabulated on the
+classes of word length <= r that the class search lists, for the radius r
+its caller names, and reads no Schreier ball.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class LengthFunction:
     #: for the characteristic length: class -> integer L (or L*R), so the
     #: submultiplicative law can be checked exactly
     exact_base: Optional[dict] = None
-    #: globally defined lengths (indicator, characteristic) evaluate lazily
-    #: on classes outside the tabulated ball; the word length cannot
+    #: globally defined lengths (indicator, characteristic, averaged)
+    #: evaluate lazily past the tabulated classes; the word length cannot
     extend: Optional[Callable] = None
     #: memo of the lazy values, kept apart so that ``values`` stays the
     #: tabulated domain whatever was evaluated before
@@ -80,11 +81,11 @@ def word_length(store: CosetStore, r: int) -> LengthFunction:
         d: Fraction(n) for d, n in store.word_lengths(r).items()})
 
 
-def characteristic_length(store: CosetStore,
+def characteristic_length(store: CosetStore, r: int,
                           use_lr: bool = False) -> LengthFunction:
-    """l_c(d) = log L(d) on the store's pair; refuses pairs that are not
-    relatively unimodular unless ``use_lr`` switches to the log(L*R)
-    variant."""
+    """l_c(d) = log L(d) on the store's pair, tabulated on the classes of
+    word length <= r; refuses pairs that are not relatively unimodular
+    unless ``use_lr`` switches to the log(L*R) variant."""
     pair = store.pair
     if not use_lr:
         if not store.unimodularity().verdict:
@@ -98,16 +99,17 @@ def characteristic_length(store: CosetStore,
         base[d] = n
         return math.log(n)
 
-    values = {d: evaluate(d) for d in store.classes_in_ball(store.radius_complete)}
+    values = {d: evaluate(d) for d in sorted(store.word_lengths(r))}
     kind = "characteristic-lr" if use_lr else "characteristic"
     return LengthFunction(kind, values, exact_base=base, extend=evaluate)
 
 
-def indicator_length(store: CosetStore) -> LengthFunction:
-    """0 on H, 1 elsewhere (proper only for cocompact H)."""
+def indicator_length(store: CosetStore, r: int) -> LengthFunction:
+    """0 on H, 1 elsewhere (proper only for cocompact H), tabulated on the
+    classes of word length <= r."""
     e = store.identity_class()
     values = {d: Fraction(0) if d == e else Fraction(1)
-              for d in store.classes_in_ball(store.radius_complete)}
+              for d in sorted(store.word_lengths(r))}
     return LengthFunction("indicator", values,
                           extend=lambda d: Fraction(0 if d == e else 1))
 
@@ -148,12 +150,12 @@ class AveragedLength:
         """eta(H) l(g) + 2 sum_H l  -  l1(g); nonnegative pointwise."""
         return self.eta * self.base(g) + 2 * self.h_total - self.l1(g)
 
-    def as_length_function(self, store: CosetStore) -> LengthFunction:
+    def as_length_function(self, store: CosetStore, r: int) -> LengthFunction:
+        """l', tabulated on the classes of word length <= r."""
         def evaluate(d: int):
             return self.l_prime(store.reps[store.dcs[d].rep_cid])
 
-        values = {d: evaluate(d)
-                  for d in store.classes_in_ball(store.radius_complete)}
+        values = {d: evaluate(d) for d in sorted(store.word_lengths(r))}
         return LengthFunction("averaged-finite-h", values, extend=evaluate)
 
 

@@ -621,7 +621,8 @@ def _test_record(r, family, nonneg, f, l, grid, powers,
     clips is warned of, and so is a power iteration that hits its
     iteration cap, whose ConvergenceWarning goes into the report instead
     of to stderr.  The moment root is certified for every f, self-adjoint
-    or not."""
+    or not.  f's moments are computed once: the last gives the root and
+    the first, a_1 = ||f||_2^2 exactly, gives l2."""
     cfg = profile.config
     want = r + cfg["rd.pad"]
     r_trunc = _truncation_radius(f, want, cfg["rd.max_matrix_cost"])
@@ -635,16 +636,17 @@ def _test_record(r, family, nonneg, f, l, grid, powers,
     except CapExceeded as exc:
         profile.partial = True
         _warn(profile, f"truncated norm skipped at r={r}: {exc}")
-    root = 0.0
+    root, moments = 0.0, None
     n_mom = cfg["rd.moment_n"]
     if n_mom > 0:
         try:
-            root = spectral_lower_bound(f, n_mom)[-1]
+            moments = power_moments(f, n_mom)
+            root = _nth_root(moments[-1], 2 * n_mom)
         except CapExceeded as exc:
             profile.partial = True
             _warn(profile, f"moments skipped at r={r}: {exc}")
     weighted = _weighted_norms(f, l, grid, powers)
-    l2 = norms(f).l2
+    l2 = math.sqrt(moments[0]) if moments else norms(f).l2
     lower = max(trunc, root)
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,
                         lower / l2 if l2 else 0.0, weighted)

@@ -255,17 +255,18 @@ def test_criterion_09_length_function_suite():
             store = hp.enumerate_ball(pair, r)
             assert check_length_axioms(store, word_length(store, r),
                                        half) == []
-            assert check_length_axioms(store, indicator_length(store), half) == []
+            assert check_length_axioms(store, indicator_length(store, r),
+                                       half) == []
             if unimodularity_check(pair).verdict:
-                lc = characteristic_length(store)
+                lc = characteristic_length(store, r)
             else:
-                lc = characteristic_length(store, use_lr=True)
+                lc = characteristic_length(store, r, use_lr=True)
             assert check_length_axioms(store, lc, half) == []
             if pair.h_elements() is not None and pair.word_length_on_g(
                     pair.identity()) is not None:
                 av = AveragedLength(pair, pair.word_length_on_g)
                 assert check_length_axioms(
-                    store, av.as_length_function(store), half) == []
+                    store, av.as_length_function(store, r), half) == []
         # the H-averaging bound, exact on the dihedral radius-8 ball:
         # l1(g) <= |H| l(g) + 2 sum_{h in H} l(h)
         pair = get_pair("dinf")

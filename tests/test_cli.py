@@ -653,6 +653,31 @@ def test_ltable_tree_reaches_rmax_12(tmp_path):
     assert sorted(levels) == list(range(13))
 
 
+@pytest.mark.parametrize("label,rmax", [("psl2z1p:2", 16), ("bcp:2", 6)])
+def test_ltable_reads_no_schreier_ball(tmp_path, monkeypatch, label, rmax):
+    # the rows are the classes of word length <= rmax, as the class search
+    # names them; no coset ball is enumerated
+    def refused(store, r_max):
+        raise AssertionError("ltable enumerated a Schreier ball")
+
+    monkeypatch.setattr(CosetStore, "enumerate_to", refused)
+    out = tmp_path / "o"
+    assert main(["ltable", "--pair", label, "--rmax", str(rmax),
+                 "--out", str(out)]) == EXIT_OK
+    slug = label.replace(":", "-")
+    rows = json.loads(read(out / f"ltable_{slug}.json"))["classes"]
+    assert len(read(out / f"ltable_{slug}.csv").splitlines()) \
+        == len(rows) + 1
+    if label == "psl2z1p:2":
+        assert sorted((int(row["l_word"]), row["L"], row["R"])
+                      for row in rows) == [
+            (k, n, n) for k, n in enumerate(
+                [1] + [3 * 2 ** (2 * k - 1) for k in range(1, rmax + 1)])]
+    else:
+        store = CosetStore(heckepairs.get_pair(label))
+        assert len(rows) == len(store.word_lengths(rmax)) == 36
+
+
 def test_rd_profile_third_moments_on_the_tree(tmp_path):
     # f^{*3} reaches the level-12 class (3 * 2^23 cosets): its structure
     # constants come from class keys and its size from the class search's

@@ -54,7 +54,8 @@ def test_depth_histogram_agreement_when_classes_are_depth_homogeneous():
     for label in ("z:1", "z:2", "dinf"):
         store = hp.enumerate_ball(get_pair(label), 8)
         series = growth_series(store, 8)
-        hist = store.depth_histogram()
+        ends = store.ball_ends
+        hist = [ends[0]] + [b - a for a, b in zip(ends, ends[1:])]
         assert series.shell == hist[:9]
 
 
@@ -106,14 +107,21 @@ def test_growth_requires_complete_ball():
 def test_growth_with_characteristic_length_needs_saturation():
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 3)
-    lc = characteristic_length(store)
+    lc = characteristic_length(store, 3)
     with pytest.raises(BallIncomplete):
         growth_series(store, 3, lc)
     # on a finite pair the class route works
     s3 = hp.enumerate_ball(get_pair("s3-h12"), 6)
-    lc3 = characteristic_length(s3)
+    lc3 = characteristic_length(s3, 6)
     series = growth_series(s3, 2, lc3)
     assert series.ball[-1] == 3
+    # the series evaluates the length on every class of the exhausted
+    # space, so it does not read the radius the length was tabulated to
+    s4 = hp.enumerate_ball(get_pair("s4-h12"), 6)
+    assert s4.saturated
+    series = [growth_series(s4, 3, characteristic_length(s4, r))
+              for r in (0, 6)]
+    assert series[0] == series[1] and series[0].ball[-1] == 12
 
 
 @pytest.mark.parametrize("label,rmax,kind", [
@@ -125,7 +133,7 @@ def test_classify_reads_the_series_it_is_given(label, rmax, kind):
     # recurrence at the larger.  That is refused; alone, the series reads
     # as given
     store = hp.enumerate_ball(get_pair(label), 6)
-    series = growth_series(store, rmax, characteristic_length(store))
+    series = growth_series(store, rmax, characteristic_length(store, 6))
     with pytest.raises(HeckeError, match="word length, not characteristic"):
         classify_growth(series, store)
     assert classify_growth(series).kind == kind

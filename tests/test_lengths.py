@@ -60,7 +60,7 @@ def test_word_length_axioms(label):
 def test_indicator_length_axioms(label):
     r, half = AXIOM_RADII[label]
     store = hp.enumerate_ball(get_pair(label), r)
-    ind = indicator_length(store)
+    ind = indicator_length(store, r)
     e = store.identity_class()
     assert ind(e) == 0
     assert all(ind(d) == 1 for d in ind.values if d != e)
@@ -69,7 +69,7 @@ def test_indicator_length_axioms(label):
 
 def test_characteristic_length_values():
     s3 = hp.enumerate_ball(get_pair("s3-h12"), 4)
-    lc = characteristic_length(s3)
+    lc = characteristic_length(s3, 4)
     e = s3.identity_class()
     d = next(x for x in s3.classes_in_ball(4) if x != e)
     assert lc(e) == 0.0
@@ -79,16 +79,27 @@ def test_characteristic_length_values():
 
     for d in (1, 2):
         z = hp.enumerate_ball(get_pair(f"z:{d}"), 3)
-        lcz = characteristic_length(z)
+        lcz = characteristic_length(z, 3)
         assert all(v == 0.0 for v in lcz.values.values())   # bounded length
+
+
+@pytest.mark.parametrize("make", [characteristic_length, indicator_length],
+                         ids=["characteristic", "indicator"])
+def test_lengths_tabulate_the_classes_of_word_length_at_most_r(make):
+    # the table is the class search's to the radius the caller names,
+    # whatever ball was enumerated before: none here
+    store = hp.CosetStore(get_pair("psl2z1p:2"))
+    l = make(store, 5)
+    assert list(l.values) == sorted(store.word_lengths(5))
+    assert store.radius_complete == -1
 
 
 def test_characteristic_refuses_nonunimodular():
     bcp = get_pair("bcp:2")
     store = hp.enumerate_ball(bcp, 3)
     with pytest.raises(NotRelativelyUnimodular):
-        characteristic_length(store)
-    lr = characteristic_length(store, use_lr=True)
+        characteristic_length(store, 3)
+    lr = characteristic_length(store, 3, use_lr=True)
     assert lr.kind == "characteristic-lr"
     assert check_length_axioms(store, lr, 1) == []
 
@@ -96,7 +107,7 @@ def test_characteristic_refuses_nonunimodular():
 @pytest.mark.parametrize("label", ["s3-h12", "s4-h12", "psl2z1p:2"])
 def test_characteristic_axioms(label):
     store = hp.enumerate_ball(get_pair(label), 4)
-    lc = characteristic_length(store)
+    lc = characteristic_length(store, 4)
     assert check_length_axioms(store, lc, 2) == []
 
 
@@ -104,7 +115,7 @@ def test_characteristic_submultiplicative_exact():
     # L(d) <= L(d1) L(d2) on product supports, in exact integers
     from heckepairs.algebra import structure_constants
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 4)
-    lc = characteristic_length(store)
+    lc = characteristic_length(store, 4)
     classes = store.classes_in_ball(2)
     for d1 in classes:
         for d2 in classes:
@@ -117,9 +128,9 @@ def test_lazy_values_leave_the_tabulated_domain_alone():
     # table; the table, which dominance fits and rd-profile families
     # iterate, must not grow, so no result depends on what ran before
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
-    ind = indicator_length(store)
-    fresh = dominance_fit(characteristic_length(store), ind, store)
-    lc = characteristic_length(store)
+    ind = indicator_length(store, 2)
+    fresh = dominance_fit(characteristic_length(store, 2), ind, store)
+    lc = characteristic_length(store, 2)
     table = dict(lc.values)
     assert len(table) == 3
     assert check_length_axioms(store, lc, 2) == []
@@ -171,7 +182,7 @@ def test_averaged_as_length_function():
     pair = get_pair("dinf")
     store = hp.enumerate_ball(pair, 8)
     av = AveragedLength(pair, pair.word_length_on_g)
-    lf = av.as_length_function(store)
+    lf = av.as_length_function(store, 8)
     assert lf.kind == "averaged-finite-h"
     assert check_length_axioms(store, lf, 4) == []
 
@@ -213,7 +224,7 @@ def test_dominance_self():
 def test_dominance_word_over_indicator():
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 3)
     lw = word_length(store, 3)
-    ind = indicator_length(store)
+    ind = indicator_length(store, 3)
     fit = dominance_fit(lw, ind, store)
     assert fit.holds
     # (c1, c0) = (1, 1) always works since the indicator is at most 1
@@ -224,7 +235,7 @@ def test_dominance_word_over_characteristic_psl2():
     pair = get_pair("psl2z1p:2")
     store = hp.enumerate_ball(pair, 4)
     lw = word_length(store, 4)
-    lc = characteristic_length(store)
+    lc = characteristic_length(store, 4)
     fit = dominance_fit(lw, lc, store)
     assert fit.holds
     assert fit.c1 > 0

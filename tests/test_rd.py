@@ -655,6 +655,37 @@ def test_moment_roots_round_down_exactly():
     assert rd._nth_root(Q(9, 4), 2) == 1.5
 
 
+@pytest.mark.parametrize("moment_n,per_record", [(0, 1), (1, 1), (3, 3)])
+def test_each_record_computes_its_moments_once(monkeypatch, moment_n,
+                                               per_record):
+    # the moments give both the root (the last) and l2 (the first is
+    # ||f||_2^2), so a record takes no norms beyond its moments; without
+    # moments l2 comes from one norms call.  Each record still holds what
+    # the last root of spectral_lower_bound and norms(f).l2 give
+    calls, fs = [0], []
+    real_norms, real_weighted = algebra.norms, rd._weighted_norms
+
+    def counted(f):
+        calls[0] += 1
+        return real_norms(f)
+
+    def recorded(f, *args):
+        fs.append(f)
+        return real_weighted(f, *args)
+
+    monkeypatch.setattr(algebra, "norms", counted)
+    monkeypatch.setattr(rd, "norms", counted)
+    monkeypatch.setattr(rd, "_weighted_norms", recorded)
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 4)
+    prof = rd_profile(store, 3, config={"rd.moment_n": moment_n}, seed=1)
+    assert len(prof.records) == len(fs) > 10
+    assert calls[0] == per_record * len(prof.records)
+    for rec, f in zip(prof.records, fs):
+        assert rec.l2 == real_norms(f).l2
+        assert rec.moment_root == (spectral_lower_bound(f, moment_n)[-1]
+                                   if moment_n else 0.0)
+
+
 def test_moment_matrix_exactness(z1_store):
     # at padding R >= 2 n max-length the compressions see every path, so
     # the convolution moment equals the matrix moment bit for bit
@@ -789,7 +820,7 @@ def test_reports_read_the_pair_from_the_store():
     # the pair is the store's: no second argument can name another pair
     bcp = hp.enumerate_ball(get_pair("bcp:2"), 2)
     with pytest.raises(NotRelativelyUnimodular):
-        characteristic_length(bcp)
+        characteristic_length(bcp, 2)
     z2 = hp.enumerate_ball(get_pair("z:2"), 4)
     prof = rd_profile(z2, 2, seed=0)
     assert prof.pair == z2.pair.label == "z:2"
@@ -818,7 +849,7 @@ def test_unimodularity_verdict_is_the_stores(monkeypatch):
     prof = rd_profile(z2, 2, seed=0)
     assert prof.unimodular and prof.verdict != "obstructed-nonunimodular"
     assert kesten_diagnostic(z2, config={"kesten.n": 2}).relatively_unimodular
-    characteristic_length(z2)
+    characteristic_length(z2, 4)
     assert calls == ["z:2"] * len(z2.pair.unimod_probes())
     assert z2.unimodularity() is z2.unimodularity()
 

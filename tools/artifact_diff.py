@@ -171,6 +171,11 @@ RUNS = [
     ["rd-profile", "--pair", "psl2z1p:3", "--rmax", "4",
      "--set", "rd.moment_n=3"],
     ["rd-profile", "--pair", "z:2", "--rmax", "6", "--set", "rd.pad=0"],
+    # ltable reads the class search alone: at rmax 16 it builds no
+    # 613,240-coset ball, and at rmax 8 a coset cap that only the ball
+    # reached is not hit
+    ["ltable", "--pair", "psl2z1p:2", "--rmax", "16"],
+    ["ltable", "--pair", "psl2z1p:2", "--rmax", "8", "--max-cosets", "100"],
 ]
 
 
