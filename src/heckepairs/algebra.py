@@ -8,7 +8,10 @@ without the member cosets of either class.  Each result is checked against
 the degree identity sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring
 homomorphism), with the sizes R learned by the store's class search from
 its own products T_d * T_s with generator classes s, and cached on the
-store, so repeated convolutions are dictionary arithmetic.
+store, so repeated convolutions are dictionary arithmetic.  A product
+with a one-coset side is not counted: if L(d2) = 1 the support is the one
+class e of x1 t, and the degree identity gives c_e = R(d1) R(d2) / R(e);
+R(d1) = 1 is its mirror.
 
 An element is held as integer numerators over one lowest denominator:
 a pair (den, num) with den > 0, num mapping each support class to a
@@ -207,13 +210,22 @@ def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     back.  Either way the result must satisfy the degree identity
     sum_d c_d R(d) = R(d1) R(d2), with every R learned by the store's
     class search, not from this product; a failure caches nothing.
+
+    A one-coset side needs no count.  If L(d2) = 1, the one product x1 t
+    names the whole support, one class e, and the degree identity leaves
+    c_e = R(d1) R(d2) / R(e); a remainder breaks the identity and raises.
+    If R(d1) = 1, the mirrored pair has L(inv d1) = R(d1) = 1 and is
+    computed that way.
     """
     key = (d1, d2)
     cached = store.sc_cache.get(key)
     if cached is not None:
         return cached
     L, R = store.class_L, store.class_R
-    if L(d1) + R(d1) < L(d2) + R(d2):
+    if L(d2) == 1:
+        e, = store.product_support(d1, d2)
+        out = {e: R(d1) * R(d2) // R(e)}
+    elif R(d1) == 1 or L(d1) + R(d1) < L(d2) + R(d2):
         inv = store.class_inverse
         out = {inv(e): c for e, c in
                structure_constants(store, inv(d2), inv(d1)).items()}

@@ -20,6 +20,11 @@ built only for the code that reads members, and left cosets are walked
 only for a right factor of a product or a class the search has not sized;
 both walks stay the arbiters of the class keys and of every learned size.
 
+A one-coset generator class s costs the search less.  Of the L(s)
+products x t naming supp(T_d * T_s), m_e <= L(s) land in a class e, so
+L(s) = 1 gives one class with m_e = 1, named by one product; and
+1 <= c_e <= R(s) on the support, so R(s) = 1 gives c_e = 1 with no count.
+
 A store only appends: interning, double-coset orbits, class inverses and
 a resumed BFS may add cosets at any time; those appends are deterministic,
 so data returned earlier is never invalidated.
@@ -378,7 +383,12 @@ class CosetStore:
         L(e) c_e = L(d) m_e, and Delta = L/R is multiplicative on the
         support, so R(e) = R(d) R(s) m_e / (L(s) c_e).  A depth is
         recorded only once complete, so a cap hit leaves every recorded
-        depth exact."""
+        depth exact.
+
+        One-coset generators cost less.  If L(s) = 1, its one left rep t
+        names the whole support, the class e of x t with m_e = 1 (as
+        m_e <= L(s)): one product, no support dict.  If R(s) = 1, then
+        c_e = 1 with no count, as 1 <= c_e <= R(s) on the support."""
         if self._wl_depth < 0:
             e = self.identity_class()
             self.dcs[e].L = self.dcs[e].R = 1
@@ -395,14 +405,21 @@ class CosetStore:
                  self.class_left_reps(self.class_inverse(s)))
                 for s in self._gen_classes]
         found: dict[int, None] = {}
+        mul, class_of = self.pair.mul, self.class_of
         for d in self._wl_frontier:
             x, want = self.reps[dcs[d].rep_cid], dcs[d].key
             for s, reps, inv_reps in gens:
-                for e, (y, m) in self._support(x, reps).items():
+                if len(reps) == 1:
+                    y = mul(x, reps[0])
+                    support = ((class_of(y), (y, 1)),)
+                else:
+                    support = self._support(x, reps).items()
+                for e, (y, m) in support:
                     if e in wl or e in found:
                         continue
                     found[e] = None
-                    c = self._count(y, inv_reps, want)
+                    c = (1 if len(inv_reps) == 1
+                         else self._count(y, inv_reps, want))
                     for side, num, den in (
                             ("L", dcs[d].L * m, c),
                             ("R", dcs[d].R * dcs[s].R * m, dcs[s].L * c)):

@@ -177,18 +177,22 @@ class PseudometricReport:
                     or self.invariance_failures)
 
 
-def pseudometric_checks(store: CosetStore, l: LengthFunction,
-                        n_samples: int = 100, seed: int = 0) -> PseudometricReport:
+def pseudometric_checks(store: CosetStore, l: LengthFunction, r: int,
+                        n_samples: int = 100,
+                        seed: int = 0) -> PseudometricReport:
     """Check d_l(x,y) = l(x^{-1} y) for symmetry, the triangle inequality
-    and left invariance on random triples drawn from the half-radius ball
-    (so every product stays inside the enumerated ball)."""
+    and left invariance on random triples drawn from the ball of radius
+    r // 2, enumerated here and read in BFS order (so every product stays
+    inside the radius-r ball, and the triples depend on seed and r alone,
+    not on what the store enumerated before)."""
     import random
 
     pair = store.pair
     rng = random.Random(seed)
-    half = store.ball_ids(store.radius_complete // 2)
-    if not half:
-        raise EmptyStore("no cosets to sample")
+    if r < 0:
+        raise EmptyStore(f"no cosets within radius {r}")
+    store.enumerate_to(r // 2)
+    half = store.ball[:store.ball_ends[r // 2]]
 
     def d_l(x, y):
         return length_of_element(store, l, pair.mul(pair.inv(x), y))

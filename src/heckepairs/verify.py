@@ -17,7 +17,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .algebra import (HeckeElement, basis_element, convolve, direct_count,
-                      identity_element, involution, norms, power_moments)
+                      identity_element, involution, norms, power_moments,
+                      structure_constants)
 from .cosets import (check_interning_soundness, enumerate_ball, left_L_count,
                      relative_modular)
 from .errors import HeckeError
@@ -45,6 +46,10 @@ LAW_PAIRS = ["z:1", "z:2", "dinf", "s3-h12", "bcp:2", "psl2z1p:2"]
 
 #: bcp:2 is not relatively unimodular, psl2z1p:2 is
 MIRROR_PAIRS = ["bcp:2", "psl2z1p:2"]
+
+#: one-coset classes: all of z:2's, bcp:2's (2^k, 1) and (1, 2^k), and
+#: s4-h12's identity class alone
+FAST_PATH_PAIRS = ["z:2", "bcp:2", "s4-h12"]
 
 
 @dataclass
@@ -237,6 +242,28 @@ def _check_structure_constant_mirror() -> list[CheckResult]:
     return out
 
 
+def _check_structure_constant_fast_path() -> list[CheckResult]:
+    """``structure_constants``, which reads a pair with a one-coset side
+    off one product and the degree identity, against ``direct_count`` on
+    every pair of radius-2 ball classes."""
+    out = []
+    for label in FAST_PATH_PAIRS:
+        store = enumerate_ball(get_pair(label), 2)
+        classes = store.classes_in_ball(2)
+        L, R = store.class_L, store.class_R
+        fast = sum(L(d2) == 1 or R(d1) == 1
+                   for d1 in classes for d2 in classes)
+        wrong = [(d1, d2) for d1 in classes for d2 in classes
+                 if structure_constants(store, d1, d2)
+                 != direct_count(store, d1, d2)]
+        detail = f"{len(classes) ** 2} pairs, {fast} with a one-coset side"
+        if wrong:
+            detail += f"; counts differ on {wrong[:3]}"
+        out.append(CheckResult(f"structure-constants-fast-path[{label}]",
+                               not wrong, detail))
+    return out
+
+
 def _check_spectral_examples() -> list[CheckResult]:
     out = []
     pair = get_pair("z:1")
@@ -264,6 +291,8 @@ def run_verification(include_golden: bool = True) -> list[CheckResult]:
               ("coset-invariants", _check_coset_invariants),
               ("learned-class-sizes", _check_learned_sizes),
               ("structure-constants-mirror", _check_structure_constant_mirror),
+              ("structure-constants-fast-path",
+               _check_structure_constant_fast_path),
               ("spectral-examples", _check_spectral_examples)]
     checks: list[CheckResult] = []
     for name, suite in suites:

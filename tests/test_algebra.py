@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import heckepairs as hp
 from heckepairs import algebra
 from heckepairs.algebra import (HeckeElement, basis_element, convolve,
-                                identity_element, involution, norms,
-                                power_moments, structure_constants,
+                                direct_count, identity_element, involution,
+                                norms, power_moments, structure_constants,
                                 weighted_norms)
 from heckepairs.errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
                                StoreMismatch)
@@ -404,7 +404,9 @@ def test_structure_constants_read_the_cheaper_side(monkeypatch):
     # on bcp:2 a class with (L, R) = (2^k, 1) has 2^k left cosets: a
     # product with it on the right reads L(d2) + |supp| R(d2) left-coset
     # representatives as it stands and R(d1) + |supp| L(d1) mirrored, and
-    # is mirrored whenever L(d1) + R(d1) < L(d2) + R(d2)
+    # is mirrored whenever L(d1) + R(d1) < L(d2) + R(d2); where R(d1) = 1
+    # the mirror has a one-coset right factor, inv(d1), and reads its one
+    # left-coset representative alone
     store = hp.enumerate_ball(get_pair("bcp:2"), 3)
     store.word_lengths(6)      # the supports are sized: only products read
     L, R = store.class_L, store.class_R
@@ -424,7 +426,7 @@ def test_structure_constants_read_the_cheaper_side(monkeypatch):
     classes = store.classes_in_ball(3)
     right = [d for d in classes if R(d) == 1 and L(d) > 1]
     assert sorted({L(d) for d in right}) == [2, 4, 8]
-    total = mirrored = 0
+    total = mirrored = one_coset = 0
     for d2 in right:
         for d1 in classes:
             store.sc_cache.clear()
@@ -432,12 +434,78 @@ def test_structure_constants_read_the_cheaper_side(monkeypatch):
             supp = len(structure_constants(store, d1, d2))
             direct = L(d2) + supp * R(d2)
             if L(d1) + R(d1) < L(d2) + R(d2):
-                assert reads[0] == R(d1) + supp * L(d1) < direct
-                mirrored += 1
+                counted = R(d1) + supp * L(d1)
+                assert counted < direct
             else:
-                assert reads[0] == direct
+                counted = direct
+            if R(d1) == 1:
+                assert reads[0] == 1 < counted
+                one_coset += 1
+            else:
+                assert reads[0] == counted
+                mirrored += counted < direct
             total += direct - reads[0]
-    assert mirrored and total > 0
+    assert one_coset and mirrored and total > 0
+
+
+def one_coset_pairs(store, classes):
+    """The pairs of ``classes`` with a one-coset side: L(d2) = 1, or
+    R(d1) = 1, whose mirror has L(inv d1) = 1."""
+    L, R = store.class_L, store.class_R
+    return [(d1, d2) for d1 in classes for d2 in classes
+            if L(d2) == 1 or R(d1) == 1]
+
+
+@pytest.mark.parametrize("label", ["z:2", "bcp:2", "bcp:3"])
+def test_one_coset_products_match_member_pair_count(label, monkeypatch):
+    # a product with a one-coset side is read off one product and the
+    # degree identity, with no count, and must agree with the member-pair
+    # count on every such pair of radius-3 classes
+    store = hp.enumerate_ball(get_pair(label), 3)
+    pairs = one_coset_pairs(store, store.classes_in_ball(3))
+    counted = []
+    count = store.product_count
+
+    def logged_count(*args):
+        counted.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(store, "product_count", logged_count)
+    for d1, d2 in pairs:
+        assert (structure_constants(store, d1, d2)
+                == brute_structure_constants(store, d1, d2)), (d1, d2)
+    assert pairs and not counted
+
+
+def test_one_coset_coefficients_are_not_all_one():
+    # c_e = R(d1) R(d2) / R(e), which is not 1 where R(e) < R(d1) R(d2):
+    # a rule that set c_e = 1 would be wrong on these bcp:2 pairs
+    store = hp.enumerate_ball(get_pair("bcp:2"), 2)
+    pairs = one_coset_pairs(store, store.classes_in_ball(2))
+    other = [(d1, d2) for d1, d2 in pairs
+             if set(structure_constants(store, d1, d2).values()) != {1}]
+    assert other
+    for d1, d2 in other:
+        assert structure_constants(store, d1, d2) == direct_count(store, d1,
+                                                                  d2)
+
+
+def test_one_coset_remainder_raises_and_caches_nothing(monkeypatch):
+    # with R(e) patched to a non-divisor of R(d1) R(d2), no c_e satisfies
+    # the degree identity: the product raises and nothing is cached
+    store = hp.enumerate_ball(get_pair("bcp:2"), 2)
+    L, R = store.class_L, store.class_R
+    classes = store.classes_in_ball(2)
+    d1, d2, e = next((d1, d2, e) for d1 in classes for d2 in classes
+                     for e in direct_count(store, d1, d2)
+                     if L(d2) == 1 and R(d1) * R(d2) >= 4
+                     and e not in (d1, d2))
+    want = R(d1) * R(d2)
+    bad = next(n for n in range(2, want) if want % n)
+    monkeypatch.setattr(store, "class_R", lambda d: bad if d == e else R(d))
+    with pytest.raises(NonBiInvariantResult, match="degree identity"):
+        structure_constants(store, d1, d2)
+    assert not store.sc_cache
 
 
 def test_convolution_lookups_intern_nothing_stray():

@@ -498,8 +498,11 @@ def test_class_ids_do_not_depend_on_the_ball(label):
 def test_class_search_costs_its_products(label, radius, monkeypatch):
     # the cost model of a depth, left-coset walks aside: L(s) products for
     # each frontier class d and generator class s, which name
-    # supp(T_d * T_s), and an R(s)-product count for each class sized
-    # there, charged to the first (d, s) whose support met it
+    # supp(T_d * T_s) (one product where L(s) = 1), and an R(s)-product
+    # count for each class sized there, charged to the first (d, s) whose
+    # support met it, except where R(s) = 1: then c_e = 1 and nothing is
+    # counted, so a depth that sizes a class there costs less than the
+    # counting rule alone
     store = hp.CosetStore(get_pair(label))
     store.enumerate_to(radius)
     pair = store.pair
@@ -522,6 +525,7 @@ def test_class_search_costs_its_products(label, radius, monkeypatch):
     monkeypatch.setattr(store, "class_left_reps", paused_left_reps)
     store.word_lengths(0)
     assert muls[0] == 0
+    used = counted = 0
     while store.class_search_depth < radius:
         frontier = store._wl_frontier
         before = muls[0]
@@ -529,18 +533,45 @@ def test_class_search_costs_its_products(label, radius, monkeypatch):
         paused[0] = True
         gens = store._gen_classes
         sized = set(store._wl_frontier)
-        want = 0
+        want = counting = 0
         for d in frontier:
             for s in gens:
                 want += store.dcs[s].L
+                counting += store.dcs[s].L
                 for e in store.product_support(d, s):
                     if e in sized:
                         sized.discard(e)
-                        want += store.dcs[s].R
+                        want += store.dcs[s].R if store.dcs[s].R > 1 else 0
+                        counting += store.dcs[s].R
         paused[0] = False
         assert not sized
         assert muls[0] - before == want, store.class_search_depth
+        used += want
+        counted += counting
+    # the rule fires on the one-coset generators of z:2 and bcp:2 only,
+    # and saves a product wherever it fires
+    if label in ("z:2", "bcp:2"):
+        assert used < counted
+    else:
+        assert used == counted
     assert len(store._wl_classes) == len(store.word_lengths(radius))
+
+
+@pytest.mark.parametrize("label", ["z:2", "bcp:2", "bcp:3", "dinf"])
+def test_class_search_sizes_match_walks_and_orbits(label):
+    # a class met through a one-coset generator is sized without counting
+    # (m_e = 1 where L(s) = 1, c_e = 1 where R(s) = 1); every size the
+    # search learns to depth 6 must equal the class's left walk (L) and
+    # its right-H orbit (R)
+    pair = get_pair(label)
+    store = hp.CosetStore(pair)
+    searched = store.word_lengths(6)
+    for d in searched:
+        obj = store.dcs[d]
+        rep = store.reps[obj.rep_cid]
+        assert obj.L == len(left_L_count(pair, rep)), d
+        assert obj.R == len(store._orbit(obj.rep_cid)), d
+    assert len(searched) > 6
 
 
 @pytest.mark.parametrize("label,text", [
