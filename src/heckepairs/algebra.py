@@ -8,7 +8,11 @@ without the member cosets of either class.  Each result is checked against
 the degree identity sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring
 homomorphism), with the sizes R learned by the store's class search from
 its own products T_d * T_s with generator classes s, and cached on the
-store, so repeated convolutions are dictionary arithmetic.  A product
+store, so repeated convolutions are dictionary arithmetic: ``convolve``
+reads a cached pair off ``store.sc_cache`` itself and calls
+``structure_constants`` only on a miss, ``class_R`` returns a known size
+at once, and ``involution`` reads L, R and the inverse off the class
+records, asking the store only for a value not yet known.  A product
 with a one-coset side is not counted: if L(d2) = 1 the support is the one
 class e of x1 t, and the degree identity gives c_e = R(d1) R(d2) / R(e);
 R(d1) = 1 is its mirror.
@@ -20,9 +24,10 @@ equality and hashing compare the pair.  Convolution, involution, sums and
 scalar multiples read and build pairs, with one gcd division per result;
 involution rescales once, by the lcm of the reduced denominators of the
 Delta(d) that are not 1.  Norms sum ints and build one Fraction per
-returned value.  ``HeckeElement.coeffs`` is a read-only Fraction view,
-built on first read.  Output dicts keep the order in which the loops
-first reach each class.
+returned value.  A result dict is rebuilt to drop zeros only when
+``0 in num.values()``, a scan that runs in C.  ``HeckeElement.coeffs``
+is a read-only Fraction view, built on first read.  Output dicts keep
+the order in which the loops first reach each class.
 
 Coefficients are rationals, not complex: every computation in scope uses
 real data, so conjugation is the identity.  A complex payload would be a
@@ -37,8 +42,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .cosets import CosetStore
-from .errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
-                     StoreMismatch)
+from .errors import (HeckeError, LengthUndefinedOnSupport,
+                     NonBiInvariantResult, ParseError, StoreMismatch)
 
 __all__ = [
     "HeckeElement", "NormReport",
@@ -129,14 +134,24 @@ class HeckeElement:
 
     @classmethod
     def from_text(cls, store: CosetStore, text: str) -> "HeckeElement":
+        """The element of ``to_text``'s lines ``dc=<id> coeff=<rational>``,
+        a repeated class summed.  A malformed line raises ``ParseError``
+        and a class the store has not named ``HeckeError``, each naming
+        the 1-based line."""
         coeffs: dict[int, Fraction] = {}
-        for ln, raw in enumerate(text.splitlines()):
+        for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
-            parts = dict(p.split("=", 1) for p in line.split())
-            coeffs[int(parts["dc"])] = (coeffs.get(int(parts["dc"]), Fraction(0))
-                                        + Fraction(parts["coeff"]))
+            try:
+                parts = dict(p.split("=", 1) for p in line.split())
+                d, c = int(parts["dc"]), Fraction(parts["coeff"])
+            except (ValueError, KeyError, ZeroDivisionError):
+                raise ParseError(f"line {ln}: expected 'dc=<id> "
+                                 f"coeff=<rational>', got {line!r}") from None
+            if not 0 <= d < len(store.dcs):
+                raise HeckeError(f"line {ln}: class {d} is not in the store")
+            coeffs[d] = coeffs.get(d, Fraction(0)) + c
         return cls(store, coeffs)
 
 
@@ -149,8 +164,10 @@ def _reduced(store: CosetStore, den: int,
              num: dict[int, int]) -> HeckeElement:
     """The element sum_d num[d] / den T_d for den > 0, in canonical form:
     zero numerators dropped and one gcd divided out (den becomes 1 for the
-    zero element)."""
-    num = {d: n for d, n in num.items() if n}
+    zero element).  ``num`` is kept as it is when it holds no zero and the
+    gcd is 1, so callers pass a dict of their own."""
+    if 0 in num.values():
+        num = {d: n for d, n in num.items() if n}
     g = math.gcd(den, *num.values())
     if g != 1:
         den //= g
@@ -246,11 +263,15 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
     normalization (mass 1 per right coset)."""
     _same_store(f, g)
     store = f.store
+    cache = store.sc_cache
     out: dict[int, int] = {}
     for d1, n1 in f.num.items():
         for d2, n2 in g.num.items():
             w = n1 * n2
-            for d, n in structure_constants(store, d1, d2).items():
+            sc = cache.get((d1, d2))
+            if sc is None:
+                sc = structure_constants(store, d1, d2)
+            for d, n in sc.items():
                 out[d] = out.get(d, 0) + w * n
     return _reduced(store, f.den * g.den, out)
 
@@ -266,11 +287,19 @@ def involution(f: HeckeElement) -> HeckeElement:
     denominator is scaled once, by the lcm of the reduced denominators of
     the Delta(d) = L(d) / R(d) that are not 1."""
     store = f.store
+    dcs = store.dcs
     terms = []
     scale = 1
     delta_one = True
     for d, n in f.num.items():
-        left, right = store.class_L(d), store.class_R(d)
+        obj = dcs[d]
+        left, right, e = obj.L, obj.R, obj.inv
+        if left is None:
+            left = store.class_L(d)
+        if right is None:
+            right = store.class_R(d)
+        if e is None:
+            e = store.class_inverse(d)
         if left == right:
             left = right = 1
         else:
@@ -278,7 +307,7 @@ def involution(f: HeckeElement) -> HeckeElement:
             left, right = left // g, right // g
             scale = math.lcm(scale, right)
             delta_one = False
-        terms.append((store.class_inverse(d), n, left, right))
+        terms.append((e, n, left, right))
     if delta_one:
         return HeckeElement._of(store, f.den, {e: n for e, n, _, _ in terms})
     return _reduced(store, f.den * scale,

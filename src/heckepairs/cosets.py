@@ -260,9 +260,11 @@ class CosetStore:
         return self._name_class(key, self._intern(g)) if d is None else d
 
     def class_R(self, dcid: int) -> int:
-        """R of the class: learned by resuming the class search on a
-        finitely generated pair, else R(d) = L(inv d)."""
+        """R of the class: a known R at once, else learned by resuming
+        the class search on a finitely generated pair, else R(d) = L(inv d)."""
         obj = self.dcs[dcid]
+        if obj.R is not None:
+            return obj.R
         if self.pair.finitely_generated:
             while obj.R is None and self._search_depth():
                 pass

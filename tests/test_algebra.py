@@ -13,7 +13,8 @@ from heckepairs.algebra import (HeckeElement, basis_element, convolve,
                                 direct_count, identity_element, involution,
                                 norms, power_moments, structure_constants,
                                 weighted_norms)
-from heckepairs.errors import (LengthUndefinedOnSupport, NonBiInvariantResult,
+from heckepairs.errors import (HeckeError, LengthUndefinedOnSupport,
+                               NonBiInvariantResult, ParseError,
                                StoreMismatch)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.lengths import word_length
@@ -319,6 +320,45 @@ def test_element_arithmetic_and_text():
     assert not (f - f)
 
 
+def test_text_round_trip_sums_repeated_classes():
+    store = hp.enumerate_ball(get_pair("bcp:2"), 2)
+    classes = store.classes_in_ball(2)
+    rng = random.Random(5)
+    for _ in range(5):
+        f = random_element(store, classes, rng)
+        assert HeckeElement.from_text(store, f.to_text()) == f
+    assert HeckeElement.from_text(store, "") == HeckeElement(store, {})
+    text = "dc=0 coeff=1/2\n\n  dc=2 coeff=-1  \ndc=0 coeff=1/3\n"
+    assert (HeckeElement.from_text(store, text)
+            == HeckeElement(store, {0: Q(5, 6), 2: -1}))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("garbage", 1),
+    ("dc=0 coeff=1\ndc=1", 2),
+    ("\ndc=1 coeff=1/0", 2),
+    ("dc=0 coeff=1\n\ndc=x coeff=1", 3),
+    ("dc=0 coeff=one", 1),
+    ("coeff=1", 1),
+])
+def test_from_text_refuses_a_malformed_line(text, line):
+    store = hp.enumerate_ball(get_pair("z:1"), 2)
+    store.classes_in_ball(2)
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        HeckeElement.from_text(store, text)
+
+
+@pytest.mark.parametrize("dc", ["999", "5", "-1"])
+def test_from_text_refuses_a_class_the_store_never_named(dc):
+    # z:1 at radius 2 names classes 0..4; convolving a stray id would
+    # raise IndexError, or read another class for -1
+    store = hp.enumerate_ball(get_pair("z:1"), 2)
+    assert len(store.classes_in_ball(2)) == len(store.dcs) == 5
+    with pytest.raises(HeckeError, match=f"^line 2: class {dc} is not") as exc:
+        HeckeElement.from_text(store, f"dc=0 coeff=1\ndc={dc} coeff=1")
+    assert not isinstance(exc.value, ParseError)
+
+
 def test_structure_constants_cached_and_csv():
     store = hp.enumerate_ball(get_pair("s3-h12"), 3)
     ds = store.classes_in_ball(3)
@@ -522,6 +562,82 @@ def test_convolution_lookups_intern_nothing_stray():
     named = len(store.dcs) - len(classes)
     assert named > 0
     assert len(store) <= len(store.ball_ids(3)) + named
+
+
+def brute_convolve(f, g):
+    """f * g summed over ``brute_structure_constants``."""
+    store = f.store
+    out = {}
+    for d1, c1 in f.coeffs.items():
+        for d2, c2 in g.coeffs.items():
+            for d, n in brute_structure_constants(store, d1, d2).items():
+                out[d] = out.get(d, 0) + c1 * c2 * n
+    return HeckeElement(store, out)
+
+
+@pytest.mark.parametrize("label", ["psl2z1p:2", "bcp:2", "z:2"])
+def test_convolve_calls_structure_constants_only_on_a_miss(label,
+                                                           monkeypatch):
+    # convolve reads a cached pair itself.  A cold product calls
+    # structure_constants only for a pair not yet cached when the loop
+    # reaches it (the mirror called inside may be a hit), computes each
+    # pair it needs exactly once, and a second product makes no call
+    store = hp.enumerate_ball(get_pair(label), 3)
+    classes = store.classes_in_ball(3)
+    rng = random.Random(29)
+    f, g = (random_element(store, classes, rng) for _ in range(2))
+    calls, computed, depth = [], [], [0]
+    sc = algebra.structure_constants
+
+    def counted(store, d1, d2):
+        miss = (d1, d2) not in store.sc_cache
+        if depth[0] == 0:
+            calls.append(((d1, d2), miss))
+        if miss:
+            computed.append((d1, d2))
+        depth[0] += 1
+        try:
+            return sc(store, d1, d2)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(algebra, "structure_constants", counted)
+    store.sc_cache.clear()
+    fg = convolve(f, g)
+    pairs = [(d1, d2) for d1 in f.num for d2 in g.num]
+    assert calls and all(miss for _, miss in calls)
+    assert len(set(computed)) == len(computed)
+    assert set(pairs) <= set(computed)
+    calls.clear()
+    assert convolve(f, g) == fg
+    assert not calls
+    monkeypatch.undo()
+    assert fg == brute_convolve(f, g)
+    assert convolve(g, f) == brute_convolve(g, f)
+
+
+@pytest.mark.parametrize("label", ["psl2z1p:2", "bcp:2", "z:2"])
+def test_class_r_reads_a_known_size_without_the_pair(label):
+    pair = get_pair(label)
+    reads = [0]
+    base = type(pair)
+
+    class Counted(base):
+        @property
+        def finitely_generated(self):
+            reads[0] += 1
+            return base.finitely_generated.fget(self)
+
+    pair.__class__ = Counted
+    store = hp.enumerate_ball(pair, 3)
+    classes = store.classes_in_ball(3)
+    assert store.dcs[classes[-1]].R is None
+    store.class_R(classes[-1])       # an unknown R resumes the search
+    assert reads[0] > 0
+    reads[0] = 0
+    sizes = [store.class_R(d) for d in range(len(store.dcs))]
+    assert sizes == [obj.R for obj in store.dcs]
+    assert reads[0] == 0
 
 
 def test_structure_constants_build_no_members(monkeypatch):
@@ -798,3 +914,44 @@ def test_elements_are_canonical(case):
     assert_same(involution(f), fraction_involution(f))
     for h in (f, total, scaled):
         assert HeckeElement.from_text(h.store, h.to_text()) == h
+
+
+def filtered_reduced(den, num):
+    """The canonical pair by the rule that always rebuilds: drop zeros,
+    then divide out one gcd."""
+    num = {d: n for d, n in num.items() if n}
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {d: n // g for d, n in num.items()}
+    return den, num
+
+
+@given(st.integers(1, 10**6),
+       st.dictionaries(st.integers(0, 40), st.integers(-10**4, 10**4),
+                       max_size=8),
+       st.integers(1, 12), st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(5, {}, 1, False)
+@example(6, {3: 0, 1: 4}, 1, False)
+@example(1, {2: 0}, 1, False)
+def test_reduced_matches_the_rebuilding_rule(den, num, k, zeros):
+    # a common factor k gives a gcd to divide out; without ``zeros`` the
+    # dict holds none, so _reduced may keep it as given
+    num = {d: k * n for d, n in num.items() if zeros or n}
+    want_den, want_num = filtered_reduced(k * den, dict(num))
+    h = algebra._reduced(kernel_store("z:2")[0], k * den, dict(num))
+    assert h.den == want_den
+    assert list(h.num.items()) == list(want_num.items())
+    assert_canonical(h)
+
+
+@given(canonical_cases())
+@settings(max_examples=80, deadline=None)
+def test_results_share_no_num_dict_with_their_inputs(case):
+    f, g, s = case
+    results = (f + g, f - g, f + (g - g), s * f, 1 * f, convolve(f, g),
+               involution(f), involution(g))
+    held = [f.num, g.num, *f.store.sc_cache.values()]
+    for h in results:
+        assert all(h.num is not x for x in held)
