@@ -135,18 +135,22 @@ class HeckeElement:
     @classmethod
     def from_text(cls, store: CosetStore, text: str) -> "HeckeElement":
         """The element of ``to_text``'s lines ``dc=<id> coeff=<rational>``,
-        a repeated class summed.  A malformed line raises ``ParseError``
-        and a class the store has not named ``HeckeError``, each naming
-        the 1-based line."""
+        a repeated class summed.  A malformed line, or one whose keys are
+        not exactly dc and coeff once each, raises ``ParseError``, and a
+        class the store has not named ``HeckeError``, each naming the
+        1-based line."""
         coeffs: dict[int, Fraction] = {}
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                parts = dict(p.split("=", 1) for p in line.split())
+                tokens = line.split()
+                parts = dict(p.split("=", 1) for p in tokens)
+                if len(tokens) != 2 or parts.keys() != {"dc", "coeff"}:
+                    raise ValueError(line)
                 d, c = int(parts["dc"]), Fraction(parts["coeff"])
-            except (ValueError, KeyError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError):
                 raise ParseError(f"line {ln}: expected 'dc=<id> "
                                  f"coeff=<rational>', got {line!r}") from None
             if not 0 <= d < len(store.dcs):

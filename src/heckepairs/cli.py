@@ -36,18 +36,17 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .config import RD_KEYS, check_domains, set_values
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
                      CapExceeded, CosetStore)
 from .errors import HeckeError, NotRelativelyUnimodular
-from .groups import (HeckePair, catalog_labels, get_pair, load_pair_spec,
-                     read_key_values)
+from .groups import catalog_labels, get_pair, load_pair_spec, read_key_values
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -82,22 +81,41 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _jsonable(obj):
-    """The one rule that turns a report into JSON: a dataclass is its
-    fields by name, a Fraction its string, every dict key a string (so
-    ``sort_keys`` orders them as strings), a tuple a list, and a float
-    keeps 12 significant digits, so artifacts are byte-stable."""
+def _encode(obj, out: list, pad: str) -> None:
+    """Append the JSON text of ``obj``, its lines indented by ``pad``, to
+    ``out``: the one rule for every report.  Keys become strings, sorted; a
+    dataclass is its fields by name, a Fraction its string, a tuple a list,
+    and a float keeps 12 significant digits, so artifacts are byte-stable."""
     if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    return obj
+        x = float(format(obj, ".12g"))
+        out.append(float.__repr__(x) if x - x == 0 else   # x is finite
+                   "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner, sep = pad + " ", "{"
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out += (sep, inner, _quote(key), ": ")
+            _encode(value, out, inner)
+            sep = ","
+        out.append(pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = pad + " ", "["
+        for value in obj:
+            out += (sep, inner)
+            _encode(value, out, inner)
+            sep = ","
+        out.append(pad + "]" if obj else "[]")
+    elif isinstance(obj, Fraction):
+        out.append(_quote(str(obj)))
+    elif is_dataclass(obj):
+        _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, out, pad)
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: str, text: str) -> None:
@@ -127,7 +145,9 @@ def _check_out(out: str) -> None:
 
 
 def write_json(path: str, obj: dict) -> None:
-    _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n")
+    out: list = []
+    _encode(obj, out, "\n")
+    _write(path, "".join(out) + "\n")
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -138,18 +158,6 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow([format(v, ".12g") if isinstance(v, float) else v
                          for v in row])
     _write(path, buf.getvalue())
-
-
-def _slug(label: str) -> str:
-    return label.replace(":", "-")
-
-
-def _resolve_pair(args) -> HeckePair:
-    if args.pair_spec:
-        return load_pair_spec(args.pair_spec)
-    if not args.pair:
-        raise HeckeError("--pair or --pair-spec is required")
-    return get_pair(args.pair)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +184,14 @@ def run_pair_command(args) -> int:
     set_values(cfg, CONFIG_KEYS, [(k, v) for k, v in flags if v is not None],
                "flag")
     check_domains(cfg, CONFIG_KEYS)
-    pair = _resolve_pair(args)
+    if not (args.pair or args.pair_spec):
+        raise HeckeError("--pair or --pair-spec is required")
+    pair = (load_pair_spec(args.pair_spec) if args.pair_spec
+            else get_pair(args.pair))
     rd_cfg = {k: cfg[k] for k in RD_KEYS}
     _check_out(args.out)
     base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"
-                                  f"{_slug(pair.label)}")
+                                  f"{pair.label.replace(':', '-')}")
     report = {"pair": pair.describe(), "seed": cfg["seed"],
               "config": cfg, "command": args.command}
     store = CosetStore(pair, Caps(cfg["caps.max_cosets"],
@@ -278,14 +289,10 @@ def cmd_verify(args) -> int:
     from .verify import run_verification
     _check_out(args.out)
     checks = run_verification(include_golden=not args.no_golden)
-    n_bad = 0
     for c in checks:
-        status = "PASS" if c.ok else "FAIL"
-        line = f"{status} {c.name}"
-        if c.detail and not c.ok:
-            line += f": {c.detail}"
-        print(line)
-        n_bad += 0 if c.ok else 1
+        print(f"PASS {c.name}" if c.ok else
+              f"FAIL {c.name}" + (f": {c.detail}" if c.detail else ""))
+    n_bad = sum(not c.ok for c in checks)
     report = {
         "command": "verify",
         "config": CONFIG_DEFAULTS,

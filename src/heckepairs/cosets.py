@@ -24,6 +24,7 @@ A one-coset generator class s costs the search less.  Of the L(s)
 products x t naming supp(T_d * T_s), m_e <= L(s) land in a class e, so
 L(s) = 1 gives one class with m_e = 1, named by one product; and
 1 <= c_e <= R(s) on the support, so R(s) = 1 gives c_e = 1 with no count.
+When that product's key is new, the class is named and sized in one step.
 
 A store only appends: interning, double-coset orbits, class inverses and
 a resumed BFS may add cosets at any time; those appends are deterministic,
@@ -390,7 +391,12 @@ class CosetStore:
         One-coset generators cost less.  If L(s) = 1, its one left rep t
         names the whole support, the class e of x t with m_e = 1 (as
         m_e <= L(s)): one product, no support dict.  If R(s) = 1, then
-        c_e = 1 with no count, as 1 <= c_e <= R(s) on the support."""
+        c_e = 1 with no count, as 1 <= c_e <= R(s) on the support.  A key
+        of x t not yet in the class table is a new class, sized in one
+        step: x t is interned as its rep and L(e), R(e) are set from the
+        rule, with no earlier size to agree with.  A class named before
+        (by ``class_inverse`` or a product's support) settles each size,
+        so a disagreement raises HeckeError."""
         if self._wl_depth < 0:
             e = self.identity_class()
             self.dcs[e].L = self.dcs[e].R = 1
@@ -402,29 +408,42 @@ class CosetStore:
             return False
         if self._gen_classes is None:
             self._gen_classes = self._generator_classes()
-        dcs, wl = self.dcs, self._wl_classes
-        gens = [(s, self.class_left_reps(s),
-                 self.class_left_reps(self.class_inverse(s)))
-                for s in self._gen_classes]
+        dcs, wl, classes = self.dcs, self._wl_classes, self._classes
+        gens = []   # s, t (its one left rep, or None), reps, inv_reps, R, L
+        for s in self._gen_classes:
+            reps = self.class_left_reps(s)
+            inv_reps = self.class_left_reps(self.class_inverse(s))
+            gens.append((s, reps[0] if len(reps) == 1 else None, reps,
+                         None if len(inv_reps) == 1 else inv_reps,
+                         dcs[s].R, dcs[s].L))
         found: dict[int, None] = {}
-        mul, class_of = self.pair.mul, self.class_of
+        mul, key_of, count = self.pair.mul, self.pair.class_key, self._count
         for d in self._wl_frontier:
             x, want = self.reps[dcs[d].rep_cid], dcs[d].key
-            for s, reps, inv_reps in gens:
-                if len(reps) == 1:
-                    y = mul(x, reps[0])
-                    support = ((class_of(y), (y, 1)),)
-                else:
+            l_d, r_d = dcs[d].L, dcs[d].R
+            for s, t, reps, inv_reps, r_s, l_s in gens:
+                if t is None:
                     support = self._support(x, reps).items()
+                else:
+                    y = mul(x, t)
+                    e = classes.get(key := key_of(y))
+                    if e is None:   # a new class: named, then sized at once
+                        cid = self._intern(y)
+                        e = classes[key] = self.dc_of[cid] = len(dcs)
+                        dcs.append(new := DoubleCoset(e, key, cid))
+                        c = 1 if inv_reps is None else count(y, inv_reps, want)
+                        if not (l_d % c or r_d * r_s % (l_s * c)):
+                            new.L, new.R = l_d // c, r_d * r_s // (l_s * c)
+                            found[e] = None
+                            continue
+                    support = ((e, (y, 1)),)
                 for e, (y, m) in support:
                     if e in wl or e in found:
                         continue
                     found[e] = None
-                    c = (1 if len(inv_reps) == 1
-                         else self._count(y, inv_reps, want))
-                    for side, num, den in (
-                            ("L", dcs[d].L * m, c),
-                            ("R", dcs[d].R * dcs[s].R * m, dcs[s].L * c)):
+                    c = 1 if inv_reps is None else count(y, inv_reps, want)
+                    for side, num, den in (("L", l_d * m, c),
+                                           ("R", r_d * r_s * m, l_s * c)):
                         if num % den:
                             raise NonBiInvariantResult(
                                 f"T[{d}]*T[{s}] leaves no {side} for class "
@@ -439,11 +458,8 @@ class CosetStore:
     def _generator_classes(self) -> list[int]:
         """The distinct classes of S-hat, in S-hat order, sized by their
         left walks, R(s) = L(inv s): they seed the class search."""
-        out: list[int] = []
-        for g in self.pair.shat():
-            s = self.dc(self._intern(g))
-            if s not in out:
-                out.append(s)
+        out = list(dict.fromkeys(self.dc(self._intern(g))
+                                 for g in self.pair.shat()))
         for s in out:
             self.dcs[s].settle("R", self.class_L(self.class_inverse(s)),
                                "the left walk of its inverse")
@@ -468,24 +484,12 @@ class CosetStore:
             for d in range(len(self.dcs)):
                 self.class_L(d)
                 self.class_members(self.class_inverse(d))
-        cosets = []
-        for cid, rep in enumerate(self.reps):
-            cosets.append({
-                "id": cid,
-                "rep": pair.render(rep),
-                "wl": self.wl[cid],
-                "dc": self.dc_of[cid],
-            })
-        dcs = []
-        for obj in self.dcs:
-            dcs.append({
-                "id": obj.id,
-                "rep": pair.render(self.reps[obj.rep_cid]),
-                "R": obj.R,
-                "L": obj.L,
+        cosets = [{"id": cid, "rep": pair.render(rep), "wl": self.wl[cid],
+                   "dc": self.dc_of[cid]} for cid, rep in enumerate(self.reps)]
+        dcs = [{"id": obj.id, "rep": pair.render(self.reps[obj.rep_cid]),
+                "R": obj.R, "L": obj.L,
                 "delta": None if obj.delta is None else str(obj.delta),
-                "inv": obj.inv,
-            })
+                "inv": obj.inv} for obj in self.dcs]
         return {
             "pair": pair.describe(),
             "radius_complete": self.radius_complete,
@@ -600,8 +604,7 @@ def verify_hecke(pair: HeckePair, depth: int,
         return HeckeVerification("inconclusive", depth, 0, 0, None, None,
                                  [str(exc)])
     ball = list(range(len(store)))
-    max_l = 0
-    max_r = 0
+    max_l = max_r = 0
     classes: set[int] = set()
     for cid in ball:
         d = store.dc(cid)

@@ -107,12 +107,9 @@ def _check_golden() -> list[CheckResult]:
             continue
         want = json.loads(path.read_text())
         got = enumerate_ball(get_pair(label), radius).snapshot()
-        ok = got == want
-        detail = ""
-        if not ok:
-            keys = [k for k in want if got.get(k) != want.get(k)]
-            detail = f"differs in {keys}"
-        out.append(CheckResult(f"golden[{label}]", ok, detail))
+        keys = [k for k in want if got.get(k) != want.get(k)]
+        out.append(CheckResult(f"golden[{label}]", got == want,
+                               f"differs in {keys}" if got != want else ""))
     return out
 
 
@@ -129,69 +126,56 @@ def _check_algebra_laws(n_cases: int = 25) -> list[CheckResult]:
         rng = random.Random(0xA1)
         store = enumerate_ball(get_pair(label), 2)
         classes = store.classes_in_ball(2)
-        ok = True
-        detail = ""
-        ident = identity_element(store)
+        ident, detail = identity_element(store), ""
         for _ in range(n_cases):
-            f = _random_element(store, classes, rng)
-            g = _random_element(store, classes, rng)
-            h = _random_element(store, classes, rng)
-            if convolve(convolve(f, g), h) != convolve(f, convolve(g, h)):
-                ok, detail = False, "associativity"
+            f, g, h = (_random_element(store, classes, rng) for _ in range(3))
+            laws = {"associativity": convolve(convolve(f, g), h)
+                    == convolve(f, convolve(g, h)),
+                    "unit": convolve(ident, f) == f == convolve(f, ident),
+                    "involution involutive": involution(involution(f)) == f,
+                    "anti-multiplicativity": involution(convolve(f, g))
+                    == convolve(involution(g), involution(f))}
+            detail = next((law for law, ok in laws.items() if not ok), "")
+            if detail:
                 break
-            if convolve(ident, f) != f or convolve(f, ident) != f:
-                ok, detail = False, "unit"
-                break
-            if involution(involution(f)) != f:
-                ok, detail = False, "involution involutive"
-                break
-            if involution(convolve(f, g)) != convolve(involution(g),
-                                                      involution(f)):
-                ok, detail = False, "anti-multiplicativity"
-                break
-        out.append(CheckResult(f"algebra-laws[{label}]", ok, detail))
+        out.append(CheckResult(f"algebra-laws[{label}]", not detail,
+                               detail))
     return out
 
 
 def _check_coset_invariants() -> list[CheckResult]:
-    out = []
-    for label in LAW_PAIRS:
-        pair = get_pair(label)
-        store = enumerate_ball(pair, 2)
-        ok = True
-        detail = ""
-        ball = store.ball_ids(2)
-        for d in store.classes_in_ball(2):
-            if store.class_R(d) != store.class_L(store.class_inverse(d)):
-                ok, detail = False, f"R != L(inv) on class {d}"
-                break
-        if ok:
-            seen: dict[int, int] = {}
-            for d in store.classes_in_ball(2):
-                for m in store.class_members(d):
-                    if m in seen:
-                        ok, detail = False, "classes overlap"
-                    seen[m] = d
-            covered = set(seen)
-            if ok and any(c not in covered for c in ball):
-                ok, detail = False, "ball not covered by classes"
-        if ok:
-            bad = check_interning_soundness(store, limit=5000)
-            if bad:
-                ok, detail = False, f"duplicate cosets {bad[:3]}"
-        if ok:
-            rng = random.Random(0xB2)
-            for _ in range(10):
-                x = store.reps[rng.choice(ball)]
-                y = store.reps[rng.choice(ball)]
-                lhs = relative_modular(pair, pair.mul(x, y))
-                rhs = (relative_modular(pair, x)
-                       * relative_modular(pair, y))
-                if lhs != rhs:
-                    ok, detail = False, "delta not multiplicative"
-                    break
-        out.append(CheckResult(f"coset-invariants[{label}]", ok, detail))
-    return out
+    return [CheckResult(f"coset-invariants[{label}]", not detail, detail)
+            for label in LAW_PAIRS
+            for detail in [_coset_invariant_failure(label)]]
+
+
+def _coset_invariant_failure(label: str) -> str:
+    """The first coset invariant the radius-2 ball of ``label`` breaks,
+    "" if none."""
+    pair = get_pair(label)
+    store = enumerate_ball(pair, 2)
+    ball = store.ball_ids(2)
+    for d in store.classes_in_ball(2):
+        if store.class_R(d) != store.class_L(store.class_inverse(d)):
+            return f"R != L(inv) on class {d}"
+    seen: set[int] = set()
+    for d in store.classes_in_ball(2):
+        for m in store.class_members(d):
+            if m in seen:
+                return "classes overlap"
+            seen.add(m)
+    if any(c not in seen for c in ball):
+        return "ball not covered by classes"
+    bad = check_interning_soundness(store, limit=5000)
+    if bad:
+        return f"duplicate cosets {bad[:3]}"
+    rng = random.Random(0xB2)
+    for _ in range(10):
+        x, y = (store.reps[rng.choice(ball)] for _ in range(2))
+        if relative_modular(pair, pair.mul(x, y)) != (
+                relative_modular(pair, x) * relative_modular(pair, y)):
+            return "delta not multiplicative"
+    return ""
 
 
 def _check_learned_sizes() -> list[CheckResult]:

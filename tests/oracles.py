@@ -6,7 +6,8 @@ force closures.  Tests compute expected values through these routes and
 compare the library against them.
 """
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from heckepairs.algebra import HeckeElement
@@ -21,6 +22,29 @@ def off_domain(table):
     step = {">=": -1, ">": 0, "<=": 1}
     return [(key, bound + step[op]) for key, (_, *bounds) in table.items()
             for op, bound in bounds]
+
+
+def _jsonable(obj):
+    """A report as plain JSON data: a dataclass is its fields by name, a
+    Fraction its string, every dict key a string, a tuple a list, and a
+    float keeps 12 significant digits."""
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+def reference_report_json(obj) -> str:
+    """The text of a JSON report by the json module's own encoder: sorted
+    keys, a one-space indent, ASCII escapes, NaN and Infinity as literals."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n"
 
 
 def mat_mul(m, n):

@@ -348,6 +348,27 @@ def test_from_text_refuses_a_malformed_line(text, line):
         HeckeElement.from_text(store, text)
 
 
+@pytest.mark.parametrize("line", [
+    "dc=0 dc=1 coeff=1",                # repeated dc: T[1] before
+    "dc=0 coeff=1 coeff=5",             # repeated coeff: 5 T[0] before
+    "dc=0 coeff=1 coeff=5 junk=3",
+    "dc=0 coeff=1 junk=3",              # unknown key: T[0] before
+    "junk=3 coeff=1",
+    "dc=0 dc=0",                        # missing coeff
+    "dc=0",
+])
+def test_from_text_refuses_a_repeated_unknown_or_missing_key(line):
+    # to_text writes dc=<id> coeff=<rational>: each key exactly once
+    store = hp.enumerate_ball(get_pair("z:1"), 2)
+    store.classes_in_ball(2)
+    with pytest.raises(ParseError, match=f"^line 2: .*got {line!r}$"):
+        HeckeElement.from_text(store, f"dc=0 coeff=1\n{line}\ndc=1 coeff=2")
+    f = HeckeElement(store, {1: Q(1, 2), 0: Q(-3)})
+    assert HeckeElement.from_text(store, f.to_text()) == f
+    assert (HeckeElement.from_text(store, "coeff=1/2 dc=1")
+            == Q(1, 2) * basis_element(store, 1))
+
+
 @pytest.mark.parametrize("dc", ["999", "5", "-1"])
 def test_from_text_refuses_a_class_the_store_never_named(dc):
     # z:1 at radius 2 names classes 0..4; convolving a stray id would

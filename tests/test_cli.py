@@ -6,19 +6,22 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heckepairs
 from heckepairs.cli import (CONFIG_DEFAULTS, CONFIG_KEYS, EXIT_INCONCLUSIVE,
-                           EXIT_OK, EXIT_USAGE, main)
+                           EXIT_OK, EXIT_USAGE, main, write_json)
 from heckepairs.cosets import CosetStore
 from heckepairs.growth import GrowthSeries, GrowthVerdict
 from heckepairs.rd import BestRatio, KestenReport, RdProfile, RdTestRecord
 from heckepairs.verify import CheckResult
 
-from oracles import (off_domain, tree_ball, tree_class_size, tree_level,
-                     tree_t1_times_tk)
+from oracles import (off_domain, reference_report_json, tree_ball,
+                     tree_class_size, tree_level, tree_t1_times_tk)
 
 
 def read(path):
@@ -334,6 +337,56 @@ def test_report_keys_are_the_dataclass_fields(tmp_path):
     assert main(["verify", "--no-golden", "--out", str(tmp_path)]) == EXIT_OK
     checks = json.loads(read(tmp_path / "verify_report.json"))["checks"]
     assert checks and all(set(c) == fields(CheckResult) for c in checks)
+
+
+@dataclasses.dataclass
+class Record:
+    name: str
+    value: object
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                  0.1 + 0.2, 1e16, 123456789012345.0, 5e-324, 1 / 3, 1e-7]
+scalars = (st.none() | st.booleans() | st.integers() | st.fractions()
+           | st.sampled_from(SPECIAL_FLOATS) | st.floats()
+           | st.text() | st.text(st.characters(max_codepoint=0x1f))
+           | st.sampled_from(["", "é", "\u2603 snow", "tab\tnl\n\"q\"\\",
+                              "\x00\x1f\x7f", "\U0001f600"]))
+keys = (st.text() | st.integers() | st.floats() | st.fractions()
+        | st.booleans() | st.sampled_from([1, "1", True, "True", 0.5]))
+values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(keys, inner, max_size=4)
+                   | st.builds(Record, st.text(max_size=3), inner)),
+    max_leaves=20)
+
+
+@given(st.dictionaries(keys, values, max_size=5))
+@settings(max_examples=200, deadline=None)
+@example({})
+@example({1: "int", "1": "str"})
+@example({"1": "str", 1: "int", True: [], "True": {}})
+@example({"a": [], "b": {}, "c": (), "d": [[], {}]})
+@example({Fraction(1, 2): Fraction(-3, 4), 0.5: Record("r", (1, 2.5))})
+@example({"f": SPECIAL_FLOATS})
+def test_report_bytes_equal_the_json_modules(tmp_path_factory, report):
+    # write_json's one-pass encoder against the json module's own text of
+    # the same report: sorted keys, one-space indent, ASCII escapes
+    path = tmp_path_factory.getbasetemp() / "written" / "report.json"
+    write_json(str(path), report)
+    assert path.read_bytes() == reference_report_json(report).encode()
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, object(), frozenset(), b"raw"])
+def test_unserializable_report_raises_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "out" / "r.json"
+    with pytest.raises(TypeError):
+        reference_report_json({"x": [bad]})
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        write_json(str(path), {"a": 1, "x": [Record("r", bad)]})
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors(tmp_path, capsys):

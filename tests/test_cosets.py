@@ -8,7 +8,8 @@ from heckepairs.algebra import HeckeElement
 from heckepairs.cosets import (Caps, check_interning_soundness, enumerate_ball,
                                left_L_count, relative_modular,
                                unimodularity_check, verify_hecke)
-from heckepairs.errors import CapExceeded, HeckeError, OrbitCapExceeded
+from heckepairs.errors import (CapExceeded, HeckeError, NonBiInvariantResult,
+                               OrbitCapExceeded)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.rd import operator_matrix
 
@@ -572,6 +573,59 @@ def test_class_search_sizes_match_walks_and_orbits(label):
         assert obj.L == len(left_L_count(pair, rep)), d
         assert obj.R == len(store._orbit(obj.rep_cid)), d
     assert len(searched) > 6
+
+
+def _depth_two_product(label):
+    """A store searched to depth 1, its first depth-1 class d, and the
+    first generator class s and product x t (x the rep of d, t a left rep
+    of s) whose class the store has not named yet: the search meets that
+    class at depth 2, in supp(T_d * T_s), first by that product."""
+    store = hp.CosetStore(get_pair(label))
+    store.word_lengths(1)
+    d = store._wl_frontier[0]
+    x, key = store.reps[store.dcs[d].rep_cid], store.pair.class_key
+    s, y = next((s, y) for s in store._gen_classes
+                for y in (store.pair.mul(x, t)
+                          for t in store.class_left_reps(s))
+                if key(y) not in store._classes)
+    return store, d, s, y
+
+
+@pytest.mark.parametrize("path", ["new-class", "known-class"])
+def test_class_search_refuses_a_size_that_is_not_whole(path):
+    # z:2's generator classes are one coset each; with L(s) forged to 2
+    # after they are sized, the counting rule gives R(e) = 1/2 for the
+    # class of x t, whether its key is new to the store or was named
+    # before the search meets it
+    store, d, s, y = _depth_two_product("z:2")
+    store.dcs[s].L = 2
+    if path == "known-class":
+        e = store.class_of(y)
+    else:
+        e = len(store.dcs)
+    with pytest.raises(NonBiInvariantResult,
+                       match=rf"^T\[{d}\]\*T\[{s}\] leaves no R for class "
+                             rf"{e}: 1 over 2$"):
+        store.word_lengths(2)
+    assert store.pair.class_key(y) in store._classes
+    assert store.class_search_depth == 1
+
+
+@pytest.mark.parametrize("label", ["z:2", "psl2z1p:2"])
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_class_search_refuses_a_known_size_it_disagrees_with(label, side):
+    # a class named by class_of before the search reaches it keeps the
+    # size it was given, and the search must refuse to overwrite it: on
+    # z:2 through a one-coset generator, on the tree through a support
+    store, d, s, y = _depth_two_product(label)
+    e = store.class_of(y)
+    setattr(store.dcs[e], side, 10**6)
+    with pytest.raises(HeckeError, match=rf"^class {e}: {side}=1000000 "
+                                         "known, the class search gives") \
+            as exc:
+        store.word_lengths(2)
+    assert not isinstance(exc.value, NonBiInvariantResult)
+    assert getattr(store.dcs[e], side) == 10**6
 
 
 @pytest.mark.parametrize("label,text", [
