@@ -15,7 +15,7 @@ _EXPORTS = {name: module for module, names in {
     "algebra": "HeckeElement NormReport basis_element convolve involution"
                " identity_element norms power_moments structure_constants",
     "cosets": "Caps CosetStore enumerate_ball left_L_count relative_modular"
-              " unimodularity_check verify_hecke",
+              " unimodularity_check",
     "growth": "GrowthSeries GrowthVerdict classify_growth growth_series",
     "groups": "HeckePair catalog_labels get_pair load_pair_spec",
     "lengths": "AveragedLength LengthFunction characteristic_length"

@@ -2,20 +2,18 @@
 
 Elements are finite rational linear combinations of double-coset
 indicators T_d over a coset store.  Products are computed classwise: the
-structure constants of a basis product T_{d1} * T_{d2} are counted by class
-keys over left-coset representatives, at one element per target class,
-without the member cosets of either class.  Each result is checked against
-the degree identity sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring
-homomorphism), with the sizes R learned by the store's class search from
-its own products T_d * T_s with generator classes s, and cached on the
-store, so repeated convolutions are dictionary arithmetic: ``convolve``
-reads a cached pair off ``store.sc_cache`` itself and calls
+structure constants of T_{d1} * T_{d2} are read off one walk of its
+support over left-coset representatives, c_e = L(d1) m_e / L(e) with m_e
+the products of the walk landing in class e, and no member coset of
+either class is built; ``direct_count``, which counts each c_e, is the
+arbiter.  Each result is checked against the degree identity
+sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring homomorphism), with
+the sizes learned by the store's class search, and cached on the store,
+so repeated convolutions are dictionary arithmetic: ``convolve`` reads a
+cached pair off ``store.sc_cache`` itself and calls
 ``structure_constants`` only on a miss, ``class_R`` returns a known size
 at once, and ``involution`` reads L, R and the inverse off the class
-records, asking the store only for a value not yet known.  A product
-with a one-coset side is not counted: if L(d2) = 1 the support is the one
-class e of x1 t, and the degree identity gives c_e = R(d1) R(d2) / R(e);
-R(d1) = 1 is its mirror.
+records, asking the store only for a value not yet known.
 
 An element is held as integer numerators over one lowest denominator:
 a pair (den, num) with den > 0, num mapping each support class to a
@@ -201,57 +199,62 @@ def identity_element(store: CosetStore) -> HeckeElement:
 
 def direct_count(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     """The coefficients of T_{d1} * T_{d2} counted in this orientation,
-    unchecked and uncached: the support off the left-coset representatives
-    of d2, each count off those of inv(d2)."""
+    unchecked and uncached, the arbiter of ``structure_constants``: the
+    support off the left-coset representatives of d2, and each c_e
+    counted off those of inv(d2), R(d2) products per support class."""
     return {d: store.product_count(d1, d2, x)
             for d, (x, _) in store.product_support(d1, d2).items()}
 
 
 def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
-    """Coefficients of T_{d1} * T_{d2} in the double-coset basis.
+    """Coefficients of T_{d1} * T_{d2} in the double-coset basis, read off
+    one walk of the support.
 
-    (T_{d1} * T_{d2})(Hx) counts the right cosets H b_j of d2 with
-    H x b_j^{-1} in d1, and is constant on the class of Hx.  The support
-    is the set of classes of the x1 t, for one element x1 of d1 and the
-    L(d2) left-coset representatives t of d2; each class is named by its
-    key.  For the element x of each support class met that way, c_d counts
-    the left-coset representatives t of inv(d2) (the b_j^{-1} up to right
-    H) with class_key(x t) = key(d1).  No member list is read and only a
-    newly named class interns a coset, its rep: L(d2) + |supp| R(d2)
-    products per pair.
+    With x1 in d1 and the L(d2) left-coset representatives t of d2, the
+    classes of the x1 t are the support, each named by its key; m_e of
+    the x1 t land in class e, and c_e = L(d1) m_e / L(e).  Proof: count
+    the triangles of left cosets (H, aH, bH) with a in d1, a^{-1} b in d2
+    and b in e.  Fixing aH first (L(d1) ways), bH = a t H, and m_e of
+    these lie in e.  Fixing bH = zH first (L(e) ways), aH -> H a^{-1} z is
+    a bijection onto the right cosets H b' of d2 with z b'^{-1} in d1, and
+    c_e counts those.  So L(d1) m_e = L(e) c_e; unimodularity is not
+    used.  R(e) is read before L(e): on a finitely generated pair the
+    class search sets both, with no left walk.  A remainder raises.  No
+    member list is read, and only a newly named class interns a coset.
 
-    That cost is paid on the cheaper side.  Hy -> x y^{-1} H maps the
-    right cosets of d2 counted at Hx onto the left cosets of d1 counted
-    for (T_{inv d2} * T_{inv d1})(H x^{-1}), so
-    c_e(d1, d2) = c_{inv e}(inv d2, inv d1) with no Delta factor.  When
-    L(d1) + R(d1) < L(d2) + R(d2) the mirrored pair is computed (and
-    cached) instead, for R(d1) + |supp| L(d1) products and the left cosets
-    of d1 and inv(d1) alone.  Inversion swaps L and R, so the mirrored
-    pair's test is the strict reverse of this one and it never mirrors
-    back.  Either way the result must satisfy the degree identity
-    sum_d c_d R(d) = R(d1) R(d2), with every R learned by the store's
-    class search, not from this product; a failure caches nothing.
+    The walk costs L(d2) products here and L(inv d1) = R(d1) on the
+    mirrored pair: Hy -> x y^{-1} H gives
+    c_e(d1, d2) = c_{inv e}(inv d2, inv d1), with no Delta factor.  So
+    when R(d1) < L(d2) the mirrored pair is computed, and cached as its
+    own entry, for min(L(d2), R(d1)) products; inversion swaps L and R,
+    so it never mirrors back.  A one-coset side is the case m_e = 1.
 
-    A one-coset side needs no count.  If L(d2) = 1, the one product x1 t
-    names the whole support, one class e, and the degree identity leaves
-    c_e = R(d1) R(d2) / R(e); a remainder breaks the identity and raises.
-    If R(d1) = 1, the mirrored pair has L(inv d1) = R(d1) = 1 and is
-    computed that way.
+    The result must satisfy the degree identity
+    sum_d c_d R(d) = R(d1) R(d2).  On a unimodular pair it holds by
+    construction (sum_e m_e = L(d2)); elsewhere it checks the learned
+    Delta = L/R of the classes in the product.  A failure caches neither
+    orientation.
     """
     key = (d1, d2)
     cached = store.sc_cache.get(key)
     if cached is not None:
         return cached
     L, R = store.class_L, store.class_R
-    if L(d2) == 1:
-        e, = store.product_support(d1, d2)
-        out = {e: R(d1) * R(d2) // R(e)}
-    elif R(d1) == 1 or L(d1) + R(d1) < L(d2) + R(d2):
+    if R(d1) < L(d2):
         inv = store.class_inverse
         out = {inv(e): c for e, c in
                structure_constants(store, inv(d2), inv(d1)).items()}
     else:
-        out = direct_count(store, d1, d2)
+        l1 = L(d1)
+        out = {}
+        for e, (_, m) in store.product_support(d1, d2).items():
+            R(e)    # the class search, where it runs, sets L(e) too
+            c, rem = divmod(l1 * m, L(e))
+            if rem:
+                raise NonBiInvariantResult(
+                    f"product T[{d1}]*T[{d2}] leaves no whole coefficient "
+                    f"of class {e}: L(d1) m_e / L(e) = {l1 * m}/{L(e)}")
+            out[e] = c
     degree = sum(c * R(d) for d, c in out.items())
     want = R(d1) * R(d2)
     if degree != want:

@@ -9,16 +9,18 @@ built store with it in both directions.
 Double cosets are named the same way, by the pair's ``class_key``, so
 naming a class costs no orbit, and a product x t names its class without
 interning x t unless the class is new.  Products of classes are read off
-class keys and left-coset representatives (``product_support``,
-``product_count``), and the class sizes L and R are learned by one counting
-rule along a class-level word-length search that the store resumes on
-demand (``word_lengths``).  Both step from each class's rep, and the
-search's products depend on a rep only through its right coset, so the
-ids it gives follow from the pair and the calls made on the class layer,
-whatever Schreier ball was enumerated.  Member cosets (right-H orbits) are
-built only for the code that reads members, and left cosets are walked
-only for a right factor of a product or a class the search has not sized;
-both walks stay the arbiters of the class keys and of every learned size.
+class keys and left-coset representatives (``product_support``, and
+``product_count``, the arbiter of the coefficients that the algebra
+derives from the support), and the class sizes L and R are learned by
+one counting rule along a class-level word-length search that the store
+resumes on demand (``word_lengths``).  Both step from each class's rep,
+and the search's products depend on a rep only through its right coset,
+so the ids it gives follow from the pair and the calls made on the class
+layer, whatever Schreier ball was enumerated.  Member cosets (right-H
+orbits) are built only for the code that reads members, and left cosets
+are walked only for a right factor of a product or a class the search
+has not sized; both walks stay the arbiters of the class keys and of
+every learned size.
 
 A one-coset generator class s costs the search less.  Of the L(s)
 products x t naming supp(T_d * T_s), m_e <= L(s) land in a class e, so
@@ -33,7 +35,7 @@ so data returned earlier is never invalidated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -44,7 +46,7 @@ from .groups import HeckePair
 __all__ = [
     "Caps", "DoubleCoset", "CosetStore",
     "enumerate_ball", "left_L_count", "relative_modular",
-    "unimodularity_check", "verify_hecke", "check_interning_soundness",
+    "unimodularity_check", "check_interning_soundness",
 ]
 
 DEFAULT_MAX_COSETS = 2_000_000
@@ -580,49 +582,6 @@ def unimodularity_check(pair: HeckePair,
             f"{pair.label}: cannot certify unimodularity without a finite "
             "generating set")
     return UnimodularityReport(verdict, witnesses)
-
-
-@dataclass
-class HeckeVerification:
-    verdict: str                      # "hecke" | "inconclusive"
-    depth: int
-    n_cosets: int
-    n_classes: int
-    max_L: Optional[int]
-    max_R: Optional[int]
-    cap_hits: list = field(default_factory=list)
-
-
-def verify_hecke(pair: HeckePair, depth: int,
-                 caps: Caps = Caps()) -> HeckeVerification:
-    """Compute L and R for every double coset met in the depth-ball.  A cap
-    hit yields the verdict 'inconclusive', never 'false'."""
-    cap_hits: list[str] = []
-    try:
-        store = enumerate_ball(pair, depth, caps)
-    except CapExceeded as exc:
-        return HeckeVerification("inconclusive", depth, 0, 0, None, None,
-                                 [str(exc)])
-    ball = list(range(len(store)))
-    max_l = max_r = 0
-    classes: set[int] = set()
-    for cid in ball:
-        d = store.dc(cid)
-        if d in classes:
-            continue
-        try:
-            max_r = max(max_r, store.class_R(d))
-        except CapExceeded as exc:
-            cap_hits.append(str(exc))
-            continue
-        classes.add(d)
-        try:
-            max_l = max(max_l, store.class_L(d))
-        except CapExceeded as exc:
-            cap_hits.append(str(exc))
-    verdict = "inconclusive" if cap_hits else "hecke"
-    return HeckeVerification(verdict, depth, len(ball), len(classes),
-                             max_l or None, max_r or None, cap_hits)
 
 
 def check_interning_soundness(store: CosetStore,

@@ -53,13 +53,13 @@ class NotFinitelyGenerated(HeckeError):
 
 
 class NonBiInvariantResult(HeckeError):
-    """Internal consistency failure of the Hecke algebra: a product of
-    classes breaks the degree identity sum_d c_d R(d) = R(d1) R(d2) in the
-    structure constants, the class search's counting rule
-    L(e) c_e = L(d) m_e or R(e) = R(d) R(s) m_e / (L(s) c_e) leaves no
-    whole class size.  A moment a_n = ||f^{*n}||^2 is a sum of squares,
-    so it needs no check of its own.  Must never fire; indicates a wrong
-    coset or class key, or a miscount."""
+    """Internal consistency failure of the Hecke algebra: the triangle
+    identity L(e) c_e = L(d) m_e leaves a fractional class size (in the
+    class search) or structure constant (c_e = L(d1) m_e / L(e), in
+    ``structure_constants``), or a product breaks the degree identity
+    sum_d c_d R(d) = R(d1) R(d2).  A moment a_n = ||f^{*n}||^2 is a sum
+    of squares, so it needs no check of its own.  Must never fire;
+    indicates a wrong coset or class key, class size or count."""
 
 
 class LengthUndefinedOnSupport(HeckeError):

@@ -351,16 +351,6 @@ class HeckePair:
         key alone."""
         raise NotImplementedError
 
-    # -- coset equality (the arbiter that checks and tests hold keys to) ---
-
-    def same_right_coset(self, x, y) -> bool:
-        """Hx == Hy, decided by the membership test x y^{-1} in H."""
-        return self.in_h(self.mul(x, self.inv(y)))
-
-    def same_left_coset(self, x, y) -> bool:
-        """xH == yH, decided by the membership test x^{-1} y in H."""
-        return self.in_h(self.mul(self.inv(x), y))
-
     # -- optional exact word length on G (used by H-averaging checks) ------
 
     def word_length_on_g(self, x) -> Optional[int]:

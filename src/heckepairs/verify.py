@@ -47,9 +47,9 @@ LAW_PAIRS = ["z:1", "z:2", "dinf", "s3-h12", "bcp:2", "psl2z1p:2"]
 #: bcp:2 is not relatively unimodular, psl2z1p:2 is
 MIRROR_PAIRS = ["bcp:2", "psl2z1p:2"]
 
-#: one-coset classes: all of z:2's, bcp:2's (2^k, 1) and (1, 2^k), and
-#: s4-h12's identity class alone
-FAST_PATH_PAIRS = ["z:2", "bcp:2", "s4-h12"]
+#: one-coset classes (z:2, bcp:2), L != R (bcp:2) and products with
+#: several support classes (s4-h12, psl2z1p:2)
+COUNT_PAIRS = ["z:2", "bcp:2", "s4-h12", "psl2z1p:2"]
 
 
 @dataclass
@@ -203,7 +203,7 @@ def _check_learned_sizes() -> list[CheckResult]:
 
 def _check_structure_constant_mirror() -> list[CheckResult]:
     """c_e(d1, d2) = c_{inv e}(inv d2, inv d1), the identity
-    ``structure_constants`` uses to count each pair from its cheaper side:
+    ``structure_constants`` uses to walk each pair from its cheaper side:
     both orientations counted directly on every pair of radius-2 ball
     classes."""
     out = []
@@ -226,24 +226,23 @@ def _check_structure_constant_mirror() -> list[CheckResult]:
     return out
 
 
-def _check_structure_constant_fast_path() -> list[CheckResult]:
-    """``structure_constants``, which reads a pair with a one-coset side
-    off one product and the degree identity, against ``direct_count`` on
+def _check_structure_constant_count() -> list[CheckResult]:
+    """``structure_constants``, which derives each c_e = L(d1) m_e / L(e)
+    from the support walk, against ``direct_count``, which counts it, on
     every pair of radius-2 ball classes."""
     out = []
-    for label in FAST_PATH_PAIRS:
+    for label in COUNT_PAIRS:
         store = enumerate_ball(get_pair(label), 2)
         classes = store.classes_in_ball(2)
-        L, R = store.class_L, store.class_R
-        fast = sum(L(d2) == 1 or R(d1) == 1
-                   for d1 in classes for d2 in classes)
-        wrong = [(d1, d2) for d1 in classes for d2 in classes
-                 if structure_constants(store, d1, d2)
-                 != direct_count(store, d1, d2)]
-        detail = f"{len(classes) ** 2} pairs, {fast} with a one-coset side"
+        counted = {(d1, d2): direct_count(store, d1, d2)
+                   for d1 in classes for d2 in classes}
+        wrong = [p for p, c in counted.items()
+                 if structure_constants(store, *p) != c]
+        detail = (f"{len(counted)} pairs, "
+                  f"{sum(map(len, counted.values()))} support classes")
         if wrong:
             detail += f"; counts differ on {wrong[:3]}"
-        out.append(CheckResult(f"structure-constants-fast-path[{label}]",
+        out.append(CheckResult(f"structure-constants-count[{label}]",
                                not wrong, detail))
     return out
 
@@ -275,8 +274,7 @@ def run_verification(include_golden: bool = True) -> list[CheckResult]:
               ("coset-invariants", _check_coset_invariants),
               ("learned-class-sizes", _check_learned_sizes),
               ("structure-constants-mirror", _check_structure_constant_mirror),
-              ("structure-constants-fast-path",
-               _check_structure_constant_fast_path),
+              ("structure-constants-count", _check_structure_constant_count),
               ("spectral-examples", _check_spectral_examples)]
     checks: list[CheckResult] = []
     for name, suite in suites:

@@ -212,6 +212,18 @@ def double_coset(x, h_set, mul):
     return frozenset(mul(mul(a, x), b) for a in h_set for b in h_set)
 
 
+def same_right_coset(pair, x, y):
+    """Hx == Hy, decided by the membership test x y^{-1} in H: the arbiter
+    that the tests hold coset keys to."""
+    return pair.in_h(pair.mul(x, pair.inv(y)))
+
+
+def same_left_coset(pair, x, y):
+    """xH == yH, decided by the membership test x^{-1} y in H: the arbiter
+    that the tests hold the left-coset walk to."""
+    return pair.in_h(pair.mul(pair.inv(x), y))
+
+
 def brute_structure_constants(store, d1, d2):
     """Coefficients of T_{d1} * T_{d2} by the full member-pair count: intern
     a*b for every pair of member representatives (R(d1) R(d2) products),

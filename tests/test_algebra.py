@@ -404,109 +404,143 @@ def test_structure_constants_match_member_pair_count(label, radius):
                     == brute_structure_constants(store, d1, d2)), (d1, d2)
 
 
-def test_structure_constants_degree_identity_catches_a_miscount(monkeypatch):
-    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
+def miskey_one_product(monkeypatch, store, e, other):
+    """Key the first product of a support walk that lands in class ``e``
+    as class ``other``; returns the (d1, d2) of each walk and the list of
+    misses still to come (empty once the miskey has fired)."""
     pair = store.pair
-    d = next(x for x in store.classes_in_ball(2) if store.class_R(x) == 6)
-    store.class_inverse(d)     # named now, so the miss falls in the count
-    class_key, count = pair.class_key, store.product_count
-    counting = [False]
-    misses = [None]
+    class_key, support = pair.class_key, store.product_support
+    walking, walked, misses = [False], [], [store.dcs[other].key]
 
     def lossy_key(g):
-        # inside the count, the first key that names class d misses
         k = class_key(g)
-        if counting[0] and misses and k == store.dcs[d].key:
+        if walking[0] and misses and k == store.dcs[e].key:
             return misses.pop()
         return k
 
-    def lossy_count(*args):
-        counting[0] = True
+    def logged_support(d1, d2):
+        walked.append((d1, d2))
+        walking[0] = True
         try:
-            return count(*args)
+            return support(d1, d2)
         finally:
-            counting[0] = False
+            walking[0] = False
 
     monkeypatch.setattr(pair, "class_key", lossy_key)
-    monkeypatch.setattr(store, "product_count", lossy_count)
-    with pytest.raises(NonBiInvariantResult, match="degree identity"):
+    monkeypatch.setattr(store, "product_support", logged_support)
+    return walked, misses
+
+
+def test_structure_constants_degree_identity_catches_a_miscount(monkeypatch):
+    # T_1 * T_1 on psl2z1p:2: 4 of the 6 products x1 t land in level 2
+    # (L = 24), giving c = 6 * 4 / 24 = 1; one of them keyed as level 1
+    # leaves 6 * 3 / 24, not whole, so the product raises and caches
+    # nothing
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
+    by_level = {int(v): d for d, v in word_length(store, 2).values.items()}
+    d = by_level[1]
+    store.word_lengths(3)      # the support is sized: only the walk runs
+    walked, misses = miskey_one_product(monkeypatch, store, by_level[2], d)
+    with pytest.raises(NonBiInvariantResult, match="no whole coefficient"):
         structure_constants(store, d, d)
-    assert not misses
+    assert walked == [(d, d)] and not misses
     assert (d, d) not in store.sc_cache
 
 
 def test_structure_constants_mirrored_miscount_caches_neither_side(
         monkeypatch):
-    # L(level 1) = 6 < R(level 2) = 24, so T_{level 1} * T_{level 2} is
-    # counted as its mirror T_{inv level 2} * T_{inv level 1}; one count
-    # short there breaks the mirror's degree identity, and neither
-    # orientation is cached
+    # R(level 1) = 6 < L(level 2) = 24, so T_{level 1} * T_{level 2} is
+    # walked as its mirror T_{inv level 2} * T_{inv level 1}; one product
+    # there keyed to the wrong class leaves a coefficient that is not
+    # whole, and neither orientation is cached
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
     by_level = {int(v): d for d, v in word_length(store, 2).values.items()}
     d1, d2 = by_level[1], by_level[2]
     mirror = (store.class_inverse(d2), store.class_inverse(d1))
-    store.word_lengths(3)      # the support is sized, so only counts run
-    count = store.product_count
-    counted = []
-
-    def lossy_count(*args):
-        counted.append(args[:2])
-        return count(*args) - (len(counted) == 1)
-
-    monkeypatch.setattr(store, "product_count", lossy_count)
-    with pytest.raises(NonBiInvariantResult, match="degree identity"):
+    store.word_lengths(3)      # the support is sized: only the walk runs
+    level3 = next(d for d, n in store.word_lengths(3).items() if n == 3)
+    walked, misses = miskey_one_product(monkeypatch, store, level3, d1)
+    with pytest.raises(NonBiInvariantResult, match="no whole coefficient"):
         structure_constants(store, d1, d2)
-    assert set(counted) == {mirror}
+    assert walked == [mirror] and not misses
     assert (d1, d2) not in store.sc_cache
     assert mirror not in store.sc_cache
 
 
 def test_structure_constants_read_the_cheaper_side(monkeypatch):
     # on bcp:2 a class with (L, R) = (2^k, 1) has 2^k left cosets: a
-    # product with it on the right reads L(d2) + |supp| R(d2) left-coset
-    # representatives as it stands and R(d1) + |supp| L(d1) mirrored, and
-    # is mirrored whenever L(d1) + R(d1) < L(d2) + R(d2); where R(d1) = 1
-    # the mirror has a one-coset right factor, inv(d1), and reads its one
-    # left-coset representative alone
+    # product walks the L(d2) left-coset representatives of d2 as it
+    # stands and the R(d1) = L(inv d1) of inv(d1) mirrored, and is
+    # mirrored exactly when R(d1) < L(d2), so it costs min(L(d2), R(d1))
+    # group products and counts nothing
     store = hp.enumerate_ball(get_pair("bcp:2"), 3)
-    store.word_lengths(6)      # the supports are sized: only products read
+    store.word_lengths(6)      # the supports are sized: only the walk runs
     L, R = store.class_L, store.class_R
-    reads = [0]
-    support, count = store._support, store._count
-
-    def read_support(x, reps):
-        reads[0] += len(reps)
-        return support(x, reps)
-
-    def read_count(x, reps, want):
-        reads[0] += len(reps)
-        return count(x, reps, want)
-
-    monkeypatch.setattr(store, "_support", read_support)
-    monkeypatch.setattr(store, "_count", read_count)
     classes = store.classes_in_ball(3)
-    right = [d for d in classes if R(d) == 1 and L(d) > 1]
-    assert sorted({L(d) for d in right}) == [2, 4, 8]
-    total = mirrored = one_coset = 0
-    for d2 in right:
-        for d1 in classes:
+    for d in classes:          # every left walk done: only products remain
+        store.class_left_reps(d)
+        store.class_left_reps(store.class_inverse(d))
+    pair = store.pair
+    mul, products = pair.mul, [0]
+
+    def logged_mul(x, y):
+        products[0] += 1
+        return mul(x, y)
+
+    def no_count(*args):
+        raise AssertionError("a structure constant was counted")
+
+    monkeypatch.setattr(pair, "mul", logged_mul)
+    monkeypatch.setattr(store, "_count", no_count)
+    assert sorted({L(d) for d in classes if R(d) == 1 and L(d) > 1}) \
+        == [2, 4, 8]
+    mirrored = saved = 0
+    for d1 in classes:
+        for d2 in classes:
             store.sc_cache.clear()
-            reads[0] = 0
-            supp = len(structure_constants(store, d1, d2))
-            direct = L(d2) + supp * R(d2)
-            if L(d1) + R(d1) < L(d2) + R(d2):
-                counted = R(d1) + supp * L(d1)
-                assert counted < direct
-            else:
-                counted = direct
-            if R(d1) == 1:
-                assert reads[0] == 1 < counted
-                one_coset += 1
-            else:
-                assert reads[0] == counted
-                mirrored += counted < direct
-            total += direct - reads[0]
-    assert one_coset and mirrored and total > 0
+            products[0] = 0
+            structure_constants(store, d1, d2)
+            assert products[0] == min(L(d2), R(d1)), (d1, d2)
+            mirrored += R(d1) < L(d2)
+            saved += L(d2) - products[0]
+    assert mirrored and saved > 0
+
+
+@pytest.mark.parametrize("label", ["z:2", "dinf", "s4-h12", "bcp:2", "bcp:3",
+                                   "psl2z1p:2", "sl2z1p:2"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_structure_constants_match_member_pairs_on_random_classes(label,
+                                                                 data):
+    # the support walk's c_e = L(d1) m_e / L(e), in whichever orientation
+    # it runs, against the member-pair count of each pair of classes of
+    # word length <= 3
+    store = hp.enumerate_ball(get_pair(label), 3)
+    classes = sorted(store.word_lengths(3))
+    d1 = data.draw(st.sampled_from(classes))
+    d2 = data.draw(st.sampled_from(classes))
+    assert (structure_constants(store, d1, d2)
+            == brute_structure_constants(store, d1, d2)), (d1, d2)
+
+
+@pytest.mark.parametrize("label", ["bcp:2", "bcp:3", "psl2z1p:2", "s4-h12"])
+def test_triangle_identity_against_the_count(label):
+    # L(e) c_e = L(d1) m_e on every support class of every pair of
+    # radius-2 ball classes, with c_e counted by ``direct_count`` and m_e
+    # read off the support walk; bcp:p has L(e) != R(e)
+    store = hp.enumerate_ball(get_pair(label), 2)
+    L = store.class_L
+    classes = store.classes_in_ball(2)
+    non_unimodular = 0
+    for d1 in classes:
+        for d2 in classes:
+            support = store.product_support(d1, d2)
+            counted = direct_count(store, d1, d2)
+            assert counted.keys() == support.keys()
+            for e, (_, m) in support.items():
+                assert L(e) * counted[e] == L(d1) * m, (d1, d2, e)
+                non_unimodular += L(e) != store.class_R(e)
+    assert non_unimodular or not label.startswith("bcp")
 
 
 def one_coset_pairs(store, classes):
@@ -519,9 +553,9 @@ def one_coset_pairs(store, classes):
 
 @pytest.mark.parametrize("label", ["z:2", "bcp:2", "bcp:3"])
 def test_one_coset_products_match_member_pair_count(label, monkeypatch):
-    # a product with a one-coset side is read off one product and the
-    # degree identity, with no count, and must agree with the member-pair
-    # count on every such pair of radius-3 classes
+    # a product with a one-coset side is read off one product (m_e = 1),
+    # with no count, and must agree with the member-pair count on every
+    # such pair of radius-3 classes
     store = hp.enumerate_ball(get_pair(label), 3)
     pairs = one_coset_pairs(store, store.classes_in_ball(3))
     counted = []

@@ -7,15 +7,15 @@ import heckepairs as hp
 from heckepairs.algebra import HeckeElement
 from heckepairs.cosets import (Caps, check_interning_soundness, enumerate_ball,
                                left_L_count, relative_modular,
-                               unimodularity_check, verify_hecke)
+                               unimodularity_check)
 from heckepairs.errors import (CapExceeded, HeckeError, NonBiInvariantResult,
                                OrbitCapExceeded)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.rd import operator_matrix
 
 from conftest import FG_LABELS
-from oracles import (ProductPair, dih_mul, double_coset, group_closure,
-                     mat_mul, perm_mul, right_cosets)
+from oracles import (ProductPair, double_coset, group_closure, mat_mul,
+                     perm_mul, right_cosets)
 
 
 def test_intern_identity_and_h_element():
@@ -231,32 +231,6 @@ def test_r_equals_l_of_inverse(label):
     store = enumerate_ball(get_pair(label), 3)
     for d in store.classes_in_ball(3):
         assert store.class_R(d) == store.class_L(store.class_inverse(d))
-
-
-def test_verify_hecke_z():
-    rep = verify_hecke(get_pair("z:1"), 10)
-    assert rep.verdict == "hecke"
-    assert rep.max_L == rep.max_R == 1
-    assert rep.n_cosets == 21
-
-
-def test_verify_hecke_dinf():
-    # dihedral oracle: double cosets of (n, f) under {(0,F),(0,T)} have at
-    # most 2 right cosets
-    h_set = {(0, False), (0, True)}
-    for n in range(-8, 9):
-        for f in (False, True):
-            dc = double_coset((n, f), h_set, dih_mul)
-            assert len(right_cosets(dc, h_set, dih_mul)) <= 2
-    rep = verify_hecke(get_pair("dinf"), 8)
-    assert rep.verdict == "hecke"
-    assert rep.max_L <= 2 and rep.max_R <= 2
-
-
-def test_verify_hecke_cap_hit_is_inconclusive():
-    rep = verify_hecke(get_pair("psl2z1p:2"), 2, Caps(max_orbit=3))
-    assert rep.verdict == "inconclusive"
-    assert rep.cap_hits
 
 
 @pytest.mark.parametrize("label", FG_LABELS)

@@ -20,7 +20,7 @@ from conftest import FG_LABELS
 from oracles import (aff_to_mat, dih_inv, dih_mul, fraction_aff_class_key,
                      fraction_aff_fingerprint, fraction_aff_in_h,
                      fraction_aff_inv, fraction_aff_mul, group_closure,
-                     mat_mul)
+                     mat_mul, same_left_coset, same_right_coset)
 
 
 def random_word(pair, rng, max_len=6):
@@ -526,7 +526,7 @@ def test_coset_keys_are_normal_forms(label, data):
     h = _draw_h_element(pair, data)
     translate = data.draw(st.booleans())
     y = pair.mul(h, x) if translate else _draw_element(pair, data)
-    same = hp.HeckePair.same_right_coset(pair, x, y)
+    same = same_right_coset(pair, x, y)
     assert same or not translate
     assert (pair.coset_fingerprint(x) == pair.coset_fingerprint(y)) == same
     # the left-coset walk, held to the membership test: its representatives
@@ -537,7 +537,7 @@ def test_coset_keys_are_normal_forms(label, data):
         reps = hp.left_L_count(pair, x, 100)
     except OrbitCapExceeded:
         assume(False)
-    same_left = functools.partial(hp.HeckePair.same_left_coset, pair)
+    same_left = functools.partial(same_left_coset, pair)
     assert not any(same_left(s, t)
                    for i, s in enumerate(reps) for t in reps[:i])
     y = pair.mul(pair.mul(h, x), _draw_h_element(pair, data))

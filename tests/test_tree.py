@@ -104,3 +104,16 @@ def test_reduced_and_unreduced_tree_pairs_agree(p, radius):
             for k in range(1, radius)}
         tables.append((rows, products))
     assert tables[0] == tables[1]
+
+
+def test_tree_products_to_level_14_follow_the_sphere_recursion():
+    # T_j * T_k for j, k <= 7 reaches level 14: each product walks
+    # min(L, R) <= 3 * 2^13 left cosets, and the class search sizes the
+    # support past any ball or orbit
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 1)
+    by_level = {n: d for d, n in store.word_lengths(7).items()}
+    for j in range(1, 8):
+        for k in range(1, 8):
+            sc = structure_constants(store, by_level[j], by_level[k])
+            assert {level(store, d, 2): c for d, c in sc.items()} \
+                == tree_tj_times_tk(2, j, k), (j, k)
