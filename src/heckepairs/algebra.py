@@ -200,10 +200,13 @@ def identity_element(store: CosetStore) -> HeckeElement:
 def direct_count(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     """The coefficients of T_{d1} * T_{d2} counted in this orientation,
     unchecked and uncached, the arbiter of ``structure_constants``: the
-    support off the left-coset representatives of d2, and each c_e
-    counted off those of inv(d2), R(d2) products per support class."""
-    return {d: store.product_count(d1, d2, x)
-            for d, (x, _) in store.product_support(d1, d2).items()}
+    support off the left-coset representatives of d2, and each c_e, for x
+    in e, the R(d2) products x t over those of inv(d2) that land in d1."""
+    support = store.product_support(d1, d2)
+    inv_reps = store.class_left_reps(store.class_inverse(d2))
+    want = store.dcs[d1].key
+    return {d: store._count(x, inv_reps, want)
+            for d, (x, _) in support.items()}
 
 
 def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:

@@ -9,11 +9,11 @@ built store with it in both directions.
 Double cosets are named the same way, by the pair's ``class_key``, so
 naming a class costs no orbit, and a product x t names its class without
 interning x t unless the class is new.  Products of classes are read off
-class keys and left-coset representatives (``product_support``, and
-``product_count``, the arbiter of the coefficients that the algebra
-derives from the support), and the class sizes L and R are learned by
-one counting rule along a class-level word-length search that the store
-resumes on demand (``word_lengths``).  Both step from each class's rep,
+class keys and left-coset representatives (``product_support``), and the
+class sizes L and R, the one source of L, R and Delta that a report
+reads, are learned by one counting rule along a class-level word-length
+search that the store resumes on demand (``word_lengths``).  Both step
+from each class's rep,
 and the search's products depend on a rep only through its right coset,
 so the ids it gives follow from the pair and the calls made on the class
 layer, whatever Schreier ball was enumerated.  Member cosets (right-H
@@ -40,7 +40,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (BallIncomplete, CapExceeded, HeckeError,
-                     NonBiInvariantResult, OrbitCapExceeded)
+                     NonBiInvariantResult, NotFinitelyGenerated,
+                     OrbitCapExceeded)
 from .groups import HeckePair
 
 __all__ = [
@@ -77,12 +78,6 @@ class DoubleCoset:
             raise HeckeError(f"class {self.id}: {side}={known} known, "
                              f"{source} gives {n}")
         setattr(self, side, n)
-
-    @property
-    def delta(self) -> Optional[Fraction]:
-        if self.L is None or self.R is None:
-            return None
-        return Fraction(self.L, self.R)
 
 
 class CosetStore:
@@ -294,11 +289,24 @@ class CosetStore:
         return obj.L
 
     def unimodularity(self) -> UnimodularityReport:
-        """The pair's relative-unimodularity report, probed once per store
-        (under its orbit cap) and read by every report and length that
-        depends on it."""
+        """The pair's relative-unimodularity report, read once per store
+        off the class records: Delta, a homomorphism trivial on H, of each
+        generator's class.  The class search's first depth names and sizes
+        those classes as it always does, so no id moves and no generator
+        is walked twice.  Without a finite generating set only a failing
+        probe is sound, so a True verdict is refused."""
         if self._unimod is None:
-            self._unimod = unimodularity_check(self.pair, self.caps.max_orbit)
+            pair = self.pair
+            if pair.finitely_generated:
+                self.word_lengths(1)
+            witnesses = [(s, self.class_delta(self.class_of(pair.canon(s))))
+                         for s in pair.unimod_probes()]
+            verdict = all(delta == 1 for _, delta in witnesses)
+            if verdict and not pair.finitely_generated:
+                raise NotFinitelyGenerated(
+                    f"{pair.label}: cannot certify unimodularity without a "
+                    "finite generating set")
+            self._unimod = UnimodularityReport(verdict, witnesses)
         return self._unimod
 
     def class_delta(self, dcid: int) -> Fraction:
@@ -333,14 +341,6 @@ class CosetStore:
         support; each is named by its key."""
         return self._support(self.reps[self.dcs[d1].rep_cid],
                              self.class_left_reps(d2))
-
-    def product_count(self, d1: int, d2: int, x) -> int:
-        """(T_{d1} * T_{d2})(Hx) = #{j : H x b_j^{-1} in d1} over the right
-        cosets H b_j of d2.  The b_j^{-1} are, up to right H, the left-coset
-        representatives of inv(d2), and right H does not move a class, so
-        the count is R(d2) key comparisons: no member list, no interning."""
-        return self._count(x, self.class_left_reps(self.class_inverse(d2)),
-                           self.dcs[d1].key)
 
     def _support(self, x, reps) -> dict:
         """Class id -> [first x t met in it, how many x t land in it] over
@@ -398,7 +398,8 @@ class CosetStore:
         step: x t is interned as its rep and L(e), R(e) are set from the
         rule, with no earlier size to agree with.  A class named before
         (by ``class_inverse`` or a product's support) settles each size,
-        so a disagreement raises HeckeError."""
+        so a disagreement raises HeckeError; c_e = 0 or a size that is not
+        whole raises NonBiInvariantResult and sets none."""
         if self._wl_depth < 0:
             e = self.identity_class()
             self.dcs[e].L = self.dcs[e].R = 1
@@ -434,7 +435,7 @@ class CosetStore:
                         e = classes[key] = self.dc_of[cid] = len(dcs)
                         dcs.append(new := DoubleCoset(e, key, cid))
                         c = 1 if inv_reps is None else count(y, inv_reps, want)
-                        if not (l_d % c or r_d * r_s % (l_s * c)):
+                        if c and not (l_d % c or r_d * r_s % (l_s * c)):
                             new.L, new.R = l_d // c, r_d * r_s // (l_s * c)
                             found[e] = None
                             continue
@@ -446,7 +447,7 @@ class CosetStore:
                     c = 1 if inv_reps is None else count(y, inv_reps, want)
                     for side, num, den in (("L", l_d * m, c),
                                            ("R", r_d * r_s * m, l_s * c)):
-                        if num % den:
+                        if not den or num % den:
                             raise NonBiInvariantResult(
                                 f"T[{d}]*T[{s}] leaves no {side} for class "
                                 f"{e}: {num} over {den}")
@@ -490,7 +491,8 @@ class CosetStore:
                    "dc": self.dc_of[cid]} for cid, rep in enumerate(self.reps)]
         dcs = [{"id": obj.id, "rep": pair.render(self.reps[obj.rep_cid]),
                 "R": obj.R, "L": obj.L,
-                "delta": None if obj.delta is None else str(obj.delta),
+                "delta": (None if obj.L is None or obj.R is None
+                          else str(Fraction(obj.L, obj.R))),
                 "inv": obj.inv} for obj in self.dcs]
         return {
             "pair": pair.describe(),
@@ -549,7 +551,8 @@ def relative_modular(pair: HeckePair, g,
                      max_orbit: int = DEFAULT_MAX_ORBIT) -> Fraction:
     """Delta(g) = L(g) / R(g) with R(g) = L(g^{-1}); exactly 1 on H.  Both
     counts are walks of ``left_L_count``, so both are right-H orbits keyed
-    by ``coset_fingerprint``: of Hg^{-1} for L and of Hg for R."""
+    by ``coset_fingerprint``: of Hg^{-1} for L and of Hg for R.  It reads
+    no store: the arbiter of the class records' Delta."""
     if pair.in_h(pair.canon(g)):
         return Fraction(1)
     left = len(left_L_count(pair, g, max_orbit))
@@ -565,23 +568,9 @@ class UnimodularityReport:
 
 def unimodularity_check(pair: HeckePair,
                         max_orbit: int = DEFAULT_MAX_ORBIT) -> UnimodularityReport:
-    """Decide relative unimodularity from the modular values of the
-    generators (Delta is a homomorphism trivial on H, so generators
-    suffice).  For pairs without a finite generating set a failing probe
-    still soundly yields a False verdict."""
-    witnesses = []
-    verdict = True
-    for s in pair.unimod_probes():
-        delta = relative_modular(pair, s, max_orbit)
-        witnesses.append((s, delta))
-        if delta != 1:
-            verdict = False
-    if verdict and not pair.finitely_generated:
-        from .errors import NotFinitelyGenerated
-        raise NotFinitelyGenerated(
-            f"{pair.label}: cannot certify unimodularity without a finite "
-            "generating set")
-    return UnimodularityReport(verdict, witnesses)
+    """The unimodularity report of a fresh store of ``pair`` under this
+    orbit cap (``CosetStore.unimodularity``)."""
+    return CosetStore(pair, Caps(max_orbit=max_orbit)).unimodularity()
 
 
 def check_interning_soundness(store: CosetStore,

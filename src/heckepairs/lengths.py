@@ -270,9 +270,10 @@ def check_length_axioms(store: CosetStore, l: LengthFunction,
                         half_radius: int) -> list[str]:
     """Exact axioms at class level: l(HeH) = 0, symmetry under class
     inversion, and subadditivity l(d) <= l(d1) + l(d2) for every d in the
-    support of T_{d1} * T_{d2}, over all class pairs of the half-radius
-    ball.  For the characteristic length the subadditive law is checked in
-    its exact integer form L(d) <= L(d1) L(d2).  Returns violations."""
+    support of T_{d1} * T_{d2}, over all class pairs of word length <=
+    ``half_radius``.  For the characteristic length the subadditive law is
+    checked in its exact integer form L(d) <= L(d1) L(d2).  Returns
+    violations."""
     problems: list[str] = []
     e = store.identity_class()
     if not l.defined_on(e) or l(e) != 0:
@@ -281,7 +282,7 @@ def check_length_axioms(store: CosetStore, l: LengthFunction,
         inv = store.class_inverse(d)
         if l.defined_on(inv) and l(inv) != l(d):
             problems.append(f"symmetry fails on class {d}")
-    half_classes = store.classes_in_ball(half_radius)
+    half_classes = sorted(store.word_lengths(half_radius))
     for d1 in half_classes:
         if not l.defined_on(d1):
             continue

@@ -759,7 +759,8 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     explicit config and the report is flagged when the pair is not
     relatively unimodular (the criterion is stated for the unimodular
     setting).  The pair and its unimodularity verdict are the store's, and
-    a given f must live over the store (else StoreMismatch).  The moment
+    a given f must live over the store (else StoreMismatch); the default f
+    is read off the classes of word length <= 1.  The moment
     count is kesten.n, the one that the report echoes.  A power iteration
     that hits rd.max_iter is named in the report's warnings."""
     if f is not None and f.store is not store:
@@ -770,9 +771,9 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
     unimod = store.unimodularity()
     if f is None:
         if store.radius_complete < 1:
-            store.enumerate_to(1)
-        ball1 = store.classes_in_ball(1)
-        raw = HeckeElement(store, {d: Fraction(1) for d in ball1})
+            store.enumerate_to(1)   # the least truncation radius
+        raw = HeckeElement(store, {d: Fraction(1)
+                                   for d in sorted(store.word_lengths(1))})
         sym = Fraction(1, 2) * (raw + involution(raw))
         f = Fraction(1, norms(sym).l1_exact) * sym
     moments = power_moments(f, n)

@@ -554,18 +554,18 @@ def one_coset_pairs(store, classes):
 @pytest.mark.parametrize("label", ["z:2", "bcp:2", "bcp:3"])
 def test_one_coset_products_match_member_pair_count(label, monkeypatch):
     # a product with a one-coset side is read off one product (m_e = 1),
-    # with no count, and must agree with the member-pair count on every
-    # such pair of radius-3 classes
+    # with no call of the counting arbiter, and must agree with the
+    # member-pair count on every such pair of radius-3 classes
     store = hp.enumerate_ball(get_pair(label), 3)
     pairs = one_coset_pairs(store, store.classes_in_ball(3))
     counted = []
-    count = store.product_count
+    count = algebra.direct_count
 
     def logged_count(*args):
         counted.append(args)
         return count(*args)
 
-    monkeypatch.setattr(store, "product_count", logged_count)
+    monkeypatch.setattr(algebra, "direct_count", logged_count)
     for d1, d2 in pairs:
         assert (structure_constants(store, d1, d2)
                 == brute_structure_constants(store, d1, d2)), (d1, d2)

@@ -585,6 +585,27 @@ def test_class_search_refuses_a_size_that_is_not_whole(path):
     assert store.class_search_depth == 1
 
 
+@pytest.mark.parametrize("label", ["bcp:2", "s4-h12"])
+def test_class_search_refuses_a_zero_count(label):
+    # with the left reps of inv(s) forged to copies of the identity, for
+    # the first generator class s whose inverse has several cosets, a
+    # depth-two class e != d gets the count c_e = 0: through a one-coset
+    # generator on bcp:2, through a support on s4-h12.  The search refuses
+    # it by name and sizes nothing
+    store = hp.CosetStore(get_pair(label))
+    store.word_lengths(1)
+    inv = next(store.dcs[store.class_inverse(s)] for s in store._gen_classes
+               if store.class_L(store.class_inverse(s)) > 1)
+    inv.left_reps = [store.pair.identity()] * inv.L
+    with pytest.raises(NonBiInvariantResult,
+                       match=r"^T\[\d+\]\*T\[\d+\] leaves no L for class "
+                             r"\d+: \d+ over 0$") as exc:
+        store.word_lengths(4)
+    e = int(str(exc.value).split("class ")[1].split(":")[0])
+    assert store.dcs[e].L is None and store.dcs[e].R is None
+    assert store.class_search_depth == 1
+
+
 @pytest.mark.parametrize("label", ["z:2", "psl2z1p:2"])
 @pytest.mark.parametrize("side", ["L", "R"])
 def test_class_search_refuses_a_known_size_it_disagrees_with(label, side):

@@ -274,3 +274,69 @@ def test_length_undefined_raises():
     lw = word_length(store, 3)
     with pytest.raises(LengthUndefinedOnSupport):
         lw(999)
+
+
+def _forged_z1_length(**values):
+    """Word length on z:1 to radius 4, with the class of each ``n`` given
+    the value ``values[str n]`` (keys like ``n1``, ``m2`` for 1, -2)."""
+    store = hp.enumerate_ball(get_pair("z:1"), 4)
+    cls = {n: store.dc(store.lookup(store.pair.parse(f"zvec {n}")))
+           for n in range(-4, 5)}
+    lengths = dict(word_length(store, 4).values)
+    for name, v in values.items():
+        n = int(name[1:]) * (-1 if name[0] == "m" else 1)
+        lengths[cls[n]] = Q(v)
+    return store, cls, lengths
+
+
+def test_length_axioms_report_each_forged_fault_by_name():
+    # each forged value breaks one axiom, and only that axiom's message
+    # names it
+    store, cls, lengths = _forged_z1_length(n0=1)
+    assert check_length_axioms(store, LengthFunction("custom", lengths),
+                               2) == ["l(HeH) != 0"]
+    store, cls, lengths = _forged_z1_length(n1=2)
+    assert check_length_axioms(store, LengthFunction("custom", lengths),
+                               2) == [f"symmetry fails on class {d}"
+                                      for d in sorted((cls[1], cls[-1]))]
+    store, cls, lengths = _forged_z1_length(n2=5, m2=5)
+    assert set(check_length_axioms(store, LengthFunction("custom", lengths),
+                                   2)) == {
+        f"subadditivity fails on {cls[n]} in supp(T{cls[h]}*T{cls[h]})"
+        for n, h in ((2, 1), (-2, -1))}
+    del lengths[cls[3]]
+    assert (f"length undefined on product class {cls[3]} of "
+            f"({cls[1]},{cls[2]})"
+            in check_length_axioms(store, LengthFunction("custom", lengths),
+                                   2))
+
+
+def test_length_axioms_check_a_forged_exact_base():
+    # the characteristic length's exact law L(d) <= L(d1) L(d2): a base of
+    # 2 on the class of 2 in Z, where every L is 1, fails it on 1 + 1,
+    # although every float value (log 1 = 0) is subadditive
+    store, cls, lengths = _forged_z1_length()
+    base = {d: 1 for d in lengths}
+    base[cls[2]] = 2
+    lc = LengthFunction("characteristic", {d: 0.0 for d in lengths},
+                        exact_base=base)
+    assert check_length_axioms(store, lc, 2) == [
+        f"submultiplicativity fails on {cls[2]} in "
+        f"supp(T{cls[1]}*T{cls[1]})"]
+
+
+def test_length_axioms_read_the_classes_the_half_ball_misses():
+    # on bcp:2 the radius-2 ball misses one class of word length 2, a
+    # self-inverse one; its length forged to 0 breaks subadditivity only
+    # as a factor, so a suite over the ball's classes would pass it
+    store = hp.enumerate_ball(get_pair("bcp:2"), 2)
+    lengths = dict(word_length(store, 4).values)
+    ball = set(store.classes_in_ball(2))
+    (missed,) = [d for d in store.word_lengths(2) if d not in ball]
+    assert store.class_inverse(missed) == missed
+    lengths[missed] = Q(0)
+    problems = check_length_axioms(store, LengthFunction("custom", lengths),
+                                   2)
+    assert problems and all(p.startswith("subadditivity fails on ")
+                            for p in problems)
+    assert all(f"T{missed}*" in p or f"*T{missed})" in p for p in problems)

@@ -78,3 +78,43 @@ def test_delta_values_are_rational():
     oracle = finite_group_oracle(S3_GENS, H12)
     for c in oracle.classes:
         assert isinstance(c.delta, Q)
+
+
+def _s4_store_and_oracle():
+    """A saturated s4-h12 store that matches its oracle, with every
+    structure constant cached by that first comparison."""
+    pair = hp.get_pair("s4-h12")
+    store = hp.enumerate_ball(pair, 12)
+    store.snapshot()
+    oracle = finite_group_oracle([g.images for g in pair.g_generators],
+                                 [h.images for h in pair.h_elements()])
+    assert oracle_matches_engine(store, oracle) == []
+    return store, oracle
+
+
+@pytest.mark.parametrize("side", ["R", "L"])
+def test_oracle_names_a_forged_class_size(side):
+    store, oracle = _s4_store_and_oracle()
+    d = next(x.id for x in store.dcs if getattr(x, side) == 2)
+    setattr(store.dcs[d], side, 3)
+    assert oracle_matches_engine(store, oracle) == [
+        f"{side} mismatch on class {d}: 3 vs 2", f"delta mismatch on class {d}"]
+
+
+def test_oracle_names_a_corrupted_structure_constant():
+    store, oracle = _s4_store_and_oracle()
+    d1, d2 = next(p for p, c in store.sc_cache.items() if len(c) > 1)
+    store.sc_cache[(d1, d2)] = {store.identity_class(): 5}
+    (problem,) = oracle_matches_engine(store, oracle)
+    assert problem.startswith(f"structure constants differ on ({d1},{d2}): ")
+
+
+def test_oracle_refuses_an_unsaturated_store_and_another_pair():
+    store, oracle = _s4_store_and_oracle()
+    small = hp.enumerate_ball(store.pair, 1)
+    assert oracle_matches_engine(small, oracle) == [
+        "engine store is not saturated"]
+    trivial_h = finite_group_oracle(
+        [g.images for g in store.pair.g_generators], [(0, 1, 2, 3)])
+    assert oracle_matches_engine(store, trivial_h) == [
+        "coset counts differ: engine 12 vs oracle 24"]

@@ -832,25 +832,29 @@ def test_reports_read_the_pair_from_the_store():
 
 
 def test_unimodularity_verdict_is_the_stores(monkeypatch):
-    # one probe pass per store, read by rd-profile, kesten and the
-    # characteristic length; no caller can hand in another pair's verdict
+    # one verdict per store, read off its class records by rd-profile,
+    # kesten and the characteristic length; no caller can hand in another
+    # pair's verdict, and no generator class is walked a second time
     bcp = hp.enumerate_ball(get_pair("bcp:2"), 2)
     assert rd_profile(bcp, 2, seed=0).verdict \
         == "obstructed-nonunimodular"
     z2 = hp.enumerate_ball(get_pair("z:2"), 4)
-    calls = []
-    real = hp.cosets.relative_modular
+    pair = z2.pair
+    walked = []
+    real = hp.cosets.left_L_count
 
     def counted(pair, g, *args):
-        calls.append(pair.label)
+        walked.append(pair.class_key(pair.canon(g)))
         return real(pair, g, *args)
 
-    monkeypatch.setattr(hp.cosets, "relative_modular", counted)
+    monkeypatch.setattr(hp.cosets, "left_L_count", counted)
     prof = rd_profile(z2, 2, seed=0)
     assert prof.unimodular and prof.verdict != "obstructed-nonunimodular"
     assert kesten_diagnostic(z2, config={"kesten.n": 2}).relatively_unimodular
     characteristic_length(z2, 4)
-    assert calls == ["z:2"] * len(z2.pair.unimod_probes())
+    generators = {pair.class_key(s) for s in pair.shat()}
+    assert generators <= set(walked)
+    assert len(walked) == len(set(walked))
     assert z2.unimodularity() is z2.unimodularity()
 
 
