@@ -1,11 +1,12 @@
-"""Self-verification suites: oracle equivalence, exact-arithmetic
-invariants and golden-snapshot regression.
+"""Self-verification: oracle equivalence, exact-arithmetic invariants and
+golden-snapshot regression, as one ordered table of checks, ``CHECKS``.
 
 Used by the CLI ``verify`` command; any exact mismatch is a hard failure
-(exit 1 there).  Golden snapshots live in the package's ``golden/``
-directory and pin small-radius enumerations of every catalog pair, so a
-regression in interning, orbit computation or class data shows up as a
-diff.
+(exit 1 there), and every check fails alone: an error inside one is that
+check's failure, and the others still run.  Golden snapshots live in the
+package's ``golden/`` directory and pin small-radius enumerations of
+every catalog pair, so a regression in interning, orbit computation or
+class data shows up as a diff.
 """
 
 from __future__ import annotations
@@ -70,47 +71,38 @@ def _saturated_store(label: str):
     return store
 
 
-def _check_oracle_equivalence() -> list[CheckResult]:
-    out = []
-    for label in ORACLE_PAIRS:
-        pair = get_pair(label)
-        store = _saturated_store(label)
-        oracle = finite_group_oracle(
-            [g.images for g in pair.g_generators],
-            [h.images for h in pair.h_elements()])
-        problems = oracle_matches_engine(store, oracle)
-        out.append(CheckResult(f"oracle-equivalence[{label}]", not problems,
-                               "; ".join(problems)))
-    # the classical S3 identity, pinned explicitly
-    pair = get_pair("s3-h12")
+def _oracle_equivalence(label: str):
+    pair = get_pair(label)
+    store = _saturated_store(label)
+    oracle = finite_group_oracle(
+        [g.images for g in pair.g_generators],
+        [h.images for h in pair.h_elements()])
+    problems = oracle_matches_engine(store, oracle)
+    return not problems, "; ".join(problems)
+
+
+def _s3_structure_identity():
+    """The classical S3 identity T_d * T_d = 2 T_e + T_d, pinned
+    explicitly."""
     store = _saturated_store("s3-h12")
     e = store.identity_class()
     others = [x.id for x in store.dcs if x.id != e]
     if len(others) != 1:
-        out.append(CheckResult("s3-structure-identity", False,
-                               f"{len(others) + 1} classes, want 2"))
-        return out
+        return False, f"{len(others) + 1} classes, want 2"
     td = basis_element(store, others[0])
     want = HeckeElement(store, {e: Fraction(2), others[0]: Fraction(1)})
-    out.append(CheckResult("s3-structure-identity",
-                           convolve(td, td) == want))
-    return out
+    return convolve(td, td) == want, ""
 
 
-def _check_golden() -> list[CheckResult]:
-    out = []
-    for label, radius in GOLDEN_SPECS:
-        path = golden_snapshot_path(label, radius)
-        if not path.is_file():
-            out.append(CheckResult(f"golden[{label}]", False,
-                                   "snapshot file missing"))
-            continue
-        want = json.loads(path.read_text())
-        got = enumerate_ball(get_pair(label), radius).snapshot()
-        keys = [k for k in want if got.get(k) != want.get(k)]
-        out.append(CheckResult(f"golden[{label}]", got == want,
-                               f"differs in {keys}" if got != want else ""))
-    return out
+def _golden(label: str):
+    radius = dict(GOLDEN_SPECS)[label]
+    path = golden_snapshot_path(label, radius)
+    if not path.is_file():
+        return False, "snapshot file missing"
+    want = json.loads(path.read_text())
+    got = enumerate_ball(get_pair(label), radius).snapshot()
+    keys = [k for k in want if got.get(k) != want.get(k)]
+    return got == want, f"differs in {keys}" if got != want else ""
 
 
 def _random_element(store, classes, rng) -> HeckeElement:
@@ -120,169 +112,171 @@ def _random_element(store, classes, rng) -> HeckeElement:
                 for d in support})
 
 
-def _check_algebra_laws(n_cases: int = 25) -> list[CheckResult]:
-    out = []
-    for label in LAW_PAIRS:
-        rng = random.Random(0xA1)
-        store = enumerate_ball(get_pair(label), 2)
-        classes = store.classes_in_ball(2)
-        ident, detail = identity_element(store), ""
-        for _ in range(n_cases):
-            f, g, h = (_random_element(store, classes, rng) for _ in range(3))
-            laws = {"associativity": convolve(convolve(f, g), h)
-                    == convolve(f, convolve(g, h)),
-                    "unit": convolve(ident, f) == f == convolve(f, ident),
-                    "involution involutive": involution(involution(f)) == f,
-                    "anti-multiplicativity": involution(convolve(f, g))
-                    == convolve(involution(g), involution(f))}
-            detail = next((law for law, ok in laws.items() if not ok), "")
-            if detail:
-                break
-        out.append(CheckResult(f"algebra-laws[{label}]", not detail,
-                               detail))
-    return out
+def _algebra_laws(label: str):
+    """The first law 25 random triples of radius-2 elements break."""
+    rng = random.Random(0xA1)
+    store = enumerate_ball(get_pair(label), 2)
+    classes = store.classes_in_ball(2)
+    ident = identity_element(store)
+    for _ in range(25):
+        f, g, h = (_random_element(store, classes, rng) for _ in range(3))
+        laws = {"associativity": convolve(convolve(f, g), h)
+                == convolve(f, convolve(g, h)),
+                "unit": convolve(ident, f) == f == convolve(f, ident),
+                "involution involutive": involution(involution(f)) == f,
+                "anti-multiplicativity": involution(convolve(f, g))
+                == convolve(involution(g), involution(f))}
+        broken = next((law for law, ok in laws.items() if not ok), "")
+        if broken:
+            return False, broken
+    return True, ""
 
 
-def _check_coset_invariants() -> list[CheckResult]:
-    return [CheckResult(f"coset-invariants[{label}]", not detail, detail)
-            for label in LAW_PAIRS
-            for detail in [_coset_invariant_failure(label)]]
-
-
-def _coset_invariant_failure(label: str) -> str:
-    """The first coset invariant the radius-2 ball of ``label`` breaks,
-    "" if none."""
+def _coset_invariants(label: str):
+    """The first coset invariant the radius-2 ball of ``label`` breaks."""
     pair = get_pair(label)
     store = enumerate_ball(pair, 2)
     ball = store.ball_ids(2)
     for d in store.classes_in_ball(2):
         if store.class_R(d) != store.class_L(store.class_inverse(d)):
-            return f"R != L(inv) on class {d}"
+            return False, f"R != L(inv) on class {d}"
     seen: set[int] = set()
     for d in store.classes_in_ball(2):
         for m in store.class_members(d):
             if m in seen:
-                return "classes overlap"
+                return False, "classes overlap"
             seen.add(m)
     if any(c not in seen for c in ball):
-        return "ball not covered by classes"
+        return False, "ball not covered by classes"
     bad = check_interning_soundness(store, limit=5000)
     if bad:
-        return f"duplicate cosets {bad[:3]}"
+        return False, f"duplicate cosets {bad[:3]}"
     rng = random.Random(0xB2)
     for _ in range(10):
         x, y = (store.reps[rng.choice(ball)] for _ in range(2))
         if relative_modular(pair, pair.mul(x, y)) != (
                 relative_modular(pair, x) * relative_modular(pair, y)):
-            return "delta not multiplicative"
-    return ""
+            return False, "delta not multiplicative"
+    return True, ""
 
 
-def _check_learned_sizes() -> list[CheckResult]:
+def _learned_sizes(label: str):
     """Every class size the class search learns from its counting rule:
     L against the class's left walk, R against its right-H orbit."""
-    out = []
-    for label in LAW_PAIRS:
-        pair = get_pair(label)
-        store = enumerate_ball(pair, 2)
-        searched = word_length(store, 2).values
-        wrong = []
-        for d in searched:
-            obj = store.dcs[d]
-            walk = left_L_count(pair, store.reps[obj.rep_cid],
-                                store.caps.max_orbit)
-            if obj.L != len(walk) or obj.R != len(store._orbit(obj.rep_cid)):
-                wrong.append(d)
-        detail = f"L and R checked on {len(searched)} classes"
-        if wrong:
-            detail += f"; walks or orbits differ on classes {wrong}"
-        out.append(CheckResult(f"learned-class-sizes[{label}]", not wrong,
-                               detail))
-    return out
+    pair = get_pair(label)
+    store = enumerate_ball(pair, 2)
+    searched = word_length(store, 2).values
+    wrong = []
+    for d in searched:
+        obj = store.dcs[d]
+        walk = left_L_count(pair, store.reps[obj.rep_cid],
+                            store.caps.max_orbit)
+        if obj.L != len(walk) or obj.R != len(store._orbit(obj.rep_cid)):
+            wrong.append(d)
+    detail = f"L and R checked on {len(searched)} classes"
+    if wrong:
+        detail += f"; walks or orbits differ on classes {wrong}"
+    return not wrong, detail
 
 
-def _check_structure_constant_mirror() -> list[CheckResult]:
+def _structure_constant_mirror(label: str):
     """c_e(d1, d2) = c_{inv e}(inv d2, inv d1), the identity
     ``structure_constants`` uses to walk each pair from its cheaper side:
     both orientations counted directly on every pair of radius-2 ball
     classes."""
-    out = []
-    for label in MIRROR_PAIRS:
-        store = enumerate_ball(get_pair(label), 2)
-        classes = store.classes_in_ball(2)
-        inv = store.class_inverse
-        wrong = []
-        for d1 in classes:
-            for d2 in classes:
-                mirrored = direct_count(store, inv(d2), inv(d1))
-                if (direct_count(store, d1, d2)
-                        != {inv(e): c for e, c in mirrored.items()}):
-                    wrong.append((d1, d2))
-        detail = f"{len(classes) ** 2} pairs in both orientations"
-        if wrong:
-            detail += f"; counts differ on {wrong[:3]}"
-        out.append(CheckResult(f"structure-constants-mirror[{label}]",
-                               not wrong, detail))
-    return out
+    store = enumerate_ball(get_pair(label), 2)
+    classes = store.classes_in_ball(2)
+    inv = store.class_inverse
+    wrong = []
+    for d1 in classes:
+        for d2 in classes:
+            mirrored = direct_count(store, inv(d2), inv(d1))
+            if (direct_count(store, d1, d2)
+                    != {inv(e): c for e, c in mirrored.items()}):
+                wrong.append((d1, d2))
+    detail = f"{len(classes) ** 2} pairs in both orientations"
+    if wrong:
+        detail += f"; counts differ on {wrong[:3]}"
+    return not wrong, detail
 
 
-def _check_structure_constant_count() -> list[CheckResult]:
+def _structure_constant_count(label: str):
     """``structure_constants``, which derives each c_e = L(d1) m_e / L(e)
     from the support walk, against ``direct_count``, which counts it, on
     every pair of radius-2 ball classes."""
-    out = []
-    for label in COUNT_PAIRS:
-        store = enumerate_ball(get_pair(label), 2)
-        classes = store.classes_in_ball(2)
-        counted = {(d1, d2): direct_count(store, d1, d2)
-                   for d1 in classes for d2 in classes}
-        wrong = [p for p, c in counted.items()
-                 if structure_constants(store, *p) != c]
-        detail = (f"{len(counted)} pairs, "
-                  f"{sum(map(len, counted.values()))} support classes")
-        if wrong:
-            detail += f"; counts differ on {wrong[:3]}"
-        out.append(CheckResult(f"structure-constants-count[{label}]",
-                               not wrong, detail))
-    return out
+    store = enumerate_ball(get_pair(label), 2)
+    classes = store.classes_in_ball(2)
+    counted = {(d1, d2): direct_count(store, d1, d2)
+               for d1 in classes for d2 in classes}
+    wrong = [p for p, c in counted.items()
+             if structure_constants(store, *p) != c]
+    detail = (f"{len(counted)} pairs, "
+              f"{sum(map(len, counted.values()))} support classes")
+    if wrong:
+        detail += f"; counts differ on {wrong[:3]}"
+    return not wrong, detail
 
 
-def _check_spectral_examples() -> list[CheckResult]:
-    out = []
+def _z_walk() -> HeckeElement:
+    """T_{-1} + T_0 + T_1 on the radius-50 ball of z:1."""
     pair = get_pair("z:1")
     store = enumerate_ball(pair, 50)
-    cls = {n: store.dc(store.lookup(pair.parse(f"zvec {n}")))
-           for n in (-1, 0, 1)}
-    f = HeckeElement(store, {d: Fraction(1) for d in cls.values()})
-    a = power_moments(f, 2)
-    out.append(CheckResult("z-moments", a == [Fraction(3), Fraction(19)],
-                           f"a_1={a[0]}, a_2={a[1]}"))
+    return HeckeElement(store, {
+        store.dc(store.lookup(pair.parse(f"zvec {n}"))): Fraction(1)
+        for n in (-1, 0, 1)})
+
+
+def _z_moments():
+    a = power_moments(_z_walk(), 2)
+    return a == [Fraction(3), Fraction(19)], f"a_1={a[0]}, a_2={a[1]}"
+
+
+def _z_projection_monotone():
+    f = _z_walk()
     t10 = truncated_norm(operator_matrix(f, 10))
     t50 = truncated_norm(operator_matrix(f, 50))
-    out.append(CheckResult("z-projection-monotone", t10 <= t50 + 1e-9,
-                           f"{t10:.6f} vs {t50:.6f}"))
-    out.append(CheckResult("z-l1-bound", t50 <= float(norms(f).l1) + 1e-9))
-    return out
+    return t10 <= t50 + 1e-9, f"{t10:.6f} vs {t50:.6f}"
+
+
+def _z_l1_bound():
+    f = _z_walk()
+    t50 = truncated_norm(operator_matrix(f, 50))
+    return t50 <= float(norms(f).l1) + 1e-9, ""
+
+
+#: every check ``hecke verify`` runs, in report order, as rows (name,
+#: pairs, check): a row with pairs runs ``check(label)`` once per pair
+#: under ``name[label]``, a row with none runs ``check()`` once under
+#: ``name``; a check returns (ok, detail)
+CHECKS = [
+    ("oracle-equivalence", ORACLE_PAIRS, _oracle_equivalence),
+    ("s3-structure-identity", [], _s3_structure_identity),
+    ("golden", [label for label, _ in GOLDEN_SPECS], _golden),
+    ("algebra-laws", LAW_PAIRS, _algebra_laws),
+    ("coset-invariants", LAW_PAIRS, _coset_invariants),
+    ("learned-class-sizes", LAW_PAIRS, _learned_sizes),
+    ("structure-constants-mirror", MIRROR_PAIRS, _structure_constant_mirror),
+    ("structure-constants-count", COUNT_PAIRS, _structure_constant_count),
+    ("z-moments", [], _z_moments),
+    ("z-projection-monotone", [], _z_projection_monotone),
+    ("z-l1-bound", [], _z_l1_bound),
+]
 
 
 def run_verification(include_golden: bool = True) -> list[CheckResult]:
-    """Every suite in turn; a suite cut short by an error (an exact
-    invariant the engine itself enforces) fails under its own name."""
-    suites = [("oracle-equivalence", _check_oracle_equivalence),
-              ("golden", _check_golden),
-              ("algebra-laws", _check_algebra_laws),
-              ("coset-invariants", _check_coset_invariants),
-              ("learned-class-sizes", _check_learned_sizes),
-              ("structure-constants-mirror", _check_structure_constant_mirror),
-              ("structure-constants-count", _check_structure_constant_count),
-              ("spectral-examples", _check_spectral_examples)]
-    checks: list[CheckResult] = []
-    for name, suite in suites:
+    """Every check of ``CHECKS`` in table order, each on its own: an error
+    inside one (an exact invariant the engine itself enforces) fails that
+    check alone, with ``Type: message`` as its detail, so every run reports
+    the same names in the same order whatever fails."""
+    checks = []
+    for name, pairs, check in CHECKS:
         if name == "golden" and not include_golden:
             continue
-        try:
-            checks += suite()
-        except HeckeError as exc:
-            checks.append(CheckResult(name, False,
-                                      f"{type(exc).__name__}: {exc}"))
+        runs = [(f"{name}[{label}]", (label,)) for label in pairs]
+        for full_name, args in runs or [(name, ())]:
+            try:
+                ok, detail = check(*args)
+            except HeckeError as exc:
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            checks.append(CheckResult(full_name, ok, detail))
     return checks

@@ -101,6 +101,16 @@ def test_oracle_names_a_forged_class_size(side):
         f"{side} mismatch on class {d}: 3 vs 2", f"delta mismatch on class {d}"]
 
 
+def test_oracle_names_a_forged_size_before_it_divides_by_it():
+    # with no product cached, structure_constants would divide by the
+    # forged R; the size mismatch is reported and nothing is raised
+    store, oracle = _s4_store_and_oracle()
+    store.sc_cache.clear()
+    store.dcs[1].R = 99
+    assert "R mismatch on class 1: 99 vs 2" in oracle_matches_engine(
+        store, oracle)
+
+
 def test_oracle_names_a_corrupted_structure_constant():
     store, oracle = _s4_store_and_oracle()
     d1, d2 = next(p for p, c in store.sc_cache.items() if len(c) > 1)

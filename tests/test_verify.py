@@ -1,4 +1,4 @@
-"""Fault injection into ``hecke verify``: each suite reports a fault it is
+"""Fault injection into ``hecke verify``: each check reports a fault it is
 shown, under its own name and with its own message, and the command exits
 1 on it."""
 
@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from heckepairs import algebra, verify
-from heckepairs.cli import EXIT_INVARIANT, main
+from heckepairs.cli import EXIT_INVARIANT, EXIT_OK, main
 from heckepairs.cosets import CosetStore
 from heckepairs.errors import HeckeError
 
@@ -20,11 +20,47 @@ def _patch_method(monkeypatch, name, wrong):
                         lambda store, *args: wrong(real, store, *args))
 
 
+def _row(name):
+    """The pairs and the check of the row ``name`` of ``verify.CHECKS``."""
+    (row,) = [(pairs, check) for n, pairs, check in verify.CHECKS
+              if n == name]
+    return row
+
+
+#: the 42 checks of a passing ``hecke verify``, in report order
+PASSING = [
+    *(f"oracle-equivalence[{p}]" for p in ("s3-h12", "s4-h12", "s4-h12-34")),
+    "s3-structure-identity",
+    *(f"golden[{p}]" for p in (
+        "z:1", "z:2", "dinf", "s3-h12", "s4-h12", "s4-h12-34", "bcp:2",
+        "bcp:3", "bcp:5", "psl2z1p:2", "sl2z1p:2")),
+    *(f"{check}[{p}]"
+      for check in ("algebra-laws", "coset-invariants", "learned-class-sizes")
+      for p in ("z:1", "z:2", "dinf", "s3-h12", "bcp:2", "psl2z1p:2")),
+    *(f"structure-constants-mirror[{p}]" for p in ("bcp:2", "psl2z1p:2")),
+    *(f"structure-constants-count[{p}]"
+      for p in ("z:2", "bcp:2", "s4-h12", "psl2z1p:2")),
+    "z-moments", "z-projection-monotone", "z-l1-bound",
+]
+
+NO_GOLDEN = [name for name in PASSING if not name.startswith("golden[")]
+
+
+def test_the_table_lists_the_checks_of_a_passing_verify(tmp_path, capsys):
+    table = [f"{name}[{label}]" if pairs else name
+             for name, pairs, _ in verify.CHECKS for label in pairs or [""]]
+    assert table == PASSING and len(PASSING) == 42
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"PASS {name}" for name in PASSING), "42/42 checks passed"]
+
+
 def test_coset_invariants_name_a_size_that_is_not_the_inverse_walk(
         monkeypatch):
     _patch_method(monkeypatch, "class_R",
                   lambda real, store, d: real(store, d) + (d == 1))
-    assert verify._coset_invariant_failure("z:2") == "R != L(inv) on class 1"
+    assert _row("coset-invariants")[1]("z:2") == (
+        False, "R != L(inv) on class 1")
 
 
 @pytest.mark.parametrize("members,detail", [
@@ -34,32 +70,32 @@ def test_coset_invariants_name_a_broken_partition(monkeypatch, members,
                                                   detail):
     _patch_method(monkeypatch, "class_members",
                   lambda real, store, d: members(d))
-    assert verify._coset_invariant_failure("z:1") == detail
+    assert _row("coset-invariants")[1]("z:1") == (False, detail)
 
 
 def test_coset_invariants_name_duplicate_cosets(monkeypatch):
     monkeypatch.setattr(verify, "check_interning_soundness",
                         lambda store, limit: [(0, 1), (0, 2), (1, 2), (3, 4)])
-    assert (verify._coset_invariant_failure("z:1")
-            == "duplicate cosets [(0, 1), (0, 2), (1, 2)]")
+    assert _row("coset-invariants")[1]("z:1") == (
+        False, "duplicate cosets [(0, 1), (0, 2), (1, 2)]")
 
 
 def test_coset_invariants_name_a_delta_that_is_not_multiplicative(
         monkeypatch):
     monkeypatch.setattr(verify, "relative_modular", lambda pair, g: Q(2))
-    assert (verify._coset_invariant_failure("bcp:2")
-            == "delta not multiplicative")
+    assert _row("coset-invariants")[1]("bcp:2") == (
+        False, "delta not multiplicative")
 
 
 def test_learned_sizes_name_the_classes_a_walk_disagrees_with(monkeypatch):
     monkeypatch.setattr(verify, "left_L_count",
                         lambda pair, g, max_orbit: [g, g, g])
-    results = verify._check_learned_sizes()
-    assert [r.name for r in results] == [
-        f"learned-class-sizes[{label}]" for label in verify.LAW_PAIRS]
-    assert not any(r.ok for r in results)
-    assert all("; walks or orbits differ on classes [" in r.detail
-               for r in results)
+    pairs, check = _row("learned-class-sizes")
+    assert pairs == verify.LAW_PAIRS
+    results = [check(label) for label in pairs]
+    assert not any(ok for ok, _ in results)
+    assert all("; walks or orbits differ on classes [" in detail
+               for _, detail in results)
 
 
 def test_structure_constant_arbiters_name_a_miscounted_pair(monkeypatch):
@@ -68,10 +104,12 @@ def test_structure_constant_arbiters_name_a_miscounted_pair(monkeypatch):
     real = algebra.direct_count
     monkeypatch.setattr(verify, "direct_count", lambda store, d1, d2: {
         e: c * (d1 + 1) for e, c in real(store, d1, d2).items()})
-    for results in (verify._check_structure_constant_mirror(),
-                    verify._check_structure_constant_count()):
-        assert results and not any(r.ok for r in results)
-        assert all("; counts differ on [(" in r.detail for r in results)
+    for pairs, check in (_row("structure-constants-mirror"),
+                         _row("structure-constants-count")):
+        results = [check(label) for label in pairs]
+        assert results and not any(ok for ok, _ in results)
+        assert all("; counts differ on [(" in detail
+                   for _, detail in results)
 
 
 def test_a_suite_cut_short_by_an_error_fails_under_its_name(monkeypatch):
@@ -81,7 +119,7 @@ def test_a_suite_cut_short_by_an_error_fails_under_its_name(monkeypatch):
     monkeypatch.setattr(verify, "power_moments", refuse)
     results = verify.run_verification(include_golden=False)
     failed = [(r.name, r.detail) for r in results if not r.ok]
-    assert failed == [("spectral-examples", "HeckeError: moments refused")]
+    assert failed == [("z-moments", "HeckeError: moments refused")]
 
 
 def _drop_a_support_class(monkeypatch):
@@ -100,12 +138,15 @@ def _drop_a_support_class(monkeypatch):
     monkeypatch.setattr(verify, "structure_constants", dropped)
 
 
-# the oracle and the S3 identity see the missing class; the algebra laws
-# and the count meet the degree identity the engine enforces, which cuts
-# each suite short under its own name
+# the oracle, the S3 identity and the count on s4-h12 see the missing
+# class; on bcp:2 and psl2z1p:2 the algebra laws and the count meet the
+# degree identity the engine enforces, which fails that check alone
 CAUGHT = {"oracle-equivalence[s3-h12]", "oracle-equivalence[s4-h12]",
           "oracle-equivalence[s4-h12-34]", "s3-structure-identity",
-          "algebra-laws", "structure-constants-count"}
+          "algebra-laws[bcp:2]", "algebra-laws[psl2z1p:2]",
+          "structure-constants-count[bcp:2]",
+          "structure-constants-count[s4-h12]",
+          "structure-constants-count[psl2z1p:2]"}
 
 
 def test_verification_names_the_suites_that_catch_a_dropped_class(
@@ -114,10 +155,20 @@ def test_verification_names_the_suites_that_catch_a_dropped_class(
     results = verify.run_verification(include_golden=False)
     failed = {r.name: r.detail for r in results if not r.ok}
     assert set(failed) == CAUGHT
-    assert failed["structure-constants-count"].startswith(
-        "NonBiInvariantResult: product T[")
+    for label in ("bcp:2", "psl2z1p:2"):
+        assert failed[f"structure-constants-count[{label}]"].startswith(
+            "NonBiInvariantResult: product T[")
+    assert failed["structure-constants-count[s4-h12]"] == (
+        "16 pairs, 25 support classes; "
+        "counts differ on [(1, 1), (1, 2), (1, 3)]")
     assert "structure constants differ on (1,1): " in failed[
         "oracle-equivalence[s3-h12]"]
+
+
+def test_a_dropped_class_keeps_every_check_of_a_passing_run(monkeypatch):
+    _drop_a_support_class(monkeypatch)
+    results = verify.run_verification(include_golden=False)
+    assert [r.name for r in results] == NO_GOLDEN and len(results) == 31
 
 
 def test_verify_exits_1_on_a_dropped_class(monkeypatch, tmp_path, capsys):
