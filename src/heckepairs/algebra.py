@@ -11,9 +11,9 @@ sum_d c_d R(d) = R(d1) R(d2) (T_d -> R(d) is a ring homomorphism), with
 the sizes learned by the store's class search, and cached on the store,
 so repeated convolutions are dictionary arithmetic: ``convolve`` reads a
 cached pair off ``store.sc_cache`` itself and calls
-``structure_constants`` only on a miss, ``class_R`` returns a known size
-at once, and ``involution`` reads L, R and the inverse off the class
-records, asking the store only for a value not yet known.
+``structure_constants`` only on a miss, ``class_L`` and ``class_R``
+return a known size at once, and ``involution`` reads L, R and the
+inverse off the class records, asking the store only for what is unknown.
 
 An element is held as integer numerators over one lowest denominator:
 a pair (den, num) with den > 0, num mapping each support class to a
@@ -221,9 +221,9 @@ def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
     these lie in e.  Fixing bH = zH first (L(e) ways), aH -> H a^{-1} z is
     a bijection onto the right cosets H b' of d2 with z b'^{-1} in d1, and
     c_e counts those.  So L(d1) m_e = L(e) c_e; unimodularity is not
-    used.  R(e) is read before L(e): on a finitely generated pair the
-    class search sets both, with no left walk.  A remainder raises.  No
-    member list is read, and only a newly named class interns a coset.
+    used.  A remainder raises.  L and R may be read in either order: the
+    store sizes a class by one rule, the class search where it runs, with
+    no left walk.  No member list is read; only a new class interns a coset.
 
     The walk costs L(d2) products here and L(inv d1) = R(d1) on the
     mirrored pair: Hy -> x y^{-1} H gives
@@ -251,7 +251,6 @@ def structure_constants(store: CosetStore, d1: int, d2: int) -> dict[int, int]:
         l1 = L(d1)
         out = {}
         for e, (_, m) in store.product_support(d1, d2).items():
-            R(e)    # the class search, where it runs, sets L(e) too
             c, rem = divmod(l1 * m, L(e))
             if rem:
                 raise NonBiInvariantResult(
@@ -303,12 +302,8 @@ def involution(f: HeckeElement) -> HeckeElement:
     delta_one = True
     for d, n in f.num.items():
         obj = dcs[d]
-        left, right, e = obj.L, obj.R, obj.inv
-        if left is None:
-            left = store.class_L(d)
-        if right is None:
-            right = store.class_R(d)
-        if e is None:
+        left, right = obj.L or store.class_L(d), obj.R or store.class_R(d)
+        if (e := obj.inv) is None:
             e = store.class_inverse(d)
         if left == right:
             left = right = 1

@@ -10,17 +10,20 @@ Double cosets are named the same way, by the pair's ``class_key``, so
 naming a class costs no orbit, and a product x t names its class without
 interning x t unless the class is new.  Products of classes are read off
 class keys and left-coset representatives (``product_support``), and the
-class sizes L and R, the one source of L, R and Delta that a report
-reads, are learned by one counting rule along a class-level word-length
-search that the store resumes on demand (``word_lengths``).  Both step
-from each class's rep,
-and the search's products depend on a rep only through its right coset,
-so the ids it gives follow from the pair and the calls made on the class
-layer, whatever Schreier ball was enumerated.  Member cosets (right-H
-orbits) are built only for the code that reads members, and left cosets
-are walked only for a right factor of a product or a class the search
-has not sized; both walks stay the arbiters of the class keys and of
-every learned size.
+class sizes L and R, the one source of L, R and Delta that a report reads,
+are learned by one counting rule along a class-level word-length search
+that the store resumes on demand (``word_lengths``).  Both step from each
+class's rep, and the search's products depend on a rep only through its
+right coset, so the ids it gives follow from the pair and the calls made
+on the class layer, whatever Schreier ball was enumerated.  Member cosets
+(right-H orbits) are built only for the code that reads members.
+``class_L`` and ``class_R`` size a class by one rule (``_learn``), in
+either order: a known size, else the search resumed on a finitely
+generated pair, else a walk (``_walk``), L(d) off d's left cosets and
+R(d) = L(inv d).  Left cosets are walked only where they are read: the
+generator classes seeding the search, a right factor of a product, and
+``snapshot``; so on z:d a far class's L costs the search to its depth,
+as its R does.  Both walks arbitrate the class keys and learned sizes.
 
 A one-coset generator class s costs the search less.  Of the L(s)
 products x t naming supp(T_d * T_s), m_e <= L(s) land in a class e, so
@@ -257,19 +260,6 @@ class CosetStore:
         d = self._classes.get(key)
         return self._name_class(key, self._intern(g)) if d is None else d
 
-    def class_R(self, dcid: int) -> int:
-        """R of the class: a known R at once, else learned by resuming
-        the class search on a finitely generated pair, else R(d) = L(inv d)."""
-        obj = self.dcs[dcid]
-        if obj.R is not None:
-            return obj.R
-        if self.pair.finitely_generated:
-            while obj.R is None and self._search_depth():
-                pass
-        if obj.R is None:
-            obj.R = self.class_L(self.class_inverse(dcid))
-        return obj.R
-
     def class_left_reps(self, dcid: int) -> list:
         """Representatives t_j of the left cosets in the class,
         HxH = t_1 H u ... u t_L H, walked once; their count must be L."""
@@ -282,19 +272,35 @@ class CosetStore:
         return obj.left_reps
 
     def class_L(self, dcid: int) -> int:
-        """L of the class: as the class search learned it, else walked."""
+        """L of the class: known, else from the class search, else walked."""
+        return self.dcs[dcid].L or self._learn(dcid, "L")
+
+    def class_R(self, dcid: int) -> int:
+        """R of the class: known, else from the class search, else walked."""
+        return self.dcs[dcid].R or self._learn(dcid, "R")
+
+    def _learn(self, dcid: int, side: str) -> int:
+        """Size ``side`` by the class search while it runs, else ``_walk``."""
         obj = self.dcs[dcid]
-        if obj.L is None:
-            self.class_left_reps(dcid)
-        return obj.L
+        while (getattr(obj, side) is None and self.pair.finitely_generated
+               and self._search_depth()):
+            pass
+        return getattr(obj, side) or self._walk(dcid, side)
+
+    def _walk(self, dcid: int, side: str) -> int:
+        """L(d) off d's left cosets, or R(d) = L(inv d), with no search."""
+        if side == "L":
+            return len(self.class_left_reps(dcid))
+        n = self._walk(self.class_inverse(dcid), "L")
+        self.dcs[dcid].settle("R", n, "the left walk of its inverse")
+        return n
 
     def unimodularity(self) -> UnimodularityReport:
         """The pair's relative-unimodularity report, read once per store
         off the class records: Delta, a homomorphism trivial on H, of each
-        generator's class.  The class search's first depth names and sizes
-        those classes as it always does, so no id moves and no generator
-        is walked twice.  Without a finite generating set only a failing
-        probe is sound, so a True verdict is refused."""
+        generator's class, named by the class search's first depth so no
+        id moves.  Without a finite generating set only a failing probe is
+        sound, so a True verdict is refused."""
         if self._unimod is None:
             pair = self.pair
             if pair.finitely_generated:
@@ -464,8 +470,7 @@ class CosetStore:
         out = list(dict.fromkeys(self.dc(self._intern(g))
                                  for g in self.pair.shat()))
         for s in out:
-            self.dcs[s].settle("R", self.class_L(self.class_inverse(s)),
-                               "the left walk of its inverse")
+            self._walk(s, "R")
         return out
 
     def classes_in_ball(self, r: int) -> list[int]:
@@ -485,7 +490,7 @@ class CosetStore:
                 self.class_members(self.dc(i))
                 i += 1
             for d in range(len(self.dcs)):
-                self.class_L(d)
+                self._walk(d, "L")
                 self.class_members(self.class_inverse(d))
         cosets = [{"id": cid, "rep": pair.render(rep), "wl": self.wl[cid],
                    "dc": self.dc_of[cid]} for cid, rep in enumerate(self.reps)]

@@ -508,14 +508,37 @@ def _canon_sign(num: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     return num
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2015); the bases
+# 2..37 alone are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; an n it cannot decide exactly is
+    refused."""
+    if n >= _MR_EXACT_BELOW:
+        raise HeckeError(f"p must be below {_MR_EXACT_BELOW} to be tested "
+                         f"for primality, got {n}")
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 

@@ -53,7 +53,8 @@ def growth_series(store: CosetStore, r_max: int,
     """G(r) = number of right cosets with length <= r, for r = 0..r_max.
     The word length (``l`` None or of kind word-schreier) is read from the
     store's class search, resumed to depth r_max; any other length on
-    every class of the exhausted coset space, whatever its table."""
+    every class of the exhausted coset space, whatever its table.  A
+    negative or NaN value is refused, naming its class."""
     if r_max < 0:
         raise HeckeError(f"growth needs r_max >= 0, got {r_max}")
     if l is None or l.kind == "word-schreier":
@@ -69,6 +70,9 @@ def growth_series(store: CosetStore, r_max: int,
     shell = [0] * (r_max + 1)
     for d, v in values.items():
         v = float(v)
+        if not v >= 0:      # a negative value or NaN
+            raise HeckeError(f"growth needs a length >= 0, but the {kind} "
+                             f"length of class {d} is {v}")
         if v <= r_max:
             shell[int(math.floor(v))] += store.class_R(d)
     return GrowthSeries(list(range(r_max + 1)), list(accumulate(shell)),

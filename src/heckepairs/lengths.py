@@ -35,9 +35,9 @@ class LengthFunction:
     kind: str                      # word-schreier | characteristic | indicator
     #                              # | averaged-finite-h | custom
     values: dict                   # DoubleCosetId -> Fraction | float
-    #: for the characteristic length: class -> integer L (or L*R), so the
-    #: submultiplicative law can be checked exactly
-    exact_base: Optional[dict] = None
+    #: for the characteristic length: the function class -> integer L (or
+    #: L*R), so the submultiplicative law can be checked exactly
+    exact_base: Optional[Callable] = None
     #: globally defined lengths (indicator, characteristic, averaged)
     #: evaluate lazily past the tabulated classes; the word length cannot
     extend: Optional[Callable] = None
@@ -92,12 +92,13 @@ def characteristic_length(store: CosetStore, r: int,
             raise NotRelativelyUnimodular(
                 f"{pair.label} is not relatively unimodular; "
                 "pass use_lr=True for the log(L*R) variant")
-    base: dict[int, int] = {}
+
+    def base(d: int) -> int:
+        n = store.class_L(d)
+        return n * store.class_R(d) if use_lr else n
 
     def evaluate(d: int) -> float:
-        n = store.class_L(d) * store.class_R(d) if use_lr else store.class_L(d)
-        base[d] = n
-        return math.log(n)
+        return math.log(base(d))
 
     values = {d: evaluate(d) for d in sorted(store.word_lengths(r))}
     kind = "characteristic-lr" if use_lr else "characteristic"
@@ -283,6 +284,7 @@ def check_length_axioms(store: CosetStore, l: LengthFunction,
         if l.defined_on(inv) and l(inv) != l(d):
             problems.append(f"symmetry fails on class {d}")
     half_classes = sorted(store.word_lengths(half_radius))
+    base = l.exact_base
     for d1 in half_classes:
         if not l.defined_on(d1):
             continue
@@ -295,13 +297,12 @@ def check_length_axioms(store: CosetStore, l: LengthFunction,
                         f"length undefined on product class {d} "
                         f"of ({d1},{d2})")
                     continue
-                value = l(d)   # force lazy evaluation (fills exact_base too)
-                if l.exact_base is not None:
-                    if l.exact_base[d] > l.exact_base[d1] * l.exact_base[d2]:
+                if base is not None:
+                    if base(d) > base(d1) * base(d2):
                         problems.append(
                             f"submultiplicativity fails on {d} in "
                             f"supp(T{d1}*T{d2})")
-                elif value > l(d1) + l(d2):
+                elif l(d) > l(d1) + l(d2):
                     problems.append(
                         f"subadditivity fails on {d} in supp(T{d1}*T{d2})")
     return problems

@@ -178,6 +178,15 @@ def test_growth_keys_are_gone(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_large_composite_p_exits_2(tmp_path, capsys):
+    # 1000000007 * 1000000009, refused before any work
+    out = tmp_path / "out"
+    assert main(["growth", "--pair", "bcp:1000000016000000063",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "p must be prime" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_refused_pair_writes_no_out_directory(tmp_path, capsys):
     # bc has no finite generating set: each body refuses it before its
     # first artifact, so the out directory is never made

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 import heckepairs as hp
-from heckepairs.algebra import HeckeElement
+from heckepairs.algebra import HeckeElement, basis_element, involution
 from heckepairs.cosets import (Caps, check_interning_soundness, enumerate_ball,
                                left_L_count, relative_modular,
                                unimodularity_check)
@@ -132,11 +132,15 @@ def test_orbit_s3_class():
     (Q(1, 2), Q(1), 1, 1)])
 def test_bc_class_sizes_without_a_class_search(b, a, L, R):
     # bc has no finite generating set, so no class search sizes its
-    # classes: L is walked and R(d) = L(inv d), which the orbit must match
-    store = hp.CosetStore(get_pair("bc"))
-    d = store.dc(store.intern(Aff(b, a)))
-    assert (store.class_L(d), store.class_R(d)) == (L, R)
-    assert len(store.class_members(d)) == R
+    # classes: L is walked and R(d) = L(inv d), which the orbit must
+    # match, whichever size is read first
+    for first in ("class_L", "class_R", "class_delta"):
+        store = hp.CosetStore(get_pair("bc"))
+        d = store.dc(store.intern(Aff(b, a)))
+        getattr(store, first)(d)
+        assert (store.class_L(d), store.class_R(d), store.class_delta(d)) == (
+            L, R, Q(L, R))
+        assert len(store.class_members(d)) == R
 
 
 def test_orbit_bc_scaling_class():
@@ -386,15 +390,68 @@ def test_class_ids_follow_first_lookup_and_members_are_lazy():
 
 
 def test_delta_is_unknown_until_r_is():
-    # L alone names no modular value: Fraction(L, None) would read L
+    # L alone names no modular value: Fraction(L, None) would read L.
+    # class_L learns both sizes from the class search, so L is walked alone
     store = enumerate_ball(get_pair("psl2z1p:2"), 2)
     d = store.dc(5)
-    assert store.class_L(d) == 6
+    assert store._walk(d, "L") == 6
     row = store.snapshot(compute_classes=False)["double_cosets"][d]
     assert (row["L"], row["R"], row["delta"]) == (6, None, None)
     assert store.class_delta(d) == 1
     row = store.snapshot(compute_classes=False)["double_cosets"][d]
     assert (row["L"], row["R"], row["delta"]) == (6, 6, "1")
+
+
+@pytest.mark.parametrize("read", ["L", "delta", "involution"])
+def test_a_deep_class_is_sized_by_the_class_search(monkeypatch, read):
+    # L = R = 1,572,864 on the class of g_p^10 is past the orbit cap of a
+    # left walk; class_L, class_delta and the involution learn it from the
+    # class search, as class_R does, and only the generator classes that
+    # seed the search are walked
+    from heckepairs import cosets
+    walked = []
+    walk = cosets.left_L_count
+
+    def counted_walk(pair, g, *args):
+        walked.append(g)
+        return walk(pair, g, *args)
+
+    monkeypatch.setattr(cosets, "left_L_count", counted_walk)
+    pair = get_pair("psl2z1p:2")
+    store = hp.CosetStore(pair)
+    d = store.class_of(pair.canon(pair.parse("mat 1024 0 0 1/1024")))
+    if read == "L":
+        assert store.class_L(d) == 1_572_864
+    elif read == "delta":
+        assert store.class_delta(d) == 1
+    else:
+        t = basis_element(store, d)
+        assert involution(t) == t
+    assert (store.dcs[d].L, store.dcs[d].R) == (1_572_864, 1_572_864)
+    gens = set(store._gen_classes)
+    assert len(walked) == len(gens)
+    assert {store.class_of(g) for g in walked} == gens
+
+
+@pytest.mark.parametrize("label", ["psl2z1p:2", "bcp:2"])
+def test_class_sizes_do_not_depend_on_which_is_read_first(label):
+    # fresh stores name the classes of word length <= 4 in one order and
+    # read (L, R) or (R, L) of each as it is named
+    pair = get_pair(label)
+    ref = hp.CosetStore(pair)
+    classes = sorted(ref.word_lengths(4))
+    seen = []
+    for first, second in (("class_L", "class_R"), ("class_R", "class_L")):
+        store = hp.CosetStore(pair)
+        sizes = {}
+        for d in classes:
+            e = store.class_of(ref.reps[ref.dcs[d].rep_cid])
+            sizes[e] = {first: getattr(store, first)(e),
+                        second: getattr(store, second)(e)}
+        seen.append((sizes, [c.key for c in store.dcs]))
+    assert seen[0] == seen[1]
+    assert [(ref.dcs[d].L, ref.dcs[d].R) for d in classes] == [
+        (row["class_L"], row["class_R"]) for row in seen[0][0].values()]
 
 
 @pytest.mark.parametrize("label, how, text, ball", [

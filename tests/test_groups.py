@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -13,7 +14,8 @@ import heckepairs as hp
 from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
                                OrbitCapExceeded, ParseError)
 from heckepairs.algebra import structure_constants
-from heckepairs.groups import Aff, Dih, Mat2, Perm, Vec, get_pair
+from heckepairs.groups import (Aff, Dih, Mat2, Perm, Vec, _is_prime,
+                               get_pair)
 
 import oracles
 from conftest import FG_LABELS
@@ -458,6 +460,44 @@ def test_catalog_labels_resolve():
         get_pair("nope")
     with pytest.raises(HeckeError):
         get_pair("bcp:4")   # 4 is not prime
+
+
+def test_primality_agrees_with_trial_division_below_1e5():
+    def trial(n):
+        return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == [
+        n for n in range(10 ** 5) if trial(n)]
+
+
+@pytest.mark.parametrize("n", [
+    561, 41041,                     # Carmichael numbers
+    2047,                           # strong pseudoprime to base 2
+    3215031751,                     # ... to the bases 2, 3, 5, 7
+    3825123056546413051,            # ... to the bases 2 to 23
+    318665857834031151167461,       # ... to the bases 2 to 37
+    1000000007 * 1000000009])
+def test_pseudoprimes_are_refused_at_once(n):
+    t0 = time.perf_counter()
+    assert not _is_prime(n)
+    with pytest.raises(HeckeError, match="p must be prime"):
+        get_pair(f"bcp:{n}")
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_a_large_prime_is_accepted_at_once():
+    t0 = time.perf_counter()
+    for label in ("bcp:2305843009213693951", "psl2z1p:2305843009213693951"):
+        assert get_pair(label).p == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_a_p_past_the_exact_primality_bound_is_refused():
+    # the bound is itself a strong pseudoprime to all 13 bases, so the
+    # test would accept it
+    bound = 3_317_044_064_679_887_385_961_981
+    for n in (bound, bound + 2, 2 ** 127 - 1):
+        with pytest.raises(HeckeError, match=f"p must be below {bound}"):
+            get_pair(f"bcp:{n}")
 
 
 def test_bc_is_not_finitely_generated():

@@ -6,7 +6,7 @@ import heckepairs as hp
 from heckepairs.errors import BallIncomplete, HeckeError
 from heckepairs.growth import GrowthSeries, classify_growth, growth_series
 from heckepairs.groups import get_pair
-from heckepairs.lengths import characteristic_length
+from heckepairs.lengths import LengthFunction, characteristic_length
 
 
 def test_z_ball_formula_r40():
@@ -226,3 +226,15 @@ def test_characteristic_roots_read_exactly():
     double = [(r + 1) * 3 ** r + 5 ** r for r in range(14)]
     verdict = classify_growth(_series(double))
     assert (verdict.beta, verdict.chi) == (5, [1, -11, 39, -45])
+
+
+@pytest.mark.parametrize("value", [Fraction(-1), float("nan")])
+def test_growth_refuses_a_value_that_is_no_length(value):
+    # neither a negative value nor NaN is a length: each is refused,
+    # naming its class
+    store = hp.enumerate_ball(get_pair("s3-h12"), 12)
+    e = store.identity_class()
+    (d,) = [c for c in store.classes_in_ball(12) if c != e]
+    l = LengthFunction("custom", {e: Fraction(0), d: value})
+    with pytest.raises(HeckeError, match=f"custom length of class {d} is"):
+        growth_series(store, 2, l)

@@ -120,7 +120,7 @@ def test_characteristic_submultiplicative_exact():
     for d1 in classes:
         for d2 in classes:
             for d in structure_constants(store, d1, d2):
-                assert lc.exact_base[d] <= lc.exact_base[d1] * lc.exact_base[d2]
+                assert lc.exact_base(d) <= lc.exact_base(d1) * lc.exact_base(d2)
 
 
 def test_lazy_values_leave_the_tabulated_domain_alone():
@@ -319,7 +319,7 @@ def test_length_axioms_check_a_forged_exact_base():
     base = {d: 1 for d in lengths}
     base[cls[2]] = 2
     lc = LengthFunction("characteristic", {d: 0.0 for d in lengths},
-                        exact_base=base)
+                        exact_base=base.__getitem__)
     assert check_length_axioms(store, lc, 2) == [
         f"submultiplicativity fails on {cls[2]} in "
         f"supp(T{cls[1]}*T{cls[1]})"]
