@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in {
     "groups": "HeckePair catalog_labels get_pair load_pair_spec",
     "lengths": "AveragedLength LengthFunction characteristic_length"
                " check_length_axioms dominance_fit indicator_length"
-               " pseudometric_checks word_length",
+               " word_length",
     "oracle": "finite_group_oracle oracle_matches_engine",
     "rd": "KestenReport RdProfile kesten_diagnostic operator_matrix rd_profile"
           " rd_weighted_fit spectral_lower_bound truncated_norm",

@@ -1,4 +1,4 @@
-"""Length functions on pairs, pseudo-metric checks and dominance fits.
+"""Length functions on pairs, their axiom checks and dominance fits.
 
 A length function on a pair is bi-H-invariant, so it lives on double
 cosets: ``LengthFunction.values`` maps class ids to nonnegative values
@@ -24,9 +24,8 @@ from .groups import HeckePair
 
 __all__ = [
     "LengthFunction", "word_length", "characteristic_length",
-    "indicator_length", "AveragedLength",
-    "length_of_element", "pseudometric_checks", "PseudometricReport",
-    "dominance_fit", "DominanceFit", "check_length_axioms", "linfit",
+    "indicator_length", "AveragedLength", "dominance_fit", "DominanceFit",
+    "check_length_axioms", "linfit",
 ]
 
 
@@ -115,11 +114,6 @@ def indicator_length(store: CosetStore, r: int) -> LengthFunction:
                           extend=lambda d: Fraction(0 if d == e else 1))
 
 
-def length_of_element(store: CosetStore, l: LengthFunction, g):
-    """Evaluate a class-level length at a group element."""
-    return l(store.dc(store._intern(g)))
-
-
 # ---------------------------------------------------------------------------
 # H-averaging for finite H
 
@@ -158,57 +152,6 @@ class AveragedLength:
 
         values = {d: evaluate(d) for d in sorted(store.word_lengths(r))}
         return LengthFunction("averaged-finite-h", values, extend=evaluate)
-
-
-# ---------------------------------------------------------------------------
-# pseudo-metric checks
-
-
-@dataclass
-class PseudometricReport:
-    samples: int
-    evaluated: int
-    symmetry_failures: int
-    triangle_failures: int
-    invariance_failures: int
-
-    @property
-    def ok(self) -> bool:
-        return not (self.symmetry_failures or self.triangle_failures
-                    or self.invariance_failures)
-
-
-def pseudometric_checks(store: CosetStore, l: LengthFunction, r: int,
-                        n_samples: int = 100,
-                        seed: int = 0) -> PseudometricReport:
-    """Check d_l(x,y) = l(x^{-1} y) for symmetry, the triangle inequality
-    and left invariance on random triples drawn from the ball of radius
-    r // 2, enumerated here and read in BFS order (so every product stays
-    inside the radius-r ball, and the triples depend on seed and r alone,
-    not on what the store enumerated before)."""
-    import random
-
-    pair = store.pair
-    rng = random.Random(seed)
-    if r < 0:
-        raise EmptyStore(f"no cosets within radius {r}")
-    store.enumerate_to(r // 2)
-    half = store.ball[:store.ball_ends[r // 2]]
-
-    def d_l(x, y):
-        return length_of_element(store, l, pair.mul(pair.inv(x), y))
-
-    sym = tri = invar = 0
-    for _ in range(n_samples):
-        x, y, z, g = (store.reps[rng.choice(half)] for _ in range(4))
-        dxy = d_l(x, y)
-        if dxy != d_l(y, x):
-            sym += 1
-        if d_l(x, z) > dxy + d_l(y, z):
-            tri += 1
-        if d_l(pair.mul(g, x), pair.mul(g, y)) != dxy:
-            invar += 1
-    return PseudometricReport(n_samples, n_samples, sym, tri, invar)
 
 
 # ---------------------------------------------------------------------------

@@ -614,72 +614,75 @@ def _truncation_radius(f: HeckeElement, want: int, budget: int) -> int:
 
 def _test_record(r, family, nonneg, f, l, grid, powers,
                  profile) -> RdTestRecord:
-    """Both lower bounds, the weighted norms over ``grid`` (with the
-    profile's class powers ``powers``) and l2 of one test function, under
-    the profile's config.  A cap hit on either bound zeroes that
-    bound and marks the profile partial; a truncation radius the budget
-    clips is warned of, and so is a power iteration that hits its
-    iteration cap, whose ConvergenceWarning goes into the report instead
-    of to stderr.  The moment root is certified for every f, self-adjoint
-    or not.  f's moments are computed once: the last gives the root and
-    the first, a_1 = ||f||_2^2 exactly, gives l2."""
+    """f's bounds by ``_bounds``, which zeroes a capped one (the profile
+    is then partial), its weighted norms over ``grid`` (with the profile's
+    class powers ``powers``) and l2, under the profile's config; each
+    skip, clipped truncation radius or capped power iteration is warned
+    of once.  l2 is read off a_1 = ||f||_2^2 when there are moments."""
     cfg = profile.config
     want = r + cfg["rd.pad"]
     r_trunc = _truncation_radius(f, want, cfg["rd.max_matrix_cost"])
     if r_trunc < want:
         _warn(profile, f"truncation radius at r={r} clipped to {r_trunc} "
                        f"of {want} wanted (rd.max_matrix_cost)")
-    trunc = 0.0
-    try:
-        trunc = _noted_truncated_norm(
-            f, r_trunc, cfg, f"at r={r}", lambda text: _warn(profile, text))
-    except CapExceeded as exc:
-        profile.partial = True
-        _warn(profile, f"truncated norm skipped at r={r}: {exc}")
-    root, moments = 0.0, None
-    n_mom = cfg["rd.moment_n"]
-    if n_mom > 0:
-        try:
-            moments = power_moments(f, n_mom)
-            root = _nth_root(moments[-1], 2 * n_mom)
-        except CapExceeded as exc:
-            profile.partial = True
-            _warn(profile, f"moments skipped at r={r}: {exc}")
+    moments, roots, trunc, lower = _bounds(
+        f, cfg, cfg["rd.moment_n"], r_trunc, f"at r={r}",
+        lambda text: _warn(profile, text),
+        lambda text: _warn(profile, text, partial=True))
     weighted = _weighted_norms(f, l, grid, powers)
     l2 = math.sqrt(moments[0]) if moments else norms(f).l2
-    lower = max(trunc, root)
-    return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc, root, l2,
+    return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc,
+                        roots[-1] if roots else 0.0, l2,
                         lower / l2 if l2 else 0.0, weighted)
 
 
-def _noted_truncated_norm(f: HeckeElement, radius: int, cfg: dict,
-                          where: str, note) -> float:
-    """``truncated_norm`` of f's operator at the radius, by the
-    module-level function.  A power iteration that hits rd.max_iter is
-    passed to ``note`` as a report warning naming ``where``, instead of
-    reaching stderr as a ConvergenceWarning; any other warning is
-    re-emitted unchanged, and a CapExceeded propagates."""
-    max_iter = cfg["rd.max_iter"]
-    caught: list = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConvergenceWarning)
-            return truncated_norm(operator_matrix(f, radius),
-                                  cfg["rd.tol"], max_iter)
-    finally:
-        for w in caught:
-            if issubclass(w.category, ConvergenceWarning):
-                note(f"power iteration {where} hit its iteration cap "
-                     f"(rd.max_iter={max_iter}): trunc_norm there is not "
-                     f"converged")
-            else:
-                warnings.warn_explicit(w.message, w.category, w.filename,
-                                       w.lineno, source=w.source)
+def _bounds(f: HeckeElement, cfg: dict, n: int, radius: int, where: str,
+            note, skip=None) -> tuple[list, list, float, float]:
+    """An rd-profile record's and kesten's lower bounds for ||lambda(f)||:
+    f's moments a_1..a_n, their roots a_k^(1/2k) (certified for every f),
+    the truncated norm at ``radius`` and max(last root, truncated norm).
+    The moments are computed first.  A power iteration that hits
+    rd.max_iter goes to ``note`` as a warning naming ``where``, not to
+    stderr.  With no ``skip`` (kesten) a CapExceeded propagates, the
+    moments' first, and the CLI exits 3; with ``skip`` (rd-profile) a
+    capped bound is zeroed and ``skip`` gets "<bound> skipped <where>:
+    <cap>", the truncated norm's first."""
+    moments, moments_cap = [], None
+    if n > 0:
+        try:
+            moments = power_moments(f, n)
+        except CapExceeded as exc:
+            if skip is None:
+                raise
+            moments_cap = exc
+    roots = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
+    trunc, max_iter = 0.0, cfg["rd.max_iter"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        try:
+            trunc = truncated_norm(operator_matrix(f, radius),
+                                   cfg["rd.tol"], max_iter)
+        except CapExceeded as exc:
+            if skip is None:
+                raise
+            skip(f"truncated norm skipped {where}: {exc}")
+    for w in caught:
+        if issubclass(w.category, ConvergenceWarning):
+            note(f"power iteration {where} hit its iteration cap "
+                 f"(rd.max_iter={max_iter}): trunc_norm there is not "
+                 f"converged")
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
+    if moments_cap is not None:
+        skip(f"moments skipped {where}: {moments_cap}")
+    return moments, roots, trunc, max(roots[-1] if roots else 0.0, trunc)
 
 
-def _warn(profile: RdProfile, text: str) -> None:
-    """Record a warning once: the test functions of one radius share
-    their causes."""
+def _warn(profile: RdProfile, text: str, partial: bool = False) -> None:
+    """Record a warning once (the test functions of one radius share
+    their causes), and mark the profile partial if ``partial``."""
+    profile.partial |= partial
     if text not in profile.warnings:
         profile.warnings.append(text)
 
@@ -776,14 +779,11 @@ def kesten_diagnostic(store: CosetStore, f: Optional[HeckeElement] = None,
                                    for d in sorted(store.word_lengths(1))})
         sym = Fraction(1, 2) * (raw + involution(raw))
         f = Fraction(1, norms(sym).l1_exact) * sym
-    moments = power_moments(f, n)
-    rho = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
     r_trunc = min(cfg["kesten.trunc_radius"], store.radius_complete)
     notes: list[str] = []
-    trunc = _noted_truncated_norm(f, r_trunc, cfg,
-                                  f"at trunc_radius={r_trunc}", notes.append)
+    moments, rho, trunc, lower = _bounds(
+        f, cfg, n, r_trunc, f"at trunc_radius={r_trunc}", notes.append)
     l1 = norms(f).l1
-    lower = max(rho[-1] if rho else 0.0, trunc)
     index = lower / l1 if l1 else 0.0
     if index >= cfg["kesten.amenable_min"]:
         hint = "consistent-with-amenable"

@@ -684,6 +684,35 @@ def test_every_pair_command_writes_one_partial_report_on_cap(
         assert report["series"]["radii"] == radii
 
 
+def test_both_capped_bounds_keep_their_order(tmp_path, capsys):
+    # from r = 2 on z:2's class table passes 16 * max_cosets entries, and
+    # from r = 3 on the moments pass max_cosets: rd-profile zeroes each
+    # capped bound and warns of the truncated norm before the moments.
+    # kesten computes its moments first and exits on their cap
+    out = tmp_path / "o"
+    assert main(["rd-profile", "--pair", "z:2", "--rmax", "4",
+                 "--max-cosets", "100", "--set", "rd.moment_n=3",
+                 "--out", str(out)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == ""
+    profile = json.loads(read(out / "rd_profile_z-2.json"))["profile"]
+    table = "exceeds 1600 entries (16 * max_cosets=100)"
+    moments = "coset store exceeded max_cosets=100"
+    assert profile["partial"] is True
+    assert [w for w in profile["warnings"] if "skipped" in w] == [
+        f"truncated norm skipped at r=2: class table of 41 cosets {table}",
+        f"truncated norm skipped at r=3: class table of 61 cosets {table}",
+        f"moments skipped at r=3: {moments}",
+        f"truncated norm skipped at r=4: class table of 85 cosets {table}",
+        f"moments skipped at r=4: {moments}"]
+    assert main(["kesten", "--pair", "z:2", "--rmax", "6",
+                 "--max-cosets", "100", "--out", str(out)]) == (
+        EXIT_INCONCLUSIVE)
+    assert capsys.readouterr().err == f"cap exceeded: {moments}\n"
+    report = json.loads(read(out / "kesten_z-2.json"))
+    assert report["partial"] is True and report["cap_exceeded"] == moments
+    assert "kesten" not in report
+
+
 def test_growth_tree_reaches_rmax_12(tmp_path):
     # the level-12 class holds 3 * 2^23 cosets, far past max_orbit: its
     # size comes from the class search's counting rule, not from its orbit

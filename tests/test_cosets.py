@@ -491,6 +491,13 @@ def test_bcp_class_search_sizes_every_class_without_orbits(label, radius,
     assert sum(L != R for L, R in sizes.values()) > len(sizes) // 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 23])
+def test_bcp_classes_of_word_length_four_number_p_plus_2_squared(p):
+    # the count the class search gives on each bcp:p, 16 to 625 classes
+    store = hp.CosetStore(get_pair(f"bcp:{p}"))
+    assert len(store.word_lengths(4)) == (p + 2) ** 2
+
+
 @pytest.mark.parametrize("label", [
     "z:1", "z:2", "z:3", "dinf", "s3-h12", "s4-h12", "s4-h12-34", "bcp:2",
     "bcp:3", "bcp:5", "sl2z1p:2", "psl2z1p:2", "psl2z1p:3",

@@ -5,15 +5,13 @@ import pytest
 
 import heckepairs as hp
 from heckepairs.cosets import Caps
-from heckepairs.errors import (CapExceeded, EmptyStore, InfiniteH,
+from heckepairs.errors import (CapExceeded, InfiniteH,
                                LengthUndefinedOnSupport,
                                NotRelativelyUnimodular)
 from heckepairs.groups import get_pair
 from heckepairs.lengths import (AveragedLength, LengthFunction,
                                 characteristic_length, check_length_axioms,
-                                dominance_fit, indicator_length,
-                                length_of_element, pseudometric_checks,
-                                word_length)
+                                dominance_fit, indicator_length, word_length)
 
 def test_word_length_examples():
     z = hp.enumerate_ball(get_pair("z:1"), 6)
@@ -185,61 +183,6 @@ def test_averaged_as_length_function():
     lf = av.as_length_function(store, 8)
     assert lf.kind == "averaged-finite-h"
     assert check_length_axioms(store, lf, 4) == []
-
-
-def test_pseudometric_zero_length():
-    store = hp.enumerate_ball(get_pair("z:1"), 6)
-    zero = LengthFunction("custom", {d: Q(0) for d in store.classes_in_ball(6)})
-    rep = pseudometric_checks(store, zero, 6, n_samples=50, seed=1)
-    assert rep.ok
-
-
-def test_pseudometric_z_is_absolute_difference():
-    store = hp.enumerate_ball(get_pair("z:1"), 10)
-    lw = word_length(store, 10)
-    pair = store.pair
-    for m in range(-5, 5):
-        for n in range(-5, 5):
-            x = pair.parse(f"zvec {m}")
-            y = pair.parse(f"zvec {n}")
-            d = length_of_element(store, lw, pair.mul(pair.inv(x), y))
-            assert d == abs(m - n)
-
-
-def test_pseudometric_psl2_random_triples():
-    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 4)
-    lw = word_length(store, 4)
-    rep = pseudometric_checks(store, lw, 4, n_samples=100, seed=7)
-    assert rep.ok
-    assert rep.samples == 100
-
-
-@pytest.mark.parametrize("label,square", [
-    ("z:2", True), ("psl2z1p:2", False)])
-def test_pseudometric_samples_depend_on_seed_and_radius_alone(label, square):
-    # the triples are drawn from the ball of radius r // 2 in BFS order, so
-    # neither a larger ball enumerated before nor a class search run first
-    # on a bare store changes the report; on z:2 (H trivial, each coset
-    # one element) the squared word length breaks the triangle inequality
-    # on some triples, so its counts show which triples were drawn
-    r = 8
-
-    def report(radius):
-        store = hp.CosetStore(get_pair(label))
-        if radius is not None:
-            store.enumerate_to(radius)
-        lw = word_length(store, r)
-        l = (LengthFunction("custom", {d: v * v for d, v in lw.values.items()})
-             if square else lw)
-        return pseudometric_checks(store, l, r, n_samples=60, seed=3)
-
-    bare = report(None)
-    assert report(4) == report(12) == bare
-    with pytest.raises(EmptyStore):
-        pseudometric_checks(hp.CosetStore(get_pair(label)),
-                            LengthFunction("custom", {}), -1)
-    assert bool(bare.triangle_failures) == square
-    assert bare.symmetry_failures == bare.invariance_failures == 0
 
 
 def test_dominance_self():

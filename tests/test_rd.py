@@ -858,29 +858,63 @@ def test_unimodularity_verdict_is_the_stores(monkeypatch):
     assert z2.unimodularity() is z2.unimodularity()
 
 
-def test_rd_weighted_fit_identity_family():
-    cfg = dict(RD_DEFAULTS, **{"rd.s_grid_max": 1.0, "rd.s_grid_step": 0.5})
-    prof = RdProfile("synthetic", "inconclusive", True, 5, 0, cfg)
-    grid = [0.0, 0.5, 1.0]
-    for r in range(6):
+def synthetic_profile(lowers, **settings):
+    """A profile of one nonnegative record per radius r, with lower bound
+    ``lowers[r]`` and every weighted norm 1, over the grid 0, 0.5, 1."""
+    cfg = dict(RD_DEFAULTS, **{"rd.s_grid_max": 1.0, "rd.s_grid_step": 0.5},
+               **settings)
+    prof = RdProfile("synthetic", "inconclusive", True, max(lowers), 0, cfg)
+    for r, lower in sorted(lowers.items()):
         prof.records.append(RdTestRecord(
-            r, "ball", True, 1.0, 1.0, r, 1.0, 1.0, 1.0,
-            {s: 1.0 for s in grid}))
-    s_hat, c_hat = rd_weighted_fit(prof)
-    assert s_hat == 0.0
-    assert c_hat == pytest.approx(1.0)
+            r, "ball", True, lower, lower, r, 0.0, 1.0, lower,
+            {s: 1.0 for s in (0.0, 0.5, 1.0)}))
+    return prof
+
+
+def test_rd_weighted_fit_identity_family():
+    # a flat profile fits at s = 0; its tail slope is 0.0 exactly, and a
+    # slope equal to rd.stable_slope is accepted
+    flat = {r: 1.0 for r in range(6)}
+    assert rd_weighted_fit(synthetic_profile(flat)) == (0.0, 1.0)
+    assert rd_weighted_fit(
+        synthetic_profile(flat, **{"rd.stable_slope": 0.0})) == (0.0, 1.0)
+
+
+def test_rd_weighted_fit_needs_four_radii():
+    # with the whole profile as its tail, three flat radii would give a
+    # slope; the fit refuses them and takes four
+    flat = {"rd.tail_fraction": 1.0}
+    with pytest.raises(NoStableFit, match="too few radii"):
+        rd_weighted_fit(synthetic_profile({r: 1.0 for r in range(3)}, **flat))
+    assert rd_weighted_fit(
+        synthetic_profile({r: 1.0 for r in range(4)}, **flat)) == (0.0, 1.0)
+
+
+def test_rd_weighted_fit_constant_bounds_the_whole_profile():
+    # the tail (r >= 2 of 0..5) is flat at 1, and the largest ratio, 3,
+    # comes before it: c_hat bounds every sampled radius
+    lowers = {r: 1.0 for r in range(6)}
+    lowers[0] = 3.0
+    assert rd_weighted_fit(synthetic_profile(lowers)) == (0.0, 3.0)
+
+
+# (pair, r_max, s_hat, c_hat) of default profiles at seed 1
+FITS = [("z:1", 8, 0.5, 1.521479751787), ("z:1", 20, 0.5, 1.593324160248),
+        ("dinf", 8, 0.5, 1.507182633888), ("z:2", 10, 1.0, 1.241939421996),
+        ("psl2z1p:2", 7, 0.0, 2.586161065676)]
+
+
+@pytest.mark.parametrize("label,r_max,s_hat,c_hat", FITS)
+def test_default_profiles_keep_their_fit(label, r_max, s_hat, c_hat):
+    prof = rd_profile(hp.CosetStore(get_pair(label)), r_max, seed=1)
+    assert prof.verdict == "polynomial-compatible"
+    assert prof.s_hat == s_hat
+    assert prof.c_hat == pytest.approx(c_hat, rel=1e-9)
 
 
 def test_rd_weighted_fit_no_stable_fit():
-    cfg = dict(RD_DEFAULTS, **{"rd.s_grid_max": 0.5, "rd.s_grid_step": 0.5})
-    prof = RdProfile("synthetic", "inconclusive", True, 7, 0, cfg)
-    grid = [0.0, 0.5]
-    for r in range(8):
-        growing = math.exp(r)
-        prof.records.append(RdTestRecord(
-            r, "ball", True, growing, growing, r, 0.0, 1.0, growing,
-            {s: 1.0 for s in grid}))
-    with pytest.raises(NoStableFit):
+    prof = synthetic_profile({r: math.exp(r) for r in range(8)})
+    with pytest.raises(NoStableFit, match="no exponent"):
         rd_weighted_fit(prof)
 
 
@@ -966,6 +1000,18 @@ def test_overlapping_kesten_thresholds_are_refused(z1_store):
         "kesten.n": 1, "kesten.amenable_min": 0.9,
         "kesten.nonamenable_max": 0.9})
     assert rep.hint in ("consistent-with-amenable", "gap-suggests-nonamenable")
+
+
+def test_kesten_index_at_amenable_min_reads_amenable(z1_store):
+    # an index equal to kesten.amenable_min is amenable, also when
+    # kesten.nonamenable_max equals it too
+    index = kesten_diagnostic(
+        z1_store, config={"kesten.n": 1}).amenability_index
+    rep = kesten_diagnostic(z1_store, config={
+        "kesten.n": 1, "kesten.amenable_min": index,
+        "kesten.nonamenable_max": index})
+    assert rep.amenability_index == index
+    assert rep.hint == "consistent-with-amenable"
 
 
 def test_rd_profile_keeps_each_warning_once():

@@ -176,6 +176,15 @@ RUNS = [
     # reached is not hit
     ["ltable", "--pair", "psl2z1p:2", "--rmax", "16"],
     ["ltable", "--pair", "psl2z1p:2", "--rmax", "8", "--max-cosets", "100"],
+    # the cap branches of the one lower-bound rule: rd-profile skips the
+    # moments past the orbit cap; with both bounds capped it warns of the
+    # truncated norm before the moments at each radius, and kesten names
+    # the moments' cap, which it meets first
+    ["rd-profile", "--pair", "psl2z1p:2", "--rmax", "2", "--max-orbit", "23",
+     "--set", "rd.moment_n=3"],
+    ["rd-profile", "--pair", "z:2", "--rmax", "4", "--max-cosets", "100",
+     "--set", "rd.moment_n=3"],
+    ["kesten", "--pair", "z:2", "--rmax", "6", "--max-cosets", "100"],
 ]
 
 
