@@ -19,8 +19,7 @@ _EXPORTS = {name: module for module, names in {
     "growth": "GrowthSeries GrowthVerdict classify_growth growth_series",
     "groups": "HeckePair catalog_labels get_pair load_pair_spec",
     "lengths": "AveragedLength LengthFunction characteristic_length"
-               " check_length_axioms dominance_fit indicator_length"
-               " word_length",
+               " check_length_axioms indicator_length word_length",
     "oracle": "finite_group_oracle oracle_matches_engine",
     "rd": "KestenReport RdProfile kesten_diagnostic operator_matrix rd_profile"
           " rd_weighted_fit spectral_lower_bound truncated_norm",

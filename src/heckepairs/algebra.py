@@ -346,20 +346,15 @@ def norms(f: HeckeElement) -> NormReport:
     return NormReport(Fraction(l1, den), Fraction(l2sq, den * den))
 
 
-def weighted_norms(f: HeckeElement, l, s_grid) -> dict:
-    """s -> ||f||_{s,l} for every s of the grid, with each class term
-    c_d^2 R(d) and base 1 + l(d) computed once."""
-    return _weighted_norms(f, l, list(s_grid), {})
-
-
-def _weighted_norms(f: HeckeElement, l, s_grid: list, powers: dict) -> dict:
-    """``weighted_norms`` with the powers (1 + l(d))^(2s) over ``s_grid``
-    read from ``powers``, class -> list by grid point, and a class's list
-    computed there on its first use, so callers that pass one dict for one
-    l and one grid, as a profile does, compute each class's powers once.
-    Each norm sums w_d * base_d^(2s) over f's classes in order, one float
-    at a time, as the single-call loop does, so the floats are the same;
-    a class undefined under l raises before it is cached."""
+def weighted_norms(f: HeckeElement, l, s_grid: list, powers: dict) -> dict:
+    """s -> ||f||_{s,l} for every s of the grid, with the powers
+    (1 + l(d))^(2s) over ``s_grid`` read from ``powers``, class -> list by
+    grid point, and a class's list computed there on its first use, so
+    callers that pass one dict for one l and one grid, as a profile does,
+    compute each class's powers once; pass ``{}`` for a single call.  Each
+    norm sums w_d * base_d^(2s) over f's classes in order, one float at a
+    time, so the floats do not depend on what is cached; a class undefined
+    under l raises before it is cached."""
     den_sq = f.den * f.den
     R = f.store.class_R
     acc = [0.0] * len(s_grid)

@@ -80,10 +80,6 @@ class BallIncomplete(HeckeError):
     """The store's enumerated ball does not cover the requested radius."""
 
 
-class EmptyStore(HeckeError):
-    """The store has no enumerated cosets."""
-
-
 class SubsetNotSubgroup(HeckeError):
     """The candidate subgroup subset is not closed under the group law."""
 

@@ -283,14 +283,6 @@ class HeckePair:
         """Raise DomainError if x is not a well-formed element."""
         raise NotImplementedError
 
-    def word(self, letters):
-        """Product of generator letters (ints indexing ``shat()``)."""
-        g = self.identity()
-        shat = self.shat()
-        for i in letters:
-            g = self.mul(g, shat[i])
-        return g
-
     def _check_payload(self, x):
         if not isinstance(x, self.payload_type):
             raise MixedKinds(

@@ -1,4 +1,4 @@
-"""Length functions on pairs, their axiom checks and dominance fits.
+"""Length functions on pairs and their axiom checks.
 
 A length function on a pair is bi-H-invariant, so it lives on double
 cosets: ``LengthFunction.values`` maps class ids to nonnegative values
@@ -18,14 +18,13 @@ from typing import Callable, Optional
 
 from .algebra import structure_constants
 from .cosets import CosetStore
-from .errors import (EmptyStore, InfiniteH, LengthUndefinedOnSupport,
+from .errors import (InfiniteH, LengthUndefinedOnSupport,
                      NotRelativelyUnimodular)
 from .groups import HeckePair
 
 __all__ = [
     "LengthFunction", "word_length", "characteristic_length",
-    "indicator_length", "AveragedLength", "dominance_fit", "DominanceFit",
-    "check_length_axioms", "linfit",
+    "indicator_length", "AveragedLength", "check_length_axioms", "linfit",
 ]
 
 
@@ -130,8 +129,6 @@ class AveragedLength:
         if h is None:
             raise InfiniteH(f"{pair.label}: H is not finite")
         self.h = h
-        self.eta = len(h)
-        self.h_total = sum(base(x) for x in h)
 
     def l1(self, g):
         p = self.pair
@@ -140,10 +137,6 @@ class AveragedLength:
     def l_prime(self, g):
         p = self.pair
         return min(self.l1(p.mul(h, g)) for h in self.h)
-
-    def bound_slack(self, g):
-        """eta(H) l(g) + 2 sum_H l  -  l1(g); nonnegative pointwise."""
-        return self.eta * self.base(g) + 2 * self.h_total - self.l1(g)
 
     def as_length_function(self, store: CosetStore, r: int) -> LengthFunction:
         """l', tabulated on the classes of word length <= r."""
@@ -155,38 +148,7 @@ class AveragedLength:
 
 
 # ---------------------------------------------------------------------------
-# dominance fitting
-
-
-@dataclass
-class DominanceFit:
-    c1: float
-    c0: float
-    holds: bool
-    lsq_c1: float
-    lsq_c0: float
-    n_classes: int
-
-
-def dominance_fit(l1: LengthFunction, l2: LengthFunction,
-                  store: CosetStore) -> DominanceFit:
-    """Fit constants with l2 <= c1*l1 + c0 over all classes where both are
-    defined, verifying the inequality exactly; an empirical shadow of
-    dominance, never a proof."""
-    common = [d for d in l1.values if l2.defined_on(d)]
-    if not common:
-        raise EmptyStore("no common classes")
-    zeros = [l2(d) for d in common if l1(d) == 0]
-    c0 = max(zeros) if zeros else 0
-    rest = [(l1(d), l2(d)) for d in common if l1(d) != 0]
-    c1 = max(((v2 - c0) / v1 for v1, v2 in rest), default=0)
-    if c1 < 0:
-        c1 = 0
-    holds = all(l2(d) <= c1 * l1(d) + c0 for d in common)
-    # least-squares line for reporting
-    ls1, ls0, _ = linfit([float(l1(d)) for d in common],
-                         [float(l2(d)) for d in common])
-    return DominanceFit(float(c1), float(c0), holds, ls1, ls0, len(common))
+# least squares
 
 
 def linfit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:

@@ -43,8 +43,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .algebra import (HeckeElement, _weighted_norms, involution, norms,
-                      power_moments)
+from .algebra import (HeckeElement, involution, norms, power_moments,
+                      weighted_norms)
 from .config import RD_DEFAULTS, RD_KEYS, check_domains, set_values
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
@@ -174,11 +174,6 @@ class _ClassTable:
         self._back = None
         e = pair.identity()
         self._identity = self._code(pair.class_key(e), e)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """The code of each code's inverse class, by code."""
-        return self._inverse[:len(self.code_of)]
 
     def _code(self, key, g) -> int:
         """Code of the class with key ``key``, of which ``g`` is one
@@ -629,7 +624,7 @@ def _test_record(r, family, nonneg, f, l, grid, powers,
         f, cfg, cfg["rd.moment_n"], r_trunc, f"at r={r}",
         lambda text: _warn(profile, text),
         lambda text: _warn(profile, text, partial=True))
-    weighted = _weighted_norms(f, l, grid, powers)
+    weighted = weighted_norms(f, l, grid, powers)
     l2 = math.sqrt(moments[0]) if moments else norms(f).l2
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc,
                         roots[-1] if roots else 0.0, l2,
@@ -701,7 +696,9 @@ def rd_weighted_fit(profile: RdProfile) -> tuple[float, float]:
     """Smallest s in the profile's grid (0 to rd.s_grid_max in steps of
     rd.s_grid_step) whose weighted ratios N(f)/||f||_{s,l} show no upward
     tail trend, together with the constant c that bounds them on the
-    sampled range.  Raises NoStableFit when every s trends upward."""
+    sampled range.  Raises NoStableFit when every s trends upward, or on
+    fewer than four radii, a guard for direct callers, since
+    ``rd_profile`` reads such a profile as inconclusive before fitting."""
     stable_slope = profile.config["rd.stable_slope"]
     tail_fraction = profile.config["rd.tail_fraction"]
     per_r: dict[int, dict[float, float]] = {}

@@ -212,6 +212,15 @@ def double_coset(x, h_set, mul):
     return frozenset(mul(mul(a, x), b) for a in h_set for b in h_set)
 
 
+def word(pair, letters):
+    """Product of generator letters (ints indexing ``pair.shat()``)."""
+    g = pair.identity()
+    shat = pair.shat()
+    for i in letters:
+        g = pair.mul(g, shat[i])
+    return g
+
+
 def same_right_coset(pair, x, y):
     """Hx == Hy, decided by the membership test x y^{-1} in H: the arbiter
     that the tests hold coset keys to."""

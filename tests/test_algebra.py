@@ -87,19 +87,19 @@ def test_norm_examples():
     rep = norms(ident)
     assert rep.l1_exact == 1 and rep.l2_sq_exact == 1
     lw = word_length(store, 3)
-    assert weighted_norms(ident, lw, [2.0])[2.0] == pytest.approx(1.0)
+    assert weighted_norms(ident, lw, [2.0], {})[2.0] == pytest.approx(1.0)
 
     f = z_delta(store, -1) + z_delta(store, 0) + z_delta(store, 1)
     rep = norms(f)
     assert rep.l1_exact == 3
     assert rep.l2_sq_exact == 3
-    assert weighted_norms(f, lw, [0.0])[0.0] == pytest.approx(rep.l2)
+    assert weighted_norms(f, lw, [0.0], {})[0.0] == pytest.approx(rep.l2)
 
     missing = HeckeElement(store, {store.dc(store.lookup(
         store.pair.parse("zvec 3"))): Q(1)})
     short = word_length(hp.enumerate_ball(get_pair("z:1"), 1), 1)
     with pytest.raises(LengthUndefinedOnSupport):
-        weighted_norms(missing, short, [1.0])[1.0]
+        weighted_norms(missing, short, [1.0], {})[1.0]
 
 
 def test_undefined_length_raises_after_other_powers_are_cached():
@@ -111,12 +111,12 @@ def test_undefined_length_raises_after_other_powers_are_cached():
     far = near + z_delta(store, 3)
     grid = [0.0, 0.5, 2.0]
     powers: dict = {}
-    assert (algebra._weighted_norms(near, short, grid, powers)
-            == weighted_norms(near, short, grid))
+    assert (weighted_norms(near, short, grid, powers)
+            == weighted_norms(near, short, grid, {}))
     assert sorted(powers) == sorted(near.num)
     for _ in range(2):
         with pytest.raises(LengthUndefinedOnSupport):
-            algebra._weighted_norms(far, short, grid, powers)
+            weighted_norms(far, short, grid, powers)
         assert sorted(powers) == sorted(near.num)
 
 
@@ -864,7 +864,8 @@ def test_kernel_matches_fraction_oracle(case):
     assert (rep.l1_exact, rep.l2_sq_exact) == fraction_norms(f)
     assert type(rep.l1_exact) is Q and type(rep.l2_sq_exact) is Q
     grid = [0.0, 0.5, 1.25, 3.0]
-    assert weighted_norms(f, l, grid) == fraction_weighted_norms(f, l, grid)
+    assert (weighted_norms(f, l, grid, {})
+            == fraction_weighted_norms(f, l, grid))
     moments = power_moments(f, 2)
     assert moments == fraction_power_moments(f, 2)
     assert all(type(a) is Q for a in moments)

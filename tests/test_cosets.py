@@ -15,7 +15,7 @@ from heckepairs.rd import operator_matrix
 
 from conftest import FG_LABELS
 from oracles import (ProductPair, double_coset, group_closure, mat_mul,
-                     perm_mul, right_cosets)
+                     perm_mul, right_cosets, word)
 
 
 def test_intern_identity_and_h_element():
@@ -193,8 +193,8 @@ def test_delta_multiplicative(label):
     rng = random.Random(31)
     shat = pair.shat()
     for _ in range(8):
-        x = pair.word(rng.choices(range(len(shat)), k=rng.randint(0, 4)))
-        y = pair.word(rng.choices(range(len(shat)), k=rng.randint(0, 4)))
+        x = word(pair, rng.choices(range(len(shat)), k=rng.randint(0, 4)))
+        y = word(pair, rng.choices(range(len(shat)), k=rng.randint(0, 4)))
         assert (relative_modular(pair, pair.mul(x, y))
                 == relative_modular(pair, x) * relative_modular(pair, y))
 

@@ -22,12 +22,13 @@ from conftest import FG_LABELS
 from oracles import (aff_to_mat, dih_inv, dih_mul, fraction_aff_class_key,
                      fraction_aff_fingerprint, fraction_aff_in_h,
                      fraction_aff_inv, fraction_aff_mul, group_closure,
-                     mat_mul, same_left_coset, same_right_coset)
+                     mat_mul, same_left_coset, same_right_coset, word)
 
 
 def random_word(pair, rng, max_len=6):
     shat = pair.shat()
-    return pair.word(rng.choices(range(len(shat)), k=rng.randint(0, max_len)))
+    return word(pair, rng.choices(range(len(shat)),
+                                  k=rng.randint(0, max_len)))
 
 
 @pytest.mark.parametrize("label", FG_LABELS)
@@ -538,7 +539,7 @@ def _draw_element(pair, data):
     and a in Q_{>0}, so that independent draws often share a coset."""
     if pair.finitely_generated:
         shat = pair.shat()
-        return pair.word(data.draw(
+        return word(pair, data.draw(
             st.lists(st.integers(0, len(shat) - 1), max_size=6)))
     small = st.integers(1, 6)
     b = Q(data.draw(st.integers(-12, 12)), data.draw(small))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,6 +17,18 @@ def test_z_ball_formula_r40():
     verdict = classify_growth(series)
     assert (verdict.kind, verdict.alpha) == ("polynomial", 1)
     assert verdict.chi == [1, -2, 1]
+
+
+@pytest.mark.parametrize("d,r_max", [(1, 12), (2, 12), (3, 12), (4, 8)])
+def test_zd_ball_series_is_its_closed_form(d, r_max):
+    # the ball of Z^d under unit generators holds
+    # sum_k 2^k C(d, k) C(r, k) points
+    series = growth_series(hp.CosetStore(get_pair(f"z:{d}")), r_max)
+    assert series.ball == [sum(2 ** k * comb(d, k) * comb(r, k)
+                               for k in range(d + 1))
+                           for r in range(r_max + 1)]
+    if d == 3:
+        assert series.ball[:5] == [1, 7, 25, 63, 129]
 
 
 def test_z2_diamond_formula_r25():

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import heckepairs as hp
 from heckepairs.errors import SubsetNotSubgroup
+from heckepairs.groups import Perm, PermPair
 from heckepairs.oracle import finite_group_oracle, oracle_matches_engine
 
-from oracles import double_coset, perm_mul
+from oracles import double_coset, group_closure, perm_inv, perm_mul
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 H12 = [(0, 1, 2), (1, 0, 2)]
@@ -128,3 +132,50 @@ def test_oracle_refuses_an_unsaturated_store_and_another_pair():
         [g.images for g in store.pair.g_generators], [(0, 1, 2, 3)])
     assert oracle_matches_engine(store, trivial_h) == [
         "coset counts differ: engine 12 vs oracle 24"]
+
+
+def random_permutation_pair(seed):
+    """(degree, G's generators, H's generators, H's elements) from one
+    seed: G on one or two random permutations of degree 4-6, H on one or
+    two random elements of G."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    identity = tuple(range(n))
+    g_gens = [tuple(rng.sample(identity, n))
+              for _ in range(rng.randint(1, 2))]
+    elements = sorted(group_closure(g_gens, perm_mul, identity))
+    h_gens = [rng.choice(elements) for _ in range(rng.randint(1, 2))]
+    h = sorted(group_closure(h_gens, perm_mul, identity))
+    return n, g_gens, h_gens, h, len(elements) // len(h)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_random_permutation_pairs_match_the_oracle(seed):
+    # class count, L, R, Delta and every structure constant on a saturated
+    # store; then, on fresh stores, L and R read in either order and each
+    # class's inverse, by the oracle class of the inverse of its rep.  A
+    # pair is drawn again unless it has 3 to 40 right cosets, so that the
+    # oracle stays quick, and a class that is not its own inverse, so that
+    # a mirrored product keyed by the wrong class shows
+    n, g_gens, h_gens, h, index = random_permutation_pair(seed)
+    assume(3 <= index <= 40)
+    oracle = finite_group_oracle(g_gens, h)
+    reps = [min(c.elements) for c in oracle.classes]
+    assume(any(oracle.class_of_element(perm_inv(rep)) != o
+               for o, rep in enumerate(reps)))
+    pair = PermPair("random-perm", n, g_gens, h_gens)
+    store = hp.enumerate_ball(pair, len(oracle.right_cosets))
+    assert oracle_matches_engine(store, oracle) == []
+    for first, second in (("class_L", "class_R"), ("class_R", "class_L")):
+        fresh = hp.CosetStore(pair)
+        for o, rep in enumerate(reps):
+            d = fresh.class_of(Perm(rep))
+            sizes = {first: getattr(fresh, first)(d),
+                     second: getattr(fresh, second)(d)}
+            assert (sizes["class_L"], sizes["class_R"]) == (
+                oracle.classes[o].L, oracle.classes[o].R)
+            inv = fresh.class_inverse(d)
+            assert oracle.class_of_element(
+                fresh.reps[fresh.dcs[inv].rep_cid].images) == (
+                oracle.class_of_element(perm_inv(rep)))

@@ -299,7 +299,7 @@ def test_class_table_pays_few_products(monkeypatch, label, radius, share):
     pair = get_pair(label)
     store = hp.enumerate_ball(pair, radius)
     table = rd._ClassTable(pair)
-    codes = len(table.inverse)
+    codes = len(table.code_of)
     calls = [0]
     real_key = pair.class_key
 
@@ -309,7 +309,7 @@ def test_class_table_pays_few_products(monkeypatch, label, radius, share):
 
     monkeypatch.setattr(pair, "class_key", key)
     table.extend(store, radius)
-    products = calls[0] - (len(table.inverse) - codes)
+    products = calls[0] - (len(table.code_of) - codes)
     dim = store.ball_ends[radius]
     assert 0 < products <= share * dim * (dim - 1) / 2
 
@@ -418,7 +418,7 @@ def test_profile_weighted_norms_equal_the_fraction_oracle(profiled):
     assert records
     for f, l, grid, rec in records:
         assert rec.weighted_norms == fraction_weighted_norms(f, l, grid)
-        assert rec.weighted_norms == algebra.weighted_norms(f, l, grid)
+        assert rec.weighted_norms == algebra.weighted_norms(f, l, grid, {})
 
 
 @pytest.mark.parametrize("label,r_max", [("z:1", 8), ("z:2", 4),
@@ -663,7 +663,7 @@ def test_each_record_computes_its_moments_once(monkeypatch, moment_n,
     # moments l2 comes from one norms call.  Each record still holds what
     # the last root of spectral_lower_bound and norms(f).l2 give
     calls, fs = [0], []
-    real_norms, real_weighted = algebra.norms, rd._weighted_norms
+    real_norms, real_weighted = algebra.norms, rd.weighted_norms
 
     def counted(f):
         calls[0] += 1
@@ -675,7 +675,7 @@ def test_each_record_computes_its_moments_once(monkeypatch, moment_n,
 
     monkeypatch.setattr(algebra, "norms", counted)
     monkeypatch.setattr(rd, "norms", counted)
-    monkeypatch.setattr(rd, "_weighted_norms", recorded)
+    monkeypatch.setattr(rd, "weighted_norms", recorded)
     store = hp.enumerate_ball(get_pair("psl2z1p:2"), 4)
     prof = rd_profile(store, 3, config={"rd.moment_n": moment_n}, seed=1)
     assert len(prof.records) == len(fs) > 10
