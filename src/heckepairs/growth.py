@@ -1,15 +1,12 @@
 """Ball/shell counting and exact growth types.
 
-G_l(r) counts the right cosets Hx with l(x) <= r.  Length functions on a
-pair are bi-H-invariant, so the ball B_{r,l} is a union of double cosets
-and the count is a sum of class sizes R(d) over the classes with
-l(d) <= r.  For the word length those classes and their sizes are what
-the store's class-level search (``CosetStore.word_lengths``) yields by
-depth r_max, whether or not they meet a Schreier ball (on bcp:2 some do
-not), so the series needs no enumerated ball; for other lengths small
-values could hide outside any finite ball, so the class route requires an
-exhausted coset space, evaluates the length on each of its classes, and
-its series is classified without the store.
+G(r) counts the right cosets Hx of word length <= r.  The word length is
+bi-H-invariant, so the ball of radius r is a union of double cosets and
+the count is a sum of class sizes R(d) over the classes of word length
+<= r.  Those classes and their sizes are what the store's class-level
+search (``CosetStore.word_lengths``) yields by depth r_max, whether or
+not they meet a Schreier ball (on bcp:2 some do not), so the series needs
+no enumerated ball.
 
 The growth type is read from the shortest recurrence of the ball series
 (Berlekamp-Massey), found on a prefix and checked in ints on every later
@@ -22,7 +19,6 @@ is not a proof, so verdicts are empirical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -30,8 +26,7 @@ from itertools import accumulate
 from typing import Optional, Union
 
 from .cosets import CapExceeded, CosetStore
-from .errors import BallIncomplete, HeckeError
-from .lengths import LengthFunction
+from .errors import HeckeError
 
 __all__ = ["GrowthSeries", "GrowthVerdict", "growth_series",
            "classify_growth"]
@@ -48,35 +43,16 @@ class GrowthSeries:
         return list(zip(self.radii, self.ball, self.shell))
 
 
-def growth_series(store: CosetStore, r_max: int,
-                  l: Optional[LengthFunction] = None) -> GrowthSeries:
-    """G(r) = number of right cosets with length <= r, for r = 0..r_max.
-    The word length (``l`` None or of kind word-schreier) is read from the
-    store's class search, resumed to depth r_max; any other length on
-    every class of the exhausted coset space, whatever its table.  A
-    negative or NaN value is refused, naming its class."""
+def growth_series(store: CosetStore, r_max: int) -> GrowthSeries:
+    """G(r) = number of right cosets of word length <= r, for r = 0..r_max,
+    read from the store's class search, resumed to depth r_max."""
     if r_max < 0:
         raise HeckeError(f"growth needs r_max >= 0, got {r_max}")
-    if l is None or l.kind == "word-schreier":
-        kind, values = "word-schreier", store.word_lengths(r_max)
-    elif not store.saturated:
-        raise BallIncomplete(
-            f"growth for a {l.kind} length needs an exhausted coset "
-            "space (infinite pairs can hide small values outside any "
-            "finite ball)")
-    else:
-        kind, values = l.kind, {
-            d: l(d) for d in store.classes_in_ball(store.radius_complete)}
     shell = [0] * (r_max + 1)
-    for d, v in values.items():
-        v = float(v)
-        if not v >= 0:      # a negative value or NaN
-            raise HeckeError(f"growth needs a length >= 0, but the {kind} "
-                             f"length of class {d} is {v}")
-        if v <= r_max:
-            shell[int(math.floor(v))] += store.class_R(d)
+    for d, n in store.word_lengths(r_max).items():
+        shell[n] += store.class_R(d)
     return GrowthSeries(list(range(r_max + 1)), list(accumulate(shell)),
-                        shell, kind)
+                        shell, "word-schreier")
 
 
 @dataclass
@@ -98,11 +74,9 @@ def classify_growth(series: GrowthSeries,
     and at most max(r_max, 32).  It resumes one depth at a time and reads
     inconclusive once it has named more than the class budget,
     max(64 N, 10,000) for the N classes of word length <= r_max, or on a
-    cap hit.  A store given with a series of another length is refused."""
+    cap hit."""
     if not series.radii:
         raise HeckeError("growth series has no radii")
-    if store is not None and series.kind != "word-schreier":
-        raise HeckeError(f"a store reads the word length, not {series.kind}")
     r_max = depth = series.radii[-1]
     ball = series.ball
     if store is not None:

@@ -6,13 +6,14 @@ cosets: ``LengthFunction.values`` maps class ids to nonnegative values
 logarithmic characteristic length, which also carries its integer base
 for exact submultiplicativity checks).  Each length is tabulated on the
 classes of word length <= r that the class search lists, for the radius r
-its caller names, and reads no Schreier ball.
+its caller names, is defined on exactly those classes, and reads no
+Schreier ball.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -24,7 +25,7 @@ from .groups import HeckePair
 
 __all__ = [
     "LengthFunction", "word_length", "characteristic_length",
-    "indicator_length", "AveragedLength", "check_length_axioms", "linfit",
+    "indicator_length", "AveragedLength", "check_length_axioms",
 ]
 
 
@@ -36,28 +37,16 @@ class LengthFunction:
     #: for the characteristic length: the function class -> integer L (or
     #: L*R), so the submultiplicative law can be checked exactly
     exact_base: Optional[Callable] = None
-    #: globally defined lengths (indicator, characteristic, averaged)
-    #: evaluate lazily past the tabulated classes; the word length cannot
-    extend: Optional[Callable] = None
-    #: memo of the lazy values, kept apart so that ``values`` stays the
-    #: tabulated domain whatever was evaluated before
-    _extended: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
     def __call__(self, dcid: int):
         try:
             return self.values[dcid]
         except KeyError:
-            pass
-        if self.extend is not None:
-            if dcid not in self._extended:
-                self._extended[dcid] = self.extend(dcid)
-            return self._extended[dcid]
-        raise LengthUndefinedOnSupport(
-            f"{self.kind} length undefined on class {dcid}")
+            raise LengthUndefinedOnSupport(
+                f"{self.kind} length undefined on class {dcid}") from None
 
     def defined_on(self, dcid: int) -> bool:
-        return dcid in self.values or self.extend is not None
+        return dcid in self.values
 
 
 def word_length(store: CosetStore, r: int) -> LengthFunction:
@@ -95,12 +84,9 @@ def characteristic_length(store: CosetStore, r: int,
         n = store.class_L(d)
         return n * store.class_R(d) if use_lr else n
 
-    def evaluate(d: int) -> float:
-        return math.log(base(d))
-
-    values = {d: evaluate(d) for d in sorted(store.word_lengths(r))}
+    values = {d: math.log(base(d)) for d in sorted(store.word_lengths(r))}
     kind = "characteristic-lr" if use_lr else "characteristic"
-    return LengthFunction(kind, values, exact_base=base, extend=evaluate)
+    return LengthFunction(kind, values, exact_base=base)
 
 
 def indicator_length(store: CosetStore, r: int) -> LengthFunction:
@@ -109,8 +95,7 @@ def indicator_length(store: CosetStore, r: int) -> LengthFunction:
     e = store.identity_class()
     values = {d: Fraction(0) if d == e else Fraction(1)
               for d in sorted(store.word_lengths(r))}
-    return LengthFunction("indicator", values,
-                          extend=lambda d: Fraction(0 if d == e else 1))
+    return LengthFunction("indicator", values)
 
 
 # ---------------------------------------------------------------------------
@@ -140,32 +125,9 @@ class AveragedLength:
 
     def as_length_function(self, store: CosetStore, r: int) -> LengthFunction:
         """l', tabulated on the classes of word length <= r."""
-        def evaluate(d: int):
-            return self.l_prime(store.reps[store.dcs[d].rep_cid])
-
-        values = {d: evaluate(d) for d in sorted(store.word_lengths(r))}
-        return LengthFunction("averaged-finite-h", values, extend=evaluate)
-
-
-# ---------------------------------------------------------------------------
-# least squares
-
-
-def linfit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Least-squares line y = slope * x + intercept and its r2.  With a
-    single x value the slope is 0, the intercept mean(y) and r2 1."""
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return 0.0, my, 1.0
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    intercept = my - slope * mx
-    syy = sum((y - my) ** 2 for y in ys)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    r2 = 1.0 if syy < 1e-30 else max(0.0, 1.0 - ss_res / syy)
-    return slope, intercept, r2
+        values = {d: self.l_prime(store.reps[store.dcs[d].rep_cid])
+                  for d in sorted(store.word_lengths(r))}
+        return LengthFunction("averaged-finite-h", values)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .config import RD_DEFAULTS, RD_KEYS, check_domains, set_values
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, StoreMismatch)
-from .lengths import linfit, word_length
+from .lengths import word_length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -690,6 +690,23 @@ def _s_grid(cfg) -> list[float]:
         out.append(round(s, 6))
         s += step
     return out
+
+
+def linfit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept and its r2.  With a
+    single x value the slope is 0, the intercept mean(y) and r2 1."""
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        return 0.0, my, 1.0
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    intercept = my - slope * mx
+    syy = sum((y - my) ** 2 for y in ys)
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    r2 = 1.0 if syy < 1e-30 else max(0.0, 1.0 - ss_res / syy)
+    return slope, intercept, r2
 
 
 def rd_weighted_fit(profile: RdProfile) -> tuple[float, float]:

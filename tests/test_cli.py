@@ -1101,6 +1101,17 @@ def test_rd_profile_loads_neither_verify_nor_oracle(tmp_path):
     assert list(tmp_path.iterdir())
 
 
+def test_growth_loads_neither_lengths_nor_algebra(tmp_path):
+    # the series is read from the class search alone
+    loaded = _loaded_after(
+        "from heckepairs import cli; "
+        "cli.main(['growth', '--pair', 'z:1', '--rmax', '4', "
+        f"'--out', {str(tmp_path)!r}])")
+    assert "heckepairs.growth" in loaded
+    assert not loaded & _submodules(["lengths", "algebra"])
+    assert list(tmp_path.iterdir())
+
+
 def test_exports_are_the_modules_attributes(monkeypatch):
     # each exported name is read from its module on every access, so it
     # is the module's object, a monkeypatch of the module included

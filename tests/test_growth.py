@@ -4,10 +4,9 @@ from math import comb
 import pytest
 
 import heckepairs as hp
-from heckepairs.errors import BallIncomplete, HeckeError
+from heckepairs.errors import HeckeError
 from heckepairs.growth import GrowthSeries, classify_growth, growth_series
 from heckepairs.groups import get_pair
-from heckepairs.lengths import LengthFunction, characteristic_length
 
 
 def test_z_ball_formula_r40():
@@ -117,41 +116,6 @@ def test_growth_requires_complete_ball():
         assert series == growth_series(ball, r_max), label
 
 
-def test_growth_with_characteristic_length_needs_saturation():
-    pair = get_pair("psl2z1p:2")
-    store = hp.enumerate_ball(pair, 3)
-    lc = characteristic_length(store, 3)
-    with pytest.raises(BallIncomplete):
-        growth_series(store, 3, lc)
-    # on a finite pair the class route works
-    s3 = hp.enumerate_ball(get_pair("s3-h12"), 6)
-    lc3 = characteristic_length(s3, 6)
-    series = growth_series(s3, 2, lc3)
-    assert series.ball[-1] == 3
-    # the series evaluates the length on every class of the exhausted
-    # space, so it does not read the radius the length was tabulated to
-    s4 = hp.enumerate_ball(get_pair("s4-h12"), 6)
-    assert s4.saturated
-    series = [growth_series(s4, 3, characteristic_length(s4, r))
-              for r in (0, 6)]
-    assert series[0] == series[1] and series[0].ball[-1] == 12
-
-
-@pytest.mark.parametrize("label,rmax,kind", [
-    ("s3-h12", 0, "inconclusive"), ("s3-h12", 2, "polynomial"),
-    ("s4-h12", 1, "inconclusive"), ("s4-h12", 3, "polynomial")])
-def test_classify_reads_the_series_it_is_given(label, rmax, kind):
-    # with its store, a characteristic-length series was read through the
-    # store's word-length search: "finite" at the smaller rmax, a degree-0
-    # recurrence at the larger.  That is refused; alone, the series reads
-    # as given
-    store = hp.enumerate_ball(get_pair(label), 6)
-    series = growth_series(store, rmax, characteristic_length(store, 6))
-    with pytest.raises(HeckeError, match="word length, not characteristic"):
-        classify_growth(series, store)
-    assert classify_growth(series).kind == kind
-
-
 def test_negative_radius_is_refused():
     store = hp.CosetStore(get_pair("z:1"))
     with pytest.raises(HeckeError, match="r_max >= 0, got -1"):
@@ -239,15 +203,3 @@ def test_characteristic_roots_read_exactly():
     double = [(r + 1) * 3 ** r + 5 ** r for r in range(14)]
     verdict = classify_growth(_series(double))
     assert (verdict.beta, verdict.chi) == (5, [1, -11, 39, -45])
-
-
-@pytest.mark.parametrize("value", [Fraction(-1), float("nan")])
-def test_growth_refuses_a_value_that_is_no_length(value):
-    # neither a negative value nor NaN is a length: each is refused,
-    # naming its class
-    store = hp.enumerate_ball(get_pair("s3-h12"), 12)
-    e = store.identity_class()
-    (d,) = [c for c in store.classes_in_ball(12) if c != e]
-    l = LengthFunction("custom", {e: Fraction(0), d: value})
-    with pytest.raises(HeckeError, match=f"custom length of class {d} is"):
-        growth_series(store, 2, l)

@@ -121,23 +121,6 @@ def test_characteristic_submultiplicative_exact():
                 assert lc.exact_base(d) <= lc.exact_base(d1) * lc.exact_base(d2)
 
 
-def test_lazy_values_leave_the_tabulated_domain_alone():
-    # the axiom check evaluates lc on product classes past its radius-2
-    # table; the table, which rd-profile families iterate, must not grow,
-    # so no result depends on what ran before
-    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
-    lc = characteristic_length(store, 2)
-    table = dict(lc.values)
-    assert len(table) == 3
-    assert check_length_axioms(store, lc, 2) == []
-    assert lc.values == table
-    outside = [d for d in range(len(store.dcs)) if d not in table]
-    assert outside
-    for d in outside:
-        assert lc(d) == math.log(store.class_L(d)) and lc.defined_on(d)
-    assert lc.values == table == characteristic_length(store, 2).values
-
-
 def test_averaged_length_dinf():
     pair = get_pair("dinf")
     av = AveragedLength(pair, pair.word_length_on_g)
@@ -190,6 +173,19 @@ def test_length_undefined_raises():
     lw = word_length(store, 3)
     with pytest.raises(LengthUndefinedOnSupport):
         lw(999)
+    # every length is defined on the classes it was tabulated on, and
+    # only there: a radius-2 table misses the products of radius-2
+    # classes, and the axiom suite names them
+    store = hp.enumerate_ball(get_pair("psl2z1p:2"), 2)
+    for lf in (characteristic_length(store, 2), indicator_length(store, 2)):
+        outside = [d for d in store.word_lengths(4) if d not in lf.values]
+        assert len(lf.values) == 3 and len(outside) == 2
+        for d in outside:
+            assert not lf.defined_on(d)
+            with pytest.raises(LengthUndefinedOnSupport):
+                lf(d)
+        assert any(p.startswith("length undefined on product class ")
+                   for p in check_length_axioms(store, lf, 2))
 
 
 def _forged_z1_length(**values):

@@ -30,7 +30,7 @@ def test_tree_classes_match_closed_forms(label, p, radius):
     store = hp.enumerate_ball(get_pair(label), radius)
     lw = word_length(store, radius)
     learned = {d: store.class_R(d) for d in lw.values}
-    assert growth_series(store, radius, lw).ball == [
+    assert growth_series(store, radius).ball == [
         tree_ball(p, r) for r in range(radius + 1)]
     levels = []
     for d in lw.values:
@@ -103,6 +103,33 @@ def test_reduced_and_unreduced_tree_pairs_agree(p, radius):
                 store, by_level[1], by_level[k]).items()}
             for k in range(1, radius)}
         tables.append((rows, products))
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_quotient_map_carries_the_classes_to_the_reduced_pair(p):
+    # the quotient map x -> {+-x} matches the classes of word length <= 4
+    # of sl2z1p:p with those of psl2z1p:p by class key, on stores that
+    # enumerate no ball, and carries word length, L, R and every
+    # structure constant among them across
+    sl2 = hp.CosetStore(get_pair(f"sl2z1p:{p}"))
+    psl2 = hp.CosetStore(get_pair(f"psl2z1p:{p}"))
+    image = psl2.pair
+
+    def key(store, d):
+        return image.class_key(image.canon(store.reps[store.dcs[d].rep_cid]))
+
+    tables = []
+    for store in (sl2, psl2):
+        wl = store.word_lengths(4)
+        rows = {key(store, d): (n, store.class_L(d), store.class_R(d))
+                for d, n in wl.items()}
+        products = {(key(store, d1), key(store, d2)): {
+            key(store, d): c
+            for d, c in structure_constants(store, d1, d2).items()}
+            for d1 in wl for d2 in wl}
+        tables.append((rows, products))
+    assert len(tables[0][0]) == 5 and len(tables[0][1]) == 25
     assert tables[0] == tables[1]
 
 
