@@ -346,25 +346,26 @@ def norms(f: HeckeElement) -> NormReport:
     return NormReport(Fraction(l1, den), Fraction(l2sq, den * den))
 
 
-def weighted_norms(f: HeckeElement, l, s_grid: list, powers: dict) -> dict:
-    """s -> ||f||_{s,l} for every s of the grid, with the powers
-    (1 + l(d))^(2s) over ``s_grid`` read from ``powers``, class -> list by
-    grid point, and a class's list computed there on its first use, so
-    callers that pass one dict for one l and one grid, as a profile does,
-    compute each class's powers once; pass ``{}`` for a single call.  Each
-    norm sums w_d * base_d^(2s) over f's classes in order, one float at a
-    time, so the floats do not depend on what is cached; a class undefined
-    under l raises before it is cached."""
+def weighted_norms(f: HeckeElement, lengths, s_grid: list,
+                   powers: dict) -> dict:
+    """s -> ||f||_{s,l} for every s of the grid, l(d) = ``lengths[d]``, with
+    the powers (1 + l(d))^(2s) over ``s_grid`` read from ``powers``, class
+    -> list by grid point, and a class's list computed there on its first
+    use, so callers that pass one dict for one l and one grid, as a profile
+    does, compute each class's powers once; pass ``{}`` for a single call.
+    Each norm sums w_d * base_d^(2s) over f's classes in order, one float
+    at a time, so the floats do not depend on what is cached; a class
+    missing from ``lengths`` raises before it is cached."""
     den_sq = f.den * f.den
     R = f.store.class_R
     acc = [0.0] * len(s_grid)
     for d, n in f.num.items():
         p = powers.get(d)
         if p is None:
-            if not l.defined_on(d):
+            if d not in lengths:
                 raise LengthUndefinedOnSupport(
                     f"length undefined on support class {d}")
-            base = 1.0 + float(l(d))
+            base = 1.0 + float(lengths[d])
             p = powers[d] = [base ** (2.0 * s) for s in s_grid]
         # int true division rounds once, as float(c * c * R) does
         w = n * n * R(d) / den_sq

@@ -41,6 +41,7 @@ import sys
 from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable
 
 from .config import RD_KEYS, check_domains, set_values
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
@@ -150,7 +151,7 @@ def write_json(path: str, obj: dict) -> None:
     _write(path, "".join(out) + "\n")
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, header: list[str], rows: Iterable) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -173,9 +174,8 @@ def run_pair_command(args) -> int:
     and the directory is made with the first artifact, so bad input, or a
     pair the body refuses, writes nothing.  A body fills the report only
     after the work that can hit a cap.  On a cap hit the report is written
-    as the body left it, with what the subcommand's ``on_cap`` adds from
-    the store, marked partial with the cap message, and the cap is
-    re-raised (exit 3)."""
+    as the body left it, marked partial with the cap message, and the cap
+    is re-raised (exit 3)."""
     if args.rmax < 0:
         raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
     cfg = load_config(args.config, args.set)
@@ -199,8 +199,6 @@ def run_pair_command(args) -> int:
     try:
         return args.body(args, cfg, rd_cfg, store, base, report)
     except CapExceeded as exc:
-        if args.on_cap is not None:
-            args.on_cap(store, report)
         report["partial"] = True
         report["cap_exceeded"] = str(exc)
         write_json(base + ".json", report)
@@ -244,21 +242,19 @@ def cmd_ltable(args, cfg, rd_cfg, store, base, report) -> int:
 
 def cmd_growth(args, cfg, rd_cfg, store, base, report) -> int:
     from .growth import classify_growth, growth_series
-    series = growth_series(store, args.rmax)
+    try:
+        series = growth_series(store, args.rmax)
+    except CapExceeded:     # the radii the class search completed are exact
+        report["series"] = growth_series(store, store.class_search_depth)
+        raise
     verdict = classify_growth(series, store)
-    write_csv(base + ".csv", ["r", "ball", "shell"], series.as_rows())
+    write_csv(base + ".csv", ["r", "ball", "shell"],
+              zip(series.radii, series.ball, series.shell))
     report["series"] = series
     report["verdict"] = {**asdict(verdict), "label": "empirical"}
     write_json(base + ".json", report)
     print(f"wrote {base}.json: {verdict.kind}, {verdict.details}")
     return EXIT_OK if verdict.kind != "inconclusive" else EXIT_INCONCLUSIVE
-
-
-def _growth_so_far(store, report) -> None:
-    """The series on the radii the class search completed, which are
-    exact."""
-    from .growth import growth_series
-    report["series"] = growth_series(store, store.class_search_depth)
 
 
 def cmd_rd_profile(args, cfg, rd_cfg, store, base, report) -> int:
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "growth/RD diagnostics for discrete Hecke pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def pair_command(name, text, body, on_cap=None):
+    def pair_command(name, text, body):
         p = sub.add_parser(name, help=text)
         p.add_argument("--pair", help="catalog label, e.g. " +
                        ", ".join(catalog_labels()))
@@ -332,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override one config key")
         p.add_argument("--out", default="hecke-out",
                        help="output directory (default hecke-out)")
-        p.set_defaults(func=run_pair_command, body=body, on_cap=on_cap)
+        p.set_defaults(func=run_pair_command, body=body)
         return p
 
     p = pair_command("enumerate", "enumerate a ball and snapshot it",
@@ -340,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-classes", action="store_true",
                    help="skip double-coset computation in the snapshot")
     pair_command("ltable", "per-class L/R/delta/length table", cmd_ltable)
-    pair_command("growth", "ball/shell counts and growth verdict",
-                 cmd_growth, on_cap=_growth_so_far)
+    pair_command("growth", "ball/shell counts and growth verdict", cmd_growth)
     pair_command("rd-profile", "norm-ratio profile and RD verdict",
                  cmd_rd_profile)
     pair_command("kesten", "amenability index diagnostic", cmd_kesten)

@@ -160,13 +160,6 @@ def _p_exponent(n: int, p: int) -> Optional[int]:
     return k if n == 1 else None
 
 
-def _reduce_mat(num: tuple[int, int, int, int], k: int, p: int) -> tuple[tuple[int, int, int, int], int]:
-    while k > 0 and all(x % p == 0 for x in num):
-        num = (num[0] // p, num[1] // p, num[2] // p, num[3] // p)
-        k -= 1
-    return num, k
-
-
 def _mat_from_fractions(fa: Fraction, fb: Fraction, fc: Fraction, fd: Fraction, p: int) -> Mat2:
     k = 0
     for f in (fa, fb, fc, fd):
@@ -177,7 +170,8 @@ def _mat_from_fractions(fa: Fraction, fb: Fraction, fc: Fraction, fd: Fraction, 
         k = max(k, e)
     scale = p ** k
     num = tuple(int(f * scale) for f in (fa, fb, fc, fd))
-    num, k = _reduce_mat(num, k, p)
+    while k > 0 and all(x % p == 0 for x in num):
+        num, k = tuple(x // p for x in num), k - 1
     det = num[0] * num[3] - num[1] * num[2]
     if det != p ** (2 * k):
         raise DomainError("matrix determinant is not 1")
@@ -649,15 +643,20 @@ class AffinePair(HeckePair):
 # ---------------------------------------------------------------------------
 # Z^d with the trivial subgroup
 
+#: the largest d of z:d: its unit generators hold d^2, about 10^6, ints
+Z_MAX_DIMENSION = 1024
 
 class ZPair(HeckePair):
-    """(Z^d, {0}) with the standard unit generators."""
+    """(Z^d, {0}) with the standard unit generators, d <= Z_MAX_DIMENSION."""
 
     payload_type = Vec
 
     def __init__(self, d: int):
         if d < 1:
             raise HeckeError("dimension must be >= 1")
+        if d > Z_MAX_DIMENSION:
+            raise HeckeError(f"dimension must be <= {Z_MAX_DIMENSION}, "
+                             f"got {d}")
         self.d = d
         self.kind = "z"
         self.label = f"z:{d}"
@@ -743,6 +742,8 @@ class PermPair(HeckePair):
         self.h_generators = [Perm(tuple(h)) for h in h_gens]
         for g in self.g_generators + self.h_generators:
             self.validate(g)
+        # no H generators is the trivial H, built once the others passed
+        self.h_generators = self.h_generators or [self.identity()]
         self._h_set = frozenset(
             p.images for p in _perm_closure(self.h_generators, self))
         self.notes = "finite pair; exhaustive oracle available"
@@ -772,7 +773,8 @@ class PermPair(HeckePair):
 
     def validate(self, x) -> None:
         self._check_payload(x)
-        if sorted(x.images) != list(range(self.n)):
+        # the length first: a short x allocates nothing of size n
+        if len(x.images) != self.n or sorted(x.images) != [*range(self.n)]:
             raise DomainError(f"not a permutation of 0..{self.n - 1}")
 
     def h_elements(self):
@@ -896,17 +898,27 @@ class DihedralPair(HeckePair):
 # catalog
 
 
-def _preset_perm_pairs() -> dict[str, Callable[[], HeckePair]]:
-    return {
-        "s3-h12": lambda: PermPair(
-            "s3-h12", 3, [(1, 0, 2), (1, 2, 0)], [(1, 0, 2)]),
-        "s4-h12": lambda: PermPair(
-            "s4-h12", 4, [(1, 0, 2, 3), (1, 2, 3, 0)], [(1, 0, 2, 3)]),
-        "s4-h12-34": lambda: PermPair(
-            "s4-h12-34", 4,
-            [(1, 0, 2, 3), (0, 1, 3, 2), (1, 2, 3, 0)],
-            [(1, 0, 2, 3), (0, 1, 3, 2)]),
-    }
+#: the catalog labels that take no parameter
+_PRESETS: dict[str, Callable[[], HeckePair]] = {
+    "s3-h12": lambda: PermPair(
+        "s3-h12", 3, [(1, 0, 2), (1, 2, 0)], [(1, 0, 2)]),
+    "s4-h12": lambda: PermPair(
+        "s4-h12", 4, [(1, 0, 2, 3), (1, 2, 3, 0)], [(1, 0, 2, 3)]),
+    "s4-h12-34": lambda: PermPair(
+        "s4-h12-34", 4,
+        [(1, 0, 2, 3), (0, 1, 3, 2), (1, 2, 3, 0)],
+        [(1, 0, 2, 3), (0, 1, 3, 2)]),
+    "bc": lambda: AffinePair(None),
+    "dinf": DihedralPair,
+}
+
+#: the family heads of labels ``head:n``, each taking the integer n
+_FAMILIES: dict[str, Callable[[int], HeckePair]] = {
+    "z": ZPair,
+    "bcp": AffinePair,
+    "sl2z1p": lambda p: SL2ZpPair(p, projective=False),
+    "psl2z1p": lambda p: SL2ZpPair(p, projective=True),
+}
 
 
 def catalog_labels() -> list[str]:
@@ -916,27 +928,16 @@ def catalog_labels() -> list[str]:
 
 def get_pair(label: str) -> HeckePair:
     """Resolve a catalog label such as 'psl2z1p:2', 'bcp:3', 'z:2'."""
-    presets = _preset_perm_pairs()
-    if label in presets:
-        return presets[label]()
-    if label == "bc":
-        return AffinePair(None)
-    if label == "dinf":
-        return DihedralPair()
-    if ":" in label:
-        head, _, arg = label.partition(":")
+    if label in _PRESETS:
+        return _PRESETS[label]()
+    head, colon, arg = label.partition(":")
+    if colon:
         try:
             n = int(arg)
         except ValueError:
             raise HeckeError(f"bad pair label {label!r}") from None
-        if head == "z":
-            return ZPair(n)
-        if head == "bcp":
-            return AffinePair(n)
-        if head == "sl2z1p":
-            return SL2ZpPair(n, projective=False)
-        if head == "psl2z1p":
-            return SL2ZpPair(n, projective=True)
+        if head in _FAMILIES:
+            return _FAMILIES[head](n)
     raise HeckeError(
         f"unknown pair label {label!r}; known: {', '.join(catalog_labels())} "
         "or a custom spec file")
@@ -996,7 +997,7 @@ def load_pair_spec(path: str) -> HeckePair:
         if n is None or not g_texts:
             raise HeckeError("perm spec needs n and at least one g_gen")
         g = [_parse_perm(t) for t in g_texts]
-        h = [_parse_perm(t) for t in h_texts] or [tuple(range(n))]
+        h = [_parse_perm(t) for t in h_texts]
         return PermPair(label or "custom-perm", n, g, h)
     if kind == "zvec":
         if n is None:

@@ -39,9 +39,6 @@ class GrowthSeries:
     shell: list[int]
     kind: str
 
-    def as_rows(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.radii, self.ball, self.shell))
-
 
 def growth_series(store: CosetStore, r_max: int) -> GrowthSeries:
     """G(r) = number of right cosets of word length <= r, for r = 0..r_max,

@@ -49,7 +49,6 @@ from .config import RD_DEFAULTS, RD_KEYS, check_domains, set_values
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
                      NoStableFit, StoreMismatch)
-from .lengths import word_length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -523,14 +522,14 @@ def rd_profile(store: CosetStore, r_max: int, config: Optional[dict] = None,
         return profile
 
     store.enumerate_to(r_max + cfg["rd.pad"])
-    l = word_length(store, r_max)
+    l = store.word_lengths(r_max)
     rng = random.Random(seed)
 
     # the ball of radius r holds the classes with l <= r, and its shell
     # those of length r
     shells: dict[int, list[int]] = {}
-    for d, v in l.values.items():
-        shells.setdefault(int(v), []).append(d)
+    for d, n in l.items():
+        shells.setdefault(n, []).append(d)
 
     # the weighted-norm grid, and each class's powers over it, computed
     # once for the profile

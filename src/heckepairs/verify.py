@@ -24,7 +24,6 @@ from .cosets import (check_interning_soundness, enumerate_ball, left_L_count,
                      relative_modular)
 from .errors import HeckeError
 from .groups import get_pair
-from .lengths import word_length
 from .oracle import finite_group_oracle, oracle_matches_engine
 from .rd import operator_matrix, truncated_norm
 
@@ -65,15 +64,9 @@ def golden_snapshot_path(label: str, radius: int):
     return resources.files("heckepairs") / "golden" / name
 
 
-def _saturated_store(label: str):
-    store = enumerate_ball(get_pair(label), 12)
-    store.snapshot(compute_classes=True)
-    return store
-
-
 def _oracle_equivalence(label: str):
     pair = get_pair(label)
-    store = _saturated_store(label)
+    store = enumerate_ball(pair, 12)
     oracle = finite_group_oracle(
         [g.images for g in pair.g_generators],
         [h.images for h in pair.h_elements()])
@@ -84,9 +77,9 @@ def _oracle_equivalence(label: str):
 def _s3_structure_identity():
     """The classical S3 identity T_d * T_d = 2 T_e + T_d, pinned
     explicitly."""
-    store = _saturated_store("s3-h12")
+    store = enumerate_ball(get_pair("s3-h12"), 12)
     e = store.identity_class()
-    others = [x.id for x in store.dcs if x.id != e]
+    others = [d for d in store.classes_in_ball(12) if d != e]
     if len(others) != 1:
         return False, f"{len(others) + 1} classes, want 2"
     td = basis_element(store, others[0])
@@ -165,7 +158,7 @@ def _learned_sizes(label: str):
     L against the class's left walk, R against its right-H orbit."""
     pair = get_pair(label)
     store = enumerate_ball(pair, 2)
-    searched = word_length(store, 2).values
+    searched = store.word_lengths(2)
     wrong = []
     for d in searched:
         obj = store.dcs[d]

@@ -315,10 +315,11 @@ def fraction_norms(f):
 
 
 def fraction_weighted_norms(f, l, s_grid):
-    """s -> sqrt(sum_d float(c_d^2 R(d)) (1 + l(d))^(2s))."""
+    """s -> sqrt(sum_d float(c_d^2 R(d)) (1 + l[d])^(2s)), l a class ->
+    length mapping."""
     import math
 
-    terms = [(float(c * c * f.store.class_R(d)), 1.0 + float(l(d)))
+    terms = [(float(c * c * f.store.class_R(d)), 1.0 + float(l[d]))
              for d, c in f.coeffs.items()]
     out = {}
     for s in s_grid:

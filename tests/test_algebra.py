@@ -86,7 +86,7 @@ def test_norm_examples():
     ident = identity_element(store)
     rep = norms(ident)
     assert rep.l1_exact == 1 and rep.l2_sq_exact == 1
-    lw = word_length(store, 3)
+    lw = word_length(store, 3).values
     assert weighted_norms(ident, lw, [2.0], {})[2.0] == pytest.approx(1.0)
 
     f = z_delta(store, -1) + z_delta(store, 0) + z_delta(store, 1)
@@ -97,7 +97,7 @@ def test_norm_examples():
 
     missing = HeckeElement(store, {store.dc(store.lookup(
         store.pair.parse("zvec 3"))): Q(1)})
-    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1), 1)
+    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1), 1).values
     with pytest.raises(LengthUndefinedOnSupport):
         weighted_norms(missing, short, [1.0], {})[1.0]
 
@@ -106,7 +106,7 @@ def test_undefined_length_raises_after_other_powers_are_cached():
     # the profile's power cache holds only classes with a length: a class
     # without one raises on every call, whatever else is cached
     store = hp.enumerate_ball(get_pair("z:1"), 3)
-    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1), 1)
+    short = word_length(hp.enumerate_ball(get_pair("z:1"), 1), 1).values
     near = z_delta(store, -1) + z_delta(store, 0) + z_delta(store, 1)
     far = near + z_delta(store, 3)
     grid = [0.0, 0.5, 2.0]
@@ -797,7 +797,7 @@ def kernel_store(label):
     if label not in KERNEL_STORES:
         store = hp.enumerate_ball(get_pair(label), 3)
         KERNEL_STORES[label] = (store, store.classes_in_ball(3),
-                                word_length(store, 3))
+                                word_length(store, 3).values)
     return KERNEL_STORES[label]
 
 

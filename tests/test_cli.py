@@ -16,6 +16,7 @@ import heckepairs
 from heckepairs.cli import (CONFIG_DEFAULTS, CONFIG_KEYS, EXIT_INCONCLUSIVE,
                            EXIT_OK, EXIT_USAGE, main, write_json)
 from heckepairs.cosets import CosetStore
+from heckepairs.groups import Z_MAX_DIMENSION
 from heckepairs.growth import GrowthSeries, GrowthVerdict
 from heckepairs.rd import BestRatio, KestenReport, RdProfile, RdTestRecord
 from heckepairs.verify import CheckResult
@@ -963,6 +964,27 @@ def test_missing_key_value_file_is_a_usage_error(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra,spec,message", [
+    (["--pair", f"z:{Z_MAX_DIMENSION + 1}"], None,
+     f"dimension must be <= {Z_MAX_DIMENSION}"),
+    (["--pair-spec"], f"kind=zvec\nd={Z_MAX_DIMENSION + 1}\n",
+     f"dimension must be <= {Z_MAX_DIMENSION}"),
+    (["--pair-spec"], "kind=perm\nn=1000000\ng_gen=perm 1 0\n",
+     "not a permutation of 0..999999")])
+def test_oversized_pairs_are_usage_errors(tmp_path, capsys, extra, spec,
+                                          message):
+    # refused before the pair allocates its size: exit 2, nothing written
+    if spec:
+        (tmp_path / "big.spec").write_text(spec)
+        extra = extra + [str(tmp_path / "big.spec")]
+    out = tmp_path / "o"
+    assert main(["growth", "--rmax", "1", "--out", str(out)]
+                + extra) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_custom_pair_spec(tmp_path):
     spec = tmp_path / "pair.cfg"
     spec.write_text("kind=perm\nlabel=c6-h3\nn=6\n"
@@ -1098,6 +1120,20 @@ def test_rd_profile_loads_neither_verify_nor_oracle(tmp_path):
         f"'--out', {str(tmp_path)!r}])")
     assert "heckepairs.rd" in loaded
     assert not loaded & _submodules(["verify", "oracle"])
+    assert list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["rd-profile", "--pair", "z:1", "--rmax", "3"],
+    ["kesten", "--pair", "z:1", "--rmax", "3"],
+    ["verify"]])
+def test_rd_and_verify_commands_leave_lengths_unloaded(tmp_path, argv):
+    # their word lengths are read straight from the class search
+    loaded = _loaded_after(
+        "from heckepairs import cli; "
+        f"cli.main({argv + ['--out', str(tmp_path)]!r})")
+    assert "heckepairs.algebra" in loaded
+    assert "heckepairs.lengths" not in loaded
     assert list(tmp_path.iterdir())
 
 

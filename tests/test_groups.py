@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -14,8 +15,8 @@ import heckepairs as hp
 from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
                                OrbitCapExceeded, ParseError)
 from heckepairs.algebra import structure_constants
-from heckepairs.groups import (Aff, Dih, Mat2, Perm, Vec, _is_prime,
-                               get_pair)
+from heckepairs.groups import (Z_MAX_DIMENSION, Aff, Dih, Mat2, Perm, Vec,
+                               _is_prime, get_pair)
 
 import oracles
 from conftest import FG_LABELS
@@ -461,6 +462,61 @@ def test_catalog_labels_resolve():
         get_pair("nope")
     with pytest.raises(HeckeError):
         get_pair("bcp:4")   # 4 is not prime
+
+
+@pytest.mark.parametrize("label,message", [
+    ("nope", "unknown pair label 'nope'; known: z:1, z:2, dinf,"),
+    ("foo:3", "unknown pair label 'foo:3'"),
+    ("dinf:1", "unknown pair label 'dinf:1'"),
+    # a parameter that is no integer is bad whatever the head
+    ("foo:x", "bad pair label 'foo:x'"),
+    ("z:x", "bad pair label 'z:x'"),
+    ("z:0", "dimension must be >= 1")])
+def test_catalog_errors_name_the_label(label, message):
+    with pytest.raises(HeckeError) as exc:
+        get_pair(label)
+    assert str(exc.value).startswith(message)
+
+
+def _peak_bytes(build, error, message):
+    """The traced allocation peak while ``build()`` raises ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_z_dimension_past_its_bound_is_refused_before_allocating(tmp_path):
+    # the generators of z:d hold d^2 coordinates; past the bound none is
+    # built, from a label or a spec
+    d = Z_MAX_DIMENSION + 1
+    spec = tmp_path / "z.spec"
+    spec.write_text(f"kind=zvec\nd={d}\n")
+    message = f"dimension must be <= {Z_MAX_DIMENSION}, got {d}"
+    for build in (lambda: get_pair(f"z:{d}"),
+                  lambda: hp.load_pair_spec(str(spec))):
+        assert _peak_bytes(build, HeckeError, message) < d * d
+    assert get_pair(f"z:{Z_MAX_DIMENSION}").d == Z_MAX_DIMENSION
+
+
+def test_perm_spec_compares_lengths_before_building_size_n(tmp_path):
+    # a two-point generator of a degree-10^6 spec is refused before the
+    # default H or the validation allocates n entries
+    n = 10 ** 6
+    spec = tmp_path / "big.spec"
+    spec.write_text(f"kind=perm\nn={n}\ng_gen=perm 1 0\n")
+    peak = _peak_bytes(lambda: hp.load_pair_spec(str(spec)), DomainError,
+                       f"not a permutation of 0..{n - 1}")
+    assert peak < n         # bytes: far below n machine words
+    # without h_gen lines H is still the trivial subgroup, named by the
+    # identity
+    spec.write_text("kind=perm\nn=3\ng_gen=perm 1 2 0\n")
+    pair = hp.load_pair_spec(str(spec))
+    assert pair.describe()["h_generators"] == ["perm 0 1 2"]
+    assert len(pair.h_elements()) == 1
 
 
 def test_primality_agrees_with_trial_division_below_1e5():

@@ -780,7 +780,7 @@ def test_rd_profile_searches_classes_to_r_max(label, r_max, config):
     assert rd_profile(searched, r_max, config=config).records == prof.records
 
 
-def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
+def test_rd_profile_calls_no_involution(monkeypatch):
     # the moments check no self-adjointness: a_n = ||f^{*n}||^2 is a lower
     # bound for every f, so a record calls no involution
     calls = [0]
@@ -798,7 +798,7 @@ def test_rd_profile_checks_self_adjointness_once_per_record(monkeypatch):
     assert all(rec.moment_root > 0 for rec in prof.records)
 
 
-def test_kesten_checks_self_adjointness_once(monkeypatch):
+def test_kesten_calls_no_involution(monkeypatch):
     # the moments check no self-adjointness, so a given f costs no
     # involution
     calls = [0]

@@ -85,27 +85,6 @@ def test_tree_products_to_level_8_follow_the_sphere_recursion(label, p):
                 == tree_tj_times_tk(p, j, k), (j, k)
 
 
-@pytest.mark.parametrize("p,radius", [(2, 4), (3, 3)])
-def test_reduced_and_unreduced_tree_pairs_agree(p, radius):
-    # -I is central and lies in H, so psl2z1p:p is the reduction of
-    # sl2z1p:p: class by class the two carry the same R, L, word length
-    # and products T_1 * T_k
-    tables = []
-    for label in (f"sl2z1p:{p}", f"psl2z1p:{p}"):
-        store = hp.enumerate_ball(get_pair(label), radius)
-        lw = word_length(store, radius)
-        by_level = {level(store, d, p): d for d in lw.values}
-        assert sorted(by_level) == list(range(radius + 1))
-        rows = {k: (store.class_R(d), store.class_L(d), lw(d))
-                for k, d in by_level.items()}
-        products = {
-            k: {level(store, e, p): c for e, c in structure_constants(
-                store, by_level[1], by_level[k]).items()}
-            for k in range(1, radius)}
-        tables.append((rows, products))
-    assert tables[0] == tables[1]
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_quotient_map_carries_the_classes_to_the_reduced_pair(p):
     # the quotient map x -> {+-x} matches the classes of word length <= 4

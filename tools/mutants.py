@@ -30,9 +30,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RD = "src/heckepairs/rd.py"
 GROWTH = "src/heckepairs/growth.py"
 ALGEBRA = "src/heckepairs/algebra.py"
+GROUPS = "src/heckepairs/groups.py"
 T_ACCEPTANCE = "tests/test_acceptance.py"
 T_ALGEBRA = "tests/test_algebra.py"
 T_EXACT = "tests/test_exact_norms.py"
+T_GROUPS = "tests/test_groups.py"
 T_GROWTH = "tests/test_growth.py"
 T_RD = "tests/test_rd.py"
 
@@ -79,6 +81,12 @@ ROWS = [
      T_ACCEPTANCE),
     ("mirrored product keyed by e, not inv(e)", ALGEBRA,
      "out = {inv(e): c for e, c in", "out = {e: c for e, c in", T_ACCEPTANCE),
+    ("z:d bound unchecked", GROUPS,
+     "        if d > Z_MAX_DIMENSION:\n",
+     "        if d > Z_MAX_DIMENSION ** 2:\n", T_GROUPS),
+    ("perm sorted before its length is compared", GROUPS,
+     "if len(x.images) != self.n or sorted(x.images) != [*range(self.n)]:",
+     "if sorted(x.images) != [*range(self.n)]:", T_GROUPS),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
