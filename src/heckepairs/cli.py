@@ -43,7 +43,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
-from .config import RD_KEYS, check_domains, set_values
+from .config import MAX_RADIUS, RD_KEYS, check_domains, set_values
 from .cosets import (DEFAULT_MAX_COSETS, DEFAULT_MAX_ORBIT, Caps,
                      CapExceeded, CosetStore)
 from .errors import HeckeError, NotRelativelyUnimodular
@@ -176,8 +176,9 @@ def run_pair_command(args) -> int:
     after the work that can hit a cap.  On a cap hit the report is written
     as the body left it, marked partial with the cap message, and the cap
     is re-raised (exit 3)."""
-    if args.rmax < 0:
-        raise HeckeError(f"--rmax must be >= 0, got {args.rmax}")
+    if not 0 <= args.rmax <= MAX_RADIUS:
+        raise HeckeError(f"--rmax must be >= 0 and <= {MAX_RADIUS}, "
+                         f"got {args.rmax}")
     cfg = load_config(args.config, args.set)
     flags = (("seed", args.seed), ("caps.max_cosets", args.max_cosets),
              ("caps.max_orbit", args.max_orbit))

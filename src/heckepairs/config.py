@@ -7,18 +7,22 @@ import operator
 
 from .errors import HeckeError
 
+# the largest --rmax and rd.pad: past it a saturated store's ball ends, the
+# growth series and rd-profile's records would outgrow memory, not the caps
+MAX_RADIUS = 10_000
+
 # one row per key: its default, then its domain as (comparison, bound)
 # pairs.  A value takes its default's type, which must hold it exactly; a
 # bounded value must be finite and on the right side of each bound, and
 # every float value must be finite
 RD_KEYS = {
-    "rd.pad": (2, (">=", 0)),           # padding beyond the support radius
+    "rd.pad": (2, (">=", 0), ("<=", MAX_RADIUS)),  # beyond the support radius
     # picks each truncation radius by dim * sum R(d), unchanged so that
     # reports stay the same; the build costs one class table per store,
     # quadratic in the ball, with most entries copied by generator moves
     "rd.max_matrix_cost": (3_000_000, (">=", 1)),
     "rd.moment_n": (1, (">=", 0)),      # moment order mixed into the bound
-    "rd.n_random": (2, (">=", 0)),      # random nonnegative functions per r
+    "rd.n_random": (2, (">=", 0), ("<=", 1000)),  # random f >= 0 per r
     "rd.coeff_max": (9, (">=", 1)),     # their coefficient range
     "rd.s_grid_max": (3.0, (">=", 0)),  # weighted-fit exponent grid
     "rd.s_grid_step": (0.25, (">", 0)),

@@ -558,8 +558,6 @@ def relative_modular(pair: HeckePair, g,
     counts are walks of ``left_L_count``, so both are right-H orbits keyed
     by ``coset_fingerprint``: of Hg^{-1} for L and of Hg for R.  It reads
     no store: the arbiter of the class records' Delta."""
-    if pair.in_h(pair.canon(g)):
-        return Fraction(1)
     left = len(left_L_count(pair, g, max_orbit))
     right = len(left_L_count(pair, pair.inv(g), max_orbit))
     return Fraction(left, right)

@@ -35,7 +35,8 @@ from math import gcd
 from operator import add, neg
 from typing import Callable, Optional
 
-from .errors import DomainError, HeckeError, MixedKinds, ParseError
+from .errors import (DomainError, HeckeError, MixedKinds, NotFinitelyGenerated,
+                     ParseError)
 
 __all__ = [
     "Mat2", "Aff", "Perm", "Vec", "Dih",
@@ -67,24 +68,9 @@ class Mat2:
     k: int
     p: int
 
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.num[0], self.p ** self.k)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.num[1], self.p ** self.k)
-
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self.num[2], self.p ** self.k)
-
-    @property
-    def d(self) -> Fraction:
-        return Fraction(self.num[3], self.p ** self.k)
-
     def to_fractions(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
+        q = self.p ** self.k
+        return tuple(Fraction(x, q) for x in self.num)
 
 
 @dataclass(slots=True, unsafe_hash=True, init=False)
@@ -170,8 +156,6 @@ def _mat_from_fractions(fa: Fraction, fb: Fraction, fc: Fraction, fd: Fraction, 
         k = max(k, e)
     scale = p ** k
     num = tuple(int(f * scale) for f in (fa, fb, fc, fd))
-    while k > 0 and all(x % p == 0 for x in num):
-        num, k = tuple(x // p for x in num), k - 1
     det = num[0] * num[3] - num[1] * num[2]
     if det != p ** (2 * k):
         raise DomainError("matrix determinant is not 1")
@@ -292,7 +276,6 @@ class HeckePair:
         """S union S^{-1} with duplicates removed (the identity is treated
         as the BFS start, not listed)."""
         if not self.finitely_generated:
-            from .errors import NotFinitelyGenerated
             raise NotFinitelyGenerated(f"{self.label} has no finite generating set")
         if self._shat is None:
             self._shat = self._symmetrized(self.g_generators)
@@ -946,21 +929,24 @@ def get_pair(label: str) -> HeckePair:
 def read_key_values(path: str, what: str):
     """The stripped (key, value) pairs of a key=value file, skipping blank
     and ``#`` lines; a line without ``=`` is a bad ``what`` line, and a
-    file that cannot be opened is a HeckeError naming it."""
+    file that cannot be opened or is not UTF-8 is a HeckeError naming it."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise HeckeError(f"cannot read {what} file {path!r}: "
                          f"{exc.strerror}") from None
-    with fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise HeckeError(f"bad {what} line {line!r}")
-            key, _, value = line.partition("=")
-            yield key.strip(), value.strip()
+    except UnicodeDecodeError:
+        raise HeckeError(f"cannot read {what} file {path!r}: "
+                         "not UTF-8 text") from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise HeckeError(f"bad {what} line {line!r}")
+        key, _, value = line.partition("=")
+        yield key.strip(), value.strip()
 
 
 def load_pair_spec(path: str) -> HeckePair:
@@ -968,7 +954,8 @@ def load_pair_spec(path: str) -> HeckePair:
 
     Supported keys: kind (perm|zvec), label, n (perm degree) or d (zvec
     dimension), g_gen (repeatable, element text), h_gen (repeatable).  A
-    zvec spec takes only d; any label, g_gen or h_gen line is an error.
+    zvec spec takes only d; any label, g_gen or h_gen line is an error.  A
+    label names the artifacts, so it may hold no path separator and no NUL.
     """
     kind = None
     label = None
@@ -979,6 +966,9 @@ def load_pair_spec(path: str) -> HeckePair:
         if key == "kind":
             kind = val
         elif key == "label":
+            if any(c in val for c in "/\\\0"):
+                raise HeckeError(f"pair-spec label {val!r} holds a path "
+                                 "separator or NUL")
             label = val
         elif key in ("n", "d"):
             try:

@@ -48,7 +48,7 @@ from .algebra import (HeckeElement, involution, norms, power_moments,
 from .config import RD_DEFAULTS, RD_KEYS, check_domains, set_values
 from .cosets import CosetStore
 from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
-                     NoStableFit, StoreMismatch)
+                     HeckeError, NoStableFit, StoreMismatch)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,15 +81,14 @@ class TruncatedOperator:
     indptr[i + 1]]`` in increasing order, and each entry is the coefficient
     ``nums[terms[k]] / den`` of one support class.  Row and column i are
     the coset ``ball[i]``.  The three index arrays are read-only: operators
-    of one support and radius share them.  ``coeffs`` and ``cols`` are
-    exact views, built on first read: the coefficients as Fractions, and
-    the column of the j-th ball coset as (row index, coefficient) pairs;
-    per column the row support is bounded by sum_d R(d) over supp(f).  The
-    operator keeps neither f nor its store: the exact references that
-    check it against them live with the test oracles.
+    of one support and radius share them.  ``cols`` is the exact view,
+    built on first read: the column of the j-th ball coset as (row index,
+    Fraction coefficient) pairs; per column the row support is bounded by
+    sum_d R(d) over supp(f).  The operator keeps neither f nor its store:
+    the exact references that check it against them live with the test
+    oracles.
     """
 
-    radius: int
     ball: list[int]
     nums: list[int]     # f's numerator per support class, by class id
     den: int            # f's denominator
@@ -112,17 +111,13 @@ class TruncatedOperator:
         return np.array([n / den for n in self.nums])[self.terms]
 
     @cached_property
-    def coeffs(self) -> list[Fraction]:
-        return [Fraction(n, self.den) for n in self.nums]
-
-    @cached_property
     def cols(self) -> list[list[tuple[int, Fraction]]]:
         import numpy as np
 
         rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
         order = np.lexsort((rows, self.indices))
         out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.dim)]
-        coeffs = self.coeffs
+        coeffs = [Fraction(n, self.den) for n in self.nums]
         for i, j, t in zip(rows[order].tolist(), self.indices[order].tolist(),
                            self.terms[order].tolist()):
             out[j].append((i, coeffs[t]))
@@ -297,7 +292,7 @@ def operator_matrix(f: HeckeElement, radius: int) -> TruncatedOperator:
         for a in arrays:
             a.flags.writeable = False
         table.pattern = (key, arrays)
-    return TruncatedOperator(radius, store.ball[:dim],
+    return TruncatedOperator(store.ball[:dim],
                              [f.num[d] for d in support], f.den, *arrays)
 
 
@@ -553,8 +548,6 @@ def rd_profile(store: CosetStore, r_max: int, config: Optional[dict] = None,
         fams.append(("signed", False, _symmetrized_random(
             store, ball_classes, rng, cfg["rd.coeff_max"], True)))
         for family, nonneg, f in fams:
-            if not f:
-                continue
             rec = _test_record(r, family, nonneg, f, l, grid, powers,
                                profile)
             profile.records.append(rec)
@@ -612,7 +605,9 @@ def _test_record(r, family, nonneg, f, l, grid, powers,
     is then partial), its weighted norms over ``grid`` (with the profile's
     class powers ``powers``) and l2, under the profile's config; each
     skip, clipped truncation radius or capped power iteration is warned
-    of once.  l2 is read off a_1 = ||f||_2^2 when there are moments."""
+    of once.  l2 is read off a_1 = ||f||_2^2 when there are moments.  A
+    weighted norm too large for a float is a HeckeError naming
+    rd.s_grid_max, so no report carries one."""
     cfg = profile.config
     want = r + cfg["rd.pad"]
     r_trunc = _truncation_radius(f, want, cfg["rd.max_matrix_cost"])
@@ -623,7 +618,14 @@ def _test_record(r, family, nonneg, f, l, grid, powers,
         f, cfg, cfg["rd.moment_n"], r_trunc, f"at r={r}",
         lambda text: _warn(profile, text),
         lambda text: _warn(profile, text, partial=True))
-    weighted = weighted_norms(f, l, grid, powers)
+    try:
+        weighted = weighted_norms(f, l, grid, powers)
+        finite = math.isfinite(weighted[grid[-1]])   # the norms grow with s
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise HeckeError(f"rd.s_grid_max={cfg['rd.s_grid_max']} overflows "
+                         f"the weighted norms at r={r}")
     l2 = math.sqrt(moments[0]) if moments else norms(f).l2
     return RdTestRecord(r, family, nonneg, lower, trunc, r_trunc,
                         roots[-1] if roots else 0.0, l2,

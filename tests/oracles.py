@@ -384,11 +384,11 @@ def direct_class_table(store, radius):
 
 def to_csr(op):
     """The truncated operator as a float scipy CSR matrix over its own
-    arrays: entry k is the coefficient ``op.coeffs[op.terms[k]]``."""
+    arrays: entry k is the coefficient ``op.nums[op.terms[k]] / op.den``."""
     import numpy as np
     from scipy.sparse import csr_matrix
 
-    values = np.array([float(c) for c in op.coeffs])
+    values = np.array([float(Fraction(n, op.den)) for n in op.nums])
     return csr_matrix((values[op.terms], op.indices, op.indptr),
                       shape=(op.dim, op.dim))
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import heckepairs
 from heckepairs.cli import (CONFIG_DEFAULTS, CONFIG_KEYS, EXIT_INCONCLUSIVE,
                            EXIT_OK, EXIT_USAGE, main, write_json)
+from heckepairs.config import MAX_RADIUS
 from heckepairs.cosets import CosetStore
 from heckepairs.groups import Z_MAX_DIMENSION
 from heckepairs.growth import GrowthSeries, GrowthVerdict
@@ -535,6 +536,39 @@ def test_negative_rmax_is_usage_error(tmp_path, capsys):
         assert "--rmax" in capsys.readouterr().err
 
 
+def test_rmax_past_the_radius_bound_is_usage_error(tmp_path, capsys):
+    # a saturated store would pad its ball ends, and growth its series, out
+    # to the radius; refused before any work, cheapest command first
+    for cmd in (["enumerate", "--pair", "s3-h12"],
+                ["growth", "--pair", "s3-h12"], ["ltable", "--pair", "z:1"],
+                ["kesten", "--pair", "s3-h12"], ["growth", "--pair", "z:1"],
+                ["rd-profile", "--pair", "s3-h12"]):
+        out = tmp_path / "o"
+        assert main(cmd + ["--rmax", str(MAX_RADIUS + 1),
+                           "--out", str(out)]) == EXIT_USAGE
+        assert (f"--rmax must be >= 0 and <= {MAX_RADIUS}, got "
+                f"{MAX_RADIUS + 1}") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("settings", [["rd.s_grid_max=200"],
+                                      ["rd.s_grid_max=182",
+                                       "rd.s_grid_step=1"]],
+                         ids=["overflow", "infinity"])
+def test_weighted_norms_past_a_float_are_usage_errors(tmp_path, capsys,
+                                                      settings):
+    # (1 + 6)^(2s) overflows a float at s = 200, and the weighted sums
+    # reach infinity at s = 182: no report carries either
+    out = tmp_path / "o"
+    argv = ["rd-profile", "--pair", "z:1", "--rmax", "6", "--out", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "rd.s_grid_max=" in err and "overflows the weighted norms" in err
+    assert not out.exists()
+
+
 def test_verify_takes_only_out_and_no_golden(tmp_path, capsys):
     # the pair options would change nothing verify computes
     for option in (["--rmax", "9"], ["--seed", "7"], ["--max-cosets", "5"],
@@ -962,6 +996,70 @@ def test_missing_key_value_file_is_a_usage_error(tmp_path, capsys, flag,
     assert f"cannot read {what} file {str(missing)!r}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,what", [("--config", "config"),
+                                       ("--pair-spec", "pair-spec")])
+def test_key_value_file_not_utf8_is_a_usage_error(tmp_path, capsys, flag,
+                                                  what):
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b"# caf\xe9\nseed=1\n\xff\n")
+    out = tmp_path / "o"
+    extra = ["--pair", "z:1"] if flag == "--config" else []
+    assert main(["growth", flag, str(bad), "--rmax", "3",
+                 "--out", str(out)] + extra) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot read {what} file {str(bad)!r}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("kind=perm\nn=3\ncolour=red\ng_gen=perm 1 0 2\n",
+     "unknown pair-spec key 'colour'"),
+    ("kind=perm\ng_gen=perm 1 0 2\n",
+     "perm spec needs n and at least one g_gen"),
+    ("kind=perm\nn=3\nh_gen=perm 1 0 2\n",
+     "perm spec needs n and at least one g_gen"),
+    ("kind=zvec\n", "zvec spec needs d"),
+    ("kind=matrix\nn=2\n", "unsupported custom pair kind 'matrix'"),
+    ("n=3\ng_gen=perm 1 0 2\n", "unsupported custom pair kind None")])
+def test_incomplete_pair_specs_are_usage_errors(tmp_path, capsys, text,
+                                                message):
+    (tmp_path / "pair.spec").write_text(text)
+    out = tmp_path / "o"
+    assert main(["growth", "--pair-spec", str(tmp_path / "pair.spec"),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["../../../pwned", "a/b", "a\0b",
+                                   "a\\b"])
+def test_spec_label_with_a_path_separator_is_a_usage_error(tmp_path, capsys,
+                                                          label):
+    # the label names the artifacts: a separator would put them outside
+    # --out or in a new directory under it, and a NUL cannot be a name
+    spec = tmp_path / "pair.spec"
+    spec.write_text(f"kind=perm\nn=3\nlabel={label}\n"
+                    "g_gen=perm 1 0 2\ng_gen=perm 1 2 0\nh_gen=perm 1 0 2\n")
+    out = tmp_path / "d" / "p"
+    assert main(["growth", "--pair-spec", str(spec), "--rmax", "2",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert (f"pair-spec label {label!r} holds a path separator or NUL"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["pair.spec"]
+
+
+def test_failed_artifact_write_is_a_usage_error(tmp_path, capsys):
+    # a directory where the csv would go: exit 2 naming the path, and no
+    # json after it
+    out = tmp_path / "o"
+    (out / "growth_z-1.csv").mkdir(parents=True)
+    assert main(["growth", "--pair", "z:1", "--rmax", "2",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert (f"cannot write {out / 'growth_z-1.csv'}: "
+            in capsys.readouterr().err)
+    assert [p.name for p in out.iterdir()] == ["growth_z-1.csv"]
 
 
 @pytest.mark.parametrize("extra,spec,message", [

@@ -15,8 +15,8 @@ import heckepairs as hp
 from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
                                OrbitCapExceeded, ParseError)
 from heckepairs.algebra import structure_constants
-from heckepairs.groups import (Z_MAX_DIMENSION, Aff, Dih, Mat2, Perm, Vec,
-                               _is_prime, get_pair)
+from heckepairs.groups import (Z_MAX_DIMENSION, Aff, Dih, Mat2, Perm,
+                               PermPair, Vec, _is_prime, get_pair)
 
 import oracles
 from conftest import FG_LABELS
@@ -169,8 +169,9 @@ def test_sl2_product_matches_fraction_oracle():
     for _ in range(40):
         x, y = random_word(pair, rng), random_word(pair, rng)
         z = pair.mul(x, y)
-        mx = ((x.a, x.b), (x.c, x.d))
-        my = ((y.a, y.b), (y.c, y.d))
+        (xa, xb, xc, xd), (ya, yb, yc, yd) = x.to_fractions(), y.to_fractions()
+        mx = ((xa, xb), (xc, xd))
+        my = ((ya, yb), (yc, yd))
         ((a, b), (c, d)) = mat_mul(mx, my)
         assert (z.to_fractions() == (a, b, c, d)
                 or z.to_fractions() == (-a, -b, -c, -d))
@@ -295,6 +296,35 @@ def test_parse_errors():
     di = get_pair("dinf")
     with pytest.raises(ParseError):
         di.parse("dih 1 2")
+
+    # a denominator must be positive, and an integer token an integer
+    for text in ("mat 1 1/0 0 1", "mat 1 1/-2 0 1"):
+        with pytest.raises(ParseError, match="denominator must be positive"):
+            z1p.parse(text)
+    with pytest.raises(ParseError, match="not an integer: 'x'") as exc:
+        get_pair("z:2").parse("zvec 1 x")
+    assert exc.value.position == 2
+    # each kind refuses another kind's head token
+    for pair, text, want in ((bcp, "mat 1 0 0 1", "expected 'aff b a'"),
+                             (get_pair("z:1"), "perm 1 0", "expected 'zvec"),
+                             (s3, "zvec 1 2 3", "expected 'perm"),
+                             (di, "aff 1 -1", "expected 'dih n f'")):
+        with pytest.raises(ParseError, match=want):
+            pair.parse(text)
+
+
+@pytest.mark.parametrize("label", ["sl2z1p:4", "psl2z1p:9"])
+def test_sl2_pairs_refuse_a_composite_p(label):
+    with pytest.raises(HeckeError, match="p must be prime, got"):
+        get_pair(label)
+
+
+def test_perm_subgroup_closure_is_capped():
+    # H = S_8 has 40320 elements, past the closure's cap of 10^4
+    cycle = (1, 2, 3, 4, 5, 6, 7, 0)
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
+    with pytest.raises(HeckeError, match="subgroup closure exceeded cap"):
+        PermPair("s8", 8, [cycle, swap], [cycle, swap])
 
 
 def test_mixed_kinds():

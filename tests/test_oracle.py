@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import heckepairs as hp
-from heckepairs.errors import SubsetNotSubgroup
+from heckepairs.errors import HeckeError, SubsetNotSubgroup
 from heckepairs.groups import Perm, PermPair
 from heckepairs.oracle import finite_group_oracle, oracle_matches_engine
 
@@ -67,6 +68,19 @@ def test_subset_not_subgroup():
         finite_group_oracle(S3_GENS, [(0, 1, 2), (1, 2, 0)])  # not closed
     with pytest.raises(SubsetNotSubgroup):
         finite_group_oracle(S3_GENS, [(1, 0, 2)])             # missing e
+    # two transpositions are each their own inverse; their product is not
+    # in H
+    with pytest.raises(SubsetNotSubgroup, match="not closed under product"):
+        finite_group_oracle(S3_GENS, [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
+
+
+@pytest.mark.parametrize("gens,max_order,message", [
+    ([], 10_000, "need at least one generator"),
+    ([(1, 0, 2), (0, 0, 1)], 10_000, "not a permutation: (0, 0, 1)"),
+    (S3_GENS, 5, "group larger than 5")])
+def test_oracle_refuses_bad_generators(gens, max_order, message):
+    with pytest.raises(HeckeError, match=re.escape(message)):
+        finite_group_oracle(gens, [(0, 1, 2)], max_order)
 
 
 def test_engine_agrees_with_oracle_s3():

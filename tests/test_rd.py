@@ -342,7 +342,7 @@ def profiled(request):
 
 
 def fraction_data(op):
-    return np.array([float(c) for c in op.coeffs])[op.terms]
+    return np.array([float(Q(n, op.den)) for n in op.nums])[op.terms]
 
 
 def test_profile_operators_equal_cold_builds(profiled):
@@ -888,6 +888,19 @@ def test_rd_weighted_fit_needs_four_radii():
         rd_weighted_fit(synthetic_profile({r: 1.0 for r in range(3)}, **flat))
     assert rd_weighted_fit(
         synthetic_profile({r: 1.0 for r in range(4)}, **flat)) == (0.0, 1.0)
+
+
+def test_rd_weighted_fit_skips_a_grid_point_on_two_tail_radii():
+    # s = 0 is missing at r = 4 and 5, so the tail (r >= 2) holds it at two
+    # radii only: the fit passes it over, though it is flat there
+    prof = synthetic_profile({r: 1.0 for r in range(6)})
+    for rec in prof.records[4:]:
+        del rec.weighted_norms[0.0]
+    assert rd_weighted_fit(prof) == (0.5, 1.0)
+
+
+def test_linfit_of_a_single_x_is_flat():
+    assert rd.linfit([2.0, 2.0, 2.0], [1.0, 2.0, 6.0]) == (0.0, 3.0, 1.0)
 
 
 def test_rd_weighted_fit_constant_bounds_the_whole_profile():

@@ -27,12 +27,14 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+CLI = "src/heckepairs/cli.py"
 RD = "src/heckepairs/rd.py"
 GROWTH = "src/heckepairs/growth.py"
 ALGEBRA = "src/heckepairs/algebra.py"
 GROUPS = "src/heckepairs/groups.py"
 T_ACCEPTANCE = "tests/test_acceptance.py"
 T_ALGEBRA = "tests/test_algebra.py"
+T_CLI = "tests/test_cli.py"
 T_EXACT = "tests/test_exact_norms.py"
 T_GROUPS = "tests/test_groups.py"
 T_GROWTH = "tests/test_growth.py"
@@ -87,6 +89,17 @@ ROWS = [
     ("perm sorted before its length is compared", GROUPS,
      "if len(x.images) != self.n or sorted(x.images) != [*range(self.n)]:",
      "if sorted(x.images) != [*range(self.n)]:", T_GROUPS),
+    ("rmax unbounded above", CLI,
+     "    if not 0 <= args.rmax <= MAX_RADIUS:\n",
+     "    if not 0 <= args.rmax:\n", T_CLI),
+    ("spec label unchecked", GROUPS,
+     'if any(c in val for c in "/\\\\\\0"):', 'if any(c in val for c in ""):',
+     T_CLI),
+    ("decode error uncaught", GROUPS,
+     "    except UnicodeDecodeError:\n", "    except UnicodeEncodeError:\n",
+     T_CLI),
+    ("infinite weighted norm passed", RD,
+     "finite = math.isfinite(weighted[grid[-1]])", "finite = True", T_CLI),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
