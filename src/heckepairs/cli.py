@@ -354,6 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a tree pair's ball of radius 7200 holds more than 10^4300 cosets, past
+    # the int-to-str digit limit of Python 3.11+: lift it for the run, then
+    # give in-process callers their own limit back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CapExceeded as exc:
@@ -362,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except HeckeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

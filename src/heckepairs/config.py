@@ -21,16 +21,19 @@ RD_KEYS = {
     # reports stay the same; the build costs one class table per store,
     # quadratic in the ball, with most entries copied by generator moves
     "rd.max_matrix_cost": (3_000_000, (">=", 1)),
-    "rd.moment_n": (1, (">=", 0)),      # moment order mixed into the bound
+    # moment order mixed into the bound; z:2 takes about 9 s at 16
+    "rd.moment_n": (1, (">=", 0), ("<=", 16)),
     "rd.n_random": (2, (">=", 0), ("<=", 1000)),  # random f >= 0 per r
-    "rd.coeff_max": (9, (">=", 1)),     # their coefficient range
+    # the random f's coefficient range; from 10^155 the norms overflow
+    "rd.coeff_max": (9, (">=", 1), ("<=", 10 ** 6)),
     "rd.s_grid_max": (3.0, (">=", 0)),  # weighted-fit exponent grid
     "rd.s_grid_step": (0.25, (">", 0)),
     "rd.stable_slope": (0.1,),          # max tail slope of a stable ratio
     "rd.tail_fraction": (0.5, (">", 0), ("<=", 1)),
     "rd.tol": (1e-8, (">", 0)),         # power iteration relative tolerance
     "rd.max_iter": (20000, (">=", 1)),
-    "kesten.n": (8, (">=", 0)),         # moments in the Kesten diagnostic
+    # moments in the Kesten diagnostic; z:2 takes about 1 s at 64
+    "kesten.n": (8, (">=", 0), ("<=", 64)),
     "kesten.trunc_radius": (6, (">=", 0)),
     "kesten.amenable_min": (0.99,),     # report hints only, flagged
     "kesten.nonamenable_max": (0.95,),

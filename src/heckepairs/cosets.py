@@ -437,9 +437,8 @@ class CosetStore:
                     y = mul(x, t)
                     e = classes.get(key := key_of(y))
                     if e is None:   # a new class: named, then sized at once
-                        cid = self._intern(y)
-                        e = classes[key] = self.dc_of[cid] = len(dcs)
-                        dcs.append(new := DoubleCoset(e, key, cid))
+                        e = self._name_class(key, self._intern(y))
+                        new = dcs[e]
                         c = 1 if inv_reps is None else count(y, inv_reps, want)
                         if c and not (l_d % c or r_d * r_s % (l_s * c)):
                             new.L, new.R = l_d // c, r_d * r_s // (l_s * c)

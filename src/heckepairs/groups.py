@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, neg
 from typing import Callable, Optional
 
@@ -136,30 +136,12 @@ class Dih:
 
 
 def _p_exponent(n: int, p: int) -> Optional[int]:
-    """Exponent k with n = p**k, or None if n is not a power of p."""
-    if n < 1:
-        return None
+    """Exponent k with n = p**k, or None if n (>= 1) is not a power of p."""
     k = 0
     while n % p == 0:
         n //= p
         k += 1
     return k if n == 1 else None
-
-
-def _mat_from_fractions(fa: Fraction, fb: Fraction, fc: Fraction, fd: Fraction, p: int) -> Mat2:
-    k = 0
-    for f in (fa, fb, fc, fd):
-        e = _p_exponent(f.denominator, p)
-        if e is None:
-            raise DomainError(
-                f"denominator {f.denominator} is not a power of {p}")
-        k = max(k, e)
-    scale = p ** k
-    num = tuple(int(f * scale) for f in (fa, fb, fc, fd))
-    det = num[0] * num[3] - num[1] * num[2]
-    if det != p ** (2 * k):
-        raise DomainError("matrix determinant is not 1")
-    return Mat2(num, k, p)
 
 
 def _hnf_2x2(rows: tuple[int, int, int, int], det: int) -> tuple[int, int, int]:
@@ -232,11 +214,9 @@ class HeckePair:
     def __init__(self):
         self._shat = None
         self._h_sym = None
-        if self.h_generators is not None:
-            for h in self.h_generators:
-                if not self.in_h(h):
-                    raise HeckeError(
-                        f"{self.label}: subgroup generator outside H")
+        for h in self.h_generators:
+            if not self.in_h(h):
+                raise HeckeError(f"{self.label}: subgroup generator outside H")
 
     # -- group law ---------------------------------------------------------
 
@@ -408,11 +388,8 @@ class SL2ZpPair(HeckePair):
             c //= p
             d //= p
             k -= 1
-        if self.projective:
-            v = a or b or c or d
-            if v < 0:
-                a, b, c, d = -a, -b, -c, -d
-        return Mat2((a, b, c, d), k, p)
+        num = (a, b, c, d)
+        return Mat2(_canon_sign(num) if self.projective else num, k, p)
 
     def inv(self, x):
         self._check_payload(x)
@@ -461,7 +438,14 @@ class SL2ZpPair(HeckePair):
         if len(toks) != 5 or toks[0] != "mat":
             raise ParseError("expected 'mat a b c d'", 0)
         fr = [_parse_rational(t, i + 1) for i, t in enumerate(toks[1:])]
-        m = _mat_from_fractions(*fr, p=self.p)
+        # over the lcm p^k of the denominators the entries are integers,
+        # and one whose denominator is p^k keeps a numerator prime to p
+        den = lcm(*(f.denominator for f in fr))
+        k = _p_exponent(den, self.p)
+        if k is None:
+            raise DomainError(f"denominator {den} is not a power of {self.p}")
+        m = Mat2(tuple(int(f * den) for f in fr), k, self.p)
+        self.validate(m)
         return self.canon(m)
 
     def render(self, x) -> str:
@@ -469,12 +453,10 @@ class SL2ZpPair(HeckePair):
 
 
 def _canon_sign(num: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    for v in num:
-        if v > 0:
-            return num
-        if v < 0:
-            return (-num[0], -num[1], -num[2], -num[3])
-    return num
+    """The PSL2 sign rule: of +-num, the one whose first nonzero entry is
+    positive."""
+    a, b, c, d = num
+    return num if (a or b or c or d) > 0 else (-a, -b, -c, -d)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below the least
@@ -952,10 +934,10 @@ def read_key_values(path: str, what: str):
 def load_pair_spec(path: str) -> HeckePair:
     """Build a custom finite-H pair from a line-oriented key=value file.
 
-    Supported keys: kind (perm|zvec), label, n (perm degree) or d (zvec
-    dimension), g_gen (repeatable, element text), h_gen (repeatable).  A
-    zvec spec takes only d; any label, g_gen or h_gen line is an error.  A
-    label names the artifacts, so it may hold no path separator and no NUL.
+    Supported keys: kind (perm), label, n (degree), g_gen (repeatable,
+    element text), h_gen (repeatable).  Z^d is ``--pair z:d``, not a spec.
+    A label names the artifacts, so it may hold no path separator and no
+    NUL.
     """
     kind = None
     label = None
@@ -970,13 +952,12 @@ def load_pair_spec(path: str) -> HeckePair:
                 raise HeckeError(f"pair-spec label {val!r} holds a path "
                                  "separator or NUL")
             label = val
-        elif key in ("n", "d"):
+        elif key == "n":
             try:
                 n = int(val)
             except ValueError:
-                raise HeckeError(
-                    f"pair-spec key {key!r} needs an integer, "
-                    f"got {val!r}") from None
+                raise HeckeError(f"pair-spec key 'n' needs an integer, "
+                                 f"got {val!r}") from None
         elif key == "g_gen":
             g_texts.append(val)
         elif key == "h_gen":
@@ -989,14 +970,4 @@ def load_pair_spec(path: str) -> HeckePair:
         g = [_parse_perm(t) for t in g_texts]
         h = [_parse_perm(t) for t in h_texts]
         return PermPair(label or "custom-perm", n, g, h)
-    if kind == "zvec":
-        if n is None:
-            raise HeckeError("zvec spec needs d")
-        for key, given in (("label", label is not None),
-                           ("g_gen", g_texts), ("h_gen", h_texts)):
-            if given:
-                raise HeckeError(
-                    f"zvec spec does not take {key}: the pair is z:{n} "
-                    "with its unit generators and trivial H")
-        return ZPair(n)
     raise HeckeError(f"unsupported custom pair kind {kind!r}")

@@ -519,16 +519,12 @@ def _peak_bytes(build, error, message):
         tracemalloc.stop()
 
 
-def test_z_dimension_past_its_bound_is_refused_before_allocating(tmp_path):
-    # the generators of z:d hold d^2 coordinates; past the bound none is
-    # built, from a label or a spec
+def test_z_dimension_past_its_bound_is_refused_before_allocating():
+    # the generators of z:d hold d^2 coordinates; past the bound none is built
     d = Z_MAX_DIMENSION + 1
-    spec = tmp_path / "z.spec"
-    spec.write_text(f"kind=zvec\nd={d}\n")
     message = f"dimension must be <= {Z_MAX_DIMENSION}, got {d}"
-    for build in (lambda: get_pair(f"z:{d}"),
-                  lambda: hp.load_pair_spec(str(spec))):
-        assert _peak_bytes(build, HeckeError, message) < d * d
+    assert _peak_bytes(lambda: get_pair(f"z:{d}"), HeckeError,
+                       message) < d * d
     assert get_pair(f"z:{Z_MAX_DIMENSION}").d == Z_MAX_DIMENSION
 
 

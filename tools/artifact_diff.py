@@ -31,7 +31,6 @@ SPECS = {
                     "g_gen=perm 1 0 2 3 4\ng_gen=perm 1 2 3 4 0\n"
                     "h_gen=perm 1 0 2 3 4\nh_gen=perm 0 1 3 4 2\n"
                     "h_gen=perm 0 1 3 2 4\n"),
-    "z4.spec": "kind=zvec\nd=4\n",
     # all 18 settable values at their defaults
     "defaults.cfg": ("caps.max_cosets=2000000\ncaps.max_orbit=100000\n"
                      "seed=0\nrd.pad=2\nrd.max_matrix_cost=3000000\n"
@@ -120,14 +119,14 @@ RUNS = [
     # every value read from a config file, and the one moment-count setter
     ["rd-profile", "--pair", "z:1", "--rmax", "6", "--config", "defaults.cfg"],
     ["kesten", "--pair", "z:1", "--rmax", "6", "--set", "kesten.n=3"],
-    # the class search over each remaining payload: a length-3 `Vec`,
-    # `Dih` past radius 8 and `Perm`
+    # the class search over each remaining payload: `Vec` of length 3
+    # and 4, `Dih` past radius 8 and `Perm`
     ["growth", "--pair", "z:3", "--rmax", "12"],
+    ["growth", "--pair", "z:4", "--rmax", "10"],
     ["growth", "--pair", "dinf", "--rmax", "40"],
     ["growth", "--pair", "s4-h12", "--rmax", "6"],
-    # pairs built from spec files, the one path that parses payloads
+    # a pair built from a spec file, the one path that parses payloads
     ["ltable", "--pair-spec", "s5-h12.spec", "--rmax", "4"],
-    ["growth", "--pair-spec", "z4.spec", "--rmax", "10"],
     # a config integer too large for a float, which is compared exactly
     # and caps nothing here
     ["growth", "--pair", "z:1", "--rmax", "2",

@@ -28,6 +28,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CLI = "src/heckepairs/cli.py"
+CONFIG = "src/heckepairs/config.py"
 RD = "src/heckepairs/rd.py"
 GROWTH = "src/heckepairs/growth.py"
 ALGEBRA = "src/heckepairs/algebra.py"
@@ -100,6 +101,15 @@ ROWS = [
      T_CLI),
     ("infinite weighted norm passed", RD,
      "finite = math.isfinite(weighted[grid[-1]])", "finite = True", T_CLI),
+    ("PSL2 product keeps its sign", GROUPS,
+     "return Mat2(_canon_sign(num) if self.projective else num, k, p)",
+     "return Mat2(num, k, p)", T_GROUPS),
+    ("int-to-str digit limit kept", CLI,
+     "sys.set_int_max_str_digits(0)", "sys.set_int_max_str_digits(limit)",
+     T_CLI),
+    ("rd.coeff_max unbounded above", CONFIG,
+     '"rd.coeff_max": (9, (">=", 1), ("<=", 10 ** 6)),',
+     '"rd.coeff_max": (9, (">=", 1)),', T_CLI),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
