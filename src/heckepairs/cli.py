@@ -185,10 +185,10 @@ def run_pair_command(args) -> int:
     set_values(cfg, CONFIG_KEYS, [(k, v) for k, v in flags if v is not None],
                "flag")
     check_domains(cfg, CONFIG_KEYS)
-    if not (args.pair or args.pair_spec):
-        raise HeckeError("--pair or --pair-spec is required")
-    pair = (load_pair_spec(args.pair_spec) if args.pair_spec
-            else get_pair(args.pair))
+    if (args.pair is None) == (args.pair_spec is None):
+        raise HeckeError("give exactly one of --pair and --pair-spec")
+    pair = (get_pair(args.pair) if args.pair_spec is None
+            else load_pair_spec(args.pair_spec))
     rd_cfg = {k: cfg[k] for k in RD_KEYS}
     _check_out(args.out)
     base = os.path.join(args.out, f"{args.command.replace('-', '_')}_"

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class HeckeError(Exception):
@@ -86,7 +86,3 @@ class SubsetNotSubgroup(HeckeError):
 
 class NoStableFit(HeckeError):
     """No exponent in the grid gave a stable weighted-norm ratio."""
-
-
-class ConvergenceWarning(UserWarning):
-    """Power iteration hit its iteration cap before reaching tolerance."""

@@ -608,8 +608,9 @@ class AffinePair(HeckePair):
 # ---------------------------------------------------------------------------
 # Z^d with the trivial subgroup
 
-#: the largest d of z:d: its unit generators hold d^2, about 10^6, ints
-Z_MAX_DIMENSION = 1024
+#: the largest d of z:d, the last whose coset stays near the 0.5-0.7 KB
+#: the default max_cosets is sized by (0.7 KB at d = 32, 17 KB at 1024)
+Z_MAX_DIMENSION = 32
 
 class ZPair(HeckePair):
     """(Z^d, {0}) with the standard unit generators, d <= Z_MAX_DIMENSION."""

@@ -37,7 +37,6 @@ import importlib.util
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -47,8 +46,8 @@ from .algebra import (HeckeElement, involution, norms, power_moments,
                       weighted_norms)
 from .config import RD_DEFAULTS, RD_KEYS, check_domains, set_values
 from .cosets import CosetStore
-from .errors import (BallIncomplete, CapExceeded, ConvergenceWarning,
-                     HeckeError, NoStableFit, StoreMismatch)
+from .errors import (BallIncomplete, CapExceeded, HeckeError, NoStableFit,
+                     StoreMismatch)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -356,9 +355,12 @@ def _sparse_kernels():
 
 
 def truncated_norm(op: TruncatedOperator, tol: float = RD_DEFAULTS["rd.tol"],
-                   max_iter: int = RD_DEFAULTS["rd.max_iter"]) -> float:
+                   max_iter: int = RD_DEFAULTS["rd.max_iter"]
+                   ) -> tuple[float, bool]:
     """Largest singular value of the truncated operator via power iteration
-    on A^T A, from the deterministic start vector delta_He + uniform.
+    on A^T A, from the deterministic start vector delta_He + uniform, and
+    whether the iteration converged: False when it hit ``max_iter`` before
+    five steps in a row moved sigma by at most ``tol`` relative.
 
     Each step runs scipy's compiled sparse kernels, which
     ``_sparse_kernels`` loads without importing scipy.sparse, on the
@@ -377,7 +379,7 @@ def truncated_norm(op: TruncatedOperator, tol: float = RD_DEFAULTS["rd.tol"],
     csr_matvec, csc_matvec = kernels.csr_matvec, kernels.csc_matvec
     n = op.dim
     if n == 0:
-        return 0.0
+        return 0.0, True
     data = op.data
     indptr, indices = op.indptr, op.indices
     v = np.full(n, 1.0 / math.sqrt(n))
@@ -394,23 +396,21 @@ def truncated_norm(op: TruncatedOperator, tol: float = RD_DEFAULTS["rd.tol"],
         csr_matvec(n, n, indptr, indices, data, v, w)      # w = A v
         sigma = math.sqrt(w.dot(w))
         if sigma == 0.0:
-            return 0.0
+            return 0.0, True
         u.fill(0.0)
         csc_matvec(n, n, indptr, indices, data, w, u)      # u = A^T w
         nu = math.sqrt(u.dot(u))
         if nu == 0.0:
-            return sigma
+            return sigma, True
         np.divide(u, nu, out=v)
         if prev >= 0 and abs(sigma - prev) <= tol * max(sigma, 1e-300):
             stable += 1
             if stable >= 5:
-                return sigma
+                return sigma, True
         else:
             stable = 0
         prev = sigma
-    warnings.warn("power iteration hit its iteration cap",
-                  ConvergenceWarning)
-    return sigma
+    return sigma, False
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +637,9 @@ def _bounds(f: HeckeElement, cfg: dict, n: int, radius: int, where: str,
     """An rd-profile record's and kesten's lower bounds for ||lambda(f)||:
     f's moments a_1..a_n, their roots a_k^(1/2k) (certified for every f),
     the truncated norm at ``radius`` and max(last root, truncated norm).
-    The moments are computed first.  A power iteration that hits
-    rd.max_iter goes to ``note`` as a warning naming ``where``, not to
-    stderr.  With no ``skip`` (kesten) a CapExceeded propagates, the
+    The moments are computed first.  A power iteration that returns
+    unconverged, having hit rd.max_iter, gives ``note`` a warning naming
+    ``where``.  With no ``skip`` (kesten) a CapExceeded propagates, the
     moments' first, and the CLI exits 3; with ``skip`` (rd-profile) a
     capped bound is zeroed and ``skip`` gets "<bound> skipped <where>:
     <cap>", the truncated norm's first."""
@@ -652,24 +652,17 @@ def _bounds(f: HeckeElement, cfg: dict, n: int, radius: int, where: str,
                 raise
             moments_cap = exc
     roots = [_nth_root(a, 2 * k) for k, a in enumerate(moments, start=1)]
-    trunc, max_iter = 0.0, cfg["rd.max_iter"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConvergenceWarning)
-        try:
-            trunc = truncated_norm(operator_matrix(f, radius),
-                                   cfg["rd.tol"], max_iter)
-        except CapExceeded as exc:
-            if skip is None:
-                raise
-            skip(f"truncated norm skipped {where}: {exc}")
-    for w in caught:
-        if issubclass(w.category, ConvergenceWarning):
-            note(f"power iteration {where} hit its iteration cap "
-                 f"(rd.max_iter={max_iter}): trunc_norm there is not "
-                 f"converged")
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename,
-                                   w.lineno, source=w.source)
+    trunc, converged, max_iter = 0.0, True, cfg["rd.max_iter"]
+    try:
+        trunc, converged = truncated_norm(operator_matrix(f, radius),
+                                          cfg["rd.tol"], max_iter)
+    except CapExceeded as exc:
+        if skip is None:
+            raise
+        skip(f"truncated norm skipped {where}: {exc}")
+    if not converged:
+        note(f"power iteration {where} hit its iteration cap "
+             f"(rd.max_iter={max_iter}): trunc_norm there is not converged")
     if moments_cap is not None:
         skip(f"moments skipped {where}: {moments_cap}")
     return moments, roots, trunc, max(roots[-1] if roots else 0.0, trunc)

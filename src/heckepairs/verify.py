@@ -226,14 +226,14 @@ def _z_moments():
 
 def _z_projection_monotone():
     f = _z_walk()
-    t10 = truncated_norm(operator_matrix(f, 10))
-    t50 = truncated_norm(operator_matrix(f, 50))
+    t10, _ = truncated_norm(operator_matrix(f, 10))
+    t50, _ = truncated_norm(operator_matrix(f, 50))
     return t10 <= t50 + 1e-9, f"{t10:.6f} vs {t50:.6f}"
 
 
 def _z_l1_bound():
     f = _z_walk()
-    t50 = truncated_norm(operator_matrix(f, 50))
+    t50, _ = truncated_norm(operator_matrix(f, 50))
     return t50 <= float(norms(f).l1) + 1e-9, ""
 
 

@@ -397,13 +397,14 @@ def reference_truncated_norm(op, tol=1e-8, max_iter=20000):
     """The power iteration of ``rd.truncated_norm`` through scipy's public
     sparse matrices, with every norm taken by ``np.linalg.norm``: on A^T A
     from delta_He + uniform, with A^T built by ``a.T.tocsr()``, stopping
-    after five steps within ``tol``.  Warns of nothing at its cap."""
+    after five steps within ``tol``.  Returns (sigma, converged), as
+    ``rd.truncated_norm`` does."""
     import math
 
     import numpy as np
 
     if op.dim == 0:
-        return 0.0
+        return 0.0, True
     a = to_csr(op)
     at = a.T.tocsr()
     v = np.full(op.dim, 1.0 / math.sqrt(op.dim))
@@ -416,20 +417,20 @@ def reference_truncated_norm(op, tol=1e-8, max_iter=20000):
         w = a @ v
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
-            return 0.0
+            return 0.0, True
         u = at @ w
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
-            return sigma
+            return sigma, True
         v = u / nu
         if prev >= 0 and abs(sigma - prev) <= tol * max(sigma, 1e-300):
             stable += 1
             if stable >= 5:
-                return sigma
+                return sigma, True
         else:
             stable = 0
         prev = sigma
-    return sigma
+    return sigma, False
 
 
 def operator_entries(op):

@@ -184,7 +184,7 @@ def test_criterion_07_spectral_estimators_on_z():
         assert moments == [central_trinomial(2 * n) for n in range(1, 21)]
         rho = spectral_lower_bound(f, 20)
         assert 2.70 <= rho[19] <= 3.00
-        tn = truncated_norm(operator_matrix(f, 50))
+        tn, _ = truncated_norm(operator_matrix(f, 50))
         assert abs(tn - (1 + 2 * math.cos(math.pi / 102))) <= 1e-3
         kes = kesten_diagnostic(store, f, config={
             "kesten.n": 20, "kesten.trunc_radius": 50})
@@ -230,7 +230,7 @@ def test_criterion_08_estimator_coherence_everywhere():
                     assert exact_truncated_moment(op, n) == moments[n - 1]
             # projection monotonicity (tol 1e-9)
             radii = sorted({1, max(1, pad // 2), pad})
-            tns = [truncated_norm(operator_matrix(f, r))
+            tns = [truncated_norm(operator_matrix(f, r))[0]
                    for r in radii]
             for a, b in zip(tns, tns[1:]):
                 assert b >= a - 1e-9

@@ -426,6 +426,18 @@ def test_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == EXIT_USAGE
     assert main(["growth", "--rmax", "3",
                  "--out", str(tmp_path / "y")]) == EXIT_USAGE
+    # both pair flags: neither names the pair alone, so nothing is written
+    (tmp_path / "s5.spec").write_text(
+        "kind=perm\nlabel=s5-h12\nn=5\n"
+        "g_gen=perm 1 0 2 3 4\ng_gen=perm 1 2 3 4 0\n"
+        "h_gen=perm 1 0 2 3 4\nh_gen=perm 0 1 3 4 2\nh_gen=perm 0 1 3 2 4\n")
+    capsys.readouterr()
+    assert main(["growth", "--pair", "z:1", "--rmax", "2",
+                 "--pair-spec", str(tmp_path / "s5.spec"),
+                 "--out", str(tmp_path / "both")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--pair " in err and "--pair-spec" in err
+    assert not (tmp_path / "both").exists()
     # non-integer numbers in a pair spec, --set or a config file
     files = {"n.spec": "kind=perm\nn=x\ng_gen=perm 1 0\n",
              "bad.cfg": "rd.n_random=2.5\n"}

@@ -8,7 +8,8 @@ from heckepairs.algebra import HeckeElement, basis_element, involution
 from heckepairs.cosets import (Caps, check_interning_soundness, enumerate_ball,
                                left_L_count, relative_modular,
                                unimodularity_check)
-from heckepairs.errors import (CapExceeded, HeckeError, NonBiInvariantResult,
+from heckepairs.errors import (BallIncomplete, CapExceeded, HeckeError,
+                               NonBiInvariantResult, NotFinitelyGenerated,
                                OrbitCapExceeded)
 from heckepairs.groups import Aff, get_pair
 from heckepairs.rd import operator_matrix
@@ -103,9 +104,19 @@ def test_enumerate_ball_psl2_r1():
 
 
 def test_enumerate_ball_fails_fast_for_full_bc():
-    from heckepairs.errors import NotFinitelyGenerated
     with pytest.raises(NotFinitelyGenerated):
         enumerate_ball(get_pair("bc"), 2)
+
+
+def test_unimodularity_without_generators_refuses_a_true_verdict(
+        monkeypatch):
+    # bc's probes of Delta = 1 alone (a translation by 1/2) cannot certify
+    # a pair with no finite generating set
+    pair = get_pair("bc")
+    monkeypatch.setattr(pair, "unimod_probes",
+                        lambda: [pair.parse("aff 1/2 1")])
+    with pytest.raises(NotFinitelyGenerated, match="cannot certify"):
+        hp.CosetStore(pair).unimodularity()
 
 
 def test_orbit_of_identity():
@@ -242,6 +253,19 @@ def test_r_equals_l_of_inverse(label):
 def test_interning_soundness(label):
     store = enumerate_ball(get_pair(label), 3)
     assert check_interning_soundness(store) == []
+    with pytest.raises(HeckeError, match="too large for exhaustive check"):
+        check_interning_soundness(store, limit=len(store) - 1)
+
+
+def test_orbit_refuses_a_coset_of_another_class():
+    # a member of s3-h12's two-coset class, marked as the identity class's
+    # before the class's orbit is built, is an interning bug
+    store = enumerate_ball(get_pair("s3-h12"), 2)
+    d = store.dc(1)
+    assert store.dcs[d].member_cids is None
+    store.dc_of[2] = store.identity_class()
+    with pytest.raises(HeckeError, match="interning bug"):
+        store.class_members(d)
 
 
 @pytest.mark.parametrize("label", FG_LABELS)
@@ -323,6 +347,8 @@ def test_ball_is_the_bfs_order_after_orbits():
             hist[w] += 1
     ends = store.ball_ends
     assert [ends[0]] + [b - a for a, b in zip(ends, ends[1:])] == hist
+    with pytest.raises(BallIncomplete, match="complete to 4, requested 5"):
+        store.ball_ids(5)
 
 
 def test_ball_ends_flat_after_saturation():

@@ -15,8 +15,8 @@ import heckepairs as hp
 from heckepairs.errors import (DomainError, HeckeError, MixedKinds,
                                OrbitCapExceeded, ParseError)
 from heckepairs.algebra import structure_constants
-from heckepairs.groups import (Z_MAX_DIMENSION, Aff, Dih, Mat2, Perm,
-                               PermPair, Vec, _is_prime, get_pair)
+from heckepairs.groups import (Z_MAX_DIMENSION, Aff, Dih, HeckePair, Mat2,
+                               Perm, PermPair, Vec, _is_prime, get_pair)
 
 import oracles
 from conftest import FG_LABELS
@@ -231,6 +231,11 @@ def test_h_generators_inside_h_and_shat_symmetric(label):
     shat = pair.shat()
     for s in shat:
         assert pair.canon(pair.inv(s)) in shat
+    # a G generator outside H, given as an H generator, is refused
+    outside = next(g for g in pair.g_generators if not pair.in_h(g))
+    pair.h_generators = [*pair.h_generators, outside]
+    with pytest.raises(HeckeError, match="subgroup generator outside H"):
+        HeckePair.__init__(pair)
 
 
 def test_parse_render_round_trips():
@@ -520,11 +525,12 @@ def _peak_bytes(build, error, message):
 
 
 def test_z_dimension_past_its_bound_is_refused_before_allocating():
-    # the generators of z:d hold d^2 coordinates; past the bound none is built
+    # the generators of z:d hold d^2 coordinates, 8 d^2 bytes of references
+    # alone; past the bound none is built
     d = Z_MAX_DIMENSION + 1
     message = f"dimension must be <= {Z_MAX_DIMENSION}, got {d}"
     assert _peak_bytes(lambda: get_pair(f"z:{d}"), HeckeError,
-                       message) < d * d
+                       message) < 8 * d * d
     assert get_pair(f"z:{Z_MAX_DIMENSION}").d == Z_MAX_DIMENSION
 
 

@@ -221,6 +221,12 @@ def test_length_axioms_report_each_forged_fault_by_name():
             f"({cls[1]},{cls[2]})"
             in check_length_axioms(store, LengthFunction("custom", lengths),
                                    2))
+    # a table short of the half radius: the factors it misses are passed
+    # over, and only the products of the ones it holds are named
+    short = LengthFunction("custom", word_length(store, 1).values)
+    assert sorted(check_length_axioms(store, short, 2)) == sorted(
+        f"length undefined on product class {cls[2 * n]} of "
+        f"({cls[n]},{cls[n]})" for n in (1, -1))
 
 
 def test_length_axioms_check_a_forged_exact_base():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import heckepairs as hp
 from heckepairs.errors import HeckeError, SubsetNotSubgroup
 from heckepairs.groups import Perm, PermPair
+from heckepairs import oracle as oracle_module
 from heckepairs.oracle import finite_group_oracle, oracle_matches_engine
 
 from oracles import double_coset, group_closure, perm_inv, perm_mul
@@ -146,6 +147,23 @@ def test_oracle_refuses_an_unsaturated_store_and_another_pair():
         [g.images for g in store.pair.g_generators], [(0, 1, 2, 3)])
     assert oracle_matches_engine(store, trivial_h) == [
         "coset counts differ: engine 12 vs oracle 24"]
+    # S4 over <(0 1)(2 3)> has 12 cosets in 8 classes; over <(2 3)>, 12 in
+    # 7 classes of the same sizes, two of them matched to one
+    gens = [g.images for g in store.pair.g_generators]
+    for h, problem in (
+            ((1, 0, 3, 2), "class counts differ: engine 7 vs oracle 8"),
+            ((0, 1, 3, 2), "class matching is not a bijection")):
+        other = finite_group_oracle(gens, [(0, 1, 2, 3), h])
+        assert oracle_matches_engine(store, other) == [problem]
+
+
+def test_oracle_refuses_a_convolution_that_is_not_class_constant(
+        monkeypatch):
+    # with every inverse read as the element itself, the pointwise sum
+    # over x y^{-1} is not constant on a class of S3 over <(0 1)>
+    monkeypatch.setattr(oracle_module, "_inv", lambda x: x)
+    with pytest.raises(HeckeError, match="not constant on a class"):
+        finite_group_oracle(S3_GENS, H12)
 
 
 def random_permutation_pair(seed):

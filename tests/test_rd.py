@@ -17,8 +17,7 @@ import heckepairs as hp
 from heckepairs import algebra, cli, rd
 from heckepairs.algebra import (HeckeElement, basis_element, identity_element,
                                 involution, norms, power_moments)
-from heckepairs.errors import (BallIncomplete, ConvergenceWarning,
-                               HeckeError, NoStableFit,
+from heckepairs.errors import (BallIncomplete, HeckeError, NoStableFit,
                                NotRelativelyUnimodular, StoreMismatch)
 from heckepairs.groups import get_pair
 from heckepairs.lengths import characteristic_length
@@ -56,7 +55,8 @@ def test_operator_identity_is_identity_matrix(z1_store):
     assert op.dim == 7
     for j, col in enumerate(op.cols):
         assert col == [(j, Q(1))]
-    assert truncated_norm(op) == pytest.approx(1.0, abs=1e-9)
+    norm, converged = truncated_norm(op)
+    assert norm == pytest.approx(1.0, abs=1e-9) and converged
 
 
 def test_operator_z_is_tridiagonal_with_diagonal(z1_store):
@@ -429,7 +429,8 @@ def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
     # sqrt(w . w) is what np.linalg.norm computes for a 1-D float64
     # array, and the scipy kernels run on the operator's arrays are the
     # products of the scipy matrices A and A.T.tocsr(), in the same order,
-    # so every norm is the same float, capped or not.  The bcp pairs are
+    # so every norm is the same float, and every converged flag the same
+    # bool, capped or not.  The bcp pairs are
     # not relatively unimodular: rd-profile builds no operator there, and
     # kesten's, as `hecke kesten --rmax r_max` builds it, is not symmetric,
     # so A^T w is not A w
@@ -451,11 +452,9 @@ def test_truncated_norm_equals_the_linalg_reference(monkeypatch, label,
     assert ops
     for op in ops:
         assert truncated_norm(op) == reference_truncated_norm(op)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            for k in (1, 2, 7):
-                assert (truncated_norm(op, max_iter=k)
-                        == reference_truncated_norm(op, max_iter=k))
+        for k in (1, 2, 7):
+            assert (truncated_norm(op, max_iter=k)
+                    == reference_truncated_norm(op, max_iter=k))
 
 
 def test_library_builds_no_sparse_matrix(monkeypatch):
@@ -511,21 +510,23 @@ def test_truncated_norm_closed_form(z1_store):
     # eigenvalues of the 101-point section are 1 + 2cos(k pi / 102)
     op = operator_matrix(z_walk(z1_store), 50)
     want = 1 + 2 * math.cos(math.pi / 102)
-    assert truncated_norm(op) == pytest.approx(want, abs=1e-4)
+    norm, converged = truncated_norm(op)
+    assert norm == pytest.approx(want, abs=1e-4) and converged
 
 
-def test_truncated_norm_warns_at_its_iteration_cap(z1_store):
+def test_truncated_norm_flags_its_iteration_cap(z1_store):
     # one step of power iteration on A^T A reads ||A v|| for a unit v, so
     # the capped value still lies below the converged norm
     op = operator_matrix(z_walk(z1_store), 10)
-    with pytest.warns(ConvergenceWarning):
-        capped = truncated_norm(op, max_iter=1)
-    assert 0 < capped <= truncated_norm(op)
+    capped, converged = truncated_norm(op, max_iter=1)
+    assert not converged
+    norm, converged = truncated_norm(op)
+    assert converged and 0 < capped <= norm
 
 
 def test_profile_reports_a_capped_power_iteration(monkeypatch, z1_store):
-    # the cap's ConvergenceWarning goes into the report, once per radius,
-    # and not to stderr; the iteration is still rd.truncated_norm's, so a
+    # the unconverged flag goes into the report, once per radius, and no
+    # warning is issued; the iteration is still rd.truncated_norm's, so a
     # tracer that wraps it sees every call
     calls = []
     real_norm = rd.truncated_norm
@@ -539,7 +540,7 @@ def test_profile_reports_a_capped_power_iteration(monkeypatch, z1_store):
         warnings.simplefilter("always")
         prof = rd_profile(z1_store, 8, config={"rd.max_iter": 3},
                           seed=1)
-    assert not [w for w in caught if w.category is ConvergenceWarning]
+    assert caught == []
     assert len(calls) == len(prof.records)
     assert prof.warnings == [
         f"power iteration at r={r} hit its iteration cap (rd.max_iter=3): "
@@ -548,8 +549,8 @@ def test_profile_reports_a_capped_power_iteration(monkeypatch, z1_store):
 
 
 def test_kesten_reports_a_capped_power_iteration(monkeypatch, tmp_path):
-    # as in rd-profile: the cap goes into the report's warnings, not to
-    # stderr, through the module-level rd.truncated_norm
+    # as in rd-profile: the cap goes into the report's warnings, and no
+    # warning is issued, through the module-level rd.truncated_norm
     calls = []
     real_norm = rd.truncated_norm
 
@@ -563,7 +564,7 @@ def test_kesten_reports_a_capped_power_iteration(monkeypatch, tmp_path):
         warnings.simplefilter("always")
         rep = kesten_diagnostic(store, config={"kesten.n": 2,
                                                "rd.max_iter": 3})
-    assert not [w for w in caught if w.category is ConvergenceWarning]
+    assert caught == []
     assert len(calls) == 1
     assert rep.warnings == [
         "power iteration at trunc_radius=6 hit its iteration cap "
@@ -597,7 +598,7 @@ def test_default_profiles_converge(label, r_max):
 def test_truncated_norm_of_the_zero_operator(z1_store):
     op = operator_matrix(HeckeElement(z1_store, {}), 3)
     assert op.dim == 7 and op.indices.size == 0
-    assert truncated_norm(op) == 0.0
+    assert truncated_norm(op) == (0.0, True)
 
 
 def test_negative_truncation_radius_gives_the_empty_operator():
@@ -615,12 +616,12 @@ def test_negative_truncation_radius_gives_the_empty_operator():
     op = operator_matrix(f, -1)
     assert op.dim == 0 and op.ball == [] and op.indices.size == 0
     assert list(op.indptr) == [0]
-    assert truncated_norm(op) == 0.0
+    assert truncated_norm(op) == (0.0, True)
 
 
 def test_projection_monotonicity(z1_store):
     f = z_walk(z1_store)
-    values = [truncated_norm(operator_matrix(f, r))
+    values = [truncated_norm(operator_matrix(f, r))[0]
               for r in (5, 10, 20, 50)]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-9
@@ -710,7 +711,7 @@ def test_lower_bound_coherence(z1_store):
     f = z_walk(z1_store)
     rho = spectral_lower_bound(f, 5)
     for n in range(1, 6):
-        tn = truncated_norm(operator_matrix(f, 2 * n))
+        tn, _ = truncated_norm(operator_matrix(f, 2 * n))
         assert rho[n - 1] <= tn + 1e-6
 
 
@@ -720,7 +721,7 @@ def test_l1_upper_bound_for_unimodular(z1_store):
     for _ in range(10):
         supp = rng.sample(classes, k=3)
         f = HeckeElement(z1_store, {d: Q(rng.randint(1, 5)) for d in supp})
-        tn = truncated_norm(operator_matrix(f, 20))
+        tn, _ = truncated_norm(operator_matrix(f, 20))
         assert tn <= float(norms(f).l1) + 1e-9
 
 
@@ -892,10 +893,14 @@ def test_rd_weighted_fit_needs_four_radii():
 
 def test_rd_weighted_fit_skips_a_grid_point_on_two_tail_radii():
     # s = 0 is missing at r = 4 and 5, so the tail (r >= 2) holds it at two
-    # radii only: the fit passes it over, though it is flat there
+    # radii only: the fit passes it over, though it is flat there; a
+    # weighted norm of 0 there is passed over the same way, not divided by
     prof = synthetic_profile({r: 1.0 for r in range(6)})
     for rec in prof.records[4:]:
         del rec.weighted_norms[0.0]
+    assert rd_weighted_fit(prof) == (0.5, 1.0)
+    for rec in prof.records[4:]:
+        rec.weighted_norms[0.0] = 0.0
     assert rd_weighted_fit(prof) == (0.5, 1.0)
 
 

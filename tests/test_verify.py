@@ -112,6 +112,25 @@ def test_structure_constant_arbiters_name_a_miscounted_pair(monkeypatch):
                    for _, detail in results)
 
 
+def test_s3_identity_names_a_class_count_other_than_two(monkeypatch):
+    _patch_method(monkeypatch, "classes_in_ball",
+                  lambda real, store, r: real(store, r) + [99])
+    assert _row("s3-structure-identity")[1]() == (False, "3 classes, want 2")
+
+
+def test_golden_names_a_missing_snapshot(monkeypatch, tmp_path):
+    monkeypatch.setattr(verify, "golden_snapshot_path",
+                        lambda label, radius: tmp_path / "missing.json")
+    assert _row("golden")[1]("z:1") == (False, "snapshot file missing")
+
+
+def test_algebra_laws_name_the_first_law_broken(monkeypatch):
+    # an involution that doubles f is not involutive; associativity and
+    # the unit, checked first, still hold
+    monkeypatch.setattr(verify, "involution", lambda f: f + f)
+    assert _row("algebra-laws")[1]("z:1") == (False, "involution involutive")
+
+
 def test_a_suite_cut_short_by_an_error_fails_under_its_name(monkeypatch):
     def refuse(f, n):
         raise HeckeError("moments refused")

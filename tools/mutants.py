@@ -110,6 +110,11 @@ ROWS = [
     ("rd.coeff_max unbounded above", CONFIG,
      '"rd.coeff_max": (9, (">=", 1), ("<=", 10 ** 6)),',
      '"rd.coeff_max": (9, (">=", 1)),', T_CLI),
+    ("non-convergence note dropped", RD,
+     "    if not converged:\n", "    if False:\n", T_RD),
+    ("both pair flags accepted", CLI,
+     "if (args.pair is None) == (args.pair_spec is None):",
+     "if args.pair is None and args.pair_spec is None:", T_CLI),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
